@@ -77,8 +77,9 @@ def main() -> None:
     ds.freeze()
 
     print(f"device\t{args.datatype}_pcc\tdays")
-    for device_name in args.devices:
-        series = align(ds, device_resource(DEFAULT_BASE, device_name), args.datatype, station)
+    devices = [device_resource(DEFAULT_BASE, name) for name in args.devices]
+    for series in align(ds, devices, args.datatype, station):
+        device_name = series.device.raw
         if len(series.pairs) < 2:
             print(f"{device_name}\tn/a\t{len(series.pairs)}")
             continue

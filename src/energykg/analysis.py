@@ -2,8 +2,10 @@
 
 The alignment runs the day-matching join query against the store, so the
 analysis exercises exactly the data an external endpoint client would
-see. Correlations are plain Pearson coefficients over the inner-joined
-daily pairs.
+see. It is one join query per run: the query binds ``?device`` and the
+rows are grouped per device, so the report and the scatter exports are
+built from the same aligned series. Correlations are plain Pearson
+coefficients over the inner-joined daily pairs.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ PREFIX qudt: <http://qudt.org/1.1/schema/qudt#>
 PREFIX prov: <http://www.w3.org/ns/prov#>
 PREFIX sosa: <http://www.w3.org/ns/sosa/>
 
-SELECT ?edate ?val ?cval ?date
+SELECT ?device ?edate ?val ?cval ?date
 FROM <urn:x-arq:DefaultGraph>
 FROM NAMED <{graph}>
 WHERE
@@ -126,7 +128,7 @@ WHERE
   GRAPH <{graph}>
   {{
     <{network}> <ca/property/retrieveWeatherFrom> <{station}> .
-    <{device}> seas:evaluation ?eval .
+    ?device seas:evaluation ?eval .
     ?eval prov:generatedAtTime ?edate ;
           seas:evaluatedValue/qudt:numericalValue ?val .
   }}
@@ -185,14 +187,18 @@ def climate_series(
 
 def align(
     ds: Dataset,
-    device: Iri,
+    devices: Sequence[Iri],
     climate_code: str,
     station: Iri,
     base: Iri = DEFAULT_BASE,
     graph: Optional[Iri] = None,
     auxiliary: Sequence[str] = (),
-) -> AlignedSeries:
-    """Inner-join the device's daily readings with same-day observations."""
+) -> list[AlignedSeries]:
+    """Inner-join each device's daily readings with same-day observations.
+
+    One evaluation of the join query serves every device; the result has
+    one series per requested device, in the order given.
+    """
     g = cossmic_graph(base) if graph is None else graph
     network = _linked_network(ds, station, base, g)
     query = parse_query(
@@ -202,28 +208,32 @@ def align(
             station=station.value,
             code=climate_code,
             network=network.value,
-            device=device.value,
         )
     )
-    rows = evaluate(ds, query)
-    pairs: list[tuple[date, Decimal, Decimal]] = []
-    seen: set[date] = set()
-    for row in rows:
+    joined: dict[Iri, dict[date, tuple[Decimal, Decimal]]] = {device: {} for device in devices}
+    for row in evaluate(ds, query):
+        days = joined.get(row["device"])
+        if days is None:
+            continue
         day = parse_datetime(_lex(row["edate"])).date()
-        if day in seen:
+        if day in days:
             raise AnalysisError(
-                f"duplicate day {day.isoformat()} for {device.value}; "
+                f"duplicate day {day.isoformat()} for {row['device'].value}; "
                 "store is not at daily resolution"
             )
-        seen.add(day)
-        pairs.append((day, parse_numeric(_as_literal(row["val"])), parse_numeric(_as_literal(row["cval"]))))
-    pairs.sort(key=lambda pair: pair[0])
+        days[day] = (
+            parse_numeric(_as_literal(row["val"])),
+            parse_numeric(_as_literal(row["cval"])),
+        )
 
-    aux: dict[str, tuple[Optional[Decimal], ...]] = {}
-    for code in auxiliary:
-        series = climate_series(ds, station, code, base)
-        aux[code] = tuple(series.get(day) for day, _, _ in pairs)
-    return AlignedSeries(_heading_from_iri(device, base), climate_code, tuple(pairs), aux)
+    extra = {code: climate_series(ds, station, code, base) for code in auxiliary}
+    out = []
+    for device in devices:
+        days = joined[device]
+        pairs = tuple((day, *days[day]) for day in sorted(days))
+        aux = {code: tuple(values.get(day) for day, _, _ in pairs) for code, values in extra.items()}
+        out.append(AlignedSeries(_heading_from_iri(device, base), climate_code, pairs, aux))
+    return out
 
 
 def _lex(term) -> str:
@@ -284,13 +294,9 @@ def _quartiles(values: list[float]) -> dict[str, float]:
 
 
 def correlation_table(
-    ds: Dataset,
-    devices: Sequence[Iri],
+    aligned: Sequence[AlignedSeries],
     climate_code: str,
     threshold: float,
-    station: Iri,
-    base: Iri = DEFAULT_BASE,
-    graph: Optional[Iri] = None,
     min_samples: int = 2,
 ) -> CorrelationReport:
     """Per-device coefficients, filtered to |pcc| >= threshold.
@@ -303,8 +309,7 @@ def correlation_table(
     entries: list[CorrelationEntry] = []
     warnings: list[str] = []
     by_category: dict[str, list[float]] = {}
-    for device in devices:
-        series = align(ds, device, climate_code, station, base, graph)
+    for series in aligned:
         raw = series.device.raw
         if len(series.pairs) < min_samples:
             warnings.append(f"{raw}: only {len(series.pairs)} joined days, need {min_samples}")

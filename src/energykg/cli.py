@@ -152,7 +152,7 @@ def cmd_query(store_paths: Sequence[str], query: str, config: PipelineConfig) ->
 def cmd_serve(store_paths: Sequence[str], config: PipelineConfig) -> None:
     ds = load_store(store_paths, config)
     host, port = config.bind_address()
-    endpoint_config = EndpointConfig(host=host, port=port, dataset_paths=tuple(store_paths))
+    endpoint_config = EndpointConfig(host=host, port=port)
     try:
         serve(endpoint_config, ds)
     except OSError as exc:
@@ -169,16 +169,11 @@ def cmd_analyze(store_paths: Sequence[str], config: PipelineConfig) -> list[str]
     )
     if not devices:
         raise EnergyKgError("store contains no device evaluations")
-    report = correlation_table(
-        ds,
-        devices,
-        config.datatype,
-        config.threshold,
-        config.station_iri,
-        config.base_iri,
-        graph,
-        config.min_samples,
+    aligned = align(
+        ds, devices, config.datatype, config.station_iri, config.base_iri, graph,
+        auxiliary=("PRCP",),
     )
+    report = correlation_table(aligned, config.datatype, config.threshold, config.min_samples)
     written = []
     tsv_path = os.path.join(config.out, "report.tsv")
     _write(tsv_path, report_tsv(report))
@@ -188,11 +183,7 @@ def cmd_analyze(store_paths: Sequence[str], config: PipelineConfig) -> list[str]
     written.append(json_path)
 
     scatter_by_kind: dict[str, list[str]] = {}
-    for device in devices:
-        series = align(
-            ds, device, config.datatype, config.station_iri, config.base_iri, graph,
-            auxiliary=("PRCP",),
-        )
+    for series in aligned:
         if not series.pairs:
             continue
         kind = categorize(series.device).kind.value

@@ -44,14 +44,6 @@ class ClimateObservation:
     value: Decimal
 
 
-@dataclass(frozen=True)
-class StationRecord:
-    station_id: str
-    name: Optional[str] = None
-    latitude: Optional[float] = None
-    longitude: Optional[float] = None
-
-
 _CSV_HEADER = ["station", "date", "datatype", "value"]
 
 

@@ -77,9 +77,6 @@ class Dataset:
             (g for g in self._by_graph if g is not None), key=lambda g: g.value
         )
 
-    def graph_size(self, graph: GraphName) -> int:
-        return len(self._by_graph.get(graph, ()))
-
     def match(
         self,
         subject: Pattern = ANY,
@@ -124,6 +121,3 @@ class Dataset:
         if not buckets:
             return self._by_graph.get(graph, [])
         return min(buckets, key=len)
-
-    def quads_sorted(self) -> list[Quad]:
-        return sorted(self._quads, key=quad_key)

@@ -26,7 +26,6 @@ from .sparql import evaluate, parse_query, to_results_json
 class EndpointConfig:
     host: str = "127.0.0.1"
     port: int = 8080
-    dataset_paths: tuple[str, ...] = ()
     max_query_bytes: int = 262144
     timeout_seconds: float = 30.0
 
@@ -151,7 +150,13 @@ def _make_handler(ds: Dataset, config: EndpointConfig, executor: ThreadPoolExecu
                 self._reply_text(404, "not found")
                 return
             content_type = self.headers.get("Content-Type", "").split(";")[0].strip()
-            length = int(self.headers.get("Content-Length", "0"))
+            length_text = self.headers.get("Content-Length", "0").strip()
+            if not (length_text.isascii() and length_text.isdigit()):
+                # The body's extent is unknown, so the connection cannot be reused.
+                self.close_connection = True
+                self._reply_text(400, f"invalid Content-Length: {length_text!r}")
+                return
+            length = int(length_text)
             if length > config.max_query_bytes:
                 # Drain enough to keep the connection coherent, then refuse.
                 self.rfile.read(length)

@@ -225,10 +225,11 @@ def test_criterion_6_real_data_reproduction(tmp_path):
     ds.freeze()
 
     published = {"DE_KN_industrial1_pv_1": 0.78, "DE_KN_residential1_heat_pump": -0.95}
-    for device_name, expected in published.items():
-        series = align(ds, device_resource(DEFAULT_BASE, device_name), "TMAX", station)
+    devices = [device_resource(DEFAULT_BASE, name) for name in published]
+    for series in align(ds, devices, "TMAX", station):
+        device_name = series.device.raw
         value = pcc(series.energy(), series.climate())
-        assert abs(value - expected) < 0.05, (device_name, value)
+        assert abs(value - published[device_name]) < 0.05, (device_name, value)
     _passed("real-data coefficients within 0.05 of published values")
 
 

@@ -148,16 +148,38 @@ PV_IRI = device_resource(DEFAULT_BASE, conftest.PV_DEVICE)
 
 
 def test_align_three_days(three_day_store):
-    series = align(three_day_store, PV_IRI, "TMAX", STATION)
+    [series] = align(three_day_store, [PV_IRI], "TMAX", STATION)
     assert series.device.raw == conftest.PV_DEVICE
     assert [str(v) for _, v, _ in series.pairs] == ["12.5", "13.0", "9.75"]
     assert [str(v) for _, _, v in series.pairs] == ["22.3", "25.0", "18.1"]
     assert [d for d, _, _ in series.pairs] == [date(2016, 5, 1), date(2016, 5, 2), date(2016, 5, 3)]
 
 
+def test_align_one_query_serves_every_device_in_order(three_day_store, monkeypatch):
+    import energykg.analysis as analysis
+
+    queries = []
+    evaluate = analysis.evaluate
+
+    def counting_evaluate(ds, query):
+        queries.append(query)
+        return evaluate(ds, query)
+
+    monkeypatch.setattr(analysis, "evaluate", counting_evaluate)
+    grid_name = "DE_KN_industrial1_grid_import"
+    grid = device_resource(DEFAULT_BASE, grid_name)
+    aligned = align(three_day_store, [grid, PV_IRI], "TMAX", STATION, auxiliary=("PRCP",))
+    assert [series.device.raw for series in aligned] == [grid_name, conftest.PV_DEVICE]
+    assert aligned[0].pairs == ()
+    assert aligned[0].auxiliary == {"PRCP": ()}
+    assert len(aligned[1].pairs) == 3
+    # The day join plus the PRCP series, whatever the number of devices.
+    assert len(queries) == 2
+
+
 def test_align_inner_join_drops_uncovered_days(three_day_store):
     # PRCP exists for all three days, but a nonexistent code joins nothing.
-    series = align(three_day_store, PV_IRI, "SNOW", STATION)
+    [series] = align(three_day_store, [PV_IRI], "SNOW", STATION)
     assert series.pairs == ()
 
 
@@ -165,7 +187,7 @@ def test_align_unlinked_station_is_an_error(three_day_store):
     # The link only exists for the Konstanz station id.
     other = station_resource(DEFAULT_BASE, "GHCND:ELSEWHERE")
     with pytest.raises(AnalysisError):
-        align(three_day_store, PV_IRI, "TMAX", other)
+        align(three_day_store, [PV_IRI], "TMAX", other)
 
 
 def test_align_station_mismatch_in_observations_gives_empty_series():
@@ -188,7 +210,7 @@ def test_align_station_mismatch_in_observations_gives_empty_series():
     )
     ds.add(link_network_to_station(device_resource(DEFAULT_BASE, "DE_KN_COSSMIC"), linked))
     ds.freeze()
-    series = align(ds, PV_IRI, "TMAX", linked)
+    [series] = align(ds, [PV_IRI], "TMAX", linked)
     assert series.pairs == ()
 
 
@@ -196,44 +218,48 @@ def test_align_requires_link():
     ds = conftest.Dataset()
     ds.freeze()
     with pytest.raises(AnalysisError) as excinfo:
-        align(ds, PV_IRI, "TMAX", STATION)
+        align(ds, [PV_IRI], "TMAX", STATION)
     assert "not linked" in str(excinfo.value)
 
 
 def test_align_collects_auxiliary_prcp(three_day_store):
-    series = align(three_day_store, PV_IRI, "TMAX", STATION, auxiliary=("PRCP",))
+    [series] = align(three_day_store, [PV_IRI], "TMAX", STATION, auxiliary=("PRCP",))
     assert [str(v) for v in series.auxiliary["PRCP"]] == ["0", "2.5", "7.1"]
 
 
 # -- correlation table and scatter ---------------------------------------------
 
 
+def _table(ds, threshold):
+    return correlation_table(align(ds, [PV_IRI], "TMAX", STATION), "TMAX", threshold)
+
+
 def test_correlation_table_threshold_filtering(three_day_store):
-    report = correlation_table(three_day_store, [PV_IRI], "TMAX", 0.0, STATION)
+    report = _table(three_day_store, 0.0)
     assert len(report.entries) == 1
     entry = report.entries[0]
     assert entry.device == conftest.PV_DEVICE
     assert entry.n == 3
     expected = oracle_pcc([12.5, 13.0, 9.75], [22.3, 25.0, 18.1])
     assert abs(entry.pcc - expected) < 1e-12
-    strict = correlation_table(three_day_store, [PV_IRI], "TMAX", 1.0, STATION)
+    strict = _table(three_day_store, 1.0)
     assert strict.entries == []
 
 
 def test_correlation_table_threshold_subset(three_day_store):
-    low = correlation_table(three_day_store, [PV_IRI], "TMAX", 0.1, STATION)
-    high = correlation_table(three_day_store, [PV_IRI], "TMAX", 0.99, STATION)
+    low = _table(three_day_store, 0.1)
+    high = _table(three_day_store, 0.99)
     low_devices = {e.device for e in low.entries}
     assert {e.device for e in high.entries} <= low_devices
 
 
 def test_correlation_table_rejects_bad_threshold(three_day_store):
     with pytest.raises(AnalysisError):
-        correlation_table(three_day_store, [PV_IRI], "TMAX", 1.01, STATION)
+        _table(three_day_store, 1.01)
 
 
 def test_correlation_table_category_stats(three_day_store):
-    report = correlation_table(three_day_store, [PV_IRI], "TMAX", 0.7, STATION)
+    report = _table(three_day_store, 0.7)
     stats = report.category_stats["pv"]
     assert stats["count"] == 1.0
     assert stats["min"] == stats["q1"] == stats["median"] == stats["q3"] == stats["max"]
@@ -254,7 +280,7 @@ def test_correlation_table_warns_on_short_series():
     )
     ds.add(link_network_to_station(device_resource(DEFAULT_BASE, "DE_KN_COSSMIC"), STATION))
     ds.freeze()
-    report = correlation_table(ds, [PV_IRI], "TMAX", 0.0, STATION)
+    report = _table(ds, 0.0)
     assert report.entries == []
     assert len(report.warnings) == 1
     assert "1 joined days" in report.warnings[0]
@@ -282,7 +308,7 @@ def test_correlation_table_excludes_zero_variance_device():
     )
     ds.add(link_network_to_station(device_resource(DEFAULT_BASE, "DE_KN_COSSMIC"), STATION))
     ds.freeze()
-    report = correlation_table(ds, [PV_IRI], "TMAX", 0.0, STATION)
+    report = _table(ds, 0.0)
     assert report.entries == []
     assert any("undefined correlation" in w for w in report.warnings)
 
@@ -300,7 +326,7 @@ def test_quartiles_linear_interpolation():
 
 
 def test_scatter_export_shape(three_day_store):
-    series = align(three_day_store, PV_IRI, "TMAX", STATION, auxiliary=("PRCP",))
+    [series] = align(three_day_store, [PV_IRI], "TMAX", STATION, auxiliary=("PRCP",))
     text = scatter_export(series)
     lines = text.strip().split("\n")
     assert lines[0] == "device,date,energy_kwh,TMAX,prcp"
@@ -310,7 +336,7 @@ def test_scatter_export_shape(three_day_store):
 
 
 def test_scatter_export_empty_prcp_column(three_day_store):
-    series = align(three_day_store, PV_IRI, "TMAX", STATION)
+    [series] = align(three_day_store, [PV_IRI], "TMAX", STATION)
     lines = scatter_export(series).strip().split("\n")
     assert lines[1].endswith(",")
 

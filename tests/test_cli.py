@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from energykg.analysis import AnalysisError
 from energykg.cli import cmd_analyze, cmd_climate, cmd_query, cmd_uplift, load_store, main
 from energykg.config import ConfigError, PipelineConfig, load_config
 from energykg.endpoint import EndpointConfig, EndpointServer
@@ -197,6 +198,47 @@ def test_analyze_rerun_is_byte_identical(store_files, config):
     first = {p: Path(p).read_bytes() for p in cmd_analyze(store_files, config)}
     second = {p: Path(p).read_bytes() for p in cmd_analyze(store_files, config)}
     assert first == second
+
+
+GOLDEN = DATA / "analyze_golden"
+
+
+def test_analyze_matches_golden_files(tmp_path):
+    """Seeded daily counters for seven devices, committed with the outputs.
+
+    The input plants a pv device at exactly 0.5 * TMAX + 20, a noisy pv
+    device, a heat pump at 40 - TMAX plus noise, a noisy freezer, a
+    constant dishwasher (zero variance), a washing machine with one daily
+    value and a grid import whose days all lack TMAX (no joined day).
+    PRCP is missing on four days, so some scatter rows end in an empty
+    cell.
+    """
+    config = load_config(cli_overrides={"out": str(tmp_path)})
+    stores = [
+        cmd_uplift(str(GOLDEN / "energy.csv"), config),
+        cmd_climate(str(GOLDEN / "climate.csv"), config),
+    ]
+    written = {Path(p).name: Path(p).read_bytes() for p in cmd_analyze(stores, config)}
+    expected = {p.name: p.read_bytes() for p in (GOLDEN / "expected").iterdir()}
+    assert sorted(written) == sorted(expected)
+    for name, body in expected.items():
+        assert written[name] == body, name
+
+
+def test_analyze_raw_resolution_store_is_an_error(tmp_path):
+    energy = tmp_path / "energy.csv"
+    energy.write_text(
+        "utc_timestamp,DE_KN_industrial1_pv_1\n"
+        "2016-05-01T10:00:00Z,100.0\n"
+        "2016-05-01T16:00:00Z,104.5\n"
+        "2016-05-02T10:00:00Z,110.0\n"
+    )
+    climate = tmp_path / "climate.csv"
+    climate.write_text(CLIMATE_CSV)
+    config = load_config(cli_overrides={"out": str(tmp_path), "resolution": "raw"})
+    stores = [cmd_uplift(str(energy), config), cmd_climate(str(climate), config)]
+    with pytest.raises(AnalysisError, match="daily resolution"):
+        cmd_analyze(stores, config)
 
 
 def test_threshold_out_of_range_exits_1(store_files, tmp_path):

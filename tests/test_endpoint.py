@@ -1,4 +1,5 @@
 import json
+import socket
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -100,6 +101,26 @@ def test_oversized_query_is_413(three_day_store):
     with EndpointServer(config, three_day_store) as server:
         status, _, _ = _get(server, _query_url(SIMPLE_QUERY + " " * 200))
         assert status == 413
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_bad_content_length_is_400(server, length):
+    request = (
+        "POST /sparql HTTP/1.1\r\n"
+        "Host: localhost\r\n"
+        "Content-Type: application/sparql-query\r\n"
+        f"Content-Length: {length}\r\n"
+        "\r\n"
+    )
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(request.encode())
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Content-Length: %d" % len(body) in head
+    assert b"Content-Length" in body
 
 
 def test_timeout_returns_503(three_day_store):
