@@ -167,7 +167,7 @@ def _tokenize(text: str) -> list[_Token]:
             advance(1)
             tokens.append(_Token(c, c, start_line, start_col))
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             match = _NUMBER_RE.match(text, pos)
             assert match is not None
             advance(len(match.group()))

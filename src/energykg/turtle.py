@@ -5,12 +5,18 @@ the empty prefix), ``a``, ";" and "," lists, typed literals, bare
 integer/decimal/boolean shorthand, comments and blank-node labels.
 Serialization is deterministic: subjects, predicates and objects are
 emitted in canonical order, so equal graphs produce byte-identical text.
+
+Parsing lexes with one compiled regular expression, one token ahead of
+the parser. A token keeps only its offset; line and column are computed
+from the text when an error is raised. A lexical error anywhere in the
+text is reported before a parse error earlier in it. Within a document
+each IRI reference and prefixed name is resolved once and its ``Iri`` is
+shared by every triple that uses it, until the next directive.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .dataset import Dataset
@@ -108,19 +114,28 @@ def serialize_turtle(ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> str:
 
 # -- parsing -----------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    column: int
-
-
+# Every token comes from this one alternation. Group 1 skips whitespace and
+# comments; the named group that matched is the token's kind. The last two
+# branches match anywhere, so a failed branch never backtracks into group 1.
+# A string with a backslash matches only ``escaped`` and is decoded by
+# ``_Parser._string``.
+_TOKEN = re.compile(
+    r"""((?:[ \t\r\n]|\#[^\n]*)*)
+    (?:<(?P<iriref>[^>]*)>
+    |"(?P<string>[^"\\\n]*)"
+    |(?P<escaped>")
+    |_:(?P<bnode>[A-Za-z0-9_]+)
+    |(?P<datatype>\^\^)
+    |(?P<dot>\.)|(?P<semicolon>;)|(?P<comma>,)
+    |(?P<directive>@prefix|@base)
+    |(?P<number>[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+    |(?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_.:\-]*[A-Za-z0-9_:\-])?)
+    |(?P<word>a|true|false)(?![A-Za-z0-9_\-])
+    |(?P<eof>\Z)
+    |(?P<error>[\s\S]))""",
+    re.VERBOSE,
+).match
 _PN_PREFIX = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
-_LOCAL_CHARS = re.compile(r"[A-Za-z0-9_.:\-]*")
-_NUMBER = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
-_BNODE_LABEL = re.compile(r"[A-Za-z0-9_]+")
 
 _STRING_ESCAPES = {
     "t": "\t",
@@ -134,289 +149,225 @@ _STRING_ESCAPES = {
 }
 
 
-class _Lexer:
-    def __init__(self, text: str) -> None:
+class _Parser:
+    """Parses a token stream with one token of lookahead.
+
+    The lookahead is ``kind``, ``value`` and ``start``, the token's offset
+    in the text; line and column are derived from it only for an error.
+    Lexing resumes at ``end``, the offset just past the lookahead.
+    """
+
+    def __init__(self, text: str, base: Optional[Iri]) -> None:
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+        self.end = 0
+        self.prefixes = PrefixMap(base=base)
+        self.triples: list[tuple[Term, Iri, Term]] = []
+        self._bnodes: dict[str, BlankNode] = {}
+        # Token text -> Iri, so each distinct IRI is checked and allocated
+        # once; emptied at every directive, which may change the answer.
+        self._iris: dict[str, Iri] = {}
+        self._pnames: dict[str, Iri] = {}
+        self._advance()
 
-    def error(self, message: str) -> TurtleParseError:
-        return TurtleParseError(message, self.line, self.column)
+    def error(self, message: str, start: int) -> TurtleParseError:
+        text = self.text
+        line = text.count("\n", 0, start) + 1
+        return TurtleParseError(message, line, start - text.rfind("\n", 0, start))
 
-    def _advance(self, count: int) -> None:
-        chunk = self.text[self.pos : self.pos + count]
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.column = count - chunk.rindex("\n")
+    # -- lexing --------------------------------------------------------------
+
+    def _advance(self) -> None:
+        match = _TOKEN(self.text, self.end)
+        kind = match.lastgroup
+        start = match.end(1)
+        if kind == "escaped":
+            value, self.end = self._string(start)
+            kind = "string"
+        elif kind == "error":
+            raise self._lex_error(start)
         else:
-            self.column += count
-        self.pos += count
+            value = match.group(kind)
+            self.end = match.end()
+        self.kind, self.value, self.start = kind, value, start
 
-    def tokens(self) -> list[_Token]:
-        out: list[_Token] = []
-        while True:
-            token = self._next()
-            out.append(token)
-            if token.kind == "eof":
-                return out
-
-    def _next(self) -> _Token:
+    def _lex_error(self, start: int) -> TurtleParseError:
         text = self.text
-        while self.pos < len(text):
-            c = text[self.pos]
-            if c in " \t\r\n":
-                self._advance(1)
-            elif c == "#":
-                end = text.find("\n", self.pos)
-                self._advance((end - self.pos) if end != -1 else len(text) - self.pos)
-            else:
-                break
-        if self.pos >= len(text):
-            return _Token("eof", "", self.line, self.column)
+        if text[start] == "<":
+            return self.error("unterminated IRI reference", start)
+        if text.startswith("_:", start):
+            return self.error("missing blank node label", start)
+        word = _PN_PREFIX.match(text, start)
+        if word:
+            return self.error(f"unexpected token {word.group()!r}", start)
+        return self.error(f"unexpected character {text[start]!r}", start)
 
-        line, column = self.line, self.column
-        c = text[self.pos]
-
-        if c == "<":
-            end = text.find(">", self.pos)
-            if end == -1:
-                raise self.error("unterminated IRI reference")
-            value = text[self.pos + 1 : end]
-            self._advance(end + 1 - self.pos)
-            return _Token("iriref", value, line, column)
-
-        if c == '"':
-            return self._string(line, column)
-
-        if c == "_" and text.startswith("_:", self.pos):
-            match = _BNODE_LABEL.match(text, self.pos + 2)
-            if not match:
-                raise self.error("missing blank node label")
-            self._advance(match.end() - self.pos)
-            return _Token("bnode", match.group(), line, column)
-
-        if text.startswith("^^", self.pos):
-            self._advance(2)
-            return _Token("^^", "^^", line, column)
-
-        if c in ".;,":
-            # A dot may belong to a decimal; bare punctuation only here.
-            self._advance(1)
-            return _Token(c, c, line, column)
-
-        if text.startswith("@prefix", self.pos) or text.startswith("@base", self.pos):
-            end = self.pos + (7 if text.startswith("@prefix", self.pos) else 5)
-            value = text[self.pos : end]
-            self._advance(end - self.pos)
-            return _Token("directive", value, line, column)
-
-        if c.isdigit() or (c in "+-" and _NUMBER.match(text, self.pos)):
-            match = _NUMBER.match(text, self.pos)
-            assert match is not None
-            value = match.group()
-            # Do not swallow a statement-terminating dot: "1." is "1" "."
-            if value.endswith("."):
-                value = value[:-1]
-            self._advance(len(value))
-            return _Token("number", value, line, column)
-
-        if c == ":" or _PN_PREFIX.match(c):
-            prefix_match = _PN_PREFIX.match(text, self.pos)
-            prefix = prefix_match.group() if prefix_match else ""
-            after = self.pos + len(prefix)
-            if after < len(text) and text[after] == ":":
-                local_match = _LOCAL_CHARS.match(text, after + 1)
-                local = local_match.group() if local_match else ""
-                while local.endswith("."):
-                    local = local[:-1]
-                self._advance(after + 1 + len(local) - self.pos)
-                return _Token("pname", f"{prefix}:{local}", line, column)
-            if prefix in ("a", "true", "false"):
-                self._advance(len(prefix))
-                return _Token("word", prefix, line, column)
-            if prefix:
-                raise self.error(f"unexpected token {prefix!r}")
-
-        raise self.error(f"unexpected character {c!r}")
-
-    def _string(self, line: int, column: int) -> _Token:
+    def _string(self, start: int) -> tuple[str, int]:
+        """Decode the string literal opening at start; return it and its end."""
         text = self.text
-        i = self.pos + 1
+        i = start + 1
         out: list[str] = []
         while i < len(text):
             c = text[i]
             if c == '"':
-                self._advance(i + 1 - self.pos)
-                return _Token("string", "".join(out), line, column)
+                return "".join(out), i + 1
             if c == "\n":
-                raise self.error("newline in string literal")
-            if c == "\\":
-                if i + 1 >= len(text):
-                    raise self.error("dangling escape in string literal")
-                esc = text[i + 1]
-                if esc in _STRING_ESCAPES:
-                    out.append(_STRING_ESCAPES[esc])
-                    i += 2
-                    continue
-                if esc == "u" or esc == "U":
-                    width = 4 if esc == "u" else 8
-                    hexdigits = text[i + 2 : i + 2 + width]
-                    if len(hexdigits) != width:
-                        raise self.error("truncated unicode escape")
-                    try:
-                        out.append(chr(int(hexdigits, 16)))
-                    except ValueError:
-                        raise self.error(f"invalid unicode escape \\{esc}{hexdigits}")
-                    i += 2 + width
-                    continue
-                raise self.error(f"unknown escape sequence \\{esc}")
-            out.append(c)
-            i += 1
-        raise self.error("unterminated string literal")
+                raise self.error("newline in string literal", start)
+            if c != "\\":
+                out.append(c)
+                i += 1
+                continue
+            if i + 1 >= len(text):
+                raise self.error("dangling escape in string literal", start)
+            esc = text[i + 1]
+            if esc in _STRING_ESCAPES:
+                out.append(_STRING_ESCAPES[esc])
+                i += 2
+                continue
+            if esc != "u" and esc != "U":
+                raise self.error(f"unknown escape sequence \\{esc}", start)
+            width = 4 if esc == "u" else 8
+            hexdigits = text[i + 2 : i + 2 + width]
+            if len(hexdigits) != width:
+                raise self.error("truncated unicode escape", start)
+            try:
+                out.append(chr(int(hexdigits, 16)))
+            except (ValueError, OverflowError):
+                raise self.error(f"invalid unicode escape \\{esc}{hexdigits}", start)
+            i += 2 + width
+        raise self.error("unterminated string literal", start)
 
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], base: Optional[Iri]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.prefixes = PrefixMap(base=base)
-        self.triples: list[tuple[Term, Iri, Term]] = []
-        self._bnodes: dict[str, BlankNode] = {}
-
-    def error(self, message: str, token: _Token) -> TurtleParseError:
-        return TurtleParseError(message, token.line, token.column)
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
+    def take(self) -> tuple[str, str, int]:
+        token = (self.kind, self.value, self.start)
+        self._advance()
         return token
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> tuple[str, str, int]:
         token = self.take()
-        if token.kind != kind:
-            raise self.error(f"expected {kind!r}, found {token.value!r}", token)
+        if token[0] != kind:
+            shown = "." if kind == "dot" else kind
+            raise self.error(f"expected {shown!r}, found {token[1]!r}", token[2])
         return token
+
+    def drain(self) -> None:
+        """Lex to the end of the text, raising its first lexical error."""
+        while self.kind != "eof":
+            self._advance()
+
+    # -- grammar -------------------------------------------------------------
 
     def parse(self) -> None:
-        while self.peek().kind != "eof":
-            if self.peek().kind == "directive":
+        while self.kind != "eof":
+            if self.kind == "directive":
                 self._directive()
             else:
                 self._triples_block()
-                self.expect(".")
+                self.expect("dot")
 
     def _directive(self) -> None:
-        token = self.take()
-        if token.value == "@base":
-            iri_token = self.expect("iriref")
-            self.prefixes.base = self._resolve(iri_token)
+        _, directive, _ = self.take()
+        if directive == "@base":
+            _, ref, start = self.expect("iriref")
+            self.prefixes.base = self._resolve(ref, start)
         else:
-            pname = self.expect("pname")
-            label = pname.value.split(":", 1)[0]
-            if pname.value != label + ":":
-                raise self.error("prefix directive takes a bare label", pname)
-            iri_token = self.expect("iriref")
-            self.prefixes.bind(label, self._resolve(iri_token))
-        self.expect(".")
+            _, pname, start = self.expect("pname")
+            label = pname.split(":", 1)[0]
+            if pname != label + ":":
+                raise self.error("prefix directive takes a bare label", start)
+            _, ref, ref_start = self.expect("iriref")
+            self.prefixes.bind(label, self._resolve(ref, ref_start))
+        self._iris.clear()
+        self._pnames.clear()
+        self.expect("dot")
 
-    def _resolve(self, token: _Token) -> Iri:
-        if self.prefixes.base is None:
+    def _resolve(self, ref: str, start: int) -> Iri:
+        iri = self._iris.get(ref)
+        if iri is None:
+            base = self.prefixes.base
             try:
-                return Iri(token.value)
+                iri = Iri(ref) if base is None else resolve_iri(base, ref)
             except EnergyKgError as exc:
-                raise self.error(str(exc), token)
-        try:
-            return resolve_iri(self.prefixes.base, token.value)
-        except EnergyKgError as exc:
-            raise self.error(str(exc), token)
+                raise self.error(str(exc), start)
+            self._iris[ref] = iri
+        return iri
 
-    def _expand_pname(self, token: _Token) -> Iri:
-        label, local = token.value.split(":", 1)
-        try:
-            return self.prefixes.expand(label, local)
-        except EnergyKgError as exc:
-            raise self.error(str(exc), token)
+    def _expand_pname(self, pname: str, start: int) -> Iri:
+        iri = self._pnames.get(pname)
+        if iri is None:
+            label, local = pname.split(":", 1)
+            try:
+                iri = self.prefixes.expand(label, local)
+            except EnergyKgError as exc:
+                raise self.error(str(exc), start)
+            self._pnames[pname] = iri
+        return iri
 
     def _triples_block(self) -> None:
         subject = self._subject()
         while True:
             predicate = self._predicate()
             while True:
-                obj = self._object()
-                self.triples.append((subject, predicate, obj))
-                if self.peek().kind == ",":
-                    self.take()
-                    continue
-                break
-            if self.peek().kind == ";":
-                while self.peek().kind == ";":
-                    self.take()
-                if self.peek().kind == ".":
+                self.triples.append((subject, predicate, self._object()))
+                if self.kind != "comma":
                     break
-                continue
-            break
+                self._advance()
+            if self.kind != "semicolon":
+                break
+            while self.kind == "semicolon":
+                self._advance()
+            if self.kind == "dot":
+                break
 
     def _subject(self) -> Term:
-        token = self.take()
-        if token.kind == "iriref":
-            return self._resolve(token)
-        if token.kind == "pname":
-            return self._expand_pname(token)
-        if token.kind == "bnode":
-            return self._bnode(token)
-        raise self.error(f"invalid subject {token.value!r}", token)
+        kind, value, start = self.take()
+        if kind == "iriref":
+            return self._resolve(value, start)
+        if kind == "pname":
+            return self._expand_pname(value, start)
+        if kind == "bnode":
+            return self._bnode(value)
+        raise self.error(f"invalid subject {value!r}", start)
 
     def _predicate(self) -> Iri:
-        token = self.take()
-        if token.kind == "word" and token.value == "a":
+        kind, value, start = self.take()
+        if kind == "word" and value == "a":
             return RDF_TYPE
-        if token.kind == "iriref":
-            return self._resolve(token)
-        if token.kind == "pname":
-            return self._expand_pname(token)
-        raise self.error(f"invalid predicate {token.value!r}", token)
+        if kind == "iriref":
+            return self._resolve(value, start)
+        if kind == "pname":
+            return self._expand_pname(value, start)
+        raise self.error(f"invalid predicate {value!r}", start)
 
     def _object(self) -> Term:
-        token = self.take()
-        if token.kind == "iriref":
-            return self._resolve(token)
-        if token.kind == "pname":
-            return self._expand_pname(token)
-        if token.kind == "bnode":
-            return self._bnode(token)
-        if token.kind == "word":
-            if token.value in ("true", "false"):
-                return Literal(token.value, XSD_BOOLEAN)
-            raise self.error(f"invalid object {token.value!r}", token)
-        if token.kind == "number":
-            if "e" in token.value.lower():
-                return Literal(token.value, XSD_DOUBLE)
-            if "." in token.value:
-                return Literal(token.value, XSD_DECIMAL)
-            return Literal(token.value, XSD_INTEGER)
-        if token.kind == "string":
-            if self.peek().kind == "^^":
-                self.take()
-                dt_token = self.take()
-                if dt_token.kind == "iriref":
-                    datatype = self._resolve(dt_token)
-                elif dt_token.kind == "pname":
-                    datatype = self._expand_pname(dt_token)
-                else:
-                    raise self.error("expected datatype IRI after ^^", dt_token)
-                return Literal(token.value, datatype)
-            return Literal(token.value, XSD_STRING)
-        raise self.error(f"invalid object {token.value!r}", token)
+        kind, value, start = self.take()
+        if kind == "string":
+            if self.kind != "datatype":
+                return Literal(value, XSD_STRING)
+            self._advance()
+            dt_kind, dt_value, dt_start = self.take()
+            if dt_kind == "iriref":
+                return Literal(value, self._resolve(dt_value, dt_start))
+            if dt_kind == "pname":
+                return Literal(value, self._expand_pname(dt_value, dt_start))
+            raise self.error("expected datatype IRI after ^^", dt_start)
+        if kind == "iriref":
+            return self._resolve(value, start)
+        if kind == "pname":
+            return self._expand_pname(value, start)
+        if kind == "bnode":
+            return self._bnode(value)
+        if kind == "word" and value in ("true", "false"):
+            return Literal(value, XSD_BOOLEAN)
+        if kind == "number":
+            if "e" in value.lower():
+                return Literal(value, XSD_DOUBLE)
+            if "." in value:
+                return Literal(value, XSD_DECIMAL)
+            return Literal(value, XSD_INTEGER)
+        raise self.error(f"invalid object {value!r}", start)
 
-    def _bnode(self, token: _Token) -> BlankNode:
+    def _bnode(self, label: str) -> BlankNode:
         # Labels are scoped to the document: each label maps to a fresh
         # node so separately parsed documents never collide.
-        label = token.value
         if label not in self._bnodes:
             self._bnodes[label] = BlankNode(f"b{len(self._bnodes)}")
         return self._bnodes[label]
@@ -426,8 +377,14 @@ def parse_turtle(
     text: str, base: Optional[Iri] = None
 ) -> tuple[list[tuple[Term, Iri, Term]], PrefixMap]:
     """Parse Turtle text into triples plus the prefix map it declared."""
-    parser = _Parser(_Lexer(text).tokens(), base)
-    parser.parse()
+    parser = _Parser(text, base)
+    try:
+        parser.parse()
+    except EnergyKgError:
+        # A lexical error anywhere in the text takes precedence over a
+        # parse error before it, as if the whole text were lexed first.
+        parser.drain()
+        raise
     return parser.triples, parser.prefixes
 
 

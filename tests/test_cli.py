@@ -167,6 +167,15 @@ def test_query_missing_file_exits_1(tmp_path):
     assert main(["query", str(tmp_path / "nope.ttl"), "SELECT ?s WHERE { ?s ?p ?o }"]) == 1
 
 
+def test_query_store_with_non_ascii_digit_exits_1(tmp_path, capsys):
+    # "\u0663" (ARABIC-INDIC DIGIT THREE) is a digit to str.isdigit but not
+    # a Turtle number; it once crashed the lexer with an AssertionError.
+    store = tmp_path / "store.ttl"
+    store.write_text("@prefix : <http://example.org/> .\n:s :p \u0663 .\n", encoding="utf-8")
+    assert main(["query", str(store), "SELECT ?s WHERE { ?s ?p ?o }"]) == 1
+    assert capsys.readouterr().err == "error: line 2, column 7: unexpected character '\u0663'\n"
+
+
 def test_cli_query_equals_http_body(store_files, config, join_query_text):
     config.format = "json"
     cli_output = cmd_query(store_files, join_query_text, config)

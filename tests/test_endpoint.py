@@ -47,6 +47,17 @@ def _query_url(text):
     return "/sparql?query=" + urllib.parse.quote(text)
 
 
+def _raw_exchange(server, request: bytes) -> tuple[bytes, bytes]:
+    """Send one raw request and read until the server closes the connection."""
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(request)
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return head, body
+
+
 def test_health(server):
     status, _, body = _get(server, "/health")
     assert status == 200
@@ -112,15 +123,28 @@ def test_bad_content_length_is_400(server, length):
         f"Content-Length: {length}\r\n"
         "\r\n"
     )
-    with socket.create_connection(server.address, timeout=5) as sock:
-        sock.sendall(request.encode())
-        response = b""
-        while chunk := sock.recv(4096):
-            response += chunk
-    head, _, body = response.partition(b"\r\n\r\n")
+    head, body = _raw_exchange(server, request.encode())
     assert head.startswith(b"HTTP/1.1 400 ")
     assert b"Content-Length: %d" % len(body) in head
     assert b"Content-Length" in body
+
+
+def test_non_ascii_digit_in_query_is_400(server):
+    # "\u0663" is a digit to str.isdigit but not a SPARQL number; the
+    # tokenizer once failed an assertion here and the connection dropped.
+    body = "SELECT ?s WHERE { ?s ?p \u0663 }".encode()
+    request = (
+        b"POST /sparql HTTP/1.1\r\n"
+        b"Host: localhost\r\n"
+        b"Content-Type: application/sparql-query\r\n"
+        b"Content-Length: %d\r\n"
+        b"Connection: close\r\n"
+        b"\r\n" % len(body)
+    ) + body
+    head, response_body = _raw_exchange(server, request)
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Content-Length: %d" % len(response_body) in head
+    assert "unexpected character '\u0663'" in response_body.decode()
 
 
 def test_timeout_returns_503(three_day_store):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from energykg.dataset import Dataset
+from energykg.errors import EnergyKgError
 from energykg.namespaces import RDF_TYPE, SEAS
 from energykg.terms import (
     Iri,
@@ -18,6 +19,8 @@ from energykg.terms import (
     XSD_STRING,
 )
 from energykg.turtle import TurtleParseError, load_turtle, parse_turtle, serialize_turtle
+
+import naive_turtle
 
 DATA = Path(__file__).parent / "data"
 
@@ -174,3 +177,174 @@ def test_round_trip_identity_for_blank_node_free_graphs(quads):
     triples, _ = parse_turtle(text)
     assert {(q.subject, q.predicate, q.object) for q in quads} == set(triples)
     assert len(triples) == len(set(triples)) == len(ds)
+
+
+# -- error positions -----------------------------------------------------------
+
+# Expected values were recorded from the character-at-a-time lexer that the
+# regex lexer replaced. Each bad token sits on line 5, after a two-line comment.
+_ERROR_HEAD = (
+    "# a comment that spans\n"
+    "# two lines\n"
+    "@prefix p: <http://example.org/> .\n"
+    "p:s p:o p:x ;\n"
+)
+_PINNED_ERRORS = [
+    ("unterminated_iri", "    p:q <http://example.org/x .\n", "line 5, column 9: unterminated IRI reference", 5, 9),
+    ("unterminated_string", '    p:q 1, "abc', "line 5, column 12: unterminated string literal", 5, 12),
+    ("newline_in_string", '  p:q "ok", "ab\ncd" .\n', "line 5, column 13: newline in string literal", 5, 13),
+    ("dangling_escape", '    p:q "ab\\', "line 5, column 9: dangling escape in string literal", 5, 9),
+    ("truncated_u_escape", '\tp:q "\\u12', "line 5, column 6: truncated unicode escape", 5, 6),
+    ("invalid_u_escape", '    p:q "\\uZZZZ" .\n', "line 5, column 9: invalid unicode escape \\uZZZZ", 5, 9),
+    ("invalid_U_escape", '    p:q "\\U00110000" .\n', "line 5, column 9: invalid unicode escape \\U00110000", 5, 9),
+    ("unknown_escape", '    p:q "a\\tb\\q" .\n', "line 5, column 9: unknown escape sequence \\q", 5, 9),
+    ("missing_bnode_label", "    p:q _:b1, _: .\n", "line 5, column 15: missing blank node label", 5, 15),
+    ("unexpected_token", "    p:q true, trueX .\n", "line 5, column 15: unexpected token 'trueX'", 5, 15),
+    ("unexpected_character", "    p:q ! .\n", "line 5, column 9: unexpected character '!'", 5, 9),
+    ("lexical_error_after_parse_error", "    p:q . p:r ! .\n", "line 5, column 15: unexpected character '!'", 5, 15),
+    ("expected_dot", "    p:q p:r p:t\n", "line 5, column 13: expected '.', found 'p:t'", 5, 13),
+    ("undefined_prefix", "    p:q\n  nope:r .\n", "line 6, column 3: undefined prefix: 'nope'", 6, 3),
+    ("relative_iri_without_base", "    p:q <rel> .\n", "line 5, column 9: IRI is not absolute (missing scheme): 'rel'", 5, 9),
+]
+
+
+@pytest.mark.parametrize(
+    "tail, message, line, column",
+    [case[1:] for case in _PINNED_ERRORS],
+    ids=[case[0] for case in _PINNED_ERRORS],
+)
+def test_error_message_and_position_are_pinned(tail, message, line, column):
+    with pytest.raises(TurtleParseError) as excinfo:
+        parse_turtle(_ERROR_HEAD + tail)
+    assert (str(excinfo.value), excinfo.value.line, excinfo.value.column) == (message, line, column)
+
+
+def test_out_of_range_long_unicode_escape_is_a_parse_error():
+    # chr() raises OverflowError, not ValueError, past 2**31 - 1.
+    with pytest.raises(TurtleParseError) as excinfo:
+        parse_turtle('<http://example.org/s> <http://example.org/p> "\\UFFFFFFFF" .')
+    assert str(excinfo.value) == "line 1, column 47: invalid unicode escape \\UFFFFFFFF"
+
+
+def test_each_distinct_iri_is_one_object_per_document():
+    text = (
+        "@prefix p: <http://example.org/> .\n"
+        "p:s p:v <http://example.org/o> .\n"
+        "p:s p:v <http://example.org/o>, p:o .\n"
+    )
+    triples, _ = parse_turtle(text)
+    assert triples[0][0] is triples[1][0] is triples[2][0]
+    assert triples[0][2] is triples[1][2]
+    assert triples[2][2] == Iri("http://example.org/o")
+
+
+def test_relative_iris_follow_each_base_directive():
+    text = (
+        "@base <http://a.example/> .\n<s> <p> <o> .\n"
+        "@base <http://b.example/> .\n<s> <p> <o> .\n"
+    )
+    triples, prefixes = parse_turtle(text)
+    assert [t[0] for t in triples] == [Iri("http://a.example/s"), Iri("http://b.example/s")]
+    assert prefixes.base == Iri("http://b.example/")
+
+
+# -- differential test against the character-at-a-time parser ------------------
+
+_FRAGMENTS = [
+    "@prefix p: <http://example.org/> .",
+    "@prefix : <http://example.org/e/> .",
+    "@prefix p: <http://example.org/other/> .",
+    "@prefix p:x <http://example.org/> .",
+    "@base <http://example.org/b/> .",
+    "@base <urn:x:y> .",
+    "@prefix",
+    "@base",
+    "@other",
+    "p:s",
+    "p:o",
+    ":x",
+    "p:a.b..",
+    "p:",
+    ":",
+    "nope:x",
+    "<http://example.org/s>",
+    "<rel>",
+    "<../up#f>",
+    "<http://bad iri>",
+    "<open",
+    '"plain"',
+    '"es\\tc\\"q\\""',
+    '"\\u0041\\U0001F600"',
+    '"\\u 4 \n"',
+    '"\\uZZ"',
+    '"\\q"',
+    '"open',
+    '"a\\',
+    '"two\nlines"',
+    '"x"^^p:dt',
+    '"x"^^<http://example.org/dt>',
+    '"x"^^"y"',
+    "^^",
+    "^",
+    "1",
+    "-2.5",
+    "+3e4",
+    "1.",
+    "12abc",
+    "+",
+    "a",
+    "true",
+    "false",
+    "trueX",
+    "ab",
+    "_:b",
+    "_:b1",
+    "_:",
+    "_",
+    ".",
+    ";",
+    ",",
+    "# comment",
+    "!",
+    "{",
+]
+_SEPARATORS = ["", " ", "\n", "\t", " ;\n", " .\n"]
+
+_HEADER = (
+    "@prefix p: <http://example.org/> .\n"
+    "@prefix : <http://example.org/e/> .\n"
+    "@base <http://example.org/b/> .\n"
+)
+
+_broken_documents = st.tuples(
+    st.sampled_from(["", _HEADER]),
+    st.lists(st.tuples(st.sampled_from(_FRAGMENTS), st.sampled_from(_SEPARATORS)), max_size=14),
+).map(lambda doc: doc[0] + "".join(fragment + sep for fragment, sep in doc[1]))
+
+_nodes = st.sampled_from(["p:s", ":x", "p:a.b", "<http://example.org/s>", "<rel>", "_:b", "_:c"])
+_verbs = st.sampled_from(["a", "p:v", "<http://example.org/v>", ":w"])
+_objects = st.one_of(
+    _nodes,
+    st.sampled_from(['"v"', '"v"^^p:dt', '"\\u00e9"^^<http://example.org/dt>', "4", "-1.5", "2e3", "true"]),
+)
+_predicate_lists = st.lists(
+    st.tuples(_verbs, st.lists(_objects, min_size=1, max_size=3)), min_size=1, max_size=3
+).map(lambda pairs: " ;\n    ".join(f"{v} {', '.join(objs)}" for v, objs in pairs))
+_valid_documents = st.lists(
+    st.tuples(_nodes, _predicate_lists, st.sampled_from([" .\n", ".\n# note\n", ".", "\n.\t"])),
+    max_size=6,
+).map(lambda statements: _HEADER + "".join(f"{s} {preds}{end}" for s, preds, end in statements))
+
+
+def _outcome(parse, text):
+    try:
+        triples, prefixes = parse(text)
+    except EnergyKgError as exc:
+        return type(exc).__name__, str(exc)
+    return triples, prefixes.base, prefixes.namespaces()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_valid_documents, _broken_documents))
+def test_parse_matches_reference_parser(text):
+    assert _outcome(parse_turtle, text) == _outcome(naive_turtle.parse_turtle, text)
