@@ -5,13 +5,25 @@ application/sparql-query body) and GET /health. Responses are
 application/sparql-results+json; identical requests always produce
 byte-identical bodies because evaluation is deterministic and the
 dataset is immutable.
+
+Each connection has one thread, which parses, evaluates and serializes
+its queries itself. ``timeout_seconds`` bounds a request twice over: the
+evaluation runs under a deadline that stops the work, and every socket
+read or write waits at most that long before the connection is closed
+without a reply (an idle keep-alive connection closes the same way).
+
+Status codes: 200 results; 400 malformed query, missing query parameter
+or bad Content-Length; 404 unknown path; 413 query over
+``max_query_bytes`` (a POST body that long is never read, and the
+connection closes); 415 unsupported POST content type; 500 unexpected
+error (the connection closes); 503 evaluation passed its deadline.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, TimeoutError as FutureTimeout
+import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -19,7 +31,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from .dataset import Dataset
 from .errors import EnergyKgError
-from .sparql import evaluate, parse_query, to_results_json
+from .sparql import QueryTimeout, evaluate, parse_query, to_results_json
 
 
 @dataclass
@@ -44,9 +56,7 @@ class EndpointServer:
     def __init__(self, config: EndpointConfig, ds: Dataset) -> None:
         if not ds.frozen:
             raise EnergyKgError("dataset must be frozen before serving")
-        self.config = config
-        self._executor = ThreadPoolExecutor(max_workers=32)
-        handler = _make_handler(ds, config, self._executor)
+        handler = _make_handler(ds, config)
         self._httpd = ThreadingHTTPServer((config.host, config.port), handler)
         self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
@@ -66,7 +76,6 @@ class EndpointServer:
     def stop(self) -> None:
         self._httpd.shutdown()
         self._httpd.server_close()
-        self._executor.shutdown(wait=False)
         if self._thread is not None:
             self._thread.join(timeout=5)
 
@@ -88,45 +97,45 @@ def serve(config: EndpointConfig, ds: Dataset) -> None:
         server.stop()
 
 
-def _make_handler(ds: Dataset, config: EndpointConfig, executor: ThreadPoolExecutor):
+def _make_handler(ds: Dataset, config: EndpointConfig):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Socket timeout for every read and write on the connection.
+        timeout = config.timeout_seconds
 
         def log_message(self, format: str, *args) -> None:  # noqa: A002
             pass
 
-        def _reply(self, status: int, body: bytes, content_type: str) -> None:
+        def _reply(self, status: int, body: bytes, content_type: str, close: bool = False) -> None:
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                # Also sets close_connection: the server ends the connection.
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
-        def _reply_text(self, status: int, text: str) -> None:
-            self._reply(status, text.encode(), "text/plain; charset=utf-8")
+        def _reply_text(self, status: int, text: str, close: bool = False) -> None:
+            self._reply(status, text.encode(), "text/plain; charset=utf-8", close)
 
         def _run_query(self, query_text: str) -> None:
+            deadline = time.monotonic() + config.timeout_seconds
             if len(query_text.encode()) > config.max_query_bytes:
                 self._reply_text(413, "query too large")
                 return
             try:
                 query = parse_query(query_text)
-            except EnergyKgError as exc:
-                self._reply_text(400, str(exc))
-                return
-            start = time.monotonic()
-            future = executor.submit(_evaluate_to_json, ds, query)
-            try:
-                body = future.result(timeout=config.timeout_seconds)
-            except FutureTimeout:
-                future.cancel()
+                body = to_results_json(evaluate(ds, query, deadline=deadline)).encode()
+            except QueryTimeout:
                 self._reply_text(503, "query timed out")
                 return
             except EnergyKgError as exc:
                 self._reply_text(400, str(exc))
                 return
-            if time.monotonic() - start > config.timeout_seconds:
-                self._reply_text(503, "query timed out")
+            except Exception:
+                traceback.print_exc()
+                self._reply_text(500, "internal server error", close=True)
                 return
             self._reply(200, body, "application/sparql-results+json")
 
@@ -153,14 +162,12 @@ def _make_handler(ds: Dataset, config: EndpointConfig, executor: ThreadPoolExecu
             length_text = self.headers.get("Content-Length", "0").strip()
             if not (length_text.isascii() and length_text.isdigit()):
                 # The body's extent is unknown, so the connection cannot be reused.
-                self.close_connection = True
-                self._reply_text(400, f"invalid Content-Length: {length_text!r}")
+                self._reply_text(400, f"invalid Content-Length: {length_text!r}", close=True)
                 return
             length = int(length_text)
             if length > config.max_query_bytes:
-                # Drain enough to keep the connection coherent, then refuse.
-                self.rfile.read(length)
-                self._reply_text(413, "query too large")
+                # The body stays unread, so the connection cannot be reused.
+                self._reply_text(413, "query too large", close=True)
                 return
             body = self.rfile.read(length).decode("utf-8", errors="replace")
             if content_type == "application/sparql-query":
@@ -176,7 +183,3 @@ def _make_handler(ds: Dataset, config: EndpointConfig, executor: ThreadPoolExecu
             self._reply_text(415, "unsupported content type")
 
     return Handler
-
-
-def _evaluate_to_json(ds: Dataset, query) -> bytes:
-    return to_results_json(evaluate(ds, query)).encode()

@@ -1,6 +1,6 @@
 from .ast import SelectQuery, SolutionSequence
 from .parser import QueryParseError, UnsupportedFeatureError, parse_query
-from .evaluator import evaluate
+from .evaluator import QueryTimeout, evaluate
 from .results import to_results_json, to_results_tsv
 
 __all__ = [
@@ -8,6 +8,7 @@ __all__ = [
     "SolutionSequence",
     "QueryParseError",
     "UnsupportedFeatureError",
+    "QueryTimeout",
     "parse_query",
     "evaluate",
     "to_results_json",

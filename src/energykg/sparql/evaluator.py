@@ -13,9 +13,10 @@ turned into an equi-join key so day-alignment queries stay linear.
 
 from __future__ import annotations
 
+import time
 from decimal import Decimal
 from itertools import count
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from ..dataset import ANY, Dataset
 from ..errors import EnergyKgError
@@ -57,22 +58,53 @@ from .ast import (
 
 Row = dict[str, Term]
 
+# Rows a loop consumes or produces between two deadline checks.
+_CHECK_EVERY = 256
+
 
 class EvaluationError(EnergyKgError):
     """Raised for dataset-level problems, not per-row expression errors."""
+
+
+class QueryTimeout(EnergyKgError):
+    """Evaluation passed its deadline; the partial result is discarded."""
 
 
 class _ExprError(Exception):
     """Per-row expression failure; the row is dropped by FILTER."""
 
 
-def evaluate(ds: Dataset, query: SelectQuery) -> SolutionSequence:
+class _Run:
+    """One evaluation's store, FROM NAMED graphs, fresh names and deadline."""
+
+    def __init__(self, ds: Dataset, named: frozenset[Iri], deadline: Optional[float]) -> None:
+        self.ds = ds
+        self.named = named
+        self.fresh = count()
+        self.deadline = deadline
+
+    def check(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise QueryTimeout("query timed out")
+
+    def checked(self, items: Sequence) -> Iterator:
+        """Iterate items, checking the deadline before each block of them."""
+        for start in range(0, len(items), _CHECK_EVERY):
+            self.check()
+            yield from items[start : start + _CHECK_EVERY]
+
+
+def evaluate(ds: Dataset, query: SelectQuery, deadline: Optional[float] = None) -> SolutionSequence:
+    """Evaluate query over ds, raising QueryTimeout once time.monotonic()
+    passes deadline; the longest step between two checks is one match."""
     default_graphs, named_graphs = _resolve_dataset(ds, query)
-    fresh = count()
-    rows = _eval_pattern(query.pattern, default_graphs, named_graphs, ds, fresh)
+    run = _Run(ds, named_graphs, deadline)
+    run.check()
+    rows = _eval_pattern(query.pattern, default_graphs, run)
 
     names = tuple(v.name for v in query.projection)
     projected = [{name: row[name] for name in names if name in row} for row in rows]
+    run.check()
     projected.sort(key=lambda row: tuple(term_key(row[n]) if n in row else "" for n in names))
     if query.limit is not None:
         projected = projected[: query.limit]
@@ -99,62 +131,48 @@ def _resolve_dataset(
 # -- pattern evaluation ------------------------------------------------------
 
 
-def _eval_pattern(
-    pattern: GraphPattern,
-    active: tuple[GraphName, ...],
-    named: frozenset[Iri],
-    ds: Dataset,
-    fresh: "count[int]",
-) -> list[Row]:
+def _eval_pattern(pattern: GraphPattern, active: tuple[GraphName, ...], run: _Run) -> list[Row]:
     if isinstance(pattern, BGP):
-        return _eval_bgp(pattern, active, ds, fresh)
+        return _eval_bgp(pattern, active, run)
     if isinstance(pattern, Graph):
         if pattern.name.value == DEFAULT_GRAPH_ALIAS:
-            return _eval_pattern(pattern.pattern, active, named, ds, fresh)
-        if pattern.name not in named:
+            return _eval_pattern(pattern.pattern, active, run)
+        if pattern.name not in run.named:
             return []
-        return _eval_pattern(pattern.pattern, (pattern.name,), named, ds, fresh)
+        return _eval_pattern(pattern.pattern, (pattern.name,), run)
     if isinstance(pattern, Join):
-        left = _eval_pattern(pattern.left, active, named, ds, fresh)
+        left = _eval_pattern(pattern.left, active, run)
         if not left:
             return []
-        right = _eval_pattern(pattern.right, active, named, ds, fresh)
+        right = _eval_pattern(pattern.right, active, run)
         shared = sorted(pattern_variables(pattern.left) & pattern_variables(pattern.right))
-        return _hash_join(left, right, shared)
+        return _hash_join(left, right, shared, run)
     if isinstance(pattern, Filter):
-        return _eval_filter(pattern, active, named, ds, fresh)
+        return _eval_filter(pattern, active, run)
     raise EvaluationError(f"unknown pattern node {pattern!r}")
 
 
-def _lower_paths(
-    patterns: tuple[TriplePattern, ...], fresh: "count[int]"
-) -> Iterator[TriplePattern]:
+def _lower_paths(patterns: tuple[TriplePattern, ...], run: _Run) -> Iterator[TriplePattern]:
     """Rewrite p1/p2 into two patterns over a fresh, non-projectable variable."""
     for tp in patterns:
         if isinstance(tp.predicate, SequencePath):
             # Fresh names contain NUL, which the grammar cannot produce.
-            mid = Variable(f"\x00path{next(fresh)}")
-            yield from _lower_paths(
-                (TriplePattern(tp.subject, tp.predicate.left, mid),), fresh
-            )
-            yield from _lower_paths(
-                (TriplePattern(mid, tp.predicate.right, tp.object),), fresh
-            )
+            mid = Variable(f"\x00path{next(run.fresh)}")
+            yield from _lower_paths((TriplePattern(tp.subject, tp.predicate.left, mid),), run)
+            yield from _lower_paths((TriplePattern(mid, tp.predicate.right, tp.object),), run)
         else:
             yield tp
 
 
-def _eval_bgp(
-    bgp: BGP, active: tuple[GraphName, ...], ds: Dataset, fresh: "count[int]"
-) -> list[Row]:
+def _eval_bgp(bgp: BGP, active: tuple[GraphName, ...], run: _Run) -> list[Row]:
     rows: list[Row] = [{}]
-    for tp in _lower_paths(bgp.patterns, fresh):
+    for tp in _lower_paths(bgp.patterns, run):
         next_rows: list[Row] = []
-        for row in rows:
+        for row in run.checked(rows):
             s = _bound(tp.subject, row)
             p = _bound(tp.predicate, row)
             o = _bound(tp.object, row)
-            for quad in _match_active(ds, s, p, o, active):
+            for quad in run.checked(_match_active(run.ds, s, p, o, active)):
                 extended = _extend(row, tp, quad)
                 if extended is not None:
                     next_rows.append(extended)
@@ -202,20 +220,21 @@ def _hash_join(
     left: list[Row],
     right: list[Row],
     shared: list[str],
+    run: _Run,
     left_keys: tuple[Expression, ...] = (),
     right_keys: tuple[Expression, ...] = (),
 ) -> list[Row]:
     index: dict[tuple, list[Row]] = {}
-    for row in right:
+    for row in run.checked(right):
         key = _join_key(row, shared, right_keys)
         if key is not None:
             index.setdefault(key, []).append(row)
     out: list[Row] = []
-    for row in left:
+    for row in run.checked(left):
         key = _join_key(row, shared, left_keys)
         if key is None:
             continue
-        for other in index.get(key, ()):
+        for other in run.checked(index.get(key, ())):
             merged = dict(row)
             merged.update(other)
             out.append(merged)
@@ -233,13 +252,7 @@ def _join_key(row: Row, shared: list[str], keys: tuple[Expression, ...]) -> Opti
     return tuple(parts)
 
 
-def _eval_filter(
-    node: Filter,
-    active: tuple[GraphName, ...],
-    named: frozenset[Iri],
-    ds: Dataset,
-    fresh: "count[int]",
-) -> list[Row]:
+def _eval_filter(node: Filter, active: tuple[GraphName, ...], run: _Run) -> list[Row]:
     inner = node.pattern
     if isinstance(inner, Join):
         conjuncts = _split_and(node.expression)
@@ -265,14 +278,14 @@ def _eval_filter(
             if not placed:
                 rest.append(conjunct)
         if left_keys:
-            left = _eval_pattern(inner.left, active, named, ds, fresh)
-            right = _eval_pattern(inner.right, active, named, ds, fresh)
+            left = _eval_pattern(inner.left, active, run)
+            right = _eval_pattern(inner.right, active, run)
             shared = sorted(left_scope & right_scope)
-            joined = _hash_join(left, right, shared, tuple(left_keys), tuple(right_keys))
-            return [row for row in joined if all(_truth(c, row) for c in rest)]
+            joined = _hash_join(left, right, shared, run, tuple(left_keys), tuple(right_keys))
+            return [row for row in run.checked(joined) if all(_truth(c, row) for c in rest)]
 
-    rows = _eval_pattern(inner, active, named, ds, fresh)
-    return [row for row in rows if _truth(node.expression, row)]
+    rows = _eval_pattern(inner, active, run)
+    return [row for row in run.checked(rows) if _truth(node.expression, row)]
 
 
 def _split_and(expression: Expression) -> list[Expression]:

@@ -65,6 +65,10 @@ class UnsupportedFeatureError(QueryParseError):
 
 _FUNCTIONS = {"YEAR", "MONTH", "DAY"}
 
+# Deepest bracket nesting and pattern tree a query may have; the parser,
+# the AST walkers and the evaluator recurse once or a few times per level.
+MAX_DEPTH = 100
+
 # Recognized SPARQL keywords outside the subset; named in error messages.
 _UNSUPPORTED = {
     "OPTIONAL", "UNION", "MINUS", "BIND", "VALUES", "SERVICE", "EXISTS",
@@ -258,6 +262,7 @@ class _Parser:
     # -- grammar -------------------------------------------------------------
 
     def parse(self) -> SelectQuery:
+        self._check_nesting()
         self._prologue()
         token = self.peek()
         if self._keyword(token) != "SELECT":
@@ -270,6 +275,8 @@ class _Parser:
         if self._keyword(token) == "WHERE":
             self.take()
         pattern = self._group()
+        if _depth(pattern) > MAX_DEPTH:
+            raise QueryParseError(f"query nested deeper than {MAX_DEPTH} levels", 1, 1)
         limit = self._limit()
         tail = self.peek()
         if tail.kind != "eof":
@@ -290,6 +297,16 @@ class _Parser:
             dataset_clauses=dataset_clauses,
             limit=limit,
         )
+
+    def _check_nesting(self) -> None:
+        depth = 0
+        for token in self.tokens:
+            if token.kind in ("{", "("):
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise self.error(f"query nested deeper than {MAX_DEPTH} levels", token)
+            elif token.kind in ("}", ")"):
+                depth -= 1
 
     def _prologue(self) -> None:
         while True:
@@ -518,6 +535,28 @@ class _Parser:
             if word in _UNSUPPORTED:
                 raise UnsupportedFeatureError(word, token.line, token.column)
         raise self.error(f"unexpected token {token.value!r} in expression", token)
+
+
+def _depth(root: GraphPattern) -> int:
+    """Depth of a pattern tree with its expressions and paths, without recursion."""
+    deepest, stack = 0, [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, BGP):
+            children = [tp.predicate for tp in node.patterns]
+        elif isinstance(node, (Join, And, Equals, SequencePath)):
+            children = [node.left, node.right]
+        elif isinstance(node, Filter):
+            children = [node.expression, node.pattern]
+        elif isinstance(node, Graph):
+            children = [node.pattern]
+        elif isinstance(node, DateFunc):
+            children = [node.argument]
+        else:
+            continue
+        stack.extend((child, depth + 1) for child in children)
+    return deepest
 
 
 def parse_query(text: str) -> SelectQuery:

@@ -1,5 +1,6 @@
 import json
 import socket
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -7,8 +8,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from energykg.cli import main
+from energykg.dataset import Dataset
 from energykg.endpoint import EndpointConfig, EndpointServer
 from energykg.errors import EnergyKgError
+from energykg.sparql import QueryParseError, parse_query
+from energykg.terms import Iri, Literal, PrefixMap, Quad
+from energykg.turtle import serialize_turtle
 
 SIMPLE_QUERY = "SELECT ?s WHERE { ?s ?p ?o } LIMIT 1"
 
@@ -183,3 +189,89 @@ def test_concurrent_identical_requests_byte_identical(server, join_query_text):
     assert len(bodies) == 1
     payload = json.loads(bodies.pop())
     assert len(payload["results"]["bindings"]) == 3
+
+
+def _raw_post(body: bytes, length: int, close: bool) -> bytes:
+    """A raw POST /sparql declaring the given length; close asks the server to close."""
+    return (
+        b"POST /sparql HTTP/1.1\r\n"
+        b"Host: localhost\r\n"
+        b"Content-Type: application/sparql-query\r\n"
+        b"Content-Length: %d\r\n%s"
+        b"\r\n" % (length, b"Connection: close\r\n" if close else b"")
+    ) + body
+
+
+def test_timeout_stops_the_evaluation():
+    # In full, the three-pattern cross product over 80 quads (512,000 rows)
+    # takes seconds of CPU; the evaluation must end with the 503.
+    ds = Dataset(
+        Quad(Iri(f"http://example.org/s{i}"), Iri("http://example.org/p"), Literal(str(i)))
+        for i in range(80)
+    ).freeze()
+    query = "SELECT ?a WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }"
+    with EndpointServer(EndpointConfig(port=0, timeout_seconds=0.2), ds) as server:
+        start = time.monotonic()
+        status, _, body = _get(server, _query_url(query))
+        assert time.monotonic() - start < 1.0
+        assert (status, body) == (503, b"query timed out")
+        cpu = time.process_time()
+        time.sleep(1.0)
+        assert time.process_time() - cpu < 0.3
+
+
+_WHERE = "SELECT ?s WHERE { ?s ?p ?o "
+DEEP_QUERIES = {
+    "nested groups": "SELECT ?s WHERE " + "{ " * 1000 + "?s ?p ?o " + "} " * 1000,
+    "long path": "SELECT ?s WHERE { ?s " + "/".join(["<http://example.org/p>"] * 1001) + " ?o }",
+    "sibling groups": "SELECT ?s WHERE { " + "{ ?s ?p ?o } " * 1000 + "}",
+    "and operands": _WHERE + "FILTER (" + " && ".join(["?s = ?s"] * 1000) + ") }",
+    "nested parentheses": _WHERE + "FILTER (" + "(" * 1000 + "?s = ?s" + ")" * 1000 + ") }",
+    "filters": _WHERE + "FILTER (?s = ?s) " * 1000 + "}",
+}
+
+
+@pytest.mark.parametrize("text", DEEP_QUERIES.values(), ids=DEEP_QUERIES.keys())
+def test_too_deep_query_is_rejected(server, three_day_store, tmp_path, capsys, text):
+    with pytest.raises(QueryParseError, match="nested deeper"):
+        parse_query(text)
+
+    store = tmp_path / "climate.ttl"
+    store.write_text(serialize_turtle(three_day_store, None, PrefixMap()))
+    query = tmp_path / "deep.rq"
+    query.write_text(text)
+    assert main(["query", str(store), str(query)]) == 1
+    assert "nested deeper" in capsys.readouterr().err
+
+    head, body = _raw_exchange(server, _raw_post(text.encode(), len(text), close=True))
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"nested deeper" in body
+
+
+def test_stalled_body_ends_within_the_timeout(three_day_store):
+    config = EndpointConfig(port=0, timeout_seconds=0.5)
+    with EndpointServer(config, three_day_store) as server:
+        start = time.monotonic()
+        head, _ = _raw_exchange(server, _raw_post(b"SEL", 10, close=False))
+        assert time.monotonic() - start < 3.0
+    assert head == b"" or head.startswith(b"HTTP/1.1 408 ")
+
+
+def test_oversized_post_is_413_without_reading_the_body(server):
+    # Headers only: the server must answer at once, then close.
+    head, body = _raw_exchange(server, _raw_post(b"", 1_000_000_000, close=False))
+    assert head.startswith(b"HTTP/1.1 413 ")
+    assert body == b"query too large"
+
+
+def test_unexpected_error_is_500_and_closes(server, monkeypatch, capsys):
+    def broken(solutions):
+        raise RuntimeError("serializer broke")
+
+    monkeypatch.setattr("energykg.endpoint.to_results_json", broken)
+    request = f"GET {_query_url(SIMPLE_QUERY)} HTTP/1.1\r\nHost: localhost\r\n\r\n"
+    head, body = _raw_exchange(server, request.encode())
+    assert head.startswith(b"HTTP/1.1 500 ")
+    assert b"Content-Type: text/plain" in head
+    assert body == b"internal server error"
+    assert "RuntimeError: serializer broke" in capsys.readouterr().err

@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
 from energykg.dataset import Dataset
-from energykg.sparql import evaluate, parse_query
+from energykg.sparql import QueryTimeout, evaluate, parse_query
 from energykg.sparql.evaluator import EvaluationError, builtin_day, builtin_month, builtin_year
 from energykg.terms import Iri, Literal, Quad, XSD_DATETIME, XSD_DECIMAL, XSD_INTEGER
 
@@ -211,3 +212,19 @@ def test_randomized_oracle_equivalence_small():
         engine = evaluate(ds, query).rows
         reference = naive.naive_evaluate(ds, query)
         assert naive.row_multiset(engine) == naive.row_multiset(reference), text
+
+
+def test_deadline_stops_evaluation(three_day_store, join_query_text):
+    query = parse_query(join_query_text)
+    with pytest.raises(QueryTimeout):
+        evaluate(three_day_store, query, deadline=time.monotonic() - 1)
+    rows = evaluate(three_day_store, query, deadline=time.monotonic() + 60).rows
+    assert rows == evaluate(three_day_store, query).rows
+    assert len(rows) == 3
+    # The loops check too: in full, this cross product takes seconds.
+    ds = Dataset([q(f"s{i}", "p", "o") for i in range(80)])
+    cross = parse_query("SELECT ?a WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }")
+    start = time.monotonic()
+    with pytest.raises(QueryTimeout):
+        evaluate(ds, cross, deadline=start + 0.1)
+    assert time.monotonic() - start < 1.0

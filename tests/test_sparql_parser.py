@@ -10,6 +10,7 @@ from energykg.sparql.ast import (
     SequencePath,
     Variable,
 )
+from energykg.sparql.parser import MAX_DEPTH
 from energykg.terms import Iri, Literal, XSD_INTEGER
 
 
@@ -135,3 +136,14 @@ def test_numeric_and_string_literals_in_patterns():
 def test_relative_iri_without_base_is_an_error():
     with pytest.raises(QueryParseError):
         parse_query("SELECT ?s WHERE { ?s <relative/path> ?o }")
+
+
+def test_nesting_limit():
+    def nested(levels):
+        return "SELECT ?s WHERE " + "{ " * levels + "?s ?p ?o " + "} " * levels
+
+    assert isinstance(parse_query(nested(MAX_DEPTH)).pattern, BGP)
+    with pytest.raises(QueryParseError, match="nested deeper") as info:
+        parse_query(nested(MAX_DEPTH + 1))
+    # The brace one level too deep.
+    assert (info.value.line, info.value.column) == (1, 17 + 2 * MAX_DEPTH)
