@@ -1,4 +1,14 @@
-"""In-memory quad store with per-graph subject/predicate/object indexes.
+"""In-memory quad store over a term dictionary.
+
+Each distinct term is interned once to an int id, in insertion order, so
+the term-to-id dict read in key order is also the id-to-term list. Each
+graph keeps its triples as ``(s, p, o)`` id tuples in a set, plus one
+index per position from an id to the triples holding it there, in the
+manner of Hexastore (Weiss, Karras and Bernstein, VLDB 2008). Each id
+also has a rank, its position in canonical ``term_key`` order, so the
+canonical sort compares ints. Ranks and the id-to-term list are built at
+``freeze()``; before it, when first read and again once new terms have
+arrived.
 
 A Dataset is built single-threaded, then frozen; a frozen dataset is an
 immutable snapshot that any number of readers may share. Quads have set
@@ -7,10 +17,12 @@ semantics: inserting a duplicate is a no-op.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import EnergyKgError
-from .terms import GraphName, Iri, Quad, Term, quad_key
+from .terms import GraphName, Iri, Quad, Term, term_key
 
 
 class _Any:
@@ -21,40 +33,83 @@ class _Any:
 ANY = _Any()
 
 Pattern = Union[Term, None, _Any]
+IdTriple = tuple[int, int, int]
 
 
 class FrozenDatasetError(EnergyKgError):
     """Mutation attempted after freeze()."""
 
 
+class _Graph:
+    """One graph's id triples, indexed by subject, predicate and object."""
+
+    __slots__ = ("triples", "index")
+
+    def __init__(self) -> None:
+        self.triples: set[IdTriple] = set()
+        self.index: tuple[dict[int, list[IdTriple]], ...] = ({}, {}, {})
+
+    def match(self, s: Optional[int], p: Optional[int], o: Optional[int]) -> list[IdTriple]:
+        buckets = [
+            index.get(key, []) for index, key in zip(self.index, (s, p, o)) if key is not None
+        ]
+        if not buckets:
+            return list(self.triples)
+        bucket = min(buckets, key=len)
+        if len(buckets) == 1:
+            return bucket
+        return [
+            t
+            for t in bucket
+            if (s is None or t[0] == s) and (p is None or t[1] == p) and (o is None or t[2] == o)
+        ]
+
+
+def _graph_key(graph: GraphName) -> str:
+    return "" if graph is None else graph.value
+
+
 class Dataset:
     def __init__(self, quads: Iterable[Quad] = ()) -> None:
-        self._quads: set[Quad] = set()
-        self._by_graph: dict[GraphName, list[Quad]] = {}
-        self._by_gs: dict[tuple[GraphName, Term], list[Quad]] = {}
-        self._by_gp: dict[tuple[GraphName, Iri], list[Quad]] = {}
-        self._by_go: dict[tuple[GraphName, Term], list[Quad]] = {}
+        self._ids: dict[Term, int] = {}
+        self._terms: list[Term] = []
+        self._ranks: list[int] = []
+        self._graphs: dict[GraphName, _Graph] = {}
         self._frozen = False
-        for quad in quads:
-            self.add(quad)
+        self.add_all(quads)
 
     def add(self, quad: Quad) -> None:
-        if self._frozen:
-            raise FrozenDatasetError("dataset is frozen")
-        if quad in self._quads:
-            return
-        self._quads.add(quad)
-        g = quad.graph
-        self._by_graph.setdefault(g, []).append(quad)
-        self._by_gs.setdefault((g, quad.subject), []).append(quad)
-        self._by_gp.setdefault((g, quad.predicate), []).append(quad)
-        self._by_go.setdefault((g, quad.object), []).append(quad)
+        self.add_triples(((quad.subject, quad.predicate, quad.object),), quad.graph)
 
     def add_all(self, quads: Iterable[Quad]) -> None:
-        for quad in quads:
-            self.add(quad)
+        for graph, group in groupby(quads, attrgetter("graph")):
+            self.add_triples(((q.subject, q.predicate, q.object) for q in group), graph)
+
+    def add_triples(
+        self, triples: Iterable[tuple[Term, Iri, Term]], graph: GraphName = None
+    ) -> None:
+        """Insert (subject, predicate, object) terms into one graph."""
+        if self._frozen:
+            raise FrozenDatasetError("dataset is frozen")
+        store = self._graphs.get(graph)
+        if store is None:
+            store = self._graphs[graph] = _Graph()
+        ids = self._ids
+        intern = ids.setdefault
+        seen = store.triples
+        by_s, by_p, by_o = store.index
+        for s, p, o in triples:
+            # Each setdefault offers the next free id, kept only by a new term.
+            triple = (intern(s, len(ids)), intern(p, len(ids)), intern(o, len(ids)))
+            if triple not in seen:
+                seen.add(triple)
+                by_s.setdefault(triple[0], []).append(triple)
+                by_p.setdefault(triple[1], []).append(triple)
+                by_o.setdefault(triple[2], []).append(triple)
 
     def freeze(self) -> "Dataset":
+        # Build the lazy lists now, so readers of the snapshot never write.
+        self.ranks()
         self._frozen = True
         return self
 
@@ -63,18 +118,26 @@ class Dataset:
         return self._frozen
 
     def __len__(self) -> int:
-        return len(self._quads)
+        return sum(len(store.triples) for store in self._graphs.values())
 
-    def __contains__(self, quad: Quad) -> bool:
-        return quad in self._quads
+    def __contains__(self, quad: object) -> bool:
+        if not isinstance(quad, Quad) or quad.graph not in self._graphs:
+            return False
+        ids = self._ids
+        triple = (ids.get(quad.subject), ids.get(quad.predicate), ids.get(quad.object))
+        return triple in self._graphs[quad.graph].triples
 
     def __iter__(self) -> Iterator[Quad]:
-        return iter(self._quads)
+        terms = self.terms()
+        for graph, store in self._graphs.items():
+            for s, p, o in store.triples:
+                yield Quad(terms[s], terms[p], terms[o], graph)
 
     def graphs(self) -> list[Iri]:
         """Named graphs present, in canonical order."""
         return sorted(
-            (g for g in self._by_graph if g is not None), key=lambda g: g.value
+            (g for g, store in self._graphs.items() if g is not None and store.triples),
+            key=_graph_key,
         )
 
     def match(
@@ -87,37 +150,57 @@ class Dataset:
         """All quads matching the bound positions, in canonical order.
 
         ``ANY`` is the wildcard; ``graph=None`` addresses the default
-        graph. With a bound graph the narrowest available index bucket is
-        scanned; a wildcard graph falls back to a full scan.
+        graph. Each graph answers from its narrowest index bucket.
         """
-        candidates = self._candidates(subject, predicate, object, graph)
-        out = [
-            q
-            for q in candidates
-            if (subject is ANY or q.subject == subject)
-            and (predicate is ANY or q.predicate == predicate)
-            and (object is ANY or q.object == object)
-            and (graph is ANY or q.graph == graph)
-        ]
-        out.sort(key=quad_key)
+        # A term no quad holds gets -1, an id that matches nothing.
+        key = [None if t is ANY else self._ids.get(t, -1) for t in (subject, predicate, object)]
+        names = sorted(self._graphs, key=_graph_key) if graph is ANY else [graph]
+        terms = self.terms()
+        ranks = self.ranks()
+        out: list[Quad] = []
+        for name in names:
+            found = self.triples(*key, name)
+            found = sorted(found, key=lambda t: (ranks[t[0]], ranks[t[1]], ranks[t[2]]))
+            out.extend(Quad(terms[s], terms[p], terms[o], name) for s, p, o in found)
         return out
 
-    def _candidates(
-        self,
-        subject: Pattern,
-        predicate: Pattern,
-        object: Pattern,
-        graph: Union[GraphName, _Any],
-    ) -> Iterable[Quad]:
-        if isinstance(graph, _Any):
-            return self._quads
-        buckets = []
-        if not isinstance(subject, _Any):
-            buckets.append(self._by_gs.get((graph, subject), []))
-        if not isinstance(predicate, _Any):
-            buckets.append(self._by_gp.get((graph, predicate), []))
-        if not isinstance(object, _Any):
-            buckets.append(self._by_go.get((graph, object), []))
-        if not buckets:
-            return self._by_graph.get(graph, [])
-        return min(buckets, key=len)
+    # -- id-level access, for the query evaluator and the serializer ---------
+
+    def id_of(self, term: Term) -> Optional[int]:
+        """The term's id, or None when no quad holds it."""
+        return self._ids.get(term)
+
+    def terms(self) -> list[Term]:
+        """Every interned term, indexed by its id."""
+        if len(self._terms) != len(self._ids):
+            self._terms = list(self._ids)
+        return self._terms
+
+    def ranks(self) -> list[int]:
+        """Each id's position in canonical ``term_key`` order, indexed by id."""
+        if len(self._ranks) != len(self._ids):
+            keys = list(map(term_key, self.terms()))
+            ranks = [0] * len(keys)
+            for rank, term_id in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+                ranks[term_id] = rank
+            self._ranks = ranks
+        return self._ranks
+
+    def triples(
+        self, s: Optional[int], p: Optional[int], o: Optional[int], graph: GraphName
+    ) -> list[IdTriple]:
+        """Id triples of one graph matching the bound ids (None is the
+        wildcard), unsorted. The list may be the index's own: do not change it."""
+        store = self._graphs.get(graph)
+        return [] if store is None else store.match(s, p, o)
+
+    def bucket_size(self, position: int, key: Optional[int], graph: GraphName) -> float:
+        """Triples of one graph with id key at position (0 subject, 1
+        predicate, 2 object); for key None, the mean over that position's ids."""
+        store = self._graphs.get(graph)
+        if store is None:
+            return 0
+        index = store.index[position]
+        if key is None:
+            return len(store.triples) / len(index) if index else 0
+        return len(index.get(key, ()))

@@ -156,7 +156,8 @@ def _make_handler(ds: Dataset, config: EndpointConfig):
         def do_POST(self) -> None:  # noqa: N802
             url = urlsplit(self.path)
             if url.path != "/sparql":
-                self._reply_text(404, "not found")
+                # The body stays unread, so the connection cannot be reused.
+                self._reply_text(404, "not found", close=True)
                 return
             content_type = self.headers.get("Content-Type", "").split(";")[0].strip()
             length_text = self.headers.get("Content-Length", "0").strip()

@@ -6,6 +6,17 @@ keeps rows whose expression evaluates to true, dropping rows whose
 expression errors. Results are projected, sorted by the canonical
 encoding of their bindings, and cut by LIMIT, in that order.
 
+Rows bind variables to the store's term ids. Terms are decoded only to
+evaluate FILTER and join-key expressions, and for the projected rows,
+which are sorted by the store's rank of each id. A query constant that
+no quad holds matches nothing.
+
+Each BGP, after its property paths are lowered, is ordered greedily: the
+next pattern is the one with the smallest index bucket among its
+constant and already-bound positions, a bound variable counting as the
+mean bucket of its position (after Stocker et al., "SPARQL basic graph
+pattern optimization using selectivity estimation", WWW 2008).
+
 Joins are hash-based on the statically shared variables; a FILTER whose
 conjuncts equate date components across the two sides of a Join is
 turned into an equi-join key so day-alignment queries stay linear.
@@ -13,12 +24,13 @@ turned into an equi-join key so day-alignment queries stay linear.
 
 from __future__ import annotations
 
+import math
 import time
 from decimal import Decimal
 from itertools import count
 from typing import Iterator, Optional, Sequence, Union
 
-from ..dataset import ANY, Dataset
+from ..dataset import Dataset, IdTriple
 from ..errors import EnergyKgError
 from ..terms import (
     BlankNode,
@@ -26,14 +38,12 @@ from ..terms import (
     Iri,
     Literal,
     NUMERIC_DATATYPES,
-    Quad,
     Term,
     XSD_BOOLEAN,
     XSD_DATETIME,
     XSD_STRING,
     parse_datetime,
     parse_numeric,
-    term_key,
 )
 from .ast import (
     And,
@@ -56,7 +66,10 @@ from .ast import (
     pattern_variables,
 )
 
-Row = dict[str, Term]
+# Variable name -> term id.
+Row = dict[str, int]
+# A triple pattern with each constant as its term id and each variable as its name.
+IdPattern = tuple[Union[int, str], Union[int, str], Union[int, str]]
 
 # Rows a loop consumes or produces between two deadline checks.
 _CHECK_EVERY = 256
@@ -75,10 +88,12 @@ class _ExprError(Exception):
 
 
 class _Run:
-    """One evaluation's store, FROM NAMED graphs, fresh names and deadline."""
+    """One evaluation's store, its terms by id, FROM NAMED graphs, fresh
+    names and deadline."""
 
     def __init__(self, ds: Dataset, named: frozenset[Iri], deadline: Optional[float]) -> None:
         self.ds = ds
+        self.terms = ds.terms()
         self.named = named
         self.fresh = count()
         self.deadline = deadline
@@ -96,7 +111,7 @@ class _Run:
 
 def evaluate(ds: Dataset, query: SelectQuery, deadline: Optional[float] = None) -> SolutionSequence:
     """Evaluate query over ds, raising QueryTimeout once time.monotonic()
-    passes deadline; the longest step between two checks is one match."""
+    passes deadline; the longest step between two checks is one index lookup."""
     default_graphs, named_graphs = _resolve_dataset(ds, query)
     run = _Run(ds, named_graphs, deadline)
     run.check()
@@ -105,10 +120,13 @@ def evaluate(ds: Dataset, query: SelectQuery, deadline: Optional[float] = None) 
     names = tuple(v.name for v in query.projection)
     projected = [{name: row[name] for name in names if name in row} for row in rows]
     run.check()
-    projected.sort(key=lambda row: tuple(term_key(row[n]) if n in row else "" for n in names))
+    # An unbound variable ranks -1, before every term.
+    ranks = ds.ranks()
+    projected.sort(key=lambda row: tuple(ranks[row[n]] if n in row else -1 for n in names))
     if query.limit is not None:
         projected = projected[: query.limit]
-    return SolutionSequence(names, projected)
+    terms = run.terms
+    return SolutionSequence(names, [{n: terms[i] for n, i in row.items()} for row in projected])
 
 
 def _resolve_dataset(
@@ -165,16 +183,31 @@ def _lower_paths(patterns: tuple[TriplePattern, ...], run: _Run) -> Iterator[Tri
 
 
 def _eval_bgp(bgp: BGP, active: tuple[GraphName, ...], run: _Run) -> list[Row]:
-    rows: list[Row] = [{}]
+    patterns: list[IdPattern] = []
     for tp in _lower_paths(bgp.patterns, run):
+        encoded = tuple(
+            x.name if isinstance(x, Variable) else run.ds.id_of(x)
+            for x in (tp.subject, tp.predicate, tp.object)
+        )
+        if None in encoded:
+            return []
+        patterns.append(encoded)
+
+    rows: list[Row] = [{}]
+    bound: set[str] = set()
+    for tp in _plan(patterns, active, run.ds):
+        # Positions this step binds; a name listed twice must match itself.
+        free = [(i, x) for i, x in enumerate(tp) if isinstance(x, str) and x not in bound]
+        bound.update(x for _, x in free)
         next_rows: list[Row] = []
         for row in run.checked(rows):
-            s = _bound(tp.subject, row)
-            p = _bound(tp.predicate, row)
-            o = _bound(tp.object, row)
-            for quad in run.checked(_match_active(run.ds, s, p, o, active)):
-                extended = _extend(row, tp, quad)
-                if extended is not None:
+            key = [row.get(x) if isinstance(x, str) else x for x in tp]
+            for triple in run.checked(_match_active(run.ds, key, active)):
+                extended = dict(row)
+                for i, name in free:
+                    if extended.setdefault(name, triple[i]) != triple[i]:
+                        break
+                else:
                     next_rows.append(extended)
         rows = next_rows
         if not rows:
@@ -182,38 +215,33 @@ def _eval_bgp(bgp: BGP, active: tuple[GraphName, ...], run: _Run) -> list[Row]:
     return rows
 
 
-def _bound(position: Union[Term, Variable], row: Row):
-    if isinstance(position, Variable):
-        return row.get(position.name, ANY)
-    return position
+def _plan(patterns: list[IdPattern], active: tuple[GraphName, ...], ds: Dataset) -> list[IdPattern]:
+    """Order patterns greedily, the smallest estimated index bucket first."""
+    remaining, ordered, bound = list(patterns), [], set()
+
+    def cost(tp: IdPattern) -> float:
+        # A bound variable's id is not known yet; None asks for the mean bucket.
+        sizes = [
+            sum(ds.bucket_size(i, None if x in bound else x, g) for g in active)
+            for i, x in enumerate(tp)
+            if isinstance(x, int) or x in bound
+        ]
+        return min(sizes, default=math.inf)
+
+    while remaining:
+        best = min(remaining, key=cost)
+        remaining.remove(best)
+        ordered.append(best)
+        bound.update(x for x in best if isinstance(x, str))
+    return ordered
 
 
-def _match_active(ds: Dataset, s, p, o, active: tuple[GraphName, ...]) -> list[Quad]:
+def _match_active(ds: Dataset, key: list, active: tuple[GraphName, ...]) -> list[IdTriple]:
     if len(active) == 1:
-        return ds.match(s, p, o, active[0])
+        return ds.triples(*key, active[0])
     # Multiple FROM graphs form a merged default graph: a triple set, so
     # identical triples from different graphs collapse.
-    seen: dict[tuple, Quad] = {}
-    for graph in active:
-        for quad in ds.match(s, p, o, graph):
-            seen.setdefault((quad.subject, quad.predicate, quad.object), quad)
-    return sorted(seen.values(), key=lambda q: (term_key(q.subject), term_key(q.predicate), term_key(q.object)))
-
-
-def _extend(row: Row, tp: TriplePattern, quad: Quad) -> Optional[Row]:
-    out = dict(row)
-    for position, value in (
-        (tp.subject, quad.subject),
-        (tp.predicate, quad.predicate),
-        (tp.object, quad.object),
-    ):
-        if isinstance(position, Variable):
-            existing = out.get(position.name)
-            if existing is None:
-                out[position.name] = value
-            elif existing != value:
-                return None
-    return out
+    return list({triple for graph in active for triple in ds.triples(*key, graph)})
 
 
 def _hash_join(
@@ -226,12 +254,12 @@ def _hash_join(
 ) -> list[Row]:
     index: dict[tuple, list[Row]] = {}
     for row in run.checked(right):
-        key = _join_key(row, shared, right_keys)
+        key = _join_key(row, shared, right_keys, run.terms)
         if key is not None:
             index.setdefault(key, []).append(row)
     out: list[Row] = []
     for row in run.checked(left):
-        key = _join_key(row, shared, left_keys)
+        key = _join_key(row, shared, left_keys, run.terms)
         if key is None:
             continue
         for other in run.checked(index.get(key, ())):
@@ -241,11 +269,13 @@ def _hash_join(
     return out
 
 
-def _join_key(row: Row, shared: list[str], keys: tuple[Expression, ...]) -> Optional[tuple]:
+def _join_key(
+    row: Row, shared: list[str], keys: tuple[Expression, ...], terms: list[Term]
+) -> Optional[tuple]:
     parts: list = [row.get(name) for name in shared]
     for expression in keys:
         try:
-            parts.append(_eval_expression(expression, row))
+            parts.append(_eval_expression(expression, row, terms))
         except _ExprError:
             # The equality this key came from can never be true here.
             return None
@@ -254,6 +284,7 @@ def _join_key(row: Row, shared: list[str], keys: tuple[Expression, ...]) -> Opti
 
 def _eval_filter(node: Filter, active: tuple[GraphName, ...], run: _Run) -> list[Row]:
     inner = node.pattern
+    terms = run.terms
     if isinstance(inner, Join):
         conjuncts = _split_and(node.expression)
         left_scope = pattern_variables(inner.left)
@@ -282,10 +313,10 @@ def _eval_filter(node: Filter, active: tuple[GraphName, ...], run: _Run) -> list
             right = _eval_pattern(inner.right, active, run)
             shared = sorted(left_scope & right_scope)
             joined = _hash_join(left, right, shared, run, tuple(left_keys), tuple(right_keys))
-            return [row for row in run.checked(joined) if all(_truth(c, row) for c in rest)]
+            return [row for row in run.checked(joined) if all(_truth(c, row, terms) for c in rest)]
 
     rows = _eval_pattern(inner, active, run)
-    return [row for row in run.checked(rows) if _truth(node.expression, row)]
+    return [row for row in run.checked(rows) if _truth(node.expression, row, terms)]
 
 
 def _split_and(expression: Expression) -> list[Expression]:
@@ -302,23 +333,24 @@ def _is_keyable(expression: Expression) -> bool:
 # -- expressions -------------------------------------------------------------
 
 
-def _truth(expression: Expression, row: Row) -> bool:
+def _truth(expression: Expression, row: Row, terms: list[Term]) -> bool:
     try:
-        return _effective_boolean(_eval_expression(expression, row))
+        return _effective_boolean(_eval_expression(expression, row, terms))
     except _ExprError:
         return False
 
 
-def _eval_expression(expression: Expression, row: Row):
+def _eval_expression(expression: Expression, row: Row, terms: list[Term]):
+    """Value of expression on row, whose ids are decoded through terms."""
     if isinstance(expression, Variable):
         value = row.get(expression.name)
         if value is None:
             raise _ExprError("unbound variable")
-        return value
+        return terms[value]
     if isinstance(expression, Constant):
         return expression.value
     if isinstance(expression, DateFunc):
-        value = _eval_expression(expression.argument, row)
+        value = _eval_expression(expression.argument, row, terms)
         if not isinstance(value, Literal) or value.datatype != XSD_DATETIME:
             raise _ExprError(f"{expression.component}() needs an xsd:dateTime")
         try:
@@ -328,11 +360,12 @@ def _eval_expression(expression: Expression, row: Row):
         return getattr(instant, expression.component)
     if isinstance(expression, Equals):
         return _equals(
-            _eval_expression(expression.left, row), _eval_expression(expression.right, row)
+            _eval_expression(expression.left, row, terms),
+            _eval_expression(expression.right, row, terms),
         )
     if isinstance(expression, And):
-        left = _try_bool(expression.left, row)
-        right = _try_bool(expression.right, row)
+        left = _try_bool(expression.left, row, terms)
+        right = _try_bool(expression.right, row, terms)
         # SPARQL logical-and: false wins over an error on the other side.
         if left is False or right is False:
             return False
@@ -342,9 +375,9 @@ def _eval_expression(expression: Expression, row: Row):
     raise _ExprError(f"unknown expression {expression!r}")
 
 
-def _try_bool(expression: Expression, row: Row) -> Optional[bool]:
+def _try_bool(expression: Expression, row: Row, terms: list[Term]) -> Optional[bool]:
     try:
-        return _effective_boolean(_eval_expression(expression, row))
+        return _effective_boolean(_eval_expression(expression, row, terms))
     except _ExprError:
         return None
 
@@ -433,6 +466,6 @@ def builtin_day(literal: Literal) -> int:
 
 def _date_component(literal: Literal, component: str) -> int:
     try:
-        return _eval_expression(DateFunc(component, Constant(literal)), {})
+        return _eval_expression(DateFunc(component, Constant(literal)), {}, [])
     except _ExprError as exc:
         raise EvaluationError(str(exc))

@@ -17,6 +17,8 @@ shared by every triple that uses it, until the next directive.
 from __future__ import annotations
 
 import re
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from .dataset import Dataset
@@ -28,7 +30,6 @@ from .terms import (
     Iri,
     Literal,
     PrefixMap,
-    Quad,
     Term,
     XSD_BOOLEAN,
     XSD_DECIMAL,
@@ -36,7 +37,6 @@ from .terms import (
     XSD_INTEGER,
     XSD_STRING,
     resolve_iri,
-    term_key,
 )
 
 
@@ -87,25 +87,22 @@ def serialize_turtle(ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> str:
     for label, namespace in prefixes.namespaces().items():
         lines.append(f"@prefix {label}: <{namespace.value}> .")
 
-    quads = ds.match(graph=graph)
-    by_subject: dict[str, tuple[Term, list[Quad]]] = {}
-    for quad in quads:
-        by_subject.setdefault(term_key(quad.subject), (quad.subject, []))[1].append(quad)
-
-    for _, (subject, subject_quads) in sorted(by_subject.items()):
+    # Subjects and objects in canonical (rank) order; predicates by IRI.
+    terms = ds.terms()
+    ranks = ds.ranks()
+    triples = ds.triples(None, None, None, graph)
+    triples = sorted(triples, key=lambda t: (ranks[t[0]], ranks[t[2]]))
+    for s, subject_triples in groupby(triples, itemgetter(0)):
         lines.append("")
-        lines.append(_render_term(subject, prefixes))
+        lines.append(_render_term(terms[s], prefixes))
         by_predicate: dict[str, tuple[Iri, list[Term]]] = {}
-        for quad in subject_quads:
-            by_predicate.setdefault(quad.predicate.value, (quad.predicate, []))[1].append(
-                quad.object
-            )
+        for _, p, o in subject_triples:
+            predicate = terms[p]
+            by_predicate.setdefault(predicate.value, (predicate, []))[1].append(terms[o])
         predicate_entries = sorted(by_predicate.items())
         for i, (_, (predicate, objects)) in enumerate(predicate_entries):
             verb = "a" if predicate == RDF_TYPE else _render_term(predicate, prefixes)
-            rendered = ", ".join(
-                _render_term(o, prefixes) for o in sorted(objects, key=term_key)
-            )
+            rendered = ", ".join(_render_term(o, prefixes) for o in objects)
             terminator = " ." if i == len(predicate_entries) - 1 else " ;"
             lines.append(f"    {verb} {rendered}{terminator}")
 
@@ -136,6 +133,7 @@ _TOKEN = re.compile(
     re.VERBOSE,
 ).match
 _PN_PREFIX = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
+_HEX = re.compile(r"[0-9A-Fa-f]+")
 
 _STRING_ESCAPES = {
     "t": "\t",
@@ -229,6 +227,10 @@ class _Parser:
             hexdigits = text[i + 2 : i + 2 + width]
             if len(hexdigits) != width:
                 raise self.error("truncated unicode escape", start)
+            # UCHAR is exactly 4 or 8 ASCII hex digits; int() would also
+            # take a sign, underscores and surrounding whitespace.
+            if not _HEX.fullmatch(hexdigits):
+                raise self.error(f"invalid unicode escape \\{esc}{hexdigits}", start)
             try:
                 out.append(chr(int(hexdigits, 16)))
             except (ValueError, OverflowError):
@@ -393,6 +395,5 @@ def load_turtle(
 ) -> PrefixMap:
     """Parse text and add its triples to the dataset in the chosen graph."""
     triples, prefixes = parse_turtle(text, base)
-    for s, p, o in triples:
-        ds.add(Quad(s, p, o, graph))
+    ds.add_triples(triples, graph)
     return prefixes

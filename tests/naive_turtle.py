@@ -43,6 +43,7 @@ _PN_PREFIX = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
 _LOCAL_CHARS = re.compile(r"[A-Za-z0-9_.:\-]*")
 _NUMBER = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 _BNODE_LABEL = re.compile(r"[A-Za-z0-9_]+")
+_HEX = re.compile(r"[0-9A-Fa-f]+")
 
 _STRING_ESCAPES = {
     "t": "\t",
@@ -187,6 +188,8 @@ class _Lexer:
                     hexdigits = text[i + 2 : i + 2 + width]
                     if len(hexdigits) != width:
                         raise self.error("truncated unicode escape")
+                    if not _HEX.fullmatch(hexdigits):
+                        raise self.error(f"invalid unicode escape \\{esc}{hexdigits}")
                     try:
                         out.append(chr(int(hexdigits, 16)))
                     except ValueError:

@@ -96,3 +96,68 @@ def test_match_equals_linear_scan_on_randomized_patterns():
             assert ds.match(s, p, o, g) == expected
             checked += 1
     assert checked == 1000
+
+
+def _scan(quads, s, p, o, g):
+    return sorted(
+        (
+            q
+            for q in quads
+            if (s is ANY or q.subject == s)
+            and (p is ANY or q.predicate == p)
+            and (o is ANY or q.object == o)
+            and (g is ANY or q.graph == g)
+        ),
+        key=quad_key,
+    )
+
+
+def test_match_equals_linear_scan_when_adds_and_matches_interleave():
+    """New terms after a match must not reuse the order the match computed."""
+    rnd = random.Random(20080824)
+    graphs = [None, querygen.NAMED_GRAPHS[0], querygen.NAMED_GRAPHS[1]]
+    ds = Dataset()
+    added: set[Quad] = set()
+    for round_number in range(30):
+        # Fresh names sort before, between and after the earlier ones.
+        names = [f"{rnd.choice('azm')}{round_number}-{i}" for i in range(4)]
+        for _ in range(rnd.randint(1, 25)):
+            quad = Quad(
+                Iri("http://example.org/" + rnd.choice(names)),
+                Iri("http://example.org/p" + rnd.choice("abc")),
+                rnd.choice([Literal(rnd.choice(names)), Iri("http://example.org/" + rnd.choice(names))]),
+                rnd.choice(graphs),
+            )
+            ds.add(quad)
+            added.add(quad)
+        assert len(ds) == len(added)
+        assert set(ds) == added
+        terms = [t for q in added for t in (q.subject, q.predicate, q.object)]
+        for _ in range(10):
+            s = rnd.choice(terms) if rnd.random() < 0.3 else ANY
+            p = rnd.choice(terms) if rnd.random() < 0.3 else ANY
+            o = rnd.choice(terms) if rnd.random() < 0.3 else ANY
+            g = rnd.choice(graphs) if rnd.random() < 0.5 else ANY
+            assert ds.match(s, p, o, g) == _scan(added, s, p, o, g)
+    ds.freeze()
+    assert ds.match() == _scan(added, ANY, ANY, ANY, ANY)
+
+
+def test_absent_terms_and_graphs_match_nothing():
+    ds = Dataset([Quad(S, P, O, G)])
+    absent = Iri("http://example.org/absent")
+    assert ds.match(subject=absent) == []
+    assert ds.match(object=Literal("absent")) == []
+    assert ds.match(graph=absent) == []
+    assert Quad(S, P, Literal("absent"), G) not in ds
+    assert Quad(S, P, O) not in ds
+    assert "not a quad" not in ds
+
+
+def test_graphs_lists_only_graphs_holding_quads():
+    ds = Dataset()
+    ds.add_triples([], G)
+    assert ds.graphs() == []
+    ds.add_triples([(S, P, O)], G)
+    assert ds.graphs() == [G]
+    assert ds.match(graph=G) == [Quad(S, P, O, G)]

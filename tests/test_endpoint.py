@@ -113,6 +113,26 @@ def test_unknown_path_is_404(server):
     assert status == 404
 
 
+def test_post_to_unknown_path_is_404_and_closes(server):
+    # The unread body must not be taken for the next request.
+    body = b"XYZ / HTTP/1.1\r\n\r\n"
+    request = (
+        b"POST /nowhere HTTP/1.1\r\n"
+        b"Host: localhost\r\n"
+        b"Content-Length: %d\r\n"
+        b"\r\n" % len(body)
+    ) + body + b"GET /health HTTP/1.1\r\nHost: localhost\r\n\r\n"
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(request)
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    assert response.startswith(b"HTTP/1.1 404 ")
+    assert b"Connection: close" in response
+    assert response.count(b"HTTP/1.1 ") == 1
+    assert b" 501 " not in response
+
+
 def test_oversized_query_is_413(three_day_store):
     config = EndpointConfig(port=0, max_query_bytes=64)
     with EndpointServer(config, three_day_store) as server:

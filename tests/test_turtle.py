@@ -226,6 +226,20 @@ def test_out_of_range_long_unicode_escape_is_a_parse_error():
     assert str(excinfo.value) == "line 1, column 47: invalid unicode escape \\UFFFFFFFF"
 
 
+@pytest.mark.parametrize(
+    "escape",
+    ["\\u+4_1", "\\u 4 \n", "\\u\u0660\u0660\u0664\u0661", "\\U+0000041", "\\U0000_041"],
+    ids=["sign_underscore", "spaces_newline", "non_ascii_digits", "long_sign", "long_underscore"],
+)
+def test_unicode_escape_takes_exactly_its_ascii_hex_digits(escape):
+    # int(s, 16) alone accepts all of these; UCHAR allows only hex digits.
+    text = f'<http://example.org/s> <http://example.org/p> "{escape}" .'
+    for parse in (parse_turtle, naive_turtle.parse_turtle):
+        with pytest.raises(EnergyKgError) as excinfo:
+            parse(text)
+        assert str(excinfo.value) == f"line 1, column 47: invalid unicode escape {escape}"
+
+
 def test_each_distinct_iri_is_one_object_per_document():
     text = (
         "@prefix p: <http://example.org/> .\n"
