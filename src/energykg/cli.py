@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .climate import link_network_to_station, observation_quads, parse_noaa_csv, parse_noaa_json
 from .config import PipelineConfig, load_config
-from .dataset import ANY, Dataset
+from .dataset import Dataset
 from .endpoint import EndpointConfig, serve
 from .errors import EnergyKgError
 from .headings import parse_heading
@@ -54,6 +54,9 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise EnergyKgError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        # The whole file is decoded at once, so the offset is the file's.
+        raise EnergyKgError(f"cannot read {path}: not UTF-8 at byte {exc.start}")
 
 
 def _write(path: str, text: str) -> None:
@@ -163,9 +166,13 @@ def cmd_analyze(store_paths: Sequence[str], config: PipelineConfig) -> list[str]
     """Write report.tsv, report.json and per-category scatter CSVs."""
     ds = load_store(store_paths, config)
     graph = config.graph_iri
+    evaluation = ds.id_of(SEAS.evaluation)
+    subjects = set()
+    if evaluation is not None:
+        subjects = {s for s, _, _ in ds.triples(None, evaluation, None, graph)}
+    terms = ds.terms()
     devices = sorted(
-        {q.subject for q in ds.match(ANY, SEAS.evaluation, ANY, graph) if isinstance(q.subject, Iri)},
-        key=lambda iri: iri.value,
+        (terms[s] for s in subjects if isinstance(terms[s], Iri)), key=lambda iri: iri.value
     )
     if not devices:
         raise EnergyKgError("store contains no device evaluations")

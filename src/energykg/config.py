@@ -141,6 +141,10 @@ def load_config(
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"cannot read config file {config_path}: not UTF-8 at byte {exc.start}"
+            )
         for key, value in parse_config_file(text, config_path).items():
             setattr(config, key, _coerce(key, value))
     environment = os.environ if env is None else env

@@ -10,6 +10,11 @@ canonical sort compares ints. Ranks and the id-to-term list are built at
 ``freeze()``; before it, when first read and again once new terms have
 arrived.
 
+Id triples enter a graph through one insert, ``add_ids``. Its callers
+get their ids inside ``interning()``, which drops the terms a failed
+block added: ``add_triples`` interns a batch of terms, and
+``load_turtle`` parses a whole Turtle document straight into ids.
+
 A Dataset is built single-threaded, then frozen; a frozen dataset is an
 immutable snapshot that any number of readers may share. Quads have set
 semantics: inserting a duplicate is a no-op.
@@ -17,9 +22,10 @@ semantics: inserting a duplicate is a no-op.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import EnergyKgError
 from .terms import GraphName, Iri, Quad, Term, term_key
@@ -65,13 +71,21 @@ class _Graph:
         ]
 
 
+class _TermIds(dict):
+    """Term to id; looking up a new term gives it the next free id."""
+
+    def __missing__(self, term: Term) -> int:
+        term_id = self[term] = len(self)
+        return term_id
+
+
 def _graph_key(graph: GraphName) -> str:
     return "" if graph is None else graph.value
 
 
 class Dataset:
     def __init__(self, quads: Iterable[Quad] = ()) -> None:
-        self._ids: dict[Term, int] = {}
+        self._ids: dict[Term, int] = _TermIds()
         self._terms: list[Term] = []
         self._ranks: list[int] = []
         self._graphs: dict[GraphName, _Graph] = {}
@@ -88,19 +102,41 @@ class Dataset:
     def add_triples(
         self, triples: Iterable[tuple[Term, Iri, Term]], graph: GraphName = None
     ) -> None:
-        """Insert (subject, predicate, object) terms into one graph."""
+        """Insert (subject, predicate, object) terms into one graph; if
+        reading them raises, nothing is added."""
+        with self.interning() as intern:
+            encoded = [(intern(s), intern(p), intern(o)) for s, p, o in triples]
+        self.add_ids(encoded, graph)
+
+    @contextmanager
+    def interning(self) -> Iterator[Callable[[Term], int]]:
+        """Yield a function from a term to its id, which gives a new term
+        the next free id. If the block raises, the terms it added are
+        dropped again, so every id stays held by some quad."""
+        if self._frozen:
+            raise FrozenDatasetError("dataset is frozen")
+        ids = self._ids
+        mark = len(ids)
+        try:
+            yield ids.__getitem__
+        except BaseException:
+            # Dicts keep insertion order, so the newest ids pop first.
+            while len(ids) > mark:
+                ids.popitem()
+            # The lazy lists may have been built inside the block.
+            self._terms, self._ranks = [], []
+            raise
+
+    def add_ids(self, triples: Iterable[IdTriple], graph: GraphName = None) -> None:
+        """Insert id triples, with ids from ``interning()``, into one graph."""
         if self._frozen:
             raise FrozenDatasetError("dataset is frozen")
         store = self._graphs.get(graph)
         if store is None:
             store = self._graphs[graph] = _Graph()
-        ids = self._ids
-        intern = ids.setdefault
         seen = store.triples
         by_s, by_p, by_o = store.index
-        for s, p, o in triples:
-            # Each setdefault offers the next free id, kept only by a new term.
-            triple = (intern(s, len(ids)), intern(p, len(ids)), intern(o, len(ids)))
+        for triple in triples:
             if triple not in seen:
                 seen.add(triple)
                 by_s.setdefault(triple[0], []).append(triple)

@@ -100,7 +100,10 @@ def resolve_iri(base: Iri, reference: str) -> Iri:
             f"at offset {bad.start()}: {reference!r}"
         )
     if _SCHEME_RE.match(reference):
-        return Iri(reference)
+        # Both checks Iri() makes have just passed.
+        iri = object.__new__(Iri)
+        object.__setattr__(iri, "value", reference)
+        return iri
     scheme = urlsplit(base.value).scheme
     if scheme in ("http", "https", "ftp", "file", ""):
         return Iri(urljoin(base.value, reference))

@@ -6,12 +6,17 @@ integer/decimal/boolean shorthand, comments and blank-node labels.
 Serialization is deterministic: subjects, predicates and objects are
 emitted in canonical order, so equal graphs produce byte-identical text.
 
-Parsing lexes with one compiled regular expression, one token ahead of
-the parser. A token keeps only its offset; line and column are computed
-from the text when an error is raised. A lexical error anywhere in the
-text is reported before a parse error earlier in it. Within a document
-each IRI reference and prefixed name is resolved once and its ``Iri`` is
-shared by every triple that uses it, until the next directive.
+Parsing is one pass over the matches of one compiled regular expression,
+in which each RDF term is one token, a typed literal together with its
+datatype. Within a document each distinct raw token text is resolved,
+validated, built and interned to a term id once, until the next
+directive, and the grammar emits ``(s, p, o)`` id triples.
+``load_turtle`` interns straight into a ``Dataset``'s term dictionary and
+inserts the id triples once the whole text has parsed;
+``parse_turtle`` runs the same parser over a dictionary of its own and
+maps the ids back to terms. Line and column are computed from a token's
+offset only when an error is raised. A lexical error anywhere in the
+text is reported before a grammar error earlier in it.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from __future__ import annotations
 import re
 from itertools import groupby
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional
 
-from .dataset import Dataset
+from .dataset import Dataset, IdTriple
 from .errors import EnergyKgError
 from .namespaces import RDF_TYPE
 from .terms import (
@@ -111,27 +116,35 @@ def serialize_turtle(ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> str:
 
 # -- parsing -----------------------------------------------------------------
 
-# Every token comes from this one alternation. Group 1 skips whitespace and
-# comments; the named group that matched is the token's kind. The last two
-# branches match anywhere, so a failed branch never backtracks into group 1.
-# A string with a backslash matches only ``escaped`` and is decoded by
-# ``_Parser._string``.
-_TOKEN = re.compile(
-    r"""((?:[ \t\r\n]|\#[^\n]*)*)
-    (?:<(?P<iriref>[^>]*)>
-    |"(?P<string>[^"\\\n]*)"
-    |(?P<escaped>")
-    |_:(?P<bnode>[A-Za-z0-9_]+)
-    |(?P<datatype>\^\^)
+# Whitespace and comments, skipped before every token as one run.
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
+_IRIREF = r"<[^>]*>"
+_PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_.:\-]*[A-Za-z0-9_:\-])?"
+
+# One match per token: the outer named group that matched is the token's
+# kind and its text is the token's raw text. An RDF term is one token; a
+# string literal includes the "^^" and datatype that follow it, and keeps
+# a "^^" without a datatype IRI after it (no ``datatype`` group), which the
+# parser rejects. A string that cannot close matches only ``badstring``,
+# and ``_Parser._decode`` reports why. The last two branches match
+# anywhere, so every character of the text belongs to some token.
+_TOKENS = re.compile(
+    rf"""{_SKIP}
+    (?:(?P<iriref>{_IRIREF})
+    |(?P<pname>{_PNAME})
     |(?P<dot>\.)|(?P<semicolon>;)|(?P<comma>,)
-    |(?P<directive>@prefix|@base)
+    |(?P<string>"(?P<lexical>[^"\\\n]*(?:\\[^\n][^"\\\n]*)*)"
+        (?:{_SKIP}(?P<typed>\^\^){_SKIP}(?P<datatype>{_IRIREF}|{_PNAME})?)?)
+    |(?P<badstring>")
+    |(?:(?P<a>a)|(?P<boolean>true|false))(?![A-Za-z0-9_\-])
     |(?P<number>[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
-    |(?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_.:\-]*[A-Za-z0-9_:\-])?)
-    |(?P<word>a|true|false)(?![A-Za-z0-9_\-])
+    |(?P<bnode>_:[A-Za-z0-9_]+)
+    |(?P<directive>@prefix|@base)
+    |(?P<carets>\^\^)
     |(?P<eof>\Z)
     |(?P<error>[\s\S]))""",
     re.VERBOSE,
-).match
+).finditer
 _PN_PREFIX = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
 _HEX = re.compile(r"[0-9A-Fa-f]+")
 
@@ -146,47 +159,58 @@ _STRING_ESCAPES = {
     "\\": "\\",
 }
 
+_SUBJECT_KINDS = frozenset({"iriref", "pname", "bnode"})
+_PREDICATE_KINDS = frozenset({"iriref", "pname", "a"})
+_OBJECT_KINDS = frozenset({"iriref", "pname", "bnode", "string", "number", "boolean"})
+
+# Parser states: what the next token may be.
+_SUBJECT, _PREDICATE, _OBJECT, _AFTER_OBJECT, _AFTER_SEMICOLON = range(5)
+
 
 class _Parser:
-    """Parses a token stream with one token of lookahead.
+    """Parses Turtle text into id triples, one token at a time.
 
-    The lookahead is ``kind``, ``value`` and ``start``, the token's offset
-    in the text; line and column are derived from it only for an error.
-    Lexing resumes at ``end``, the offset just past the lookahead.
+    ``intern`` maps a term to its id. Each distinct raw token text is
+    resolved, validated, built and interned once, and its id kept in a memo
+    that every directive empties, since a directive may change what a
+    relative IRI or prefixed name denotes. ``triples`` holds the
+    ``(s, p, o)`` ids in document order, duplicates included.
+
+    A lexical error anywhere in the text is reported before a grammar
+    error earlier in it, as if the whole text were lexed first: a grammar
+    error lexes the rest of the text before it is raised.
     """
 
-    def __init__(self, text: str, base: Optional[Iri]) -> None:
+    def __init__(self, text: str, base: Optional[Iri], intern: Callable[[Term], int]) -> None:
         self.text = text
-        self.end = 0
         self.prefixes = PrefixMap(base=base)
-        self.triples: list[tuple[Term, Iri, Term]] = []
+        self.triples: list[IdTriple] = []
+        self._intern = intern
+        self._tokens = _TOKENS(text)
         self._bnodes: dict[str, BlankNode] = {}
-        # Token text -> Iri, so each distinct IRI is checked and allocated
-        # once; emptied at every directive, which may change the answer.
-        self._iris: dict[str, Iri] = {}
-        self._pnames: dict[str, Iri] = {}
-        self._advance()
+        # Raw token text -> term id, and datatype text -> Iri.
+        self._ids: dict[str, int] = {}
+        self._datatypes: dict[str, Iri] = {}
+
+    # -- errors --------------------------------------------------------------
 
     def error(self, message: str, start: int) -> TurtleParseError:
         text = self.text
         line = text.count("\n", 0, start) + 1
         return TurtleParseError(message, line, start - text.rfind("\n", 0, start))
 
-    # -- lexing --------------------------------------------------------------
+    def _fail(
+        self, message: str, token: re.Match, group: Optional[str] = None
+    ) -> TurtleParseError:
+        """A grammar error at the token (or its group), unless the rest of
+        the text has a lexical error, which is raised instead."""
+        self._drain()
+        return self.error(message, token.start(group or token.lastgroup))
 
-    def _advance(self) -> None:
-        match = _TOKEN(self.text, self.end)
-        kind = match.lastgroup
-        start = match.end(1)
-        if kind == "escaped":
-            value, self.end = self._string(start)
-            kind = "string"
-        elif kind == "error":
-            raise self._lex_error(start)
-        else:
-            value = match.group(kind)
-            self.end = match.end()
-        self.kind, self.value, self.start = kind, value, start
+    def _drain(self) -> None:
+        """Lex to the end of the text, raising its first lexical error."""
+        for token in self._tokens:
+            self._value(token)
 
     def _lex_error(self, start: int) -> TurtleParseError:
         text = self.text
@@ -199,15 +223,35 @@ class _Parser:
             return self.error(f"unexpected token {word.group()!r}", start)
         return self.error(f"unexpected character {text[start]!r}", start)
 
-    def _string(self, start: int) -> tuple[str, int]:
-        """Decode the string literal opening at start; return it and its end."""
+    # -- tokens --------------------------------------------------------------
+
+    def _value(self, token: re.Match) -> str:
+        """The token's value as error messages show it; raises its lexical error."""
+        kind = token.lastgroup
+        start = token.start(kind)
+        if kind == "string":
+            lexical = token.group("lexical")
+            return lexical if "\\" not in lexical else self._decode(start)
+        if kind == "badstring":
+            return self._decode(start)
+        if kind == "error":
+            raise self._lex_error(start)
+        raw = token.group(kind)
+        if kind == "iriref":
+            return raw[1:-1]
+        if kind == "bnode":
+            return raw[2:]
+        return raw
+
+    def _decode(self, start: int) -> str:
+        """Decode the string literal opening at start."""
         text = self.text
         i = start + 1
         out: list[str] = []
         while i < len(text):
             c = text[i]
             if c == '"':
-                return "".join(out), i + 1
+                return "".join(out)
             if c == "\n":
                 raise self.error("newline in string literal", start)
             if c != "\\":
@@ -238,162 +282,160 @@ class _Parser:
             i += 2 + width
         raise self.error("unterminated string literal", start)
 
-    def take(self) -> tuple[str, str, int]:
-        token = (self.kind, self.value, self.start)
-        self._advance()
-        return token
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        token = self.take()
-        if token[0] != kind:
+    def _expect(self, kind: str) -> re.Match:
+        token = next(self._tokens)
+        if token.lastgroup != kind:
             shown = "." if kind == "dot" else kind
-            raise self.error(f"expected {shown!r}, found {token[1]!r}", token[2])
+            raise self._fail(f"expected {shown!r}, found {self._value(token)!r}", token)
         return token
-
-    def drain(self) -> None:
-        """Lex to the end of the text, raising its first lexical error."""
-        while self.kind != "eof":
-            self._advance()
 
     # -- grammar -------------------------------------------------------------
 
     def parse(self) -> None:
-        while self.kind != "eof":
-            if self.kind == "directive":
-                self._directive()
+        memo = self._ids
+        term_id = self._term_id
+        emit = self.triples.append
+        state = _SUBJECT
+        for token in self._tokens:
+            kind = token.lastgroup
+            if state == _OBJECT:
+                if kind not in _OBJECT_KINDS:
+                    raise self._fail(f"invalid object {self._value(token)!r}", token)
+                raw = token[kind]
+                o = memo.get(raw)
+                if o is None:
+                    o = term_id(token, kind, raw)
+                emit((s, p, o))
+                state = _AFTER_OBJECT
+            elif state == _AFTER_OBJECT:
+                if kind == "semicolon":
+                    state = _AFTER_SEMICOLON
+                elif kind == "comma":
+                    state = _OBJECT
+                elif kind == "dot":
+                    state = _SUBJECT
+                else:
+                    raise self._fail(f"expected '.', found {self._value(token)!r}", token)
+            elif state == _SUBJECT:
+                if kind in _SUBJECT_KINDS:
+                    raw = token[kind]
+                    s = memo.get(raw)
+                    if s is None:
+                        s = term_id(token, kind, raw)
+                    state = _PREDICATE
+                elif kind == "directive":
+                    self._directive(token.group(kind))
+                elif kind == "eof":
+                    return
+                else:
+                    raise self._fail(f"invalid subject {self._value(token)!r}", token)
+            elif state == _AFTER_SEMICOLON and kind == "semicolon":
+                pass
+            elif state == _AFTER_SEMICOLON and kind == "dot":
+                state = _SUBJECT
+            elif kind in _PREDICATE_KINDS:
+                raw = token[kind]
+                p = memo.get(raw)
+                if p is None:
+                    p = term_id(token, kind, raw)
+                state = _OBJECT
             else:
-                self._triples_block()
-                self.expect("dot")
+                raise self._fail(f"invalid predicate {self._value(token)!r}", token)
 
-    def _directive(self) -> None:
-        _, directive, _ = self.take()
+    def _directive(self, directive: str) -> None:
         if directive == "@base":
-            _, ref, start = self.expect("iriref")
-            self.prefixes.base = self._resolve(ref, start)
+            self.prefixes.base = self._resolve(self._expect("iriref"))
         else:
-            _, pname, start = self.expect("pname")
+            token = self._expect("pname")
+            pname = token.group("pname")
             label = pname.split(":", 1)[0]
             if pname != label + ":":
-                raise self.error("prefix directive takes a bare label", start)
-            _, ref, ref_start = self.expect("iriref")
-            self.prefixes.bind(label, self._resolve(ref, ref_start))
-        self._iris.clear()
-        self._pnames.clear()
-        self.expect("dot")
-
-    def _resolve(self, ref: str, start: int) -> Iri:
-        iri = self._iris.get(ref)
-        if iri is None:
-            base = self.prefixes.base
+                raise self._fail("prefix directive takes a bare label", token)
+            namespace = self._resolve(self._expect("iriref"))
             try:
-                iri = Iri(ref) if base is None else resolve_iri(base, ref)
-            except EnergyKgError as exc:
-                raise self.error(str(exc), start)
-            self._iris[ref] = iri
-        return iri
+                self.prefixes.bind(label, namespace)
+            except EnergyKgError:
+                self._drain()
+                raise
+        self._ids.clear()
+        self._datatypes.clear()
+        self._expect("dot")
 
-    def _expand_pname(self, pname: str, start: int) -> Iri:
-        iri = self._pnames.get(pname)
-        if iri is None:
-            label, local = pname.split(":", 1)
-            try:
-                iri = self.prefixes.expand(label, local)
-            except EnergyKgError as exc:
-                raise self.error(str(exc), start)
-            self._pnames[pname] = iri
-        return iri
+    def _term_id(self, token: re.Match, kind: str, raw: str) -> int:
+        """Build and intern the term of a raw text the memo lacks."""
+        if kind == "iriref" or kind == "pname":
+            term: Term = self._resolve(token, kind)
+        elif kind == "string":
+            term = self._literal(token)
+        elif kind == "bnode":
+            # Labels are scoped to the document: each label maps to a node
+            # numbered in order of first use.
+            term = self._bnodes.setdefault(raw, BlankNode(f"b{len(self._bnodes)}"))
+        elif kind == "number":
+            if "e" in raw or "E" in raw:
+                term = Literal(raw, XSD_DOUBLE)
+            elif "." in raw:
+                term = Literal(raw, XSD_DECIMAL)
+            else:
+                term = Literal(raw, XSD_INTEGER)
+        elif kind == "boolean":
+            term = Literal(raw, XSD_BOOLEAN)
+        else:  # "a"
+            term = RDF_TYPE
+        term_id = self._ids[raw] = self._intern(term)
+        return term_id
 
-    def _triples_block(self) -> None:
-        subject = self._subject()
-        while True:
-            predicate = self._predicate()
-            while True:
-                self.triples.append((subject, predicate, self._object()))
-                if self.kind != "comma":
-                    break
-                self._advance()
-            if self.kind != "semicolon":
-                break
-            while self.kind == "semicolon":
-                self._advance()
-            if self.kind == "dot":
-                break
+    def _literal(self, token: re.Match) -> Literal:
+        lexical = self._value(token)
+        if token.group("typed") is None:
+            return Literal(lexical, XSD_STRING)
+        if token.group("datatype") is None:
+            after = next(self._tokens)
+            self._value(after)
+            raise self._fail("expected datatype IRI after ^^", after)
+        text = token.group("datatype")
+        datatype = self._datatypes.get(text)
+        if datatype is None:
+            datatype = self._datatypes[text] = self._resolve(token, "datatype")
+        return Literal(lexical, datatype)
 
-    def _subject(self) -> Term:
-        kind, value, start = self.take()
-        if kind == "iriref":
-            return self._resolve(value, start)
-        if kind == "pname":
-            return self._expand_pname(value, start)
-        if kind == "bnode":
-            return self._bnode(value)
-        raise self.error(f"invalid subject {value!r}", start)
-
-    def _predicate(self) -> Iri:
-        kind, value, start = self.take()
-        if kind == "word" and value == "a":
-            return RDF_TYPE
-        if kind == "iriref":
-            return self._resolve(value, start)
-        if kind == "pname":
-            return self._expand_pname(value, start)
-        raise self.error(f"invalid predicate {value!r}", start)
-
-    def _object(self) -> Term:
-        kind, value, start = self.take()
-        if kind == "string":
-            if self.kind != "datatype":
-                return Literal(value, XSD_STRING)
-            self._advance()
-            dt_kind, dt_value, dt_start = self.take()
-            if dt_kind == "iriref":
-                return Literal(value, self._resolve(dt_value, dt_start))
-            if dt_kind == "pname":
-                return Literal(value, self._expand_pname(dt_value, dt_start))
-            raise self.error("expected datatype IRI after ^^", dt_start)
-        if kind == "iriref":
-            return self._resolve(value, start)
-        if kind == "pname":
-            return self._expand_pname(value, start)
-        if kind == "bnode":
-            return self._bnode(value)
-        if kind == "word" and value in ("true", "false"):
-            return Literal(value, XSD_BOOLEAN)
-        if kind == "number":
-            if "e" in value.lower():
-                return Literal(value, XSD_DOUBLE)
-            if "." in value:
-                return Literal(value, XSD_DECIMAL)
-            return Literal(value, XSD_INTEGER)
-        raise self.error(f"invalid object {value!r}", start)
-
-    def _bnode(self, label: str) -> BlankNode:
-        # Labels are scoped to the document: each label maps to a fresh
-        # node so separately parsed documents never collide.
-        if label not in self._bnodes:
-            self._bnodes[label] = BlankNode(f"b{len(self._bnodes)}")
-        return self._bnodes[label]
+    def _resolve(self, token: re.Match, group: str = "iriref") -> Iri:
+        """The IRI that the IRI reference or prefixed name in group denotes."""
+        raw = token.group(group)
+        try:
+            if raw[0] != "<":
+                label, local = raw.split(":", 1)
+                return self.prefixes.expand(label, local)
+            if self.prefixes.base is None:
+                return Iri(raw[1:-1])
+            return resolve_iri(self.prefixes.base, raw[1:-1])
+        except EnergyKgError as exc:
+            raise self._fail(str(exc), token, group) from None
 
 
 def parse_turtle(
     text: str, base: Optional[Iri] = None
 ) -> tuple[list[tuple[Term, Iri, Term]], PrefixMap]:
-    """Parse Turtle text into triples plus the prefix map it declared."""
-    parser = _Parser(text, base)
-    try:
-        parser.parse()
-    except EnergyKgError:
-        # A lexical error anywhere in the text takes precedence over a
-        # parse error before it, as if the whole text were lexed first.
-        parser.drain()
-        raise
-    return parser.triples, parser.prefixes
+    """Parse Turtle text into triples plus the prefix map it declared.
+
+    The triples are in document order, duplicates included; equal terms
+    are one shared object.
+    """
+    ids: dict[Term, int] = {}
+    parser = _Parser(text, base, lambda term: ids.setdefault(term, len(ids)))
+    parser.parse()
+    terms = list(ids)
+    return [(terms[s], terms[p], terms[o]) for s, p, o in parser.triples], parser.prefixes
 
 
 def load_turtle(
     ds: Dataset, text: str, graph: GraphName = None, base: Optional[Iri] = None
 ) -> PrefixMap:
-    """Parse text and add its triples to the dataset in the chosen graph."""
-    triples, prefixes = parse_turtle(text, base)
-    ds.add_triples(triples, graph)
-    return prefixes
+    """Parse text straight into the dataset's term ids and add its triples
+    to the chosen graph, once the whole text has parsed; on an error the
+    dataset is left as it was."""
+    with ds.interning() as intern:
+        parser = _Parser(text, base, intern)
+        parser.parse()
+    ds.add_ids(parser.triples, graph)
+    return parser.prefixes

@@ -176,6 +176,35 @@ def test_query_store_with_non_ascii_digit_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2, column 7: unexpected character '\u0663'\n"
 
 
+@pytest.mark.parametrize("which", ["store", "query", "csv", "json", "config"])
+def test_non_utf8_input_exits_1_naming_path_and_offset(tmp_path, capsys, which):
+    store = tmp_path / "store.ttl"
+    store.write_text("<http://example.org/s> <http://example.org/p> 1 .\n", encoding="utf-8")
+    query = "SELECT ?s WHERE { ?s ?p ?o }"
+    bad = tmp_path / f"bad.{which}"
+    bad.write_bytes(b"ok\n\xff\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "store": ["query", str(bad), query],
+        "query": ["query", str(store), str(bad)],
+        "csv": ["uplift", str(bad), "--out", out],
+        "json": ["climate", str(bad), "--out", out],
+        "config": ["query", str(store), query, "--config", str(bad)],
+    }[which]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and err.endswith(f"{bad}: not UTF-8 at byte 3\n")
+
+
+def test_analyze_store_without_evaluations_exits_1(tmp_path, capsys):
+    climate = tmp_path / "climate.csv"
+    climate.write_text(CLIMATE_CSV)
+    config = load_config(cli_overrides={"out": str(tmp_path)})
+    store = cmd_climate(str(climate), config)
+    assert main(["analyze", store, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: store contains no device evaluations\n"
+
+
 def test_cli_query_equals_http_body(store_files, config, join_query_text):
     config.format = "json"
     cli_output = cmd_query(store_files, join_query_text, config)

@@ -13,6 +13,7 @@ from energykg.terms import (
     Literal,
     PrefixMap,
     Quad,
+    quad_key,
     XSD_DATETIME,
     XSD_DECIMAL,
     XSD_INTEGER,
@@ -337,17 +338,30 @@ _broken_documents = st.tuples(
 
 _nodes = st.sampled_from(["p:s", ":x", "p:a.b", "<http://example.org/s>", "<rel>", "_:b", "_:c"])
 _verbs = st.sampled_from(["a", "p:v", "<http://example.org/v>", ":w"])
+# p:s and <http://example.org/s> are one IRI, and so are the datatypes
+# p:dt and <http://example.org/dt>.
 _objects = st.one_of(
     _nodes,
-    st.sampled_from(['"v"', '"v"^^p:dt', '"\\u00e9"^^<http://example.org/dt>', "4", "-1.5", "2e3", "true"]),
+    st.sampled_from([
+        '"v"', '"v"^^p:dt', '"v"^^<http://example.org/dt>', '"\\u00e9"^^<http://example.org/dt>',
+        "4", "-1.5", "2e3", "true",
+    ]),
 )
 _predicate_lists = st.lists(
     st.tuples(_verbs, st.lists(_objects, min_size=1, max_size=3)), min_size=1, max_size=3
 ).map(lambda pairs: " ;\n    ".join(f"{v} {', '.join(objs)}" for v, objs in pairs))
-_valid_documents = st.lists(
-    st.tuples(_nodes, _predicate_lists, st.sampled_from([" .\n", ".\n# note\n", ".", "\n.\t"])),
-    max_size=6,
-).map(lambda statements: _HEADER + "".join(f"{s} {preds}{end}" for s, preds, end in statements))
+_statements = st.one_of(
+    st.tuples(_nodes, _predicate_lists, st.sampled_from([" .\n", ".\n# note\n", ".", "\n.\t"])).map(
+        lambda parts: f"{parts[0]} {parts[1]}{parts[2]}"
+    ),
+    # A base set mid-document changes what <rel> denotes from there on.
+    st.sampled_from(["@base <http://example.org/c/> .\n", "@base <sub/> .\n"]),
+)
+# Repeating the first two statements repeats their triples, unless a base
+# directive changed what <rel> denotes in between.
+_valid_documents = st.lists(_statements, max_size=6).map(
+    lambda statements: _HEADER + "".join(statements + statements[:2])
+)
 
 
 def _outcome(parse, text):
@@ -362,3 +376,58 @@ def _outcome(parse, text):
 @given(st.one_of(_valid_documents, _broken_documents))
 def test_parse_matches_reference_parser(text):
     assert _outcome(parse_turtle, text) == _outcome(naive_turtle.parse_turtle, text)
+
+
+def _load_outcome(text):
+    ds = Dataset()
+    try:
+        load_turtle(ds, text)
+    except EnergyKgError as exc:
+        return type(exc).__name__, str(exc)
+    return sorted(ds, key=quad_key)
+
+
+def _reference_quads(text):
+    try:
+        triples, _ = naive_turtle.parse_turtle(text)
+    except EnergyKgError as exc:
+        return type(exc).__name__, str(exc)
+    return sorted({Quad(s, p, o) for s, p, o in triples}, key=quad_key)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_valid_documents, _broken_documents))
+def test_load_matches_reference_parser(text):
+    assert _load_outcome(text) == _reference_quads(text)
+
+
+# -- loading into a store --------------------------------------------------------
+
+
+def test_failed_load_leaves_dataset_unchanged():
+    ds = Dataset()
+    load_turtle(ds, '@prefix p: <http://example.org/> .\np:s p:v p:o, "x" .\n')
+    before = (len(ds), list(ds), ds.graphs(), list(ds.terms()))
+    # Valid statements with new terms, in a new graph, then an error.
+    text = '@prefix p: <http://example.org/> .\np:s p:v p:new, "y" .\np:t p:v .\n'
+    with pytest.raises(TurtleParseError):
+        load_turtle(ds, text, graph=Iri("http://example.org/g"))
+    assert (len(ds), list(ds), ds.graphs(), ds.terms()) == before
+    assert ds.id_of(Iri("http://example.org/new")) is None
+
+
+def test_equal_terms_in_two_documents_get_one_id():
+    ds = Dataset()
+    graph = Iri("http://example.org/g")
+    load_turtle(ds, '@prefix p: <http://example.org/> .\np:s p:v "1"^^p:n .\n')
+    count = len(ds.terms())
+    load_turtle(
+        ds,
+        '<http://example.org/s> <http://example.org/v> "1"^^<http://example.org/n> ;\n'
+        "    <http://example.org/w> 1 .\n",
+        graph=graph,
+    )
+    v = ds.id_of(Iri("http://example.org/v"))
+    assert ds.triples(None, v, None, graph) == ds.triples(None, None, None, None)
+    # Only <w> and the integer 1 are new.
+    assert len(ds.terms()) == count + 2
