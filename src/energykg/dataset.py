@@ -10,10 +10,11 @@ canonical sort compares ints. Ranks and the id-to-term list are built at
 ``freeze()``; before it, when first read and again once new terms have
 arrived.
 
-Id triples enter a graph through one insert, ``add_ids``. Its callers
-get their ids inside ``interning()``, which drops the terms a failed
-block added: ``add_triples`` interns a batch of terms, and
-``load_turtle`` parses a whole Turtle document straight into ids.
+Id triples enter a graph through one insert, ``add_ids``.
+``add_triples`` streams into it, interning each term as it is read.
+``load_turtle`` parses a whole Turtle document straight into ids inside
+``interning()``, which drops the terms a failed block added, and inserts
+them once the document has parsed.
 
 A Dataset is built single-threaded, then frozen; a frozen dataset is an
 immutable snapshot that any number of readers may share. Quads have set
@@ -40,6 +41,14 @@ ANY = _Any()
 
 Pattern = Union[Term, None, _Any]
 IdTriple = tuple[int, int, int]
+
+
+class TermIds(dict):
+    """Term to id; looking up a new term gives it the next free id."""
+
+    def __missing__(self, term: Term) -> int:
+        term_id = self[term] = len(self)
+        return term_id
 
 
 class FrozenDatasetError(EnergyKgError):
@@ -71,21 +80,13 @@ class _Graph:
         ]
 
 
-class _TermIds(dict):
-    """Term to id; looking up a new term gives it the next free id."""
-
-    def __missing__(self, term: Term) -> int:
-        term_id = self[term] = len(self)
-        return term_id
-
-
 def _graph_key(graph: GraphName) -> str:
     return "" if graph is None else graph.value
 
 
 class Dataset:
     def __init__(self, quads: Iterable[Quad] = ()) -> None:
-        self._ids: dict[Term, int] = _TermIds()
+        self._ids: dict[Term, int] = TermIds()
         self._terms: list[Term] = []
         self._ranks: list[int] = []
         self._graphs: dict[GraphName, _Graph] = {}
@@ -102,11 +103,9 @@ class Dataset:
     def add_triples(
         self, triples: Iterable[tuple[Term, Iri, Term]], graph: GraphName = None
     ) -> None:
-        """Insert (subject, predicate, object) terms into one graph; if
-        reading them raises, nothing is added."""
-        with self.interning() as intern:
-            encoded = [(intern(s), intern(p), intern(o)) for s, p, o in triples]
-        self.add_ids(encoded, graph)
+        """Insert (subject, predicate, object) terms into one graph."""
+        intern = self._ids.__getitem__
+        self.add_ids(((intern(s), intern(p), intern(o)) for s, p, o in triples), graph)
 
     @contextmanager
     def interning(self) -> Iterator[Callable[[Term], int]]:
@@ -128,7 +127,7 @@ class Dataset:
             raise
 
     def add_ids(self, triples: Iterable[IdTriple], graph: GraphName = None) -> None:
-        """Insert id triples, with ids from ``interning()``, into one graph."""
+        """Insert id triples, with ids from the term dictionary, into one graph."""
         if self._frozen:
             raise FrozenDatasetError("dataset is frozen")
         store = self._graphs.get(graph)

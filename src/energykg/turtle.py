@@ -26,7 +26,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .dataset import Dataset, IdTriple
+from .dataset import Dataset, IdTriple, TermIds
 from .errors import EnergyKgError
 from .namespaces import RDF_TYPE
 from .terms import (
@@ -116,8 +116,11 @@ def serialize_turtle(ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> str:
 
 # -- parsing -----------------------------------------------------------------
 
-# Whitespace and comments, skipped before every token as one run.
-_SKIP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
+# Whitespace and comments, skipped before every token as one run. A
+# comment must run to the end of its line, so the run matches a text in
+# only one way: when a typed-literal branch fails after it, there is no
+# other split of a line of "#"s to backtrack into.
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
 _IRIREF = r"<[^>]*>"
 _PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_.:\-]*[A-Za-z0-9_:\-])?"
 
@@ -421,8 +424,8 @@ def parse_turtle(
     The triples are in document order, duplicates included; equal terms
     are one shared object.
     """
-    ids: dict[Term, int] = {}
-    parser = _Parser(text, base, lambda term: ids.setdefault(term, len(ids)))
+    ids = TermIds()
+    parser = _Parser(text, base, ids.__getitem__)
     parser.parse()
     terms = list(ids)
     return [(terms[s], terms[p], terms[o]) for s, p, o in parser.triples], parser.prefixes

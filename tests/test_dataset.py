@@ -163,22 +163,6 @@ def test_graphs_lists_only_graphs_holding_quads():
     assert ds.match(graph=G) == [Quad(S, P, O, G)]
 
 
-def test_add_triples_that_raises_adds_no_term_and_no_triple():
-    ds = Dataset([Quad(S, P, O)])
-    new = Iri("http://example.org/new")
-
-    def triples():
-        yield (new, P, O)
-        raise ValueError("source failed")
-
-    with pytest.raises(ValueError):
-        ds.add_triples(triples(), G)
-    assert list(ds) == [Quad(S, P, O)]
-    assert ds.graphs() == []
-    assert ds.terms() == [S, P, O]
-    assert ds.id_of(new) is None
-
-
 def test_terms_read_inside_a_failed_interning_block_are_forgotten():
     ds = Dataset([Quad(S, P, O)])
     with pytest.raises(ValueError):

@@ -351,7 +351,11 @@ _predicate_lists = st.lists(
     st.tuples(_verbs, st.lists(_objects, min_size=1, max_size=3)), min_size=1, max_size=3
 ).map(lambda pairs: " ;\n    ".join(f"{v} {', '.join(objs)}" for v, objs in pairs))
 _statements = st.one_of(
-    st.tuples(_nodes, _predicate_lists, st.sampled_from([" .\n", ".\n# note\n", ".", "\n.\t"])).map(
+    st.tuples(
+        _nodes,
+        _predicate_lists,
+        st.sampled_from([" .\n", ".\n# note\n", ".", "\n.\t", "\n" + "#" * 40 + "\n."]),
+    ).map(
         lambda parts: f"{parts[0]} {parts[1]}{parts[2]}"
     ),
     # A base set mid-document changes what <rel> denotes from there on.
@@ -398,6 +402,23 @@ def _reference_quads(text):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_valid_documents, _broken_documents))
 def test_load_matches_reference_parser(text):
+    assert _load_outcome(text) == _reference_quads(text)
+
+
+# A line of "#"s or a "# # #" comment after a literal: the lexer must give
+# up on a "^^" after it without trying every split of the comment, which
+# would take hours at 40 "#"s.
+_LONG_COMMENTS = [
+    '<http://e/s> <http://e/p> "x"\n' + "#" * 40 + "\n.\n",
+    '<http://e/s> <http://e/p> "x" ' + "# " * 40 + "\n.\n",
+    '<http://e/s> <http://e/p> "x"' + "#" * 40,
+    '<http://e/s> <http://e/p> "x" # c\n ^^ ' + "#" * 40 + "\n<http://e/dt> .\n",
+]
+
+
+@pytest.mark.parametrize("text", _LONG_COMMENTS)
+def test_long_comment_after_literal_parses_like_reference(text):
+    assert _outcome(parse_turtle, text) == _outcome(naive_turtle.parse_turtle, text)
     assert _load_outcome(text) == _reference_quads(text)
 
 
