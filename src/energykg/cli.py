@@ -13,7 +13,8 @@ import os
 import re
 import sys
 import traceback
-from typing import Optional, Sequence
+from contextlib import contextmanager, suppress
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .analysis import (
     align,
@@ -23,7 +24,7 @@ from .analysis import (
     report_tsv,
     scatter_export,
 )
-from .climate import link_network_to_station, observation_quads, parse_noaa_csv, parse_noaa_json
+from .climate import link_network_to_station, observation_triples, parse_noaa_csv, parse_noaa_json
 from .config import PipelineConfig, load_config
 from .dataset import Dataset
 from .endpoint import EndpointConfig, serve
@@ -42,8 +43,14 @@ from .namespaces import (
 )
 from .sparql import evaluate, parse_query, to_results_json, to_results_tsv
 from .terms import Iri, PrefixMap, Quad
-from .turtle import load_turtle, serialize_turtle
-from .uplift import CounterMode, evaluation_quads, read_energy_csv, to_daily, topology_quads
+from .turtle import load_turtle, write_turtle
+from .uplift import (
+    CounterMode,
+    evaluation_triples,
+    read_energy_csv,
+    to_daily,
+    topology_triples,
+)
 
 _GRAPH_MARKER = re.compile(r"^#\s*graph\s+<([^<>]+)>\s*$")
 
@@ -59,9 +66,26 @@ def _read(path: str) -> str:
         raise EnergyKgError(f"cannot read {path}: not UTF-8 at byte {exc.start}")
 
 
+@contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A text handle on a temporary file beside path, which replaces path
+    once the block completes. If the block raises, the temporary file is
+    removed and path is left as it was."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    temporary = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(temporary, path)
+    finally:
+        # Gone already once it has replaced path.
+        with suppress(OSError):
+            os.remove(temporary)
+
+
 def _write(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         handle.write(text)
 
 
@@ -107,20 +131,20 @@ def cmd_uplift(energy_csv: str, config: PipelineConfig) -> str:
     graph = config.graph_iri
     base = config.base_iri
 
-    quads: set[Quad] = set()
+    ds = Dataset()
     if headings:
-        quads |= topology_quads(headings, base, graph)
+        ds.add_triples(topology_triples(headings, base), graph)
         network = device_resource(base, headings[0].network_name)
     else:
         network = config.network_iri
-        quads.add(Quad(network, RDF_TYPE, SEAS.ElectricPowerDistributionNetwork, graph))
-    quads |= evaluation_quads(table.records(), base, graph)
-    quads.add(link_network_to_station(network, config.station_iri, base, graph))
+        ds.add(Quad(network, RDF_TYPE, SEAS.ElectricPowerDistributionNetwork, graph))
+    ds.add_triples(evaluation_triples(table.records(), base), graph)
+    ds.add(link_network_to_station(network, config.station_iri, base, graph))
 
-    ds = Dataset(quads)
-    turtle = serialize_turtle(ds, graph, _uplift_prefixes(config))
     out_path = os.path.join(config.out, "cossmic.ttl")
-    _write(out_path, f"# graph <{graph.value}>\n" + turtle)
+    with _replacing(out_path) as handle:
+        handle.write(f"# graph <{graph.value}>\n")
+        write_turtle(handle, ds, graph, _uplift_prefixes(config))
     return out_path
 
 
@@ -131,10 +155,11 @@ def cmd_climate(observations_path: str, config: PipelineConfig) -> str:
         observations = parse_noaa_json(text, config.scale_decimal)
     else:
         observations = parse_noaa_csv(text, config.scale_decimal)
-    ds = Dataset(observation_quads(observations, config.base_iri))
-    turtle = serialize_turtle(ds, None, _climate_prefixes(config))
+    ds = Dataset()
+    ds.add_triples(observation_triples(observations, config.base_iri))
     out_path = os.path.join(config.out, "climate.ttl")
-    _write(out_path, turtle)
+    with _replacing(out_path) as handle:
+        write_turtle(handle, ds, None, _climate_prefixes(config))
     return out_path
 
 

@@ -2,8 +2,10 @@
 
 Observations follow the station/observation/result shape: each one is
 typed, points at its station, carries a resultTime and a result node
-holding the numeric value and the datatype code. The network-to-station
-link quad lives in the cossmic graph instead.
+holding the numeric value and the datatype code. ``observation_triples``
+yields them for a store's ``add_triples``; ``observation_quads`` collects
+them as default-graph quads. The network-to-station link quad lives in
+the cossmic graph instead.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
-from typing import Optional, Sequence
+from functools import cache, partial
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EnergyKgError
 from .namespaces import (
@@ -29,7 +32,7 @@ from .namespaces import (
     observation_resource,
     station_resource,
 )
-from .terms import GraphName, Iri, Quad, datetime_literal, decimal_literal
+from .terms import GraphName, Iri, Quad, Triple, datetime_literal, decimal_literal
 
 
 class ClimateError(EnergyKgError):
@@ -128,25 +131,37 @@ def parse_noaa_json(text: str, scale: Decimal = Decimal(1)) -> list[ClimateObser
     return observations
 
 
-def observation_quads(
-    observations: Sequence[ClimateObservation], base: Iri = DEFAULT_BASE
-) -> set[Quad]:
-    """Six default-graph quads per observation."""
-    quads: set[Quad] = set()
+def observation_triples(
+    observations: Iterable[ClimateObservation], base: Iri = DEFAULT_BASE
+) -> Iterator[Triple]:
+    """Six triples per observation.
+
+    Each station's and datatype's IRI, and each day's path segment and
+    ``xsd:dateTime`` literal, are minted once.
+    """
     observation_class = ca_class(base, "Observation")
     source_station = ca_property(base, "sourceStation")
     with_datatype = ca_property(base, "withDataType")
+    station_iri = cache(partial(station_resource, base))
+    datatype_iri = cache(partial(datatype_resource, base))
+    day_of = cache(lambda date: (date.date().isoformat(), datetime_literal(date)))
     for obs in observations:
-        day = obs.date.date().isoformat()
+        day, time = day_of(obs.date)
         node = observation_resource(base, obs.station_id, day, obs.datatype)
         result = Iri(node.value + "/result")
-        quads.add(Quad(node, RDF_TYPE, observation_class, None))
-        quads.add(Quad(node, source_station, station_resource(base, obs.station_id), None))
-        quads.add(Quad(node, SOSA.resultTime, datetime_literal(obs.date), None))
-        quads.add(Quad(node, SOSA.hasResult, result, None))
-        quads.add(Quad(result, QUDT.numericValue, decimal_literal(obs.value), None))
-        quads.add(Quad(result, with_datatype, datatype_resource(base, obs.datatype), None))
-    return quads
+        yield node, RDF_TYPE, observation_class
+        yield node, source_station, station_iri(obs.station_id)
+        yield node, SOSA.resultTime, time
+        yield node, SOSA.hasResult, result
+        yield result, QUDT.numericValue, decimal_literal(obs.value)
+        yield result, with_datatype, datatype_iri(obs.datatype)
+
+
+def observation_quads(
+    observations: Sequence[ClimateObservation], base: Iri = DEFAULT_BASE
+) -> set[Quad]:
+    """``observation_triples`` as default-graph quads."""
+    return {Quad(s, p, o, None) for s, p, o in observation_triples(observations, base)}
 
 
 def link_network_to_station(

@@ -87,6 +87,9 @@ class Quad:
     graph: GraphName = None
 
 
+Triple = tuple[Union[Iri, BlankNode], Iri, Term]
+
+
 def resolve_iri(base: Iri, reference: str) -> Iri:
     """Resolve ``reference`` against ``base`` per RFC 3986.
 

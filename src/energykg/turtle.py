@@ -3,8 +3,13 @@
 Supported grammar: @prefix/@base directives, prefixed names (including
 the empty prefix), ``a``, ";" and "," lists, typed literals, bare
 integer/decimal/boolean shorthand, comments and blank-node labels.
+
 Serialization is deterministic: subjects, predicates and objects are
 emitted in canonical order, so equal graphs produce byte-identical text.
+``write_turtle`` sorts a graph's id triples once, renders each term id's
+text once (an IRI compacted against the prefixes, longest namespace
+first) and writes one subject block at a time to a text handle;
+``serialize_turtle`` is the same writer into a string.
 
 Parsing is one pass over the matches of one compiled regular expression,
 in which each RDF term is one token, a typed literal together with its
@@ -12,7 +17,8 @@ datatype. Within a document each distinct raw token text is resolved,
 validated, built and interned to a term id once, until the next
 directive, and the grammar emits ``(s, p, o)`` id triples.
 ``load_turtle`` interns straight into a ``Dataset``'s term dictionary and
-inserts the id triples once the whole text has parsed;
+inserts the id triples once the whole text has parsed, labelling its
+blank nodes apart from those the dataset already holds;
 ``parse_turtle`` runs the same parser over a dictionary of its own and
 maps the ids back to terms. Line and column are computed from a token's
 offset only when an error is raised. A lexical error anywhere in the
@@ -21,10 +27,12 @@ text is reported before a grammar error earlier in it.
 
 from __future__ import annotations
 
+import io
 import re
+import string
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, Optional, TextIO
 
 from .dataset import Dataset, IdTriple, TermIds
 from .errors import EnergyKgError
@@ -55,63 +63,93 @@ class TurtleParseError(EnergyKgError):
 # -- serialization -----------------------------------------------------------
 
 _SAFE_LOCAL = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_LOCAL_CHARS = string.ascii_letters + string.digits + "_-"
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 
 
-def _escape_string(text: str) -> str:
-    return "".join(_ESCAPES.get(c, c) for c in text)
+class _Rendered(dict):
+    """Term id to the term's Turtle text, rendered on first lookup.
+
+    An IRI is compacted against the namespaces longest first, so the
+    first one that leaves a safe local part is the longest such; among
+    namespaces of equal length the earlier bound wins.
+    """
+
+    def __init__(self, terms: list[Term], prefixes: PrefixMap) -> None:
+        super().__init__()
+        self._terms = terms
+        namespaces = [(label, ns.value) for label, ns in prefixes.namespaces().items()]
+        self._namespaces = sorted(namespaces, key=lambda entry: -len(entry[1]))
+
+    def __missing__(self, term_id: int) -> str:
+        term = self._terms[term_id]
+        if isinstance(term, Iri):
+            text = self._compact(term)
+        elif isinstance(term, BlankNode):
+            text = f"_:{term.label}"
+        else:
+            text = f'"{term.lexical.translate(_ESCAPES)}"'
+            if term.datatype != XSD_STRING:
+                text = f"{text}^^{self._compact(term.datatype)}"
+        self[term_id] = text
+        return text
+
+    def _compact(self, iri: Iri) -> str:
+        value = iri.value
+        # A safe local part lies within the IRI's tail of local-name characters.
+        tail = len(value.rstrip(_LOCAL_CHARS))
+        for label, namespace in self._namespaces:
+            if len(namespace) < tail:
+                break
+            if value.startswith(namespace):
+                local = value[len(namespace):]
+                if _SAFE_LOCAL.match(local):
+                    return f"{label}:{local}"
+        return f"<{value}>"
 
 
-def _compact(iri: Iri, prefixes: PrefixMap) -> str:
-    best: Optional[tuple[str, str]] = None
+def write_turtle(handle: TextIO, ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> None:
+    """Write one graph of the dataset to a text handle as deterministic
+    Turtle, one subject block at a time.
+
+    Subjects and objects come in canonical (rank) order and each
+    subject's predicates by IRI. Each term is rendered once.
+    """
+    head = []
+    if prefixes.base is not None:
+        head.append(f"@base <{prefixes.base.value}> .\n")
     for label, namespace in prefixes.namespaces().items():
-        ns = namespace.value
-        if iri.value.startswith(ns):
-            local = iri.value[len(ns):]
-            if _SAFE_LOCAL.match(local) and (best is None or len(ns) > len(best[1])):
-                best = (f"{label}:{local}", ns)
-    return best[0] if best else f"<{iri.value}>"
+        head.append(f"@prefix {label}: <{namespace.value}> .\n")
+    triples = ds.triples(None, None, None, graph)
+    if not head and not triples:
+        handle.write("\n")
+        return
+    handle.write("".join(head))
 
-
-def _render_term(term: Term, prefixes: PrefixMap) -> str:
-    if isinstance(term, Iri):
-        return _compact(term, prefixes)
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    body = f'"{_escape_string(term.lexical)}"'
-    if term.datatype == XSD_STRING:
-        return body
-    return f"{body}^^{_compact(term.datatype, prefixes)}"
+    terms = ds.terms()
+    ranks = ds.ranks()
+    predicates = sorted({p for _, p, _ in triples}, key=lambda p: terms[p].value)
+    order = {p: i for i, p in enumerate(predicates)}
+    # By (subject rank, predicate order, object rank), packed into one int.
+    width, count = len(order), len(ranks)
+    triples = sorted(
+        triples, key=lambda t: (ranks[t[0]] * width + order[t[1]]) * count + ranks[t[2]]
+    )
+    text = _Rendered(terms, prefixes)
+    type_id = ds.id_of(RDF_TYPE)
+    for s, subject_triples in groupby(triples, itemgetter(0)):
+        verbs = []
+        for p, objects in groupby(subject_triples, itemgetter(1)):
+            verb = "a" if p == type_id else text[p]
+            verbs.append(f"{verb} " + ", ".join([text[o] for _, _, o in objects]))
+        handle.write(f"\n{text[s]}\n    " + " ;\n    ".join(verbs) + " .\n")
 
 
 def serialize_turtle(ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> str:
-    """Serialize one graph of the dataset as deterministic Turtle."""
-    lines: list[str] = []
-    if prefixes.base is not None:
-        lines.append(f"@base <{prefixes.base.value}> .")
-    for label, namespace in prefixes.namespaces().items():
-        lines.append(f"@prefix {label}: <{namespace.value}> .")
-
-    # Subjects and objects in canonical (rank) order; predicates by IRI.
-    terms = ds.terms()
-    ranks = ds.ranks()
-    triples = ds.triples(None, None, None, graph)
-    triples = sorted(triples, key=lambda t: (ranks[t[0]], ranks[t[2]]))
-    for s, subject_triples in groupby(triples, itemgetter(0)):
-        lines.append("")
-        lines.append(_render_term(terms[s], prefixes))
-        by_predicate: dict[str, tuple[Iri, list[Term]]] = {}
-        for _, p, o in subject_triples:
-            predicate = terms[p]
-            by_predicate.setdefault(predicate.value, (predicate, []))[1].append(terms[o])
-        predicate_entries = sorted(by_predicate.items())
-        for i, (_, (predicate, objects)) in enumerate(predicate_entries):
-            verb = "a" if predicate == RDF_TYPE else _render_term(predicate, prefixes)
-            rendered = ", ".join(_render_term(o, prefixes) for o in objects)
-            terminator = " ." if i == len(predicate_entries) - 1 else " ;"
-            lines.append(f"    {verb} {rendered}{terminator}")
-
-    return "\n".join(lines) + "\n"
+    """One graph of the dataset as deterministic Turtle text."""
+    out = io.StringIO()
+    write_turtle(out, ds, graph, prefixes)
+    return out.getvalue()
 
 
 # -- parsing -----------------------------------------------------------------
@@ -173,7 +211,8 @@ _SUBJECT, _PREDICATE, _OBJECT, _AFTER_OBJECT, _AFTER_SEMICOLON = range(5)
 class _Parser:
     """Parses Turtle text into id triples, one token at a time.
 
-    ``intern`` maps a term to its id. Each distinct raw token text is
+    ``intern`` maps a term to its id, and ``held`` gives the id of a term
+    the target dictionary already holds, or None. Each distinct raw token text is
     resolved, validated, built and interned once, and its id kept in a memo
     that every directive empties, since a directive may change what a
     relative IRI or prefixed name denotes. ``triples`` holds the
@@ -184,13 +223,21 @@ class _Parser:
     error lexes the rest of the text before it is raised.
     """
 
-    def __init__(self, text: str, base: Optional[Iri], intern: Callable[[Term], int]) -> None:
+    def __init__(
+        self,
+        text: str,
+        base: Optional[Iri],
+        intern: Callable[[Term], int],
+        held: Callable[[Term], Optional[int]],
+    ) -> None:
         self.text = text
         self.prefixes = PrefixMap(base=base)
         self.triples: list[IdTriple] = []
         self._intern = intern
+        self._held = held
         self._tokens = _TOKENS(text)
         self._bnodes: dict[str, BlankNode] = {}
+        self._next_bnode = 0
         # Raw token text -> term id, and datatype text -> Iri.
         self._ids: dict[str, int] = {}
         self._datatypes: dict[str, Iri] = {}
@@ -372,8 +419,11 @@ class _Parser:
             term = self._literal(token)
         elif kind == "bnode":
             # Labels are scoped to the document: each label maps to a node
-            # numbered in order of first use.
-            term = self._bnodes.setdefault(raw, BlankNode(f"b{len(self._bnodes)}"))
+            # numbered in order of first use, skipping the numbers of nodes
+            # the dictionary already holds from earlier documents.
+            term = self._bnodes.get(raw)
+            if term is None:
+                term = self._bnodes[raw] = self._fresh_bnode()
         elif kind == "number":
             if "e" in raw or "E" in raw:
                 term = Literal(raw, XSD_DOUBLE)
@@ -387,6 +437,13 @@ class _Parser:
             term = RDF_TYPE
         term_id = self._ids[raw] = self._intern(term)
         return term_id
+
+    def _fresh_bnode(self) -> BlankNode:
+        while True:
+            node = BlankNode(f"b{self._next_bnode}")
+            self._next_bnode += 1
+            if self._held(node) is None:
+                return node
 
     def _literal(self, token: re.Match) -> Literal:
         lexical = self._value(token)
@@ -425,7 +482,7 @@ def parse_turtle(
     are one shared object.
     """
     ids = TermIds()
-    parser = _Parser(text, base, ids.__getitem__)
+    parser = _Parser(text, base, ids.__getitem__, ids.get)
     parser.parse()
     terms = list(ids)
     return [(terms[s], terms[p], terms[o]) for s, p, o in parser.triples], parser.prefixes
@@ -436,9 +493,10 @@ def load_turtle(
 ) -> PrefixMap:
     """Parse text straight into the dataset's term ids and add its triples
     to the chosen graph, once the whole text has parsed; on an error the
-    dataset is left as it was."""
+    dataset is left as it was. Its blank nodes are labelled apart from
+    those the dataset already holds."""
     with ds.interning() as intern:
-        parser = _Parser(text, base, intern)
+        parser = _Parser(text, base, intern, ds.id_of)
         parser.parse()
     ds.add_ids(parser.triples, graph)
     return parser.prefixes

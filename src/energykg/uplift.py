@@ -1,9 +1,12 @@
-"""Uplift of tabular energy data into quads in the named cossmic graph.
+"""Uplift of tabular energy data into the named cossmic graph.
 
-Headings become topology quads (network, sites, grid, device links);
-records become evaluation quads that a two-step evaluatedValue path can
+Headings become topology triples (network, sites, grid, device links);
+records become evaluation triples that a two-step evaluatedValue path can
 traverse down to the numeric reading. IRIs are minted deterministically
-so re-running the uplift is idempotent.
+so re-running the uplift is idempotent. The generators
+(``topology_triples``, ``evaluation_triples``) feed a store's
+``add_triples`` directly; ``topology_quads`` and ``evaluation_quads``
+collect the same triples as a set of quads.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from typing import Optional, Sequence
+from functools import cache, partial
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EnergyKgError
 from .headings import DeviceHeading, DeviceRole, SiteKind, classify, parse_heading
@@ -27,7 +31,15 @@ from .namespaces import (
     cossmic_graph,
     device_resource,
 )
-from .terms import GraphName, Iri, Quad, datetime_literal, decimal_literal, parse_datetime
+from .terms import (
+    GraphName,
+    Iri,
+    Quad,
+    Triple,
+    datetime_literal,
+    decimal_literal,
+    parse_datetime,
+)
 
 _ONE_DAY = timedelta(days=1)
 
@@ -175,11 +187,82 @@ def compact_utc(instant: datetime) -> str:
     return instant.astimezone(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
 
 
-def evaluation_iri(device: Iri, timestamp: datetime) -> Iri:
-    return Iri(device.value + "/evaluation/" + compact_utc(timestamp))
+# -- triple and quad emission --------------------------------------------------
+
+def topology_triples(
+    headings: Sequence[DeviceHeading], base: Iri = DEFAULT_BASE
+) -> Iterator[Triple]:
+    """Network, site, grid and device-link triples for a set of headings.
+
+    All headings must share one country/city pair. A triple may be
+    yielded more than once; the set of triples does not depend on
+    heading order.
+    """
+    if not headings:
+        raise UpliftError("no headings to uplift")
+    prefixes = {(h.country, h.city) for h in headings}
+    if len(prefixes) > 1:
+        raise UpliftError(f"headings mix countries/cities: {sorted(prefixes)}")
+
+    first = headings[0]
+    network = device_resource(base, first.network_name)
+    grid = device_resource(base, first.grid_name)
+    yield network, RDF_TYPE, SEAS.ElectricPowerDistributionNetwork
+
+    for heading in headings:
+        site = device_resource(base, heading.site_name)
+        device = mint_device_iri(heading, base)
+        yield site, RDF_TYPE, SEAS.ElectricPowerSystem
+        if heading.site_kind is SiteKind.INDUSTRIAL:
+            yield site, RDF_TYPE, SEAS.IndustrialBuilding
+        yield site, SEAS.subSystemOf, network
+        role = classify(heading)
+        if role is DeviceRole.PRODUCER:
+            yield site, SEAS.producedElectricPower, device
+            yield grid, SEAS.isPoweredBy, device
+            yield grid, RDF_TYPE, SEAS.ElectricPowerTransmissionSystem
+        elif role is DeviceRole.GRID_IMPORT:
+            yield site, SEAS.isPoweredBy, device
+            yield device, SEAS.subSystemOf, grid
+            yield grid, RDF_TYPE, SEAS.ElectricPowerTransmissionSystem
+        elif role is DeviceRole.CONSUMER:
+            yield site, SEAS.consumedElectricPower, device
+            yield device, RDF_TYPE, SEAS.ElectricPowerConsumer
+        # Grid export meters carry evaluations but no modelled topology.
 
 
-# -- quad emission -----------------------------------------------------------
+def evaluation_triples(
+    records: Iterable[EnergyRecord], base: Iri = DEFAULT_BASE
+) -> Iterator[Triple]:
+    """Five triples per record: evaluation node, type, time, value node, number.
+
+    Each device's IRI, and each timestamp's evaluation IRI suffix and
+    ``xsd:dateTime`` literal, are minted once. A record repeating an
+    earlier (device, timestamp) pair yields nothing; once every record has
+    been read, the repeats are raised together.
+    """
+    device_iri = cache(partial(device_resource, base))
+    stamp_of = cache(lambda ts: ("/evaluation/" + compact_utc(ts), datetime_literal(ts)))
+    seen: set[tuple[str, datetime]] = set()
+    duplicates = []
+    for record in records:
+        key = (record.device.raw, record.timestamp)
+        if key in seen:
+            duplicates.append(key)
+            continue
+        seen.add(key)
+        device = device_iri(record.device.raw)
+        suffix, time = stamp_of(record.timestamp)
+        evaluation = Iri(device.value + suffix)
+        value_node = Iri(evaluation.value + "/value")
+        yield device, SEAS.evaluation, evaluation
+        yield evaluation, RDF_TYPE, SEAS.ElectricPowerEvaluation
+        yield evaluation, PROV.generatedAtTime, time
+        yield evaluation, SEAS.evaluatedValue, value_node
+        yield value_node, QUDT.numericalValue, decimal_literal(record.value)
+    if duplicates:
+        listing = ", ".join(f"{raw}@{ts.isoformat()}" for raw, ts in duplicates)
+        raise UpliftError(f"duplicate (device, timestamp) records: {listing}")
 
 
 def topology_quads(
@@ -187,44 +270,9 @@ def topology_quads(
     base: Iri = DEFAULT_BASE,
     graph: Optional[GraphName] = None,
 ) -> set[Quad]:
-    """Network, site, grid and device-link quads for a set of headings.
-
-    All headings must share one country/city pair; the result does not
-    depend on heading order.
-    """
-    if not headings:
-        raise UpliftError("no headings to uplift")
-    prefixes = {(h.country, h.city) for h in headings}
-    if len(prefixes) > 1:
-        raise UpliftError(f"headings mix countries/cities: {sorted(prefixes)}")
+    """``topology_triples`` as quads in the graph (the cossmic graph by default)."""
     g = cossmic_graph(base) if graph is None else graph
-
-    first = headings[0]
-    network = device_resource(base, first.network_name)
-    grid = device_resource(base, first.grid_name)
-    quads = {Quad(network, RDF_TYPE, SEAS.ElectricPowerDistributionNetwork, g)}
-
-    for heading in headings:
-        site = device_resource(base, heading.site_name)
-        device = mint_device_iri(heading, base)
-        quads.add(Quad(site, RDF_TYPE, SEAS.ElectricPowerSystem, g))
-        if heading.site_kind is SiteKind.INDUSTRIAL:
-            quads.add(Quad(site, RDF_TYPE, SEAS.IndustrialBuilding, g))
-        quads.add(Quad(site, SEAS.subSystemOf, network, g))
-        role = classify(heading)
-        if role is DeviceRole.PRODUCER:
-            quads.add(Quad(site, SEAS.producedElectricPower, device, g))
-            quads.add(Quad(grid, SEAS.isPoweredBy, device, g))
-            quads.add(Quad(grid, RDF_TYPE, SEAS.ElectricPowerTransmissionSystem, g))
-        elif role is DeviceRole.GRID_IMPORT:
-            quads.add(Quad(site, SEAS.isPoweredBy, device, g))
-            quads.add(Quad(device, SEAS.subSystemOf, grid, g))
-            quads.add(Quad(grid, RDF_TYPE, SEAS.ElectricPowerTransmissionSystem, g))
-        elif role is DeviceRole.CONSUMER:
-            quads.add(Quad(site, SEAS.consumedElectricPower, device, g))
-            quads.add(Quad(device, RDF_TYPE, SEAS.ElectricPowerConsumer, g))
-        # Grid export meters carry evaluations but no modelled topology.
-    return quads
+    return {Quad(s, p, o, g) for s, p, o in topology_triples(headings, base)}
 
 
 def evaluation_quads(
@@ -232,26 +280,6 @@ def evaluation_quads(
     base: Iri = DEFAULT_BASE,
     graph: Optional[GraphName] = None,
 ) -> set[Quad]:
-    """Five quads per record: evaluation node, type, time, value node, number."""
+    """``evaluation_triples`` as quads in the graph (the cossmic graph by default)."""
     g = cossmic_graph(base) if graph is None else graph
-    seen: set[tuple[str, datetime]] = set()
-    duplicates = []
-    quads: set[Quad] = set()
-    for record in records:
-        key = (record.device.raw, record.timestamp)
-        if key in seen:
-            duplicates.append(key)
-            continue
-        seen.add(key)
-        device = mint_device_iri(record.device, base)
-        evaluation = evaluation_iri(device, record.timestamp)
-        value_node = Iri(evaluation.value + "/value")
-        quads.add(Quad(device, SEAS.evaluation, evaluation, g))
-        quads.add(Quad(evaluation, RDF_TYPE, SEAS.ElectricPowerEvaluation, g))
-        quads.add(Quad(evaluation, PROV.generatedAtTime, datetime_literal(record.timestamp), g))
-        quads.add(Quad(evaluation, SEAS.evaluatedValue, value_node, g))
-        quads.add(Quad(value_node, QUDT.numericalValue, decimal_literal(record.value), g))
-    if duplicates:
-        listing = ", ".join(f"{raw}@{ts.isoformat()}" for raw, ts in duplicates)
-        raise UpliftError(f"duplicate (device, timestamp) records: {listing}")
-    return quads
+    return {Quad(s, p, o, g) for s, p, o in evaluation_triples(records, base)}

@@ -1,22 +1,31 @@
-"""Reference Turtle parser used as the oracle for ``energykg.turtle``.
+"""Reference Turtle parser and serializer, the oracles for ``energykg.turtle``.
 
-This is the character-at-a-time lexer and list-of-tokens parser that
-``energykg.turtle`` used before its regex lexer, kept verbatim. It lexes
-the whole document before parsing, so a lexical error anywhere wins over
-a parse error earlier in the text; the production parser must report the
-same triples, prefix map and error text for every document.
+The parser is the character-at-a-time lexer and list-of-tokens parser
+that ``energykg.turtle`` used before its regex lexer, kept verbatim. It
+lexes the whole document before parsing, so a lexical error anywhere wins
+over a parse error earlier in the text; the production parser must report
+the same triples, prefix map and error text for every document.
+
+The serializer is the one ``energykg.turtle`` used before it rendered
+each term once and streamed its output, kept verbatim: it renders every
+term occurrence again and compacts each IRI by trying every bound prefix.
+The production writer must produce the same bytes for every graph.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
+from energykg.dataset import Dataset
 from energykg.errors import EnergyKgError
 from energykg.namespaces import RDF_TYPE
 from energykg.terms import (
     BlankNode,
+    GraphName,
     Iri,
     Literal,
     PrefixMap,
@@ -353,3 +362,65 @@ def parse_turtle(
     parser = _Parser(_Lexer(text).tokens(), base)
     parser.parse()
     return parser.triples, parser.prefixes
+
+
+# -- serialization -----------------------------------------------------------
+
+_SAFE_LOCAL = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escape_string(text: str) -> str:
+    return "".join(_ESCAPES.get(c, c) for c in text)
+
+
+def _compact(iri: Iri, prefixes: PrefixMap) -> str:
+    best: Optional[tuple[str, str]] = None
+    for label, namespace in prefixes.namespaces().items():
+        ns = namespace.value
+        if iri.value.startswith(ns):
+            local = iri.value[len(ns):]
+            if _SAFE_LOCAL.match(local) and (best is None or len(ns) > len(best[1])):
+                best = (f"{label}:{local}", ns)
+    return best[0] if best else f"<{iri.value}>"
+
+
+def _render_term(term: Term, prefixes: PrefixMap) -> str:
+    if isinstance(term, Iri):
+        return _compact(term, prefixes)
+    if isinstance(term, BlankNode):
+        return f"_:{term.label}"
+    body = f'"{_escape_string(term.lexical)}"'
+    if term.datatype == XSD_STRING:
+        return body
+    return f"{body}^^{_compact(term.datatype, prefixes)}"
+
+
+def serialize_turtle(ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> str:
+    """Serialize one graph of the dataset as deterministic Turtle."""
+    lines: list[str] = []
+    if prefixes.base is not None:
+        lines.append(f"@base <{prefixes.base.value}> .")
+    for label, namespace in prefixes.namespaces().items():
+        lines.append(f"@prefix {label}: <{namespace.value}> .")
+
+    # Subjects and objects in canonical (rank) order; predicates by IRI.
+    terms = ds.terms()
+    ranks = ds.ranks()
+    triples = ds.triples(None, None, None, graph)
+    triples = sorted(triples, key=lambda t: (ranks[t[0]], ranks[t[2]]))
+    for s, subject_triples in groupby(triples, itemgetter(0)):
+        lines.append("")
+        lines.append(_render_term(terms[s], prefixes))
+        by_predicate: dict[str, tuple[Iri, list[Term]]] = {}
+        for _, p, o in subject_triples:
+            predicate = terms[p]
+            by_predicate.setdefault(predicate.value, (predicate, []))[1].append(terms[o])
+        predicate_entries = sorted(by_predicate.items())
+        for i, (_, (predicate, objects)) in enumerate(predicate_entries):
+            verb = "a" if predicate == RDF_TYPE else _render_term(predicate, prefixes)
+            rendered = ", ".join(_render_term(o, prefixes) for o in objects)
+            terminator = " ." if i == len(predicate_entries) - 1 else " ;"
+            lines.append(f"    {verb} {rendered}{terminator}")
+
+    return "\n".join(lines) + "\n"

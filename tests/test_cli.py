@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from energykg import cli
 from energykg.analysis import AnalysisError
 from energykg.cli import cmd_analyze, cmd_climate, cmd_query, cmd_uplift, load_store, main
 from energykg.config import ConfigError, PipelineConfig, load_config
@@ -100,6 +101,49 @@ def test_uplift_bad_heading_exits_1(tmp_path, capsys):
     code = main(["uplift", str(energy), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+# The input repeats a reading: a second row at the same timestamp, or a
+# second column for the same device.
+_DUPLICATE_RECORDS = [
+    ENERGY_CSV + "2016-05-03T22:00:00Z,135.25,60.0\n",
+    "utc_timestamp,DE_KN_industrial1_pv_1,DE_KN_industrial1_pv_1\n"
+    "2016-04-30T22:00:00Z,100.0,100.0\n",
+]
+
+
+@pytest.mark.parametrize("bad_csv", _DUPLICATE_RECORDS)
+def test_failed_uplift_leaves_earlier_output_intact(tmp_path, capsys, bad_csv):
+    out = tmp_path / "out"
+    good = tmp_path / "good.csv"
+    good.write_text(ENERGY_CSV)
+    assert main(["uplift", str(good), "--out", str(out)]) == 0
+    before = (out / "cossmic.ttl").read_bytes()
+    bad = tmp_path / "bad.csv"
+    bad.write_text(bad_csv)
+    assert main(["uplift", str(bad), "--out", str(out)]) == 1
+    assert "error" in capsys.readouterr().err
+    assert (out / "cossmic.ttl").read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["cossmic.ttl"]
+
+
+@pytest.mark.parametrize("command", ["uplift", "climate"])
+def test_writer_failing_midway_leaves_earlier_output_intact(tmp_path, config, monkeypatch, command):
+    source = tmp_path / "input.csv"
+    source.write_text(ENERGY_CSV if command == "uplift" else CLIMATE_CSV)
+    run = cmd_uplift if command == "uplift" else cmd_climate
+    path = Path(run(str(source), config))
+    before = path.read_bytes()
+
+    def failing_writer(handle, *args):
+        handle.write("@prefix half")
+        raise RuntimeError("writer failed")
+
+    monkeypatch.setattr(cli, "write_turtle", failing_writer)
+    with pytest.raises(RuntimeError, match="writer failed"):
+        run(str(source), config)
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
 def test_climate_quad_count_for_one_row(tmp_path, config):
@@ -261,6 +305,12 @@ def test_analyze_matches_golden_files(tmp_path):
     assert sorted(written) == sorted(expected)
     for name, body in expected.items():
         assert written[name] == body, name
+
+
+def test_climate_matches_golden_file(tmp_path):
+    config = load_config(cli_overrides={"out": str(tmp_path)})
+    path = cmd_climate(str(GOLDEN / "climate.csv"), config)
+    assert Path(path).read_bytes() == (DATA / "climate_golden.ttl").read_bytes()
 
 
 def test_analyze_raw_resolution_store_is_an_error(tmp_path):

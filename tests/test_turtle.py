@@ -1,3 +1,4 @@
+import io
 import string
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from energykg.dataset import Dataset
 from energykg.errors import EnergyKgError
 from energykg.namespaces import RDF_TYPE, SEAS
 from energykg.terms import (
+    BlankNode,
     Iri,
     Literal,
     PrefixMap,
@@ -19,7 +21,13 @@ from energykg.terms import (
     XSD_INTEGER,
     XSD_STRING,
 )
-from energykg.turtle import TurtleParseError, load_turtle, parse_turtle, serialize_turtle
+from energykg.turtle import (
+    TurtleParseError,
+    load_turtle,
+    parse_turtle,
+    serialize_turtle,
+    write_turtle,
+)
 
 import naive_turtle
 
@@ -452,3 +460,82 @@ def test_equal_terms_in_two_documents_get_one_id():
     assert ds.triples(None, v, None, graph) == ds.triples(None, None, None, None)
     # Only <w> and the integer 1 are new.
     assert len(ds.terms()) == count + 2
+
+
+def test_blank_nodes_of_separate_loads_stay_distinct():
+    ds = Dataset()
+    load_turtle(ds, '_:x <http://example.org/p> "doc1" .\n')
+    load_turtle(ds, '_:y <http://example.org/p> "doc2" .\n')
+    subjects = {q.object.lexical: q.subject for q in ds}
+    # The first document keeps its own numbering; the second is labelled apart.
+    assert subjects == {"doc1": BlankNode("b0"), "doc2": BlankNode("b1")}
+
+
+def test_loaded_blank_nodes_skip_labels_the_dataset_holds():
+    ds = Dataset()
+    held = Quad(BlankNode("b1"), Iri("http://example.org/p"), Literal("held"))
+    ds.add(held)
+    text = "_:a <http://example.org/p> _:b .\n_:b <http://example.org/p> _:a .\n"
+    load_turtle(ds, text)
+    load_turtle(ds, text)
+    nodes = {term for q in ds for term in (q.subject, q.object) if isinstance(term, BlankNode)}
+    assert nodes == {BlankNode(f"b{i}") for i in range(5)}
+    assert len(ds) == 5 and held in ds
+
+
+# -- the writer against the reference serializer ----------------------------------
+
+_EX = "http://example.org/"
+# One namespace is a prefix of another, and one is bound under two labels.
+_BINDINGS = [
+    ("ex", _EX),
+    ("exa", _EX + "a/"),
+    ("", _EX + "a/b"),
+    ("again", _EX),
+    ("rdf", "http://www.w3.org/1999/02/22-rdf-syntax-ns#"),
+    ("xsd", "http://www.w3.org/2001/XMLSchema#"),
+]
+# Safe locals, and locals that are not safe prefixed names.
+_LOCALS = ["x", "_y", "a-b", "T9", "a/x", "a/bc", "a/b", "a/", "1x", "-x", "a.b", "a#b", "é", ""]
+_writer_iris = st.builds(
+    lambda ns, local: Iri(ns + local),
+    st.sampled_from([_EX, _EX + "a/", "urn:z:"]),
+    st.sampled_from(_LOCALS),
+)
+_writer_literals = st.builds(
+    Literal,
+    st.one_of(
+        st.sampled_from(["", "1.5", 'q"uote', "back\\slash", "new\nline\r\t"]),
+        st.text(max_size=8),
+    ),
+    st.one_of(st.sampled_from([XSD_STRING, XSD_INTEGER, XSD_DATETIME]), _writer_iris),
+)
+_writer_bnodes = st.builds(BlankNode, st.sampled_from(["b0", "b1", "x"]))
+_writer_predicates = st.one_of(st.just(RDF_TYPE), _writer_iris)
+_writer_graphs = st.sampled_from([None, Iri(_EX + "g")])
+_writer_quads = st.builds(
+    Quad,
+    st.one_of(_writer_iris, _writer_bnodes),
+    _writer_predicates,
+    st.one_of(_writer_iris, _writer_literals, _writer_bnodes),
+    _writer_graphs,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_writer_quads, max_size=40),
+    st.lists(st.sampled_from(_BINDINGS), unique=True).flatmap(st.permutations),
+    st.sampled_from([None, BASE]),
+    _writer_graphs,
+)
+def test_writer_matches_reference_serializer(quads, bindings, base, graph):
+    ds = Dataset(quads)
+    pm = PrefixMap(base=base)
+    for label, namespace in bindings:
+        pm.bind(label, Iri(namespace))
+    expected = naive_turtle.serialize_turtle(ds, graph, pm)
+    assert serialize_turtle(ds, graph, pm) == expected
+    out = io.StringIO()
+    write_turtle(out, ds, graph, pm)
+    assert out.getvalue() == expected
