@@ -4,11 +4,15 @@ Turtle files written by `uplift` start with a `# graph <iri>` comment so
 later commands know which named graph to load them into; files without
 the marker load into the default graph. Exit codes: 0 success, 1 input
 or configuration error, 2 internal failure.
+
+Each subcommand imports the modules that only it uses when it runs, so
+a process loads no query engine, analysis or HTTP server it never calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -16,20 +20,9 @@ import traceback
 from contextlib import contextmanager, suppress
 from typing import Iterator, Optional, Sequence, TextIO
 
-from .analysis import (
-    align,
-    categorize,
-    correlation_table,
-    report_json,
-    report_tsv,
-    scatter_export,
-)
-from .climate import link_network_to_station, observation_triples, parse_noaa_csv, parse_noaa_json
 from .config import PipelineConfig, load_config
 from .dataset import Dataset
-from .endpoint import EndpointConfig, serve
 from .errors import EnergyKgError
-from .headings import parse_heading
 from .namespaces import (
     QUDT_NS,
     PROV_NS,
@@ -41,16 +34,8 @@ from .namespaces import (
     XSD_NS,
     device_resource,
 )
-from .sparql import evaluate, parse_query, to_results_json, to_results_tsv
 from .terms import Iri, PrefixMap, Quad
 from .turtle import load_turtle, write_turtle
-from .uplift import (
-    CounterMode,
-    evaluation_triples,
-    read_energy_csv,
-    to_daily,
-    topology_triples,
-)
 
 _GRAPH_MARKER = re.compile(r"^#\s*graph\s+<([^<>]+)>\s*$")
 
@@ -70,14 +55,17 @@ def _read(path: str) -> str:
 def _replacing(path: str) -> Iterator[TextIO]:
     """A text handle on a temporary file beside path, which replaces path
     once the block completes. If the block raises, the temporary file is
-    removed and path is left as it was."""
+    removed and path is left as it was. Failing to create, write or
+    replace the file is an EnergyKgError."""
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
     temporary = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
+        os.makedirs(directory, exist_ok=True)
         with open(temporary, "w", encoding="utf-8") as handle:
             yield handle
         os.replace(temporary, path)
+    except OSError as exc:
+        raise EnergyKgError(f"cannot write {path}: {exc}")
     finally:
         # Gone already once it has replaced path.
         with suppress(OSError):
@@ -89,16 +77,36 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a block builds a store.
+
+    A store's id tuples and terms form no cycles, so the collector's
+    passes over its growing heap find nothing to free. When the block
+    completes, every object then alive is frozen (`gc.freeze`), so later
+    passes skip the store too. The previous enabled state comes back
+    when the block exits, also when it raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_store(paths: Sequence[str], config: PipelineConfig) -> Dataset:
     """Load Turtle files, honouring the `# graph <iri>` first-line marker."""
     ds = Dataset()
-    for path in paths:
-        text = _read(path)
-        first_line = text.split("\n", 1)[0]
-        marker = _GRAPH_MARKER.match(first_line)
-        graph = Iri(marker.group(1)) if marker else None
-        load_turtle(ds, text, graph=graph, base=config.base_iri)
-    return ds.freeze()
+    with _collector_paused():
+        for path in paths:
+            text = _read(path)
+            first_line = text.split("\n", 1)[0]
+            marker = _GRAPH_MARKER.match(first_line)
+            graph = Iri(marker.group(1)) if marker else None
+            load_turtle(ds, text, graph=graph, base=config.base_iri)
+        return ds.freeze()
 
 
 def _uplift_prefixes(config: PipelineConfig) -> PrefixMap:
@@ -123,6 +131,10 @@ def _climate_prefixes(config: PipelineConfig) -> PrefixMap:
 
 def cmd_uplift(energy_csv: str, config: PipelineConfig) -> str:
     """Energy CSV to one Turtle file holding the cossmic graph."""
+    from .climate import link_network_to_station
+    from .headings import parse_heading
+    from .uplift import CounterMode, evaluation_triples, read_energy_csv, to_daily, topology_triples
+
     mode = CounterMode(config.counter_mode)
     table = read_energy_csv(_read(energy_csv), mode)
     if config.resolution == "daily":
@@ -132,14 +144,15 @@ def cmd_uplift(energy_csv: str, config: PipelineConfig) -> str:
     base = config.base_iri
 
     ds = Dataset()
-    if headings:
-        ds.add_triples(topology_triples(headings, base), graph)
-        network = device_resource(base, headings[0].network_name)
-    else:
-        network = config.network_iri
-        ds.add(Quad(network, RDF_TYPE, SEAS.ElectricPowerDistributionNetwork, graph))
-    ds.add_triples(evaluation_triples(table.records(), base), graph)
-    ds.add(link_network_to_station(network, config.station_iri, base, graph))
+    with _collector_paused():
+        if headings:
+            ds.add_triples(topology_triples(headings, base), graph)
+            network = device_resource(base, headings[0].network_name)
+        else:
+            network = config.network_iri
+            ds.add(Quad(network, RDF_TYPE, SEAS.ElectricPowerDistributionNetwork, graph))
+        ds.add_triples(evaluation_triples(table.records(), base), graph)
+        ds.add(link_network_to_station(network, config.station_iri, base, graph))
 
     out_path = os.path.join(config.out, "cossmic.ttl")
     with _replacing(out_path) as handle:
@@ -150,13 +163,16 @@ def cmd_uplift(energy_csv: str, config: PipelineConfig) -> str:
 
 def cmd_climate(observations_path: str, config: PipelineConfig) -> str:
     """Observation CSV or JSON to one default-graph Turtle file."""
+    from .climate import observation_triples, parse_noaa_csv, parse_noaa_json
+
     text = _read(observations_path)
     if observations_path.endswith(".json"):
         observations = parse_noaa_json(text, config.scale_decimal)
     else:
         observations = parse_noaa_csv(text, config.scale_decimal)
     ds = Dataset()
-    ds.add_triples(observation_triples(observations, config.base_iri))
+    with _collector_paused():
+        ds.add_triples(observation_triples(observations, config.base_iri))
     out_path = os.path.join(config.out, "climate.ttl")
     with _replacing(out_path) as handle:
         write_turtle(handle, ds, None, _climate_prefixes(config))
@@ -170,6 +186,8 @@ def _query_text(query: str) -> str:
 
 
 def cmd_query(store_paths: Sequence[str], query: str, config: PipelineConfig) -> str:
+    from .sparql import evaluate, parse_query, to_results_json, to_results_tsv
+
     ds = load_store(store_paths, config)
     seq = evaluate(ds, parse_query(_query_text(query)))
     if config.format == "json":
@@ -178,6 +196,8 @@ def cmd_query(store_paths: Sequence[str], query: str, config: PipelineConfig) ->
 
 
 def cmd_serve(store_paths: Sequence[str], config: PipelineConfig) -> None:
+    from .endpoint import EndpointConfig, serve
+
     ds = load_store(store_paths, config)
     host, port = config.bind_address()
     endpoint_config = EndpointConfig(host=host, port=port)
@@ -189,6 +209,10 @@ def cmd_serve(store_paths: Sequence[str], config: PipelineConfig) -> None:
 
 def cmd_analyze(store_paths: Sequence[str], config: PipelineConfig) -> list[str]:
     """Write report.tsv, report.json and per-category scatter CSVs."""
+    from .analysis import (
+        align, categorize, correlation_table, report_json, report_tsv, scatter_export,
+    )
+
     ds = load_store(store_paths, config)
     graph = config.graph_iri
     evaluation = ds.id_of(SEAS.evaluation)

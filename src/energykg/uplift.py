@@ -140,16 +140,17 @@ def to_daily(table: EnergyTable) -> EnergyTable:
     previous-day reading is skipped); interval readings are summed within
     the day. A decreasing cumulative counter is an error.
     """
+    # Each timestamp's UTC day, shared by every column.
+    day_of = [datetime(ts.year, ts.month, ts.day, tzinfo=timezone.utc) for ts in table.timestamps]
     daily: dict[str, dict[datetime, Decimal]] = {}
     all_days: set[datetime] = set()
     for heading, values in table.columns.items():
-        series = [(ts, v) for ts, v in zip(table.timestamps, values) if v is not None]
+        series = [(day, v) for day, v in zip(day_of, values) if v is not None]
         per_day: dict[datetime, Decimal] = {}
         if table.counter_mode is CounterMode.CUMULATIVE:
             last_by_day: dict[datetime, Decimal] = {}
             previous: Optional[Decimal] = None
-            for ts, value in series:
-                day = datetime(ts.year, ts.month, ts.day, tzinfo=timezone.utc)
+            for day, value in series:
                 if previous is not None and value < previous:
                     raise UpliftError(
                         f"cumulative counter for {heading!r} decreased on "
@@ -162,8 +163,7 @@ def to_daily(table: EnergyTable) -> EnergyTable:
                 if before in last_by_day:
                     per_day[day] = value - last_by_day[before]
         else:
-            for ts, value in series:
-                day = datetime(ts.year, ts.month, ts.day, tzinfo=timezone.utc)
+            for day, value in series:
                 per_day[day] = per_day.get(day, Decimal(0)) + value
         daily[heading] = per_day
         all_days.update(per_day)

@@ -1,4 +1,8 @@
+import gc
 import json
+import os
+import subprocess
+import sys
 import urllib.parse
 import urllib.request
 from pathlib import Path
@@ -10,6 +14,7 @@ from energykg.analysis import AnalysisError
 from energykg.cli import cmd_analyze, cmd_climate, cmd_query, cmd_uplift, load_store, main
 from energykg.config import ConfigError, PipelineConfig, load_config
 from energykg.endpoint import EndpointConfig, EndpointServer
+from energykg.errors import EnergyKgError
 
 DATA = Path(__file__).parent / "data"
 
@@ -144,6 +149,31 @@ def test_writer_failing_midway_leaves_earlier_output_intact(tmp_path, config, mo
         run(str(source), config)
     assert path.read_bytes() == before
     assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("command", ["uplift", "climate"])
+def test_out_below_a_regular_file_exits_1(tmp_path, capsys, command):
+    source = tmp_path / "input.csv"
+    source.write_text(ENERGY_CSV if command == "uplift" else CLIMATE_CSV)
+    (tmp_path / "notadir").write_text("")
+    out = tmp_path / "notadir" / "sub"
+    assert main([command, str(source), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}{os.sep}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_store_restores_the_collector_state(tmp_path, config, enabled):
+    bad = tmp_path / "bad.ttl"
+    bad.write_text("<http://example.org/s> <http://example.org/p> .\n")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(EnergyKgError):
+            load_store([str(bad)], config)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_climate_quad_count_for_one_row(tmp_path, config):
@@ -373,3 +403,55 @@ def test_served_store_answers_health(store_files, config):
         host, port = server.address
         with urllib.request.urlopen(f"http://{host}:{port}/health") as response:
             assert response.read() == b"ok"
+
+
+# Prints the modules a CLI run leaves loaded, one per line, to the file
+# named by its first argument.
+_IMPORT_PROBE = """
+import sys
+from energykg.cli import main
+try:
+    code = main(sys.argv[2:])
+except SystemExit as exc:
+    code = exc.code
+with open(sys.argv[1], "w") as handle:
+    handle.write("\\n".join(sys.modules))
+sys.exit(code)
+"""
+
+_HEAVY = ("http.server", "energykg.endpoint", "energykg.sparql", "energykg.analysis")
+
+
+@pytest.mark.parametrize(
+    "command, unloaded",
+    [
+        ("--help", (*_HEAVY, "energykg.uplift")),
+        ("uplift", _HEAVY),
+        ("climate", _HEAVY),
+        ("query", ("http.server", "energykg.endpoint", "energykg.analysis")),
+        ("analyze", ("http.server", "energykg.endpoint")),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, store_files, command, unloaded):
+    # store_files wrote these two inputs into tmp_path.
+    energy = tmp_path / "energy.csv"
+    climate = tmp_path / "climate.csv"
+    out = str(tmp_path / "probe")
+    args = {
+        "--help": ["--help"],
+        "uplift": ["uplift", str(energy), "--out", out],
+        "climate": ["climate", str(climate), "--out", out],
+        "query": ["query", *store_files, "SELECT ?s WHERE { ?s ?p ?o } LIMIT 1"],
+        "analyze": ["analyze", *store_files, "--out", out],
+    }[command]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    listing = tmp_path / "modules.txt"
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(listing), *args],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = set(listing.read_text().split("\n"))
+    assert "energykg.cli" in loaded
+    assert sorted(loaded.intersection(unloaded)) == []

@@ -186,6 +186,23 @@ def test_to_daily_telescoping_sum_without_gaps():
     assert sum(emitted) == values[-1] - values[0]
 
 
+def test_to_daily_columns_missing_different_cells_keep_their_own_days():
+    table = EnergyTable(
+        [ts(d, 23) for d in range(1, 5)],
+        {
+            "DE_KN_residential1_pv": [Decimal(10), None, Decimal(14), Decimal(20)],
+            "DE_KN_residential1_freezer": [Decimal(1), Decimal(2), None, Decimal(4)],
+        },
+        CounterMode.CUMULATIVE,
+    )
+    daily = to_daily(table)
+    # pv has no day-2 reading, so only day 4 follows a reading; the
+    # freezer has no day-3 reading, so only day 2 does.
+    assert daily.timestamps == [ts(2), ts(4)]
+    assert daily.columns["DE_KN_residential1_pv"] == [None, Decimal(6)]
+    assert daily.columns["DE_KN_residential1_freezer"] == [Decimal(1), None]
+
+
 def test_read_energy_csv_missing_cells_stay_missing():
     text = (
         "utc_timestamp,DE_KN_residential1_pv,DE_KN_residential1_freezer\n"
