@@ -102,8 +102,9 @@ def load_store(paths: Sequence[str], config: PipelineConfig) -> Dataset:
     with _collector_paused():
         for path in paths:
             text = _read(path)
-            first_line = text.split("\n", 1)[0]
-            marker = _GRAPH_MARKER.match(first_line)
+            # The marker is matched within the first line, without copying it.
+            end = text.find("\n")
+            marker = _GRAPH_MARKER.match(text, 0, len(text) if end < 0 else end)
             graph = Iri(marker.group(1)) if marker else None
             load_turtle(ds, text, graph=graph, base=config.base_iri)
         return ds.freeze()
@@ -219,9 +220,9 @@ def cmd_analyze(store_paths: Sequence[str], config: PipelineConfig) -> list[str]
     subjects = set()
     if evaluation is not None:
         subjects = {s for s, _, _ in ds.triples(None, evaluation, None, graph)}
-    terms = ds.terms()
     devices = sorted(
-        (terms[s] for s in subjects if isinstance(terms[s], Iri)), key=lambda iri: iri.value
+        (term for term in map(ds.term, subjects) if isinstance(term, Iri)),
+        key=lambda iri: iri.value,
     )
     if not devices:
         raise EnergyKgError("store contains no device evaluations")

@@ -15,7 +15,7 @@ import io
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
 from functools import cache, partial
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -32,7 +32,15 @@ from .namespaces import (
     observation_resource,
     station_resource,
 )
-from .terms import GraphName, Iri, Quad, Triple, datetime_literal, decimal_literal
+from .terms import (
+    GraphName,
+    Iri,
+    Quad,
+    Triple,
+    datetime_literal,
+    decimal_literal,
+    finite_decimal,
+)
 
 
 class ClimateError(EnergyKgError):
@@ -60,6 +68,17 @@ def _parse_day(text: str, where: str) -> datetime:
     except ValueError:
         raise ClimateError(f"{where}: unparseable date {text!r}")
     return parsed.replace(tzinfo=timezone.utc)
+
+
+def _scaled(value_text: str, scale: Decimal, where: str) -> Decimal:
+    try:
+        value = finite_decimal(value_text)
+    except InvalidOperation:
+        raise ClimateError(f"{where}: non-numeric value {value_text!r}")
+    try:
+        return value * scale
+    except Overflow:
+        raise ClimateError(f"{where}: value {value_text!r} times scale {scale} is out of range")
 
 
 def _check_duplicates(observations: Sequence[ClimateObservation]) -> None:
@@ -95,10 +114,7 @@ def parse_noaa_csv(text: str, scale: Decimal = Decimal(1)) -> list[ClimateObserv
         if not code:
             raise ClimateError(f"row {row_number}: empty datatype code")
         date = _parse_day(date_text, f"row {row_number}")
-        try:
-            value = Decimal(value_text) * scale
-        except InvalidOperation:
-            raise ClimateError(f"row {row_number}: non-numeric value {value_text!r}")
+        value = _scaled(value_text, scale, f"row {row_number}")
         observations.append(ClimateObservation(station, date, code, value))
     _check_duplicates(observations)
     return observations
@@ -121,11 +137,10 @@ def parse_noaa_json(text: str, scale: Decimal = Decimal(1)) -> list[ClimateObser
             station = str(item["station"])
             date = _parse_day(str(item["date"]), where)
             code = str(item["datatype"])
-            value = Decimal(str(item["value"])) * scale
+            value_text = str(item["value"])
         except KeyError as exc:
             raise ClimateError(f"{where}: missing field {exc.args[0]!r}")
-        except InvalidOperation:
-            raise ClimateError(f"{where}: non-numeric value {item.get('value')!r}")
+        value = _scaled(value_text, scale, where)
         observations.append(ClimateObservation(station, date, code, value))
     _check_duplicates(observations)
     return observations

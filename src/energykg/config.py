@@ -13,7 +13,7 @@ from typing import Mapping, Optional
 
 from .errors import EnergyKgError
 from .namespaces import DEFAULT_BASE, cossmic_graph, device_resource, station_resource
-from .terms import Iri, IriError
+from .terms import Iri, IriError, finite_decimal
 
 ENV_PREFIX = "HECP_"
 
@@ -57,7 +57,7 @@ class PipelineConfig:
         if self.format not in ("tsv", "json"):
             raise ConfigError(f"format must be tsv or json, got {self.format!r}")
         try:
-            Decimal(self.scale)
+            finite_decimal(self.scale)
         except InvalidOperation:
             raise ConfigError(f"scale is not numeric: {self.scale!r}")
         if self.min_samples < 2:

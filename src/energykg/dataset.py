@@ -1,24 +1,27 @@
 """In-memory quad store over a term dictionary.
 
-Each distinct term is interned once to an int id, in insertion order, so
-the term-to-id dict read in key order is also the id-to-term list. Each
-graph keeps its triples as ``(s, p, o)`` id tuples in a set, plus one
-index per position from an id to the triples holding it there, in the
-manner of Hexastore (Weiss, Karras and Bernstein, VLDB 2008). Each id
-also has a rank, its position in canonical ``term_key`` order, so the
-canonical sort compares ints. Ranks and the id-to-term list are built at
-``freeze()``; before it, when first read and again once new terms have
-arrived.
+Each distinct term is interned once to an int id, in insertion order,
+keyed by its canonical text (``terms.term_key``: ``<iri>``,
+``"lexical"^^<datatype>`` or ``_:label``), so the dictionary read in key
+order is also the id-to-text list. A ``Term`` object is decoded from its
+text only when something reads it, and then kept. Each graph keeps its
+triples as ``(s, p, o)`` id tuples in a set, plus one index per position
+from an id to the triples holding it there, in the manner of Hexastore
+(Weiss, Karras and Bernstein, VLDB 2008). Each id also has a rank, its
+position in the sorted order of the texts, so the canonical sort
+compares ints. Ranks are built at ``freeze()``; before it, when first
+read and again once new terms have arrived.
 
 Id triples enter a graph through one insert, ``add_ids``.
 ``add_triples`` streams into it, interning each term as it is read.
-``load_turtle`` parses a whole Turtle document straight into ids inside
-``interning()``, which drops the terms a failed block added, and inserts
-them once the document has parsed.
+``load_turtle`` parses a whole Turtle document straight into canonical
+texts and ids inside ``interning()``, which drops the terms a failed
+block added, and inserts them once the document has parsed.
 
-A Dataset is built single-threaded, then frozen; a frozen dataset is an
-immutable snapshot that any number of readers may share. Quads have set
-semantics: inserting a duplicate is a no-op.
+A Dataset is built single-threaded, then frozen; a frozen dataset is a
+snapshot that any number of readers may share. Its only writes are to
+the cache of decoded terms, where two readers racing on one id store
+equal terms. Quads have set semantics: inserting a duplicate is a no-op.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from itertools import groupby
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import EnergyKgError
-from .terms import GraphName, Iri, Quad, Term, term_key
+from .terms import GraphName, Iri, Quad, Term, decode_term, term_key
 
 
 class _Any:
@@ -44,11 +47,21 @@ IdTriple = tuple[int, int, int]
 
 
 class TermIds(dict):
-    """Term to id; looking up a new term gives it the next free id."""
+    """Canonical term text to id; looking up a new text gives it the next
+    free id. Called with a term, it does the same for the term's text.
+    ``texts`` lists the texts by id."""
 
-    def __missing__(self, term: Term) -> int:
-        term_id = self[term] = len(self)
+    def __init__(self) -> None:
+        super().__init__()
+        self.texts: list[str] = []
+
+    def __missing__(self, text: str) -> int:
+        term_id = self[text] = len(self.texts)
+        self.texts.append(text)
         return term_id
+
+    def __call__(self, term: Term) -> int:
+        return self[term_key(term)]
 
 
 class FrozenDatasetError(EnergyKgError):
@@ -86,8 +99,8 @@ def _graph_key(graph: GraphName) -> str:
 
 class Dataset:
     def __init__(self, quads: Iterable[Quad] = ()) -> None:
-        self._ids: dict[Term, int] = TermIds()
-        self._terms: list[Term] = []
+        self._ids = TermIds()
+        self._decoded: dict[int, Term] = {}
         self._ranks: list[int] = []
         self._graphs: dict[GraphName, _Graph] = {}
         self._frozen = False
@@ -104,26 +117,34 @@ class Dataset:
         self, triples: Iterable[tuple[Term, Iri, Term]], graph: GraphName = None
     ) -> None:
         """Insert (subject, predicate, object) terms into one graph."""
+        # Keying a term by its text costs about what hashing the term does,
+        # so a memo of terms seen in this call would not pay for itself.
         intern = self._ids.__getitem__
-        self.add_ids(((intern(s), intern(p), intern(o)) for s, p, o in triples), graph)
+        key = term_key
+        self.add_ids(
+            ((intern(key(s)), intern(key(p)), intern(key(o))) for s, p, o in triples), graph
+        )
 
     @contextmanager
-    def interning(self) -> Iterator[Callable[[Term], int]]:
-        """Yield a function from a term to its id, which gives a new term
-        the next free id. If the block raises, the terms it added are
-        dropped again, so every id stays held by some quad."""
+    def interning(self) -> Iterator[TermIds]:
+        """Yield the term dictionary: called with a term, or indexed by a
+        canonical text, it gives the id, a new term the next free one. If
+        the block raises, the terms it added are dropped again, so every
+        id stays held by some quad."""
         if self._frozen:
             raise FrozenDatasetError("dataset is frozen")
         ids = self._ids
         mark = len(ids)
         try:
-            yield ids.__getitem__
+            yield ids
         except BaseException:
             # Dicts keep insertion order, so the newest ids pop first.
             while len(ids) > mark:
                 ids.popitem()
-            # The lazy lists may have been built inside the block.
-            self._terms, self._ranks = [], []
+            del ids.texts[mark:]
+            # The lazy caches may have been filled inside the block.
+            self._decoded = {i: t for i, t in self._decoded.items() if i < mark}
+            self._ranks = []
             raise
 
     def add_ids(self, triples: Iterable[IdTriple], graph: GraphName = None) -> None:
@@ -143,7 +164,7 @@ class Dataset:
                 by_o.setdefault(triple[2], []).append(triple)
 
     def freeze(self) -> "Dataset":
-        # Build the lazy lists now, so readers of the snapshot never write.
+        # Build the ranks now, so readers of the snapshot never build them.
         self.ranks()
         self._frozen = True
         return self
@@ -158,15 +179,14 @@ class Dataset:
     def __contains__(self, quad: object) -> bool:
         if not isinstance(quad, Quad) or quad.graph not in self._graphs:
             return False
-        ids = self._ids
-        triple = (ids.get(quad.subject), ids.get(quad.predicate), ids.get(quad.object))
+        triple = (self.id_of(quad.subject), self.id_of(quad.predicate), self.id_of(quad.object))
         return triple in self._graphs[quad.graph].triples
 
     def __iter__(self) -> Iterator[Quad]:
-        terms = self.terms()
+        term = self.term
         for graph, store in self._graphs.items():
             for s, p, o in store.triples:
-                yield Quad(terms[s], terms[p], terms[o], graph)
+                yield Quad(term(s), term(p), term(o), graph)
 
     def graphs(self) -> list[Iri]:
         """Named graphs present, in canonical order."""
@@ -188,38 +208,55 @@ class Dataset:
         graph. Each graph answers from its narrowest index bucket.
         """
         # A term no quad holds gets -1, an id that matches nothing.
-        key = [None if t is ANY else self._ids.get(t, -1) for t in (subject, predicate, object)]
+        ids = self._ids
+        key = [None if t is ANY else ids.get(term_key(t), -1) for t in (subject, predicate, object)]
         names = sorted(self._graphs, key=_graph_key) if graph is ANY else [graph]
-        terms = self.terms()
+        term = self.term
         ranks = self.ranks()
         out: list[Quad] = []
         for name in names:
             found = self.triples(*key, name)
             found = sorted(found, key=lambda t: (ranks[t[0]], ranks[t[1]], ranks[t[2]]))
-            out.extend(Quad(terms[s], terms[p], terms[o], name) for s, p, o in found)
+            out.extend(Quad(term(s), term(p), term(o), name) for s, p, o in found)
         return out
 
     # -- id-level access, for the query evaluator and the serializer ---------
 
     def id_of(self, term: Term) -> Optional[int]:
         """The term's id, or None when no quad holds it."""
-        return self._ids.get(term)
+        return self._ids.get(term_key(term))
+
+    def term(self, term_id: int) -> Term:
+        """The term with the id, decoded from its text when first read."""
+        term = self._decoded.get(term_id)
+        if term is None:
+            term = self._decoded[term_id] = decode_term(self._ids.texts[term_id])
+        return term
 
     def terms(self) -> list[Term]:
-        """Every interned term, indexed by its id."""
-        if len(self._terms) != len(self._ids):
-            self._terms = list(self._ids)
-        return self._terms
+        """Every interned term, indexed by its id. This decodes them all;
+        a reader of a few ids calls ``term``."""
+        return list(map(self.term, range(len(self._ids))))
+
+    def texts(self) -> list[str]:
+        """Every interned term's canonical text, indexed by its id. The
+        list is the dictionary's own: do not change it."""
+        return self._ids.texts
 
     def ranks(self) -> list[int]:
-        """Each id's position in canonical ``term_key`` order, indexed by id."""
-        if len(self._ranks) != len(self._ids):
-            keys = list(map(term_key, self.terms()))
-            ranks = [0] * len(keys)
-            for rank, term_id in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        """Each id's position in canonical text order, indexed by id."""
+        texts = self._ids.texts
+        if len(self._ranks) != len(texts):
+            ranks = [0] * len(texts)
+            for rank, term_id in enumerate(sorted(range(len(texts)), key=texts.__getitem__)):
                 ranks[term_id] = rank
             self._ranks = ranks
         return self._ranks
+
+    def graph(self, graph: GraphName) -> Optional[_Graph]:
+        """One graph's id triples and position indexes, or None when the
+        dataset has no such graph. For readers: do not change them."""
+        return self._graphs.get(graph)
 
     def triples(
         self, s: Optional[int], p: Optional[int], o: Optional[int], graph: GraphName

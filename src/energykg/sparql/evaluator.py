@@ -6,16 +6,19 @@ keeps rows whose expression evaluates to true, dropping rows whose
 expression errors. Results are projected, sorted by the canonical
 encoding of their bindings, and cut by LIMIT, in that order.
 
-Rows bind variables to the store's term ids. Terms are decoded only to
-evaluate FILTER and join-key expressions, and for the projected rows,
-which are sorted by the store's rank of each id. A query constant that
-no quad holds matches nothing.
+Rows bind variables to the store's term ids. Terms are decoded, one id
+at a time, only to evaluate FILTER and join-key expressions, and for the
+projected rows, which are sorted by the store's rank of each id. A query
+constant that no quad holds matches nothing.
 
 Each BGP, after its property paths are lowered, is ordered greedily: the
 next pattern is the one with the smallest index bucket among its
 constant and already-bound positions, a bound variable counting as the
 mean bucket of its position (after Stocker et al., "SPARQL basic graph
-pattern optimization using selectivity estimation", WWW 2008).
+pattern optimization using selectivity estimation", WWW 2008). Each step
+then reads the active graph's position indexes directly: per row it
+scans the smallest bucket among the constant and bound positions,
+checking the other fixed positions as it goes.
 
 Joins are hash-based on the statically shared variables; a FILTER whose
 conjuncts equate date components across the two sides of a Join is
@@ -28,9 +31,10 @@ import math
 import time
 from decimal import Decimal
 from itertools import count
-from typing import Iterator, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterator, Optional, Union
 
-from ..dataset import Dataset, IdTriple
+from ..dataset import Dataset
 from ..errors import EnergyKgError
 from ..terms import (
     BlankNode,
@@ -71,8 +75,10 @@ Row = dict[str, int]
 # A triple pattern with each constant as its term id and each variable as its name.
 IdPattern = tuple[Union[int, str], Union[int, str], Union[int, str]]
 
-# Rows a loop consumes or produces between two deadline checks.
+# Rows or triples a loop goes through between two deadline checks; a
+# power of two, so a counter is checked with a mask.
 _CHECK_EVERY = 256
+_CHECK_MASK = _CHECK_EVERY - 1
 
 
 class EvaluationError(EnergyKgError):
@@ -88,12 +94,12 @@ class _ExprError(Exception):
 
 
 class _Run:
-    """One evaluation's store, its terms by id, FROM NAMED graphs, fresh
+    """One evaluation's store, its term decoder, FROM NAMED graphs, fresh
     names and deadline."""
 
     def __init__(self, ds: Dataset, named: frozenset[Iri], deadline: Optional[float]) -> None:
         self.ds = ds
-        self.terms = ds.terms()
+        self.term = ds.term
         self.named = named
         self.fresh = count()
         self.deadline = deadline
@@ -102,16 +108,13 @@ class _Run:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise QueryTimeout("query timed out")
 
-    def checked(self, items: Sequence) -> Iterator:
-        """Iterate items, checking the deadline before each block of them."""
-        for start in range(0, len(items), _CHECK_EVERY):
-            self.check()
-            yield from items[start : start + _CHECK_EVERY]
-
 
 def evaluate(ds: Dataset, query: SelectQuery, deadline: Optional[float] = None) -> SolutionSequence:
     """Evaluate query over ds, raising QueryTimeout once time.monotonic()
-    passes deadline; the longest step between two checks is one index lookup."""
+    passes deadline. The deadline is checked every 256 rows that a BGP
+    step, hash join or filter goes through and every 256 triples a BGP
+    step scans, so the longest stretch between two checks is 256 rows or
+    triples of work."""
     default_graphs, named_graphs = _resolve_dataset(ds, query)
     run = _Run(ds, named_graphs, deadline)
     run.check()
@@ -125,8 +128,8 @@ def evaluate(ds: Dataset, query: SelectQuery, deadline: Optional[float] = None) 
     projected.sort(key=lambda row: tuple(ranks[row[n]] if n in row else -1 for n in names))
     if query.limit is not None:
         projected = projected[: query.limit]
-    terms = run.terms
-    return SolutionSequence(names, [{n: terms[i] for n, i in row.items()} for row in projected])
+    term = run.term
+    return SolutionSequence(names, [{n: term(i) for n, i in row.items()} for row in projected])
 
 
 def _resolve_dataset(
@@ -183,36 +186,107 @@ def _lower_paths(patterns: tuple[TriplePattern, ...], run: _Run) -> Iterator[Tri
 
 
 def _eval_bgp(bgp: BGP, active: tuple[GraphName, ...], run: _Run) -> list[Row]:
+    ds = run.ds
     patterns: list[IdPattern] = []
     for tp in _lower_paths(bgp.patterns, run):
         encoded = tuple(
-            x.name if isinstance(x, Variable) else run.ds.id_of(x)
+            x.name if isinstance(x, Variable) else ds.id_of(x)
             for x in (tp.subject, tp.predicate, tp.object)
         )
         if None in encoded:
             return []
         patterns.append(encoded)
 
+    graphs = [graph for graph in map(ds.graph, active) if graph is not None]
+    if patterns and not graphs:
+        return []
     rows: list[Row] = [{}]
     bound: set[str] = set()
-    for tp in _plan(patterns, active, run.ds):
-        # Positions this step binds; a name listed twice must match itself.
-        free = [(i, x) for i, x in enumerate(tp) if isinstance(x, str) and x not in bound]
-        bound.update(x for _, x in free)
-        next_rows: list[Row] = []
-        for row in run.checked(rows):
-            key = [row.get(x) if isinstance(x, str) else x for x in tp]
-            for triple in run.checked(_match_active(run.ds, key, active)):
-                extended = dict(row)
-                for i, name in free:
-                    if extended.setdefault(name, triple[i]) != triple[i]:
-                        break
-                else:
-                    next_rows.append(extended)
-        rows = next_rows
+    for tp in _plan(patterns, active, ds):
+        rows = _extend(rows, tp, bound, graphs, run)
+        bound.update(x for x in tp if isinstance(x, str))
         if not rows:
             break
     return rows
+
+
+def _extend(rows: list[Row], tp: IdPattern, bound: set[str], graphs: list, run: _Run) -> list[Row]:
+    """Each row extended by each triple of the graphs that matches tp under it.
+
+    Several graphs form one merged graph: a triple set, so identical
+    triples from different graphs collapse.
+    """
+    consts = [(i, x) for i, x in enumerate(tp) if isinstance(x, int)]
+    keys = [(i, x) for i, x in enumerate(tp) if isinstance(x, str) and x in bound]
+    # Each free variable's first position; one listed again must match itself there.
+    free: dict[str, int] = {}
+    repeats: list[tuple[int, int]] = []
+    for i, x in enumerate(tp):
+        if isinstance(x, str) and x not in bound:
+            if x in free:
+                repeats.append((free[x], i))
+            else:
+                free[x] = i
+
+    # A triple matches when probe(triple) equals target_of(row).
+    fixed = keys + consts
+    probe = itemgetter(*[i for i, _ in fixed]) if fixed else None
+    target_of = _targets([name for _, name in keys], tuple(x for _, x in consts))
+
+    # Per graph, the smallest constant bucket, or every triple when there
+    # is no constant; and the index of each bound position.
+    sources = []
+    for graph in graphs:
+        start = graph.triples
+        for i, x in consts:
+            bucket = graph.index[i].get(x, ())
+            if len(bucket) < len(start):
+                start = bucket
+        sources.append((start, [(graph.index[i], name) for i, name in keys]))
+
+    out: list[Row] = []
+    emit = out.append
+    scanned = 0
+    for n, row in enumerate(rows):
+        if not n & _CHECK_MASK:
+            run.check()
+        target = target_of(row)
+        triples = None
+        for bucket, lookups in sources:
+            for index, name in lookups:
+                candidate = index.get(row[name], ())
+                if len(candidate) < len(bucket):
+                    bucket = candidate
+            triples = bucket if triples is None else set(triples).union(bucket)
+        for triple in triples:
+            scanned += 1
+            if not scanned & _CHECK_MASK:
+                run.check()
+            if probe is not None and probe(triple) != target:
+                continue
+            if repeats and any(triple[i] != triple[j] for i, j in repeats):
+                continue
+            extended = row.copy()
+            for name, i in free.items():
+                extended[name] = triple[i]
+            emit(extended)
+    return out
+
+
+def _targets(names: list[str], const_ids: tuple[int, ...]) -> Callable[[Row], object]:
+    """A function from a row to the ids that a matching triple holds at the
+    bound positions (the row's values of names), then at the constant
+    positions: one id alone, else a tuple, as an ``itemgetter`` over those
+    positions gives them."""
+    if not names:
+        target = const_ids[0] if len(const_ids) == 1 else const_ids
+        return lambda row: target
+    get = itemgetter(*names)
+    if not const_ids:
+        return get
+    if len(names) == 1:
+        return lambda row: (get(row),) + const_ids
+    return lambda row: get(row) + const_ids
 
 
 def _plan(patterns: list[IdPattern], active: tuple[GraphName, ...], ds: Dataset) -> list[IdPattern]:
@@ -236,14 +310,6 @@ def _plan(patterns: list[IdPattern], active: tuple[GraphName, ...], ds: Dataset)
     return ordered
 
 
-def _match_active(ds: Dataset, key: list, active: tuple[GraphName, ...]) -> list[IdTriple]:
-    if len(active) == 1:
-        return ds.triples(*key, active[0])
-    # Multiple FROM graphs form a merged default graph: a triple set, so
-    # identical triples from different graphs collapse.
-    return list({triple for graph in active for triple in ds.triples(*key, graph)})
-
-
 def _hash_join(
     left: list[Row],
     right: list[Row],
@@ -253,29 +319,36 @@ def _hash_join(
     right_keys: tuple[Expression, ...] = (),
 ) -> list[Row]:
     index: dict[tuple, list[Row]] = {}
-    for row in run.checked(right):
-        key = _join_key(row, shared, right_keys, run.terms)
+    for n, row in enumerate(right):
+        if not n & _CHECK_MASK:
+            run.check()
+        key = _join_key(row, shared, right_keys, run.term)
         if key is not None:
             index.setdefault(key, []).append(row)
     out: list[Row] = []
-    for row in run.checked(left):
-        key = _join_key(row, shared, left_keys, run.terms)
+    emit = out.append
+    for n, row in enumerate(left):
+        if not n & _CHECK_MASK:
+            run.check()
+        key = _join_key(row, shared, left_keys, run.term)
         if key is None:
             continue
-        for other in run.checked(index.get(key, ())):
-            merged = dict(row)
+        for other in index.get(key, ()):
+            if not len(out) & _CHECK_MASK:
+                run.check()
+            merged = row.copy()
             merged.update(other)
-            out.append(merged)
+            emit(merged)
     return out
 
 
 def _join_key(
-    row: Row, shared: list[str], keys: tuple[Expression, ...], terms: list[Term]
+    row: Row, shared: list[str], keys: tuple[Expression, ...], term: Callable[[int], Term]
 ) -> Optional[tuple]:
     parts: list = [row.get(name) for name in shared]
     for expression in keys:
         try:
-            parts.append(_eval_expression(expression, row, terms))
+            parts.append(_eval_expression(expression, row, term))
         except _ExprError:
             # The equality this key came from can never be true here.
             return None
@@ -284,7 +357,6 @@ def _join_key(
 
 def _eval_filter(node: Filter, active: tuple[GraphName, ...], run: _Run) -> list[Row]:
     inner = node.pattern
-    terms = run.terms
     if isinstance(inner, Join):
         conjuncts = _split_and(node.expression)
         left_scope = pattern_variables(inner.left)
@@ -313,10 +385,20 @@ def _eval_filter(node: Filter, active: tuple[GraphName, ...], run: _Run) -> list
             right = _eval_pattern(inner.right, active, run)
             shared = sorted(left_scope & right_scope)
             joined = _hash_join(left, right, shared, run, tuple(left_keys), tuple(right_keys))
-            return [row for row in run.checked(joined) if all(_truth(c, row, terms) for c in rest)]
+            return _kept(joined, rest, run)
 
-    rows = _eval_pattern(inner, active, run)
-    return [row for row in run.checked(rows) if _truth(node.expression, row, terms)]
+    return _kept(_eval_pattern(inner, active, run), [node.expression], run)
+
+
+def _kept(rows: list[Row], conditions: list[Expression], run: _Run) -> list[Row]:
+    """The rows on which every condition is true."""
+    out = []
+    for n, row in enumerate(rows):
+        if not n & _CHECK_MASK:
+            run.check()
+        if all(_truth(condition, row, run.term) for condition in conditions):
+            out.append(row)
+    return out
 
 
 def _split_and(expression: Expression) -> list[Expression]:
@@ -333,24 +415,24 @@ def _is_keyable(expression: Expression) -> bool:
 # -- expressions -------------------------------------------------------------
 
 
-def _truth(expression: Expression, row: Row, terms: list[Term]) -> bool:
+def _truth(expression: Expression, row: Row, term: Callable[[int], Term]) -> bool:
     try:
-        return _effective_boolean(_eval_expression(expression, row, terms))
+        return _effective_boolean(_eval_expression(expression, row, term))
     except _ExprError:
         return False
 
 
-def _eval_expression(expression: Expression, row: Row, terms: list[Term]):
-    """Value of expression on row, whose ids are decoded through terms."""
+def _eval_expression(expression: Expression, row: Row, term: Callable[[int], Term]):
+    """Value of expression on row, whose ids are decoded by term."""
     if isinstance(expression, Variable):
         value = row.get(expression.name)
         if value is None:
             raise _ExprError("unbound variable")
-        return terms[value]
+        return term(value)
     if isinstance(expression, Constant):
         return expression.value
     if isinstance(expression, DateFunc):
-        value = _eval_expression(expression.argument, row, terms)
+        value = _eval_expression(expression.argument, row, term)
         if not isinstance(value, Literal) or value.datatype != XSD_DATETIME:
             raise _ExprError(f"{expression.component}() needs an xsd:dateTime")
         try:
@@ -360,12 +442,12 @@ def _eval_expression(expression: Expression, row: Row, terms: list[Term]):
         return getattr(instant, expression.component)
     if isinstance(expression, Equals):
         return _equals(
-            _eval_expression(expression.left, row, terms),
-            _eval_expression(expression.right, row, terms),
+            _eval_expression(expression.left, row, term),
+            _eval_expression(expression.right, row, term),
         )
     if isinstance(expression, And):
-        left = _try_bool(expression.left, row, terms)
-        right = _try_bool(expression.right, row, terms)
+        left = _try_bool(expression.left, row, term)
+        right = _try_bool(expression.right, row, term)
         # SPARQL logical-and: false wins over an error on the other side.
         if left is False or right is False:
             return False
@@ -375,9 +457,9 @@ def _eval_expression(expression: Expression, row: Row, terms: list[Term]):
     raise _ExprError(f"unknown expression {expression!r}")
 
 
-def _try_bool(expression: Expression, row: Row, terms: list[Term]) -> Optional[bool]:
+def _try_bool(expression: Expression, row: Row, term: Callable[[int], Term]) -> Optional[bool]:
     try:
-        return _effective_boolean(_eval_expression(expression, row, terms))
+        return _effective_boolean(_eval_expression(expression, row, term))
     except _ExprError:
         return None
 
@@ -466,6 +548,6 @@ def builtin_day(literal: Literal) -> int:
 
 def _date_component(literal: Literal, component: str) -> int:
     try:
-        return _eval_expression(DateFunc(component, Constant(literal)), {}, [])
+        return _eval_expression(DateFunc(component, Constant(literal)), {}, lambda term_id: None)
     except _ExprError as exc:
         raise EvaluationError(str(exc))

@@ -5,6 +5,11 @@ Terms are immutable and hashable. A quad's graph is either an ``Iri``
 string identity; no normalization is applied beyond RFC 3986 reference
 resolution, so identifiers such as ``GHCND:GME00102404`` survive inside
 path segments untouched.
+
+Each term has one canonical text, ``term_key``: ``<iri>``,
+``"lexical"^^<datatype>`` or ``_:label``. Equal terms have equal texts,
+texts sort in the canonical order, and ``decode_term`` turns a text back
+into its term.
 """
 
 from __future__ import annotations
@@ -35,17 +40,29 @@ class Iri:
     value: str
 
     def __post_init__(self) -> None:
-        if not _SCHEME_RE.match(self.value):
-            raise IriError(f"IRI is not absolute (missing scheme): {self.value!r}")
-        bad = _BAD_IRI_CHARS.search(self.value)
-        if bad:
-            raise IriError(
-                f"IRI contains forbidden character {bad.group()!r} "
-                f"at offset {bad.start()}: {self.value!r}"
-            )
+        check_iri(self.value)
 
     def __str__(self) -> str:
         return self.value
+
+
+def check_iri(value: str) -> str:
+    """Return value once it is checked to be an absolute IRI; raise IriError if not."""
+    if not _SCHEME_RE.match(value):
+        raise IriError(f"IRI is not absolute (missing scheme): {value!r}")
+    bad = _BAD_IRI_CHARS.search(value)
+    if bad:
+        raise IriError(
+            f"IRI contains forbidden character {bad.group()!r} at offset {bad.start()}: {value!r}"
+        )
+    return value
+
+
+def _checked_iri(value: str) -> Iri:
+    """An Iri of a value that has passed ``check_iri``, built without checking it again."""
+    iri = object.__new__(Iri)
+    object.__setattr__(iri, "value", value)
+    return iri
 
 
 XSD_STRING = Iri(_XSD + "string")
@@ -96,6 +113,12 @@ def resolve_iri(base: Iri, reference: str) -> Iri:
     An absolute reference wins unchanged; anything containing characters
     illegal in an IRI raises with the offending offset.
     """
+    return _checked_iri(resolve_reference(base.value, reference))
+
+
+def resolve_reference(base: str, reference: str) -> str:
+    """``resolve_iri`` on IRI values: the value of the IRI that reference
+    denotes against the absolute IRI base."""
     bad = _BAD_IRI_CHARS.search(reference)
     if bad:
         raise IriError(
@@ -103,19 +126,16 @@ def resolve_iri(base: Iri, reference: str) -> Iri:
             f"at offset {bad.start()}: {reference!r}"
         )
     if _SCHEME_RE.match(reference):
-        # Both checks Iri() makes have just passed.
-        iri = object.__new__(Iri)
-        object.__setattr__(iri, "value", reference)
-        return iri
-    scheme = urlsplit(base.value).scheme
+        return reference
+    scheme = urlsplit(base).scheme
     if scheme in ("http", "https", "ftp", "file", ""):
-        return Iri(urljoin(base.value, reference))
+        return check_iri(urljoin(base, reference))
     # urljoin refuses relative resolution for unregistered schemes; fall
     # back to naive merge against the base's last slash.
     if reference.startswith("//"):
-        return Iri(scheme + ":" + reference)
-    head, _, _ = base.value.rpartition("/")
-    return Iri(head + "/" + reference if head else base.value + reference)
+        return check_iri(scheme + ":" + reference)
+    head, _, _ = base.rpartition("/")
+    return check_iri(head + "/" + reference if head else base + reference)
 
 
 # -- literal helpers ---------------------------------------------------------
@@ -144,6 +164,15 @@ def parse_datetime(lexical: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
+def finite_decimal(text: str) -> Decimal:
+    """The number that text spells. NaN and Infinity, which are outside
+    xsd:decimal's value space, raise InvalidOperation as a non-number does."""
+    value = Decimal(text)
+    if not value.is_finite():
+        raise InvalidOperation(f"not a finite number: {text!r}")
+    return value
+
+
 def decimal_literal(value: Decimal) -> Literal:
     return Literal(format(value, "f"), XSD_DECIMAL)
 
@@ -161,12 +190,36 @@ def parse_numeric(literal: Literal) -> Decimal:
 
 
 def term_key(term: Term) -> str:
-    """Canonical, total encoding used for deterministic ordering."""
-    if isinstance(term, Literal):
-        return f'"{term.lexical}"^^<{term.datatype.value}>'
+    """The term's canonical text: a total encoding that orders terms
+    deterministically and that ``decode_term`` inverts."""
     if isinstance(term, Iri):
         return f"<{term.value}>"
+    if isinstance(term, Literal):
+        return f'"{term.lexical}"^^<{term.datatype.value}>'
     return f"_:{term.label}"
+
+
+def literal_parts(text: str) -> tuple[str, str]:
+    """The lexical form and the datatype IRI's value of a literal's canonical text."""
+    # A datatype IRI holds no '"', so the last '"^^<' ends the lexical form.
+    end = text.rindex('"^^<')
+    return text[1:end], text[end + 4 : -1]
+
+
+@lru_cache(maxsize=1024)
+def _datatype(value: str) -> Iri:
+    return _checked_iri(value)
+
+
+def decode_term(text: str) -> Term:
+    """The term whose canonical text (``term_key``) is text. The text must
+    be one that ``term_key`` gave, so its IRIs are not checked again."""
+    if text[0] == "<":
+        return _checked_iri(text[1:-1])
+    if text[0] == '"':
+        lexical, datatype = literal_parts(text)
+        return Literal(lexical, _datatype(datatype))
+    return BlankNode(text[2:])
 
 
 def quad_key(quad: Quad) -> tuple[str, str, str, str]:

@@ -13,16 +13,18 @@ first) and writes one subject block at a time to a text handle;
 
 Parsing is one pass over the matches of one compiled regular expression,
 in which each RDF term is one token, a typed literal together with its
-datatype. Within a document each distinct raw token text is resolved,
-validated, built and interned to a term id once, until the next
-directive, and the grammar emits ``(s, p, o)`` id triples.
-``load_turtle`` interns straight into a ``Dataset``'s term dictionary and
-inserts the id triples once the whole text has parsed, labelling its
-blank nodes apart from those the dataset already holds;
+datatype. Within a document each distinct raw token text is resolved and
+validated to the term's canonical text (``<iri>``,
+``"lexical"^^<datatype>`` or ``_:label``) and interned to a term id once,
+until the next directive; no ``Term`` object is built, and an absolute
+IRI reference is its own canonical text. The grammar emits ``(s, p, o)``
+id triples. ``load_turtle`` interns straight into a ``Dataset``'s term
+dictionary and inserts the id triples once the whole text has parsed,
+labelling its blank nodes apart from those the dataset already holds;
 ``parse_turtle`` runs the same parser over a dictionary of its own and
-maps the ids back to terms. Line and column are computed from a token's
-offset only when an error is raised. A lexical error anywhere in the
-text is reported before a grammar error earlier in it.
+decodes each id's text to a term once. Line and column are computed
+from a token's offset only when an error is raised. A lexical error
+anywhere in the text is reported before a grammar error earlier in it.
 """
 
 from __future__ import annotations
@@ -32,16 +34,15 @@ import re
 import string
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Optional, TextIO
+from typing import Optional, TextIO
 
 from .dataset import Dataset, IdTriple, TermIds
 from .errors import EnergyKgError
 from .namespaces import RDF_TYPE
 from .terms import (
-    BlankNode,
     GraphName,
     Iri,
-    Literal,
+    PrefixError,
     PrefixMap,
     Term,
     XSD_BOOLEAN,
@@ -49,7 +50,11 @@ from .terms import (
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_STRING,
-    resolve_iri,
+    check_iri,
+    decode_term,
+    literal_parts,
+    resolve_reference,
+    term_key,
 )
 
 
@@ -68,34 +73,35 @@ _ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\
 
 
 class _Rendered(dict):
-    """Term id to the term's Turtle text, rendered on first lookup.
+    """Term id to the term's Turtle text, rendered from its canonical text
+    on first lookup.
 
     An IRI is compacted against the namespaces longest first, so the
     first one that leaves a safe local part is the longest such; among
     namespaces of equal length the earlier bound wins.
     """
 
-    def __init__(self, terms: list[Term], prefixes: PrefixMap) -> None:
+    def __init__(self, texts: list[str], prefixes: PrefixMap) -> None:
         super().__init__()
-        self._terms = terms
+        self._texts = texts
         namespaces = [(label, ns.value) for label, ns in prefixes.namespaces().items()]
         self._namespaces = sorted(namespaces, key=lambda entry: -len(entry[1]))
 
     def __missing__(self, term_id: int) -> str:
-        term = self._terms[term_id]
-        if isinstance(term, Iri):
-            text = self._compact(term)
-        elif isinstance(term, BlankNode):
-            text = f"_:{term.label}"
+        text = self._texts[term_id]
+        if text[0] == "<":
+            rendered = self._compact(text[1:-1])
+        elif text[0] == "_":
+            rendered = text
         else:
-            text = f'"{term.lexical.translate(_ESCAPES)}"'
-            if term.datatype != XSD_STRING:
-                text = f"{text}^^{self._compact(term.datatype)}"
-        self[term_id] = text
-        return text
+            lexical, datatype = literal_parts(text)
+            rendered = f'"{lexical.translate(_ESCAPES)}"'
+            if datatype != XSD_STRING.value:
+                rendered = f"{rendered}^^{self._compact(datatype)}"
+        self[term_id] = rendered
+        return rendered
 
-    def _compact(self, iri: Iri) -> str:
-        value = iri.value
+    def _compact(self, value: str) -> str:
         # A safe local part lies within the IRI's tail of local-name characters.
         tail = len(value.rstrip(_LOCAL_CHARS))
         for label, namespace in self._namespaces:
@@ -126,16 +132,17 @@ def write_turtle(handle: TextIO, ds: Dataset, graph: GraphName, prefixes: Prefix
         return
     handle.write("".join(head))
 
-    terms = ds.terms()
+    texts = ds.texts()
     ranks = ds.ranks()
-    predicates = sorted({p for _, p, _ in triples}, key=lambda p: terms[p].value)
+    # By IRI, which is not the order of the "<iri>" texts: "<a>" sorts after "<a!>".
+    predicates = sorted({p for _, p, _ in triples}, key=lambda p: texts[p][1:-1])
     order = {p: i for i, p in enumerate(predicates)}
     # By (subject rank, predicate order, object rank), packed into one int.
     width, count = len(order), len(ranks)
     triples = sorted(
         triples, key=lambda t: (ranks[t[0]] * width + order[t[1]]) * count + ranks[t[2]]
     )
-    text = _Rendered(terms, prefixes)
+    text = _Rendered(texts, prefixes)
     type_id = ds.id_of(RDF_TYPE)
     for s, subject_triples in groupby(triples, itemgetter(0)):
         verbs = []
@@ -207,15 +214,22 @@ _OBJECT_KINDS = frozenset({"iriref", "pname", "bnode", "string", "number", "bool
 # Parser states: what the next token may be.
 _SUBJECT, _PREDICATE, _OBJECT, _AFTER_OBJECT, _AFTER_SEMICOLON = range(5)
 
+_RDF_TYPE_TEXT = term_key(RDF_TYPE)
+# What follows a shorthand literal's lexical form in its canonical text.
+_TYPED = {
+    datatype: f'"^^<{datatype.value}>'
+    for datatype in (XSD_STRING, XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_BOOLEAN)
+}
+
 
 class _Parser:
     """Parses Turtle text into id triples, one token at a time.
 
-    ``intern`` maps a term to its id, and ``held`` gives the id of a term
-    the target dictionary already holds, or None. Each distinct raw token text is
-    resolved, validated, built and interned once, and its id kept in a memo
-    that every directive empties, since a directive may change what a
-    relative IRI or prefixed name denotes. ``triples`` holds the
+    ``ids`` is the target term dictionary, from canonical text to id. Each
+    distinct raw token text is resolved and validated to its canonical text
+    and interned once, and its id kept in a memo that every directive
+    empties, since a directive may change what a relative IRI or prefixed
+    name denotes. ``triples`` holds the
     ``(s, p, o)`` ids in document order, duplicates included.
 
     A lexical error anywhere in the text is reported before a grammar
@@ -223,24 +237,20 @@ class _Parser:
     error lexes the rest of the text before it is raised.
     """
 
-    def __init__(
-        self,
-        text: str,
-        base: Optional[Iri],
-        intern: Callable[[Term], int],
-        held: Callable[[Term], Optional[int]],
-    ) -> None:
+    def __init__(self, text: str, base: Optional[Iri], ids: TermIds) -> None:
         self.text = text
         self.prefixes = PrefixMap(base=base)
         self.triples: list[IdTriple] = []
-        self._intern = intern
-        self._held = held
+        self._terms = ids
         self._tokens = _TOKENS(text)
-        self._bnodes: dict[str, BlankNode] = {}
+        # Prefix label -> namespace IRI.
+        self._namespaces: dict[str, str] = {}
+        # Blank node label -> canonical text.
+        self._bnodes: dict[str, str] = {}
         self._next_bnode = 0
-        # Raw token text -> term id, and datatype text -> Iri.
+        # Raw token text -> term id, and raw datatype text -> its canonical text.
         self._ids: dict[str, int] = {}
-        self._datatypes: dict[str, Iri] = {}
+        self._datatypes: dict[str, str] = {}
 
     # -- errors --------------------------------------------------------------
 
@@ -394,81 +404,91 @@ class _Parser:
 
     def _directive(self, directive: str) -> None:
         if directive == "@base":
-            self.prefixes.base = self._resolve(self._expect("iriref"))
+            self.prefixes.base = Iri(self._iri(self._expect("iriref")))
         else:
             token = self._expect("pname")
             pname = token.group("pname")
             label = pname.split(":", 1)[0]
             if pname != label + ":":
                 raise self._fail("prefix directive takes a bare label", token)
-            namespace = self._resolve(self._expect("iriref"))
+            namespace = self._iri(self._expect("iriref"))
             try:
-                self.prefixes.bind(label, namespace)
+                self.prefixes.bind(label, Iri(namespace))
             except EnergyKgError:
                 self._drain()
                 raise
+            self._namespaces[label] = namespace
         self._ids.clear()
         self._datatypes.clear()
         self._expect("dot")
 
     def _term_id(self, token: re.Match, kind: str, raw: str) -> int:
-        """Build and intern the term of a raw text the memo lacks."""
-        if kind == "iriref" or kind == "pname":
-            term: Term = self._resolve(token, kind)
+        """Resolve and intern the canonical text of a raw text the memo lacks."""
+        if kind == "iriref":
+            value = self._iri(token, kind)
+            # An absolute reference resolves to itself, and is its own text.
+            text = raw if value == raw[1:-1] else f"<{value}>"
+        elif kind == "pname":
+            text = f"<{self._iri(token, kind)}>"
         elif kind == "string":
-            term = self._literal(token)
+            text = self._literal(token)
         elif kind == "bnode":
             # Labels are scoped to the document: each label maps to a node
             # numbered in order of first use, skipping the numbers of nodes
             # the dictionary already holds from earlier documents.
-            term = self._bnodes.get(raw)
-            if term is None:
-                term = self._bnodes[raw] = self._fresh_bnode()
+            text = self._bnodes.get(raw)
+            if text is None:
+                text = self._bnodes[raw] = self._fresh_bnode()
         elif kind == "number":
             if "e" in raw or "E" in raw:
-                term = Literal(raw, XSD_DOUBLE)
+                text = '"' + raw + _TYPED[XSD_DOUBLE]
             elif "." in raw:
-                term = Literal(raw, XSD_DECIMAL)
+                text = '"' + raw + _TYPED[XSD_DECIMAL]
             else:
-                term = Literal(raw, XSD_INTEGER)
+                text = '"' + raw + _TYPED[XSD_INTEGER]
         elif kind == "boolean":
-            term = Literal(raw, XSD_BOOLEAN)
+            text = '"' + raw + _TYPED[XSD_BOOLEAN]
         else:  # "a"
-            term = RDF_TYPE
-        term_id = self._ids[raw] = self._intern(term)
+            text = _RDF_TYPE_TEXT
+        term_id = self._ids[raw] = self._terms[text]
         return term_id
 
-    def _fresh_bnode(self) -> BlankNode:
+    def _fresh_bnode(self) -> str:
         while True:
-            node = BlankNode(f"b{self._next_bnode}")
+            text = f"_:b{self._next_bnode}"
             self._next_bnode += 1
-            if self._held(node) is None:
-                return node
+            if text not in self._terms:
+                return text
 
-    def _literal(self, token: re.Match) -> Literal:
+    def _literal(self, token: re.Match) -> str:
+        """The canonical text of the string literal token."""
         lexical = self._value(token)
         if token.group("typed") is None:
-            return Literal(lexical, XSD_STRING)
+            return '"' + lexical + _TYPED[XSD_STRING]
         if token.group("datatype") is None:
             after = next(self._tokens)
             self._value(after)
             raise self._fail("expected datatype IRI after ^^", after)
-        text = token.group("datatype")
-        datatype = self._datatypes.get(text)
+        raw = token.group("datatype")
+        datatype = self._datatypes.get(raw)
         if datatype is None:
-            datatype = self._datatypes[text] = self._resolve(token, "datatype")
-        return Literal(lexical, datatype)
+            datatype = self._datatypes[raw] = f'"^^<{self._iri(token, "datatype")}>'
+        return '"' + lexical + datatype
 
-    def _resolve(self, token: re.Match, group: str = "iriref") -> Iri:
+    def _iri(self, token: re.Match, group: str = "iriref") -> str:
         """The IRI that the IRI reference or prefixed name in group denotes."""
         raw = token.group(group)
         try:
             if raw[0] != "<":
                 label, local = raw.split(":", 1)
-                return self.prefixes.expand(label, local)
+                namespace = self._namespaces.get(label)
+                if namespace is None:
+                    raise PrefixError(f"undefined prefix: {label!r}")
+                # A prefixed name's local part holds no character an IRI forbids.
+                return namespace + local
             if self.prefixes.base is None:
-                return Iri(raw[1:-1])
-            return resolve_iri(self.prefixes.base, raw[1:-1])
+                return check_iri(raw[1:-1])
+            return resolve_reference(self.prefixes.base.value, raw[1:-1])
         except EnergyKgError as exc:
             raise self._fail(str(exc), token, group) from None
 
@@ -482,9 +502,9 @@ def parse_turtle(
     are one shared object.
     """
     ids = TermIds()
-    parser = _Parser(text, base, ids.__getitem__, ids.get)
+    parser = _Parser(text, base, ids)
     parser.parse()
-    terms = list(ids)
+    terms = list(map(decode_term, ids.texts))
     return [(terms[s], terms[p], terms[o]) for s, p, o in parser.triples], parser.prefixes
 
 
@@ -495,8 +515,8 @@ def load_turtle(
     to the chosen graph, once the whole text has parsed; on an error the
     dataset is left as it was. Its blank nodes are labelled apart from
     those the dataset already holds."""
-    with ds.interning() as intern:
-        parser = _Parser(text, base, intern, ds.id_of)
+    with ds.interning() as ids:
+        parser = _Parser(text, base, ids)
         parser.parse()
     ds.add_ids(parser.triples, graph)
     return parser.prefixes

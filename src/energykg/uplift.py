@@ -15,7 +15,7 @@ import csv
 import io
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
 from enum import Enum
 from functools import cache, partial
 from typing import Iterable, Iterator, Optional, Sequence
@@ -38,6 +38,7 @@ from .terms import (
     Triple,
     datetime_literal,
     decimal_literal,
+    finite_decimal,
     parse_datetime,
 )
 
@@ -125,7 +126,7 @@ def read_energy_csv(text: str, counter_mode: CounterMode = CounterMode.CUMULATIV
                 columns[header[i]].append(None)
                 continue
             try:
-                columns[header[i]].append(Decimal(cell))
+                columns[header[i]].append(finite_decimal(cell))
             except InvalidOperation:
                 raise UpliftError(
                     f"row {row_number}: column {header[i]!r} has non-numeric value {cell!r}"
@@ -145,26 +146,29 @@ def to_daily(table: EnergyTable) -> EnergyTable:
     daily: dict[str, dict[datetime, Decimal]] = {}
     all_days: set[datetime] = set()
     for heading, values in table.columns.items():
-        series = [(day, v) for day, v in zip(day_of, values) if v is not None]
-        per_day: dict[datetime, Decimal] = {}
-        if table.counter_mode is CounterMode.CUMULATIVE:
-            last_by_day: dict[datetime, Decimal] = {}
-            previous: Optional[Decimal] = None
-            for day, value in series:
-                if previous is not None and value < previous:
-                    raise UpliftError(
-                        f"cumulative counter for {heading!r} decreased on "
-                        f"{day.date().isoformat()} (counter reset?)"
-                    )
-                previous = value
-                last_by_day[day] = value
-            for day, value in last_by_day.items():
-                before = day - _ONE_DAY
-                if before in last_by_day:
-                    per_day[day] = value - last_by_day[before]
-        else:
-            for day, value in series:
-                per_day[day] = per_day.get(day, Decimal(0)) + value
+        try:
+            series = [(day, v) for day, v in zip(day_of, values) if v is not None]
+            per_day: dict[datetime, Decimal] = {}
+            if table.counter_mode is CounterMode.CUMULATIVE:
+                last_by_day: dict[datetime, Decimal] = {}
+                previous: Optional[Decimal] = None
+                for day, value in series:
+                    if previous is not None and value < previous:
+                        raise UpliftError(
+                            f"cumulative counter for {heading!r} decreased on "
+                            f"{day.date().isoformat()} (counter reset?)"
+                        )
+                    previous = value
+                    last_by_day[day] = value
+                for day, value in last_by_day.items():
+                    before = day - _ONE_DAY
+                    if before in last_by_day:
+                        per_day[day] = value - last_by_day[before]
+            else:
+                for day, value in series:
+                    per_day[day] = per_day.get(day, Decimal(0)) + value
+        except Overflow:
+            raise UpliftError(f"a daily value for {heading!r} is out of range")
         daily[heading] = per_day
         all_days.update(per_day)
 

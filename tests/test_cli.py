@@ -217,6 +217,73 @@ def test_climate_malformed_date_exits_1(tmp_path):
     assert main(["climate", str(climate), "--out", str(tmp_path / "out")]) == 1
 
 
+# Each input spells a number outside xsd:decimal's value space, or one
+# whose scaled value overflows; each must be a typed error (exit 1), never
+# a traceback (exit 2) or a written "NaN"^^xsd:decimal.
+_NON_FINITE_INPUTS = [
+    ("uplift", "energy.csv", ENERGY_CSV.replace("112.5", "NaN"), [], "non-numeric value 'NaN'"),
+    ("uplift", "energy.csv", ENERGY_CSV.replace("112.5", "sNaN"), [], "non-numeric value 'sNaN'"),
+    ("uplift", "energy.csv", ENERGY_CSV.replace("57.5", "-Infinity"), [], "'-Infinity'"),
+    ("uplift", "energy.csv", ENERGY_CSV.replace("112.5", "NaN"), ["--resolution", "raw"], "'NaN'"),
+    (
+        "uplift",
+        "energy.csv",
+        "utc_timestamp,DE_KN_industrial1_pv_1\n"
+        "2016-05-01T01:00:00Z,9e999999\n2016-05-01T02:00:00Z,9e999999\n",
+        ["--counter-mode", "interval"],
+        "a daily value for 'DE_KN_industrial1_pv_1' is out of range",
+    ),
+    ("climate", "climate.csv", CLIMATE_CSV.replace("25.0", "NaN"), [], "row 3: non-numeric"),
+    ("climate", "climate.csv", CLIMATE_CSV.replace("25.0", "inf"), [], "row 3: non-numeric"),
+    (
+        "climate",
+        "climate.json",
+        '[{"station": "X", "date": "2016-05-01", "datatype": "TMAX", "value": NaN}]',
+        [],
+        "item 0: non-numeric",
+    ),
+    (
+        "climate",
+        "climate.json",
+        '[{"station": "X", "date": "2016-05-01", "datatype": "TMAX", "value": "Infinity"}]',
+        [],
+        "item 0: non-numeric",
+    ),
+    ("climate", "climate.csv", CLIMATE_CSV, ["--scale", "1e999999"], "row 2: value '22.3' times"),
+    (
+        "climate",
+        "climate.json",
+        '[{"station": "X", "date": "2016-05-01", "datatype": "TMAX", "value": 50}]',
+        ["--scale", "1e999999"],
+        "item 0: value '50' times scale",
+    ),
+    ("climate", "climate.csv", CLIMATE_CSV, ["--scale", "NaN"], "scale is not numeric"),
+    ("climate", "climate.csv", CLIMATE_CSV, ["--scale=-Infinity"], "scale is not numeric"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, text, options, message",
+    _NON_FINITE_INPUTS,
+    ids=[
+        "uplift_nan", "uplift_snan", "uplift_infinity", "uplift_raw_nan", "uplift_daily_overflow",
+        "climate_csv_nan",
+        "climate_csv_inf", "climate_json_nan", "climate_json_infinity", "climate_csv_overflow",
+        "climate_json_overflow", "scale_nan", "scale_infinity",
+    ],
+)
+def test_non_finite_or_overflowing_number_exits_1(
+    tmp_path, capsys, command, name, text, options, message
+):
+    source = tmp_path / name
+    source.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, str(source), "--out", str(out), *options]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_query_tsv_three_rows(store_files, config):
     output = cmd_query(store_files, str(DATA / "energy_tmax_join.rq"), config)
     lines = output.strip().split("\n")

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from energykg.dataset import ANY, Dataset, FrozenDatasetError
-from energykg.terms import Iri, Literal, Quad, quad_key
+from energykg.terms import BlankNode, Iri, Literal, Quad, decode_term, quad_key, term_key
 
 import querygen
 
@@ -181,3 +183,52 @@ def test_id_level_insert_is_blocked_after_freeze():
     with pytest.raises(FrozenDatasetError):
         with ds.interning():
             pass
+
+
+# -- canonical term text ---------------------------------------------------------
+
+# IRI characters, including the ones a literal's text uses as delimiters
+# that an IRI may hold.
+_iri_values = st.text(alphabet="abcXYZ019/#:._~%'()*+,;=@!$&-?\u00e9", max_size=12).map(
+    lambda tail: "http://e.example/" + tail
+)
+# Lexical forms that hold the delimiters of a literal's canonical text.
+_lexicals = st.one_of(
+    st.text(alphabet='ab"^<>\\\n\r\t _:\u00e9', max_size=10),
+    st.sampled_from(['', '"^^<', '"^^<http://e.example/dt>', 'x"^^<y>"^^<', '>', '"', '""']),
+)
+_datatypes = st.one_of(
+    st.sampled_from([
+        "http://www.w3.org/2001/XMLSchema#string",
+        "http://www.w3.org/2001/XMLSchema#decimal",
+    ]),
+    _iri_values,
+).map(Iri)
+_terms = st.one_of(
+    _iri_values.map(Iri),
+    st.builds(Literal, _lexicals, _datatypes),
+    st.text(alphabet="ab_01", min_size=1, max_size=4).map(BlankNode),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_terms)
+def test_canonical_text_decodes_to_an_equal_term(term):
+    decoded = decode_term(term_key(term))
+    assert decoded == term
+    assert type(decoded) is type(term)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_terms, min_size=1, max_size=40))
+def test_ranks_order_ids_as_term_keys_do(terms):
+    ds = Dataset()
+    predicate = Iri("http://e.example/p")
+    ds.add_triples((Iri("http://e.example/s"), predicate, term) for term in terms)
+    ds.freeze()
+    ranks = ds.ranks()
+    count = len(ds.terms())
+    assert sorted(ranks) == list(range(count))
+    by_rank = sorted(range(count), key=ranks.__getitem__)
+    assert by_rank == sorted(range(count), key=lambda i: term_key(ds.term(i)))
+    assert all(ds.term(ds.id_of(term)) == term for term in terms)

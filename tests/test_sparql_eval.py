@@ -233,6 +233,44 @@ def test_deadline_stops_evaluation(three_day_store, join_query_text):
     assert time.monotonic() - start < 1.0
 
 
+_BIG = 10_000
+
+
+@pytest.fixture()
+def counted_checks(monkeypatch):
+    calls = []
+    original = evaluator._Run.check
+
+    def counting(run):
+        calls.append(1)
+        original(run)
+
+    monkeypatch.setattr(evaluator._Run, "check", counting)
+    return calls
+
+
+def test_deadline_is_checked_while_one_row_scans_a_large_bucket(counted_checks):
+    # One row, one 10,000-triple bucket, and no triple whose subject is its object.
+    ds = Dataset([q(f"s{i}", "p", f"o{i}") for i in range(_BIG)]).freeze()
+    assert rows_of(ds, f"SELECT ?x WHERE {{ ?x <{EX}p> ?x }}") == []
+    assert len(counted_checks) >= _BIG // 256
+
+
+def test_deadline_is_checked_while_a_hash_join_probes(counted_checks):
+    run = evaluator._Run(Dataset().freeze(), frozenset(), None)
+    left = [{"a": i} for i in range(_BIG)]
+    assert evaluator._hash_join(left, [{"a": -1}], ["a"], run) == []
+    assert len(counted_checks) >= _BIG // 256
+
+
+def test_deadline_is_checked_while_a_filter_runs(counted_checks):
+    run = evaluator._Run(Dataset().freeze(), frozenset(), None)
+    rows = [{"a": i} for i in range(_BIG)]
+    never = parse_query("SELECT ?a WHERE { ?a ?b ?c FILTER (?unbound = ?a) }").pattern.expression
+    assert evaluator._kept(rows, [never], run) == []
+    assert len(counted_checks) >= _BIG // 256
+
+
 def test_constant_absent_from_store_gives_no_rows():
     ds = Dataset([q("s", "p", "o"), q("s", "p", Literal("x"))])
     for text in (

@@ -413,6 +413,37 @@ def test_load_matches_reference_parser(text):
     assert _load_outcome(text) == _reference_quads(text)
 
 
+# Literals whose lexical forms hold the delimiters of a term's canonical
+# text ('"^^<', '>', quotes), newlines or nothing, under custom datatypes,
+# and blank nodes: load_turtle and parse_turtle intern each term by that
+# text and decode it again, and must agree with the reference parser.
+_TURTLE_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
+_tricky_lexicals = st.one_of(
+    st.text(alphabet='ab"^<>\\\n\r _:\u00e9', max_size=8),
+    st.sampled_from(["", '"^^<', '"^^<http://example.org/dt>', 'x"^^<y>"^^<', ">", '""']),
+).map(lambda lexical: '"' + lexical.translate(_TURTLE_ESCAPES) + '"')
+_tricky_objects = st.one_of(
+    _tricky_lexicals,
+    st.tuples(
+        _tricky_lexicals,
+        st.sampled_from(["p:dt", "<http://example.org/dt>", "<dt>", "<http://example.org/a%3Eb>"]),
+    ).map(lambda parts: f"{parts[0]}^^{parts[1]}"),
+    st.sampled_from(["_:b", "_:c", "_:b0", "p:o"]),
+)
+_tricky_documents = st.lists(
+    st.tuples(st.sampled_from(["p:s", "_:b", "_:b1", "<rel>"]), _tricky_objects),
+    min_size=1,
+    max_size=6,
+).map(lambda statements: _HEADER + "".join(f"{s} p:v {o} .\n" for s, o in statements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tricky_documents)
+def test_term_texts_parse_and_load_like_reference_parser(text):
+    assert _outcome(parse_turtle, text) == _outcome(naive_turtle.parse_turtle, text)
+    assert _load_outcome(text) == _reference_quads(text)
+
+
 # A line of "#"s or a "# # #" comment after a literal: the lexer must give
 # up on a "^^" after it without trying every split of the comment, which
 # would take hours at 40 "#"s.
