@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
 from datetime import date
 from decimal import Decimal
 from enum import Enum
@@ -24,6 +23,7 @@ from .dataset import ANY, Dataset
 from .errors import EnergyKgError
 from .headings import DeviceHeading, parse_heading
 from .namespaces import DEFAULT_BASE, ca_property, cossmic_graph
+from .record import Frozen, Record, set_field
 from .sparql import evaluate, parse_query
 from .terms import Iri, Literal, parse_datetime, parse_numeric
 
@@ -36,12 +36,20 @@ class UndefinedCorrelationError(AnalysisError):
     """Zero variance on one side; the coefficient does not exist."""
 
 
-@dataclass(frozen=True)
-class AlignedSeries:
-    device: DeviceHeading
-    climate_code: str
-    pairs: tuple[tuple[date, Decimal, Decimal], ...]
-    auxiliary: dict[str, tuple[Optional[Decimal], ...]] = field(default_factory=dict)
+class AlignedSeries(Frozen):
+    _fields = ("device", "climate_code", "pairs", "auxiliary")
+
+    def __init__(
+        self,
+        device: DeviceHeading,
+        climate_code: str,
+        pairs: tuple[tuple[date, Decimal, Decimal], ...],
+        auxiliary: Optional[dict[str, tuple[Optional[Decimal], ...]]] = None,
+    ) -> None:
+        set_field(self, "device", device)
+        set_field(self, "climate_code", climate_code)
+        set_field(self, "pairs", pairs)
+        set_field(self, "auxiliary", {} if auxiliary is None else auxiliary)
 
     def energy(self) -> list[float]:
         return [float(v) for _, v, _ in self.pairs]
@@ -60,10 +68,12 @@ class CategoryKind(str, Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class DeviceCategory:
-    kind: CategoryKind
-    label: Optional[str] = None
+class DeviceCategory(Frozen):
+    _fields = ("kind", "label")
+
+    def __init__(self, kind: CategoryKind, label: Optional[str] = None) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "label", label)
 
 
 def categorize(heading: DeviceHeading) -> DeviceCategory:
@@ -251,21 +261,32 @@ def _as_literal(term) -> Literal:
 # -- reports -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrelationEntry:
-    device: str
-    climate_code: str
-    pcc: float
-    n: int
+class CorrelationEntry(Frozen):
+    _fields = ("device", "climate_code", "pcc", "n")
+
+    def __init__(self, device: str, climate_code: str, pcc: float, n: int) -> None:
+        set_field(self, "device", device)
+        set_field(self, "climate_code", climate_code)
+        set_field(self, "pcc", pcc)
+        set_field(self, "n", n)
 
 
-@dataclass
-class CorrelationReport:
-    climate_code: str
-    threshold: float
-    entries: list[CorrelationEntry]
-    warnings: list[str]
-    category_stats: dict[str, dict[str, float]]
+class CorrelationReport(Record):
+    _fields = ("climate_code", "threshold", "entries", "warnings", "category_stats")
+
+    def __init__(
+        self,
+        climate_code: str,
+        threshold: float,
+        entries: list[CorrelationEntry],
+        warnings: list[str],
+        category_stats: dict[str, dict[str, float]],
+    ) -> None:
+        self.climate_code = climate_code
+        self.threshold = threshold
+        self.entries = entries
+        self.warnings = warnings
+        self.category_stats = category_stats
 
 
 def _quartiles(values: list[float]) -> dict[str, float]:

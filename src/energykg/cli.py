@@ -7,6 +7,10 @@ or configuration error, 2 internal failure.
 
 Each subcommand imports the modules that only it uses when it runs, so
 a process loads no query engine, analysis or HTTP server it never calls.
+No module builds dataclasses at run time: every run compiles the package
+from source, and each ``@dataclass`` would ``exec``-compile its methods
+again (``record.py`` holds the bases that replace them). ``traceback`` is
+imported only on the exit-2 path.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import gc
 import os
 import re
 import sys
-import traceback
 from contextlib import contextmanager, suppress
 from typing import Iterator, Optional, Sequence, TextIO
 
@@ -333,6 +336,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 2
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation, Overflow
 from functools import cache, partial
@@ -32,11 +31,14 @@ from .namespaces import (
     observation_resource,
     station_resource,
 )
+from .record import Frozen, set_field
 from .terms import (
     GraphName,
     Iri,
+    LiteralError,
     Quad,
     Triple,
+    check_decimal,
     datetime_literal,
     decimal_literal,
     finite_decimal,
@@ -47,12 +49,14 @@ class ClimateError(EnergyKgError):
     """Malformed observation input."""
 
 
-@dataclass(frozen=True)
-class ClimateObservation:
-    station_id: str
-    date: datetime
-    datatype: str
-    value: Decimal
+class ClimateObservation(Frozen):
+    _fields = ("station_id", "date", "datatype", "value")
+
+    def __init__(self, station_id: str, date: datetime, datatype: str, value: Decimal) -> None:
+        set_field(self, "station_id", station_id)
+        set_field(self, "date", date)
+        set_field(self, "datatype", datatype)
+        set_field(self, "value", value)
 
 
 _CSV_HEADER = ["station", "date", "datatype", "value"]
@@ -76,9 +80,11 @@ def _scaled(value_text: str, scale: Decimal, where: str) -> Decimal:
     except InvalidOperation:
         raise ClimateError(f"{where}: non-numeric value {value_text!r}")
     try:
-        return value * scale
+        return check_decimal(value * scale)
     except Overflow:
         raise ClimateError(f"{where}: value {value_text!r} times scale {scale} is out of range")
+    except LiteralError as exc:
+        raise ClimateError(f"{where}: {exc}")
 
 
 def _check_duplicates(observations: Sequence[ClimateObservation]) -> None:

@@ -7,12 +7,12 @@ command-line flags.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
 from typing import Mapping, Optional
 
 from .errors import EnergyKgError
 from .namespaces import DEFAULT_BASE, cossmic_graph, device_resource, station_resource
+from .record import Record
 from .terms import Iri, IriError, finite_decimal
 
 ENV_PREFIX = "HECP_"
@@ -22,21 +22,56 @@ class ConfigError(EnergyKgError):
     """Invalid configuration value or file."""
 
 
-@dataclass
-class PipelineConfig:
-    base: str = DEFAULT_BASE.value
-    station: str = "GHCND:GME00102404"
-    graph: str = ""  # empty means <base>graph/cossmic
-    network: str = "DE_KN_COSSMIC"  # used when a CSV has no headings
-    counter_mode: str = "cumulative"
-    resolution: str = "daily"
-    out: str = "out"
-    threshold: float = 0.7
-    datatype: str = "TMAX"
-    scale: str = "1"
-    bind: str = "127.0.0.1:8080"
-    format: str = "tsv"
-    min_samples: int = 2
+# Each setting's name and type, in the order PipelineConfig takes them.
+_FIELD_TYPES = {
+    "base": str,
+    "station": str,
+    "graph": str,
+    "network": str,
+    "counter_mode": str,
+    "resolution": str,
+    "out": str,
+    "threshold": float,
+    "datatype": str,
+    "scale": str,
+    "bind": str,
+    "format": str,
+    "min_samples": int,
+}
+
+
+class PipelineConfig(Record):
+    _fields = tuple(_FIELD_TYPES)
+
+    def __init__(
+        self,
+        base: str = DEFAULT_BASE.value,
+        station: str = "GHCND:GME00102404",
+        graph: str = "",  # empty means <base>graph/cossmic
+        network: str = "DE_KN_COSSMIC",  # used when a CSV has no headings
+        counter_mode: str = "cumulative",
+        resolution: str = "daily",
+        out: str = "out",
+        threshold: float = 0.7,
+        datatype: str = "TMAX",
+        scale: str = "1",
+        bind: str = "127.0.0.1:8080",
+        format: str = "tsv",
+        min_samples: int = 2,
+    ) -> None:
+        self.base = base
+        self.station = station
+        self.graph = graph
+        self.network = network
+        self.counter_mode = counter_mode
+        self.resolution = resolution
+        self.out = out
+        self.threshold = threshold
+        self.datatype = datatype
+        self.scale = scale
+        self.bind = bind
+        self.format = format
+        self.min_samples = min_samples
 
     def validate(self) -> "PipelineConfig":
         try:
@@ -98,9 +133,6 @@ class PipelineConfig:
         return host, port
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
-
-
 def parse_config_file(text: str, path: str = "<config>") -> dict[str, str]:
     values: dict[str, str] = {}
     for number, raw_line in enumerate(text.splitlines(), start=1):
@@ -120,13 +152,9 @@ def parse_config_file(text: str, path: str = "<config>") -> dict[str, str]:
 def _coerce(key: str, value: str):
     kind = _FIELD_TYPES[key]
     try:
-        if kind in ("float", float):
-            return float(value)
-        if kind in ("int", int):
-            return int(value)
+        return kind(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return value
 
 
 def load_config(

@@ -16,7 +16,9 @@ Id triples enter a graph through one insert, ``add_ids``.
 ``add_triples`` streams into it, interning each term as it is read.
 ``load_turtle`` parses a whole Turtle document straight into canonical
 texts and ids inside ``interning()``, which drops the terms a failed
-block added, and inserts them once the document has parsed.
+block added, and inserts them once the document has parsed; it interns
+each new text with the dictionary's ``setdefault`` rather than a lookup
+that calls ``TermIds.__missing__``.
 
 A Dataset is built single-threaded, then frozen; a frozen dataset is a
 snapshot that any number of readers may share. Its only writes are to
@@ -49,7 +51,10 @@ IdTriple = tuple[int, int, int]
 class TermIds(dict):
     """Canonical term text to id; looking up a new text gives it the next
     free id. Called with a term, it does the same for the term's text.
-    ``texts`` lists the texts by id."""
+    ``texts`` lists the texts by id, so a new text's id is ``len(texts)``:
+    a bulk reader (the Turtle parser) interns with ``setdefault(text,
+    len(texts))`` and appends the text when it got that id, which skips
+    the Python-level ``__missing__`` call."""
 
     def __init__(self) -> None:
         super().__init__()

@@ -23,25 +23,30 @@ from __future__ import annotations
 
 import threading
 import time
-import traceback
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
 from .dataset import Dataset
 from .errors import EnergyKgError
+from .record import Record
 from .sparql import QueryTimeout, evaluate, parse_query, to_results_json
 
 
-@dataclass
-class EndpointConfig:
-    host: str = "127.0.0.1"
-    port: int = 8080
-    max_query_bytes: int = 262144
-    timeout_seconds: float = 30.0
+class EndpointConfig(Record):
+    _fields = ("host", "port", "max_query_bytes", "timeout_seconds")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 8080,
+        max_query_bytes: int = 262144,
+        timeout_seconds: float = 30.0,
+    ) -> None:
+        self.host = host
+        self.port = port
+        self.max_query_bytes = max_query_bytes
+        self.timeout_seconds = timeout_seconds
         if not (0 <= self.port <= 65535):
             raise EnergyKgError(f"port out of range: {self.port}")
         if self.timeout_seconds <= 0:
@@ -134,6 +139,8 @@ def _make_handler(ds: Dataset, config: EndpointConfig):
                 self._reply_text(400, str(exc))
                 return
             except Exception:
+                import traceback
+
                 traceback.print_exc()
                 self._reply_text(500, "internal server error", close=True)
                 return

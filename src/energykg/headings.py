@@ -8,11 +8,11 @@ All functions are pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .errors import EnergyKgError
+from .record import Frozen, set_field
 
 
 class HeadingError(EnergyKgError):
@@ -37,15 +37,28 @@ _CODE_RE = re.compile(r"^[A-Za-z]{2}$")
 _SEGMENT_RE = re.compile(r"^[a-z][a-z0-9]*$")
 
 
-@dataclass(frozen=True)
-class DeviceHeading:
-    raw: str
-    country: str
-    city: str
-    site_kind: SiteKind
-    site_index: int
-    device_segments: tuple[str, ...]
-    instance_index: Optional[int] = None
+class DeviceHeading(Frozen):
+    _fields = (
+        "raw", "country", "city", "site_kind", "site_index", "device_segments", "instance_index",
+    )
+
+    def __init__(
+        self,
+        raw: str,
+        country: str,
+        city: str,
+        site_kind: SiteKind,
+        site_index: int,
+        device_segments: tuple[str, ...],
+        instance_index: Optional[int] = None,
+    ) -> None:
+        set_field(self, "raw", raw)
+        set_field(self, "country", country)
+        set_field(self, "city", city)
+        set_field(self, "site_kind", site_kind)
+        set_field(self, "site_index", site_index)
+        set_field(self, "device_segments", device_segments)
+        set_field(self, "instance_index", instance_index)
 
     @property
     def site_name(self) -> str:

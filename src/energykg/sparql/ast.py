@@ -7,27 +7,31 @@ evaluator lowers them to triple patterns with fresh variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from ..record import Frozen, Record, set_field
 from ..terms import Iri, Literal, PrefixMap, Term
 
 # The alias some engines use for the store's default graph.
 DEFAULT_GRAPH_ALIAS = "urn:x-arq:DefaultGraph"
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
-    name: str
+class Variable(Frozen):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        set_field(self, "name", name)
 
     def __str__(self) -> str:
         return f"?{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
-class SequencePath:
-    left: "PathExpr"
-    right: "PathExpr"
+class SequencePath(Frozen):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: "PathExpr", right: "PathExpr") -> None:
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
 PathExpr = Union[Iri, SequencePath]
@@ -35,37 +39,53 @@ PathExpr = Union[Iri, SequencePath]
 PatternTerm = Union[Term, Variable]
 
 
-@dataclass(frozen=True, slots=True)
-class TriplePattern:
-    subject: PatternTerm
-    predicate: Union[Iri, Variable, SequencePath]
-    object: PatternTerm
+class TriplePattern(Frozen):
+    __slots__ = _fields = ("subject", "predicate", "object")
+
+    def __init__(
+        self,
+        subject: PatternTerm,
+        predicate: Union[Iri, Variable, SequencePath],
+        object: PatternTerm,
+    ) -> None:
+        set_field(self, "subject", subject)
+        set_field(self, "predicate", predicate)
+        set_field(self, "object", object)
 
 
 # -- expressions -------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Constant:
-    value: Union[Literal, Iri]
+class Constant(Frozen):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Union[Literal, Iri]) -> None:
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
-class Equals:
-    left: "Expression"
-    right: "Expression"
+class Equals(Frozen):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: "Expression", right: "Expression") -> None:
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "Expression"
-    right: "Expression"
+class And(Frozen):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: "Expression", right: "Expression") -> None:
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
-class DateFunc:
-    component: str  # "year" | "month" | "day"
-    argument: "Expression"
+class DateFunc(Frozen):
+    __slots__ = _fields = ("component", "argument")
+
+    # component: "year" | "month" | "day"
+    def __init__(self, component: str, argument: "Expression") -> None:
+        set_field(self, "component", component)
+        set_field(self, "argument", argument)
 
 
 Expression = Union[Variable, Constant, Equals, And, DateFunc]
@@ -74,27 +94,35 @@ Expression = Union[Variable, Constant, Equals, And, DateFunc]
 # -- graph patterns ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BGP:
-    patterns: tuple[TriplePattern, ...]
+class BGP(Frozen):
+    _fields = ("patterns",)
+
+    def __init__(self, patterns: tuple[TriplePattern, ...]) -> None:
+        set_field(self, "patterns", patterns)
 
 
-@dataclass(frozen=True)
-class Graph:
-    name: Iri
-    pattern: "GraphPattern"
+class Graph(Frozen):
+    _fields = ("name", "pattern")
+
+    def __init__(self, name: Iri, pattern: "GraphPattern") -> None:
+        set_field(self, "name", name)
+        set_field(self, "pattern", pattern)
 
 
-@dataclass(frozen=True)
-class Filter:
-    expression: Expression
-    pattern: "GraphPattern"
+class Filter(Frozen):
+    _fields = ("expression", "pattern")
+
+    def __init__(self, expression: Expression, pattern: "GraphPattern") -> None:
+        set_field(self, "expression", expression)
+        set_field(self, "pattern", pattern)
 
 
-@dataclass(frozen=True)
-class Join:
-    left: "GraphPattern"
-    right: "GraphPattern"
+class Join(Frozen):
+    _fields = ("left", "right")
+
+    def __init__(self, left: "GraphPattern", right: "GraphPattern") -> None:
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
 GraphPattern = Union[BGP, Graph, Filter, Join]
@@ -126,28 +154,42 @@ def expression_variables(expression: Expression) -> frozenset[str]:
     return expression_variables(expression.left) | expression_variables(expression.right)
 
 
-@dataclass(frozen=True)
-class DatasetClause:
-    named: bool
-    graph: Iri
+class DatasetClause(Frozen):
+    _fields = ("named", "graph")
+
+    def __init__(self, named: bool, graph: Iri) -> None:
+        set_field(self, "named", named)
+        set_field(self, "graph", graph)
 
 
-@dataclass(frozen=True)
-class SelectQuery:
-    projection: tuple[Variable, ...]
-    pattern: GraphPattern
-    base: Optional[Iri] = None
-    prefixes: PrefixMap = field(default_factory=PrefixMap)
-    dataset_clauses: tuple[DatasetClause, ...] = ()
-    limit: Optional[int] = None
+class SelectQuery(Frozen):
+    _fields = ("projection", "pattern", "base", "prefixes", "dataset_clauses", "limit")
+
+    def __init__(
+        self,
+        projection: tuple[Variable, ...],
+        pattern: GraphPattern,
+        base: Optional[Iri] = None,
+        prefixes: Optional[PrefixMap] = None,
+        dataset_clauses: tuple[DatasetClause, ...] = (),
+        limit: Optional[int] = None,
+    ) -> None:
+        set_field(self, "projection", projection)
+        set_field(self, "pattern", pattern)
+        set_field(self, "base", base)
+        set_field(self, "prefixes", PrefixMap() if prefixes is None else prefixes)
+        set_field(self, "dataset_clauses", dataset_clauses)
+        set_field(self, "limit", limit)
 
 
-@dataclass
-class SolutionSequence:
+class SolutionSequence(Record):
     """Projected result rows in deterministic order."""
 
-    variables: tuple[str, ...]
-    rows: list[dict[str, Term]]
+    _fields = ("variables", "rows")
+
+    def __init__(self, variables: tuple[str, ...], rows: list[dict[str, Term]]) -> None:
+        self.variables = variables
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import time
+from datetime import datetime
 from decimal import Decimal
 from itertools import count
 from operator import itemgetter
@@ -315,22 +316,24 @@ def _hash_join(
     right: list[Row],
     shared: list[str],
     run: _Run,
-    left_keys: tuple[Expression, ...] = (),
-    right_keys: tuple[Expression, ...] = (),
+    left_keys: tuple[DateFunc, ...] = (),
+    right_keys: tuple[DateFunc, ...] = (),
 ) -> list[Row]:
     index: dict[tuple, list[Row]] = {}
+    key_of = _join_key(shared, right_keys, run.term)
     for n, row in enumerate(right):
         if not n & _CHECK_MASK:
             run.check()
-        key = _join_key(row, shared, right_keys, run.term)
+        key = key_of(row)
         if key is not None:
             index.setdefault(key, []).append(row)
     out: list[Row] = []
     emit = out.append
+    key_of = _join_key(shared, left_keys, run.term)
     for n, row in enumerate(left):
         if not n & _CHECK_MASK:
             run.check()
-        key = _join_key(row, shared, left_keys, run.term)
+        key = key_of(row)
         if key is None:
             continue
         for other in index.get(key, ()):
@@ -343,16 +346,32 @@ def _hash_join(
 
 
 def _join_key(
-    row: Row, shared: list[str], keys: tuple[Expression, ...], term: Callable[[int], Term]
-) -> Optional[tuple]:
-    parts: list = [row.get(name) for name in shared]
-    for expression in keys:
-        try:
-            parts.append(_eval_expression(expression, row, term))
-        except _ExprError:
-            # The equality this key came from can never be true here.
-            return None
-    return tuple(parts)
+    shared: list[str], keys: tuple[DateFunc, ...], term: Callable[[int], Term]
+) -> Callable[[Row], Optional[tuple]]:
+    """A function from a row to its join key: the row's ids of the shared
+    variables, then the value of each key. Each distinct argument of the
+    keys is evaluated and parsed as an instant once per row, and each key
+    takes its component from that instant."""
+    # Each distinct argument, with the component its first key reads.
+    arguments: dict[Expression, str] = {}
+    for key in keys:
+        arguments.setdefault(key.argument, key.component)
+    position = {argument: i for i, argument in enumerate(arguments)}
+    picks = [(position[key.argument], key.component) for key in keys]
+
+    def key_of(row: Row) -> Optional[tuple]:
+        instants = []
+        for argument, component in arguments.items():
+            try:
+                instants.append(_instant(_eval_expression(argument, row, term), component))
+            except _ExprError:
+                # The equality some key came from can never be true here.
+                return None
+        parts = list(map(row.get, shared))
+        parts.extend([getattr(instants[i], component) for i, component in picks])
+        return tuple(parts)
+
+    return key_of
 
 
 def _eval_filter(node: Filter, active: tuple[GraphName, ...], run: _Run) -> list[Row]:
@@ -433,13 +452,7 @@ def _eval_expression(expression: Expression, row: Row, term: Callable[[int], Ter
         return expression.value
     if isinstance(expression, DateFunc):
         value = _eval_expression(expression.argument, row, term)
-        if not isinstance(value, Literal) or value.datatype != XSD_DATETIME:
-            raise _ExprError(f"{expression.component}() needs an xsd:dateTime")
-        try:
-            instant = parse_datetime(value.lexical)
-        except EnergyKgError:
-            raise _ExprError("invalid dateTime lexical form")
-        return getattr(instant, expression.component)
+        return getattr(_instant(value, expression.component), expression.component)
     if isinstance(expression, Equals):
         return _equals(
             _eval_expression(expression.left, row, term),
@@ -455,6 +468,17 @@ def _eval_expression(expression: Expression, row: Row, term: Callable[[int], Ter
             raise _ExprError("error in && operand")
         return True
     raise _ExprError(f"unknown expression {expression!r}")
+
+
+def _instant(value, component: str) -> datetime:
+    """The instant that the value, an xsd:dateTime literal, spells, for
+    reading its component."""
+    if not isinstance(value, Literal) or value.datatype != XSD_DATETIME:
+        raise _ExprError(f"{component}() needs an xsd:dateTime")
+    try:
+        return parse_datetime(value.lexical)
+    except EnergyKgError:
+        raise _ExprError("invalid dateTime lexical form")
 
 
 def _try_bool(expression: Expression, row: Row, term: Callable[[int], Term]) -> Optional[bool]:

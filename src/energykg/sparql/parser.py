@@ -10,11 +10,11 @@ UnsupportedFeatureError naming the keyword.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import EnergyKgError
 from ..namespaces import RDF_TYPE
+from ..record import Frozen, set_field
 from ..terms import (
     Iri,
     Literal,
@@ -84,12 +84,14 @@ _LOCAL_RE = re.compile(r"[A-Za-z0-9_.:\-]*")
 _NUMBER_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    column: int
+class _Token(Frozen):
+    _fields = ("kind", "value", "line", "column")
+
+    def __init__(self, kind: str, value: str, line: int, column: int) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "value", value)
+        set_field(self, "line", line)
+        set_field(self, "column", column)
 
 
 def _tokenize(text: str) -> list[_Token]:

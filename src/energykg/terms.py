@@ -15,7 +15,6 @@ into its term.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
@@ -23,24 +22,41 @@ from typing import Optional, Union
 from urllib.parse import urljoin, urlsplit
 
 from .errors import EnergyKgError
+from .record import Frozen, Record, set_field
 
 _XSD = "http://www.w3.org/2001/XMLSchema#"
 
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+_SCHEME = r"[A-Za-z][A-Za-z0-9+.\-]*:"
 # Characters RFC 3987 / Turtle forbid in an IRIREF body.
-_BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+_FORBIDDEN = r'\x00-\x20<>"{}|^`\\'
+_SCHEME_RE = re.compile("^" + _SCHEME)
+_BAD_IRI_CHARS = re.compile(f"[{_FORBIDDEN}]")
+# An IRI reference in angle brackets, as Turtle writes it, whose body
+# ``check_iri`` accepts: an absolute IRI, which every base resolves to itself.
+ABSOLUTE_IRIREF = re.compile(f"<{_SCHEME}[^{_FORBIDDEN}]*>")
 
 
 class IriError(EnergyKgError):
     """Malformed IRI or IRI reference."""
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    value: str
+# The term classes are compared and hashed on the evaluator's hot path,
+# so each has its own __init__, __eq__ and __hash__.
 
-    def __post_init__(self) -> None:
-        check_iri(self.value)
+
+class Iri(Frozen):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: str) -> None:
+        set_field(self, "value", check_iri(value))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
     def __str__(self) -> str:
         return self.value
@@ -61,7 +77,7 @@ def check_iri(value: str) -> str:
 def _checked_iri(value: str) -> Iri:
     """An Iri of a value that has passed ``check_iri``, built without checking it again."""
     iri = object.__new__(Iri)
-    object.__setattr__(iri, "value", value)
+    set_field(iri, "value", value)
     return iri
 
 
@@ -75,18 +91,38 @@ XSD_DATETIME = Iri(_XSD + "dateTime")
 NUMERIC_DATATYPES = frozenset({XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE})
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    lexical: str
-    datatype: Iri = XSD_STRING
+class Literal(Frozen):
+    __slots__ = _fields = ("lexical", "datatype")
+
+    def __init__(self, lexical: str, datatype: Iri = XSD_STRING) -> None:
+        set_field(self, "lexical", lexical)
+        set_field(self, "datatype", datatype)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.lexical, self.datatype) == (other.lexical, other.datatype)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lexical, self.datatype))
 
     def __str__(self) -> str:
         return f'"{self.lexical}"^^<{self.datatype.value}>'
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
-    label: str
+class BlankNode(Frozen):
+    __slots__ = _fields = ("label",)
+
+    def __init__(self, label: str) -> None:
+        set_field(self, "label", label)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.label == other.label
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.label,))
 
     def __str__(self) -> str:
         return f"_:{self.label}"
@@ -96,12 +132,26 @@ Term = Union[Iri, Literal, BlankNode]
 GraphName = Optional[Iri]
 
 
-@dataclass(frozen=True, slots=True)
-class Quad:
-    subject: Union[Iri, BlankNode]
-    predicate: Iri
-    object: Term
-    graph: GraphName = None
+class Quad(Frozen):
+    __slots__ = _fields = ("subject", "predicate", "object", "graph")
+
+    def __init__(
+        self, subject: Union[Iri, BlankNode], predicate: Iri, object: Term, graph: GraphName = None
+    ) -> None:
+        set_field(self, "subject", subject)
+        set_field(self, "predicate", predicate)
+        set_field(self, "object", object)
+        set_field(self, "graph", graph)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.subject, self.predicate, self.object, self.graph) == (
+                other.subject, other.predicate, other.object, other.graph
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.subject, self.predicate, self.object, self.graph))
 
 
 Triple = tuple[Union[Iri, BlankNode], Iri, Term]
@@ -173,8 +223,39 @@ def finite_decimal(text: str) -> Decimal:
     return value
 
 
+# The most characters an xsd:decimal's lexical form may have: the plain
+# form of a finite decimal grows with its exponent, 9e999999 to a million
+# digits.
+MAX_DECIMAL_CHARS = 100
+
+
+class LiteralError(EnergyKgError):
+    """A value that has no lexical form this package writes."""
+
+
+def check_decimal(value: Decimal) -> Decimal:
+    """Return value once its plain form is checked to be at most
+    MAX_DECIMAL_CHARS long; raise LiteralError if not. The length is
+    counted from the digits and exponent, without writing the form out."""
+    sign, digits, exponent = value.as_tuple()
+    if exponent >= 0:
+        # A zero is written "0" whatever its exponent.
+        length = 1 if digits == (0,) else len(digits) + exponent
+    else:
+        # The digits and a point, with zeros before them for a value below one.
+        length = max(len(digits), 1 - exponent) + 1
+    if sign + length > MAX_DECIMAL_CHARS:
+        raise LiteralError(
+            f"value {value} would be written with {sign + length} characters, "
+            f"more than {MAX_DECIMAL_CHARS}"
+        )
+    return value
+
+
 def decimal_literal(value: Decimal) -> Literal:
-    return Literal(format(value, "f"), XSD_DECIMAL)
+    """The xsd:decimal literal of a finite value in plain form; raise
+    LiteralError if that form is longer than MAX_DECIMAL_CHARS."""
+    return Literal(format(check_decimal(value), "f"), XSD_DECIMAL)
 
 
 def parse_numeric(literal: Literal) -> Decimal:
@@ -234,12 +315,16 @@ class PrefixError(EnergyKgError):
     """Duplicate or undefined prefix label."""
 
 
-@dataclass
-class PrefixMap:
+class PrefixMap(Record):
     """Ordered prefix-label to namespace mapping with an optional base."""
 
-    base: Optional[Iri] = None
-    _namespaces: dict[str, Iri] = field(default_factory=dict)
+    _fields = ("base", "_namespaces")
+
+    def __init__(
+        self, base: Optional[Iri] = None, _namespaces: Optional[dict[str, Iri]] = None
+    ) -> None:
+        self.base = base
+        self._namespaces = {} if _namespaces is None else _namespaces
 
     def bind(self, label: str, namespace: Iri) -> None:
         if label in self._namespaces and self._namespaces[label] != namespace:

@@ -16,22 +16,27 @@ in which each RDF term is one token, a typed literal together with its
 datatype. Within a document each distinct raw token text is resolved and
 validated to the term's canonical text (``<iri>``,
 ``"lexical"^^<datatype>`` or ``_:label``) and interned to a term id once,
-until the next directive; no ``Term`` object is built, and an absolute
-IRI reference is its own canonical text. The grammar emits ``(s, p, o)``
-id triples. ``load_turtle`` interns straight into a ``Dataset``'s term
-dictionary and inserts the id triples once the whole text has parsed,
-labelling its blank nodes apart from those the dataset already holds;
-``parse_turtle`` runs the same parser over a dictionary of its own and
-decodes each id's text to a term once. Line and column are computed
-from a token's offset only when an error is raised. A lexical error
-anywhere in the text is reported before a grammar error earlier in it.
+until the next directive; no ``Term`` object is built. Two fast paths
+skip the resolving: an IRI reference that one compiled match finds to
+have a scheme and no character an IRI forbids is its own canonical text,
+and a string without escapes, untyped or under a datatype text already
+resolved, is one concatenation. Every other token takes the checking
+path, which raises each error at its position. A new text gets the next
+id through the dictionary's ``setdefault``, not its ``__missing__``.
+The grammar emits ``(s, p, o)`` id triples. ``load_turtle`` interns
+straight into a ``Dataset``'s term dictionary and inserts the id triples
+once the whole text has parsed, labelling its blank nodes apart from
+those the dataset already holds; ``parse_turtle`` runs the same parser
+over a dictionary of its own and decodes each id's text to a term once.
+Line and column are computed from a token's offset only when an error is
+raised. A lexical error anywhere in the text is reported before a
+grammar error earlier in it.
 """
 
 from __future__ import annotations
 
 import io
 import re
-import string
 from itertools import groupby
 from operator import itemgetter
 from typing import Optional, TextIO
@@ -40,6 +45,7 @@ from .dataset import Dataset, IdTriple, TermIds
 from .errors import EnergyKgError
 from .namespaces import RDF_TYPE
 from .terms import (
+    ABSOLUTE_IRIREF,
     GraphName,
     Iri,
     PrefixError,
@@ -68,7 +74,7 @@ class TurtleParseError(EnergyKgError):
 # -- serialization -----------------------------------------------------------
 
 _SAFE_LOCAL = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
-_LOCAL_CHARS = string.ascii_letters + string.digits + "_-"
+_LOCAL_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
 _ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 
 
@@ -220,6 +226,8 @@ _TYPED = {
     datatype: f'"^^<{datatype.value}>'
     for datatype in (XSD_STRING, XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_BOOLEAN)
 }
+_STRING_SUFFIX = _TYPED[XSD_STRING]
+_ABSOLUTE_IRIREF = ABSOLUTE_IRIREF.fullmatch
 
 
 class _Parser:
@@ -242,6 +250,8 @@ class _Parser:
         self.prefixes = PrefixMap(base=base)
         self.triples: list[IdTriple] = []
         self._terms = ids
+        self._intern = ids.setdefault
+        self._texts = ids.texts
         self._tokens = _TOKENS(text)
         # Prefix label -> namespace IRI.
         self._namespaces: dict[str, str] = {}
@@ -425,13 +435,22 @@ class _Parser:
     def _term_id(self, token: re.Match, kind: str, raw: str) -> int:
         """Resolve and intern the canonical text of a raw text the memo lacks."""
         if kind == "iriref":
-            value = self._iri(token, kind)
-            # An absolute reference resolves to itself, and is its own text.
-            text = raw if value == raw[1:-1] else f"<{value}>"
+            if _ABSOLUTE_IRIREF(raw):
+                # An absolute reference resolves to itself, and is its own text.
+                text = raw
+            else:
+                value = self._iri(token, kind)
+                text = raw if value == raw[1:-1] else f"<{value}>"
+        elif kind == "string":
+            lexical = token["lexical"]
+            # A literal without escapes, untyped or of a datatype seen before.
+            suffix = self._datatypes.get(token["datatype"]) if token["typed"] else _STRING_SUFFIX
+            if suffix is None or "\\" in lexical:
+                text = self._literal(token)
+            else:
+                text = '"' + lexical + suffix
         elif kind == "pname":
             text = f"<{self._iri(token, kind)}>"
-        elif kind == "string":
-            text = self._literal(token)
         elif kind == "bnode":
             # Labels are scoped to the document: each label maps to a node
             # numbered in order of first use, skipping the numbers of nodes
@@ -450,7 +469,11 @@ class _Parser:
             text = '"' + raw + _TYPED[XSD_BOOLEAN]
         else:  # "a"
             text = _RDF_TYPE_TEXT
-        term_id = self._ids[raw] = self._terms[text]
+        # Interned as TermIds.__missing__ would, without calling it.
+        texts = self._texts
+        term_id = self._ids[raw] = self._intern(text, len(texts))
+        if term_id == len(texts):
+            texts.append(text)
         return term_id
 
     def _fresh_bnode(self) -> str:
@@ -464,7 +487,7 @@ class _Parser:
         """The canonical text of the string literal token."""
         lexical = self._value(token)
         if token.group("typed") is None:
-            return '"' + lexical + _TYPED[XSD_STRING]
+            return '"' + lexical + _STRING_SUFFIX
         if token.group("datatype") is None:
             after = next(self._tokens)
             self._value(after)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation, Overflow
 from enum import Enum
@@ -31,9 +30,11 @@ from .namespaces import (
     cossmic_graph,
     device_resource,
 )
+from .record import Frozen, Record, set_field
 from .terms import (
     GraphName,
     Iri,
+    LiteralError,
     Quad,
     Triple,
     datetime_literal,
@@ -54,20 +55,27 @@ class CounterMode(str, Enum):
     INTERVAL = "interval"
 
 
-@dataclass(frozen=True)
-class EnergyRecord:
-    device: DeviceHeading
-    timestamp: datetime
-    value: Decimal
+class EnergyRecord(Frozen):
+    _fields = ("device", "timestamp", "value")
+
+    def __init__(self, device: DeviceHeading, timestamp: datetime, value: Decimal) -> None:
+        set_field(self, "device", device)
+        set_field(self, "timestamp", timestamp)
+        set_field(self, "value", value)
 
 
-@dataclass
-class EnergyTable:
-    timestamps: list[datetime]
-    columns: dict[str, list[Optional[Decimal]]]
-    counter_mode: CounterMode = CounterMode.CUMULATIVE
+class EnergyTable(Record):
+    _fields = ("timestamps", "columns", "counter_mode")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        timestamps: list[datetime],
+        columns: dict[str, list[Optional[Decimal]]],
+        counter_mode: CounterMode = CounterMode.CUMULATIVE,
+    ) -> None:
+        self.timestamps = timestamps
+        self.columns = columns
+        self.counter_mode = counter_mode
         for heading, values in self.columns.items():
             if len(values) != len(self.timestamps):
                 raise UpliftError(
@@ -255,6 +263,12 @@ def evaluation_triples(
             duplicates.append(key)
             continue
         seen.add(key)
+        try:
+            number = decimal_literal(record.value)
+        except LiteralError as exc:
+            raise UpliftError(
+                f"column {record.device.raw!r} at {record.timestamp.isoformat()}: {exc}"
+            )
         device = device_iri(record.device.raw)
         suffix, time = stamp_of(record.timestamp)
         evaluation = Iri(device.value + suffix)
@@ -263,7 +277,7 @@ def evaluation_triples(
         yield evaluation, RDF_TYPE, SEAS.ElectricPowerEvaluation
         yield evaluation, PROV.generatedAtTime, time
         yield evaluation, SEAS.evaluatedValue, value_node
-        yield value_node, QUDT.numericalValue, decimal_literal(record.value)
+        yield value_node, QUDT.numericalValue, number
     if duplicates:
         listing = ", ".join(f"{raw}@{ts.isoformat()}" for raw, ts in duplicates)
         raise UpliftError(f"duplicate (device, timestamp) records: {listing}")

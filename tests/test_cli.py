@@ -284,6 +284,74 @@ def test_non_finite_or_overflowing_number_exits_1(
     assert not out.exists() or list(out.iterdir()) == []
 
 
+# Each input holds a finite number whose plain decimal form would be
+# longer than MAX_DECIMAL_CHARS (100) characters: a typed error (exit 1)
+# that names where the number came from, not a Turtle file that grows
+# with the exponent.
+_TOO_LONG_INPUTS = [
+    (
+        "uplift",
+        "energy.csv",
+        "utc_timestamp,DE_KN_industrial1_pv_1\n2016-05-01T01:00:00Z,1\n"
+        "2016-05-02T01:00:00Z,9e999999\n2016-05-03T01:00:00Z,-9e999999\n",
+        ["--counter-mode", "interval"],
+        # The day's sum, 0 + 9e999999, is rounded to the context's 28 digits.
+        "column 'DE_KN_industrial1_pv_1' at 2016-05-02T00:00:00+00:00: value "
+        "9.000000000000000000000000000E+999999 would be written with 1000000 characters, "
+        "more than 100",
+    ),
+    (
+        "uplift",
+        "energy.csv",
+        ENERGY_CSV.replace("112.5", "1e200"),
+        ["--resolution", "raw"],
+        "column 'DE_KN_industrial1_pv_1' at 2016-05-01T22:00:00+00:00: value 1E+200 "
+        "would be written with 201 characters",
+    ),
+    (
+        "uplift",
+        "energy.csv",
+        ENERGY_CSV.replace("112.5", "-0.1e-98"),
+        ["--resolution", "raw"],
+        "value -1E-99 would be written with 102 characters",
+    ),
+    ("climate", "climate.csv", CLIMATE_CSV.replace("25.0", "1e100"), [], "row 3: value 1E+100"),
+    (
+        "climate",
+        "climate.json",
+        '[{"station": "X", "date": "2016-05-01", "datatype": "TMAX", "value": "2e50"}]',
+        ["--scale", "1e50"],
+        "item 0: value 2E+100 would be written with 101 characters",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, text, options, message",
+    _TOO_LONG_INPUTS,
+    ids=["uplift_interval", "uplift_raw", "uplift_raw_small", "climate_csv", "climate_json"],
+)
+def test_number_too_long_to_write_exits_1(tmp_path, capsys, command, name, text, options, message):
+    source = tmp_path / name
+    source.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, str(source), "--out", str(out), *options]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_number_of_the_longest_writable_form_is_written(tmp_path):
+    # 1e99 and -1e-97 are written with exactly 100 characters.
+    energy = tmp_path / "energy.csv"
+    energy.write_text(ENERGY_CSV.replace("112.5", "1e99").replace("53.0", "-1e-97"))
+    out = tmp_path / "out"
+    assert main(["uplift", str(energy), "--out", str(out), "--resolution", "raw"]) == 0
+    text = (out / "cossmic.ttl").read_text()
+    assert '"1' + "0" * 99 + '"^^xsd:decimal' in text
+    assert '"-0.' + "0" * 96 + '1"^^xsd:decimal' in text
+
+
 def test_query_tsv_three_rows(store_files, config):
     output = cmd_query(store_files, str(DATA / "energy_tmax_join.rq"), config)
     lines = output.strip().split("\n")
@@ -487,16 +555,18 @@ sys.exit(code)
 """
 
 _HEAVY = ("http.server", "energykg.endpoint", "energykg.sparql", "energykg.analysis")
+# No module builds dataclasses, and only a failing run prints a traceback.
+_START_UP = ("dataclasses", "inspect", "traceback")
 
 
 @pytest.mark.parametrize(
     "command, unloaded",
     [
-        ("--help", (*_HEAVY, "energykg.uplift")),
-        ("uplift", _HEAVY),
-        ("climate", _HEAVY),
-        ("query", ("http.server", "energykg.endpoint", "energykg.analysis")),
-        ("analyze", ("http.server", "energykg.endpoint")),
+        ("--help", (*_HEAVY, "energykg.uplift", *_START_UP)),
+        ("uplift", (*_HEAVY, *_START_UP)),
+        ("climate", (*_HEAVY, *_START_UP)),
+        ("query", ("http.server", "energykg.endpoint", "energykg.analysis", *_START_UP)),
+        ("analyze", ("http.server", "energykg.endpoint", *_START_UP)),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, store_files, command, unloaded):

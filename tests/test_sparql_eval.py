@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 
@@ -7,7 +6,7 @@ import pytest
 from energykg.dataset import Dataset
 from energykg.sparql import QueryTimeout, evaluate, parse_query
 from energykg.sparql import evaluator
-from energykg.sparql.ast import Variable
+from energykg.sparql.ast import SelectQuery, Variable
 from energykg.sparql.evaluator import EvaluationError, builtin_day, builtin_month, builtin_year
 from energykg.terms import Iri, Literal, Quad, XSD_DATETIME, XSD_DECIMAL, XSD_INTEGER
 
@@ -271,6 +270,36 @@ def test_deadline_is_checked_while_a_filter_runs(counted_checks):
     assert len(counted_checks) >= _BIG // 256
 
 
+def test_day_join_parses_each_rows_instant_once_per_side(monkeypatch):
+    # N readings in a named graph, at N / 2 hours of two days, joined by
+    # year, month and day to N observations in the default graph, N / 2 at
+    # midnight of each day.
+    n = 40
+    g = Iri(EX + "g")
+    stamps = [f"2016-05-0{d}T{h:02d}:00:00Z" for d in (1, 2) for h in range(n // 2)]
+    quads = [q(f"r{i}", "at", Literal(stamp, XSD_DATETIME), g) for i, stamp in enumerate(stamps)]
+    midnights = [f"2016-05-0{1 + i % 2}T00:00:00Z" for i in range(n)]
+    quads += [q(f"o{i}", "on", Literal(stamp, XSD_DATETIME)) for i, stamp in enumerate(midnights)]
+    ds = Dataset(quads).freeze()
+    query = parse_query(
+        f"SELECT ?r ?o FROM <urn:x-arq:DefaultGraph> FROM NAMED <{EX}g> WHERE {{"
+        f" ?o <{EX}on> ?u . GRAPH <{EX}g> {{ ?r <{EX}at> ?t }}"
+        " FILTER (year(?t) = year(?u) && month(?t) = month(?u) && day(?t) = day(?u)) }"
+    )
+    calls = []
+    original = evaluator.parse_datetime
+
+    def counting(lexical):
+        calls.append(lexical)
+        return original(lexical)
+
+    monkeypatch.setattr(evaluator, "parse_datetime", counting)
+    rows = evaluate(ds, query).rows
+    assert len(rows) == 2 * (n // 2) ** 2
+    assert len(calls) <= 2 * n
+    assert rows == naive.naive_evaluate(ds, query)
+
+
 def test_constant_absent_from_store_gives_no_rows():
     ds = Dataset([q("s", "p", "o"), q("s", "p", Literal("x"))])
     for text in (
@@ -356,7 +385,10 @@ def test_unbound_projected_variable_matches_the_oracle():
     s, o = parsed.projection
     never = Variable("never")
     for projection in ((never, s), (s, never, o), (o, never)):
-        query = dataclasses.replace(parsed, projection=projection)
+        query = SelectQuery(
+            projection, parsed.pattern, parsed.base, parsed.prefixes, parsed.dataset_clauses,
+            parsed.limit,
+        )
         rows = evaluate(ds, query).rows
         assert rows == naive.naive_evaluate(ds, query)
         assert all("never" not in row for row in rows)

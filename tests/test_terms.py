@@ -2,17 +2,22 @@ from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from energykg.terms import (
+    MAX_DECIMAL_CHARS,
     BlankNode,
     Iri,
     IriError,
     Literal,
+    LiteralError,
     PrefixError,
     PrefixMap,
     Quad,
     XSD_DATETIME,
     XSD_DECIMAL,
+    check_decimal,
     datetime_literal,
     decimal_literal,
     parse_datetime,
@@ -77,6 +82,20 @@ def test_decimal_literal_has_plain_lexical_form():
     assert decimal_literal(Decimal("9.75")) == Literal("9.75", XSD_DECIMAL)
     assert decimal_literal(Decimal("1E+2")) == Literal("100", XSD_DECIMAL)
     assert parse_numeric(Literal("9.75", XSD_DECIMAL)) == Decimal("9.75")
+
+
+@given(
+    st.integers(-(10**40), 10**40),
+    st.integers(-MAX_DECIMAL_CHARS - 5, MAX_DECIMAL_CHARS + 5),
+)
+def test_check_decimal_bounds_the_length_of_the_written_form(coefficient, exponent):
+    value = Decimal(coefficient).scaleb(exponent)
+    if len(format(value, "f")) <= MAX_DECIMAL_CHARS:
+        assert check_decimal(value) is value
+        assert decimal_literal(value).lexical == format(value, "f")
+    else:
+        with pytest.raises(LiteralError):
+            decimal_literal(value)
 
 
 def test_term_keys_are_total_and_distinct():

@@ -214,6 +214,18 @@ _PINNED_ERRORS = [
     ("expected_dot", "    p:q p:r p:t\n", "line 5, column 13: expected '.', found 'p:t'", 5, 13),
     ("undefined_prefix", "    p:q\n  nope:r .\n", "line 6, column 3: undefined prefix: 'nope'", 6, 3),
     ("relative_iri_without_base", "    p:q <rel> .\n", "line 5, column 9: IRI is not absolute (missing scheme): 'rel'", 5, 9),
+    # IRIs, literals and datatypes that the parser's fast paths must leave
+    # to the checks that report them.
+    ("space_in_absolute_iri", "    p:q <http://example.org/a b> .\n", "line 5, column 9: IRI contains forbidden character ' ' at offset 20: 'http://example.org/a b'", 5, 9),
+    ("brace_in_absolute_iri", "    p:q <http://example.org/{x}> .\n", "line 5, column 9: IRI contains forbidden character '{' at offset 19: 'http://example.org/{x}'", 5, 9),
+    ("brace_in_absolute_iri_after_base", "    p:q p:r .\n@base <http://example.org/> .\np:s p:q <http://example.org/{x}> .\n", "line 7, column 9: IRI reference contains forbidden character '{' at offset 19: 'http://example.org/{x}'", 7, 9),
+    ("space_in_relative_iri_after_base", "    p:q p:r .\n@base <http://example.org/> .\np:s p:q <a b> .\n", "line 7, column 9: IRI reference contains forbidden character ' ' at offset 1: 'a b'", 7, 9),
+    ("underscore_in_scheme_without_base", "    p:q <a_b:x> .\n", "line 5, column 9: IRI is not absolute (missing scheme): 'a_b:x'", 5, 9),
+    ("space_in_datatype_iri", '    p:q "x"^^<http://example.org/d t> .\n', "line 5, column 14: IRI contains forbidden character ' ' at offset 20: 'http://example.org/d t'", 5, 14),
+    ("relative_datatype_without_base", '    p:q "x"^^<dt> .\n', "line 5, column 14: IRI is not absolute (missing scheme): 'dt'", 5, 14),
+    ("undefined_datatype_prefix_after_comment", '    p:q "\\u00e9"^^ # c\n nope:dt .\n', "line 6, column 2: undefined prefix: 'nope'", 6, 2),
+    ("comment_then_no_datatype", '    p:q "x"^^ # c\n .\n', "line 6, column 2: expected datatype IRI after ^^", 6, 2),
+    ("bad_escape_after_known_datatype", '    p:q "a\\"b"^^p:dt, "c\\q"^^p:dt .\n', "line 5, column 23: unknown escape sequence \\q", 5, 23),
 ]
 
 
@@ -294,6 +306,11 @@ _FRAGMENTS = [
     "<rel>",
     "<../up#f>",
     "<http://bad iri>",
+    "<http://example.org/{x}>",
+    "<HTTP://Example.org/S>",
+    "<a+b.c-d:x>",
+    "<a_b:x>",
+    "<1a:x>",
     "<open",
     '"plain"',
     '"es\\tc\\"q\\""',
@@ -307,6 +324,10 @@ _FRAGMENTS = [
     '"x"^^p:dt',
     '"x"^^<http://example.org/dt>',
     '"x"^^"y"',
+    '"x"^^ # c\n p:dt',
+    '"x"^^\n# c\n<http://example.org/dt>',
+    '"x"^^ # c\n',
+    '"e\\u00e9"^^p:dt',
     "^^",
     "^",
     "1",
@@ -333,18 +354,20 @@ _FRAGMENTS = [
 ]
 _SEPARATORS = ["", " ", "\n", "\t", " ;\n", " .\n"]
 
-_HEADER = (
-    "@prefix p: <http://example.org/> .\n"
-    "@prefix : <http://example.org/e/> .\n"
-    "@base <http://example.org/b/> .\n"
-)
+_PREFIXES = "@prefix p: <http://example.org/> .\n@prefix : <http://example.org/e/> .\n"
+_HEADER = _PREFIXES + "@base <http://example.org/b/> .\n"
 
 _broken_documents = st.tuples(
-    st.sampled_from(["", _HEADER]),
+    st.sampled_from(["", _PREFIXES, _HEADER]),
     st.lists(st.tuples(st.sampled_from(_FRAGMENTS), st.sampled_from(_SEPARATORS)), max_size=14),
 ).map(lambda doc: doc[0] + "".join(fragment + sep for fragment, sep in doc[1]))
 
-_nodes = st.sampled_from(["p:s", ":x", "p:a.b", "<http://example.org/s>", "<rel>", "_:b", "_:c"])
+# <HTTP://Example.org/S> and <a+b.c-d:x> are absolute, with an uppercase
+# and a "+.-" scheme.
+_nodes = st.sampled_from([
+    "p:s", ":x", "p:a.b", "<http://example.org/s>", "<rel>", "_:b", "_:c",
+    "<HTTP://Example.org/S>", "<a+b.c-d:x>",
+])
 _verbs = st.sampled_from(["a", "p:v", "<http://example.org/v>", ":w"])
 # p:s and <http://example.org/s> are one IRI, and so are the datatypes
 # p:dt and <http://example.org/dt>.
@@ -353,6 +376,10 @@ _objects = st.one_of(
     st.sampled_from([
         '"v"', '"v"^^p:dt', '"v"^^<http://example.org/dt>', '"\\u00e9"^^<http://example.org/dt>',
         "4", "-1.5", "2e3", "true",
+        # Escaped and untyped, escaped under a datatype seen before, and a
+        # comment between "^^" and the datatype.
+        '"\\u00e9"', '"a\\"b"', '"\\u00e9"^^p:dt', '"w"^^ # c\n p:dt',
+        '"w"^^\n# c\n<http://example.org/dt>',
     ]),
 )
 _predicate_lists = st.lists(
@@ -370,10 +397,11 @@ _statements = st.one_of(
     st.sampled_from(["@base <http://example.org/c/> .\n", "@base <sub/> .\n"]),
 )
 # Repeating the first two statements repeats their triples, unless a base
-# directive changed what <rel> denotes in between.
-_valid_documents = st.lists(_statements, max_size=6).map(
-    lambda statements: _HEADER + "".join(statements + statements[:2])
-)
+# directive changed what <rel> denotes in between. Without a base, <rel>
+# is an error.
+_valid_documents = st.tuples(
+    st.sampled_from([_HEADER, _HEADER, _PREFIXES]), st.lists(_statements, max_size=6)
+).map(lambda doc: doc[0] + "".join(doc[1] + doc[1][:2]))
 
 
 def _outcome(parse, text):
