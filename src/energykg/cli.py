@@ -5,8 +5,18 @@ later commands know which named graph to load them into; files without
 the marker load into the default graph. Exit codes: 0 success, 1 input
 or configuration error, 2 internal failure.
 
+`uplift` and `climate` write a snapshot sidecar (``snapshot.py``,
+``<file>.ekg``) beside each Turtle file; the Turtle and the sidecar are
+written to temporary files that replace the earlier ones only once both
+are complete. `load_store` opens every store file before it reads any,
+and loads a file from its sidecar when the sidecar proves that it holds
+what parsing the file gives; otherwise it parses the Turtle. `query`
+reads and parses its query before the load.
+
 Each subcommand imports the modules that only it uses when it runs, so
-a process loads no query engine, analysis or HTTP server it never calls.
+a process loads no query engine, analysis or HTTP server it never calls;
+``snapshot`` is imported only to write or load a store, which in `uplift`
+comes after the CSV has been read.
 No module builds dataclasses at run time: every run compiles the package
 from source, and each ``@dataclass`` would ``exec``-compile its methods
 again (``record.py`` holds the bases that replace them). ``traceback`` is
@@ -20,8 +30,8 @@ import gc
 import os
 import re
 import sys
-from contextlib import contextmanager, suppress
-from typing import Iterator, Optional, Sequence, TextIO
+from contextlib import ExitStack, contextmanager, suppress
+from typing import BinaryIO, Iterator, Optional, Sequence, TextIO
 
 from .config import PipelineConfig, load_config
 from .dataset import Dataset
@@ -37,47 +47,95 @@ from .namespaces import (
     XSD_NS,
     device_resource,
 )
-from .terms import Iri, PrefixMap, Quad
+from .terms import GraphName, Iri, PrefixMap, Quad
 from .turtle import load_turtle, write_turtle
 
 _GRAPH_MARKER = re.compile(r"^#\s*graph\s+<([^<>]+)>\s*$")
 
 
-def _read(path: str) -> str:
+def _open(path: str) -> BinaryIO:
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        return open(path, "rb")
     except OSError as exc:
         raise EnergyKgError(f"cannot read {path}: {exc}")
+
+
+def _read_all(path: str, handle: BinaryIO) -> bytes:
+    with handle:
+        try:
+            return handle.read()
+        except OSError as exc:
+            raise EnergyKgError(f"cannot read {path}: {exc}")
+
+
+def _decode(path: str, data: bytes) -> str:
+    """The file's bytes as text mode reads them: UTF-8, newlines translated."""
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # The whole file is decoded at once, so the offset is the file's.
         raise EnergyKgError(f"cannot read {path}: not UTF-8 at byte {exc.start}")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _read(path: str) -> str:
+    return _decode(path, _read_all(path, _open(path)))
 
 
 @contextmanager
-def _replacing(path: str) -> Iterator[TextIO]:
-    """A text handle on a temporary file beside path, which replaces path
-    once the block completes. If the block raises, the temporary file is
-    removed and path is left as it was. Failing to create, write or
-    replace the file is an EnergyKgError."""
-    directory = os.path.dirname(path) or "."
-    temporary = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
+def _replacing(*paths: str) -> Iterator[list[TextIO]]:
+    """Text handles on temporary files beside the paths, which replace
+    the paths, in order, once the block completes. If the block raises,
+    the temporary files are removed and every path is left as it was.
+    Failing to create, write or replace a file is an EnergyKgError."""
+    temporaries = [
+        os.path.join(os.path.dirname(path) or ".", f".{os.path.basename(path)}.{os.getpid()}.tmp")
+        for path in paths
+    ]
+    # The file an error is reported for; a failing block reports the first.
+    failing = paths[0]
     try:
-        os.makedirs(directory, exist_ok=True)
-        with open(temporary, "w", encoding="utf-8") as handle:
-            yield handle
-        os.replace(temporary, path)
+        with ExitStack() as stack:
+            handles = []
+            for failing, temporary in zip(paths, temporaries):
+                os.makedirs(os.path.dirname(temporary), exist_ok=True)
+                handles.append(stack.enter_context(open(temporary, "w", encoding="utf-8")))
+            failing = paths[0]
+            yield handles
+        for failing, temporary in zip(paths, temporaries):
+            os.replace(temporary, failing)
     except OSError as exc:
-        raise EnergyKgError(f"cannot write {path}: {exc}")
+        raise EnergyKgError(f"cannot write {failing}: {exc}")
     finally:
-        # Gone already once it has replaced path.
-        with suppress(OSError):
-            os.remove(temporary)
+        for temporary in temporaries:
+            # Gone already once it has replaced its path.
+            with suppress(OSError):
+                os.remove(temporary)
 
 
 def _write(path: str, text: str) -> None:
-    with _replacing(path) as handle:
+    with _replacing(path) as [handle]:
         handle.write(text)
+
+
+def _write_store(path: str, ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> str:
+    """Write one graph of the dataset as Turtle at path, with its
+    snapshot sidecar beside it (``snapshot.py``). A graph the sidecar
+    cannot hold leaves no sidecar."""
+    from . import snapshot
+
+    sidecar_path = path + snapshot.SUFFIX
+    with _replacing(path, sidecar_path) as [turtle, sidecar]:
+        if graph is not None:
+            turtle.write(f"# graph <{graph.value}>\n")
+        order, triples = write_turtle(turtle, ds, graph, prefixes)
+        written = snapshot.write(sidecar.buffer, turtle, ds.texts(), order, triples)
+    if not written:
+        with suppress(OSError):
+            os.remove(sidecar_path)
+    return path
 
 
 @contextmanager
@@ -99,18 +157,44 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+def _graph_of(text: str) -> GraphName:
+    """The graph that a `# graph <iri>` marker on the text's first line names."""
+    # The marker is matched within the first line, without copying it.
+    end = text.find("\n")
+    marker = _GRAPH_MARKER.match(text, 0, len(text) if end < 0 else end)
+    return Iri(marker.group(1)) if marker else None
+
+
 def load_store(paths: Sequence[str], config: PipelineConfig) -> Dataset:
-    """Load Turtle files, honouring the `# graph <iri>` first-line marker."""
-    ds = Dataset()
-    with _collector_paused():
-        for path in paths:
-            text = _read(path)
-            # The marker is matched within the first line, without copying it.
-            end = text.find("\n")
-            marker = _GRAPH_MARKER.match(text, 0, len(text) if end < 0 else end)
-            graph = Iri(marker.group(1)) if marker else None
-            load_turtle(ds, text, graph=graph, base=config.base_iri)
-        return ds.freeze()
+    """Load Turtle files, honouring the `# graph <iri>` first-line marker.
+
+    Every path is opened before any file is read. A file whose snapshot
+    sidecar proves that it holds what parsing the file gives is loaded
+    from the sidecar; any other is parsed."""
+    with ExitStack() as stack:
+        handles = [stack.enter_context(_open(path)) for path in paths]
+        ds = Dataset()
+        with _collector_paused():
+            for path, handle in zip(paths, handles):
+                _load_file(ds, path, handle, config.base_iri)
+            return ds.freeze()
+
+
+def _load_file(ds: Dataset, path: str, handle: BinaryIO, base: Optional[Iri]) -> None:
+    from . import snapshot
+
+    data = _read_all(path, handle)
+    sidecar = snapshot.read(path + snapshot.SUFFIX, data)
+    if sidecar is not None:
+        # The file is one the writer wrote, whose first line ends in "\n".
+        graph = _graph_of(data[: data.find(b"\n")].decode("utf-8", "replace"))
+        # Neither the bytes nor their text are held while the store grows.
+        del data
+        sidecar.load(ds, graph)
+        return
+    text = _decode(path, data)
+    del data
+    load_turtle(ds, text, graph=_graph_of(text), base=base)
 
 
 def _uplift_prefixes(config: PipelineConfig) -> PrefixMap:
@@ -158,11 +242,8 @@ def cmd_uplift(energy_csv: str, config: PipelineConfig) -> str:
         ds.add_triples(evaluation_triples(table.records(), base), graph)
         ds.add(link_network_to_station(network, config.station_iri, base, graph))
 
-    out_path = os.path.join(config.out, "cossmic.ttl")
-    with _replacing(out_path) as handle:
-        handle.write(f"# graph <{graph.value}>\n")
-        write_turtle(handle, ds, graph, _uplift_prefixes(config))
-    return out_path
+    path = os.path.join(config.out, "cossmic.ttl")
+    return _write_store(path, ds, graph, _uplift_prefixes(config))
 
 
 def cmd_climate(observations_path: str, config: PipelineConfig) -> str:
@@ -177,23 +258,24 @@ def cmd_climate(observations_path: str, config: PipelineConfig) -> str:
     ds = Dataset()
     with _collector_paused():
         ds.add_triples(observation_triples(observations, config.base_iri))
-    out_path = os.path.join(config.out, "climate.ttl")
-    with _replacing(out_path) as handle:
-        write_turtle(handle, ds, None, _climate_prefixes(config))
-    return out_path
-
-
-def _query_text(query: str) -> str:
-    if os.path.exists(query):
-        return _read(query)
-    return query
+    path = os.path.join(config.out, "climate.ttl")
+    return _write_store(path, ds, None, _climate_prefixes(config))
 
 
 def cmd_query(store_paths: Sequence[str], query: str, config: PipelineConfig) -> str:
+    """Run the query, a file's or the argument's own text, over the store.
+    The query is read and parsed before the store is loaded."""
     from .sparql import evaluate, parse_query, to_results_json, to_results_tsv
 
+    if os.path.exists(query):
+        parsed = parse_query(_read(query))
+    else:
+        try:
+            parsed = parse_query(query)
+        except EnergyKgError as exc:
+            raise EnergyKgError(f"no file named {query!r}, and as query text: {exc}") from None
     ds = load_store(store_paths, config)
-    seq = evaluate(ds, parse_query(_query_text(query)))
+    seq = evaluate(ds, parsed)
     if config.format == "json":
         return to_results_json(seq)
     return to_results_tsv(seq)

@@ -18,7 +18,10 @@ Id triples enter a graph through one insert, ``add_ids``.
 texts and ids inside ``interning()``, which drops the terms a failed
 block added, and inserts them once the document has parsed; it interns
 each new text with the dictionary's ``setdefault`` rather than a lookup
-that calls ``TermIds.__missing__``.
+that calls ``TermIds.__missing__``. A snapshot sidecar (``snapshot.py``)
+interns a whole file's texts at once with ``TermIds.intern_all``, which
+into an empty dictionary is one ``update``, and inserts its triples
+through ``add_ids`` in the parse's order, so the store is the same.
 
 A Dataset is built single-threaded, then frozen; a frozen dataset is a
 snapshot that any number of readers may share. Its only writes are to
@@ -67,6 +70,27 @@ class TermIds(dict):
 
     def __call__(self, term: Term) -> int:
         return self[term_key(term)]
+
+    def intern_all(self, texts: list[str]) -> list[int]:
+        """Intern the texts in order, as looking each up would; their ids
+        in that order. The ids are the dictionary's own int objects, so
+        triples built from them share them."""
+        known = self.texts
+        if not known:
+            # Distinct texts are all new: each one's id is its position.
+            ids = list(range(len(texts)))
+            self.update(zip(texts, ids))
+            if len(self) == len(texts):
+                known.extend(texts)
+                return ids
+            self.clear()
+        ids = []
+        for text in texts:
+            term_id = self.setdefault(text, len(known))
+            if term_id == len(known):
+                known.append(text)
+            ids.append(term_id)
+        return ids
 
 
 class FrozenDatasetError(EnergyKgError):

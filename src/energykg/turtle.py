@@ -9,7 +9,11 @@ emitted in canonical order, so equal graphs produce byte-identical text.
 ``write_turtle`` sorts a graph's id triples once, renders each term id's
 text once (an IRI compacted against the prefixes, longest namespace
 first) and writes one subject block at a time to a text handle;
-``serialize_turtle`` is the same writer into a string.
+``serialize_turtle`` is the same writer into a string. It renders each
+term where it first appears, the subject before its predicates and
+objects, so the renderings fill in the order in which a parse of the
+text numbers the terms; it returns that order and the triples in
+written order, from which ``snapshot.py`` writes a file's sidecar.
 
 Parsing is one pass over the matches of one compiled regular expression,
 in which each RDF term is one token, a typed literal together with its
@@ -120,12 +124,19 @@ class _Rendered(dict):
         return f"<{value}>"
 
 
-def write_turtle(handle: TextIO, ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> None:
+def write_turtle(
+    handle: TextIO, ds: Dataset, graph: GraphName, prefixes: PrefixMap
+) -> tuple[list[int], list[IdTriple]]:
     """Write one graph of the dataset to a text handle as deterministic
     Turtle, one subject block at a time.
 
     Subjects and objects come in canonical (rank) order and each
     subject's predicates by IRI. Each term is rendered once.
+
+    Returns the document order: the graph's term ids in order of first
+    appearance as subject, predicate, then object, and its id triples in
+    the order written. These are the orders in which parsing the text
+    numbers the terms and emits the triples.
     """
     head = []
     if prefixes.base is not None:
@@ -135,7 +146,7 @@ def write_turtle(handle: TextIO, ds: Dataset, graph: GraphName, prefixes: Prefix
     triples = ds.triples(None, None, None, graph)
     if not head and not triples:
         handle.write("\n")
-        return
+        return [], []
     handle.write("".join(head))
 
     texts = ds.texts()
@@ -150,12 +161,18 @@ def write_turtle(handle: TextIO, ds: Dataset, graph: GraphName, prefixes: Prefix
     )
     text = _Rendered(texts, prefixes)
     type_id = ds.id_of(RDF_TYPE)
+    # Each term is rendered where it first appears, rdf:type too where it
+    # is written "a", so the renderings fill in document order.
     for s, subject_triples in groupby(triples, itemgetter(0)):
+        subject = text[s]
         verbs = []
         for p, objects in groupby(subject_triples, itemgetter(1)):
-            verb = "a" if p == type_id else text[p]
+            verb = text[p]
+            if p == type_id:
+                verb = "a"
             verbs.append(f"{verb} " + ", ".join([text[o] for _, _, o in objects]))
-        handle.write(f"\n{text[s]}\n    " + " ;\n    ".join(verbs) + " .\n")
+        handle.write(f"\n{subject}\n    " + " ;\n    ".join(verbs) + " .\n")
+    return list(text), triples
 
 
 def serialize_turtle(ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 from datetime import datetime, timedelta, timezone
-from decimal import Decimal, InvalidOperation, Overflow
+from decimal import Context, Decimal, DivisionByZero, Inexact, InvalidOperation, Overflow
 from enum import Enum
 from functools import cache, partial
 from typing import Iterable, Iterator, Optional, Sequence
@@ -32,6 +32,7 @@ from .namespaces import (
 )
 from .record import Frozen, Record, set_field
 from .terms import (
+    MAX_DECIMAL_CHARS,
     GraphName,
     Iri,
     LiteralError,
@@ -148,7 +149,14 @@ def to_daily(table: EnergyTable) -> EnergyTable:
     Cumulative counters are differenced day over day (a day without a
     previous-day reading is skipped); interval readings are summed within
     the day. A decreasing cumulative counter is an error.
+
+    The arithmetic keeps every digit that a written value may have
+    (``MAX_DECIMAL_CHARS``) and raises where it would drop one, so no
+    daily value is rounded.
     """
+    context = Context(
+        prec=MAX_DECIMAL_CHARS, traps=[InvalidOperation, DivisionByZero, Overflow, Inexact]
+    )
     # Each timestamp's UTC day, shared by every column.
     day_of = [datetime(ts.year, ts.month, ts.day, tzinfo=timezone.utc) for ts in table.timestamps]
     daily: dict[str, dict[datetime, Decimal]] = {}
@@ -171,12 +179,17 @@ def to_daily(table: EnergyTable) -> EnergyTable:
                 for day, value in last_by_day.items():
                     before = day - _ONE_DAY
                     if before in last_by_day:
-                        per_day[day] = value - last_by_day[before]
+                        per_day[day] = context.subtract(value, last_by_day[before])
             else:
                 for day, value in series:
-                    per_day[day] = per_day.get(day, Decimal(0)) + value
+                    per_day[day] = context.add(per_day.get(day, Decimal(0)), value)
         except Overflow:
             raise UpliftError(f"a daily value for {heading!r} is out of range")
+        except Inexact:
+            raise UpliftError(
+                f"a daily value for {heading!r} has more than "
+                f"{MAX_DECIMAL_CHARS} significant digits"
+            )
         daily[heading] = per_day
         all_days.update(per_day)
 

@@ -123,13 +123,14 @@ def test_failed_uplift_leaves_earlier_output_intact(tmp_path, capsys, bad_csv):
     good = tmp_path / "good.csv"
     good.write_text(ENERGY_CSV)
     assert main(["uplift", str(good), "--out", str(out)]) == 0
-    before = (out / "cossmic.ttl").read_bytes()
+    # The Turtle file and its snapshot sidecar, and nothing else.
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["cossmic.ttl", "cossmic.ttl.ekg"]
     bad = tmp_path / "bad.csv"
     bad.write_text(bad_csv)
     assert main(["uplift", str(bad), "--out", str(out)]) == 1
     assert "error" in capsys.readouterr().err
-    assert (out / "cossmic.ttl").read_bytes() == before
-    assert [p.name for p in out.iterdir()] == ["cossmic.ttl"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("command", ["uplift", "climate"])
@@ -138,7 +139,9 @@ def test_writer_failing_midway_leaves_earlier_output_intact(tmp_path, config, mo
     source.write_text(ENERGY_CSV if command == "uplift" else CLIMATE_CSV)
     run = cmd_uplift if command == "uplift" else cmd_climate
     path = Path(run(str(source), config))
-    before = path.read_bytes()
+    # The Turtle file and its snapshot sidecar, and nothing else.
+    before = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+    assert sorted(before) == [path.name, path.name + ".ekg"]
 
     def failing_writer(handle, *args):
         handle.write("@prefix half")
@@ -147,8 +150,7 @@ def test_writer_failing_midway_leaves_earlier_output_intact(tmp_path, config, mo
     monkeypatch.setattr(cli, "write_turtle", failing_writer)
     with pytest.raises(RuntimeError, match="writer failed"):
         run(str(source), config)
-    assert path.read_bytes() == before
-    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before
 
 
 @pytest.mark.parametrize("command", ["uplift", "climate"])
@@ -295,10 +297,19 @@ _TOO_LONG_INPUTS = [
         "utc_timestamp,DE_KN_industrial1_pv_1\n2016-05-01T01:00:00Z,1\n"
         "2016-05-02T01:00:00Z,9e999999\n2016-05-03T01:00:00Z,-9e999999\n",
         ["--counter-mode", "interval"],
-        # The day's sum, 0 + 9e999999, is rounded to the context's 28 digits.
+        # The day's sum, 0 + 9e999999, keeps the 100 digits of the daily
+        # arithmetic's precision, all but the first of them zeros.
         "column 'DE_KN_industrial1_pv_1' at 2016-05-02T00:00:00+00:00: value "
-        "9.000000000000000000000000000E+999999 would be written with 1000000 characters, "
-        "more than 100",
+        "9." + "0" * 99 + "E+999999 would be written with 1000000 characters, more than 100",
+    ),
+    (
+        "uplift",
+        "energy.csv",
+        "utc_timestamp,DE_KN_industrial1_pv_1\n2016-05-01T01:00:00Z,1e99\n"
+        "2016-05-01T02:00:00Z,1e-5\n",
+        ["--counter-mode", "interval"],
+        # The exact sum has 105 significant digits.
+        "a daily value for 'DE_KN_industrial1_pv_1' has more than 100 significant digits",
     ),
     (
         "uplift",
@@ -329,7 +340,10 @@ _TOO_LONG_INPUTS = [
 @pytest.mark.parametrize(
     "command, name, text, options, message",
     _TOO_LONG_INPUTS,
-    ids=["uplift_interval", "uplift_raw", "uplift_raw_small", "climate_csv", "climate_json"],
+    ids=[
+        "uplift_interval", "uplift_interval_inexact", "uplift_raw", "uplift_raw_small",
+        "climate_csv", "climate_json",
+    ],
 )
 def test_number_too_long_to_write_exits_1(tmp_path, capsys, command, name, text, options, message):
     source = tmp_path / name
@@ -339,6 +353,30 @@ def test_number_too_long_to_write_exits_1(tmp_path, capsys, command, name, text,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "mode, readings",
+    [
+        ("interval", ("1234567890.12345678901234567890", "1")),
+        ("cumulative", ("1", "1234567892.12345678901234567890")),
+    ],
+)
+def test_daily_values_keep_every_digit(tmp_path, mode, readings):
+    # Both sum or difference to a 30-digit value on 2016-05-02.
+    energy = tmp_path / "energy.csv"
+    first, second = readings
+    energy.write_text(
+        "utc_timestamp,DE_KN_industrial1_pv_1\n"
+        f"2016-05-01T12:00:00Z,{first}\n2016-05-02T12:00:00Z,{second}\n"
+        if mode == "cumulative"
+        else "utc_timestamp,DE_KN_industrial1_pv_1\n"
+        f"2016-05-02T01:00:00Z,{first}\n2016-05-02T02:00:00Z,{second}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["uplift", str(energy), "--out", str(out), "--counter-mode", mode]) == 0
+    text = (out / "cossmic.ttl").read_text()
+    assert '"1234567891.12345678901234567890"^^xsd:decimal' in text
 
 
 def test_number_of_the_longest_writable_form_is_written(tmp_path):
@@ -374,6 +412,52 @@ def test_query_inline_text(store_files, config):
 
 def test_query_missing_file_exits_1(tmp_path):
     assert main(["query", str(tmp_path / "nope.ttl"), "SELECT ?s WHERE { ?s ?p ?o }"]) == 1
+
+
+_BROKEN_STORE = "<http://example.org/s> <http://example.org/p> .\n"
+_BROKEN_STORE_ERROR = "line 1, column 47: invalid object '.'"
+
+
+def test_query_naming_no_file_that_does_not_parse_says_both(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("store.ttl").write_text(_BROKEN_STORE)
+    assert main(["query", "store.ttl", "missing.rq"]) == 1
+    assert capsys.readouterr().err == (
+        "error: no file named 'missing.rq', and as query text: line 1, column 1: expected SELECT\n"
+    )
+
+
+def test_query_is_parsed_before_the_store_is_loaded(tmp_path, capsys, monkeypatch):
+    store = tmp_path / "store.ttl"
+    store.write_text(_BROKEN_STORE)
+    query = tmp_path / "query.rq"
+    query.write_text("SELECT ?s WHERE { ?s ?p }")
+    loads = []
+    monkeypatch.setattr(cli, "load_store", lambda *args: loads.append(args))
+    assert main(["query", str(store), str(query)]) == 1
+    assert capsys.readouterr().err == "error: line 1, column 25: unexpected term '}'\n"
+    assert loads == []
+    # A query that parses leaves the store's own error to report.
+    monkeypatch.undo()
+    assert main(["query", str(store), "SELECT ?s WHERE { ?s ?p ?o }"]) == 1
+    assert capsys.readouterr().err == f"error: {_BROKEN_STORE_ERROR}\n"
+
+
+@pytest.mark.parametrize("command", ["query", "serve", "analyze"])
+def test_every_store_file_is_opened_before_any_is_parsed(tmp_path, capsys, command):
+    broken = tmp_path / "broken.ttl"
+    broken.write_text(_BROKEN_STORE)
+    missing = str(tmp_path / "missing.ttl")
+    stores = [str(broken), missing]
+    argv = {
+        "query": ["query", *stores, "SELECT ?s WHERE { ?s ?p ?o }"],
+        "serve": ["serve", *stores, "--bind", "127.0.0.1:0"],
+        "analyze": ["analyze", *stores, "--out", str(tmp_path / "out")],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read {missing}: [Errno 2] No such file or directory: {missing!r}\n"
+    )
 
 
 def test_query_store_with_non_ascii_digit_exits_1(tmp_path, capsys):
@@ -460,11 +544,23 @@ def test_analyze_matches_golden_files(tmp_path):
     PRCP is missing on four days, so some scatter rows end in an empty
     cell.
     """
+    _assert_analyze_matches_golden_files(tmp_path, sidecars=True)
+
+
+def test_analyze_without_sidecars_matches_golden_files(tmp_path):
+    # The same store parsed from its Turtle files.
+    _assert_analyze_matches_golden_files(tmp_path, sidecars=False)
+
+
+def _assert_analyze_matches_golden_files(tmp_path, sidecars):
     config = load_config(cli_overrides={"out": str(tmp_path)})
     stores = [
         cmd_uplift(str(GOLDEN / "energy.csv"), config),
         cmd_climate(str(GOLDEN / "climate.csv"), config),
     ]
+    if not sidecars:
+        for store in stores:
+            os.remove(store + ".ekg")
     written = {Path(p).name: Path(p).read_bytes() for p in cmd_analyze(stores, config)}
     expected = {p.name: p.read_bytes() for p in (GOLDEN / "expected").iterdir()}
     assert sorted(written) == sorted(expected)
@@ -556,13 +652,15 @@ sys.exit(code)
 
 _HEAVY = ("http.server", "energykg.endpoint", "energykg.sparql", "energykg.analysis")
 # No module builds dataclasses, and only a failing run prints a traceback.
-_START_UP = ("dataclasses", "inspect", "traceback")
+# Snapshot sidecars are hashed with importlib.util.source_hash, since
+# hashlib would load OpenSSL.
+_START_UP = ("dataclasses", "inspect", "traceback", "hashlib")
 
 
 @pytest.mark.parametrize(
     "command, unloaded",
     [
-        ("--help", (*_HEAVY, "energykg.uplift", *_START_UP)),
+        ("--help", (*_HEAVY, "energykg.uplift", "energykg.snapshot", *_START_UP)),
         ("uplift", (*_HEAVY, *_START_UP)),
         ("climate", (*_HEAVY, *_START_UP)),
         ("query", ("http.server", "energykg.endpoint", "energykg.analysis", *_START_UP)),
