@@ -13,10 +13,20 @@ and loads a file from its sidecar when the sidecar proves that it holds
 what parsing the file gives; otherwise it parses the Turtle. `query`
 reads and parses its query before the load.
 
+`uplift` and `climate` build no store: their generators give each
+triple as canonical term texts, which are interned into a term
+dictionary (``dataset.TermIds``) and listed as flat id triples, and the
+Turtle writer (``turtle_writer.py``) sorts these and drops the repeats.
+
 Each subcommand imports the modules that only it uses when it runs, so
 a process loads no query engine, analysis or HTTP server it never calls;
 ``snapshot`` is imported only to write or load a store, which in `uplift`
-comes after the CSV has been read.
+comes after the CSV has been read. The Turtle parser (``turtle.py``) is
+imported only to parse a file whose sidecar does not check out, and the
+Turtle writer only to write a store or with the parser, which re-exports
+``serialize_turtle``; so `--help`, `uplift` and `climate` never load the
+parser, and `query`, `serve` and `analyze` over checked sidecars load
+neither.
 No module builds dataclasses at run time: every run compiles the package
 from source, and each ``@dataclass`` would ``exec``-compile its methods
 again (``record.py`` holds the bases that replace them). ``traceback`` is
@@ -31,24 +41,23 @@ import os
 import re
 import sys
 from contextlib import ExitStack, contextmanager, suppress
-from typing import BinaryIO, Iterator, Optional, Sequence, TextIO
+from itertools import chain
+from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .config import PipelineConfig, load_config
-from .dataset import Dataset
+from .dataset import Dataset, TermIds
 from .errors import EnergyKgError
 from .namespaces import (
     QUDT_NS,
     PROV_NS,
     RDF_NS,
-    RDF_TYPE,
     SEAS,
     SEAS_NS,
     SOSA_NS,
     XSD_NS,
     device_resource,
 )
-from .terms import GraphName, Iri, PrefixMap, Quad
-from .turtle import load_turtle, write_turtle
+from .terms import GraphName, Iri, PrefixMap, TextTriple
 
 _GRAPH_MARKER = re.compile(r"^#\s*graph\s+<([^<>]+)>\s*$")
 
@@ -120,18 +129,30 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_store(path: str, ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> str:
-    """Write one graph of the dataset as Turtle at path, with its
-    snapshot sidecar beside it (``snapshot.py``). A graph the sidecar
-    cannot hold leaves no sidecar."""
+def _mint(triples: Iterable[TextTriple]) -> tuple[list[str], list[int]]:
+    """Intern the text triples into a new term dictionary: its texts by
+    id, and each triple's subject, predicate and object id in turn."""
+    ids = TermIds()
+    with _collector_paused():
+        flat = list(map(ids.__getitem__, chain.from_iterable(triples)))
+    return ids.texts, flat
+
+
+def _write_store(
+    path: str, texts: list[str], triples: list[int], graph: GraphName, prefixes: PrefixMap
+) -> str:
+    """Write the triples (``turtle_writer.write_turtle``) as Turtle at
+    path, marked as the graph's, with the snapshot sidecar beside it
+    (``snapshot.py``). A graph the sidecar cannot hold leaves no sidecar."""
     from . import snapshot
+    from .turtle_writer import write_turtle
 
     sidecar_path = path + snapshot.SUFFIX
     with _replacing(path, sidecar_path) as [turtle, sidecar]:
         if graph is not None:
             turtle.write(f"# graph <{graph.value}>\n")
-        order, triples = write_turtle(turtle, ds, graph, prefixes)
-        written = snapshot.write(sidecar.buffer, turtle, ds.texts(), order, triples)
+        document = write_turtle(turtle, texts, triples, prefixes)
+        written = snapshot.write(sidecar.buffer, turtle, *document)
     if not written:
         with suppress(OSError):
             os.remove(sidecar_path)
@@ -140,12 +161,13 @@ def _write_store(path: str, ds: Dataset, graph: GraphName, prefixes: PrefixMap) 
 
 @contextmanager
 def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector while a block builds a store.
+    """Pause the cyclic garbage collector while a block builds a store
+    or a term dictionary.
 
-    A store's id tuples and terms form no cycles, so the collector's
-    passes over its growing heap find nothing to free. When the block
+    Their id tuples and texts form no cycles, so the collector's passes
+    over a growing heap of them find nothing to free. When the block
     completes, every object then alive is frozen (`gc.freeze`), so later
-    passes skip the store too. The previous enabled state comes back
+    passes skip them too. The previous enabled state comes back
     when the block exits, also when it raises."""
     enabled = gc.isenabled()
     gc.disable()
@@ -192,6 +214,8 @@ def _load_file(ds: Dataset, path: str, handle: BinaryIO, base: Optional[Iri]) ->
         del data
         sidecar.load(ds, graph)
         return
+    from .turtle import load_turtle
+
     text = _decode(path, data)
     del data
     load_turtle(ds, text, graph=_graph_of(text), base=base)
@@ -219,31 +243,35 @@ def _climate_prefixes(config: PipelineConfig) -> PrefixMap:
 
 def cmd_uplift(energy_csv: str, config: PipelineConfig) -> str:
     """Energy CSV to one Turtle file holding the cossmic graph."""
-    from .climate import link_network_to_station
     from .headings import parse_heading
-    from .uplift import CounterMode, evaluation_triples, read_energy_csv, to_daily, topology_triples
+    from .uplift import (
+        CounterMode, evaluation_triples, network_triple, read_energy_csv, station_link, to_daily,
+        topology_triples,
+    )
 
     mode = CounterMode(config.counter_mode)
     table = read_energy_csv(_read(energy_csv), mode)
     if config.resolution == "daily":
         table = to_daily(table)
     headings = [parse_heading(name) for name in table.columns]
-    graph = config.graph_iri
     base = config.base_iri
-
-    ds = Dataset()
-    with _collector_paused():
-        if headings:
-            ds.add_triples(topology_triples(headings, base), graph)
-            network = device_resource(base, headings[0].network_name)
-        else:
-            network = config.network_iri
-            ds.add(Quad(network, RDF_TYPE, SEAS.ElectricPowerDistributionNetwork, graph))
-        ds.add_triples(evaluation_triples(table.records(), base), graph)
-        ds.add(link_network_to_station(network, config.station_iri, base, graph))
-
+    if headings:
+        network = device_resource(base, headings[0].network_name)
+        topology = topology_triples(headings, base)
+    else:
+        network = config.network_iri
+        topology = [network_triple(network)]
+    texts, triples = _mint(
+        chain(
+            topology,
+            evaluation_triples(table.records(), base),
+            [station_link(network, config.station_iri, base)],
+        )
+    )
+    # The table's values are no longer needed while the file is written.
+    del table
     path = os.path.join(config.out, "cossmic.ttl")
-    return _write_store(path, ds, graph, _uplift_prefixes(config))
+    return _write_store(path, texts, triples, config.graph_iri, _uplift_prefixes(config))
 
 
 def cmd_climate(observations_path: str, config: PipelineConfig) -> str:
@@ -255,11 +283,9 @@ def cmd_climate(observations_path: str, config: PipelineConfig) -> str:
         observations = parse_noaa_json(text, config.scale_decimal)
     else:
         observations = parse_noaa_csv(text, config.scale_decimal)
-    ds = Dataset()
-    with _collector_paused():
-        ds.add_triples(observation_triples(observations, config.base_iri))
+    texts, triples = _mint(observation_triples(observations, config.base_iri))
     path = os.path.join(config.out, "climate.ttl")
-    return _write_store(path, ds, None, _climate_prefixes(config))
+    return _write_store(path, texts, triples, None, _climate_prefixes(config))
 
 
 def cmd_query(store_paths: Sequence[str], query: str, config: PipelineConfig) -> str:

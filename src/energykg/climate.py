@@ -3,9 +3,17 @@
 Observations follow the station/observation/result shape: each one is
 typed, points at its station, carries a resultTime and a result node
 holding the numeric value and the datatype code. ``observation_triples``
-yields them for a store's ``add_triples``; ``observation_quads`` collects
-them as default-graph quads. The network-to-station link quad lives in
-the cossmic graph instead.
+yields them as canonical term texts, which the CLI interns into a term
+dictionary and hands to the Turtle writer without building a store;
+``observation_quads`` collects them as default-graph quads. The
+network-to-station link quad lives in the cossmic graph instead.
+
+A station's and a datatype's IRI are checked (``terms.check_iri``) once
+per distinct id or code, and an observation's IRI once per (station,
+datatype) pair, on the first observation of the pair: the day between
+them is ISO digits, so the pair alone decides whether the IRI is valid,
+and that first observation's IRI is the one an error names.
+``check_decimal`` runs on every value written.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import io
 import json
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation, Overflow
-from functools import cache, partial
+from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EnergyKgError
@@ -28,7 +36,7 @@ from .namespaces import (
     ca_property,
     cossmic_graph,
     datatype_resource,
-    observation_resource,
+    observation_path,
     station_resource,
 )
 from .record import Frozen, set_field
@@ -37,11 +45,15 @@ from .terms import (
     Iri,
     LiteralError,
     Quad,
-    Triple,
+    TextTriple,
     check_decimal,
+    check_iri,
     datetime_literal,
-    decimal_literal,
+    decimal_text,
+    decode_term,
     finite_decimal,
+    term_key,
+    text_quads,
 )
 
 
@@ -154,35 +166,46 @@ def parse_noaa_json(text: str, scale: Decimal = Decimal(1)) -> list[ClimateObser
 
 def observation_triples(
     observations: Iterable[ClimateObservation], base: Iri = DEFAULT_BASE
-) -> Iterator[Triple]:
+) -> Iterator[TextTriple]:
     """Six triples per observation.
 
     Each station's and datatype's IRI, and each day's path segment and
     ``xsd:dateTime`` literal, are minted once.
     """
-    observation_class = ca_class(base, "Observation")
-    source_station = ca_property(base, "sourceStation")
-    with_datatype = ca_property(base, "withDataType")
-    station_iri = cache(partial(station_resource, base))
-    datatype_iri = cache(partial(datatype_resource, base))
-    day_of = cache(lambda date: (date.date().isoformat(), datetime_literal(date)))
+    a = term_key(RDF_TYPE)
+    observation_class = term_key(ca_class(base, "Observation"))
+    result_time = term_key(SOSA.resultTime)
+    has_result = term_key(SOSA.hasResult)
+    numeric_value = term_key(QUDT.numericValue)
+    source_station = term_key(ca_property(base, "sourceStation"))
+    with_datatype = term_key(ca_property(base, "withDataType"))
+    station_text = cache(lambda station_id: term_key(station_resource(base, station_id)))
+    datatype_text = cache(lambda code: term_key(datatype_resource(base, code)))
+    # A day's segment of an observation's IRI, and its xsd:dateTime text.
+    day_of = cache(lambda date: (date.date().isoformat(), term_key(datetime_literal(date))))
+    checked: set[tuple[str, str]] = set()
     for obs in observations:
         day, time = day_of(obs.date)
-        node = observation_resource(base, obs.station_id, day, obs.datatype)
-        result = Iri(node.value + "/result")
-        yield node, RDF_TYPE, observation_class
-        yield node, source_station, station_iri(obs.station_id)
-        yield node, SOSA.resultTime, time
-        yield node, SOSA.hasResult, result
-        yield result, QUDT.numericValue, decimal_literal(obs.value)
-        yield result, with_datatype, datatype_iri(obs.datatype)
+        node = observation_path(base, obs.station_id, day, obs.datatype)
+        pair = (obs.station_id, obs.datatype)
+        if pair not in checked:
+            check_iri(node)
+            checked.add(pair)
+        result = "<" + node + "/result>"
+        node = "<" + node + ">"
+        yield node, a, observation_class
+        yield node, source_station, station_text(obs.station_id)
+        yield node, result_time, time
+        yield node, has_result, result
+        yield result, numeric_value, decimal_text(obs.value)
+        yield result, with_datatype, datatype_text(obs.datatype)
 
 
 def observation_quads(
     observations: Sequence[ClimateObservation], base: Iri = DEFAULT_BASE
 ) -> set[Quad]:
     """``observation_triples`` as default-graph quads."""
-    return {Quad(s, p, o, None) for s, p, o in observation_triples(observations, base)}
+    return text_quads(observation_triples(observations, base), None)
 
 
 def link_network_to_station(
@@ -191,6 +214,9 @@ def link_network_to_station(
     base: Iri = DEFAULT_BASE,
     graph: Optional[GraphName] = None,
 ) -> Quad:
-    """The retrieveWeatherFrom link, placed in the cossmic graph."""
+    """``uplift.station_link`` as a quad in the graph (the cossmic graph by
+    default)."""
+    from .uplift import station_link
+
     g = cossmic_graph(base) if graph is None else graph
-    return Quad(network, ca_property(base, "retrieveWeatherFrom"), station, g)
+    return Quad(*map(decode_term, station_link(network, station, base)), g)

@@ -11,7 +11,9 @@ from decimal import Decimal, InvalidOperation
 from typing import Mapping, Optional
 
 from .errors import EnergyKgError
-from .namespaces import DEFAULT_BASE, cossmic_graph, device_resource, station_resource
+from .namespaces import (
+    DEFAULT_BASE, cossmic_graph, datatype_resource, device_resource, station_resource,
+)
 from .record import Record
 from .terms import Iri, IriError, finite_decimal
 
@@ -83,6 +85,12 @@ class PipelineConfig(Record):
                 Iri(self.graph)
             except IriError as exc:
                 raise ConfigError(f"graph: {exc}")
+        # Both are minted into IRIs that analyze pastes into its queries.
+        for key, mint in (("station", station_resource), ("datatype", datatype_resource)):
+            try:
+                mint(self.base_iri, getattr(self, key))
+            except IriError as exc:
+                raise ConfigError(f"{key}: {exc}")
         if not (0.0 <= self.threshold <= 1.0):
             raise ConfigError(f"threshold must be within [0, 1], got {self.threshold}")
         if self.counter_mode not in ("cumulative", "interval"):

@@ -23,6 +23,11 @@ interns a whole file's texts at once with ``TermIds.intern_all``, which
 into an empty dictionary is one ``update``, and inserts its triples
 through ``add_ids`` in the parse's order, so the store is the same.
 
+Writing needs no Dataset: ``uplift`` and ``climate`` intern their
+generators' texts into a bare ``TermIds`` and hand its texts and a flat
+list of ids to ``turtle_writer.write_turtle``, which drops repeated
+triples by sorting them.
+
 A Dataset is built single-threaded, then frozen; a frozen dataset is a
 snapshot that any number of readers may share. Its only writes are to
 the cache of decoded terms, where two readers racing on one id store
@@ -34,7 +39,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EnergyKgError
 from .terms import GraphName, Iri, Quad, Term, decode_term, term_key
@@ -54,6 +59,8 @@ IdTriple = tuple[int, int, int]
 class TermIds(dict):
     """Canonical term text to id; looking up a new text gives it the next
     free id. Called with a term, it does the same for the term's text.
+    A ``Dataset`` keeps one, and the CLI's writing commands intern into
+    one of their own.
     ``texts`` lists the texts by id, so a new text's id is ``len(texts)``:
     a bulk reader (the Turtle parser) interns with ``setdefault(text,
     len(texts))`` and appends the text when it got that id, which skips
@@ -91,6 +98,16 @@ class TermIds(dict):
                 known.append(text)
             ids.append(term_id)
         return ids
+
+
+def text_order(texts: Sequence[str]) -> tuple[list[int], list[int]]:
+    """The indexes of the texts in sorted text order, and each text's
+    position in that order, by index."""
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    ranks = [0] * len(texts)
+    for rank, index in enumerate(order):
+        ranks[index] = rank
+    return order, ranks
 
 
 class FrozenDatasetError(EnergyKgError):
@@ -276,10 +293,7 @@ class Dataset:
         """Each id's position in canonical text order, indexed by id."""
         texts = self._ids.texts
         if len(self._ranks) != len(texts):
-            ranks = [0] * len(texts)
-            for rank, term_id in enumerate(sorted(range(len(texts)), key=texts.__getitem__)):
-                ranks[term_id] = rank
-            self._ranks = ranks
+            _, self._ranks = text_order(texts)
         return self._ranks
 
     def graph(self, graph: GraphName) -> Optional[_Graph]:

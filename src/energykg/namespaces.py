@@ -64,8 +64,13 @@ def datatype_resource(base: Iri, code: str) -> Iri:
     return Iri(base.value + "resource/datatype/" + code)
 
 
+def observation_path(base: Iri, station_id: str, day: str, code: str) -> str:
+    """The value of an observation's IRI, unchecked."""
+    return base.value + "resource/observation/" + station_id + "/" + day + "/" + code
+
+
 def observation_resource(base: Iri, station_id: str, day: str, code: str) -> Iri:
-    return Iri(base.value + "resource/observation/" + station_id + "/" + day + "/" + code)
+    return Iri(observation_path(base, station_id, day, code))
 
 
 def ca_class(base: Iri, name: str) -> Iri:

@@ -38,13 +38,12 @@ import struct
 import sys
 from array import array
 from binascii import crc32
-from collections import deque
 from importlib.util import source_hash
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from operator import itemgetter, lt
-from typing import BinaryIO, Iterable, Optional, TextIO
+from typing import BinaryIO, Iterable, Iterator, Optional, TextIO
 
-from .dataset import Dataset, IdTriple
+from .dataset import Dataset
 from .terms import GraphName
 
 SUFFIX = ".ekg"
@@ -134,32 +133,23 @@ def _read(handle: BinaryIO, turtle: bytes) -> Optional[Snapshot]:
     return Snapshot(list(map(text.__getitem__, map(slice, offsets, ends))), triples)
 
 
-def write(
-    handle: BinaryIO,
-    turtle: TextIO,
-    texts: list[str],
-    order: list[int],
-    triples: list[IdTriple],
-) -> bool:
+def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: Iterator[int]) -> bool:
     """Write to the binary handle the sidecar of the Turtle file just
     written through the text handle ``turtle``, which is read back by name.
 
-    ``order`` and ``triples`` are the document order ``write_turtle``
-    returned, in ids of the dictionary whose texts are ``texts``. Writes
-    nothing and returns False for a graph holding a blank node, or one
-    whose texts are too long for 32-bit offsets.
+    ``texts`` and ``triples`` are the document order ``write_turtle``
+    returned: the term texts by document id, and each triple's ids in
+    turn, in written order. Writes nothing and returns False for a graph
+    holding a blank node, or one whose texts are too long for 32-bit
+    offsets.
     """
-    if "_" in set(map(itemgetter(0), map(texts.__getitem__, order))):
+    if "_" in set(map(itemgetter(0), texts)):
         return False
     try:
-        offsets = array(_U32, accumulate(map(len, map(texts.__getitem__, order)), initial=0))
+        offsets = array(_U32, accumulate(map(len, texts), initial=0))
     except OverflowError:
         return False
     chars = offsets[-1]
-    # The document id of each dictionary id the graph holds, set by a
-    # loop that runs in C (a deque of length 0 only consumes).
-    local = array(_U32, bytes(4 * len(texts)))
-    deque(map(local.__setitem__, order, range(len(order))), maxlen=0)
 
     crc = 0
 
@@ -174,18 +164,17 @@ def write(
     handle.write(bytes(_START))
     put(offsets)
     size = 0
-    for start in range(0, len(order), _CHUNK):
-        chunk = "".join(map(texts.__getitem__, order[start : start + _CHUNK]))
-        size += put(chunk.encode("utf-8"))
-    flat = map(local.__getitem__, chain.from_iterable(triples))
-    while put(array(_U32, islice(flat, 3 * _CHUNK))):
-        pass
+    for start in range(0, len(texts), _CHUNK):
+        size += put("".join(texts[start : start + _CHUNK]).encode("utf-8"))
+    ids = 0
+    while written := put(array(_U32, islice(triples, 3 * _CHUNK))):
+        ids += written
 
     turtle.flush()
     with open(turtle.name, "rb") as source:
         digest = _digest(iter(lambda: source.read(_BLOCK), b""))
         length = source.tell()
-    header = _HEADER.pack(_MAGIC, _VERSION, length, digest, len(order), chars, size, len(triples))
+    header = _HEADER.pack(_MAGIC, _VERSION, length, digest, len(texts), chars, size, ids // 3)
     handle.seek(0)
     handle.write(header + _CRC.pack(crc32(header, crc)))
     return True

@@ -18,7 +18,7 @@ import re
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 from urllib.parse import urljoin, urlsplit
 
 from .errors import EnergyKgError
@@ -154,7 +154,8 @@ class Quad(Frozen):
         return hash((self.subject, self.predicate, self.object, self.graph))
 
 
-Triple = tuple[Union[Iri, BlankNode], Iri, Term]
+# A triple of canonical term texts (``term_key``).
+TextTriple = tuple[str, str, str]
 
 
 def resolve_iri(base: Iri, reference: str) -> Iri:
@@ -252,10 +253,15 @@ def check_decimal(value: Decimal) -> Decimal:
     return value
 
 
+def decimal_text(value: Decimal) -> str:
+    """The canonical text of a finite value's xsd:decimal literal in plain
+    form; raise LiteralError if that form is longer than MAX_DECIMAL_CHARS."""
+    return f'"{format(check_decimal(value), "f")}"^^<{_XSD}decimal>'
+
+
 def decimal_literal(value: Decimal) -> Literal:
-    """The xsd:decimal literal of a finite value in plain form; raise
-    LiteralError if that form is longer than MAX_DECIMAL_CHARS."""
-    return Literal(format(check_decimal(value), "f"), XSD_DECIMAL)
+    """The literal whose canonical text is ``decimal_text(value)``."""
+    return decode_term(decimal_text(value))
 
 
 def parse_numeric(literal: Literal) -> Decimal:
@@ -301,6 +307,13 @@ def decode_term(text: str) -> Term:
         lexical, datatype = literal_parts(text)
         return Literal(lexical, _datatype(datatype))
     return BlankNode(text[2:])
+
+
+def text_quads(triples: Iterable[TextTriple], graph: GraphName) -> set[Quad]:
+    """The triples of canonical texts as quads in the graph; each
+    distinct text is decoded once."""
+    term = lru_cache(maxsize=None)(decode_term)
+    return {Quad(term(s), term(p), term(o), graph) for s, p, o in triples}
 
 
 def quad_key(quad: Quad) -> tuple[str, str, str, str]:

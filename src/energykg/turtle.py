@@ -1,19 +1,13 @@
-"""Turtle subset serializer and parser.
+"""Turtle subset parser.
 
 Supported grammar: @prefix/@base directives, prefixed names (including
 the empty prefix), ``a``, ";" and "," lists, typed literals, bare
 integer/decimal/boolean shorthand, comments and blank-node labels.
 
-Serialization is deterministic: subjects, predicates and objects are
-emitted in canonical order, so equal graphs produce byte-identical text.
-``write_turtle`` sorts a graph's id triples once, renders each term id's
-text once (an IRI compacted against the prefixes, longest namespace
-first) and writes one subject block at a time to a text handle;
-``serialize_turtle`` is the same writer into a string. It renders each
-term where it first appears, the subject before its predicates and
-objects, so the renderings fill in the order in which a parse of the
-text numbers the terms; it returns that order and the triples in
-written order, from which ``snapshot.py`` writes a file's sidecar.
+The writer is ``turtle_writer.py``; only its ``serialize_turtle`` is
+also importable from here. The CLI imports this module only to parse a
+store file that has no usable snapshot sidecar, so a process that writes
+Turtle, or loads every file from its sidecar, never compiles the parser.
 
 Parsing is one pass over the matches of one compiled regular expression,
 in which each RDF term is one token, a typed literal together with its
@@ -39,11 +33,8 @@ grammar error earlier in it.
 
 from __future__ import annotations
 
-import io
 import re
-from itertools import groupby
-from operator import itemgetter
-from typing import Optional, TextIO
+from typing import Optional
 
 from .dataset import Dataset, IdTriple, TermIds
 from .errors import EnergyKgError
@@ -62,10 +53,11 @@ from .terms import (
     XSD_STRING,
     check_iri,
     decode_term,
-    literal_parts,
     resolve_reference,
     term_key,
 )
+# perfbench/tracing.py times ``serialize_turtle`` under this module's name.
+from .turtle_writer import serialize_turtle  # noqa: F401
 
 
 class TurtleParseError(EnergyKgError):
@@ -73,113 +65,6 @@ class TurtleParseError(EnergyKgError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
-
-
-# -- serialization -----------------------------------------------------------
-
-_SAFE_LOCAL = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
-_LOCAL_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
-_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
-
-
-class _Rendered(dict):
-    """Term id to the term's Turtle text, rendered from its canonical text
-    on first lookup.
-
-    An IRI is compacted against the namespaces longest first, so the
-    first one that leaves a safe local part is the longest such; among
-    namespaces of equal length the earlier bound wins.
-    """
-
-    def __init__(self, texts: list[str], prefixes: PrefixMap) -> None:
-        super().__init__()
-        self._texts = texts
-        namespaces = [(label, ns.value) for label, ns in prefixes.namespaces().items()]
-        self._namespaces = sorted(namespaces, key=lambda entry: -len(entry[1]))
-
-    def __missing__(self, term_id: int) -> str:
-        text = self._texts[term_id]
-        if text[0] == "<":
-            rendered = self._compact(text[1:-1])
-        elif text[0] == "_":
-            rendered = text
-        else:
-            lexical, datatype = literal_parts(text)
-            rendered = f'"{lexical.translate(_ESCAPES)}"'
-            if datatype != XSD_STRING.value:
-                rendered = f"{rendered}^^{self._compact(datatype)}"
-        self[term_id] = rendered
-        return rendered
-
-    def _compact(self, value: str) -> str:
-        # A safe local part lies within the IRI's tail of local-name characters.
-        tail = len(value.rstrip(_LOCAL_CHARS))
-        for label, namespace in self._namespaces:
-            if len(namespace) < tail:
-                break
-            if value.startswith(namespace):
-                local = value[len(namespace):]
-                if _SAFE_LOCAL.match(local):
-                    return f"{label}:{local}"
-        return f"<{value}>"
-
-
-def write_turtle(
-    handle: TextIO, ds: Dataset, graph: GraphName, prefixes: PrefixMap
-) -> tuple[list[int], list[IdTriple]]:
-    """Write one graph of the dataset to a text handle as deterministic
-    Turtle, one subject block at a time.
-
-    Subjects and objects come in canonical (rank) order and each
-    subject's predicates by IRI. Each term is rendered once.
-
-    Returns the document order: the graph's term ids in order of first
-    appearance as subject, predicate, then object, and its id triples in
-    the order written. These are the orders in which parsing the text
-    numbers the terms and emits the triples.
-    """
-    head = []
-    if prefixes.base is not None:
-        head.append(f"@base <{prefixes.base.value}> .\n")
-    for label, namespace in prefixes.namespaces().items():
-        head.append(f"@prefix {label}: <{namespace.value}> .\n")
-    triples = ds.triples(None, None, None, graph)
-    if not head and not triples:
-        handle.write("\n")
-        return [], []
-    handle.write("".join(head))
-
-    texts = ds.texts()
-    ranks = ds.ranks()
-    # By IRI, which is not the order of the "<iri>" texts: "<a>" sorts after "<a!>".
-    predicates = sorted({p for _, p, _ in triples}, key=lambda p: texts[p][1:-1])
-    order = {p: i for i, p in enumerate(predicates)}
-    # By (subject rank, predicate order, object rank), packed into one int.
-    width, count = len(order), len(ranks)
-    triples = sorted(
-        triples, key=lambda t: (ranks[t[0]] * width + order[t[1]]) * count + ranks[t[2]]
-    )
-    text = _Rendered(texts, prefixes)
-    type_id = ds.id_of(RDF_TYPE)
-    # Each term is rendered where it first appears, rdf:type too where it
-    # is written "a", so the renderings fill in document order.
-    for s, subject_triples in groupby(triples, itemgetter(0)):
-        subject = text[s]
-        verbs = []
-        for p, objects in groupby(subject_triples, itemgetter(1)):
-            verb = text[p]
-            if p == type_id:
-                verb = "a"
-            verbs.append(f"{verb} " + ", ".join([text[o] for _, _, o in objects]))
-        handle.write(f"\n{subject}\n    " + " ;\n    ".join(verbs) + " .\n")
-    return list(text), triples
-
-
-def serialize_turtle(ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> str:
-    """One graph of the dataset as deterministic Turtle text."""
-    out = io.StringIO()
-    write_turtle(out, ds, graph, prefixes)
-    return out.getvalue()
 
 
 # -- parsing -----------------------------------------------------------------

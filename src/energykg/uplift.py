@@ -4,9 +4,16 @@ Headings become topology triples (network, sites, grid, device links);
 records become evaluation triples that a two-step evaluatedValue path can
 traverse down to the numeric reading. IRIs are minted deterministically
 so re-running the uplift is idempotent. The generators
-(``topology_triples``, ``evaluation_triples``) feed a store's
-``add_triples`` directly; ``topology_quads`` and ``evaluation_quads``
-collect the same triples as a set of quads.
+(``topology_triples``, ``evaluation_triples``, ``station_link``) give
+each term as its canonical text (``<iri>`` or ``"lexical"^^<datatype>``),
+which the CLI interns into a term dictionary and hands to the Turtle
+writer without building a store; ``topology_quads`` and
+``evaluation_quads`` collect the same triples as a set of quads.
+
+Every IRI is checked (``terms.check_iri``) once per distinct value it is
+minted from: a device's IRI once per heading, and an evaluation's IRI,
+which extends a checked device IRI with a timestamp's digits, not at all.
+``check_decimal`` runs on every value written.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import io
 from datetime import datetime, timedelta, timezone
 from decimal import Context, Decimal, DivisionByZero, Inexact, InvalidOperation, Overflow
 from enum import Enum
-from functools import cache, partial
+from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EnergyKgError
@@ -27,6 +34,7 @@ from .namespaces import (
     QUDT,
     RDF_TYPE,
     SEAS,
+    ca_property,
     cossmic_graph,
     device_resource,
 )
@@ -37,11 +45,13 @@ from .terms import (
     Iri,
     LiteralError,
     Quad,
-    Triple,
+    TextTriple,
     datetime_literal,
-    decimal_literal,
+    decimal_text,
     finite_decimal,
     parse_datetime,
+    term_key,
+    text_quads,
 )
 
 _ONE_DAY = timedelta(days=1)
@@ -216,7 +226,7 @@ def compact_utc(instant: datetime) -> str:
 
 def topology_triples(
     headings: Sequence[DeviceHeading], base: Iri = DEFAULT_BASE
-) -> Iterator[Triple]:
+) -> Iterator[TextTriple]:
     """Network, site, grid and device-link triples for a set of headings.
 
     All headings must share one country/city pair. A triple may be
@@ -229,36 +239,44 @@ def topology_triples(
     if len(prefixes) > 1:
         raise UpliftError(f"headings mix countries/cities: {sorted(prefixes)}")
 
+    text = cache(term_key)
+    resource = cache(lambda name: text(device_resource(base, name)))
     first = headings[0]
-    network = device_resource(base, first.network_name)
-    grid = device_resource(base, first.grid_name)
-    yield network, RDF_TYPE, SEAS.ElectricPowerDistributionNetwork
+    yield network_triple(device_resource(base, first.network_name))
+    network = resource(first.network_name)
+    grid = resource(first.grid_name)
+    a = text(RDF_TYPE)
 
     for heading in headings:
-        site = device_resource(base, heading.site_name)
-        device = mint_device_iri(heading, base)
-        yield site, RDF_TYPE, SEAS.ElectricPowerSystem
+        site = resource(heading.site_name)
+        device = text(mint_device_iri(heading, base))
+        yield site, a, text(SEAS.ElectricPowerSystem)
         if heading.site_kind is SiteKind.INDUSTRIAL:
-            yield site, RDF_TYPE, SEAS.IndustrialBuilding
-        yield site, SEAS.subSystemOf, network
+            yield site, a, text(SEAS.IndustrialBuilding)
+        yield site, text(SEAS.subSystemOf), network
         role = classify(heading)
         if role is DeviceRole.PRODUCER:
-            yield site, SEAS.producedElectricPower, device
-            yield grid, SEAS.isPoweredBy, device
-            yield grid, RDF_TYPE, SEAS.ElectricPowerTransmissionSystem
+            yield site, text(SEAS.producedElectricPower), device
+            yield grid, text(SEAS.isPoweredBy), device
+            yield grid, a, text(SEAS.ElectricPowerTransmissionSystem)
         elif role is DeviceRole.GRID_IMPORT:
-            yield site, SEAS.isPoweredBy, device
-            yield device, SEAS.subSystemOf, grid
-            yield grid, RDF_TYPE, SEAS.ElectricPowerTransmissionSystem
+            yield site, text(SEAS.isPoweredBy), device
+            yield device, text(SEAS.subSystemOf), grid
+            yield grid, a, text(SEAS.ElectricPowerTransmissionSystem)
         elif role is DeviceRole.CONSUMER:
-            yield site, SEAS.consumedElectricPower, device
-            yield device, RDF_TYPE, SEAS.ElectricPowerConsumer
+            yield site, text(SEAS.consumedElectricPower), device
+            yield device, a, text(SEAS.ElectricPowerConsumer)
         # Grid export meters carry evaluations but no modelled topology.
+
+
+def network_triple(network: Iri) -> TextTriple:
+    """The network's type triple."""
+    return term_key(network), term_key(RDF_TYPE), term_key(SEAS.ElectricPowerDistributionNetwork)
 
 
 def evaluation_triples(
     records: Iterable[EnergyRecord], base: Iri = DEFAULT_BASE
-) -> Iterator[Triple]:
+) -> Iterator[TextTriple]:
     """Five triples per record: evaluation node, type, time, value node, number.
 
     Each device's IRI, and each timestamp's evaluation IRI suffix and
@@ -266,34 +284,54 @@ def evaluation_triples(
     earlier (device, timestamp) pair yields nothing; once every record has
     been read, the repeats are raised together.
     """
-    device_iri = cache(partial(device_resource, base))
-    stamp_of = cache(lambda ts: ("/evaluation/" + compact_utc(ts), datetime_literal(ts)))
+    # Each device's text, and the same without its closing ">", by heading text.
+    devices: dict[str, tuple[str, str]] = {}
+    stamp_of = cache(
+        lambda ts: ("/evaluation/" + compact_utc(ts), term_key(datetime_literal(ts)))
+    )
+    has_evaluation = term_key(SEAS.evaluation)
+    a = term_key(RDF_TYPE)
+    evaluation_class = term_key(SEAS.ElectricPowerEvaluation)
+    generated_at = term_key(PROV.generatedAtTime)
+    has_value = term_key(SEAS.evaluatedValue)
+    number_of = term_key(QUDT.numericalValue)
     seen: set[tuple[str, datetime]] = set()
     duplicates = []
     for record in records:
-        key = (record.device.raw, record.timestamp)
+        raw = record.device.raw
+        key = (raw, record.timestamp)
         if key in seen:
             duplicates.append(key)
             continue
         seen.add(key)
         try:
-            number = decimal_literal(record.value)
+            number = decimal_text(record.value)
         except LiteralError as exc:
             raise UpliftError(
                 f"column {record.device.raw!r} at {record.timestamp.isoformat()}: {exc}"
             )
-        device = device_iri(record.device.raw)
+        known = devices.get(raw)
+        if known is None:
+            iri = mint_device_iri(record.device, base)
+            known = devices[raw] = term_key(iri), "<" + iri.value
+        device, open_device = known
         suffix, time = stamp_of(record.timestamp)
-        evaluation = Iri(device.value + suffix)
-        value_node = Iri(evaluation.value + "/value")
-        yield device, SEAS.evaluation, evaluation
-        yield evaluation, RDF_TYPE, SEAS.ElectricPowerEvaluation
-        yield evaluation, PROV.generatedAtTime, time
-        yield evaluation, SEAS.evaluatedValue, value_node
-        yield value_node, QUDT.numericalValue, number
+        evaluation = open_device + suffix
+        value_node = evaluation + "/value>"
+        evaluation += ">"
+        yield device, has_evaluation, evaluation
+        yield evaluation, a, evaluation_class
+        yield evaluation, generated_at, time
+        yield evaluation, has_value, value_node
+        yield value_node, number_of, number
     if duplicates:
         listing = ", ".join(f"{raw}@{ts.isoformat()}" for raw, ts in duplicates)
         raise UpliftError(f"duplicate (device, timestamp) records: {listing}")
+
+
+def station_link(network: Iri, station: Iri, base: Iri = DEFAULT_BASE) -> TextTriple:
+    """The network's retrieveWeatherFrom link to its weather station."""
+    return term_key(network), term_key(ca_property(base, "retrieveWeatherFrom")), term_key(station)
 
 
 def topology_quads(
@@ -303,7 +341,7 @@ def topology_quads(
 ) -> set[Quad]:
     """``topology_triples`` as quads in the graph (the cossmic graph by default)."""
     g = cossmic_graph(base) if graph is None else graph
-    return {Quad(s, p, o, g) for s, p, o in topology_triples(headings, base)}
+    return text_quads(topology_triples(headings, base), g)
 
 
 def evaluation_quads(
@@ -313,4 +351,4 @@ def evaluation_quads(
 ) -> set[Quad]:
     """``evaluation_triples`` as quads in the graph (the cossmic graph by default)."""
     g = cossmic_graph(base) if graph is None else graph
-    return {Quad(s, p, o, g) for s, p, o in evaluation_triples(records, base)}
+    return text_quads(evaluation_triples(records, base), g)

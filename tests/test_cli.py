@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from energykg import cli
+from energykg import cli, turtle_writer
 from energykg.analysis import AnalysisError
 from energykg.cli import cmd_analyze, cmd_climate, cmd_query, cmd_uplift, load_store, main
 from energykg.config import ConfigError, PipelineConfig, load_config
+from energykg.dataset import Dataset
 from energykg.endpoint import EndpointConfig, EndpointServer
 from energykg.errors import EnergyKgError
 
@@ -147,10 +148,24 @@ def test_writer_failing_midway_leaves_earlier_output_intact(tmp_path, config, mo
         handle.write("@prefix half")
         raise RuntimeError("writer failed")
 
-    monkeypatch.setattr(cli, "write_turtle", failing_writer)
+    monkeypatch.setattr(turtle_writer, "write_turtle", failing_writer)
     with pytest.raises(RuntimeError, match="writer failed"):
         run(str(source), config)
     assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before
+
+
+def test_uplift_and_climate_write_without_a_store(tmp_path, config, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a writing command inserted into a store")
+
+    monkeypatch.setattr(Dataset, "add_ids", refuse)
+    energy = tmp_path / "energy.csv"
+    energy.write_text(ENERGY_CSV)
+    cossmic = Path(cmd_uplift(str(energy), config))
+    climate = Path(cmd_climate(str(GOLDEN / "climate.csv"), config))
+    assert cossmic.read_bytes() == (DATA / "cossmic_uplift_golden.ttl").read_bytes()
+    assert climate.read_bytes() == (DATA / "climate_golden.ttl").read_bytes()
+    assert Path(str(cossmic) + ".ekg").exists() and Path(str(climate) + ".ekg").exists()
 
 
 @pytest.mark.parametrize("command", ["uplift", "climate"])
@@ -615,6 +630,34 @@ def test_config_validation_errors():
         PipelineConfig(counter_mode="sideways").validate()
 
 
+# Values that analyze used to paste into its queries unchecked.
+_QUERY_BREAKING = [
+    ("--datatype", "TMAX> . ?obsv a <ca/class/Observation"),
+    ("--datatype", "TMAX> . ?x ?y <resource/datatype/TMAX"),
+    ("--datatype", "TMAX>"),
+    ("--station", "GHCND:GME00102404> . ?x ?y <z"),
+    ("--station", "GHCND:GME00102404>"),
+]
+
+
+@pytest.mark.parametrize("option, value", _QUERY_BREAKING)
+def test_setting_that_mints_no_iri_exits_1_before_any_file_is_opened(
+    tmp_path, capsys, option, value
+):
+    missing = [str(tmp_path / "missing.ttl"), str(tmp_path / "missing2.ttl")]
+    code = main(["analyze", *missing, option, value, "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option[2:]}: IRI contains forbidden character"), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("option, value", _QUERY_BREAKING)
+def test_setting_that_mints_no_iri_is_a_config_error(option, value):
+    with pytest.raises(ConfigError, match=f"^{option[2:]}: "):
+        PipelineConfig(**{option[2:]: value}).validate()
+
+
 def test_bind_conflict_exits_1(store_files, tmp_path):
     import socket
 
@@ -655,16 +698,27 @@ _HEAVY = ("http.server", "energykg.endpoint", "energykg.sparql", "energykg.analy
 # Snapshot sidecars are hashed with importlib.util.source_hash, since
 # hashlib would load OpenSSL.
 _START_UP = ("dataclasses", "inspect", "traceback", "hashlib")
+# Only a store file without a sidecar that checks out is parsed as Turtle.
+_PARSER = "energykg.turtle"
+_WRITER = "energykg.turtle_writer"
 
 
 @pytest.mark.parametrize(
     "command, unloaded",
     [
-        ("--help", (*_HEAVY, "energykg.uplift", "energykg.snapshot", *_START_UP)),
-        ("uplift", (*_HEAVY, *_START_UP)),
-        ("climate", (*_HEAVY, *_START_UP)),
-        ("query", ("http.server", "energykg.endpoint", "energykg.analysis", *_START_UP)),
-        ("analyze", ("http.server", "energykg.endpoint", *_START_UP)),
+        (
+            "--help",
+            (*_HEAVY, "energykg.uplift", "energykg.snapshot", _PARSER, _WRITER, *_START_UP),
+        ),
+        # The station link is minted without the climate module and its json.
+        ("uplift", (*_HEAVY, _PARSER, "energykg.climate", "json", *_START_UP)),
+        ("climate", (*_HEAVY, _PARSER, *_START_UP)),
+        # Every store file is loaded from its sidecar.
+        (
+            "query",
+            ("http.server", "energykg.endpoint", "energykg.analysis", _PARSER, _WRITER, *_START_UP),
+        ),
+        ("analyze", ("http.server", "energykg.endpoint", _PARSER, _WRITER, *_START_UP)),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, store_files, command, unloaded):
@@ -679,6 +733,25 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, store_files, comm
         "query": ["query", *store_files, "SELECT ?s WHERE { ?s ?p ?o } LIMIT 1"],
         "analyze": ["analyze", *store_files, "--out", out],
     }[command]
+    loaded, _ = _run_probe(tmp_path, args)
+    assert "energykg.cli" in loaded
+    assert sorted(loaded.intersection(unloaded)) == []
+
+
+def test_query_without_sidecars_loads_the_parser_and_answers_the_same(tmp_path, store_files):
+    args = ["query", *store_files, (DATA / "energy_tmax_join.rq").read_text(), "--format", "json"]
+    loaded, through_sidecars = _run_probe(tmp_path, args)
+    assert _PARSER not in loaded
+    for store in store_files:
+        os.remove(store + ".ekg")
+    loaded, parsed = _run_probe(tmp_path, args)
+    assert _PARSER in loaded
+    assert len(json.loads(parsed)["results"]["bindings"]) == 3
+    assert parsed == through_sidecars
+
+
+def _run_probe(tmp_path: Path, args: list[str]) -> tuple[set[str], str]:
+    """The modules a CLI process with the arguments leaves loaded, and its output."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     listing = tmp_path / "modules.txt"
@@ -687,6 +760,4 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, store_files, comm
         env=env, capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stderr
-    loaded = set(listing.read_text().split("\n"))
-    assert "energykg.cli" in loaded
-    assert sorted(loaded.intersection(unloaded)) == []
+    return set(listing.read_text().split("\n")), run.stdout

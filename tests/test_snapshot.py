@@ -16,6 +16,7 @@ import random
 import struct
 import string
 from binascii import crc32
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import querygen
-from energykg import cli, snapshot
+from energykg import cli, snapshot, turtle
 from energykg.cli import load_store
 from energykg.config import PipelineConfig
 from energykg.dataset import Dataset
@@ -45,12 +46,18 @@ def _prefixes(base):
     return prefixes
 
 
+def _write_store(path: str, ds: Dataset, graph, base) -> None:
+    """The dataset's graph as a Turtle file with its sidecar, as uplift and climate write them."""
+    triples = list(chain.from_iterable(ds.triples(None, None, None, graph)))
+    cli._write_store(path, ds.texts(), triples, graph, _prefixes(base))
+
+
 def _write_stores(directory: Path, ds: Dataset, graphs, base) -> list[str]:
-    """One Turtle file, with its sidecar, per graph, as uplift and climate write them."""
+    """One Turtle file, with its sidecar, per graph."""
     paths = []
     for number, graph in enumerate(graphs):
         path = str(directory / f"store{number}.ttl")
-        cli._write_store(path, ds, graph, _prefixes(base))
+        _write_store(path, ds, graph, base)
         paths.append(path)
     return paths
 
@@ -91,13 +98,13 @@ def _parsed_outcome(paths, config, directory: Path):
 def turtle_loads(monkeypatch):
     """Counts the files that load_store parses as Turtle."""
     calls = []
-    real = cli.load_turtle
+    real = turtle.load_turtle
 
     def counting(ds, text, graph=None, base=None):
         calls.append(graph)
         return real(ds, text, graph=graph, base=base)
 
-    monkeypatch.setattr(cli, "load_turtle", counting)
+    monkeypatch.setattr(turtle, "load_turtle", counting)
     return calls
 
 
@@ -180,9 +187,9 @@ def test_a_graph_with_a_blank_node_gets_no_sidecar(tmp_path, turtle_loads):
     path = tmp_path / "store.ttl"
     ds = Dataset([Quad(Iri("http://example.org/s"), Iri("http://example.org/p"), BlankNode("b"))])
     # A sidecar of an earlier graph does not outlive the Turtle it describes.
-    cli._write_store(str(path), querygen.random_dataset(random.Random(1)), None, _prefixes(None))
+    _write_store(str(path), querygen.random_dataset(random.Random(1)), None, None)
     assert (tmp_path / "store.ttl.ekg").exists()
-    cli._write_store(str(path), ds, None, _prefixes(None))
+    _write_store(str(path), ds, None, None)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["store.ttl"]
     assert len(load_store([str(path)], _config(None))) == 1
     assert turtle_loads == [None]

@@ -1,5 +1,6 @@
 import io
 import string
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -26,8 +27,8 @@ from energykg.turtle import (
     load_turtle,
     parse_turtle,
     serialize_turtle,
-    write_turtle,
 )
+from energykg.turtle_writer import write_turtle
 
 import naive_turtle
 
@@ -596,5 +597,5 @@ def test_writer_matches_reference_serializer(quads, bindings, base, graph):
     expected = naive_turtle.serialize_turtle(ds, graph, pm)
     assert serialize_turtle(ds, graph, pm) == expected
     out = io.StringIO()
-    write_turtle(out, ds, graph, pm)
+    write_turtle(out, ds.texts(), list(chain.from_iterable(ds.triples(None, None, None, graph))), pm)
     assert out.getvalue() == expected
