@@ -17,7 +17,7 @@ import math
 from datetime import date
 from decimal import Decimal
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .dataset import ANY, Dataset
 from .errors import EnergyKgError
@@ -188,10 +188,10 @@ def climate_series(
     query = parse_query(
         _CLIMATE_ONLY_QUERY.format(base=base.value, station=station.value, code=climate_code)
     )
+    day_of, number_of = _decoders()
     out: dict[date, Decimal] = {}
     for row in evaluate(ds, query):
-        day = parse_datetime(_lex(row["date"])).date()
-        out[day] = parse_numeric(_as_literal(row["cval"]))
+        out[day_of(row["date"])] = number_of(row["cval"])
     return out
 
 
@@ -220,21 +220,19 @@ def align(
             network=network.value,
         )
     )
+    day_of, number_of = _decoders()
     joined: dict[Iri, dict[date, tuple[Decimal, Decimal]]] = {device: {} for device in devices}
     for row in evaluate(ds, query):
         days = joined.get(row["device"])
         if days is None:
             continue
-        day = parse_datetime(_lex(row["edate"])).date()
+        day = day_of(row["edate"])
         if day in days:
             raise AnalysisError(
                 f"duplicate day {day.isoformat()} for {row['device'].value}; "
                 "store is not at daily resolution"
             )
-        days[day] = (
-            parse_numeric(_as_literal(row["val"])),
-            parse_numeric(_as_literal(row["cval"])),
-        )
+        days[day] = (number_of(row["val"]), number_of(row["cval"]))
 
     extra = {code: climate_series(ds, station, code, base) for code in auxiliary}
     out = []
@@ -244,6 +242,32 @@ def align(
         aux = {code: tuple(values.get(day) for day, _, _ in pairs) for code, values in extra.items()}
         out.append(AlignedSeries(_heading_from_iri(device, base), climate_code, pairs, aux))
     return out
+
+
+def _decoders() -> tuple[Callable[[object], date], Callable[[object], Decimal]]:
+    """A term's day and a term's number, each decoded once per distinct
+    term: the join's dates and climate values repeat once per device."""
+    return (
+        _once_per_term(lambda term: parse_datetime(_lex(term)).date()),
+        _once_per_term(lambda term: parse_numeric(_as_literal(term))),
+    )
+
+
+def _once_per_term(decode: Callable[[object], object]) -> Callable[[object], object]:
+    """decode, run once per term object. The store decodes each id into
+    one term object and keeps it, so equal terms in the rows are one
+    object; looking a term up by identity skips the term classes'
+    Python-level hash. Each term is kept with its value, so no identity
+    is reused while the memo lives."""
+    decoded: dict[int, tuple[object, object]] = {}
+
+    def once(term: object) -> object:
+        known = decoded.get(id(term))
+        if known is None:
+            known = decoded[id(term)] = (term, decode(term))
+        return known[1]
+
+    return once
 
 
 def _lex(term) -> str:

@@ -264,7 +264,7 @@ def cmd_uplift(energy_csv: str, config: PipelineConfig) -> str:
     texts, triples = _mint(
         chain(
             topology,
-            evaluation_triples(table.records(), base),
+            evaluation_triples(table, base),
             [station_link(network, config.station_iri, base)],
         )
     )

@@ -8,6 +8,12 @@ dictionary and hands to the Turtle writer without building a store;
 ``observation_quads`` collects them as default-graph quads. The
 network-to-station link quad lives in the cossmic graph instead.
 
+CSV and JSON inputs are read into four columns of texts (station, date,
+datatype, value), each parsed and checked whole (``columns.py``): each
+distinct date once, with a regular expression in place of
+``datetime.strptime`` (which would also load ``_strptime`` and
+``calendar``), and the values in one ``map`` each to parse and scale.
+
 A station's and a datatype's IRI are checked (``terms.check_iri``) once
 per distinct id or code, and an observation's IRI once per (station,
 datatype) pair, on the first observation of the pair: the day between
@@ -19,13 +25,20 @@ and that first observation's IRI is the one an error names.
 from __future__ import annotations
 
 import csv
-import io
 import json
+import re
+from contextlib import suppress
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation, Overflow
 from functools import cache
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import repeat
+from operator import contains, mul
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .columns import (
+    Failure, NotANumber, csv_blocks, number_column, parse_column, raise_first, spelt_number,
+    text_lines,
+)
 from .errors import EnergyKgError
 from .namespaces import (
     DEFAULT_BASE,
@@ -51,7 +64,6 @@ from .terms import (
     datetime_literal,
     decimal_text,
     decode_term,
-    finite_decimal,
     term_key,
     text_quads,
 )
@@ -73,95 +85,140 @@ class ClimateObservation(Frozen):
 
 _CSV_HEADER = ["station", "date", "datatype", "value"]
 
+# A day as strptime's "%Y-%m-%d" reads it, in ASCII digits and without
+# its space-padded day: a month or day may have one digit or two.
+_DAY = re.compile(r"([0-9]{4})-(1[0-2]|0[1-9]|[1-9])-(3[01]|[12][0-9]|0[1-9]|[1-9])")
+# What may follow a ten-character day.
+_MIDNIGHT = ("", "T00:00:00", "T00:00:00Z", "T00:00:00+00:00")
 
-def _parse_day(text: str, where: str) -> datetime:
-    day = text[:10]
-    rest = text[10:]
-    if rest not in ("", "T00:00:00", "T00:00:00Z", "T00:00:00+00:00"):
-        raise ClimateError(f"{where}: date {text!r} is not at day resolution")
+
+def _parse_day(text: str) -> datetime:
+    """Midnight UTC of the day that text names; ClimateError if it names
+    none, or a time other than midnight."""
+    if text[10:] not in _MIDNIGHT:
+        raise ClimateError(f"date {text!r} is not at day resolution")
+    match = _DAY.fullmatch(text, 0, 10)
     try:
-        parsed = datetime.strptime(day, "%Y-%m-%d")
-    except ValueError:
-        raise ClimateError(f"{where}: unparseable date {text!r}")
-    return parsed.replace(tzinfo=timezone.utc)
+        return datetime(*map(int, match.groups()), tzinfo=timezone.utc)
+    except (AttributeError, ValueError):
+        raise ClimateError(f"unparseable date {text!r}")
 
 
-def _scaled(value_text: str, scale: Decimal, where: str) -> Decimal:
+def _scaled(text: str, scale: Decimal) -> Decimal:
+    """One value text's number times the scale; ClimateError if there is
+    none, or if it cannot be written."""
     try:
-        value = finite_decimal(value_text)
+        value = spelt_number(text.strip())
     except InvalidOperation:
-        raise ClimateError(f"{where}: non-numeric value {value_text!r}")
+        raise ClimateError(f"non-numeric value {text!r}")
     try:
         return check_decimal(value * scale)
     except Overflow:
-        raise ClimateError(f"{where}: value {value_text!r} times scale {scale} is out of range")
+        raise ClimateError(f"value {text!r} times scale {scale} is out of range")
     except LiteralError as exc:
-        raise ClimateError(f"{where}: {exc}")
+        raise ClimateError(str(exc))
 
 
-def _check_duplicates(observations: Sequence[ClimateObservation]) -> None:
-    seen = set()
-    for obs in observations:
-        key = (obs.station_id, obs.date, obs.datatype)
-        if key in seen:
-            raise ClimateError(
-                f"duplicate observation for station {obs.station_id!r}, "
-                f"{obs.date.date().isoformat()}, {obs.datatype}"
-            )
-        seen.add(key)
+def _observations(
+    where: Callable[[int], str],
+    stations: Sequence[str],
+    dates: Sequence[str],
+    codes: Sequence[str],
+    values: Sequence[str],
+    scale: Decimal,
+    failures: list[Failure],
+) -> list[ClimateObservation]:
+    """The observations of four columns of texts, each column parsed and
+    checked whole: each distinct date parsed once, the values read
+    (``columns.number_column``) and scaled in one ``map``.
+
+    The earliest failure (``columns.raise_first``) raises with its row's
+    label (``where``). A row's checks have these places: the row's shape
+    (0), its station (1), its datatype's text in a CSV or its date's
+    presence in JSON (2), the date (3), the datatype's (4) and the
+    value's (5) presence in JSON, and the value (6). Then an observation
+    repeating an earlier station, day and datatype raises."""
+    distinct = list(dict.fromkeys(dates))
+    parsed, failed = parse_column(_parse_day, distinct, ClimateError)
+    if failed is not None:
+        failures.append((dates.index(distinct[len(parsed)]), 3, str(failed)))
+    days = dict(zip(distinct, parsed))
+    scaled = None
+    with suppress(NotANumber, Overflow, LiteralError):
+        numbers = number_column(values)
+        # An empty cell's None is no number here.
+        if None not in numbers:
+            scaled = list(map(check_decimal, map(mul, numbers, repeat(scale))))
+    if scaled is None:
+        scaled, failed = parse_column(lambda text: _scaled(text, scale), values, ClimateError)
+        failures.append((len(scaled), 6, str(failed)))
+    raise_first(failures, where, ClimateError)
+    instants = list(map(days.__getitem__, dates))
+    keys = list(zip(stations, instants, codes))
+    if len(set(keys)) < len(keys):
+        seen = set()
+        for station, instant, code in keys:
+            if (station, instant, code) in seen:
+                raise ClimateError(
+                    f"duplicate observation for station {station!r}, "
+                    f"{instant.date().isoformat()}, {code}"
+                )
+            seen.add((station, instant, code))
+    return list(map(ClimateObservation, stations, instants, codes, scaled))
 
 
 def parse_noaa_csv(text: str, scale: Decimal = Decimal(1)) -> list[ClimateObservation]:
-    """Parse `station,date,datatype,value` rows; datatype codes pass through."""
-    reader = csv.reader(io.StringIO(text))
+    """Parse `station,date,datatype,value` rows; datatype codes pass through.
+
+    Blank rows are skipped, and every cell is stripped. The rows are
+    turned into columns, each parsed and checked whole."""
+    reader = csv.reader(text_lines(text))
     try:
         header = next(reader)
     except StopIteration:
         raise ClimateError("climate CSV is empty")
     if [h.strip().lower() for h in header] != _CSV_HEADER:
         raise ClimateError(f"climate CSV header must be {','.join(_CSV_HEADER)}")
-    observations: list[ClimateObservation] = []
-    for row_number, row in enumerate(reader, start=2):
-        if not row or all(not cell for cell in row):
-            continue
-        if len(row) != 4:
-            raise ClimateError(f"row {row_number}: expected 4 cells, got {len(row)}")
-        station, date_text, code, value_text = (cell.strip() for cell in row)
-        if not station:
-            raise ClimateError(f"row {row_number}: empty station id")
-        if not code:
-            raise ClimateError(f"row {row_number}: empty datatype code")
-        date = _parse_day(date_text, f"row {row_number}")
-        value = _scaled(value_text, scale, f"row {row_number}")
-        observations.append(ClimateObservation(station, date, code, value))
-    _check_duplicates(observations)
-    return observations
+    failures: list[Failure] = []
+    numbers: list[int] = []
+    stations, dates, codes, values = columns = ([], [], [], [])
+    for cells, block_numbers in csv_blocks(reader, 4, failures):
+        numbers += block_numbers
+        for column, texts in zip(columns, cells):
+            column += map(str.strip, texts)
+    if "" in stations:
+        failures.append((stations.index(""), 1, "empty station id"))
+    if "" in codes:
+        failures.append((codes.index(""), 2, "empty datatype code"))
+    return _observations(
+        lambda index: f"row {numbers[index]}", stations, dates, codes, values, scale, failures
+    )
 
 
 def parse_noaa_json(text: str, scale: Decimal = Decimal(1)) -> list[ClimateObservation]:
-    """Parse a JSON array of {station, date, datatype, value} objects."""
+    """Parse a JSON array of {station, date, datatype, value} objects.
+
+    Each field's values are taken as text (``str``) in one column, and
+    the columns are parsed and checked whole."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ClimateError(f"invalid JSON: {exc}")
     if not isinstance(payload, list):
         raise ClimateError("climate JSON must be an array of objects")
-    observations: list[ClimateObservation] = []
-    for index, item in enumerate(payload):
-        where = f"item {index}"
-        if not isinstance(item, dict):
-            raise ClimateError(f"{where}: not an object")
-        try:
-            station = str(item["station"])
-            date = _parse_day(str(item["date"]), where)
-            code = str(item["datatype"])
-            value_text = str(item["value"])
-        except KeyError as exc:
-            raise ClimateError(f"{where}: missing field {exc.args[0]!r}")
-        value = _scaled(value_text, scale, where)
-        observations.append(ClimateObservation(station, date, code, value))
-    _check_duplicates(observations)
-    return observations
+    failures: list[Failure] = []
+    objects = list(map(isinstance, payload, repeat(dict)))
+    if not all(objects):
+        index = objects.index(False)
+        failures.append((index, 0, "not an object"))
+        payload = payload[:index]
+    columns = []
+    for place, field in ((1, "station"), (2, "date"), (4, "datatype"), (5, "value")):
+        present = list(map(contains, payload, repeat(field)))
+        if not all(present):
+            failures.append((present.index(False), place, f"missing field {field!r}"))
+        columns.append(list(map(str, map(dict.get, payload, repeat(field), repeat("")))))
+    return _observations(lambda index: f"item {index}", *columns, scale, failures)
 
 
 def observation_triples(

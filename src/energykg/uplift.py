@@ -1,14 +1,22 @@
 """Uplift of tabular energy data into the named cossmic graph.
 
 Headings become topology triples (network, sites, grid, device links);
-records become evaluation triples that a two-step evaluatedValue path can
-traverse down to the numeric reading. IRIs are minted deterministically
-so re-running the uplift is idempotent. The generators
-(``topology_triples``, ``evaluation_triples``, ``station_link``) give
-each term as its canonical text (``<iri>`` or ``"lexical"^^<datatype>``),
-which the CLI interns into a term dictionary and hands to the Turtle
-writer without building a store; ``topology_quads`` and
-``evaluation_quads`` collect the same triples as a set of quads.
+each value of the table becomes evaluation triples that a two-step
+evaluatedValue path can traverse down to the numeric reading. IRIs are
+minted deterministically so re-running the uplift is idempotent. The
+generators (``topology_triples``, ``evaluation_triples``,
+``station_link``) give each term as its canonical text (``<iri>`` or
+``"lexical"^^<datatype>``), which the CLI interns into a term dictionary
+and hands to the Turtle writer without building a store;
+``topology_quads`` and ``evaluation_quads`` (of records, through
+``records_table``) collect the same triples as a set of quads.
+
+The table is read, resampled and minted a column at a time: each
+column's numbers are parsed in one ``map`` (``columns.number_column``),
+a cumulative counter is checked, and each day's last reading taken, by
+C-level ``map``, ``zip`` and ``dict`` calls, and the daily arithmetic
+runs once per (column, day). No Python-level call runs per cell, and
+none per triple.
 
 Every IRI is checked (``terms.check_iri``) once per distinct value it is
 minted from: a device's IRI once per heading, and an evaluation's IRI,
@@ -19,13 +27,17 @@ which extends a checked device IRI with a timestamp's digits, not at all.
 from __future__ import annotations
 
 import csv
-import io
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone
 from decimal import Context, Decimal, DivisionByZero, Inexact, InvalidOperation, Overflow
 from enum import Enum
-from functools import cache
+from functools import cache, reduce
+from itertools import chain, compress, groupby, islice, repeat
+from operator import add, is_not, itemgetter, le, lt, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .columns import (
+    Failure, NotANumber, csv_blocks, number_column, parse_column, raise_first, text_lines,
+)
 from .errors import EnergyKgError
 from .headings import DeviceHeading, DeviceRole, SiteKind, classify, parse_heading
 from .namespaces import (
@@ -48,13 +60,18 @@ from .terms import (
     TextTriple,
     datetime_literal,
     decimal_text,
-    finite_decimal,
     parse_datetime,
     term_key,
     text_quads,
 )
 
 _ONE_DAY = timedelta(days=1)
+_ZERO = Decimal(0)
+_MIDNIGHT_UTC = time(tzinfo=timezone.utc)
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
+# A CSV's timestamps are distinct, so they are parsed past parse_datetime's
+# cache, which would only hold each text and its instant.
+_parse_timestamp = parse_datetime.__wrapped__
 
 
 class UpliftError(EnergyKgError):
@@ -109,8 +126,18 @@ _PASSTHROUGH_COLUMNS = {"cet_cest_timestamp", "interpolated"}
 
 
 def read_energy_csv(text: str, counter_mode: CounterMode = CounterMode.CUMULATIVE) -> EnergyTable:
-    """Parse an energy CSV: utc_timestamp first, one column per heading."""
-    reader = csv.reader(io.StringIO(text))
+    """Parse an energy CSV: utc_timestamp first, one column per heading.
+
+    Blank rows are skipped, and a heading may not repeat. The rows are
+    turned into columns a block of rows at a time (``columns.csv_blocks``),
+    and each column of a block is parsed and checked whole: the
+    timestamps, then each heading's numbers (``columns.number_column``);
+    the timestamps' order is checked once all are read. An error names
+    the first row that has one, and within it the first check of: the
+    row's length, its timestamp, the timestamps' order, its cells from
+    left to right.
+    """
+    reader = csv.reader(text_lines(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -122,34 +149,36 @@ def read_energy_csv(text: str, counter_mode: CounterMode = CounterMode.CUMULATIV
         for i, name in enumerate(header[1:], start=1)
         if name not in _PASSTHROUGH_COLUMNS
     ]
-    for i in keep:
-        parse_heading(header[i])
+    headings = [header[i] for i in keep]
+    for heading in headings:
+        parse_heading(heading)
+    if len(set(headings)) < len(headings):
+        repeated = next(h for k, h in enumerate(headings) if h in headings[:k])
+        raise UpliftError(f"energy CSV header repeats heading {repeated!r}")
 
+    failures: list[Failure] = []
+    numbers: list[int] = []
     timestamps: list[datetime] = []
     columns: dict[str, list[Optional[Decimal]]] = {header[i]: [] for i in keep}
-    for row_number, row in enumerate(reader, start=2):
-        if not row or all(not cell for cell in row):
-            continue
-        if len(row) != len(header):
-            raise UpliftError(f"row {row_number}: expected {len(header)} cells, got {len(row)}")
-        try:
-            ts = parse_datetime(row[0])
-        except EnergyKgError as exc:
-            raise UpliftError(f"row {row_number}: {exc}")
-        if timestamps and ts <= timestamps[-1]:
-            raise UpliftError(f"row {row_number}: timestamps not strictly increasing")
-        timestamps.append(ts)
-        for i in keep:
-            cell = row[i].strip()
-            if not cell:
-                columns[header[i]].append(None)
-                continue
+    for cells, block_numbers in csv_blocks(reader, len(header), failures):
+        start = len(numbers)
+        numbers += block_numbers
+        stamps, failed = parse_column(_parse_timestamp, cells[0], EnergyKgError)
+        timestamps += stamps
+        if failed is not None:
+            failures.append((len(timestamps), 1, str(failed)))
+        for place, i in enumerate(keep, start=3):
             try:
-                columns[header[i]].append(finite_decimal(cell))
-            except InvalidOperation:
-                raise UpliftError(
-                    f"row {row_number}: column {header[i]!r} has non-numeric value {cell!r}"
-                )
+                columns[header[i]] += number_column(cells[i])
+            except NotANumber as exc:
+                failures.append((start + exc.index, place, f"column {header[i]!r} has {exc}"))
+        if failures:
+            # No later row can fail earlier.
+            break
+    if not all(map(lt, timestamps, islice(timestamps, 1, None))):
+        later = next(k for k in range(1, len(timestamps)) if timestamps[k] <= timestamps[k - 1])
+        failures.append((later, 2, "timestamps not strictly increasing"))
+    raise_first(failures, lambda index: f"row {numbers[index]}", UpliftError)
     return EnergyTable(timestamps, columns, counter_mode)
 
 
@@ -160,39 +189,50 @@ def to_daily(table: EnergyTable) -> EnergyTable:
     previous-day reading is skipped); interval readings are summed within
     the day. A decreasing cumulative counter is an error.
 
-    The arithmetic keeps every digit that a written value may have
-    (``MAX_DECIMAL_CHARS``) and raises where it would drop one, so no
-    daily value is rounded.
+    Each column is resampled whole: one check that a counter never
+    decreases, each day's last reading by a dict built from the days and
+    readings, and the day-over-day differences, or each day's sum, in one
+    decimal operation per (column, day). The arithmetic keeps every digit
+    that a written value may have (``MAX_DECIMAL_CHARS``) and raises where
+    it would drop one, so no daily value is rounded; a day's readings are
+    summed in order, as adding them one by one would.
     """
     context = Context(
         prec=MAX_DECIMAL_CHARS, traps=[InvalidOperation, DivisionByZero, Overflow, Inexact]
     )
     # Each timestamp's UTC day, shared by every column.
-    day_of = [datetime(ts.year, ts.month, ts.day, tzinfo=timezone.utc) for ts in table.timestamps]
-    daily: dict[str, dict[datetime, Decimal]] = {}
-    all_days: set[datetime] = set()
+    day_of = list(map(datetime.date, table.timestamps))
+    daily: dict[str, dict[date, Decimal]] = {}
+    all_days: set[date] = set()
     for heading, values in table.columns.items():
+        present = list(map(is_not, values, repeat(None)))
+        days = list(compress(day_of, present))
+        readings = list(compress(values, present))
         try:
-            series = [(day, v) for day, v in zip(day_of, values) if v is not None]
-            per_day: dict[datetime, Decimal] = {}
             if table.counter_mode is CounterMode.CUMULATIVE:
-                last_by_day: dict[datetime, Decimal] = {}
-                previous: Optional[Decimal] = None
-                for day, value in series:
-                    if previous is not None and value < previous:
-                        raise UpliftError(
-                            f"cumulative counter for {heading!r} decreased on "
-                            f"{day.date().isoformat()} (counter reset?)"
-                        )
-                    previous = value
-                    last_by_day[day] = value
-                for day, value in last_by_day.items():
-                    before = day - _ONE_DAY
-                    if before in last_by_day:
-                        per_day[day] = context.subtract(value, last_by_day[before])
+                if not all(map(le, readings, islice(readings, 1, None))):
+                    k = next(k for k in range(1, len(readings)) if readings[k] < readings[k - 1])
+                    raise UpliftError(
+                        f"cumulative counter for {heading!r} decreased on "
+                        f"{days[k].isoformat()} (counter reset?)"
+                    )
+                last_by_day = dict(zip(days, readings))
+                before = list(map(sub, last_by_day, repeat(_ONE_DAY)))
+                follows = list(map(last_by_day.__contains__, before))
+                per_day = dict(
+                    zip(
+                        compress(last_by_day, follows),
+                        map(
+                            context.subtract,
+                            compress(last_by_day.values(), follows),
+                            map(last_by_day.__getitem__, compress(before, follows)),
+                        ),
+                    )
+                )
             else:
-                for day, value in series:
-                    per_day[day] = context.add(per_day.get(day, Decimal(0)), value)
+                per_day = {}
+                for day, run in groupby(zip(days, readings), _FIRST):
+                    per_day[day] = reduce(context.add, map(_SECOND, run), per_day.get(day, _ZERO))
         except Overflow:
             raise UpliftError(f"a daily value for {heading!r} is out of range")
         except Inexact:
@@ -204,10 +244,9 @@ def to_daily(table: EnergyTable) -> EnergyTable:
         all_days.update(per_day)
 
     days = sorted(all_days)
-    columns = {
-        heading: [per_day.get(day) for day in days] for heading, per_day in daily.items()
-    }
-    return EnergyTable(days, columns, table.counter_mode)
+    columns = {heading: list(map(per_day.get, days)) for heading, per_day in daily.items()}
+    midnights = list(map(datetime.combine, days, repeat(_MIDNIGHT_UTC)))
+    return EnergyTable(midnights, columns, table.counter_mode)
 
 
 # -- IRI minting -------------------------------------------------------------
@@ -274,18 +313,21 @@ def network_triple(network: Iri) -> TextTriple:
     return term_key(network), term_key(RDF_TYPE), term_key(SEAS.ElectricPowerDistributionNetwork)
 
 
-def evaluation_triples(
-    records: Iterable[EnergyRecord], base: Iri = DEFAULT_BASE
-) -> Iterator[TextTriple]:
-    """Five triples per record: evaluation node, type, time, value node, number.
+def evaluation_triples(table: EnergyTable, base: Iri = DEFAULT_BASE) -> Iterator[TextTriple]:
+    """Five triples per value of the table: evaluation node, type, time,
+    value node, number.
 
-    Each device's IRI, and each timestamp's evaluation IRI suffix and
-    ``xsd:dateTime`` literal, are minted once. A record repeating an
-    earlier (device, timestamp) pair yields nothing; once every record has
-    been read, the repeats are raised together.
+    Each column is minted whole, when iteration reaches it, from its
+    values and their timestamps: no record object is built per value,
+    and the triples come from C-level iterators, without a Python-level
+    step per triple. Each device's IRI, and each timestamp's evaluation
+    IRI suffix and ``xsd:dateTime`` literal, are minted once. A table
+    that repeats a timestamp under which a column has two values raises
+    at once, naming every repeated (device, timestamp) pair.
     """
-    # Each device's text, and the same without its closing ">", by heading text.
-    devices: dict[str, tuple[str, str]] = {}
+    timestamps = table.timestamps
+    if len(set(timestamps)) < len(timestamps):
+        _check_repeats(table)
     stamp_of = cache(
         lambda ts: ("/evaluation/" + compact_utc(ts), term_key(datetime_literal(ts)))
     )
@@ -295,38 +337,64 @@ def evaluation_triples(
     generated_at = term_key(PROV.generatedAtTime)
     has_value = term_key(SEAS.evaluatedValue)
     number_of = term_key(QUDT.numericalValue)
-    seen: set[tuple[str, datetime]] = set()
-    duplicates = []
-    for record in records:
-        raw = record.device.raw
-        key = (raw, record.timestamp)
-        if key in seen:
-            duplicates.append(key)
-            continue
-        seen.add(key)
-        try:
-            number = decimal_text(record.value)
-        except LiteralError as exc:
-            raise UpliftError(
-                f"column {record.device.raw!r} at {record.timestamp.isoformat()}: {exc}"
+
+    def column(heading: tuple[str, list[Optional[Decimal]]]) -> Iterator[TextTriple]:
+        raw, values = heading
+        present = list(map(is_not, values, repeat(None)))
+        readings = list(compress(values, present))
+        instants = list(compress(timestamps, present))
+        numbers, failed = parse_column(decimal_text, readings, LiteralError)
+        if failed is not None:
+            raise UpliftError(f"column {raw!r} at {instants[len(numbers)].isoformat()}: {failed}")
+        iri = mint_device_iri(parse_heading(raw), base)
+        opened = list(map(add, repeat("<" + iri.value), map(_FIRST, map(stamp_of, instants))))
+        evaluations = list(map(add, opened, repeat(">")))
+        value_nodes = list(map(add, opened, repeat("/value>")))
+        return chain.from_iterable(
+            zip(
+                zip(repeat(term_key(iri)), repeat(has_evaluation), evaluations),
+                zip(evaluations, repeat(a), repeat(evaluation_class)),
+                zip(evaluations, repeat(generated_at), map(_SECOND, map(stamp_of, instants))),
+                zip(evaluations, repeat(has_value), value_nodes),
+                zip(value_nodes, repeat(number_of), numbers),
             )
-        known = devices.get(raw)
-        if known is None:
-            iri = mint_device_iri(record.device, base)
-            known = devices[raw] = term_key(iri), "<" + iri.value
-        device, open_device = known
-        suffix, time = stamp_of(record.timestamp)
-        evaluation = open_device + suffix
-        value_node = evaluation + "/value>"
-        evaluation += ">"
-        yield device, has_evaluation, evaluation
-        yield evaluation, a, evaluation_class
-        yield evaluation, generated_at, time
-        yield evaluation, has_value, value_node
-        yield value_node, number_of, number
-    if duplicates:
-        listing = ", ".join(f"{raw}@{ts.isoformat()}" for raw, ts in duplicates)
-        raise UpliftError(f"duplicate (device, timestamp) records: {listing}")
+        )
+
+    return chain.from_iterable(map(column, table.columns.items()))
+
+
+def _check_repeats(table: EnergyTable) -> None:
+    """Raise if a column has two values under one timestamp, naming each
+    repeat in column order."""
+    repeats = []
+    for raw, values in table.columns.items():
+        seen = set()
+        for instant in compress(table.timestamps, map(is_not, values, repeat(None))):
+            if instant in seen:
+                repeats.append(f"{raw}@{instant.isoformat()}")
+            seen.add(instant)
+    if repeats:
+        raise UpliftError(f"duplicate (device, timestamp) records: {', '.join(repeats)}")
+
+
+def records_table(records: Iterable[EnergyRecord]) -> EnergyTable:
+    """The records as a table: a column per device, in order of first
+    appearance, over the sorted timestamps of all the records. Records
+    that repeat an earlier (device, timestamp) pair raise, naming every
+    repeat in record order."""
+    by_device: dict[str, dict[datetime, Decimal]] = {}
+    repeats = []
+    for record in records:
+        column = by_device.setdefault(record.device.raw, {})
+        if record.timestamp in column:
+            repeats.append(f"{record.device.raw}@{record.timestamp.isoformat()}")
+        column[record.timestamp] = record.value
+    if repeats:
+        raise UpliftError(f"duplicate (device, timestamp) records: {', '.join(repeats)}")
+    timestamps = sorted(set().union(*by_device.values()))
+    return EnergyTable(
+        timestamps, {raw: list(map(column.get, timestamps)) for raw, column in by_device.items()}
+    )
 
 
 def station_link(network: Iri, station: Iri, base: Iri = DEFAULT_BASE) -> TextTriple:
@@ -345,10 +413,11 @@ def topology_quads(
 
 
 def evaluation_quads(
-    records: Sequence[EnergyRecord],
+    records: Iterable[EnergyRecord],
     base: Iri = DEFAULT_BASE,
     graph: Optional[GraphName] = None,
 ) -> set[Quad]:
-    """``evaluation_triples`` as quads in the graph (the cossmic graph by default)."""
+    """``evaluation_triples`` of the records' table (``records_table``) as
+    quads in the graph (the cossmic graph by default)."""
     g = cossmic_graph(base) if graph is None else graph
-    return text_quads(evaluation_triples(records, base), g)
+    return text_quads(evaluation_triples(records_table(records), base), g)

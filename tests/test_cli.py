@@ -701,6 +701,8 @@ _START_UP = ("dataclasses", "inspect", "traceback", "hashlib")
 # Only a store file without a sidecar that checks out is parsed as Turtle.
 _PARSER = "energykg.turtle"
 _WRITER = "energykg.turtle_writer"
+# Days are parsed without datetime.strptime and the modules it loads.
+_STRPTIME = ("_strptime", "calendar")
 
 
 @pytest.mark.parametrize(
@@ -711,8 +713,8 @@ _WRITER = "energykg.turtle_writer"
             (*_HEAVY, "energykg.uplift", "energykg.snapshot", _PARSER, _WRITER, *_START_UP),
         ),
         # The station link is minted without the climate module and its json.
-        ("uplift", (*_HEAVY, _PARSER, "energykg.climate", "json", *_START_UP)),
-        ("climate", (*_HEAVY, _PARSER, *_START_UP)),
+        ("uplift", (*_HEAVY, _PARSER, "energykg.climate", "json", *_STRPTIME, *_START_UP)),
+        ("climate", (*_HEAVY, _PARSER, *_STRPTIME, *_START_UP)),
         # Every store file is loaded from its sidecar.
         (
             "query",

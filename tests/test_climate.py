@@ -127,3 +127,36 @@ def test_link_quad_shape_and_idempotence():
     other = link_network_to_station(network, station_resource(DEFAULT_BASE, "GHCND:OTHER"))
     ds.add(other)
     assert len(ds.match(network, quad.predicate, ANY, cossmic_graph())) == 2
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1_0", "row 2: non-numeric value '1_0'"),
+        ("\u0661", "row 2: non-numeric value '\u0661'"),
+        ("nan", "row 2: non-numeric value 'nan'"),
+    ],
+)
+def test_parse_csv_accepts_only_ascii_number_spellings(value, message):
+    with pytest.raises(ClimateError) as excinfo:
+        parse_noaa_csv(f"station,date,datatype,value\nX,2016-05-01,TMAX,{value}\n")
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("date", ["2016-05- 2", "\u0662\u0660\u0661\u0666-05-01", "2016-02-30"])
+def test_parse_csv_rejects_dates_outside_the_ascii_day_form(date):
+    with pytest.raises(ClimateError) as excinfo:
+        parse_noaa_csv(f"station,date,datatype,value\nX,{date},TMAX,1\n")
+    assert str(excinfo.value) == f"row 2: unparseable date {date!r}"
+
+
+@pytest.mark.parametrize("date", ["2016-5-2", "2016-05-2", "2016-5-02", "2016-05-02T00:00:00Z"])
+def test_parse_csv_reads_one_digit_months_and_days(date):
+    (observation,) = parse_noaa_csv(f"station,date,datatype,value\nX,{date},TMAX,1\n")
+    assert observation.date == utc(2)
+
+
+def test_parse_json_rejects_python_only_spellings():
+    text = '[{"station": "X", "date": "2016-05-01", "datatype": "TMAX", "value": "1_0"}]'
+    with pytest.raises(ClimateError, match=r"^item 0: non-numeric value '1_0'$"):
+        parse_noaa_json(text)

@@ -238,3 +238,42 @@ def test_read_energy_csv_skips_upstream_helper_columns():
     )
     table = read_energy_csv(text)
     assert list(table.columns) == ["DE_KN_residential1_pv"]
+
+
+def test_read_energy_csv_rejects_a_repeated_heading_before_reading_rows():
+    text = (
+        "utc_timestamp,DE_KN_residential1_pv,DE_KN_residential1_freezer,DE_KN_residential1_pv\n"
+        "not a row\n"
+    )
+    with pytest.raises(UpliftError, match="repeats heading 'DE_KN_residential1_pv'"):
+        read_energy_csv(text)
+
+
+@pytest.mark.parametrize("cell", ["\u0661", "\u0662.5", "1_0", "\uff11", "NaN", "-Infinity"])
+def test_read_energy_csv_accepts_only_ascii_number_spellings(cell):
+    text = f"utc_timestamp,DE_KN_residential1_pv\n2016-05-01T00:00:00Z,{cell}\n"
+    with pytest.raises(UpliftError) as excinfo:
+        read_energy_csv(text)
+    assert str(excinfo.value) == (
+        f"row 2: column 'DE_KN_residential1_pv' has non-numeric value {cell!r}"
+    )
+
+
+@pytest.mark.parametrize("cell", ["1", "-2.50", "+.5", "5.", "1e3", "7E-2", " 3 "])
+def test_read_energy_csv_reads_ascii_number_spellings(cell):
+    text = f"utc_timestamp,DE_KN_residential1_pv\n2016-05-01T00:00:00Z,{cell}\n"
+    (value,) = read_energy_csv(text).columns["DE_KN_residential1_pv"]
+    assert value == Decimal(cell) and str(value) == str(Decimal(cell))
+
+
+def test_read_energy_csv_names_the_first_failing_cell_of_the_first_failing_row():
+    text = (
+        "utc_timestamp,DE_KN_residential1_pv,DE_KN_residential1_freezer\n"
+        "2016-05-01T00:00:00Z,1,2\n"
+        "\n"
+        "2016-05-01T01:00:00Z,3,x\n"
+        "2016-05-01T02:00:00Z,y,4\n"
+        "2016-05-01T01:30:00Z,5\n"
+    )
+    with pytest.raises(UpliftError, match=r"^row 4: column 'DE_KN_residential1_freezer' has "):
+        read_energy_csv(text)

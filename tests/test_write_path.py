@@ -38,7 +38,9 @@ from energykg.terms import (
     check_iri,
     literal_parts,
 )
-from energykg.uplift import EnergyRecord, evaluation_triples, station_link, topology_triples
+from energykg.uplift import (
+    EnergyRecord, evaluation_triples, records_table, station_link, topology_triples,
+)
 
 _EX = "http://example.org/"
 _iris = st.builds(
@@ -145,7 +147,7 @@ def test_every_minted_iri_passes_check_iri(base, headings, instants, stations, c
     records = [EnergyRecord(h, ts, Decimal("1.5")) for h in headings for ts in instants]
     network = device_resource(base, headings[0].network_name)
     texts = list(chain.from_iterable(topology_triples(headings, base)))
-    texts += chain.from_iterable(evaluation_triples(records, base))
+    texts += chain.from_iterable(evaluation_triples(records_table(records), base))
     texts += station_link(network, station_resource(base, "GHCND:X"), base)
     days = sorted({datetime(t.year, t.month, t.day, tzinfo=timezone.utc) for t in instants})
     observations = [
