@@ -143,7 +143,9 @@ def _write_store(
 ) -> str:
     """Write the triples (``turtle_writer.write_turtle``) as Turtle at
     path, marked as the graph's, with the snapshot sidecar beside it
-    (``snapshot.py``). A graph the sidecar cannot hold leaves no sidecar."""
+    (``snapshot.py``). A graph the sidecar cannot hold leaves no sidecar.
+    The list of triples is cleared once the Turtle is written, so it is
+    not held while the sidecar is."""
     from . import snapshot
     from .turtle_writer import write_turtle
 
@@ -152,6 +154,7 @@ def _write_store(
         if graph is not None:
             turtle.write(f"# graph <{graph.value}>\n")
         document = write_turtle(turtle, texts, triples, prefixes)
+        triples.clear()
         written = snapshot.write(sidecar.buffer, turtle, *document)
     if not written:
         with suppress(OSError):
@@ -212,8 +215,10 @@ def _load_file(ds: Dataset, path: str, handle: BinaryIO, base: Optional[Iri]) ->
         graph = _graph_of(data[: data.find(b"\n")].decode("utf-8", "replace"))
         # Neither the bytes nor their text are held while the store grows.
         del data
-        sidecar.load(ds, graph)
-        return
+        if sidecar.load(ds, graph):
+            return
+        # The sidecar's ids are out of range: parse the file after all.
+        data = _read_all(path, _open(path))
     from .turtle import load_turtle
 
     text = _decode(path, data)

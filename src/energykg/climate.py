@@ -36,8 +36,8 @@ from operator import contains, mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .columns import (
-    Failure, NotANumber, csv_blocks, number_column, parse_column, raise_first, spelt_number,
-    text_lines,
+    Failure, NotANumber, csv_blocks, csv_header, number_column, parse_column, raise_first,
+    spelt_number, text_lines,
 )
 from .errors import EnergyKgError
 from .namespaces import (
@@ -173,9 +173,8 @@ def parse_noaa_csv(text: str, scale: Decimal = Decimal(1)) -> list[ClimateObserv
     Blank rows are skipped, and every cell is stripped. The rows are
     turned into columns, each parsed and checked whole."""
     reader = csv.reader(text_lines(text))
-    try:
-        header = next(reader)
-    except StopIteration:
+    header = csv_header(reader, ClimateError)
+    if header is None:
         raise ClimateError("climate CSV is empty")
     if [h.strip().lower() for h in header] != _CSV_HEADER:
         raise ClimateError(f"climate CSV header must be {','.join(_CSV_HEADER)}")

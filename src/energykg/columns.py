@@ -12,6 +12,7 @@ first failing cell (``parse_column``).
 
 from __future__ import annotations
 
+import csv
 import re
 from contextlib import suppress
 from decimal import Decimal, InvalidOperation
@@ -67,27 +68,51 @@ def csv_blocks(
     row 1).
 
     Blank rows are skipped, and the rows are indexed in order without
-    them. A row of another width is a failure at the first place (0):
-    the last block's columns end before it, its numbers end with it, and
-    no block follows, since no later row can fail earlier."""
+    them. A row of another width, or one the reader cannot read (such as
+    one with a field longer than ``csv.field_size_limit()``), is a
+    failure at the first place (0): the last block's columns end before
+    it, its numbers end with it, and no block follows, since no later row
+    can fail earlier."""
     number = 2
     kept = 0
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        numbers: Sequence[int] = range(number, number + len(block))
+    while True:
+        block: list[list[str]] = []
+        unread = None
+        try:
+            # A read that fails leaves the rows read before it in block.
+            block.extend(islice(rows, _BLOCK_ROWS))
+        except csv.Error as exc:
+            unread = str(exc)
+        if not block and unread is None:
+            return
+        # The block's row numbers, then the number of the row after it.
+        numbers: Sequence[int] = range(number, number + len(block) + 1)
         number += len(block)
         filled = list(map(any, block))
         if not all(filled):
             block = list(compress(block, filled))
-            numbers = list(compress(numbers, filled))
+            numbers = list(compress(numbers, filled + [True]))
         lengths = list(map(len, block))
         short = len(block)
         if lengths.count(width) < len(block):
             short = next(k for k, n in enumerate(lengths) if n != width)
             failures.append((kept + short, 0, f"expected {width} cells, got {lengths[short]}"))
+        elif unread is not None:
+            failures.append((kept + short, 0, unread))
         kept += short
-        yield list(zip(*block[:short])) or [()] * width, numbers[: short + 1]
-        if short < len(block):
+        failed = short < len(block) or unread is not None
+        yield list(zip(*block[:short])) or [()] * width, numbers[: short + failed]
+        if failed:
             return
+
+
+def csv_header(rows: Iterator[list[str]], error: type[EnergyKgError]) -> Optional[list[str]]:
+    """The first row of a CSV reader, or None when there is none; a row
+    the reader cannot read raises error."""
+    try:
+        return next(rows, None)
+    except csv.Error as exc:
+        raise error(f"row 1: {exc}")
 
 
 def raise_first(

@@ -4,24 +4,30 @@ Each distinct term is interned once to an int id, in insertion order,
 keyed by its canonical text (``terms.term_key``: ``<iri>``,
 ``"lexical"^^<datatype>`` or ``_:label``), so the dictionary read in key
 order is also the id-to-text list. A ``Term`` object is decoded from its
-text only when something reads it, and then kept. Each graph keeps its
-triples as ``(s, p, o)`` id tuples in a set, plus one index per position
-from an id to the triples holding it there, in the manner of Hexastore
-(Weiss, Karras and Bernstein, VLDB 2008). Each id also has a rank, its
-position in the sorted order of the texts, so the canonical sort
-compares ints. Ranks are built at ``freeze()``; before it, when first
-read and again once new terms have arrived.
+text only when something reads it, and then kept. The texts are distinct
+and never empty, so the canonical order of ids is the order of their
+texts.
 
-Id triples enter a graph through one insert, ``add_ids``.
-``add_triples`` streams into it, interning each term as it is read.
-``load_turtle`` parses a whole Turtle document straight into canonical
-texts and ids inside ``interning()``, which drops the terms a failed
-block added, and inserts them once the document has parsed; it interns
-each new text with the dictionary's ``setdefault`` rather than a lookup
-that calls ``TermIds.__missing__``. A snapshot sidecar (``snapshot.py``)
-interns a whole file's texts at once with ``TermIds.intern_all``, which
-into an empty dictionary is one ``update``, and inserts its triples
-through ``add_ids`` in the parse's order, so the store is the same.
+Each graph is kept in one frozen, columnar form (``_Graph``), as RDF-3X
+(Neumann and Weikum, VLDB 2008) and HDT (Fernandez et al., J. Web
+Semantics 2013) keep theirs: its distinct ``(s, p, o)`` id triples once,
+and for each position one ``grouping``, the triples ordered so that each
+id's triples are contiguous, with a table from each id to its run. A
+bucket is one slice of that order. Triples inserted with ``add_ids``
+collect in an insertion-ordered dict, and the graph is grouped, with
+sorts keyed in C, when it is next read or at ``freeze()``.
+
+``add_triples`` streams into ``add_ids``, interning each term as it is
+read. ``load_turtle`` parses a whole Turtle document straight into
+canonical texts and ids inside ``interning()``, which drops the terms a
+failed block added, and inserts them once the document has parsed; it
+interns each new text with the dictionary's ``setdefault`` rather than a
+lookup that calls ``TermIds.__missing__``. A snapshot sidecar
+(``snapshot.py``) interns a whole file's texts at once with
+``TermIds.intern_all``, which into an empty dictionary is one ``update``,
+and hands its triples and stored groupings to ``add_graph``, so no
+triple is looked at one at a time in Python and the store is the same
+as the parse's, bucket for bucket.
 
 Writing needs no Dataset: ``uplift`` and ``climate`` intern their
 generators' texts into a bare ``TermIds`` and hand its texts and a flat
@@ -37,9 +43,9 @@ equal terms. Quads have set semantics: inserting a duplicate is a no-op.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from itertools import groupby
-from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from itertools import count, filterfalse, groupby, repeat
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EnergyKgError
 from .terms import GraphName, Iri, Quad, Term, decode_term, term_key
@@ -81,7 +87,7 @@ class TermIds(dict):
     def intern_all(self, texts: list[str]) -> list[int]:
         """Intern the texts in order, as looking each up would; their ids
         in that order. The ids are the dictionary's own int objects, so
-        triples built from them share them."""
+        triples built from them share them. Each step loops in C."""
         known = self.texts
         if not known:
             # Distinct texts are all new: each one's id is its position.
@@ -91,13 +97,10 @@ class TermIds(dict):
                 known.extend(texts)
                 return ids
             self.clear()
-        ids = []
-        for text in texts:
-            term_id = self.setdefault(text, len(known))
-            if term_id == len(known):
-                known.append(text)
-            ids.append(term_id)
-        return ids
+        fresh = list(dict.fromkeys(filterfalse(self.__contains__, texts)))
+        self.update(zip(fresh, range(len(known), len(known) + len(fresh))))
+        known.extend(fresh)
+        return list(map(self.__getitem__, texts))
 
 
 def text_order(texts: Sequence[str]) -> tuple[list[int], list[int]]:
@@ -110,33 +113,97 @@ def text_order(texts: Sequence[str]) -> tuple[list[int], list[int]]:
     return order, ranks
 
 
+# Triple numbers ordered by one position's id, then the distinct ids in
+# that order and where each one's run starts, then the triple count.
+Grouping = tuple[Sequence[int], Sequence[int], Sequence[int]]
+
+
+def grouping(column: Sequence[int], grouped: bool = False) -> Grouping:
+    """The grouping of triples by their ids at one position, ``column``
+    listing those ids by triple number: the triple numbers sorted stably
+    by that id, so that each id's triples form one run in triple order;
+    the distinct ids in that order; and each run's start, then the count.
+    When the column is ``grouped`` already, each id's triples contiguous,
+    as the subjects of a written document are, its order is kept. Each
+    step loops in C."""
+    order = range(len(column)) if grouped else sorted(range(len(column)), key=column.__getitem__)
+    # Each id's last place in that order, plus one: where its run ends.
+    ends = dict(zip(column if grouped else map(column.__getitem__, order), count(1)))
+    return order, list(ends), [0, *ends.values()]
+
+
 class FrozenDatasetError(EnergyKgError):
     """Mutation attempted after freeze()."""
 
 
 class _Graph:
-    """One graph's id triples, indexed by subject, predicate and object."""
+    """One graph's distinct id triples, grouped by the id at each position.
 
-    __slots__ = ("triples", "index")
+    ``triples`` lists each triple once. For each position (0 subject, 1
+    predicate, 2 object) the graph keeps the triples in the order of a
+    ``grouping``, a table from each id to its run's number, and the runs'
+    starts; the bucket of an id is then one slice of that order. Built in
+    one go and never changed, so any number of readers may share it."""
 
-    def __init__(self) -> None:
-        self.triples: set[IdTriple] = set()
-        self.index: tuple[dict[int, list[IdTriple]], ...] = ({}, {}, {})
+    __slots__ = ("triples", "_ordered", "_runs", "_starts")
+
+    def __init__(
+        self, triples: list[IdTriple], groupings: Optional[Iterable[Grouping]] = None
+    ) -> None:
+        if groupings is None:
+            # One position at a time, so one grouping's triple numbers are held.
+            groupings = (grouping(list(map(itemgetter(i), triples))) for i in range(3))
+        self.triples = triples
+        self._ordered: list[list[IdTriple]] = []
+        self._runs: list[dict[int, int]] = []
+        self._starts: list[Sequence[int]] = []
+        triple = triples.__getitem__
+        for order, keys, starts in groupings:
+            # A triple number past the triples raises IndexError here. A
+            # grouping that keeps the triples' order shares their list.
+            ordered = triples if order == range(len(triples)) else list(map(triple, order))
+            self._ordered.append(ordered)
+            self._runs.append(dict(zip(keys, range(len(keys)))))
+            self._starts.append(starts)
+
+    def runs(self, position: int) -> tuple[Callable[[int], Optional[int]], Sequence[int], list]:
+        """The buckets at position (0 subject, 1 predicate, 2 object), for
+        reading many without a call each: a function from an id to its
+        run's number, or to None (the ``dict.get`` default) when no triple
+        holds the id; the runs' starts, then the count; and the triples in
+        run order. Run r's bucket is ``ordered[starts[r] : starts[r + 1]]``;
+        for r = -1 that is ``ordered[count:0]``, which is empty."""
+        return self._runs[position].get, self._starts[position], self._ordered[position]
+
+    def bucket(self, position: int, key: int) -> list[IdTriple]:
+        """The triples holding id key at position, as a new list."""
+        run = self._runs[position].get(key)
+        if run is None:
+            return []
+        starts = self._starts[position]
+        return self._ordered[position][starts[run] : starts[run + 1]]
+
+    def size(self, position: int, key: int) -> int:
+        """How many triples hold id key at position."""
+        run = self._runs[position].get(key)
+        if run is None:
+            return 0
+        starts = self._starts[position]
+        return starts[run + 1] - starts[run]
+
+    def mean(self, position: int) -> float:
+        """The mean size of the buckets at position."""
+        runs = len(self._runs[position])
+        return len(self.triples) / runs if runs else 0
 
     def match(self, s: Optional[int], p: Optional[int], o: Optional[int]) -> list[IdTriple]:
-        buckets = [
-            index.get(key, []) for index, key in zip(self.index, (s, p, o)) if key is not None
-        ]
-        if not buckets:
-            return list(self.triples)
-        bucket = min(buckets, key=len)
-        if len(buckets) == 1:
+        fixed = [(i, key) for i, key in enumerate((s, p, o)) if key is not None]
+        if not fixed:
+            return self.triples
+        bucket = self.bucket(*min(fixed, key=lambda at: self.size(*at)))
+        if len(fixed) == 1:
             return bucket
-        return [
-            t
-            for t in bucket
-            if (s is None or t[0] == s) and (p is None or t[1] == p) and (o is None or t[2] == o)
-        ]
+        return [t for t in bucket if all(t[i] == x for i, x in fixed)]
 
 
 def _graph_key(graph: GraphName) -> str:
@@ -147,8 +214,11 @@ class Dataset:
     def __init__(self, quads: Iterable[Quad] = ()) -> None:
         self._ids = TermIds()
         self._decoded: dict[int, Term] = {}
-        self._ranks: list[int] = []
+        # Every graph inserted into, in order of its first insert.
         self._graphs: dict[GraphName, _Graph] = {}
+        # The graphs inserted into since their _Graph was built: all their
+        # triples, in order, as the keys of a dict.
+        self._added: dict[GraphName, dict[IdTriple, None]] = {}
         self._frozen = False
         self.add_all(quads)
 
@@ -188,30 +258,38 @@ class Dataset:
             while len(ids) > mark:
                 ids.popitem()
             del ids.texts[mark:]
-            # The lazy caches may have been filled inside the block.
+            # The cache of decoded terms may have been filled inside the block.
             self._decoded = {i: t for i, t in self._decoded.items() if i < mark}
-            self._ranks = []
             raise
 
     def add_ids(self, triples: Iterable[IdTriple], graph: GraphName = None) -> None:
-        """Insert id triples, with ids from the term dictionary, into one graph."""
+        """Insert id triples, with ids from the term dictionary, into one
+        graph. The graph is grouped again when it is next read."""
         if self._frozen:
             raise FrozenDatasetError("dataset is frozen")
-        store = self._graphs.get(graph)
-        if store is None:
-            store = self._graphs[graph] = _Graph()
-        seen = store.triples
-        by_s, by_p, by_o = store.index
-        for triple in triples:
-            if triple not in seen:
-                seen.add(triple)
-                by_s.setdefault(triple[0], []).append(triple)
-                by_p.setdefault(triple[1], []).append(triple)
-                by_o.setdefault(triple[2], []).append(triple)
+        added = self._added.get(graph)
+        if added is None:
+            store = self._graphs.setdefault(graph, _Graph([]))
+            added = self._added[graph] = dict.fromkeys(store.triples)
+        added.update(zip(triples, repeat(None)))
+
+    def add_graph(
+        self, graph: GraphName, triples: list[IdTriple], groupings: Sequence[Grouping]
+    ) -> None:
+        """Insert distinct id triples into one graph together with their
+        ``grouping`` at each position, in the order of ``triples``, as a
+        snapshot sidecar stores them. A graph that holds triples already
+        takes them as ``add_ids`` does."""
+        if graph in self._graphs:
+            self.add_ids(triples, graph)
+            return
+        if self._frozen:
+            raise FrozenDatasetError("dataset is frozen")
+        self._graphs[graph] = _Graph(triples, groupings)
 
     def freeze(self) -> "Dataset":
-        # Build the ranks now, so readers of the snapshot never build them.
-        self.ranks()
+        # Group the graphs now, so readers of the snapshot never do.
+        self._stores()
         self._frozen = True
         return self
 
@@ -219,25 +297,31 @@ class Dataset:
     def frozen(self) -> bool:
         return self._frozen
 
+    def _stores(self) -> Iterable[tuple[GraphName, _Graph]]:
+        """Every graph and its triples, grouped."""
+        for graph in list(self._added):
+            self.graph(graph)
+        return self._graphs.items()
+
     def __len__(self) -> int:
-        return sum(len(store.triples) for store in self._graphs.values())
+        return sum(len(store.triples) for _, store in self._stores())
 
     def __contains__(self, quad: object) -> bool:
         if not isinstance(quad, Quad) or quad.graph not in self._graphs:
             return False
         triple = (self.id_of(quad.subject), self.id_of(quad.predicate), self.id_of(quad.object))
-        return triple in self._graphs[quad.graph].triples
+        return triple in self.graph(quad.graph).bucket(0, triple[0])
 
     def __iter__(self) -> Iterator[Quad]:
         term = self.term
-        for graph, store in self._graphs.items():
+        for graph, store in self._stores():
             for s, p, o in store.triples:
                 yield Quad(term(s), term(p), term(o), graph)
 
     def graphs(self) -> list[Iri]:
         """Named graphs present, in canonical order."""
         return sorted(
-            (g for g, store in self._graphs.items() if g is not None and store.triples),
+            (g for g, store in self._stores() if g is not None and store.triples),
             key=_graph_key,
         )
 
@@ -251,18 +335,18 @@ class Dataset:
         """All quads matching the bound positions, in canonical order.
 
         ``ANY`` is the wildcard; ``graph=None`` addresses the default
-        graph. Each graph answers from its narrowest index bucket.
+        graph. Each graph answers from its narrowest bucket.
         """
         # A term no quad holds gets -1, an id that matches nothing.
         ids = self._ids
         key = [None if t is ANY else ids.get(term_key(t), -1) for t in (subject, predicate, object)]
         names = sorted(self._graphs, key=_graph_key) if graph is ANY else [graph]
         term = self.term
-        ranks = self.ranks()
+        texts = ids.texts
         out: list[Quad] = []
         for name in names:
             found = self.triples(*key, name)
-            found = sorted(found, key=lambda t: (ranks[t[0]], ranks[t[1]], ranks[t[2]]))
+            found = sorted(found, key=lambda t: (texts[t[0]], texts[t[1]], texts[t[2]]))
             out.extend(Quad(term(s), term(p), term(o), name) for s, p, o in found)
         return out
 
@@ -286,36 +370,31 @@ class Dataset:
 
     def texts(self) -> list[str]:
         """Every interned term's canonical text, indexed by its id. The
-        list is the dictionary's own: do not change it."""
+        list is the dictionary's own: do not change it. Texts are distinct
+        and never empty, so sorting ids by text is the canonical order."""
         return self._ids.texts
 
-    def ranks(self) -> list[int]:
-        """Each id's position in canonical text order, indexed by id."""
-        texts = self._ids.texts
-        if len(self._ranks) != len(texts):
-            _, self._ranks = text_order(texts)
-        return self._ranks
-
     def graph(self, graph: GraphName) -> Optional[_Graph]:
-        """One graph's id triples and position indexes, or None when the
-        dataset has no such graph. For readers: do not change them."""
+        """One graph's id triples and buckets, or None when the dataset has
+        no such graph. A graph inserted into since it was last read is
+        grouped first; a frozen dataset's graphs are all grouped."""
+        if graph in self._added:
+            # The dict of added triples is freed before the graph is grouped.
+            self._graphs[graph] = _Graph(list(self._added.pop(graph)))
         return self._graphs.get(graph)
 
     def triples(
         self, s: Optional[int], p: Optional[int], o: Optional[int], graph: GraphName
     ) -> list[IdTriple]:
         """Id triples of one graph matching the bound ids (None is the
-        wildcard), unsorted. The list may be the index's own: do not change it."""
-        store = self._graphs.get(graph)
+        wildcard), unsorted. The list may be the graph's own: do not change it."""
+        store = self.graph(graph)
         return [] if store is None else store.match(s, p, o)
 
     def bucket_size(self, position: int, key: Optional[int], graph: GraphName) -> float:
         """Triples of one graph with id key at position (0 subject, 1
         predicate, 2 object); for key None, the mean over that position's ids."""
-        store = self._graphs.get(graph)
+        store = self.graph(graph)
         if store is None:
             return 0
-        index = store.index[position]
-        if key is None:
-            return len(store.triples) / len(index) if index else 0
-        return len(index.get(key, ()))
+        return store.mean(position) if key is None else store.size(position, key)

@@ -1,13 +1,17 @@
-"""Binary sidecar of a Turtle file: what parsing that file gives, ready
-to insert.
+"""Binary sidecar of a Turtle file: the store that parsing that file
+gives, ready to use.
 
 ``uplift`` and ``climate`` write ``<file>.ttl.ekg`` beside each Turtle
 file. It holds the file's term texts and id triples exactly as the Turtle
 parser would produce them: ids numbered by each term's first appearance
-as subject, predicate, then object, in document order, and the triples in
-document order. Inserting these gives the same dictionary, the same
-index buckets and the same triple-set order as the parse, so every query
-answer is byte-identical.
+as subject, predicate, then object, in document order, and the distinct
+triples in document order. It also holds, for each position, the
+``dataset.grouping`` that the store keeps of those triples: the triple
+numbers ordered by that position's id, and each id's run. Loading maps
+the ids onto the store's dictionary with C-level ``map`` and hands the
+groupings over as read, so the store equals the parse's bucket for
+bucket, every query answer is byte-identical, and no load step loops
+over triples in Python or sorts.
 
 A sidecar is used only when it proves that it describes the very bytes
 of its Turtle file, as a hash-based ``.pyc`` does (PEP 552): its header
@@ -15,17 +19,25 @@ holds the Turtle's byte length and hash, and a CRC-32 covers the rest of
 the sidecar. The hash is ``importlib.util.source_hash``, a SipHash whose
 key changes with the Python version, of the hashes of the file's 64 KiB
 blocks, so the writer can hash the file it streamed out a block at a
-time. ``read`` returns None for a missing, truncated, stale, foreign or
-inconsistent sidecar, and the caller parses the Turtle instead.
+time. ``read`` returns None for a missing, truncated, stale, foreign,
+older-version or inconsistent sidecar, and ``Snapshot.load`` returns
+False, having added nothing, for one whose ids or triple numbers are
+out of range; either way the caller parses the Turtle instead.
 
-Layout, every integer little-endian:
+Layout (version 2), every integer little-endian:
 
 - header (``_HEADER``): magic, version, Turtle length and hash, term
-  count, character count, blob byte count, triple count, and the CRC-32
-  of everything after the header, then of the header before the CRC
+  count, character count, blob byte count, triple count, for each
+  position the length of its triple-number section (the triple count,
+  or 0 when the grouping keeps the triples' own order, as the subjects'
+  does) and its run count, and the CRC-32 of everything after the
+  header, then of the header before the CRC
 - term count + 1 character offsets into the blob, ``uint32``
 - the blob: every term's canonical text in id order, UTF-8
 - triple count × 3 term ids, ``uint32``
+- for subject, predicate and object in turn, ``uint32`` each: the triple
+  numbers in grouping order (if any), the id of each run (run count),
+  and each run's start, then the triple count (run count + 1)
 
 A graph holding a blank node gets no sidecar: the parser relabels blank
 nodes apart from those already loaded, which a fixed id table cannot.
@@ -40,24 +52,25 @@ from array import array
 from binascii import crc32
 from importlib.util import source_hash
 from itertools import accumulate, islice
-from operator import itemgetter, lt
+from operator import itemgetter
 from typing import BinaryIO, Iterable, Iterator, Optional, TextIO
 
-from .dataset import Dataset
+from .dataset import Dataset, Grouping, grouping
 from .terms import GraphName
 
 SUFFIX = ".ekg"
 _MAGIC = b"EKGSNAP\0"
-_VERSION = 1
+_VERSION = 2
 # Magic, version, Turtle length and hash, term, character, blob byte and
-# triple counts; then the CRC-32.
-_HEADER = struct.Struct("<8sIQ8sQQQQ")
+# triple counts, and each position's triple-number and run counts; then
+# the CRC-32.
+_HEADER = struct.Struct("<8sIQ8sQQQQ6Q")
 _CRC = struct.Struct("<I")
 _START = _HEADER.size + _CRC.size
 # An array typecode of four-byte unsigned ints.
 _U32 = "I" if array("I").itemsize == 4 else "L"
 _SWAP = sys.byteorder == "big"
-# Term texts and triples per chunk written, which bounds the writer's buffers.
+# Term texts per chunk written, which bounds the writer's buffers.
 _CHUNK = 1024
 _BLOCK = 1 << 16
 
@@ -68,21 +81,36 @@ def _digest(blocks: Iterable[bytes]) -> bytes:
 
 
 class Snapshot:
-    """A sidecar's term texts, in id order, and flat id triples."""
+    """A sidecar's term texts, in id order, its flat id triples and the
+    grouping of the triples at each position."""
 
-    __slots__ = ("texts", "triples")
+    __slots__ = ("texts", "triples", "groupings")
 
-    def __init__(self, texts: list[str], triples: array) -> None:
+    def __init__(self, texts: list[str], triples: array, groupings: list[Grouping]) -> None:
         self.texts = texts
         self.triples = triples
+        self.groupings = groupings
 
-    def load(self, ds: Dataset, graph: GraphName) -> None:
+    def load(self, ds: Dataset, graph: GraphName) -> bool:
         """Intern the texts into the dataset and add the triples to graph,
-        as loading the Turtle file would."""
-        with ds.interning() as ids:
-            term_ids = ids.intern_all(self.texts)
-        flat = map(term_ids.__getitem__, self.triples)
-        ds.add_ids(zip(flat, flat, flat), graph)
+        as loading the Turtle file would. Returns False, and leaves the
+        dataset as it was, when an id or a triple number is out of range."""
+        try:
+            with ds.interning() as ids:
+                # Mapped through the dictionary's own ids, so the triples
+                # share its int objects; an id past the texts has none.
+                remap = ids.intern_all(self.texts).__getitem__
+                flat = map(remap, self.triples)
+                triples = list(zip(flat, flat, flat))
+                groupings = [
+                    (order, list(map(remap, keys)), starts)
+                    for order, keys, starts in self.groupings
+                ]
+                # A triple number past the triples raises before the graph is added.
+                ds.add_graph(graph, triples, groupings)
+        except IndexError:
+            return False
+        return True
 
 
 def read(path: str, turtle: bytes) -> Optional[Snapshot]:
@@ -96,41 +124,63 @@ def read(path: str, turtle: bytes) -> Optional[Snapshot]:
         return None
 
 
+def _u32(handle: BinaryIO, count: int) -> array:
+    section = array(_U32)
+    section.fromfile(handle, count)
+    return section
+
+
 def _read(handle: BinaryIO, turtle: bytes) -> Optional[Snapshot]:
     head = handle.read(_START)
-    magic, version, length, digest, terms, chars, size, count = _HEADER.unpack_from(head)
+    magic, version, length, digest, terms, chars, size, count, *shapes = _HEADER.unpack_from(head)
     if magic != _MAGIC or version != _VERSION or length != len(turtle):
+        return None
+    # Per position, the length of its triple numbers and its run count.
+    shapes = list(zip(shapes[0::2], shapes[1::2]))
+    if any(numbers not in (0, count) for numbers, _ in shapes):
         return None
     with memoryview(turtle) as view:
         if digest != _digest(view[start : start + _BLOCK] for start in range(0, length, _BLOCK)):
             return None
     # Checked before any section is read, so no count can ask for more
     # memory than the file holds.
-    if os.fstat(handle.fileno()).st_size != _START + 4 * (terms + 1) + size + 12 * count:
+    groups = sum(4 * numbers + 8 * runs + 4 for numbers, runs in shapes)
+    if os.fstat(handle.fileno()).st_size != _START + 4 * (terms + 1) + size + 12 * count + groups:
         return None
-    offsets = array(_U32)
-    offsets.fromfile(handle, terms + 1)
+    offsets = _u32(handle, terms + 1)
     blob = handle.read(size)
-    triples = array(_U32)
-    triples.fromfile(handle, 3 * count)
-    crc = crc32(head[: _HEADER.size], crc32(triples, crc32(blob, crc32(offsets))))
-    if (crc,) != _CRC.unpack_from(head, _HEADER.size):
+    triples = _u32(handle, 3 * count)
+    # The arrays after the blob, in file order.
+    sections = [triples]
+    groupings = []
+    for numbers, runs in shapes:
+        order = _u32(handle, numbers) if numbers else range(count)
+        keys, starts = _u32(handle, runs), _u32(handle, runs + 1)
+        sections += (order, keys, starts) if numbers else (keys, starts)
+        groupings.append((order, keys, starts))
+    crc = crc32(blob, crc32(offsets))
+    for section in sections:
+        crc = crc32(section, crc)
+    if (crc32(head[: _HEADER.size], crc),) != _CRC.unpack_from(head, _HEADER.size):
         return None
     if _SWAP:
-        offsets.byteswap()
-        triples.byteswap()
+        for section in (offsets, *sections):
+            section.byteswap()
     text = blob.decode("utf-8")
     del blob
-    ends = offsets[1:]
-    # The offsets rise from 0 to the end of the text, so no text is empty.
+    # The offsets run from 0 to the end of the text.
     if offsets[0] != 0 or offsets[-1] != chars or len(text) != chars:
         return None
-    if not all(map(lt, offsets, ends)) or (triples and max(triples) >= terms):
+    texts = list(map(text.__getitem__, map(slice, offsets, islice(offsets, 1, None))))
+    # No text is empty, so the offsets rise; each is an IRI or a literal,
+    # not a blank node.
+    if not all(texts) or not set(map(itemgetter(0), texts)) <= {"<", '"'}:
         return None
-    # Each text is an IRI or a literal, not a blank node.
-    if not set(map(text.__getitem__, islice(offsets, terms))) <= {"<", '"'}:
+    # Each grouping's runs start at 0 and end at the triple count. The ids
+    # and triple numbers are bounded as they are loaded.
+    if any(starts[0] != 0 or starts[-1] != count for _, _, starts in groupings):
         return None
-    return Snapshot(list(map(text.__getitem__, map(slice, offsets, ends))), triples)
+    return Snapshot(texts, triples, groupings)
 
 
 def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: Iterator[int]) -> bool:
@@ -150,12 +200,17 @@ def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: Iterator[
     except OverflowError:
         return False
     chars = offsets[-1]
+    # Lists, whose items are read faster than an array's.
+    flat = list(triples)
+    columns = [flat[position::3] for position in range(3)]
+    count = len(flat) // 3
 
     crc = 0
 
     def put(section) -> int:
         nonlocal crc
         if _SWAP and isinstance(section, array):
+            section = array(section.typecode, section)
             section.byteswap()
         crc = crc32(section, crc)
         handle.write(section)
@@ -166,15 +221,24 @@ def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: Iterator[
     size = 0
     for start in range(0, len(texts), _CHUNK):
         size += put("".join(texts[start : start + _CHUNK]).encode("utf-8"))
-    ids = 0
-    while written := put(array(_U32, islice(triples, 3 * _CHUNK))):
-        ids += written
+    put(array(_U32, flat))
+    del flat
+    shapes = []
+    for position in range(3):
+        # The document is written a subject block at a time, so the
+        # subjects' grouping keeps the triples' order and writes none.
+        grouped = position == 0
+        order, keys, starts = grouping(columns[position], grouped)
+        columns[position] = None
+        for section in (keys, starts) if grouped else (order, keys, starts):
+            put(array(_U32, section))
+        shapes += (0 if grouped else count, len(keys))
 
     turtle.flush()
     with open(turtle.name, "rb") as source:
         digest = _digest(iter(lambda: source.read(_BLOCK), b""))
         length = source.tell()
-    header = _HEADER.pack(_MAGIC, _VERSION, length, digest, len(texts), chars, size, ids // 3)
+    header = _HEADER.pack(_MAGIC, _VERSION, length, digest, len(texts), chars, size, count, *shapes)
     handle.seek(0)
     handle.write(header + _CRC.pack(crc32(header, crc)))
     return True

@@ -8,17 +8,18 @@ encoding of their bindings, and cut by LIMIT, in that order.
 
 Rows bind variables to the store's term ids. Terms are decoded, one id
 at a time, only to evaluate FILTER and join-key expressions, and for the
-projected rows, which are sorted by the store's rank of each id. A query
-constant that no quad holds matches nothing.
+projected rows, which are sorted by the canonical text of each id. A
+query constant that no quad holds matches nothing.
 
 Each BGP, after its property paths are lowered, is ordered greedily: the
 next pattern is the one with the smallest index bucket among its
 constant and already-bound positions, a bound variable counting as the
 mean bucket of its position (after Stocker et al., "SPARQL basic graph
 pattern optimization using selectivity estimation", WWW 2008). Each step
-then reads the active graph's position indexes directly: per row it
+then reads the active graph's buckets (``_Graph.bucket`` for a constant,
+``_Graph.runs`` for a bound variable, one slice per row): per row it
 scans the smallest bucket among the constant and bound positions,
-checking the other fixed positions as it goes.
+checking as it goes the fixed positions that the bucket does not fix.
 
 Joins are hash-based on the statically shared variables; a FILTER whose
 conjuncts equate date components across the two sides of a Join is
@@ -124,9 +125,9 @@ def evaluate(ds: Dataset, query: SelectQuery, deadline: Optional[float] = None) 
     names = tuple(v.name for v in query.projection)
     projected = [{name: row[name] for name in names if name in row} for row in rows]
     run.check()
-    # An unbound variable ranks -1, before every term.
-    ranks = ds.ranks()
-    projected.sort(key=lambda row: tuple(ranks[row[n]] if n in row else -1 for n in names))
+    # Canonical order is text order; an unbound variable sorts as "", before every term.
+    texts = ds.texts()
+    projected.sort(key=lambda row: tuple(texts[row[n]] if n in row else "" for n in names))
     if query.limit is not None:
         projected = projected[: query.limit]
     term = run.term
@@ -215,7 +216,9 @@ def _extend(rows: list[Row], tp: IdPattern, bound: set[str], graphs: list, run: 
     """Each row extended by each triple of the graphs that matches tp under it.
 
     Several graphs form one merged graph: a triple set, so identical
-    triples from different graphs collapse.
+    triples from different graphs collapse. A bucket lists its triples in
+    the graph's triple order, so whichever bucket is scanned, the matching
+    triples come in the same order.
     """
     consts = [(i, x) for i, x in enumerate(tp) if isinstance(x, int)]
     keys = [(i, x) for i, x in enumerate(tp) if isinstance(x, str) and x in bound]
@@ -228,22 +231,27 @@ def _extend(rows: list[Row], tp: IdPattern, bound: set[str], graphs: list, run: 
                 repeats.append((free[x], i))
             else:
                 free[x] = i
+    assigned = tuple(free.items())
 
-    # A triple matches when probe(triple) equals target_of(row).
-    fixed = keys + consts
-    probe = itemgetter(*[i for i, _ in fixed]) if fixed else None
-    target_of = _targets([name for _, name in keys], tuple(x for _, x in consts))
-
-    # Per graph, the smallest constant bucket, or every triple when there
-    # is no constant; and the index of each bound position.
+    # Per graph, the size of its smallest constant bucket and the position
+    # that bucket fixes, or every triple when there is no constant; the
+    # bucket itself, sliced when a row first scans it; and the graph's runs
+    # at each bound position.
     sources = []
     for graph in graphs:
-        start = graph.triples
+        size, at = len(graph.triples), None
         for i, x in consts:
-            bucket = graph.index[i].get(x, ())
-            if len(bucket) < len(start):
-                start = bucket
-        sources.append((start, [(graph.index[i], name) for i, name in keys]))
+            found = graph.size(i, x)
+            if found < size:
+                size, at = found, i
+        start = graph.triples if at is None else None
+        sources.append([start, size, at, graph, [(*graph.runs(i), i, name) for i, name in keys]])
+    # The check of a bucket's triples, by the position the bucket fixes;
+    # the merged buckets of several graphs fix none.
+    fixing = {source[2] for source in sources}.union(i for i, _ in keys)
+    if len(sources) > 1:
+        fixing.add(None)
+    checks = {i: _check(keys, consts, i) for i in fixing}
 
     out: list[Row] = []
     emit = out.append
@@ -251,14 +259,26 @@ def _extend(rows: list[Row], tp: IdPattern, bound: set[str], graphs: list, run: 
     for n, row in enumerate(rows):
         if not n & _CHECK_MASK:
             run.check()
-        target = target_of(row)
-        triples = None
-        for bucket, lookups in sources:
-            for index, name in lookups:
-                candidate = index.get(row[name], ())
-                if len(candidate) < len(bucket):
-                    bucket = candidate
-            triples = bucket if triples is None else set(triples).union(bucket)
+        triples = fixes = None
+        for source in sources:
+            bucket, size, at, graph, lookups = source
+            for run_of, starts, ordered, i, name in lookups:
+                # An id no triple holds at i gets run -1, which spans
+                # ordered[count:0], an empty slice.
+                number = run_of(row[name], -1)
+                begin = starts[number]
+                end = starts[number + 1]
+                if end - begin < size:
+                    bucket, size, at = ordered[begin:end], end - begin, i
+            if bucket is None:
+                bucket = source[0] = graph.bucket(at, tp[at])
+            if triples is None:
+                triples, fixes = bucket, at
+            else:
+                triples, fixes = set(triples).union(bucket), None
+        probe, target_of, target = checks[fixes]
+        if target_of is not None:
+            target = target_of(row)
         for triple in triples:
             scanned += 1
             if not scanned & _CHECK_MASK:
@@ -268,26 +288,37 @@ def _extend(rows: list[Row], tp: IdPattern, bound: set[str], graphs: list, run: 
             if repeats and any(triple[i] != triple[j] for i, j in repeats):
                 continue
             extended = row.copy()
-            for name, i in free.items():
+            for name, i in assigned:
                 extended[name] = triple[i]
             emit(extended)
     return out
 
 
-def _targets(names: list[str], const_ids: tuple[int, ...]) -> Callable[[Row], object]:
-    """A function from a row to the ids that a matching triple holds at the
-    bound positions (the row's values of names), then at the constant
-    positions: one id alone, else a tuple, as an ``itemgetter`` over those
-    positions gives them."""
-    if not names:
-        target = const_ids[0] if len(const_ids) == 1 else const_ids
-        return lambda row: target
-    get = itemgetter(*names)
+def _check(
+    keys: list[tuple[int, str]], consts: list[tuple[int, int]], fixed: Optional[int]
+) -> tuple[Optional[Callable], Optional[Callable[[Row], object]], object]:
+    """How a triple of a bucket is checked against a row when every triple
+    of the bucket holds the right id at position ``fixed`` (None when no
+    position is known to): it matches when ``probe(triple)`` equals the
+    target, the ids at the other bound positions (the row's) and then at
+    the other constant positions, one id alone, else a tuple. Returns the
+    probe, or None when there is nothing to check; and a function from the
+    row to the target, or None and the target itself when no bound
+    position is left."""
+    keys = [(i, name) for i, name in keys if i != fixed]
+    consts = [(i, x) for i, x in consts if i != fixed]
+    if not keys and not consts:
+        return None, None, None
+    probe = itemgetter(*[i for i, _ in keys + consts])
+    const_ids = tuple(x for _, x in consts)
+    if not keys:
+        return probe, None, const_ids[0] if len(const_ids) == 1 else const_ids
+    get = itemgetter(*[name for _, name in keys])
     if not const_ids:
-        return get
-    if len(names) == 1:
-        return lambda row: (get(row),) + const_ids
-    return lambda row: get(row) + const_ids
+        return probe, get, None
+    if len(keys) == 1:
+        return probe, lambda row: (get(row),) + const_ids, None
+    return probe, lambda row: get(row) + const_ids, None
 
 
 def _plan(patterns: list[IdPattern], active: tuple[GraphName, ...], ds: Dataset) -> list[IdPattern]:

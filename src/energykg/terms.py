@@ -212,7 +212,11 @@ def parse_datetime(lexical: str) -> datetime:
         raise IriError(f"invalid xsd:dateTime lexical form: {lexical!r}") from exc
     if parsed.tzinfo is None:
         raise IriError(f"xsd:dateTime without timezone designator: {lexical!r}")
-    return parsed.astimezone(timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError as exc:
+        # Its UTC instant falls before year 1 or after year 9999.
+        raise IriError(f"xsd:dateTime out of range in UTC: {lexical!r}") from exc
 
 
 def finite_decimal(text: str) -> Decimal:

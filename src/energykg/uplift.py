@@ -36,7 +36,8 @@ from operator import add, is_not, itemgetter, le, lt, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .columns import (
-    Failure, NotANumber, csv_blocks, number_column, parse_column, raise_first, text_lines,
+    Failure, NotANumber, csv_blocks, csv_header, number_column, parse_column, raise_first,
+    text_lines,
 )
 from .errors import EnergyKgError
 from .headings import DeviceHeading, DeviceRole, SiteKind, classify, parse_heading
@@ -138,9 +139,8 @@ def read_energy_csv(text: str, counter_mode: CounterMode = CounterMode.CUMULATIV
     left to right.
     """
     reader = csv.reader(text_lines(text))
-    try:
-        header = next(reader)
-    except StopIteration:
+    header = csv_header(reader, UpliftError)
+    if header is None:
         raise UpliftError("energy CSV is empty")
     if not header or header[0] != "utc_timestamp":
         raise UpliftError("energy CSV must start with a utc_timestamp column")

@@ -20,7 +20,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Optional
 
-from energykg.dataset import Dataset
+from energykg.dataset import Dataset, text_order
 from energykg.errors import EnergyKgError
 from energykg.namespaces import RDF_TYPE
 from energykg.terms import (
@@ -406,7 +406,7 @@ def serialize_turtle(ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> str:
 
     # Subjects and objects in canonical (rank) order; predicates by IRI.
     terms = ds.terms()
-    ranks = ds.ranks()
+    _, ranks = text_order(ds.texts())
     triples = ds.triples(None, None, None, graph)
     triples = sorted(triples, key=lambda t: (ranks[t[0]], ranks[t[2]]))
     for s, subject_triples in groupby(triples, itemgetter(0)):

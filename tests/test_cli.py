@@ -484,6 +484,54 @@ def test_query_store_with_non_ascii_digit_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2, column 7: unexpected character '\u0663'\n"
 
 
+@pytest.mark.parametrize("lexical", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-05:00"])
+def test_uplift_timestamp_outside_the_years_of_utc_exits_1_naming_the_row(
+    tmp_path, capsys, lexical
+):
+    source = tmp_path / "energy.csv"
+    source.write_text(f"utc_timestamp,DE_KN_industrial1_pv_1\n2016-05-01T00:00:00Z,1\n{lexical},2\n")
+    assert main(["uplift", str(source), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: row 3: xsd:dateTime out of range in UTC: {lexical!r}\n"
+
+
+def test_year_filter_drops_a_date_outside_the_years_of_utc(tmp_path, capsys):
+    store = tmp_path / "store.ttl"
+    store.write_text(
+        '@prefix : <http://example.org/> .\n'
+        '@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n'
+        ':a :date "2016-05-01T00:00:00Z"^^xsd:dateTime .\n'
+        ':b :date "0001-01-01T00:00:00+01:00"^^xsd:dateTime .\n'
+        ':c :date "9999-12-31T23:00:00-05:00"^^xsd:dateTime .\n',
+        encoding="utf-8",
+    )
+    query = "SELECT ?s WHERE { ?s <http://example.org/date> ?d FILTER (year(?d) = 2016) }"
+    assert main(["query", str(store), query]) == 0
+    assert capsys.readouterr().out == "?s\n<http://example.org/a>\n"
+
+
+@pytest.mark.parametrize("command", ["uplift", "climate"])
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_csv_field_longer_than_the_reader_allows_exits_1_naming_the_row(
+    tmp_path, capsys, command, where
+):
+    cell = "1" * 140_000
+    header, row = (ENERGY_CSV if command == "uplift" else CLIMATE_CSV).splitlines()[:2]
+    if where == "header":
+        text, number = f"{header},{cell}\n", 1
+    else:
+        # A blank row before it is skipped but numbered.
+        text, number = f"{header}\n{row}\n\n{row.rsplit(',', 1)[0]},{cell}\n", 4
+    source = tmp_path / "input.csv"
+    source.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, str(source), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: row {number}: field larger than field limit")
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("which", ["store", "query", "csv", "json", "config"])
 def test_non_utf8_input_exits_1_naming_path_and_offset(tmp_path, capsys, which):
     store = tmp_path / "store.ttl"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from energykg.dataset import ANY, Dataset, FrozenDatasetError
+from energykg.dataset import ANY, Dataset, FrozenDatasetError, text_order
 from energykg.terms import BlankNode, Iri, Literal, Quad, decode_term, quad_key, term_key
 
 import querygen
@@ -226,9 +226,9 @@ def test_ranks_order_ids_as_term_keys_do(terms):
     predicate = Iri("http://e.example/p")
     ds.add_triples((Iri("http://e.example/s"), predicate, term) for term in terms)
     ds.freeze()
-    ranks = ds.ranks()
+    order, ranks = text_order(ds.texts())
     count = len(ds.terms())
     assert sorted(ranks) == list(range(count))
     by_rank = sorted(range(count), key=ranks.__getitem__)
-    assert by_rank == sorted(range(count), key=lambda i: term_key(ds.term(i)))
+    assert by_rank == order == sorted(range(count), key=lambda i: term_key(ds.term(i)))
     assert all(ds.term(ds.id_of(term)) == term for term in terms)

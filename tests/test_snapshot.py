@@ -3,10 +3,10 @@ file, against parsing that Turtle.
 
 A store loaded through its sidecars must equal the store parsed from its
 Turtle in everything a reader sees or whose order shows in an answer: the
-texts and ranks, each graph's triple set in iteration order, each index
-bucket's order, and every query's result bytes. A sidecar that is damaged,
-stale or foreign must be ignored, so the load gives the Turtle's result or
-its error.
+texts, each graph's triples in order, the bucket of every id at every
+position, and every query's result bytes. A sidecar that is damaged,
+stale, foreign or of an older version must be ignored, so the load gives
+the Turtle's result or its error.
 """
 
 from __future__ import annotations
@@ -67,13 +67,21 @@ def _config(base) -> PipelineConfig:
 
 
 def _view(ds: Dataset) -> dict:
-    """Everything about a loaded store whose value or order a reader sees."""
+    """Everything about a loaded store whose value or order a reader sees:
+    its texts, and per graph its triples and, for every position and id,
+    the bucket and its size."""
+    ids = range(len(ds.texts()))
     graphs = {}
     for name in [None, *ds.graphs()]:
         store = ds.graph(name)
         if store is not None:
-            graphs[name] = (list(store.triples), [list(index.items()) for index in store.index])
-    return {"texts": list(ds.texts()), "ranks": list(ds.ranks()), "graphs": graphs}
+            buckets = [
+                [(store.bucket(position, i), store.size(position, i)) for i in ids]
+                for position in range(3)
+            ]
+            means = [store.mean(position) for position in range(3)]
+            graphs[name] = (list(store.triples), buckets, means)
+    return {"texts": list(ds.texts()), "graphs": graphs}
 
 
 def _outcome(paths, config):
@@ -197,8 +205,10 @@ def test_a_graph_with_a_blank_node_gets_no_sidecar(tmp_path, turtle_loads):
 
 # -- damaged, stale or foreign sidecars ------------------------------------------
 
-_HEADER = struct.Struct("<8sIQ8sQQQQ")
+_HEADER = struct.Struct("<8sIQ8sQQQQ6Q")
 _START = _HEADER.size + 4
+# The header of a version-1 sidecar, which held no groupings.
+_HEADER_1 = struct.Struct("<8sIQ8sQQQQ")
 
 
 def _write_two_files(directory: Path) -> list[str]:
@@ -288,15 +298,32 @@ def _field(data: bytes, index: int, value) -> bytes:
 
 
 def _sections(data: bytes):
-    terms, _, size = _HEADER.unpack_from(data)[4:7]
+    """Where the blob, the triples and the groupings begin, then the
+    subject grouping's run ids and run starts and the predicate
+    grouping's triple numbers."""
+    terms, _, size, count, subject_numbers, subject_runs = _HEADER.unpack_from(data)[4:10]
     blob = _START + 4 * (terms + 1)
-    return blob, blob + size
+    triples = blob + size
+    groupings = triples + 12 * count
+    keys = groupings + 4 * subject_numbers
+    starts = keys + 4 * subject_runs
+    return blob, triples, groupings, keys, starts, starts + 4 * (subject_runs + 1)
+
+
+def _version_1(sidecar: bytes) -> bytes:
+    """The sidecar as version 1 wrote it: the same texts and triples, with
+    no groupings."""
+    fields = _HEADER.unpack_from(sidecar)
+    end = _sections(sidecar)[2]
+    header = _HEADER_1.pack(fields[0], 1, *fields[2:8])
+    body = sidecar[_START:end]
+    return header + struct.pack("<I", crc32(header, crc32(body))) + body
 
 
 def _damaged_sidecars(sidecar: bytes) -> dict:
-    blob, triples = _sections(sidecar)
+    blob, triples, _, keys, starts, order = _sections(sidecar)
     version = _HEADER.unpack_from(sidecar)[1]
-    terms = _HEADER.unpack_from(sidecar)[4]
+    terms, _, _, count = _HEADER.unpack_from(sidecar)[4:8]
     offset = struct.Struct("<I")
     cases = {
         "empty": b"",
@@ -315,6 +342,11 @@ def _damaged_sidecars(sidecar: bytes) -> dict:
         "id_out_of_range": sidecar[:triples] + offset.pack(terms) + sidecar[triples + 4 :],
         "not_utf8": sidecar[:blob] + b"\xff" + sidecar[blob + 1 :],
         "blank_node": sidecar[:blob] + b"_" + sidecar[blob + 1 :],
+        "triple_number_out_of_range": sidecar[:order] + offset.pack(count) + sidecar[order + 4 :],
+        "run_id_out_of_range": sidecar[:keys] + offset.pack(terms) + sidecar[keys + 4 :],
+        "runs_start_past_zero": sidecar[:starts] + offset.pack(1) + sidecar[starts + 4 :],
+        # Neither the triple count nor 0.
+        "triple_numbers_count": _field(sidecar, 10, 1),
     }
     cases.update((name, _resigned(data)) for name, data in resigned.items())
     assert len(set(cases.values())) == len(cases) and sidecar not in cases.values()
@@ -326,7 +358,8 @@ def _damaged_sidecars(sidecar: bytes) -> dict:
     [
         "empty", "magic", "version", "turtle_length", "turtle_hash", "trailing_byte",
         "term_count", "character_count", "offsets_decrease", "offset_past_blob",
-        "id_out_of_range", "not_utf8", "blank_node",
+        "id_out_of_range", "not_utf8", "blank_node", "triple_number_out_of_range",
+        "run_id_out_of_range", "runs_start_past_zero", "triple_numbers_count",
     ],
 )
 def test_an_inconsistent_sidecar_is_ignored(tmp_path, written, turtle_loads, damage):
@@ -349,3 +382,27 @@ def test_a_sidecar_written_under_another_hash_key_is_ignored(
     sidecar = Path(paths[0] + snapshot.SUFFIX).read_bytes()
     assert sidecar != written[1][0]
     _assert_ignored(tmp_path, written, turtle_loads, sidecar)
+
+
+def test_a_version_1_sidecar_is_ignored(tmp_path, written, turtle_loads):
+    old = _version_1(written[1][0])
+    (tmp_path / "v1.ekg").write_bytes(old)
+    assert snapshot.read(str(tmp_path / "v1.ekg"), Path(written[0][0]).read_bytes()) is None
+    _assert_ignored(tmp_path, written, turtle_loads, old)
+    # The answers through the parse are the bytes the sidecar gives.
+    copies = [str(tmp_path / os.path.basename(path)) for path in written[0]]
+    query = parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o }")
+    through_parse = to_results_json(evaluate(load_store(copies, _config(None)), query))
+    assert through_parse == to_results_json(evaluate(load_store(written[0], _config(None)), query))
+
+
+def test_a_second_file_sharing_terms_loads_through_the_remap(tmp_path, turtle_loads):
+    ds = querygen.random_dataset(random.Random(5), max_quads=60)
+    paths = _write_stores(tmp_path, ds, (querygen.NAMED_GRAPHS[0], None), None)
+    sidecars = [snapshot.read(p + snapshot.SUFFIX, Path(p).read_bytes()) for p in paths]
+    first = {text: i for i, text in enumerate(sidecars[0].texts)}
+    # Some term of the second file has another id in the first.
+    assert any(first.get(text, i) != i for i, text in enumerate(sidecars[1].texts))
+    loaded = load_store(paths, _config(None))
+    assert turtle_loads == []
+    assert _view(loaded) == _parsed_outcome(paths, _config(None), tmp_path)

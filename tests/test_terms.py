@@ -78,6 +78,13 @@ def test_parse_datetime_requires_timezone():
         parse_datetime("2016-05-01T00:00:00")
 
 
+@pytest.mark.parametrize("lexical", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-05:00"])
+def test_parse_datetime_outside_the_years_of_utc_is_a_typed_error(lexical):
+    # The instant is before year 1 or after year 9999 once moved to UTC.
+    with pytest.raises(IriError, match="out of range"):
+        parse_datetime(lexical)
+
+
 def test_decimal_literal_has_plain_lexical_form():
     assert decimal_literal(Decimal("9.75")) == Literal("9.75", XSD_DECIMAL)
     assert decimal_literal(Decimal("1E+2")) == Literal("100", XSD_DECIMAL)
