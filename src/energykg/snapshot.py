@@ -210,7 +210,6 @@ def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: Iterator[
     def put(section) -> int:
         nonlocal crc
         if _SWAP and isinstance(section, array):
-            section = array(section.typecode, section)
             section.byteswap()
         crc = crc32(section, crc)
         handle.write(section)
