@@ -14,9 +14,10 @@ what parsing the file gives; otherwise it parses the Turtle. `query`
 reads and parses its query before the load.
 
 `uplift` and `climate` build no store: their generators give each
-triple as canonical term texts, which are interned into a term
-dictionary (``dataset.TermIds``) and listed as flat id triples, and the
-Turtle writer (``turtle_writer.py``) sorts these and drops the repeats.
+triple as canonical term texts, whose distinct texts ``_mint`` numbers
+by first appearance with one ``dict.fromkeys`` before mapping the flat
+texts to ids, and the Turtle writer (``turtle_writer.py``) sorts these
+id triples and drops the repeats.
 
 Each subcommand imports the modules that only it uses when it runs, so
 a process loads no query engine, analysis or HTTP server it never calls;
@@ -41,11 +42,11 @@ import os
 import re
 import sys
 from contextlib import ExitStack, contextmanager, suppress
-from itertools import chain
+from itertools import chain, count
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .config import PipelineConfig, load_config
-from .dataset import Dataset, TermIds
+from .dataset import Dataset
 from .errors import EnergyKgError
 from .namespaces import (
     QUDT_NS,
@@ -130,12 +131,18 @@ def _write(path: str, text: str) -> None:
 
 
 def _mint(triples: Iterable[TextTriple]) -> tuple[list[str], list[int]]:
-    """Intern the text triples into a new term dictionary: its texts by
-    id, and each triple's subject, predicate and object id in turn."""
-    ids = TermIds()
+    """The text triples' distinct texts, numbered by first appearance as
+    a ``dataset.TermIds`` numbers them, and each triple's subject,
+    predicate and object id in turn. Each step loops in C."""
     with _collector_paused():
-        flat = list(map(ids.__getitem__, chain.from_iterable(triples)))
-    return ids.texts, flat
+        flat = list(chain.from_iterable(triples))
+        # Each distinct text once, in order of first appearance, numbered so.
+        ids = dict.fromkeys(flat)
+        texts = list(ids)
+        ids.update(zip(texts, count()))
+        # The text list is freed once its ids are listed.
+        flat = list(map(ids.__getitem__, flat))
+    return texts, flat
 
 
 def _write_store(

@@ -29,10 +29,11 @@ and hands its triples and stored groupings to ``add_graph``, so no
 triple is looked at one at a time in Python and the store is the same
 as the parse's, bucket for bucket.
 
-Writing needs no Dataset: ``uplift`` and ``climate`` intern their
-generators' texts into a bare ``TermIds`` and hand its texts and a flat
-list of ids to ``turtle_writer.write_turtle``, which drops repeated
-triples by sorting them.
+Writing needs no Dataset, nor a ``TermIds``: ``uplift`` and ``climate``
+number their generators' distinct texts by first appearance with
+``dict.fromkeys`` and hand the texts and a flat list of ids to
+``turtle_writer.write_turtle``, which drops repeated triples by sorting
+them.
 
 A Dataset is built single-threaded, then frozen; a frozen dataset is a
 snapshot that any number of readers may share. Its only writes are to
@@ -65,8 +66,7 @@ IdTriple = tuple[int, int, int]
 class TermIds(dict):
     """Canonical term text to id; looking up a new text gives it the next
     free id. Called with a term, it does the same for the term's text.
-    A ``Dataset`` keeps one, and the CLI's writing commands intern into
-    one of their own.
+    A ``Dataset`` keeps one, and ``turtle.parse_turtle`` one of its own.
     ``texts`` lists the texts by id, so a new text's id is ``len(texts)``:
     a bulk reader (the Turtle parser) interns with ``setdefault(text,
     len(texts))`` and appends the text when it got that id, which skips

@@ -53,7 +53,7 @@ from binascii import crc32
 from importlib.util import source_hash
 from itertools import accumulate, islice
 from operator import itemgetter
-from typing import BinaryIO, Iterable, Iterator, Optional, TextIO
+from typing import BinaryIO, Iterable, Optional, TextIO
 
 from .dataset import Dataset, Grouping, grouping
 from .terms import GraphName
@@ -183,15 +183,16 @@ def _read(handle: BinaryIO, turtle: bytes) -> Optional[Snapshot]:
     return Snapshot(texts, triples, groupings)
 
 
-def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: Iterator[int]) -> bool:
+def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: list[int]) -> bool:
     """Write to the binary handle the sidecar of the Turtle file just
     written through the text handle ``turtle``, which is read back by name.
 
     ``texts`` and ``triples`` are the document order ``write_turtle``
     returned: the term texts by document id, and each triple's ids in
-    turn, in written order. Writes nothing and returns False for a graph
-    holding a blank node, or one whose texts are too long for 32-bit
-    offsets.
+    turn, in written order. The list of triples is cleared once it is
+    written, so it is not held while the groupings are built. Writes
+    nothing and returns False for a graph holding a blank node, or one
+    whose texts are too long for 32-bit offsets.
     """
     if "_" in set(map(itemgetter(0), texts)):
         return False
@@ -201,9 +202,8 @@ def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: Iterator[
         return False
     chars = offsets[-1]
     # Lists, whose items are read faster than an array's.
-    flat = list(triples)
-    columns = [flat[position::3] for position in range(3)]
-    count = len(flat) // 3
+    columns = [triples[position::3] for position in range(3)]
+    count = len(triples) // 3
 
     crc = 0
 
@@ -220,8 +220,8 @@ def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: Iterator[
     size = 0
     for start in range(0, len(texts), _CHUNK):
         size += put("".join(texts[start : start + _CHUNK]).encode("utf-8"))
-    put(array(_U32, flat))
-    del flat
+    put(array(_U32, triples))
+    triples.clear()
     shapes = []
     for position in range(3):
         # The document is written a subject block at a time, so the

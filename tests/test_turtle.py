@@ -4,7 +4,7 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from energykg.dataset import Dataset
@@ -555,8 +555,13 @@ _BINDINGS = [
     ("rdf", "http://www.w3.org/1999/02/22-rdf-syntax-ns#"),
     ("xsd", "http://www.w3.org/2001/XMLSchema#"),
 ]
-# Safe locals, and locals that are not safe prefixed names.
-_LOCALS = ["x", "_y", "a-b", "T9", "a/x", "a/bc", "a/b", "a/", "1x", "-x", "a.b", "a#b", "é", ""]
+# Safe locals, and locals that are not safe prefixed names. Under a
+# namespace, "b-x" is also "a/b" and "-x"; "é", "\U0001F600" and "~" sort
+# past every safe local character, at the end of a namespace's texts.
+_LOCALS = [
+    "x", "_y", "a-b", "T9", "a/x", "a/bc", "a/b", "a/", "1x", "-x", "a.b", "a#b", "é", "",
+    "b-x", "éa", "\U0001F600", "~x", "a/b~",
+]
 _writer_iris = st.builds(
     lambda ns, local: Iri(ns + local),
     st.sampled_from([_EX, _EX + "a/", "urn:z:"]),
@@ -582,12 +587,38 @@ _writer_quads = st.builds(
 )
 
 
+# "exa:b-x" once "" (…a/b) leaves the unsafe "-x"; locals after each
+# namespace's last safe text, and texts just past its range; and a
+# datatype that "exa" compacts and "ex" alone does not.
+_EDGE_QUADS = [
+    Quad(Iri(_EX + "a/b-x"), Iri(_EX + "a/b-p"), Literal("1", Iri(_EX + "a/x"))),
+    Quad(Iri(_EX + "a/b-x"), Iri(_EX + "a/b\U0001F600"), Iri(_EX + "a/bé")),
+    Quad(Iri(_EX + "a/b~"), Iri(_EX + "a/~x"), Literal("~", Iri(_EX + "a/b-x"))),
+    Quad(Iri(_EX + "a/by"), Iri(_EX + "a/bz"), Iri(_EX + "a/c")),
+    Quad(Iri(_EX + "a/by"), Iri(_EX + "a/bz"), Iri(_EX + "a0x")),
+    Quad(Iri(_EX + "éa"), Iri(_EX + "p"), Literal("é", Iri(_EX + "a/\U0001F600"))),
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(_writer_quads, max_size=40),
     st.lists(st.sampled_from(_BINDINGS), unique=True).flatmap(st.permutations),
     st.sampled_from([None, BASE]),
     _writer_graphs,
+)
+@example(_EDGE_QUADS, [_BINDINGS[2], _BINDINGS[0], _BINDINGS[1]], None, None)
+@example(_EDGE_QUADS, [_BINDINGS[0]], None, None)
+@example(_EDGE_QUADS, [_BINDINGS[3], _BINDINGS[1], _BINDINGS[0]], BASE, None)
+# A namespace that ends in the last code point, which has no successor.
+@example(
+    [
+        Quad(Iri(_EX + "\U0010ffffx"), Iri(_EX + "p"), Iri(_EX + "\U0010ffff\U0010ffffx")),
+        Quad(Iri(_EX + "\U0010ffffx"), Iri(_EX + "q"), Iri(_EX + "\U0010ffff")),
+    ],
+    [("m", _EX + "\U0010ffff"), _BINDINGS[0]],
+    None,
+    None,
 )
 def test_writer_matches_reference_serializer(quads, bindings, base, graph):
     ds = Dataset(quads)

@@ -10,6 +10,7 @@ yield must pass ``check_iri`` whenever the generator did not raise.
 
 from __future__ import annotations
 
+import random
 import string
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import naive_turtle
-from energykg import cli
+from energykg import cli, snapshot, turtle_writer
 from energykg.climate import ClimateObservation, observation_triples
 from energykg.dataset import Dataset, TermIds
 from energykg.errors import EnergyKgError
@@ -37,7 +38,9 @@ from energykg.terms import (
     XSD_STRING,
     check_iri,
     literal_parts,
+    term_key,
 )
+from energykg.turtle import load_turtle
 from energykg.uplift import (
     EnergyRecord, evaluation_triples, records_table, station_link, topology_triples,
 )
@@ -86,6 +89,8 @@ def test_repeated_triples_in_any_order_write_as_their_set(tmp_path, data, unique
     triples = data.draw(st.permutations(unique + repeats))
     ids = TermIds()
     flat = [ids(term) for term in chain.from_iterable(triples)]
+    # The bulk interning numbers the texts by first appearance, as TermIds does.
+    assert cli._mint([tuple(map(term_key, triple)) for triple in triples]) == (ids.texts, flat)
     prefixes = _prefixes(bindings)
     path = tmp_path / "minted.ttl"
     cli._write_store(str(path), ids.texts, flat, graph, prefixes)
@@ -99,6 +104,43 @@ def test_repeated_triples_in_any_order_write_as_their_set(tmp_path, data, unique
     marker = "" if graph is None else f"# graph <{graph.value}>\n"
     reference = naive_turtle.serialize_turtle(ds, graph, prefixes)
     assert path.read_text(encoding="utf-8") == marker + reference
+
+
+def test_a_graph_of_many_write_chunks_writes_as_the_reference_and_loads_as_parsed(tmp_path):
+    # Enough subjects that the writer flushes several chunks, each cutting
+    # a subject's block or a predicate's objects somewhere.
+    rnd = random.Random(15)
+    graph = Iri(_EX + "g")
+    subjects = [Iri(_EX + f"s{n}") for n in range(5000)]
+    predicates = [RDF_TYPE, Iri(_EX + "p"), Iri(_EX + "s/q"), Iri(_EX + "a/b-c")]
+    objects = [
+        *subjects[::7],
+        *(Literal(f"{n / 8}", XSD_DECIMAL) for n in range(300)),
+        Literal('a"b\n', XSD_STRING),
+        Literal("2016-01-01T00:00:00Z", XSD_DATETIME),
+    ]
+    triples = [
+        (subject, rnd.choice(predicates), rnd.choice(objects))
+        for subject in subjects
+        for _ in range(rnd.randint(1, 4))
+    ]
+    ds = Dataset([Quad(s, p, o, graph) for s, p, o in triples])
+    texts, flat = cli._mint([tuple(map(term_key, triple)) for triple in triples])
+    assert len(ds) > 2 * turtle_writer._CHUNK
+    prefixes = _prefixes(_BINDINGS)
+    path = tmp_path / "many.ttl"
+    cli._write_store(str(path), texts, flat, graph, prefixes)
+
+    text = path.read_text(encoding="utf-8")
+    assert text == f"# graph <{graph.value}>\n" + naive_turtle.serialize_turtle(ds, graph, prefixes)
+    from_sidecar, parsed = Dataset(), Dataset()
+    assert snapshot.read(str(path) + snapshot.SUFFIX, path.read_bytes()).load(from_sidecar, graph)
+    load_turtle(parsed, text, graph=graph)
+    from_sidecar.freeze()
+    parsed.freeze()
+    assert from_sidecar.texts() == parsed.texts()
+    assert list(from_sidecar.graph(graph).triples) == list(parsed.graph(graph).triples)
+    assert set(from_sidecar) == set(parsed) == set(ds)
 
 
 def _iri_texts(texts):
