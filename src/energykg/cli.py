@@ -10,8 +10,10 @@ or configuration error, 2 internal failure.
 written to temporary files that replace the earlier ones only once both
 are complete. `load_store` opens every store file before it reads any,
 and loads a file from its sidecar when the sidecar proves that it holds
-what parsing the file gives; otherwise it parses the Turtle. `query`
-reads and parses its query before the load.
+what parsing the file gives, a proof that streams the file from its open
+handle; otherwise it seeks that handle back and parses the Turtle. A
+pipe's bytes are read once and serve both. `query` reads and parses its
+query before the load.
 
 `uplift` and `climate` build no store: their generators give each
 triple as canonical term texts, whose distinct texts ``_mint`` numbers
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import re
 import sys
@@ -215,19 +218,20 @@ def load_store(paths: Sequence[str], config: PipelineConfig) -> Dataset:
 def _load_file(ds: Dataset, path: str, handle: BinaryIO, base: Optional[Iri]) -> None:
     from . import snapshot
 
-    data = _read_all(path, handle)
-    sidecar = snapshot.read(path + snapshot.SUFFIX, data)
+    if not handle.seekable():
+        # A pipe can be read only once: its bytes serve the check and the parse.
+        handle = io.BytesIO(_read_all(path, handle))
+    sidecar = snapshot.read(path + snapshot.SUFFIX, handle)
     if sidecar is not None:
+        handle.seek(0)
         # The file is one the writer wrote, whose first line ends in "\n".
-        graph = _graph_of(data[: data.find(b"\n")].decode("utf-8", "replace"))
-        # Neither the bytes nor their text are held while the store grows.
-        del data
-        if sidecar.load(ds, graph):
+        if sidecar.load(ds, _graph_of(handle.readline().decode("utf-8", "replace"))):
             return
         # The sidecar's ids are out of range: parse the file after all.
-        data = _read_all(path, _open(path))
+    handle.seek(0)
     from .turtle import load_turtle
 
+    data = _read_all(path, handle)
     text = _decode(path, data)
     del data
     load_turtle(ds, text, graph=_graph_of(text), base=base)

@@ -391,10 +391,3 @@ class Dataset:
         store = self.graph(graph)
         return [] if store is None else store.match(s, p, o)
 
-    def bucket_size(self, position: int, key: Optional[int], graph: GraphName) -> float:
-        """Triples of one graph with id key at position (0 subject, 1
-        predicate, 2 object); for key None, the mean over that position's ids."""
-        store = self.graph(graph)
-        if store is None:
-            return 0
-        return store.mean(position) if key is None else store.size(position, key)

@@ -18,8 +18,9 @@ of its Turtle file, as a hash-based ``.pyc`` does (PEP 552): its header
 holds the Turtle's byte length and hash, and a CRC-32 covers the rest of
 the sidecar. The hash is ``importlib.util.source_hash``, a SipHash whose
 key changes with the Python version, of the hashes of the file's 64 KiB
-blocks, so the writer can hash the file it streamed out a block at a
-time. ``read`` returns None for a missing, truncated, stale, foreign,
+blocks, so the writer hashes the file it streamed out, and the reader
+the file's open handle, a block at a time, neither holding its bytes.
+``read`` returns None for a missing, truncated, stale, foreign,
 older-version or inconsistent sidecar, and ``Snapshot.load`` returns
 False, having added nothing, for one whose ids or triple numbers are
 out of range; either way the caller parses the Turtle instead.
@@ -50,10 +51,11 @@ import struct
 import sys
 from array import array
 from binascii import crc32
+from functools import partial
 from importlib.util import source_hash
 from itertools import accumulate, islice
 from operator import itemgetter
-from typing import BinaryIO, Iterable, Optional, TextIO
+from typing import BinaryIO, Optional, TextIO
 
 from .dataset import Dataset, Grouping, grouping
 from .terms import GraphName
@@ -75,9 +77,14 @@ _CHUNK = 1024
 _BLOCK = 1 << 16
 
 
-def _digest(blocks: Iterable[bytes]) -> bytes:
-    """The Turtle's hash: the hash of its blocks' hashes, in order."""
-    return source_hash(b"".join(map(source_hash, blocks)))
+def _digest(turtle: BinaryIO) -> tuple[int, bytes]:
+    """The length and hash of the Turtle bytes read from the handle to its
+    end: the hash of its blocks' hashes, in order."""
+    length, hashes = 0, []
+    for block in iter(partial(turtle.read, _BLOCK), b""):
+        length += len(block)
+        hashes.append(source_hash(block))
+    return length, source_hash(b"".join(hashes))
 
 
 class Snapshot:
@@ -113,9 +120,11 @@ class Snapshot:
         return True
 
 
-def read(path: str, turtle: bytes) -> Optional[Snapshot]:
-    """The sidecar at path if it describes exactly the Turtle bytes and is
-    whole and consistent; otherwise None."""
+def read(path: str, turtle: BinaryIO) -> Optional[Snapshot]:
+    """The sidecar at path if it describes exactly the bytes that the binary
+    handle turtle reads, from where it stands to its end, and is whole and
+    consistent; otherwise None. The handle is read only once the sidecar's
+    header is sound."""
     try:
         with open(path, "rb") as handle:
             return _read(handle, turtle)
@@ -130,18 +139,17 @@ def _u32(handle: BinaryIO, count: int) -> array:
     return section
 
 
-def _read(handle: BinaryIO, turtle: bytes) -> Optional[Snapshot]:
+def _read(handle: BinaryIO, turtle: BinaryIO) -> Optional[Snapshot]:
     head = handle.read(_START)
     magic, version, length, digest, terms, chars, size, count, *shapes = _HEADER.unpack_from(head)
-    if magic != _MAGIC or version != _VERSION or length != len(turtle):
+    if magic != _MAGIC or version != _VERSION:
         return None
     # Per position, the length of its triple numbers and its run count.
     shapes = list(zip(shapes[0::2], shapes[1::2]))
     if any(numbers not in (0, count) for numbers, _ in shapes):
         return None
-    with memoryview(turtle) as view:
-        if digest != _digest(view[start : start + _BLOCK] for start in range(0, length, _BLOCK)):
-            return None
+    if _digest(turtle) != (length, digest):
+        return None
     # Checked before any section is read, so no count can ask for more
     # memory than the file holds.
     groups = sum(4 * numbers + 8 * runs + 4 for numbers, runs in shapes)
@@ -235,8 +243,7 @@ def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: list[int]
 
     turtle.flush()
     with open(turtle.name, "rb") as source:
-        digest = _digest(iter(lambda: source.read(_BLOCK), b""))
-        length = source.tell()
+        length, digest = _digest(source)
     header = _HEADER.pack(_MAGIC, _VERSION, length, digest, len(texts), chars, size, count, *shapes)
     handle.seek(0)
     handle.write(header + _CRC.pack(crc32(header, crc)))

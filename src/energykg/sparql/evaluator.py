@@ -204,7 +204,7 @@ def _eval_bgp(bgp: BGP, active: tuple[GraphName, ...], run: _Run) -> list[Row]:
         return []
     rows: list[Row] = [{}]
     bound: set[str] = set()
-    for tp in _plan(patterns, active, ds):
+    for tp in _plan(patterns, graphs):
         rows = _extend(rows, tp, bound, graphs, run)
         bound.update(x for x in tp if isinstance(x, str))
         if not rows:
@@ -321,14 +321,15 @@ def _check(
     return probe, lambda row: get(row) + const_ids, None
 
 
-def _plan(patterns: list[IdPattern], active: tuple[GraphName, ...], ds: Dataset) -> list[IdPattern]:
-    """Order patterns greedily, the smallest estimated index bucket first."""
+def _plan(patterns: list[IdPattern], graphs: list) -> list[IdPattern]:
+    """Order patterns greedily, the smallest estimated index bucket, summed
+    over the graphs, first."""
     remaining, ordered, bound = list(patterns), [], set()
 
     def cost(tp: IdPattern) -> float:
-        # A bound variable's id is not known yet; None asks for the mean bucket.
+        # A bound variable's id is not known yet: it costs the mean bucket.
         sizes = [
-            sum(ds.bucket_size(i, None if x in bound else x, g) for g in active)
+            sum(g.mean(i) if x in bound else g.size(i, x) for g in graphs)
             for i, x in enumerate(tp)
             if isinstance(x, int) or x in bound
         ]
@@ -446,7 +447,7 @@ def _kept(rows: list[Row], conditions: list[Expression], run: _Run) -> list[Row]
     for n, row in enumerate(rows):
         if not n & _CHECK_MASK:
             run.check()
-        if all(_truth(condition, row, run.term) for condition in conditions):
+        if all(_try_bool(condition, row, run.term) is True for condition in conditions):
             out.append(row)
     return out
 
@@ -463,13 +464,6 @@ def _is_keyable(expression: Expression) -> bool:
 
 
 # -- expressions -------------------------------------------------------------
-
-
-def _truth(expression: Expression, row: Row, term: Callable[[int], Term]) -> bool:
-    try:
-        return _effective_boolean(_eval_expression(expression, row, term))
-    except _ExprError:
-        return False
 
 
 def _eval_expression(expression: Expression, row: Row, term: Callable[[int], Term]):
@@ -528,23 +522,10 @@ def _effective_boolean(value) -> bool:
         if value.datatype == XSD_BOOLEAN:
             return value.lexical == "true"
         if value.datatype in NUMERIC_DATATYPES:
-            return _as_decimal(value) != 0
+            return _maybe_decimal(value) != 0
         if value.datatype == XSD_STRING:
             return value.lexical != ""
     raise _ExprError(f"no effective boolean value for {value!r}")
-
-
-def _as_decimal(value) -> Decimal:
-    if isinstance(value, bool):
-        raise _ExprError("boolean is not numeric")
-    if isinstance(value, int):
-        return Decimal(value)
-    if isinstance(value, Literal) and value.datatype in NUMERIC_DATATYPES:
-        try:
-            return parse_numeric(value)
-        except EnergyKgError:
-            raise _ExprError("unparseable numeric literal")
-    raise _ExprError("not numeric")
 
 
 def _equals(a, b) -> bool:

@@ -5,6 +5,14 @@ FROM NAMED, basic graph patterns with ';' ',' lists and 'a', sequence
 property paths, GRAPH blocks, FILTER with &&, '=' and year/month/day,
 comments and LIMIT. Anything else that is recognizably SPARQL raises
 UnsupportedFeatureError naming the keyword.
+
+Lexing is one pass over the matches of one compiled regular expression,
+one match per token, and runs over the whole text before parsing starts,
+so a lexical error anywhere is reported before a grammar error earlier
+in the text. A token is a ``(kind, value, start)`` tuple; its line and
+column are computed from the offset ``start`` only when an error is
+raised. A character at which no token can start matches the ``error``
+branch, and ``_lex_error`` then works out what is wrong there.
 """
 
 from __future__ import annotations
@@ -14,7 +22,6 @@ from typing import Optional
 
 from ..errors import EnergyKgError
 from ..namespaces import RDF_TYPE
-from ..record import Frozen, set_field
 from ..terms import (
     Iri,
     Literal,
@@ -79,129 +86,93 @@ _UNSUPPORTED = {
     "MAX", "SAMPLE", "CONCAT", "ABS", "NOW", "HOURS", "MINUTES", "SECONDS",
 }
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_LOCAL_RE = re.compile(r"[A-Za-z0-9_.:\-]*")
-_NUMBER_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# A string's characters up to its closing quote, or up to what stops it
+# from closing: a newline, a dangling or unknown escape, or the end.
+_STRING = r'[^"\\\n]*(?:\\[tnr"\\\'][^"\\\n]*)*'
+
+# One match per token, after the whitespace and comments before it. The
+# outer named group that matched is the token's kind; a punctuation
+# token's text is its kind. The last two branches match anywhere, so every
+# character of the text belongs to some token and the skip is never
+# backtracked into.
+_TOKENS = re.compile(
+    rf"""(?:[ \t\r\n]|\#[^\n]*)*
+    (?:(?P<iriref><[^>]*>)
+    |(?P<var>[?$]{_NAME})
+    |(?P<string>"{_STRING}")
+    |(?P<pname>(?:{_NAME})?:(?:[A-Za-z0-9_.:\-]*[A-Za-z0-9_:\-])?)
+    |(?P<name>{_NAME})
+    |(?P<number>[0-9]+(?:\.[0-9]+)?)
+    |(?P<punct>&&|\^\^|[{{}}().;,/=*])
+    |(?P<eof>\Z)
+    |(?P<error>[\s\S]))""",
+    re.VERBOSE,
+).finditer
+_STRING_PREFIX = re.compile(_STRING).match
+_ESCAPE = re.compile(r"\\(.)").sub
+_ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\", "'": "'"}
+
+# A token: kind, value and the offset at which it starts.
+_Tok = tuple[str, str, int]
 
 
-class _Token(Frozen):
-    _fields = ("kind", "value", "line", "column")
-
-    def __init__(self, kind: str, value: str, line: int, column: int) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "value", value)
-        set_field(self, "line", line)
-        set_field(self, "column", column)
+def _position(text: str, start: int) -> tuple[int, int]:
+    """The line and column of the offset start."""
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos, line, col = 0, 1, 1
-
-    def advance(count: int) -> None:
-        nonlocal pos, line, col
-        chunk = text[pos : pos + count]
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = count - chunk.rindex("\n")
-        else:
-            col += count
-        pos += count
-
-    def err(message: str) -> QueryParseError:
-        return QueryParseError(message, line, col)
-
-    while pos < len(text):
-        c = text[pos]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if c == "#":
-            end = text.find("\n", pos)
-            advance((end - pos) if end != -1 else len(text) - pos)
-            continue
-        start_line, start_col = line, col
-        if c == "<":
-            end = text.find(">", pos)
-            if end == -1:
-                raise err("unterminated IRI reference")
-            value = text[pos + 1 : end]
-            advance(end + 1 - pos)
-            tokens.append(_Token("iriref", value, start_line, start_col))
-            continue
-        if c in "?$":
-            match = _NAME_RE.match(text, pos + 1)
-            if not match:
-                raise err("missing variable name")
-            advance(1 + len(match.group()))
-            tokens.append(_Token("var", match.group(), start_line, start_col))
-            continue
-        if c == '"':
-            end = pos + 1
-            out = []
-            while end < len(text) and text[end] != '"':
-                if text[end] == "\\":
-                    if end + 1 >= len(text):
-                        raise err("dangling escape in string")
-                    escapes = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\", "'": "'"}
-                    if text[end + 1] not in escapes:
-                        raise err(f"unknown escape \\{text[end + 1]}")
-                    out.append(escapes[text[end + 1]])
-                    end += 2
-                    continue
-                if text[end] == "\n":
-                    raise err("newline in string")
-                out.append(text[end])
-                end += 1
-            if end >= len(text):
-                raise err("unterminated string")
-            advance(end + 1 - pos)
-            tokens.append(_Token("string", "".join(out), start_line, start_col))
-            continue
-        if text.startswith("&&", pos):
-            advance(2)
-            tokens.append(_Token("&&", "&&", start_line, start_col))
-            continue
-        if text.startswith("^^", pos):
-            advance(2)
-            tokens.append(_Token("^^", "^^", start_line, start_col))
-            continue
-        if text.startswith("||", pos):
-            raise UnsupportedFeatureError("||", start_line, start_col)
-        if c in "{}().;,/=*":
-            advance(1)
-            tokens.append(_Token(c, c, start_line, start_col))
-            continue
-        if "0" <= c <= "9":
-            match = _NUMBER_RE.match(text, pos)
-            assert match is not None
-            advance(len(match.group()))
-            tokens.append(_Token("number", match.group(), start_line, start_col))
-            continue
-        if c.isalpha() or c == "_" or c == ":":
-            name_match = _NAME_RE.match(text, pos)
-            name = name_match.group() if name_match else ""
-            after = pos + len(name)
-            if after < len(text) and text[after] == ":":
-                local_match = _LOCAL_RE.match(text, after + 1)
-                local = local_match.group() if local_match else ""
-                while local.endswith("."):
-                    local = local[:-1]
-                advance(after + 1 + len(local) - pos)
-                tokens.append(_Token("pname", f"{name}:{local}", start_line, start_col))
-                continue
-            if name:
-                advance(len(name))
-                tokens.append(_Token("name", name, start_line, start_col))
-                continue
-        raise err(f"unexpected character {c!r}")
-    tokens.append(_Token("eof", "", line, col))
+def _tokenize(text: str) -> list[_Tok]:
+    tokens: list[_Tok] = []
+    for match in _TOKENS(text):
+        kind = match.lastgroup
+        value = match.group(kind)
+        start = match.start(kind)
+        if kind == "iriref":
+            value = value[1:-1]
+        elif kind == "var":
+            value = value[1:]
+        elif kind == "string":
+            value = value[1:-1]
+            if "\\" in value:
+                value = _ESCAPE(lambda escape: _ESCAPES[escape.group(1)], value)
+        elif kind == "punct":
+            kind = value
+        elif kind == "error":
+            raise _lex_error(text, start)
+        tokens.append((kind, value, start))
+        if kind == "eof":
+            break
     return tokens
+
+
+def _lex_error(text: str, start: int) -> QueryParseError:
+    """The error of the text at start, where no token can start."""
+    c = text[start]
+    if c == "<":
+        message = "unterminated IRI reference"
+    elif c in "?$":
+        message = "missing variable name"
+    elif c == '"':
+        end = _STRING_PREFIX(text, start + 1).end()
+        if end == len(text):
+            message = "unterminated string"
+        elif text[end] == "\n":
+            message = "newline in string"
+        elif end + 1 == len(text):
+            message = "dangling escape in string"
+        else:
+            message = f"unknown escape \\{text[end + 1]}"
+    elif text.startswith("||", start):
+        return UnsupportedFeatureError("||", *_position(text, start))
+    else:
+        message = f"unexpected character {c!r}"
+    return QueryParseError(message, *_position(text, start))
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.base: Optional[Iri] = None
@@ -209,45 +180,61 @@ class _Parser:
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self) -> _Token:
+    def peek(self) -> _Tok:
         return self.tokens[self.pos]
 
-    def take(self) -> _Token:
+    def take(self) -> _Tok:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
-    def error(self, message: str, token: _Token) -> QueryParseError:
-        return QueryParseError(message, token.line, token.column)
+    def accept(self, kind: str) -> bool:
+        """Take the next token if it is of kind."""
+        if self.tokens[self.pos][0] == kind:
+            self.pos += 1
+            return True
+        return False
 
-    def expect(self, kind: str) -> _Token:
+    def accept_keyword(self, word: str) -> bool:
+        """Take the next token if it is the keyword word, in any case."""
+        if self._keyword(self.tokens[self.pos]) == word:
+            self.pos += 1
+            return True
+        return False
+
+    def error(self, message: str, token: _Tok) -> QueryParseError:
+        return QueryParseError(message, *_position(self.text, token[2]))
+
+    def unsupported(self, keyword: str, token: _Tok) -> UnsupportedFeatureError:
+        return UnsupportedFeatureError(keyword, *_position(self.text, token[2]))
+
+    def expect(self, kind: str) -> _Tok:
         token = self.take()
-        if token.kind != kind:
-            raise self.error(f"expected {kind!r}, found {token.value or token.kind!r}", token)
+        if token[0] != kind:
+            raise self.error(f"expected {kind!r}, found {token[1] or token[0]!r}", token)
         return token
 
-    def _keyword(self, token: _Token) -> Optional[str]:
-        if token.kind == "name":
-            return token.value.upper()
-        return None
+    def _keyword(self, token: _Tok) -> Optional[str]:
+        kind, value, _ = token
+        return value.upper() if kind == "name" else None
 
-    def _check_unsupported(self, token: _Token) -> None:
+    def _check_unsupported(self, token: _Tok) -> None:
         word = self._keyword(token)
         if word in _UNSUPPORTED:
-            raise UnsupportedFeatureError(word, token.line, token.column)
+            raise self.unsupported(word, token)
 
     # -- IRI handling --------------------------------------------------------
 
-    def _resolve_iriref(self, token: _Token) -> Iri:
+    def _resolve_iriref(self, token: _Tok) -> Iri:
         try:
             if self.base is not None:
-                return resolve_iri(self.base, token.value)
-            return Iri(token.value)
+                return resolve_iri(self.base, token[1])
+            return Iri(token[1])
         except EnergyKgError as exc:
             raise self.error(str(exc), token)
 
-    def _expand_pname(self, token: _Token) -> Iri:
-        label, local = token.value.split(":", 1)
+    def _expand_pname(self, token: _Tok) -> Iri:
+        label, local = token[1].split(":", 1)
         try:
             return self.prefixes.expand(label, local)
         except EnergyKgError as exc:
@@ -255,11 +242,11 @@ class _Parser:
 
     def _iri(self) -> Iri:
         token = self.take()
-        if token.kind == "iriref":
+        if token[0] == "iriref":
             return self._resolve_iriref(token)
-        if token.kind == "pname":
+        if token[0] == "pname":
             return self._expand_pname(token)
-        raise self.error(f"expected IRI, found {token.value!r}", token)
+        raise self.error(f"expected IRI, found {token[1]!r}", token)
 
     # -- grammar -------------------------------------------------------------
 
@@ -267,23 +254,20 @@ class _Parser:
         self._check_nesting()
         self._prologue()
         token = self.peek()
-        if self._keyword(token) != "SELECT":
+        if not self.accept_keyword("SELECT"):
             self._check_unsupported(token)
             raise self.error("expected SELECT", token)
-        self.take()
         projection = self._projection()
         dataset_clauses = self._dataset_clauses()
-        token = self.peek()
-        if self._keyword(token) == "WHERE":
-            self.take()
+        self.accept_keyword("WHERE")
         pattern = self._group()
         if _depth(pattern) > MAX_DEPTH:
             raise QueryParseError(f"query nested deeper than {MAX_DEPTH} levels", 1, 1)
         limit = self._limit()
         tail = self.peek()
-        if tail.kind != "eof":
+        if tail[0] != "eof":
             self._check_unsupported(tail)
-            raise self.error(f"unexpected trailing token {tail.value!r}", tail)
+            raise self.error(f"unexpected trailing token {tail[1]!r}", tail)
 
         in_scope = pattern_variables(pattern)
         for var in projection:
@@ -303,25 +287,21 @@ class _Parser:
     def _check_nesting(self) -> None:
         depth = 0
         for token in self.tokens:
-            if token.kind in ("{", "("):
+            if token[0] in ("{", "("):
                 depth += 1
                 if depth > MAX_DEPTH:
                     raise self.error(f"query nested deeper than {MAX_DEPTH} levels", token)
-            elif token.kind in ("}", ")"):
+            elif token[0] in ("}", ")"):
                 depth -= 1
 
     def _prologue(self) -> None:
         while True:
-            word = self._keyword(self.peek())
-            if word == "BASE":
-                self.take()
-                token = self.expect("iriref")
-                self.base = self._resolve_iriref(token)
-            elif word == "PREFIX":
-                self.take()
+            if self.accept_keyword("BASE"):
+                self.base = self._resolve_iriref(self.expect("iriref"))
+            elif self.accept_keyword("PREFIX"):
                 pname = self.expect("pname")
-                label = pname.value.split(":", 1)[0]
-                if pname.value != label + ":":
+                label = pname[1].split(":", 1)[0]
+                if pname[1] != label + ":":
                     raise self.error("PREFIX takes a bare label", pname)
                 iri_token = self.expect("iriref")
                 try:
@@ -333,34 +313,29 @@ class _Parser:
 
     def _projection(self) -> tuple[Variable, ...]:
         token = self.peek()
-        if token.kind == "*":
-            raise UnsupportedFeatureError("SELECT *", token.line, token.column)
+        if token[0] == "*":
+            raise self.unsupported("SELECT *", token)
         self._check_unsupported(token)
         variables = []
-        while self.peek().kind == "var":
-            variables.append(Variable(self.take().value))
+        while self.peek()[0] == "var":
+            variables.append(Variable(self.take()[1]))
         if not variables:
             raise self.error("SELECT needs at least one variable", self.peek())
         return tuple(variables)
 
     def _dataset_clauses(self) -> tuple[DatasetClause, ...]:
         clauses = []
-        while self._keyword(self.peek()) == "FROM":
-            self.take()
-            named = False
-            if self._keyword(self.peek()) == "NAMED":
-                self.take()
-                named = True
+        while self.accept_keyword("FROM"):
+            named = self.accept_keyword("NAMED")
             clauses.append(DatasetClause(named, self._iri()))
         return tuple(clauses)
 
     def _limit(self) -> Optional[int]:
-        if self._keyword(self.peek()) == "LIMIT":
-            self.take()
+        if self.accept_keyword("LIMIT"):
             token = self.expect("number")
-            if "." in token.value:
+            if "." in token[1]:
                 raise self.error("LIMIT takes an integer", token)
-            return int(token.value)
+            return int(token[1])
         return None
 
     def _group(self) -> GraphPattern:
@@ -374,41 +349,27 @@ class _Parser:
                 elements.append(BGP(tuple(bgp)))
                 bgp.clear()
 
-        while True:
+        while not self.accept("}"):
             token = self.peek()
-            if token.kind == "}":
-                self.take()
-                break
-            if token.kind == "eof":
+            if token[0] == "eof":
                 raise self.error("unterminated group (missing '}')", token)
-            word = self._keyword(token)
-            if word == "GRAPH":
-                self.take()
+            if self.accept_keyword("GRAPH"):
                 name_token = self.peek()
-                if name_token.kind == "var":
-                    raise UnsupportedFeatureError(
-                        "GRAPH with variable", name_token.line, name_token.column
-                    )
+                if name_token[0] == "var":
+                    raise self.unsupported("GRAPH with variable", name_token)
                 name = self._iri()
                 flush()
                 elements.append(Graph(name, self._group()))
-                continue
-            if word == "FILTER":
-                self.take()
+            elif self.accept_keyword("FILTER"):
                 self.expect("(")
                 filters.append(self._expression())
                 self.expect(")")
-                continue
-            if token.kind == "{":
+            elif token[0] == "{":
                 flush()
                 elements.append(self._group())
-                continue
-            if token.kind == ".":
-                self.take()
-                continue
-            if word in _UNSUPPORTED:
-                raise UnsupportedFeatureError(word, token.line, token.column)
-            bgp.extend(self._triples_same_subject())
+            elif not self.accept("."):
+                self._check_unsupported(token)
+                bgp.extend(self._triples_same_subject())
         flush()
 
         if not elements:
@@ -429,114 +390,96 @@ class _Parser:
             while True:
                 obj = self._pattern_term(allow_literal=True)
                 out.append(TriplePattern(subject, predicate, obj))
-                if self.peek().kind == ",":
-                    self.take()
-                    continue
-                break
-            if self.peek().kind == ";":
-                while self.peek().kind == ";":
-                    self.take()
-                if self.peek().kind in (".", "}"):
+                if not self.accept(","):
                     break
-                continue
-            break
+            if not self.accept(";"):
+                break
+            while self.accept(";"):
+                pass
+            if self.peek()[0] in (".", "}"):
+                break
         return out
 
     def _verb(self):
         token = self.peek()
-        if token.kind == "var":
+        if token[0] == "var":
             self.take()
-            return Variable(token.value)
+            return Variable(token[1])
         return self._path()
 
     def _path(self):
-        segments = [self._path_segment()]
-        while self.peek().kind == "/":
-            self.take()
-            segments.append(self._path_segment())
-        path = segments[0]
-        for segment in segments[1:]:
-            path = SequencePath(path, segment)
+        path = self._path_segment()
+        while self.accept("/"):
+            path = SequencePath(path, self._path_segment())
         return path
 
     def _path_segment(self) -> Iri:
         token = self.peek()
-        if token.kind == "name" and token.value == "a":
+        if token[:2] == ("name", "a"):
             self.take()
             return RDF_TYPE
         self._check_unsupported(token)
         return self._iri()
 
+    def _term(self, token: _Tok, allow_literal: bool) -> Optional[PatternTerm]:
+        """The variable, IRI or (if allowed) literal that the taken token
+        starts, taking a literal's "^^" and datatype; None for any other token."""
+        kind, value, _ = token
+        if kind == "var":
+            return Variable(value)
+        if kind == "iriref":
+            return self._resolve_iriref(token)
+        if kind == "pname":
+            return self._expand_pname(token)
+        if not allow_literal:
+            return None
+        if kind == "string":
+            return Literal(value, self._iri() if self.accept("^^") else XSD_STRING)
+        if kind == "number":
+            return Literal(value, XSD_DECIMAL if "." in value else XSD_INTEGER)
+        if kind == "name" and value in ("true", "false"):
+            return Literal(value, XSD_BOOLEAN)
+        return None
+
     def _pattern_term(self, allow_literal: bool) -> PatternTerm:
         token = self.take()
-        if token.kind == "var":
-            return Variable(token.value)
-        if token.kind == "iriref":
-            return self._resolve_iriref(token)
-        if token.kind == "pname":
-            return self._expand_pname(token)
-        if allow_literal:
-            if token.kind == "string":
-                if self.peek().kind == "^^":
-                    self.take()
-                    return Literal(token.value, self._iri())
-                return Literal(token.value, XSD_STRING)
-            if token.kind == "number":
-                datatype = XSD_DECIMAL if "." in token.value else XSD_INTEGER
-                return Literal(token.value, datatype)
-            if token.kind == "name" and token.value in ("true", "false"):
-                return Literal(token.value, XSD_BOOLEAN)
-        self._check_unsupported(token)
-        raise self.error(f"unexpected term {token.value!r}", token)
+        term = self._term(token, allow_literal)
+        if term is None:
+            self._check_unsupported(token)
+            raise self.error(f"unexpected term {token[1]!r}", token)
+        return term
 
     # -- expressions ---------------------------------------------------------
 
     def _expression(self) -> Expression:
         left = self._equality()
-        while self.peek().kind == "&&":
-            self.take()
+        while self.accept("&&"):
             left = And(left, self._equality())
         return left
 
     def _equality(self) -> Expression:
         left = self._primary()
-        if self.peek().kind == "=":
-            self.take()
+        if self.accept("="):
             return Equals(left, self._primary())
         return left
 
     def _primary(self) -> Expression:
         token = self.take()
-        if token.kind == "(":
+        if token[0] == "(":
             inner = self._expression()
             self.expect(")")
             return inner
-        if token.kind == "var":
-            return Variable(token.value)
-        if token.kind == "iriref":
-            return Constant(self._resolve_iriref(token))
-        if token.kind == "pname":
-            return Constant(self._expand_pname(token))
-        if token.kind == "string":
-            if self.peek().kind == "^^":
-                self.take()
-                return Constant(Literal(token.value, self._iri()))
-            return Constant(Literal(token.value, XSD_STRING))
-        if token.kind == "number":
-            datatype = XSD_DECIMAL if "." in token.value else XSD_INTEGER
-            return Constant(Literal(token.value, datatype))
-        if token.kind == "name":
-            word = token.value.upper()
-            if word in _FUNCTIONS:
-                self.expect("(")
-                argument = self._expression()
-                self.expect(")")
-                return DateFunc(word.lower(), argument)
-            if token.value in ("true", "false"):
-                return Constant(Literal(token.value, XSD_BOOLEAN))
-            if word in _UNSUPPORTED:
-                raise UnsupportedFeatureError(word, token.line, token.column)
-        raise self.error(f"unexpected token {token.value!r} in expression", token)
+        term = self._term(token, allow_literal=True)
+        if term is not None:
+            return term if isinstance(term, Variable) else Constant(term)
+        word = self._keyword(token)
+        if word in _FUNCTIONS:
+            self.expect("(")
+            argument = self._expression()
+            self.expect(")")
+            return DateFunc(word.lower(), argument)
+        self._check_unsupported(token)
+        raise self.error(f"unexpected token {token[1]!r} in expression", token)
 
 
 def _depth(root: GraphPattern) -> int:

@@ -15,6 +15,7 @@ import os
 import random
 import struct
 import string
+import threading
 from binascii import crc32
 from itertools import chain
 from pathlib import Path
@@ -387,7 +388,8 @@ def test_a_sidecar_written_under_another_hash_key_is_ignored(
 def test_a_version_1_sidecar_is_ignored(tmp_path, written, turtle_loads):
     old = _version_1(written[1][0])
     (tmp_path / "v1.ekg").write_bytes(old)
-    assert snapshot.read(str(tmp_path / "v1.ekg"), Path(written[0][0]).read_bytes()) is None
+    with open(written[0][0], "rb") as turtle:
+        assert snapshot.read(str(tmp_path / "v1.ekg"), turtle) is None
     _assert_ignored(tmp_path, written, turtle_loads, old)
     # The answers through the parse are the bytes the sidecar gives.
     copies = [str(tmp_path / os.path.basename(path)) for path in written[0]]
@@ -396,13 +398,63 @@ def test_a_version_1_sidecar_is_ignored(tmp_path, written, turtle_loads):
     assert through_parse == to_results_json(evaluate(load_store(written[0], _config(None)), query))
 
 
+def _sidecar(path: str):
+    """The sidecar beside the Turtle file at path, if it checks out."""
+    with open(path, "rb") as turtle:
+        return snapshot.read(path + snapshot.SUFFIX, turtle)
+
+
 def test_a_second_file_sharing_terms_loads_through_the_remap(tmp_path, turtle_loads):
     ds = querygen.random_dataset(random.Random(5), max_quads=60)
     paths = _write_stores(tmp_path, ds, (querygen.NAMED_GRAPHS[0], None), None)
-    sidecars = [snapshot.read(p + snapshot.SUFFIX, Path(p).read_bytes()) for p in paths]
+    sidecars = [_sidecar(path) for path in paths]
     first = {text: i for i, text in enumerate(sidecars[0].texts)}
     # Some term of the second file has another id in the first.
     assert any(first.get(text, i) != i for i, text in enumerate(sidecars[1].texts))
     loaded = load_store(paths, _config(None))
     assert turtle_loads == []
     assert _view(loaded) == _parsed_outcome(paths, _config(None), tmp_path)
+
+
+def test_a_sidecar_with_ids_out_of_range_opens_each_file_once(
+    tmp_path, written, turtle_loads, monkeypatch
+):
+    damaged = _damaged_sidecars(written[1][0])["id_out_of_range"]
+    copies = _with_sidecar(tmp_path, written, damaged)
+    assert _sidecar(copies[0]) is not None
+    expected = _parsed_outcome(copies, _config(None), tmp_path)
+    opened = []
+    real = cli._open
+
+    def counting(path):
+        opened.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "_open", counting)
+    del turtle_loads[:]
+    assert _outcome(copies, _config(None)) == expected
+    # The file the sidecar failed on is parsed from the handle it was checked through.
+    assert turtle_loads == [querygen.NAMED_GRAPHS[0]]
+    assert opened == copies
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside_its_sidecar"])
+def test_a_store_read_from_a_pipe_answers_as_the_file(tmp_path, written, turtle_loads, beside):
+    """As ``energykg query <(cat store.ttl) ...`` reads it; a sidecar beside
+    the pipe is checked against the bytes read from it."""
+    paths, sidecars = written
+    pipe = tmp_path / os.path.basename(paths[0])
+    os.mkfifo(pipe)
+    if beside:
+        Path(str(pipe) + snapshot.SUFFIX).write_bytes(sidecars[0])
+    feeder = threading.Thread(
+        target=pipe.write_bytes, args=(Path(paths[0]).read_bytes(),), daemon=True
+    )
+    feeder.start()
+    query = parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o }")
+    through_pipe = to_results_json(evaluate(load_store([str(pipe), paths[1]], _config(None)), query))
+    feeder.join(timeout=30)
+    assert not feeder.is_alive()
+    assert turtle_loads == ([] if beside else [querygen.NAMED_GRAPHS[0]])
+    assert through_pipe == to_results_json(evaluate(load_store(paths, _config(None)), query))

@@ -334,8 +334,8 @@ def test_bgp_starts_from_the_smallest_bucket(three_day_store, monkeypatch):
     plans = []
     original = evaluator._plan
 
-    def recording(patterns, active, ds):
-        plans.append(original(patterns, active, ds))
+    def recording(patterns, graphs):
+        plans.append(original(patterns, graphs))
         return plans[-1]
 
     monkeypatch.setattr(evaluator, "_plan", recording)

@@ -1,5 +1,14 @@
-import pytest
+import json
+import random
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import naive_sparql
+import querygen
+from energykg.errors import EnergyKgError
 from energykg.namespaces import RDF_TYPE
 from energykg.sparql import QueryParseError, UnsupportedFeatureError, parse_query
 from energykg.sparql.ast import (
@@ -10,7 +19,7 @@ from energykg.sparql.ast import (
     SequencePath,
     Variable,
 )
-from energykg.sparql.parser import MAX_DEPTH
+from energykg.sparql.parser import MAX_DEPTH, _tokenize
 from energykg.terms import Iri, Literal, XSD_INTEGER
 
 
@@ -147,3 +156,72 @@ def test_nesting_limit():
         parse_query(nested(MAX_DEPTH + 1))
     # The brace one level too deep.
     assert (info.value.line, info.value.column) == (1, 17 + 2 * MAX_DEPTH)
+
+
+_ERRORS = Path(__file__).parent / "data" / "sparql_errors.txt"
+
+
+@pytest.mark.parametrize(
+    "line", _ERRORS.read_text(encoding="utf-8").splitlines(), ids=lambda line: line[:40]
+)
+def test_error_message_and_position(line):
+    """Each line of the file is a malformed query and the exact error text
+    it gives, as a JSON list; the line is rebuilt byte for byte."""
+    query, _ = json.loads(line)
+    with pytest.raises(QueryParseError) as excinfo:
+        parse_query(query)
+    assert json.dumps([query, str(excinfo.value)], ensure_ascii=False) == line
+
+
+def _outcome(tokenize, text):
+    """What tokenize gives for text: its tokens, or its error's type and text."""
+    try:
+        return tokenize(text)
+    except EnergyKgError as exc:
+        return type(exc), str(exc)
+
+
+def _positioned(text):
+    """The lexer's tokens, each offset turned into line and column."""
+    return [
+        (kind, value, text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start))
+        for kind, value, start in _tokenize(text)
+    ]
+
+
+def _reference(text):
+    return [(t.kind, t.value, t.line, t.column) for t in naive_sparql._tokenize(text)]
+
+
+# Characters and fragments that start, end or break a token.
+_FRAGMENTS = [*"<>?$\"\\#&|^{}().;,/=*:_-' 09é٣\r\n\t", "SELECT", "a", "true", "x",
+              "ex", "\\n", "\\'", "WHERE", "<http://example.org/>", '"ab"', "1.5"]
+
+
+def _generated_query(seed: int, kept: float = 1.0) -> str:
+    """A querygen query, its first ``kept`` share only."""
+    rnd = random.Random(seed)
+    text = querygen.random_query_text(rnd, querygen.random_dataset(rnd, max_quads=20))
+    return text[: round(len(text) * kept)]
+
+
+# A string literal, perhaps malformed: every escape the lexer decodes, and some it rejects.
+_strings = st.text(alphabet="\\tnr\"'qué\n", max_size=8).map(lambda body: f'"{body}"')
+# A comment, which runs to the end of its line only.
+_comments = st.text(alphabet="x \r\t#\"<", max_size=6).map(lambda body: f"#{body}")
+_fragments = st.lists(
+    st.one_of(st.sampled_from(_FRAGMENTS), _strings, _comments), max_size=60
+).map("".join)
+_texts = st.one_of(
+    _fragments,
+    _fragments,
+    st.builds(_generated_query, st.integers(0, 2**32)),
+    # Cut short, which can leave a string or an IRI open.
+    st.builds(_generated_query, st.integers(0, 2**32), st.floats(0, 1)),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_texts)
+def test_tokens_match_reference_tokenizer(text):
+    assert _outcome(_positioned, text) == _outcome(_reference, text)

@@ -134,7 +134,8 @@ def test_a_graph_of_many_write_chunks_writes_as_the_reference_and_loads_as_parse
     text = path.read_text(encoding="utf-8")
     assert text == f"# graph <{graph.value}>\n" + naive_turtle.serialize_turtle(ds, graph, prefixes)
     from_sidecar, parsed = Dataset(), Dataset()
-    assert snapshot.read(str(path) + snapshot.SUFFIX, path.read_bytes()).load(from_sidecar, graph)
+    with path.open("rb") as turtle:
+        assert snapshot.read(str(path) + snapshot.SUFFIX, turtle).load(from_sidecar, graph)
     load_turtle(parsed, text, graph=graph)
     from_sidecar.freeze()
     parsed.freeze()
