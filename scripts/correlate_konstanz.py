@@ -62,7 +62,7 @@ def main() -> None:
     table = to_daily(read_energy_csv(reduced_energy_csv(args.household_csv, args.devices)))
     ds = Dataset()
     ds.add_all(topology_quads([parse_heading(d) for d in args.devices]))
-    ds.add_all(evaluation_quads(table.records()))
+    ds.add_all(evaluation_quads(table))
 
     observations = [
         obs

@@ -4,8 +4,11 @@ The alignment runs the day-matching join query against the store, so the
 analysis exercises exactly the data an external endpoint client would
 see. It is one join query per run: the query binds ``?device`` and the
 rows are grouped per device, so the report and the scatter exports are
-built from the same aligned series. Correlations are plain Pearson
-coefficients over the inner-joined daily pairs.
+built from the same aligned series. The query's rows are read as tuples
+of term ids (``sparql.evaluator.solve``): the days and numbers they hold
+repeat once per device, and each distinct id is decoded once, from its
+canonical text. Correlations are plain Pearson coefficients over the
+inner-joined daily pairs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 from datetime import date
 from decimal import Decimal
 from enum import Enum
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 from .dataset import ANY, Dataset
@@ -24,8 +28,9 @@ from .errors import EnergyKgError
 from .headings import DeviceHeading, parse_heading
 from .namespaces import DEFAULT_BASE, ca_property, cossmic_graph
 from .record import Frozen, Record, set_field
-from .sparql import evaluate, parse_query
-from .terms import Iri, Literal, parse_datetime, parse_numeric
+from .sparql import parse_query
+from .sparql.evaluator import solve
+from .terms import Iri, Literal, decode_term, parse_datetime, parse_numeric
 
 
 class AnalysisError(EnergyKgError):
@@ -68,29 +73,21 @@ class CategoryKind(str, Enum):
     OTHER = "other"
 
 
-class DeviceCategory(Frozen):
-    _fields = ("kind", "label")
-
-    def __init__(self, kind: CategoryKind, label: Optional[str] = None) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "label", label)
-
-
-def categorize(heading: DeviceHeading) -> DeviceCategory:
+def categorize(heading: DeviceHeading) -> CategoryKind:
     segments = heading.device_segments
     if segments[0] == "pv":
-        return DeviceCategory(CategoryKind.PV)
+        return CategoryKind.PV
     if segments[0] in ("refrigerator", "freezer"):
-        return DeviceCategory(CategoryKind.REFRIGERATOR_FREEZER)
+        return CategoryKind.REFRIGERATOR_FREEZER
     if segments == ("grid", "import"):
-        return DeviceCategory(CategoryKind.GRID_IMPORT)
+        return CategoryKind.GRID_IMPORT
     if segments == ("grid", "export"):
-        return DeviceCategory(CategoryKind.GRID_EXPORT)
+        return CategoryKind.GRID_EXPORT
     if segments == ("heat", "pump"):
-        return DeviceCategory(CategoryKind.HEAT_PUMP)
+        return CategoryKind.HEAT_PUMP
     if segments == ("circulation", "pump"):
-        return DeviceCategory(CategoryKind.CIRCULATION_PUMP)
-    return DeviceCategory(CategoryKind.OTHER, "_".join(segments))
+        return CategoryKind.CIRCULATION_PUMP
+    return CategoryKind.OTHER
 
 
 # -- Pearson correlation -----------------------------------------------------
@@ -125,7 +122,7 @@ PREFIX qudt: <http://qudt.org/1.1/schema/qudt#>
 PREFIX prov: <http://www.w3.org/ns/prov#>
 PREFIX sosa: <http://www.w3.org/ns/sosa/>
 
-SELECT ?device ?edate ?val ?cval ?date
+SELECT ?device ?edate ?val ?cval
 FROM <urn:x-arq:DefaultGraph>
 FROM NAMED <{graph}>
 WHERE
@@ -188,11 +185,8 @@ def climate_series(
     query = parse_query(
         _CLIMATE_ONLY_QUERY.format(base=base.value, station=station.value, code=climate_code)
     )
-    day_of, number_of = _decoders()
-    out: dict[date, Decimal] = {}
-    for row in evaluate(ds, query):
-        out[day_of(row["date"])] = number_of(row["cval"])
-    return out
+    day_of, number_of = _decoders(ds)
+    return {day_of(day): number_of(value) for day, value in solve(ds, query)[1]}
 
 
 def align(
@@ -207,7 +201,8 @@ def align(
     """Inner-join each device's daily readings with same-day observations.
 
     One evaluation of the join query serves every device; the result has
-    one series per requested device, in the order given.
+    one series per requested device, in the order given. A device that
+    the store lacks has no readings.
     """
     g = cossmic_graph(base) if graph is None else graph
     network = _linked_network(ds, station, base, g)
@@ -220,19 +215,21 @@ def align(
             network=network.value,
         )
     )
-    day_of, number_of = _decoders()
+    day_of, number_of = _decoders(ds)
     joined: dict[Iri, dict[date, tuple[Decimal, Decimal]]] = {device: {} for device in devices}
-    for row in evaluate(ds, query):
-        days = joined.get(row["device"])
+    # A device the store lacks gets the key None, which no row holds.
+    by_id = {ds.id_of(device): days for device, days in joined.items()}
+    for device, edate, value, climate in solve(ds, query)[1]:
+        days = by_id.get(device)
         if days is None:
             continue
-        day = day_of(row["edate"])
+        day = day_of(edate)
         if day in days:
             raise AnalysisError(
-                f"duplicate day {day.isoformat()} for {row['device'].value}; "
+                f"duplicate day {day.isoformat()} for {ds.term(device).value}; "
                 "store is not at daily resolution"
             )
-        days[day] = (number_of(row["val"]), number_of(row["cval"]))
+        days[day] = (number_of(value), number_of(climate))
 
     extra = {code: climate_series(ds, station, code, base) for code in auxiliary}
     out = []
@@ -244,42 +241,22 @@ def align(
     return out
 
 
-def _decoders() -> tuple[Callable[[object], date], Callable[[object], Decimal]]:
-    """A term's day and a term's number, each decoded once per distinct
-    term: the join's dates and climate values repeat once per device."""
+def _decoders(ds: Dataset) -> tuple[Callable[[int], date], Callable[[int], Decimal]]:
+    """A literal id's day and its number, each decoded once per id from the
+    id's canonical text. The join's dates and climate values repeat once
+    per device, and no term of theirs is kept in the store's memo."""
+    texts = ds.texts()
+
+    def literal(term_id: int) -> Literal:
+        term = decode_term(texts[term_id])
+        if not isinstance(term, Literal):
+            raise AnalysisError(f"expected a literal, got {term!r}")
+        return term
+
     return (
-        _once_per_term(lambda term: parse_datetime(_lex(term)).date()),
-        _once_per_term(lambda term: parse_numeric(_as_literal(term))),
+        cache(lambda term_id: parse_datetime(literal(term_id).lexical).date()),
+        cache(lambda term_id: parse_numeric(literal(term_id))),
     )
-
-
-def _once_per_term(decode: Callable[[object], object]) -> Callable[[object], object]:
-    """decode, run once per term object. The store decodes each id into
-    one term object and keeps it, so equal terms in the rows are one
-    object; looking a term up by identity skips the term classes'
-    Python-level hash. Each term is kept with its value, so no identity
-    is reused while the memo lives."""
-    decoded: dict[int, tuple[object, object]] = {}
-
-    def once(term: object) -> object:
-        known = decoded.get(id(term))
-        if known is None:
-            known = decoded[id(term)] = (term, decode(term))
-        return known[1]
-
-    return once
-
-
-def _lex(term) -> str:
-    if not isinstance(term, Literal):
-        raise AnalysisError(f"expected a literal, got {term!r}")
-    return term.lexical
-
-
-def _as_literal(term) -> Literal:
-    if not isinstance(term, Literal):
-        raise AnalysisError(f"expected a literal, got {term!r}")
-    return term
 
 
 # -- reports -----------------------------------------------------------------
@@ -364,7 +341,7 @@ def correlation_table(
         except UndefinedCorrelationError as exc:
             warnings.append(f"{raw}: {exc}")
             continue
-        kind = categorize(series.device).kind.value
+        kind = categorize(series.device).value
         by_category.setdefault(kind, []).append(value)
         if abs(value) >= threshold:
             entries.append(CorrelationEntry(raw, climate_code, value, len(series.pairs)))
@@ -400,22 +377,25 @@ def report_json(report: CorrelationReport) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-def scatter_export(series: AlignedSeries) -> str:
-    """CSV rows of day, energy and climate value plus optional precipitation."""
-    if not series.pairs:
+def scatter_export(aligned: Sequence[AlignedSeries]) -> str:
+    """CSV of day, energy and climate value plus optional precipitation:
+    one header, then the rows of each series in the order given. The
+    header names the first series' climate code."""
+    if not aligned or not all(series.pairs for series in aligned):
         raise AnalysisError("cannot export an empty series")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["device", "date", "energy_kwh", series.climate_code, "prcp"])
-    prcp = series.auxiliary.get("PRCP", (None,) * len(series.pairs))
-    for (day, energy, climate), extra in zip(series.pairs, prcp):
-        writer.writerow(
-            [
-                series.device.raw,
-                day.isoformat(),
-                format(energy, "f"),
-                format(climate, "f"),
-                "" if extra is None else format(extra, "f"),
-            ]
-        )
+    writer.writerow(["device", "date", "energy_kwh", aligned[0].climate_code, "prcp"])
+    for series in aligned:
+        prcp = series.auxiliary.get("PRCP", (None,) * len(series.pairs))
+        for (day, energy, climate), extra in zip(series.pairs, prcp):
+            writer.writerow(
+                [
+                    series.device.raw,
+                    day.isoformat(),
+                    format(energy, "f"),
+                    format(climate, "f"),
+                    "" if extra is None else format(extra, "f"),
+                ]
+            )
     return buffer.getvalue()

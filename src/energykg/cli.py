@@ -366,18 +366,13 @@ def cmd_analyze(store_paths: Sequence[str], config: PipelineConfig) -> list[str]
     _write(json_path, report_json(report))
     written.append(json_path)
 
-    scatter_by_kind: dict[str, list[str]] = {}
+    scatter_by_kind: dict[str, list] = {}
     for series in aligned:
-        if not series.pairs:
-            continue
-        kind = categorize(series.device).kind.value
-        text = scatter_export(series)
-        header, _, body = text.partition("\n")
-        bucket = scatter_by_kind.setdefault(kind, [header + "\n"])
-        bucket.append(body)
-    for kind, chunks in sorted(scatter_by_kind.items()):
+        if series.pairs:
+            scatter_by_kind.setdefault(categorize(series.device).value, []).append(series)
+    for kind, kind_series in sorted(scatter_by_kind.items()):
         path = os.path.join(config.out, f"scatter_{kind}.csv")
-        _write(path, "".join(chunks))
+        _write(path, scatter_export(kind_series))
         written.append(path)
     return written
 

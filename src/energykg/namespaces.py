@@ -69,10 +69,6 @@ def observation_path(base: Iri, station_id: str, day: str, code: str) -> str:
     return base.value + "resource/observation/" + station_id + "/" + day + "/" + code
 
 
-def observation_resource(base: Iri, station_id: str, day: str, code: str) -> Iri:
-    return Iri(observation_path(base, station_id, day, code))
-
-
 def ca_class(base: Iri, name: str) -> Iri:
     return Iri(base.value + "ca/class/" + name)
 

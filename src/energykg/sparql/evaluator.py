@@ -6,10 +6,14 @@ keeps rows whose expression evaluates to true, dropping rows whose
 expression errors. Results are projected, sorted by the canonical
 encoding of their bindings, and cut by LIMIT, in that order.
 
-Rows bind variables to the store's term ids. Terms are decoded, one id
-at a time, only to evaluate FILTER and join-key expressions, and for the
-projected rows, which are sorted by the canonical text of each id. A
-query constant that no quad holds matches nothing.
+Rows bind variables to the store's term ids. ``solve`` returns the
+projected rows as tuples of ids, sorted by the canonical text of each id;
+inside it a term is decoded only to evaluate FILTER and join-key
+expressions, once per id and evaluation. ``evaluate`` decodes the rows
+into terms at the edge, for callers that want them; a caller that reads
+a few distinct ids many times (``analysis.align``) takes the id rows and
+decodes each id once. A query constant that no quad holds matches
+nothing.
 
 Each BGP, after its property paths are lowered, is ordered greedily: the
 next pattern is the one with the smallest index bucket among its
@@ -32,6 +36,7 @@ import math
 import time
 from datetime import datetime
 from decimal import Decimal
+from functools import cache
 from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Union
@@ -96,12 +101,12 @@ class _ExprError(Exception):
 
 
 class _Run:
-    """One evaluation's store, its term decoder, FROM NAMED graphs, fresh
-    names and deadline."""
+    """One evaluation's store, its term decoder (which asks the store once
+    per id), FROM NAMED graphs, fresh names and deadline."""
 
     def __init__(self, ds: Dataset, named: frozenset[Iri], deadline: Optional[float]) -> None:
         self.ds = ds
-        self.term = ds.term
+        self.term = cache(ds.term)
         self.named = named
         self.fresh = count()
         self.deadline = deadline
@@ -112,26 +117,48 @@ class _Run:
 
 
 def evaluate(ds: Dataset, query: SelectQuery, deadline: Optional[float] = None) -> SolutionSequence:
-    """Evaluate query over ds, raising QueryTimeout once time.monotonic()
-    passes deadline. The deadline is checked every 256 rows that a BGP
-    step, hash join or filter goes through and every 256 triples a BGP
-    step scans, so the longest stretch between two checks is 256 rows or
-    triples of work."""
+    """Evaluate query over ds (``solve``), with each row's ids decoded
+    into terms."""
+    names, rows = solve(ds, query, deadline)
+    term = ds.term
+    return SolutionSequence(
+        tuple(v.name for v in query.projection),
+        [dict(zip(names, map(term, row))) for row in rows],
+    )
+
+
+def solve(
+    ds: Dataset, query: SelectQuery, deadline: Optional[float] = None
+) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
+    """The projected variables that the rows bind, and the rows: each a
+    tuple of those variables' ids, in canonical order and cut by LIMIT.
+
+    Raises QueryTimeout once time.monotonic() passes deadline. The
+    deadline is checked every 256 rows that a BGP step, hash join or
+    filter goes through and every 256 triples a BGP step scans, so the
+    longest stretch between two checks is 256 rows or triples of work.
+    Every row binds each variable of the pattern; a projected variable
+    that the pattern lacks, which only a query built without the parser
+    can hold, is bound in no row and left out of the names."""
     default_graphs, named_graphs = _resolve_dataset(ds, query)
     run = _Run(ds, named_graphs, deadline)
     run.check()
     rows = _eval_pattern(query.pattern, default_graphs, run)
 
-    names = tuple(v.name for v in query.projection)
-    projected = [{name: row[name] for name in names if name in row} for row in rows]
+    bound = pattern_variables(query.pattern)
+    names = tuple(v.name for v in query.projection if v.name in bound)
+    # One column per name; zipping no columns would drop the rows.
+    if names:
+        projected = list(zip(*[map(itemgetter(name), rows) for name in names]))
+    else:
+        projected = [()] * len(rows)
     run.check()
-    # Canonical order is text order; an unbound variable sorts as "", before every term.
+    # Canonical order is the order of the ids' texts.
     texts = ds.texts()
-    projected.sort(key=lambda row: tuple(texts[row[n]] if n in row else "" for n in names))
+    projected.sort(key=lambda row: tuple(map(texts.__getitem__, row)))
     if query.limit is not None:
         projected = projected[: query.limit]
-    term = run.term
-    return SolutionSequence(names, [{n: term(i) for n, i in row.items()} for row in projected])
+    return names, projected
 
 
 def _resolve_dataset(
@@ -565,25 +592,3 @@ def _maybe_decimal(value) -> Optional[Decimal]:
         except EnergyKgError:
             raise _ExprError("unparseable numeric literal")
     return None
-
-
-# -- builtin date accessors (exposed for direct use and tests) ---------------
-
-
-def builtin_year(literal: Literal) -> int:
-    return _date_component(literal, "year")
-
-
-def builtin_month(literal: Literal) -> int:
-    return _date_component(literal, "month")
-
-
-def builtin_day(literal: Literal) -> int:
-    return _date_component(literal, "day")
-
-
-def _date_component(literal: Literal, component: str) -> int:
-    try:
-        return _eval_expression(DateFunc(component, Constant(literal)), {}, lambda term_id: None)
-    except _ExprError as exc:
-        raise EvaluationError(str(exc))

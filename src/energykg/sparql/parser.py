@@ -257,7 +257,7 @@ class _Parser:
         if not self.accept_keyword("SELECT"):
             self._check_unsupported(token)
             raise self.error("expected SELECT", token)
-        projection = self._projection()
+        projected = self._projection()
         dataset_clauses = self._dataset_clauses()
         self.accept_keyword("WHERE")
         pattern = self._group()
@@ -270,13 +270,13 @@ class _Parser:
             raise self.error(f"unexpected trailing token {tail[1]!r}", tail)
 
         in_scope = pattern_variables(pattern)
-        for var in projection:
-            if var.name not in in_scope:
-                raise QueryParseError(
-                    f"projected variable ?{var.name} does not appear in the pattern", 1, 1
+        for token in projected:
+            if token[1] not in in_scope:
+                raise self.error(
+                    f"projected variable ?{token[1]} does not appear in the pattern", token
                 )
         return SelectQuery(
-            projection=projection,
+            projection=tuple(Variable(token[1]) for token in projected),
             pattern=pattern,
             base=self.base,
             prefixes=self.prefixes,
@@ -311,17 +311,18 @@ class _Parser:
             else:
                 return
 
-    def _projection(self) -> tuple[Variable, ...]:
+    def _projection(self) -> list[_Tok]:
+        """The SELECT list's variable tokens."""
         token = self.peek()
         if token[0] == "*":
             raise self.unsupported("SELECT *", token)
         self._check_unsupported(token)
         variables = []
         while self.peek()[0] == "var":
-            variables.append(Variable(self.take()[1]))
+            variables.append(self.take())
         if not variables:
             raise self.error("SELECT needs at least one variable", self.peek())
-        return tuple(variables)
+        return variables
 
     def _dataset_clauses(self) -> tuple[DatasetClause, ...]:
         clauses = []

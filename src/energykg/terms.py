@@ -263,11 +263,6 @@ def decimal_text(value: Decimal) -> str:
     return f'"{format(check_decimal(value), "f")}"^^<{_XSD}decimal>'
 
 
-def decimal_literal(value: Decimal) -> Literal:
-    """The literal whose canonical text is ``decimal_text(value)``."""
-    return decode_term(decimal_text(value))
-
-
 def parse_numeric(literal: Literal) -> Decimal:
     if literal.datatype not in NUMERIC_DATATYPES:
         raise IriError(f"not a numeric literal: {literal}")

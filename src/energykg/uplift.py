@@ -8,8 +8,9 @@ generators (``topology_triples``, ``evaluation_triples``,
 ``station_link``) give each term as its canonical text (``<iri>`` or
 ``"lexical"^^<datatype>``), which the CLI interns into a term dictionary
 and hands to the Turtle writer without building a store;
-``topology_quads`` and ``evaluation_quads`` (of records, through
-``records_table``) collect the same triples as a set of quads.
+``topology_quads`` and ``evaluation_quads`` (of a table) collect the
+same triples as a set of quads. An ``EnergyTable`` is the one form of
+the readings from the CSV to the minted evaluations.
 
 The table is read, resampled and minted a column at a time: each
 column's numbers are parsed in one ``map`` (``columns.number_column``),
@@ -33,7 +34,7 @@ from enum import Enum
 from functools import cache, reduce
 from itertools import chain, compress, groupby, islice, repeat
 from operator import add, is_not, itemgetter, le, lt, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .columns import (
     Failure, NotANumber, csv_blocks, csv_header, number_column, parse_column, raise_first,
@@ -51,7 +52,7 @@ from .namespaces import (
     cossmic_graph,
     device_resource,
 )
-from .record import Frozen, Record, set_field
+from .record import Record
 from .terms import (
     MAX_DECIMAL_CHARS,
     GraphName,
@@ -84,15 +85,6 @@ class CounterMode(str, Enum):
     INTERVAL = "interval"
 
 
-class EnergyRecord(Frozen):
-    _fields = ("device", "timestamp", "value")
-
-    def __init__(self, device: DeviceHeading, timestamp: datetime, value: Decimal) -> None:
-        set_field(self, "device", device)
-        set_field(self, "timestamp", timestamp)
-        set_field(self, "value", value)
-
-
 class EnergyTable(Record):
     _fields = ("timestamps", "columns", "counter_mode")
 
@@ -111,15 +103,6 @@ class EnergyTable(Record):
                     f"column {heading!r} has {len(values)} values for "
                     f"{len(self.timestamps)} timestamps"
                 )
-
-    def records(self) -> list[EnergyRecord]:
-        out = []
-        for heading_text in self.columns:
-            heading = parse_heading(heading_text)
-            for ts, value in zip(self.timestamps, self.columns[heading_text]):
-                if value is not None:
-                    out.append(EnergyRecord(heading, ts, value))
-        return out
 
 
 # Columns the open power system data export carries besides the headings.
@@ -318,7 +301,7 @@ def evaluation_triples(table: EnergyTable, base: Iri = DEFAULT_BASE) -> Iterator
     value node, number.
 
     Each column is minted whole, when iteration reaches it, from its
-    values and their timestamps: no record object is built per value,
+    values and their timestamps: no object is built per value,
     and the triples come from C-level iterators, without a Python-level
     step per triple. Each device's IRI, and each timestamp's evaluation
     IRI suffix and ``xsd:dateTime`` literal, are minted once. A table
@@ -377,26 +360,6 @@ def _check_repeats(table: EnergyTable) -> None:
         raise UpliftError(f"duplicate (device, timestamp) records: {', '.join(repeats)}")
 
 
-def records_table(records: Iterable[EnergyRecord]) -> EnergyTable:
-    """The records as a table: a column per device, in order of first
-    appearance, over the sorted timestamps of all the records. Records
-    that repeat an earlier (device, timestamp) pair raise, naming every
-    repeat in record order."""
-    by_device: dict[str, dict[datetime, Decimal]] = {}
-    repeats = []
-    for record in records:
-        column = by_device.setdefault(record.device.raw, {})
-        if record.timestamp in column:
-            repeats.append(f"{record.device.raw}@{record.timestamp.isoformat()}")
-        column[record.timestamp] = record.value
-    if repeats:
-        raise UpliftError(f"duplicate (device, timestamp) records: {', '.join(repeats)}")
-    timestamps = sorted(set().union(*by_device.values()))
-    return EnergyTable(
-        timestamps, {raw: list(map(column.get, timestamps)) for raw, column in by_device.items()}
-    )
-
-
 def station_link(network: Iri, station: Iri, base: Iri = DEFAULT_BASE) -> TextTriple:
     """The network's retrieveWeatherFrom link to its weather station."""
     return term_key(network), term_key(ca_property(base, "retrieveWeatherFrom")), term_key(station)
@@ -413,11 +376,11 @@ def topology_quads(
 
 
 def evaluation_quads(
-    records: Iterable[EnergyRecord],
+    table: EnergyTable,
     base: Iri = DEFAULT_BASE,
     graph: Optional[GraphName] = None,
 ) -> set[Quad]:
-    """``evaluation_triples`` of the records' table (``records_table``) as
-    quads in the graph (the cossmic graph by default)."""
+    """``evaluation_triples`` of the table as quads in the graph (the
+    cossmic graph by default)."""
     g = cossmic_graph(base) if graph is None else graph
-    return text_quads(evaluation_triples(records_table(records), base), g)
+    return text_quads(evaluation_triples(table, base), g)

@@ -10,7 +10,7 @@ from energykg.climate import ClimateObservation, link_network_to_station, observ
 from energykg.dataset import Dataset
 from energykg.headings import parse_heading
 from energykg.namespaces import DEFAULT_BASE, device_resource, station_resource
-from energykg.uplift import EnergyRecord, evaluation_quads, topology_quads
+from energykg.uplift import EnergyTable, evaluation_quads, topology_quads
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -30,11 +30,10 @@ def build_three_day_store() -> Dataset:
     ds.add_all(topology_quads([pv, grid_import]))
     ds.add_all(
         evaluation_quads(
-            [
-                EnergyRecord(pv, utc_day(1), Decimal("12.5")),
-                EnergyRecord(pv, utc_day(2), Decimal("13.0")),
-                EnergyRecord(pv, utc_day(3), Decimal("9.75")),
-            ]
+            EnergyTable(
+                [utc_day(1), utc_day(2), utc_day(3)],
+                {pv.raw: [Decimal("12.5"), Decimal("13.0"), Decimal("9.75")]},
+            )
         )
     )
     observations = []

@@ -39,7 +39,7 @@ from energykg.sparql import evaluate, parse_query
 from energykg.terms import Iri
 from energykg.turtle import parse_turtle, serialize_turtle
 from energykg.uplift import (
-    EnergyRecord,
+    EnergyTable,
     evaluation_quads,
     mint_device_iri,
     read_energy_csv,
@@ -213,7 +213,7 @@ def test_criterion_6_real_data_reproduction(tmp_path):
 
     ds = Dataset()
     ds.add_all(topology_quads([parse_heading(h) for h in wanted]))
-    ds.add_all(evaluation_quads(table.records()))
+    ds.add_all(evaluation_quads(table))
     from energykg.climate import parse_noaa_csv
 
     observations = [
@@ -274,12 +274,8 @@ def test_criterion_8_million_quad_store_latency():
         for site in range(5)
         for device in range(40)
     ]
-    records = [
-        EnergyRecord(heading, day, Decimal(i % 40))
-        for heading in headings
-        for i, day in enumerate(days)
-    ]
-    evaluations = evaluation_quads(records)
+    readings = [Decimal(i % 40) for i in range(len(days))]
+    evaluations = evaluation_quads(EnergyTable(days, {h.raw: readings for h in headings}))
     assert len(evaluations) == 1_000_000
     ds = Dataset(evaluations)
     ds.add_all(

@@ -11,7 +11,6 @@ from energykg.analysis import (
     AlignedSeries,
     AnalysisError,
     CategoryKind,
-    DeviceCategory,
     UndefinedCorrelationError,
     align,
     categorize,
@@ -133,7 +132,12 @@ def test_pcc_scale_and_shift_invariance(data, a, b):
     ],
 )
 def test_categorize(heading, kind, label):
-    assert categorize(parse_heading(heading)) == DeviceCategory(kind, label)
+    # label: the device's own name, for a device of no named kind.
+    parsed = parse_heading(heading)
+    assert categorize(parsed) is kind
+    assert (kind is CategoryKind.OTHER) == (label is not None)
+    if label is not None:
+        assert "_".join(parsed.device_segments) == label
 
 
 def test_categorize_total_over_corpus(cossmic_columns):
@@ -159,13 +163,13 @@ def test_align_one_query_serves_every_device_in_order(three_day_store, monkeypat
     import energykg.analysis as analysis
 
     queries = []
-    evaluate = analysis.evaluate
+    solve = analysis.solve
 
-    def counting_evaluate(ds, query):
+    def counting_solve(ds, query):
         queries.append(query)
-        return evaluate(ds, query)
+        return solve(ds, query)
 
-    monkeypatch.setattr(analysis, "evaluate", counting_evaluate)
+    monkeypatch.setattr(analysis, "solve", counting_solve)
     grid_name = "DE_KN_industrial1_grid_import"
     grid = device_resource(DEFAULT_BASE, grid_name)
     aligned = align(three_day_store, [grid, PV_IRI], "TMAX", STATION, auxiliary=("PRCP",))
@@ -196,12 +200,11 @@ def test_align_station_mismatch_in_observations_gives_empty_series():
     from energykg.climate import ClimateObservation, link_network_to_station, observation_quads
     from energykg.dataset import Dataset
     from energykg.headings import parse_heading
-    from energykg.uplift import EnergyRecord, evaluation_quads
+    from energykg.uplift import EnergyTable, evaluation_quads
 
-    pv = parse_heading(conftest.PV_DEVICE)
     linked = station_resource(DEFAULT_BASE, "GHCND:LINKED")
     ds = Dataset()
-    ds.add_all(evaluation_quads([EnergyRecord(pv, conftest.utc_day(1), Decimal("1.5"))]))
+    ds.add_all(evaluation_quads(EnergyTable([conftest.utc_day(1)], {conftest.PV_DEVICE: [Decimal("1.5")]})))
     # Observations belong to a different station than the linked one.
     ds.add_all(
         observation_quads(
@@ -268,11 +271,10 @@ def test_correlation_table_category_stats(three_day_store):
 def test_correlation_table_warns_on_short_series():
     from energykg.climate import ClimateObservation, link_network_to_station, observation_quads
     from energykg.dataset import Dataset
-    from energykg.uplift import EnergyRecord, evaluation_quads
+    from energykg.uplift import EnergyTable, evaluation_quads
 
-    pv = parse_heading(conftest.PV_DEVICE)
     ds = Dataset()
-    ds.add_all(evaluation_quads([EnergyRecord(pv, conftest.utc_day(1), Decimal("1.5"))]))
+    ds.add_all(evaluation_quads(EnergyTable([conftest.utc_day(1)], {conftest.PV_DEVICE: [Decimal("1.5")]})))
     ds.add_all(
         observation_quads(
             [ClimateObservation(conftest.STATION_ID, conftest.utc_day(1), "TMAX", Decimal("20"))]
@@ -289,15 +291,11 @@ def test_correlation_table_warns_on_short_series():
 def test_correlation_table_excludes_zero_variance_device():
     from energykg.climate import ClimateObservation, link_network_to_station, observation_quads
     from energykg.dataset import Dataset
-    from energykg.uplift import EnergyRecord, evaluation_quads
+    from energykg.uplift import EnergyTable, evaluation_quads
 
-    pv = parse_heading(conftest.PV_DEVICE)
+    days = [conftest.utc_day(d) for d in (1, 2, 3)]
     ds = Dataset()
-    ds.add_all(
-        evaluation_quads(
-            [EnergyRecord(pv, conftest.utc_day(d), Decimal("2.0")) for d in (1, 2, 3)]
-        )
-    )
+    ds.add_all(evaluation_quads(EnergyTable(days, {conftest.PV_DEVICE: [Decimal("2.0")] * 3})))
     ds.add_all(
         observation_quads(
             [
@@ -327,7 +325,7 @@ def test_quartiles_linear_interpolation():
 
 def test_scatter_export_shape(three_day_store):
     [series] = align(three_day_store, [PV_IRI], "TMAX", STATION, auxiliary=("PRCP",))
-    text = scatter_export(series)
+    text = scatter_export([series])
     lines = text.strip().split("\n")
     assert lines[0] == "device,date,energy_kwh,TMAX,prcp"
     assert len(lines) == 4
@@ -337,7 +335,7 @@ def test_scatter_export_shape(three_day_store):
 
 def test_scatter_export_empty_prcp_column(three_day_store):
     [series] = align(three_day_store, [PV_IRI], "TMAX", STATION)
-    lines = scatter_export(series).strip().split("\n")
+    lines = scatter_export([series]).strip().split("\n")
     assert lines[1].endswith(",")
 
 
@@ -345,4 +343,47 @@ def test_scatter_export_rejects_empty_series():
     heading = parse_heading(conftest.PV_DEVICE)
     empty = AlignedSeries(heading, "TMAX", ())
     with pytest.raises(AnalysisError):
-        scatter_export(empty)
+        scatter_export([empty])
+    with pytest.raises(AnalysisError):
+        scatter_export([])
+
+
+def test_align_decodes_each_id_once(monkeypatch):
+    # Three devices read on the same three days: the day join's rows repeat
+    # each date id once per device, and each climate value once per device.
+    from collections import Counter
+
+    from energykg.climate import ClimateObservation, link_network_to_station, observation_quads
+    from energykg.dataset import Dataset
+    from energykg.uplift import EnergyTable, evaluation_quads
+
+    names = [conftest.PV_DEVICE, "DE_KN_residential1_freezer", "DE_KN_residential1_heat_pump"]
+    days = [conftest.utc_day(d) for d in (1, 2, 3)]
+    ds = Dataset()
+    ds.add_all(
+        evaluation_quads(
+            EnergyTable(days, {name: [Decimal(k), Decimal(k + 1), Decimal(k + 3)]
+                               for k, name in enumerate(names)})
+        )
+    )
+    ds.add_all(
+        observation_quads(
+            [ClimateObservation(conftest.STATION_ID, day, "TMAX", Decimal(20 + d))
+             for d, day in enumerate(days)]
+        )
+    )
+    ds.add(link_network_to_station(device_resource(DEFAULT_BASE, "DE_KN_COSSMIC"), STATION))
+    ds.freeze()
+
+    calls = Counter()
+    term = Dataset.term
+
+    def counting_term(self, term_id):
+        calls[term_id] += 1
+        return term(self, term_id)
+
+    monkeypatch.setattr(Dataset, "term", counting_term)
+    aligned = align(ds, [device_resource(DEFAULT_BASE, name) for name in names], "TMAX", STATION)
+    assert [len(series.pairs) for series in aligned] == [3, 3, 3]
+    assert aligned[2].pairs[2] == (date(2016, 5, 3), Decimal(5), Decimal(22))
+    assert calls and max(calls.values()) == 1, {ds.texts()[i]: n for i, n in calls.items() if n > 1}

@@ -28,9 +28,7 @@ from hypothesis import strategies as st
 from energykg import climate, uplift
 from energykg.climate import ClimateError
 from energykg.errors import EnergyKgError
-from energykg.namespaces import cossmic_graph
 from energykg.columns import spelt_number
-from energykg.terms import text_quads
 
 _HEADINGS = [
     "DE_KN_residential1_pv",
@@ -169,19 +167,6 @@ def test_energy_ingest_matches_the_row_at_a_time_reference(text, mode, resolutio
     assume(not any(map(_python_only_number, text.replace("\n", ",").split(","))))
     expected = _outcome(_ingest, naive_uplift, text, mode, resolution)
     assert _outcome(_ingest, uplift, text, mode, resolution) == expected
-
-
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(text=_energy_csvs(), resolution=st.sampled_from(["daily", "raw"]))
-def test_minting_a_table_matches_minting_its_records(text, resolution):
-    try:
-        table = uplift.read_energy_csv(text, uplift.CounterMode.INTERVAL)
-        if resolution == "daily":
-            table = uplift.to_daily(table)
-    except EnergyKgError:
-        return
-    minted = _outcome(lambda: text_quads(uplift.evaluation_triples(table), cossmic_graph()))
-    assert minted == _outcome(uplift.evaluation_quads, table.records())
 
 
 _iso_days = st.dates(

@@ -12,7 +12,7 @@ from energykg.namespaces import (
     cossmic_graph,
     datatype_resource,
     device_resource,
-    observation_resource,
+    observation_path,
     station_resource,
 )
 
@@ -66,6 +66,6 @@ def test_minting_helpers():
     assert ca_property(DEFAULT_BASE, "retrieveWeatherFrom").value.endswith(
         "ca/property/retrieveWeatherFrom"
     )
-    assert observation_resource(DEFAULT_BASE, "S", "2016-05-01", "TMAX").value.endswith(
+    assert observation_path(DEFAULT_BASE, "S", "2016-05-01", "TMAX").endswith(
         "resource/observation/S/2016-05-01/TMAX"
     )

@@ -37,3 +37,34 @@ def test_correlate_konstanz_on_tiny_inputs(tmp_path, monkeypatch, capsys):
         "DE_KN_industrial1_pv_1\t1.00\t3\n"
         "DE_KN_residential1_heat_pump\tn/a\t1\n"
     )
+
+
+def test_src_lines_counts_code_without_docstrings_comments_or_blank_lines(tmp_path, capsys):
+    module = tmp_path / "module.py"
+    module.write_text(
+        '"""Module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "# A comment.\n"
+        "import os  # code with a comment\n"
+        "\n"
+        "\n"
+        "class Thing:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def method(self):\n"
+        "        '''Method\n"
+        "        docstring.'''\n"
+        "        text = '''a string\n"
+        "        that is not a docstring'''\n"
+        "        return (text,\n"
+        "                os.sep)\n"
+    )
+    (tmp_path / "notes.txt").write_text("not a module\n")
+    runpy.run_path(str(SCRIPTS / "src_lines.py"), run_name="not_main")["main"]([str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    # import, class, def, the string's two lines and the return's two lines.
+    assert lines[1].split()[:2] == ["17", "7"]
+    assert lines[1].endswith("module.py")
+    assert lines[-1].split() == ["17", "7", "total"]
+    assert len(lines) == 3

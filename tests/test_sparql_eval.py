@@ -7,7 +7,6 @@ from energykg.dataset import Dataset
 from energykg.sparql import QueryTimeout, evaluate, parse_query
 from energykg.sparql import evaluator
 from energykg.sparql.ast import SelectQuery, Variable
-from energykg.sparql.evaluator import EvaluationError, builtin_day, builtin_month, builtin_year
 from energykg.terms import Iri, Literal, Quad, XSD_DATETIME, XSD_DECIMAL, XSD_INTEGER
 
 import naive
@@ -156,12 +155,23 @@ def test_numeric_equality_across_datatypes():
 
 
 def test_date_builtins():
-    literal = Literal("2016-05-01T23:59:00Z", XSD_DATETIME)
-    assert builtin_year(literal) == 2016
-    assert builtin_month(literal) == 5
-    assert builtin_day(literal) == 1  # UTC, no timezone shifting
-    with pytest.raises(EvaluationError):
-        builtin_month(Literal("plain string"))
+    ds = Dataset(
+        [
+            q("late", "t", Literal("2016-05-01T23:59:00Z", XSD_DATETIME)),
+            # The instant of "late", written with an offset.
+            q("offset", "t", Literal("2016-05-02T01:59:00+02:00", XSD_DATETIME)),
+            q("next", "t", Literal("2016-05-02T00:00:00Z", XSD_DATETIME)),
+            q("string", "t", Literal("2016-05-01T23:59:00Z")),
+        ]
+    )
+    # Components are read from the instant in UTC; a value that is not an
+    # xsd:dateTime drops the row.
+    rows = rows_of(
+        ds,
+        f"SELECT ?s WHERE {{ ?s <{EX}t> ?d . "
+        "FILTER (year(?d) = 2016 && month(?d) = 5 && day(?d) = 1) }",
+    )
+    assert [r["s"].value for r in rows] == [EX + "late", EX + "offset"]
 
 
 def test_deterministic_ordering_and_projection():

@@ -19,7 +19,8 @@ from energykg.terms import (
     XSD_DECIMAL,
     check_decimal,
     datetime_literal,
-    decimal_literal,
+    decimal_text,
+    decode_term,
     parse_datetime,
     parse_numeric,
     quad_key,
@@ -86,8 +87,8 @@ def test_parse_datetime_outside_the_years_of_utc_is_a_typed_error(lexical):
 
 
 def test_decimal_literal_has_plain_lexical_form():
-    assert decimal_literal(Decimal("9.75")) == Literal("9.75", XSD_DECIMAL)
-    assert decimal_literal(Decimal("1E+2")) == Literal("100", XSD_DECIMAL)
+    assert decode_term(decimal_text(Decimal("9.75"))) == Literal("9.75", XSD_DECIMAL)
+    assert decode_term(decimal_text(Decimal("1E+2"))) == Literal("100", XSD_DECIMAL)
     assert parse_numeric(Literal("9.75", XSD_DECIMAL)) == Decimal("9.75")
 
 
@@ -99,10 +100,10 @@ def test_check_decimal_bounds_the_length_of_the_written_form(coefficient, expone
     value = Decimal(coefficient).scaleb(exponent)
     if len(format(value, "f")) <= MAX_DECIMAL_CHARS:
         assert check_decimal(value) is value
-        assert decimal_literal(value).lexical == format(value, "f")
+        assert decode_term(decimal_text(value)).lexical == format(value, "f")
     else:
         with pytest.raises(LiteralError):
-            decimal_literal(value)
+            decimal_text(value)
 
 
 def test_term_keys_are_total_and_distinct():

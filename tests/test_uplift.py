@@ -11,7 +11,6 @@ from energykg.terms import Iri, Literal, XSD_DATETIME, XSD_DECIMAL
 from energykg.turtle import parse_turtle
 from energykg.uplift import (
     CounterMode,
-    EnergyRecord,
     EnergyTable,
     UpliftError,
     evaluation_quads,
@@ -94,7 +93,7 @@ def test_mixed_cities_rejected():
 
 def test_evaluation_quads_shape():
     pv = parse_heading("DE_KN_industrial1_pv_1")
-    quads = evaluation_quads([EnergyRecord(pv, ts(1), Decimal("12.5"))])
+    quads = evaluation_quads(EnergyTable([ts(1)], {pv.raw: [Decimal("12.5")]}))
     assert len(quads) == 5
     ds = Dataset(quads)
     device = mint_device_iri(pv)
@@ -109,25 +108,34 @@ def test_evaluation_quads_shape():
 
 
 def test_evaluation_quads_empty_input():
-    assert evaluation_quads([]) == set()
+    assert evaluation_quads(EnergyTable([], {})) == set()
+    # A column without values mints nothing.
+    assert evaluation_quads(EnergyTable([ts(1)], {"DE_KN_industrial1_pv_1": [None]})) == set()
 
 
 def test_three_records_three_timestamps():
     pv = parse_heading("DE_KN_industrial1_pv_1")
-    records = [EnergyRecord(pv, ts(d), Decimal(d)) for d in (1, 2, 3)]
-    ds = Dataset(evaluation_quads(records))
+    table = EnergyTable([ts(1), ts(2), ts(3)], {pv.raw: [Decimal(1), Decimal(2), Decimal(3)]})
+    ds = Dataset(evaluation_quads(table))
     assert len(ds.match(ANY, PROV.generatedAtTime, ANY, GRAPH)) == 3
 
 
 def test_duplicate_record_error_lists_duplicates():
-    pv = parse_heading("DE_KN_industrial1_pv_1")
-    records = [
-        EnergyRecord(pv, ts(1), Decimal(1)),
-        EnergyRecord(pv, ts(1), Decimal(2)),
-    ]
+    # A table that repeats a timestamp under which a column has two values.
+    table = EnergyTable(
+        [ts(1), ts(1), ts(2), ts(2)],
+        {
+            "DE_KN_industrial1_pv_1": [Decimal(1), Decimal(2), Decimal(3), None],
+            "DE_KN_residential1_freezer": [None, Decimal(1), Decimal(2), Decimal(3)],
+        },
+    )
     with pytest.raises(UpliftError) as excinfo:
-        evaluation_quads(records)
-    assert "DE_KN_industrial1_pv_1" in str(excinfo.value)
+        evaluation_quads(table)
+    assert str(excinfo.value) == (
+        "duplicate (device, timestamp) records: "
+        "DE_KN_industrial1_pv_1@2016-05-01T00:00:00+00:00, "
+        "DE_KN_residential1_freezer@2016-05-02T00:00:00+00:00"
+    )
 
 
 def test_to_daily_cumulative_differences():
@@ -212,8 +220,7 @@ def test_read_energy_csv_missing_cells_stay_missing():
     table = read_energy_csv(text)
     assert table.columns["DE_KN_residential1_pv"] == [Decimal("1.5"), None]
     assert table.columns["DE_KN_residential1_freezer"] == [None, Decimal("0.25")]
-    records = table.records()
-    assert len(records) == 2
+    assert len(evaluation_quads(table)) == 10
 
 
 def test_read_energy_csv_rejects_unsorted_timestamps():

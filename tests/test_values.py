@@ -10,9 +10,7 @@ from decimal import Decimal
 
 import pytest
 
-from energykg.analysis import (
-    AlignedSeries, CategoryKind, CorrelationEntry, CorrelationReport, DeviceCategory,
-)
+from energykg.analysis import AlignedSeries, CorrelationEntry, CorrelationReport
 from energykg.climate import ClimateObservation
 from energykg.config import PipelineConfig
 from energykg.endpoint import EndpointConfig
@@ -22,7 +20,7 @@ from energykg.sparql.ast import (
     SequencePath, SolutionSequence, TriplePattern, Variable,
 )
 from energykg.terms import BlankNode, Iri, Literal, PrefixMap, Quad, XSD_DECIMAL
-from energykg.uplift import CounterMode, EnergyRecord, EnergyTable
+from energykg.uplift import CounterMode, EnergyTable
 
 A = Iri("http://example.org/a")
 B = Iri("http://example.org/b")
@@ -62,11 +60,6 @@ CASES = {
         "site_kind=<SiteKind.INDUSTRIAL: 'industrial'>, site_index=1, device_segments=('pv',), "
         "instance_index=1)",
         ("DE_KN_industrial1_pv_1", "DE", "KN", SiteKind.INDUSTRIAL, 1, ("pv",), 1), True, False),
-    "EnergyRecord": (
-        lambda: EnergyRecord(HEADING, DAY, Decimal("1.5")),
-        f"EnergyRecord(device={HEADING!r}, timestamp=datetime.datetime(2016, 5, 1, 0, 0, "
-        "tzinfo=datetime.timezone.utc), value=Decimal('1.5'))",
-        (HEADING, DAY, Decimal("1.5")), True, False),
     "EnergyTable": (
         lambda: EnergyTable([DAY], {"h": [Decimal(1)]}, CounterMode.INTERVAL),
         "EnergyTable(timestamps=[datetime.datetime(2016, 5, 1, 0, 0, tzinfo=datetime.timezone.utc)], "
@@ -82,9 +75,6 @@ CASES = {
         f"AlignedSeries(device={HEADING!r}, climate_code='TMAX', pairs=((datetime.date(2016, 5, 1), "
         "Decimal('1'), Decimal('2')),), auxiliary={'PRCP': (None,)})",
         None, True, False),
-    "DeviceCategory": (lambda: DeviceCategory(CategoryKind.PV, "x"),
-                       "DeviceCategory(kind=<CategoryKind.PV: 'pv'>, label='x')",
-                       (CategoryKind.PV, "x"), True, False),
     "CorrelationEntry": (lambda: CorrelationEntry("d", "TMAX", 0.5, 3),
                          "CorrelationEntry(device='d', climate_code='TMAX', pcc=0.5, n=3)",
                          ("d", "TMAX", 0.5, 3), True, False),
@@ -140,7 +130,7 @@ TWINS = [
     (lambda: Join(BGP(()), BGP(())), lambda: SequencePath(BGP(()), BGP(()))),
     (lambda: Graph(A, BGP(())), lambda: Filter(A, BGP(()))),
     (lambda: Constant(ONE), lambda: BGP(ONE)),
-    (lambda: DatasetClause(True, A), lambda: DeviceCategory(True, A)),
+    (lambda: DatasetClause(True, A), lambda: DateFunc(True, A)),
 ]
 
 
@@ -198,7 +188,7 @@ def test_a_field_that_differs_makes_instances_unequal():
         (lambda: DeviceHeading("r", "DE", "KN", SiteKind.PUBLIC, 2, ("x",)), {"instance_index": None}),
         (lambda: EnergyTable([], {}), {"counter_mode": CounterMode.CUMULATIVE}),
         (lambda: AlignedSeries(HEADING, "TMAX", ()), {"auxiliary": {}}),
-        (lambda: DeviceCategory(CategoryKind.OTHER), {"label": None}),
+        (lambda: AlignedSeries(HEADING, "TMAX", (), None), {"auxiliary": {}}),
         (EndpointConfig, {"host": "127.0.0.1", "port": 8080, "max_query_bytes": 262144,
                           "timeout_seconds": 30.0}),
         (lambda: SelectQuery((), BGP(())), {"base": None, "prefixes": PrefixMap(),

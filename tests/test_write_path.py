@@ -41,9 +41,7 @@ from energykg.terms import (
     term_key,
 )
 from energykg.turtle import load_turtle
-from energykg.uplift import (
-    EnergyRecord, evaluation_triples, records_table, station_link, topology_triples,
-)
+from energykg.uplift import EnergyTable, evaluation_triples, station_link, topology_triples
 
 _EX = "http://example.org/"
 _iris = st.builds(
@@ -187,10 +185,10 @@ _names = st.text(
     codes=st.lists(_names, min_size=1, max_size=3),
 )
 def test_every_minted_iri_passes_check_iri(base, headings, instants, stations, codes):
-    records = [EnergyRecord(h, ts, Decimal("1.5")) for h in headings for ts in instants]
+    table = EnergyTable(instants, {h.raw: [Decimal("1.5")] * len(instants) for h in headings})
     network = device_resource(base, headings[0].network_name)
     texts = list(chain.from_iterable(topology_triples(headings, base)))
-    texts += chain.from_iterable(evaluation_triples(records_table(records), base))
+    texts += chain.from_iterable(evaluation_triples(table, base))
     texts += station_link(network, station_resource(base, "GHCND:X"), base)
     days = sorted({datetime(t.year, t.month, t.day, tzinfo=timezone.utc) for t in instants})
     observations = [
