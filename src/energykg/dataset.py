@@ -12,10 +12,17 @@ Each graph is kept in one frozen, columnar form (``_Graph``), as RDF-3X
 (Neumann and Weikum, VLDB 2008) and HDT (Fernandez et al., J. Web
 Semantics 2013) keep theirs: its distinct ``(s, p, o)`` id triples once,
 and for each position one ``grouping``, the triples ordered so that each
-id's triples are contiguous, with a table from each id to its run. A
-bucket is one slice of that order. Triples inserted with ``add_ids``
-collect in an insertion-ordered dict, and the graph is grouped, with
-sorts keyed in C, when it is next read or at ``freeze()``.
+id's triples are contiguous, with a run table from each id to its run. A
+bucket is one slice of that order. A run table is a flat ``array('i')``
+indexed by term id, -1 where no triple holds the id, filled in C; it is
+4 bytes per id of the dictionary where a dict took an entry and an int
+object per run. A graph built before a later insert interned more terms
+has its tables widened to every id when it is next read, or at
+``freeze()``, so a frozen dataset's tables are never changed. A term that
+no quad holds has no id and matches nothing before any table is read.
+Triples inserted with ``add_ids`` collect in an insertion-ordered dict,
+and the graph is grouped, with sorts keyed in C, when it is next read or
+at ``freeze()``.
 
 ``add_triples`` streams into ``add_ids``, interning each term as it is
 read. ``load_turtle`` parses a whole Turtle document straight into
@@ -43,6 +50,7 @@ equal terms. Quads have set semantics: inserting a duplicate is a no-op.
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
 from itertools import count, filterfalse, groupby, repeat
 from operator import attrgetter, itemgetter
@@ -115,7 +123,7 @@ def text_order(texts: Sequence[str]) -> tuple[list[int], list[int]]:
 
 # Triple numbers ordered by one position's id, then the distinct ids in
 # that order and where each one's run starts, then the triple count.
-Grouping = tuple[Sequence[int], Sequence[int], Sequence[int]]
+Grouping = tuple[Sequence[int], Iterable[int], Sequence[int]]
 
 
 def grouping(column: Sequence[int], grouped: bool = False) -> Grouping:
@@ -132,6 +140,10 @@ def grouping(column: Sequence[int], grouped: bool = False) -> Grouping:
     return order, list(ends), [0, *ends.values()]
 
 
+# One run-table entry for an id that no triple holds.
+_NO_RUNS = array("i", [-1])
+
+
 class FrozenDatasetError(EnergyKgError):
     """Mutation attempted after freeze()."""
 
@@ -141,59 +153,78 @@ class _Graph:
 
     ``triples`` lists each triple once. For each position (0 subject, 1
     predicate, 2 object) the graph keeps the triples in the order of a
-    ``grouping``, a table from each id to its run's number, and the runs'
-    starts; the bucket of an id is then one slice of that order. Built in
-    one go and never changed, so any number of readers may share it."""
+    ``grouping``, a run table, and the runs' starts; the bucket of an id
+    is then one slice of that order. A run table is an ``array('i')``
+    indexed by term id, holding the id's run number, or -1 where no triple
+    holds the id; it spans every id of the dictionary (``pad``). Built in
+    one go and never changed but for padding, so any number of readers of
+    a frozen dataset may share it."""
 
-    __slots__ = ("triples", "_ordered", "_runs", "_starts")
+    __slots__ = ("triples", "_ordered", "_runs", "_counts", "_starts")
 
     def __init__(
-        self, triples: list[IdTriple], groupings: Optional[Iterable[Grouping]] = None
+        self, triples: list[IdTriple], ids: int, groupings: Optional[Iterable[Grouping]] = None
     ) -> None:
         if groupings is None:
             # One position at a time, so one grouping's triple numbers are held.
             groupings = (grouping(list(map(itemgetter(i), triples))) for i in range(3))
         self.triples = triples
         self._ordered: list[list[IdTriple]] = []
-        self._runs: list[dict[int, int]] = []
+        self._runs: list[array] = []
+        self._counts: list[int] = []
         self._starts: list[Sequence[int]] = []
         triple = triples.__getitem__
         for order, keys, starts in groupings:
-            # A triple number past the triples raises IndexError here. A
-            # grouping that keeps the triples' order shares their list.
+            # A triple number past the triples, or an id past the
+            # dictionary, raises IndexError here. A grouping that keeps the
+            # triples' order shares their list.
             ordered = triples if order == range(len(triples)) else list(map(triple, order))
+            # A computed order is freed before the run table is built.
+            del order
+            table = _NO_RUNS * ids
+            # Each key's run number, set in C; __setitem__ returns None.
+            runs = count()
+            any(map(table.__setitem__, keys, runs))
             self._ordered.append(ordered)
-            self._runs.append(dict(zip(keys, range(len(keys)))))
+            self._runs.append(table)
+            self._counts.append(next(runs))
             self._starts.append(starts)
 
-    def runs(self, position: int) -> tuple[Callable[[int], Optional[int]], Sequence[int], list]:
+    def pad(self, ids: int) -> None:
+        """Widen the run tables to ids term ids, the new ones in no run."""
+        for table in self._runs:
+            if len(table) < ids:
+                table.extend(_NO_RUNS * (ids - len(table)))
+
+    def runs(self, position: int) -> tuple[Callable[[int], int], Sequence[int], list]:
         """The buckets at position (0 subject, 1 predicate, 2 object), for
         reading many without a call each: a function from an id to its
-        run's number, or to None (the ``dict.get`` default) when no triple
-        holds the id; the runs' starts, then the count; and the triples in
-        run order. Run r's bucket is ``ordered[starts[r] : starts[r + 1]]``;
-        for r = -1 that is ``ordered[count:0]``, which is empty."""
-        return self._runs[position].get, self._starts[position], self._ordered[position]
+        run's number, or to -1 when no triple holds the id; the runs'
+        starts, then the count; and the triples in run order. Run r's
+        bucket is ``ordered[starts[r] : starts[r + 1]]``; for r = -1 that
+        is ``ordered[count:0]``, which is empty. The id must be one of the
+        dictionary's, not negative."""
+        return self._runs[position].__getitem__, self._starts[position], self._ordered[position]
 
     def bucket(self, position: int, key: int) -> list[IdTriple]:
         """The triples holding id key at position, as a new list."""
-        run = self._runs[position].get(key)
-        if run is None:
+        run = self._runs[position][key]
+        if run < 0:
             return []
         starts = self._starts[position]
         return self._ordered[position][starts[run] : starts[run + 1]]
 
     def size(self, position: int, key: int) -> int:
         """How many triples hold id key at position."""
-        run = self._runs[position].get(key)
-        if run is None:
+        run = self._runs[position][key]
+        if run < 0:
             return 0
         starts = self._starts[position]
         return starts[run + 1] - starts[run]
 
     def mean(self, position: int) -> float:
         """The mean size of the buckets at position."""
-        runs = len(self._runs[position])
+        runs = self._counts[position]
         return len(self.triples) / runs if runs else 0
 
     def match(self, s: Optional[int], p: Optional[int], o: Optional[int]) -> list[IdTriple]:
@@ -269,12 +300,12 @@ class Dataset:
             raise FrozenDatasetError("dataset is frozen")
         added = self._added.get(graph)
         if added is None:
-            store = self._graphs.setdefault(graph, _Graph([]))
+            store = self._graphs.setdefault(graph, _Graph([], 0))
             added = self._added[graph] = dict.fromkeys(store.triples)
         added.update(zip(triples, repeat(None)))
 
     def add_graph(
-        self, graph: GraphName, triples: list[IdTriple], groupings: Sequence[Grouping]
+        self, graph: GraphName, triples: list[IdTriple], groupings: Iterable[Grouping]
     ) -> None:
         """Insert distinct id triples into one graph together with their
         ``grouping`` at each position, in the order of ``triples``, as a
@@ -285,11 +316,13 @@ class Dataset:
             return
         if self._frozen:
             raise FrozenDatasetError("dataset is frozen")
-        self._graphs[graph] = _Graph(triples, groupings)
+        self._graphs[graph] = _Graph(triples, len(self._ids), groupings)
 
     def freeze(self) -> "Dataset":
-        # Group the graphs now, so readers of the snapshot never do.
-        self._stores()
+        # Group the graphs now, and span every id with their run tables,
+        # so readers of the snapshot never change them.
+        for _, store in self._stores():
+            store.pad(len(self._ids))
         self._frozen = True
         return self
 
@@ -310,6 +343,8 @@ class Dataset:
         if not isinstance(quad, Quad) or quad.graph not in self._graphs:
             return False
         triple = (self.id_of(quad.subject), self.id_of(quad.predicate), self.id_of(quad.object))
+        if None in triple:
+            return False
         return triple in self.graph(quad.graph).bucket(0, triple[0])
 
     def __iter__(self) -> Iterator[Quad]:
@@ -337,9 +372,11 @@ class Dataset:
         ``ANY`` is the wildcard; ``graph=None`` addresses the default
         graph. Each graph answers from its narrowest bucket.
         """
-        # A term no quad holds gets -1, an id that matches nothing.
         ids = self._ids
         key = [None if t is ANY else ids.get(term_key(t), -1) for t in (subject, predicate, object)]
+        if -1 in key:
+            # A term no quad holds matches nothing.
+            return []
         names = sorted(self._graphs, key=_graph_key) if graph is ANY else [graph]
         term = self.term
         texts = ids.texts
@@ -377,11 +414,17 @@ class Dataset:
     def graph(self, graph: GraphName) -> Optional[_Graph]:
         """One graph's id triples and buckets, or None when the dataset has
         no such graph. A graph inserted into since it was last read is
-        grouped first; a frozen dataset's graphs are all grouped."""
+        grouped first, and its run tables widened to ids interned since; a
+        frozen dataset's graphs are all grouped and span every id."""
+        if self._frozen:
+            return self._graphs.get(graph)
         if graph in self._added:
             # The dict of added triples is freed before the graph is grouped.
-            self._graphs[graph] = _Graph(list(self._added.pop(graph)))
-        return self._graphs.get(graph)
+            self._graphs[graph] = _Graph(list(self._added.pop(graph)), len(self._ids))
+        store = self._graphs.get(graph)
+        if store is not None:
+            store.pad(len(self._ids))
+        return store
 
     def triples(
         self, s: Optional[int], p: Optional[int], o: Optional[int], graph: GraphName

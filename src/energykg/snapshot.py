@@ -11,7 +11,11 @@ numbers ordered by that position's id, and each id's run. Loading maps
 the ids onto the store's dictionary with C-level ``map`` and hands the
 groupings over as read, so the store equals the parse's bucket for
 bucket, every query answer is byte-identical, and no load step loops
-over triples in Python or sorts.
+over triples in Python or sorts. ``Snapshot.load`` drops each section
+once the store has taken it: the texts and the triple array once the
+triples are built, and each grouping's arrays as its position's run
+table is built (the run starts stay, as the store's own). So the
+sidecar's arrays and the built store are not held at once.
 
 A sidecar is used only when it proves that it describes the very bytes
 of its Turtle file, as a hash-based ``.pyc`` does (PEP 552): its header
@@ -55,7 +59,7 @@ from functools import partial
 from importlib.util import source_hash
 from itertools import accumulate, islice
 from operator import itemgetter
-from typing import BinaryIO, Optional, TextIO
+from typing import BinaryIO, Callable, Iterator, Optional, TextIO
 
 from .dataset import Dataset, Grouping, grouping
 from .terms import GraphName
@@ -101,23 +105,34 @@ class Snapshot:
     def load(self, ds: Dataset, graph: GraphName) -> bool:
         """Intern the texts into the dataset and add the triples to graph,
         as loading the Turtle file would. Returns False, and leaves the
-        dataset as it was, when an id or a triple number is out of range."""
+        dataset as it was, when an id or a triple number is out of range.
+        Each section is dropped from the snapshot as the store takes it,
+        so the sidecar's arrays and the built store are not held at once,
+        and a snapshot loads only once."""
         try:
             with ds.interning() as ids:
                 # Mapped through the dictionary's own ids, so the triples
                 # share its int objects; an id past the texts has none.
                 remap = ids.intern_all(self.texts).__getitem__
                 flat = map(remap, self.triples)
+                del self.texts, self.triples
                 triples = list(zip(flat, flat, flat))
-                groupings = [
-                    (order, list(map(remap, keys)), starts)
-                    for order, keys, starts in self.groupings
-                ]
+                del flat
+                groupings = self.groupings
+                del self.groupings
                 # A triple number past the triples raises before the graph is added.
-                ds.add_graph(graph, triples, groupings)
+                ds.add_graph(graph, triples, _handed(groupings, remap))
         except IndexError:
             return False
         return True
+
+
+def _handed(groupings: list[Grouping], remap: Callable[[int], int]) -> Iterator[Grouping]:
+    """Each grouping with its run ids remapped, taken off the list as it
+    is handed over."""
+    while groupings:
+        order, keys, starts = groupings.pop(0)
+        yield order, map(remap, keys), starts
 
 
 def read(path: str, turtle: BinaryIO) -> Optional[Snapshot]:

@@ -7,10 +7,11 @@ evaluator lowers them to triple patterns with fresh variables.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional, Union
 
 from ..record import Frozen, Record, set_field
-from ..terms import Iri, Literal, PrefixMap, Term
+from ..terms import Iri, Literal, PrefixMap, Term, decode_term, term_key
 
 # The alias some engines use for the store's default graph.
 DEFAULT_GRAPH_ALIAS = "urn:x-arq:DefaultGraph"
@@ -182,17 +183,70 @@ class SelectQuery(Frozen):
         set_field(self, "limit", limit)
 
 
+# A sequence's rows as ids (``SolutionSequence.table``).
+Table = tuple[tuple[str, ...], list[tuple[Optional[int], ...]], list[str], bool]
+
+
 class SolutionSequence(Record):
-    """Projected result rows in deterministic order."""
+    """Projected result rows in deterministic order: each row maps the
+    variables it binds to their terms.
+
+    A sequence that an evaluation returns (``from_ids``) holds its rows as
+    the store's term ids: the variables they bind, one tuple of ids per
+    row, and the store's canonical texts by id. It decodes ``rows`` into
+    terms only when they are first read. The serializers read ``table``
+    instead, which a sequence built from rows of terms gives by numbering
+    the terms' canonical texts."""
 
     _fields = ("variables", "rows")
 
     def __init__(self, variables: tuple[str, ...], rows: list[dict[str, Term]]) -> None:
         self.variables = variables
-        self.rows = rows
+        self._rows = rows
+        self._table: Optional[Table] = None
+
+    @classmethod
+    def from_ids(
+        cls,
+        variables: tuple[str, ...],
+        names: tuple[str, ...],
+        rows: list[tuple[int, ...]],
+        texts: list[str],
+    ) -> "SolutionSequence":
+        """The sequence of rows that bind names to the ids in each tuple,
+        whose canonical texts are ``texts[id]``."""
+        seq = cls(variables, None)
+        seq._table = (names, rows, texts, False)
+        return seq
+
+    @property
+    def rows(self) -> list[dict[str, Term]]:
+        if self._rows is None:
+            names, rows, texts, _ = self._table
+            term = cache(lambda i: decode_term(texts[i]))
+            self._rows = [dict(zip(names, map(term, row))) for row in rows]
+        return self._rows
+
+    def table(self) -> Table:
+        """The variables that the rows bind; each row as a tuple of their
+        ids, None where the row leaves a variable unbound; the canonical
+        text of each id; and whether any row holds None."""
+        if self._table is None:
+            names = tuple(dict.fromkeys(self.variables))
+            numbers: dict[str, int] = {}
+            rows = [
+                tuple(
+                    numbers.setdefault(term_key(row[name]), len(numbers)) if name in row else None
+                    for name in names
+                )
+                for row in self._rows
+            ]
+            ragged = any(None in row for row in rows)
+            self._table = (names, rows, list(numbers), ragged)
+        return self._table
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._table[1] if self._rows is None else self._rows)
 
     def __iter__(self):
         return iter(self.rows)

@@ -9,11 +9,12 @@ encoding of their bindings, and cut by LIMIT, in that order.
 Rows bind variables to the store's term ids. ``solve`` returns the
 projected rows as tuples of ids, sorted by the canonical text of each id;
 inside it a term is decoded only to evaluate FILTER and join-key
-expressions, once per id and evaluation. ``evaluate`` decodes the rows
-into terms at the edge, for callers that want them; a caller that reads
-a few distinct ids many times (``analysis.align``) takes the id rows and
-decodes each id once. A query constant that no quad holds matches
-nothing.
+expressions, once per id and evaluation. ``evaluate`` wraps the id rows
+and the store's texts in a ``SolutionSequence``, which decodes its rows
+into terms only if a caller reads them; the serializers (``results.py``)
+render each distinct id once from its text, and ``analysis.align`` takes
+the id rows from ``solve`` and decodes each id once. A query constant
+that no quad holds matches nothing.
 
 Each BGP, after its property paths are lowered, is ordered greedily: the
 next pattern is the one with the smallest index bucket among its
@@ -117,13 +118,11 @@ class _Run:
 
 
 def evaluate(ds: Dataset, query: SelectQuery, deadline: Optional[float] = None) -> SolutionSequence:
-    """Evaluate query over ds (``solve``), with each row's ids decoded
-    into terms."""
+    """Evaluate query over ds (``solve``). The sequence holds the id rows
+    and the store's texts; its rows are decoded into terms only if read."""
     names, rows = solve(ds, query, deadline)
-    term = ds.term
-    return SolutionSequence(
-        tuple(v.name for v in query.projection),
-        [dict(zip(names, map(term, row))) for row in rows],
+    return SolutionSequence.from_ids(
+        tuple(v.name for v in query.projection), names, rows, ds.texts()
     )
 
 
@@ -136,7 +135,8 @@ def solve(
     Raises QueryTimeout once time.monotonic() passes deadline. The
     deadline is checked every 256 rows that a BGP step, hash join or
     filter goes through and every 256 triples a BGP step scans, so the
-    longest stretch between two checks is 256 rows or triples of work.
+    longest stretch between two checks is 256 rows or triples of work,
+    and once more after the final sort.
     Every row binds each variable of the pattern; a projected variable
     that the pattern lacks, which only a query built without the parser
     can hold, is bound in no row and left out of the names."""
@@ -156,6 +156,7 @@ def solve(
     # Canonical order is the order of the ids' texts.
     texts = ds.texts()
     projected.sort(key=lambda row: tuple(map(texts.__getitem__, row)))
+    run.check()
     if query.limit is not None:
         projected = projected[: query.limit]
     return names, projected
@@ -292,7 +293,7 @@ def _extend(rows: list[Row], tp: IdPattern, bound: set[str], graphs: list, run: 
             for run_of, starts, ordered, i, name in lookups:
                 # An id no triple holds at i gets run -1, which spans
                 # ordered[count:0], an empty slice.
-                number = run_of(row[name], -1)
+                number = run_of(row[name])
                 begin = starts[number]
                 end = starts[number + 1]
                 if end - begin < size:

@@ -18,7 +18,7 @@ branch, and ``_lex_error`` then works out what is wrong there.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Callable, Optional
 
 from ..errors import EnergyKgError
 from ..namespaces import RDF_TYPE
@@ -177,6 +177,8 @@ class _Parser:
         self.pos = 0
         self.base: Optional[Iri] = None
         self.prefixes = PrefixMap()
+        # Levels of the pattern tree known to lie above what is being parsed.
+        self.above = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -217,6 +219,21 @@ class _Parser:
     def _keyword(self, token: _Tok) -> Optional[str]:
         kind, value, _ = token
         return value.upper() if kind == "name" else None
+
+    def _level(self, height: int, token: _Tok) -> int:
+        """height, the levels of a subtree just parsed, once the levels
+        known above it plus height are checked to be at most MAX_DEPTH;
+        raise at token, where the tree grew past that, if not."""
+        if self.above + height > MAX_DEPTH:
+            raise self.error(f"query nested deeper than {MAX_DEPTH} levels", token)
+        return height
+
+    def _below(self, parse: Callable[[], tuple[Expression, int]]) -> tuple[Expression, int]:
+        """parse(), as the child of a node built over it."""
+        self.above += 1
+        parsed = parse()
+        self.above -= 1
+        return parsed
 
     def _check_unsupported(self, token: _Tok) -> None:
         word = self._keyword(token)
@@ -260,9 +277,7 @@ class _Parser:
         projected = self._projection()
         dataset_clauses = self._dataset_clauses()
         self.accept_keyword("WHERE")
-        pattern = self._group()
-        if _depth(pattern) > MAX_DEPTH:
-            raise QueryParseError(f"query nested deeper than {MAX_DEPTH} levels", 1, 1)
+        pattern, _ = self._group()
         limit = self._limit()
         tail = self.peek()
         if tail[0] != "eof":
@@ -339,15 +354,42 @@ class _Parser:
             return int(token[1])
         return None
 
-    def _group(self) -> GraphPattern:
+    def _group(self) -> tuple[GraphPattern, int]:
+        """A group's pattern, and its height: the levels of its tree.
+
+        The tree's depth is checked as the group grows: its elements form
+        a left-deep Join chain, and its filters wrap that chain, the first
+        innermost, so filter i of k (counted from 1) hangs its expression
+        k + 1 - i levels down."""
         self.expect("{")
+        above = self.above
         elements: list[GraphPattern] = []
         filters: list[Expression] = []
         bgp: list[TriplePattern] = []
+        # The chain's height (an empty group is one BGP), the most that any
+        # filter's expression height exceeds its number by, and the token
+        # that starts the BGP being read.
+        chain, spread, start = 1, 0, None
+
+        def height() -> int:
+            return len(filters) + max(chain, 1 + spread)
+
+        def inside(levels: int) -> None:
+            # Above an element: the filters so far, and its Join when it
+            # follows another element; then levels of its own.
+            self.above = above + len(filters) + (1 if elements else 0) + levels
+
+        def element(pattern: GraphPattern, levels: int, token: _Tok) -> None:
+            nonlocal chain
+            chain = 1 + max(chain, levels) if elements else levels
+            elements.append(pattern)
+            self.above = above
+            self._level(height(), token)
 
         def flush() -> None:
             if bgp:
-                elements.append(BGP(tuple(bgp)))
+                levels = 1 + max(_path_height(tp.predicate) for tp in bgp)
+                element(BGP(tuple(bgp)), levels, start)
                 bgp.clear()
 
         while not self.accept("}"):
@@ -360,28 +402,42 @@ class _Parser:
                     raise self.unsupported("GRAPH with variable", name_token)
                 name = self._iri()
                 flush()
-                elements.append(Graph(name, self._group()))
+                inside(1)
+                pattern, levels = self._group()
+                element(Graph(name, pattern), 1 + levels, token)
             elif self.accept_keyword("FILTER"):
                 self.expect("(")
-                filters.append(self._expression())
+                self.above = above + 1
+                expression, levels = self._expression()
                 self.expect(")")
+                filters.append(expression)
+                spread = max(spread, levels - len(filters))
+                self.above = above
+                self._level(height(), token)
             elif token[0] == "{":
                 flush()
-                elements.append(self._group())
+                inside(0)
+                pattern, levels = self._group()
+                element(pattern, levels, token)
             elif not self.accept("."):
                 self._check_unsupported(token)
+                if not bgp:
+                    start = token
+                # The BGP is one level over its predicates.
+                inside(1)
                 bgp.extend(self._triples_same_subject())
         flush()
+        self.above = above
 
         if not elements:
             pattern: GraphPattern = BGP(())
         else:
             pattern = elements[0]
-            for element in elements[1:]:
-                pattern = Join(pattern, element)
+            for right in elements[1:]:
+                pattern = Join(pattern, right)
         for expression in filters:
             pattern = Filter(expression, pattern)
-        return pattern
+        return pattern, height()
 
     def _triples_same_subject(self) -> list[TriplePattern]:
         subject = self._pattern_term(allow_literal=False)
@@ -410,8 +466,11 @@ class _Parser:
 
     def _path(self):
         path = self._path_segment()
-        while self.accept("/"):
+        levels = 1
+        while self.peek()[0] == "/":
+            token = self.take()
             path = SequencePath(path, self._path_segment())
+            levels = self._level(levels + 1, token)
         return path
 
     def _path_segment(self) -> Iri:
@@ -452,19 +511,26 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def _expression(self) -> Expression:
-        left = self._equality()
-        while self.accept("&&"):
-            left = And(left, self._equality())
-        return left
+    # Each returns the expression and its height, the levels of its tree.
 
-    def _equality(self) -> Expression:
-        left = self._primary()
+    def _expression(self) -> tuple[Expression, int]:
+        left, levels = self._equality()
+        while self.peek()[0] == "&&":
+            token = self.take()
+            right, right_levels = self._below(self._equality)
+            left = And(left, right)
+            levels = self._level(1 + max(levels, right_levels), token)
+        return left, levels
+
+    def _equality(self) -> tuple[Expression, int]:
+        left, levels = self._primary()
+        token = self.peek()
         if self.accept("="):
-            return Equals(left, self._primary())
-        return left
+            right, right_levels = self._below(self._primary)
+            return Equals(left, right), self._level(1 + max(levels, right_levels), token)
+        return left, levels
 
-    def _primary(self) -> Expression:
+    def _primary(self) -> tuple[Expression, int]:
         token = self.take()
         if token[0] == "(":
             inner = self._expression()
@@ -472,37 +538,24 @@ class _Parser:
             return inner
         term = self._term(token, allow_literal=True)
         if term is not None:
-            return term if isinstance(term, Variable) else Constant(term)
+            return term if isinstance(term, Variable) else Constant(term), 1
         word = self._keyword(token)
         if word in _FUNCTIONS:
             self.expect("(")
-            argument = self._expression()
+            argument, levels = self._below(self._expression)
             self.expect(")")
-            return DateFunc(word.lower(), argument)
+            return DateFunc(word.lower(), argument), self._level(1 + levels, token)
         self._check_unsupported(token)
         raise self.error(f"unexpected token {token[1]!r} in expression", token)
 
 
-def _depth(root: GraphPattern) -> int:
-    """Depth of a pattern tree with its expressions and paths, without recursion."""
-    deepest, stack = 0, [(root, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        if isinstance(node, BGP):
-            children = [tp.predicate for tp in node.patterns]
-        elif isinstance(node, (Join, And, Equals, SequencePath)):
-            children = [node.left, node.right]
-        elif isinstance(node, Filter):
-            children = [node.expression, node.pattern]
-        elif isinstance(node, Graph):
-            children = [node.pattern]
-        elif isinstance(node, DateFunc):
-            children = [node.argument]
-        else:
-            continue
-        stack.extend((child, depth + 1) for child in children)
-    return deepest
+def _path_height(path) -> int:
+    """The levels of a predicate's tree: a sequence path is left-deep, each
+    right operand one IRI."""
+    levels = 1
+    while isinstance(path, SequencePath):
+        path, levels = path.left, levels + 1
+    return levels
 
 
 def parse_query(text: str) -> SelectQuery:

@@ -1,54 +1,109 @@
-"""SPARQL 1.1 results serialization: JSON and TSV."""
+"""SPARQL 1.1 results serialization: JSON and TSV.
+
+Both read a sequence's ``table``, its rows as term ids, and render each
+distinct id's fragment once, straight from its canonical text; a row is
+then one join of its cells. No ``Term``, per-row dict or payload tree is
+built, and the store's cache of decoded terms is left alone. The JSON is
+the text that ``json.dumps(payload, ensure_ascii=False)`` gives for the
+SPARQL 1.1 results payload, its strings escaped by the same
+``encode_basestring``.
+"""
 
 from __future__ import annotations
 
-import json
+from functools import partial
+from itertools import repeat
+from json.encoder import encode_basestring
+from operator import itemgetter
+from typing import Callable, Iterable
 
-from ..terms import BlankNode, Iri, Term, XSD_STRING
+from ..terms import XSD_STRING, literal_parts
 from .ast import SolutionSequence
 
+_STRING = XSD_STRING.value
 
-def _json_term(term: Term) -> dict:
-    if isinstance(term, Iri):
-        return {"type": "uri", "value": term.value}
-    if isinstance(term, BlankNode):
-        return {"type": "bnode", "value": term.label}
-    if term.datatype == XSD_STRING:
-        return {"type": "literal", "value": term.lexical}
-    return {"type": "literal", "value": term.lexical, "datatype": term.datatype.value}
+
+class _Memo(dict):
+    """A function's value for each key, computed when first asked for;
+    None, an unbound variable's id, gives the empty string."""
+
+    def __init__(self, function: Callable[[int], str]) -> None:
+        super().__init__({None: ""})
+        self.function = function
+
+    def __missing__(self, key: int) -> str:
+        value = self[key] = self.function(key)
+        return value
+
+
+def _cells(
+    seq: SolutionSequence, variables: Iterable[str], column: Callable[[str], _Memo]
+) -> Iterable[tuple[str, ...]]:
+    """Each row's cells, one per variable: ``column(name)`` gives a bound
+    variable's cells by id, and a variable that no row binds has empty cells."""
+    names, rows, _, _ = seq.table()
+    columns = [
+        map(column(name).__getitem__, map(itemgetter(names.index(name)), rows))
+        if name in names
+        else repeat("", len(rows))
+        for name in variables
+    ]
+    return zip(*columns) if columns else repeat((), len(rows))
+
+
+def _json_term(text: str) -> str:
+    if text[0] == "<":
+        return '{"type": "uri", "value": ' + encode_basestring(text[1:-1]) + "}"
+    if text[0] == "_":
+        return '{"type": "bnode", "value": ' + encode_basestring(text[2:]) + "}"
+    lexical, datatype = literal_parts(text)
+    value = '{"type": "literal", "value": ' + encode_basestring(lexical)
+    if datatype == _STRING:
+        return value + "}"
+    return value + ', "datatype": ' + encode_basestring(datatype) + "}"
 
 
 def to_results_json(seq: SolutionSequence) -> str:
-    payload = {
-        "head": {"vars": list(seq.variables)},
-        "results": {
-            "bindings": [
-                {name: _json_term(row[name]) for name in seq.variables if name in row}
-                for row in seq.rows
-            ]
-        },
-    }
-    return json.dumps(payload, ensure_ascii=False)
+    names, _, texts, ragged = seq.table()
+    fragment = _Memo(lambda i: _json_term(texts[i]))
+
+    def column(name: str) -> _Memo:
+        key = encode_basestring(name) + ": "
+        return _Memo(lambda i: key + fragment[i])
+
+    # Each name once, as a JSON object's keys are; unbound ones are left out.
+    keys = [name for name in dict.fromkeys(seq.variables) if name in names]
+    cells = _cells(seq, keys, column)
+    if ragged:
+        cells = map(partial(filter, None), cells)
+    variables = ", ".join(map(encode_basestring, seq.variables))
+    head = '{"head": {"vars": [' + variables + ']}, "results": {"bindings": ['
+    # One join builds the text, so no second copy of it is made.
+    objects = list(map(", ".join, cells))
+    if not objects:
+        return head + "]}}"
+    objects[0] = head + "{" + objects[0]
+    objects[-1] += "}]}}"
+    return "}, {".join(objects)
 
 
-_TSV_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r", '"': '\\"'}
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r", '"': '\\"'})
 
 
-def _tsv_term(term: Term) -> str:
-    if isinstance(term, Iri):
-        return f"<{term.value}>"
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    lexical = "".join(_TSV_ESCAPES.get(c, c) for c in term.lexical)
-    if term.datatype == XSD_STRING:
+def _tsv_term(text: str) -> str:
+    # An IRI's and a blank node's canonical texts are their TSV forms.
+    if text[0] != '"':
+        return text
+    lexical, datatype = literal_parts(text)
+    lexical = lexical.translate(_TSV_ESCAPES)
+    if datatype == _STRING:
         return f'"{lexical}"'
-    return f'"{lexical}"^^<{term.datatype.value}>'
+    return f'"{lexical}"^^<{datatype}>'
 
 
 def to_results_tsv(seq: SolutionSequence) -> str:
-    lines = ["\t".join(f"?{name}" for name in seq.variables)]
-    for row in seq.rows:
-        lines.append(
-            "\t".join(_tsv_term(row[name]) if name in row else "" for name in seq.variables)
-        )
-    return "\n".join(lines) + "\n"
+    texts = seq.table()[2]
+    fragment = _Memo(lambda i: _tsv_term(texts[i]))
+    lines = map("\t".join, _cells(seq, seq.variables, lambda name: fragment))
+    header = "\t".join(["?" + name for name in seq.variables])
+    return "\n".join([header, *lines, ""])

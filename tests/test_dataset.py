@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from energykg.dataset import ANY, Dataset, FrozenDatasetError, text_order
+from energykg.sparql import evaluate, parse_query
 from energykg.terms import BlankNode, Iri, Literal, Quad, decode_term, quad_key, term_key
 
+import naive
 import querygen
 
 G = Iri("http://jresearch.ucd.ie/climate-kg/graph/cossmic")
@@ -154,6 +156,68 @@ def test_absent_terms_and_graphs_match_nothing():
     assert Quad(S, P, Literal("absent"), G) not in ds
     assert Quad(S, P, O) not in ds
     assert "not a quad" not in ds
+
+
+def test_a_term_no_triple_holds_at_a_place_matches_nothing_there():
+    g2 = Iri("http://example.org/g2")
+    x = Iri("http://example.org/x")
+    ds = Dataset([Quad(S, P, O, G), Quad(P, P, S), Quad(x, x, x, g2)]).freeze()
+    # x has the newest id: a run table read at index -1 would give its run.
+    assert ds.id_of(x) == len(ds.texts()) - 1
+    absent = Iri("http://example.org/absent")
+    for term in (absent, Literal("absent"), S, P, O, x):
+        for position in range(3):
+            pattern = [ANY, ANY, ANY]
+            pattern[position] = term
+            for graph in (ANY, None, G, g2):
+                expected = [
+                    quad for quad in ds
+                    if (graph is ANY or quad.graph == graph)
+                    and (quad.subject, quad.predicate, quad.object)[position] == term
+                ]
+                assert ds.match(*pattern, graph) == sorted(expected, key=quad_key)
+            if isinstance(term, Literal) and position < 2:
+                continue
+            slots = ["?a", "?b", "?c"]
+            slots[position] = f"<{term.value}>" if isinstance(term, Iri) else '"absent"'
+            triple = " ".join(slots)
+            variables = " ".join(slot for slot in slots if slot[0] == "?")
+            for graph in (None, G, g2):
+                body = triple if graph is None else f"GRAPH <{graph.value}> {{ {triple} }}"
+                query = parse_query(f"SELECT {variables} WHERE {{ {body} }}")
+                rows = evaluate(ds, query).rows
+                assert rows == naive.naive_evaluate(ds, query)
+                if term in (absent, Literal("absent")):
+                    assert rows == []
+
+
+def _newer_ids_store(read_between):
+    """A store whose graph g1 was built before a second insert interned
+    the terms that g2 holds; read_between(ds) runs between the inserts."""
+    g1, g2 = Iri("http://example.org/g1"), Iri("http://example.org/g2")
+    a, r, n = Iri("http://example.org/a"), Iri("http://example.org/r"), Iri("http://example.org/n")
+    ds = Dataset([Quad(a, P, S, g1), Quad(S, P, O, g1)])
+    read_between(ds)
+    ds.add_all([Quad(a, r, n, g2), Quad(a, r, S, g2), Quad(n, r, a, g2)])
+    return ds
+
+
+def test_an_id_interned_after_a_graph_was_built_probes_that_graph():
+    # FROM merges both graphs into one: ?y is bound in g2 to n, whose id is
+    # newer than g1's run tables, and then probes g1 as well.
+    query = parse_query(
+        "SELECT ?y ?z FROM <http://example.org/g1> FROM <http://example.org/g2> WHERE {"
+        " <http://example.org/a> <http://example.org/r> ?y . ?y ?p ?z }"
+    )
+    # g1 is grouped when it is read between the inserts; it is widened
+    # when read after them, or at freeze().
+    def read(ds):
+        assert len(ds.match(graph=Iri("http://example.org/g1"))) == 2
+
+    for ds in (_newer_ids_store(read).freeze(), _newer_ids_store(read)):
+        rows = evaluate(ds, query).rows
+        assert rows == naive.naive_evaluate(ds, query)
+        assert {row["y"] for row in rows} == {S, Iri("http://example.org/n")}
 
 
 def test_graphs_lists_only_graphs_holding_quads():

@@ -1,5 +1,6 @@
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -240,6 +241,27 @@ def test_deadline_stops_evaluation(three_day_store, join_query_text):
     with pytest.raises(QueryTimeout):
         evaluate(ds, cross, deadline=start + 0.1)
     assert time.monotonic() - start < 1.0
+
+
+def test_deadline_is_checked_after_the_sort(monkeypatch):
+    # The clock passes the deadline once the sort starts, which reads the
+    # store's texts: the sorted rows are not handed on to be decoded or
+    # serialized past the deadline.
+    ds = Dataset([q(f"s{i}", "p", "o") for i in range(10)]).freeze()
+    query = parse_query("SELECT ?s WHERE { ?s ?p ?o }")
+    now = [0.0]
+    monkeypatch.setattr(evaluator, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    texts = ds.texts
+
+    def late_texts():
+        now[0] = 2.0
+        return texts()
+
+    monkeypatch.setattr(ds, "texts", late_texts)
+    for run in (evaluator.solve, evaluate):
+        now[0] = 0.0
+        with pytest.raises(QueryTimeout):
+            run(ds, query, 1.0)
 
 
 _BIG = 10_000

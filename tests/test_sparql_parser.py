@@ -11,8 +11,12 @@ import querygen
 from energykg.errors import EnergyKgError
 from energykg.namespaces import RDF_TYPE
 from energykg.sparql import QueryParseError, UnsupportedFeatureError, parse_query
+from energykg.sparql import parser
 from energykg.sparql.ast import (
+    And,
     BGP,
+    DateFunc,
+    Equals,
     Filter,
     Graph,
     Join,
@@ -156,6 +160,70 @@ def test_nesting_limit():
         parse_query(nested(MAX_DEPTH + 1))
     # The brace one level too deep.
     assert (info.value.line, info.value.column) == (1, 17 + 2 * MAX_DEPTH)
+
+
+def _depth(root) -> int:
+    """The levels of a pattern tree with its expressions and paths, each
+    leaf one level."""
+    deepest, stack = 0, [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, BGP):
+            children = [tp.predicate for tp in node.patterns]
+        elif isinstance(node, (Join, And, Equals, SequencePath)):
+            children = [node.left, node.right]
+        elif isinstance(node, Filter):
+            children = [node.expression, node.pattern]
+        elif isinstance(node, Graph):
+            children = [node.pattern]
+        elif isinstance(node, DateFunc):
+            children = [node.argument]
+        else:
+            continue
+        stack.extend((child, depth + 1) for child in children)
+    return deepest
+
+
+def _filter(ands, days):
+    test = "DAY(" * days + "?o" + ")" * days + " = 1"
+    return "FILTER(" + " && ".join([test] * ands) + ")"
+
+
+# Items of the innermost group: a triple with a path of n segments, a
+# one-triple group, or a FILTER of an && chain over nested DAY() calls.
+_ITEMS = st.one_of(
+    st.integers(1, 110).map(lambda n: "?s " + "/".join(["<http://e/p>"] * n) + " ?o ."),
+    st.just("{ ?s <http://e/q> ?o }"),
+    st.builds(_filter, st.integers(1, 110), st.integers(0, 30)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.booleans(), max_size=40),
+    st.lists(st.one_of(_ITEMS, st.just("{ ?s <http://e/q> ?o }")), max_size=120),
+)
+def test_nesting_limit_is_the_pattern_trees_depth(wrappers, items):
+    """A query is refused for nesting exactly when its pattern tree, with
+    expressions and paths, is deeper than MAX_DEPTH levels, however the
+    depth is reached; the error names a place inside the query."""
+    body = "{ ?s ?p ?o . " + " ".join(items) + " }"
+    for graph in wrappers:
+        body = "{ " + ("GRAPH <http://e/g> " if graph else "") + body + " }"
+    text = "SELECT ?s WHERE " + body
+    limit = parser.MAX_DEPTH
+    parser.MAX_DEPTH = 10**6
+    try:
+        depth = _depth(parse_query(text).pattern)
+    finally:
+        parser.MAX_DEPTH = limit
+    if depth <= MAX_DEPTH:
+        parse_query(text)
+        return
+    with pytest.raises(QueryParseError, match="nested deeper") as info:
+        parse_query(text)
+    assert info.value.line == 1 and 1 <= info.value.column <= len(text)
 
 
 _ERRORS = Path(__file__).parent / "data" / "sparql_errors.txt"
