@@ -4,11 +4,11 @@ The alignment runs the day-matching join query against the store, so the
 analysis exercises exactly the data an external endpoint client would
 see. It is one join query per run: the query binds ``?device`` and the
 rows are grouped per device, so the report and the scatter exports are
-built from the same aligned series. The query's rows are read as tuples
-of term ids (``sparql.evaluator.solve``): the days and numbers they hold
-repeat once per device, and each distinct id is decoded once, from its
-canonical text. Correlations are plain Pearson coefficients over the
-inner-joined daily pairs.
+built from the same aligned series. The query's answer is read as it
+comes from ``evaluate``, its rows tuples of term ids: the days and
+numbers they hold repeat once per device, and each distinct id is
+decoded once, from its canonical text. Correlations are plain Pearson
+coefficients over the inner-joined daily pairs.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .errors import EnergyKgError
 from .headings import DeviceHeading, parse_heading
 from .namespaces import DEFAULT_BASE, ca_property, cossmic_graph
 from .record import Frozen, Record, set_field
-from .sparql import parse_query
-from .sparql.evaluator import solve
+from .sparql import evaluate, parse_query
 from .terms import Iri, Literal, decode_term, parse_datetime, parse_numeric
 
 
@@ -186,7 +185,7 @@ def climate_series(
         _CLIMATE_ONLY_QUERY.format(base=base.value, station=station.value, code=climate_code)
     )
     day_of, number_of = _decoders(ds)
-    return {day_of(day): number_of(value) for day, value in solve(ds, query)[1]}
+    return {day_of(day): number_of(value) for day, value in evaluate(ds, query).ids}
 
 
 def align(
@@ -219,7 +218,7 @@ def align(
     joined: dict[Iri, dict[date, tuple[Decimal, Decimal]]] = {device: {} for device in devices}
     # A device the store lacks gets the key None, which no row holds.
     by_id = {ds.id_of(device): days for device, days in joined.items()}
-    for device, edate, value, climate in solve(ds, query)[1]:
+    for device, edate, value, climate in evaluate(ds, query).ids:
         days = by_id.get(device)
         if days is None:
             continue
@@ -244,7 +243,7 @@ def align(
 def _decoders(ds: Dataset) -> tuple[Callable[[int], date], Callable[[int], Decimal]]:
     """A literal id's day and its number, each decoded once per id from the
     id's canonical text. The join's dates and climate values repeat once
-    per device, and no term of theirs is kept in the store's memo."""
+    per device."""
     texts = ds.texts()
 
     def literal(term_id: int) -> Literal:

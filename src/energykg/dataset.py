@@ -4,9 +4,10 @@ Each distinct term is interned once to an int id, in insertion order,
 keyed by its canonical text (``terms.term_key``: ``<iri>``,
 ``"lexical"^^<datatype>`` or ``_:label``), so the dictionary read in key
 order is also the id-to-text list. A ``Term`` object is decoded from its
-text only when something reads it, and then kept. The texts are distinct
-and never empty, so the canonical order of ids is the order of their
-texts.
+text each time something reads it, and never kept by the store; a reader
+that meets an id many times memoises its own decodes. The texts are
+distinct and never empty, so the canonical order of ids is the order of
+their texts.
 
 Each graph is kept in one frozen, columnar form (``_Graph``), as RDF-3X
 (Neumann and Weikum, VLDB 2008) and HDT (Fernandez et al., J. Web
@@ -43,9 +44,8 @@ number their generators' distinct texts by first appearance with
 them.
 
 A Dataset is built single-threaded, then frozen; a frozen dataset is a
-snapshot that any number of readers may share. Its only writes are to
-the cache of decoded terms, where two readers racing on one id store
-equal terms. Quads have set semantics: inserting a duplicate is a no-op.
+snapshot that any number of readers may share, and no read writes to
+it. Quads have set semantics: inserting a duplicate is a no-op.
 """
 
 from __future__ import annotations
@@ -244,7 +244,6 @@ def _graph_key(graph: GraphName) -> str:
 class Dataset:
     def __init__(self, quads: Iterable[Quad] = ()) -> None:
         self._ids = TermIds()
-        self._decoded: dict[int, Term] = {}
         # Every graph inserted into, in order of its first insert.
         self._graphs: dict[GraphName, _Graph] = {}
         # The graphs inserted into since their _Graph was built: all their
@@ -289,8 +288,6 @@ class Dataset:
             while len(ids) > mark:
                 ids.popitem()
             del ids.texts[mark:]
-            # The cache of decoded terms may have been filled inside the block.
-            self._decoded = {i: t for i, t in self._decoded.items() if i < mark}
             raise
 
     def add_ids(self, triples: Iterable[IdTriple], graph: GraphName = None) -> None:
@@ -394,11 +391,8 @@ class Dataset:
         return self._ids.get(term_key(term))
 
     def term(self, term_id: int) -> Term:
-        """The term with the id, decoded from its text when first read."""
-        term = self._decoded.get(term_id)
-        if term is None:
-            term = self._decoded[term_id] = decode_term(self._ids.texts[term_id])
-        return term
+        """The term with the id, decoded from its text on each call."""
+        return decode_term(self._ids.texts[term_id])
 
     def terms(self) -> list[Term]:
         """Every interned term, indexed by its id. This decodes them all;

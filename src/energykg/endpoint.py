@@ -21,6 +21,7 @@ error (the connection closes); 503 evaluation passed its deadline.
 
 from __future__ import annotations
 
+import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -92,14 +93,21 @@ class EndpointServer:
 
 
 def serve(config: EndpointConfig, ds: Dataset) -> None:
-    """Blocking convenience wrapper used by the CLI."""
+    """Blocking convenience wrapper used by the CLI. Once bound, it stops
+    cleanly on SIGINT or SIGTERM, also when it was started with SIGINT
+    ignored, as a shell starts a background job; the previous handlers
+    are restored when it returns."""
     server = EndpointServer(config, ds)
+    stops = (signal.SIGINT, signal.SIGTERM)
+    previous = [signal.signal(signum, signal.default_int_handler) for signum in stops]
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.stop()
+        for signum, handler in zip(stops, previous):
+            signal.signal(signum, handler)
 
 
 def _make_handler(ds: Dataset, config: EndpointConfig):

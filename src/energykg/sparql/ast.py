@@ -3,6 +3,10 @@
 Groups parse to a left-deep Join of their elements with FILTERs wrapped
 around the whole group. Sequence property paths stay in the tree; the
 evaluator lowers them to triple patterns with fresh variables.
+
+A query's answer has one form, ``SolutionSequence``: rows of the store's
+term ids with the store's texts, which ``evaluate`` returns and every
+reader, the serializers and ``analysis`` included, takes as it is.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from functools import cache
 from typing import Optional, Union
 
 from ..record import Frozen, Record, set_field
-from ..terms import Iri, Literal, PrefixMap, Term, decode_term, term_key
+from ..terms import Iri, Literal, PrefixMap, Term, decode_term
 
 # The alias some engines use for the store's default graph.
 DEFAULT_GRAPH_ALIAS = "urn:x-arq:DefaultGraph"
@@ -183,70 +187,40 @@ class SelectQuery(Frozen):
         set_field(self, "limit", limit)
 
 
-# A sequence's rows as ids (``SolutionSequence.table``).
-Table = tuple[tuple[str, ...], list[tuple[Optional[int], ...]], list[str], bool]
-
-
 class SolutionSequence(Record):
-    """Projected result rows in deterministic order: each row maps the
-    variables it binds to their terms.
-
-    A sequence that an evaluation returns (``from_ids``) holds its rows as
-    the store's term ids: the variables they bind, one tuple of ids per
-    row, and the store's canonical texts by id. It decodes ``rows`` into
-    terms only when they are first read. The serializers read ``table``
-    instead, which a sequence built from rows of terms gives by numbering
-    the terms' canonical texts."""
+    """Projected result rows in deterministic order, as the store's term
+    ids: ``variables`` is the head; ``names`` are the projected variables
+    that the rows bind, which a variable bound in no row is left out of;
+    ``ids`` holds one tuple of those variables' ids per row; and
+    ``texts`` are the store's canonical texts, by id. ``rows`` decodes
+    each row into a ``{name: term}`` dict, each distinct id once, only
+    when first read; the serializers read the ids and texts instead."""
 
     _fields = ("variables", "rows")
 
-    def __init__(self, variables: tuple[str, ...], rows: list[dict[str, Term]]) -> None:
-        self.variables = variables
-        self._rows = rows
-        self._table: Optional[Table] = None
-
-    @classmethod
-    def from_ids(
-        cls,
+    def __init__(
+        self,
         variables: tuple[str, ...],
         names: tuple[str, ...],
-        rows: list[tuple[int, ...]],
+        ids: list[tuple[int, ...]],
         texts: list[str],
-    ) -> "SolutionSequence":
-        """The sequence of rows that bind names to the ids in each tuple,
-        whose canonical texts are ``texts[id]``."""
-        seq = cls(variables, None)
-        seq._table = (names, rows, texts, False)
-        return seq
+    ) -> None:
+        self.variables = variables
+        self.names = names
+        self.ids = ids
+        self.texts = texts
+        self._rows: Optional[list[dict[str, Term]]] = None
 
     @property
     def rows(self) -> list[dict[str, Term]]:
         if self._rows is None:
-            names, rows, texts, _ = self._table
+            texts = self.texts
             term = cache(lambda i: decode_term(texts[i]))
-            self._rows = [dict(zip(names, map(term, row))) for row in rows]
+            self._rows = [dict(zip(self.names, map(term, row))) for row in self.ids]
         return self._rows
 
-    def table(self) -> Table:
-        """The variables that the rows bind; each row as a tuple of their
-        ids, None where the row leaves a variable unbound; the canonical
-        text of each id; and whether any row holds None."""
-        if self._table is None:
-            names = tuple(dict.fromkeys(self.variables))
-            numbers: dict[str, int] = {}
-            rows = [
-                tuple(
-                    numbers.setdefault(term_key(row[name]), len(numbers)) if name in row else None
-                    for name in names
-                )
-                for row in self._rows
-            ]
-            ragged = any(None in row for row in rows)
-            self._table = (names, rows, list(numbers), ragged)
-        return self._table
-
     def __len__(self) -> int:
-        return len(self._table[1] if self._rows is None else self._rows)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.rows)

@@ -6,15 +6,15 @@ keeps rows whose expression evaluates to true, dropping rows whose
 expression errors. Results are projected, sorted by the canonical
 encoding of their bindings, and cut by LIMIT, in that order.
 
-Rows bind variables to the store's term ids. ``solve`` returns the
-projected rows as tuples of ids, sorted by the canonical text of each id;
-inside it a term is decoded only to evaluate FILTER and join-key
-expressions, once per id and evaluation. ``evaluate`` wraps the id rows
-and the store's texts in a ``SolutionSequence``, which decodes its rows
+Rows bind variables to the store's term ids. ``evaluate`` is the one
+entry point: it returns a ``SolutionSequence`` of the projected rows as
+tuples of ids, sorted by the canonical text of each id, with the store's
+texts; inside it a term is decoded only to evaluate FILTER and join-key
+expressions, once per id and evaluation. The sequence decodes its rows
 into terms only if a caller reads them; the serializers (``results.py``)
-render each distinct id once from its text, and ``analysis.align`` takes
-the id rows from ``solve`` and decodes each id once. A query constant
-that no quad holds matches nothing.
+render each distinct id once from its text, and ``analysis`` reads the
+id rows and decodes each id once. A query constant that no quad holds
+matches nothing.
 
 Each BGP, after its property paths are lowered, is ordered greedily: the
 next pattern is the one with the smallest index bucket among its
@@ -118,19 +118,9 @@ class _Run:
 
 
 def evaluate(ds: Dataset, query: SelectQuery, deadline: Optional[float] = None) -> SolutionSequence:
-    """Evaluate query over ds (``solve``). The sequence holds the id rows
-    and the store's texts; its rows are decoded into terms only if read."""
-    names, rows = solve(ds, query, deadline)
-    return SolutionSequence.from_ids(
-        tuple(v.name for v in query.projection), names, rows, ds.texts()
-    )
-
-
-def solve(
-    ds: Dataset, query: SelectQuery, deadline: Optional[float] = None
-) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
-    """The projected variables that the rows bind, and the rows: each a
-    tuple of those variables' ids, in canonical order and cut by LIMIT.
+    """The query's answer over ds: its rows as tuples of the ids of the
+    projected variables that they bind, in canonical order and cut by
+    LIMIT, with the store's texts.
 
     Raises QueryTimeout once time.monotonic() passes deadline. The
     deadline is checked every 256 rows that a BGP step, hash join or
@@ -159,7 +149,7 @@ def solve(
     run.check()
     if query.limit is not None:
         projected = projected[: query.limit]
-    return names, projected
+    return SolutionSequence(tuple(v.name for v in query.projection), names, projected, texts)
 
 
 def _resolve_dataset(

@@ -1,17 +1,15 @@
 """SPARQL 1.1 results serialization: JSON and TSV.
 
-Both read a sequence's ``table``, its rows as term ids, and render each
-distinct id's fragment once, straight from its canonical text; a row is
-then one join of its cells. No ``Term``, per-row dict or payload tree is
-built, and the store's cache of decoded terms is left alone. The JSON is
-the text that ``json.dumps(payload, ensure_ascii=False)`` gives for the
-SPARQL 1.1 results payload, its strings escaped by the same
-``encode_basestring``.
+Both read a sequence's rows of term ids and the store's texts, and
+render each distinct id's fragment once, straight from its canonical
+text; a row is then one join of its cells. No ``Term``, per-row dict or
+payload tree is built. The JSON is the text that ``json.dumps(payload,
+ensure_ascii=False)`` gives for the SPARQL 1.1 results payload, its
+strings escaped by the same ``encode_basestring``.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -24,11 +22,9 @@ _STRING = XSD_STRING.value
 
 
 class _Memo(dict):
-    """A function's value for each key, computed when first asked for;
-    None, an unbound variable's id, gives the empty string."""
+    """A function's value for each key, computed when first asked for."""
 
     def __init__(self, function: Callable[[int], str]) -> None:
-        super().__init__({None: ""})
         self.function = function
 
     def __missing__(self, key: int) -> str:
@@ -41,7 +37,7 @@ def _cells(
 ) -> Iterable[tuple[str, ...]]:
     """Each row's cells, one per variable: ``column(name)`` gives a bound
     variable's cells by id, and a variable that no row binds has empty cells."""
-    names, rows, _, _ = seq.table()
+    names, rows = seq.names, seq.ids
     columns = [
         map(column(name).__getitem__, map(itemgetter(names.index(name)), rows))
         if name in names
@@ -64,7 +60,7 @@ def _json_term(text: str) -> str:
 
 
 def to_results_json(seq: SolutionSequence) -> str:
-    names, _, texts, ragged = seq.table()
+    texts = seq.texts
     fragment = _Memo(lambda i: _json_term(texts[i]))
 
     def column(name: str) -> _Memo:
@@ -72,10 +68,8 @@ def to_results_json(seq: SolutionSequence) -> str:
         return _Memo(lambda i: key + fragment[i])
 
     # Each name once, as a JSON object's keys are; unbound ones are left out.
-    keys = [name for name in dict.fromkeys(seq.variables) if name in names]
+    keys = [name for name in dict.fromkeys(seq.variables) if name in seq.names]
     cells = _cells(seq, keys, column)
-    if ragged:
-        cells = map(partial(filter, None), cells)
     variables = ", ".join(map(encode_basestring, seq.variables))
     head = '{"head": {"vars": [' + variables + ']}, "results": {"bindings": ['
     # One join builds the text, so no second copy of it is made.
@@ -102,7 +96,7 @@ def _tsv_term(text: str) -> str:
 
 
 def to_results_tsv(seq: SolutionSequence) -> str:
-    texts = seq.table()[2]
+    texts = seq.texts
     fragment = _Memo(lambda i: _tsv_term(texts[i]))
     lines = map("\t".join, _cells(seq, seq.variables, lambda name: fragment))
     header = "\t".join(["?" + name for name in seq.variables])

@@ -3,8 +3,8 @@
 
 These are the serializers that built a payload of dicts from each row's
 decoded terms and handed it to ``json.dumps``, kept verbatim. They read a
-sequence's ``rows``; the production serializers render from its id table
-and must give the same bytes for every sequence.
+sequence's ``rows``; the production serializers render from its id rows
+and texts, and must give the same bytes for every sequence.
 """
 
 from __future__ import annotations

@@ -163,13 +163,13 @@ def test_align_one_query_serves_every_device_in_order(three_day_store, monkeypat
     import energykg.analysis as analysis
 
     queries = []
-    solve = analysis.solve
+    evaluate = analysis.evaluate
 
-    def counting_solve(ds, query):
+    def counting_evaluate(ds, query):
         queries.append(query)
-        return solve(ds, query)
+        return evaluate(ds, query)
 
-    monkeypatch.setattr(analysis, "solve", counting_solve)
+    monkeypatch.setattr(analysis, "evaluate", counting_evaluate)
     grid_name = "DE_KN_industrial1_grid_import"
     grid = device_resource(DEFAULT_BASE, grid_name)
     aligned = align(three_day_store, [grid, PV_IRI], "TMAX", STATION, auxiliary=("PRCP",))

@@ -1,8 +1,11 @@
 import gc
 import json
 import os
+import signal
+import socket
 import subprocess
 import sys
+import time
 import urllib.parse
 import urllib.request
 from pathlib import Path
@@ -707,8 +710,6 @@ def test_setting_that_mints_no_iri_is_a_config_error(option, value):
 
 
 def test_bind_conflict_exits_1(store_files, tmp_path):
-    import socket
-
     sock = socket.socket()
     sock.bind(("127.0.0.1", 0))
     port = sock.getsockname()[1]
@@ -725,6 +726,43 @@ def test_served_store_answers_health(store_files, config):
         host, port = server.address
         with urllib.request.urlopen(f"http://{host}:{port}/health") as response:
             assert response.read() == b"ok"
+
+
+def _ignore_sigint() -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@pytest.mark.parametrize(
+    "stop, before",
+    # A service manager stops with SIGTERM; a shell starts a background job
+    # with SIGINT ignored.
+    [(signal.SIGTERM, None), (signal.SIGINT, _ignore_sigint)],
+    ids=["sigterm", "sigint-started-ignored"],
+)
+def test_serve_process_stops_cleanly_on_a_signal(store_files, stop, before):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    command = [sys.executable, "-m", "energykg", "serve", *store_files, "--bind", f"127.0.0.1:{port}"]
+    with subprocess.Popen(
+        command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=before
+    ) as child:
+        try:
+            waited = time.monotonic() + 30
+            while True:
+                try:
+                    with urllib.request.urlopen(f"http://127.0.0.1:{port}/health", timeout=1) as response:
+                        assert response.read() == b"ok"
+                    break
+                except OSError:
+                    assert child.poll() is None, child.stderr.read()
+                    assert time.monotonic() < waited, "serve never answered /health"
+                    time.sleep(0.05)
+            child.send_signal(stop)
+            assert child.wait(timeout=10) == 0, child.stderr.read()
+        finally:
+            child.kill()
 
 
 # Prints the modules a CLI run leaves loaded, one per line, to the file

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -5,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from energykg.dataset import ANY, Dataset, FrozenDatasetError, text_order
-from energykg.sparql import evaluate, parse_query
+from energykg.sparql import evaluate, parse_query, to_results_json, to_results_tsv
 from energykg.terms import BlankNode, Iri, Literal, Quad, decode_term, quad_key, term_key
 
+import conftest
 import naive
 import querygen
 
@@ -247,6 +249,21 @@ def test_id_level_insert_is_blocked_after_freeze():
     with pytest.raises(FrozenDatasetError):
         with ds.interning():
             pass
+
+
+def test_reading_a_frozen_store_leaves_it_unchanged():
+    ds = conftest.build_three_day_store()
+    before = pickle.dumps(ds)
+    query = parse_query(
+        f"SELECT ?e ?t WHERE {{ GRAPH <{G.value}> {{ ?e <http://www.w3.org/ns/prov#generatedAtTime> ?t }}"
+        " FILTER (year(?t) = 2016) }"
+    )
+    seq = evaluate(ds, query)
+    assert len(seq.rows) == 3
+    assert to_results_json(seq) and to_results_tsv(seq)
+    assert ds.match(graph=G)
+    assert [ds.term(i) for i in range(len(ds.texts()))] == ds.terms()
+    assert pickle.dumps(ds) == before
 
 
 # -- canonical term text ---------------------------------------------------------

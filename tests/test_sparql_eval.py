@@ -258,10 +258,8 @@ def test_deadline_is_checked_after_the_sort(monkeypatch):
         return texts()
 
     monkeypatch.setattr(ds, "texts", late_texts)
-    for run in (evaluator.solve, evaluate):
-        now[0] = 0.0
-        with pytest.raises(QueryTimeout):
-            run(ds, query, 1.0)
+    with pytest.raises(QueryTimeout):
+        evaluate(ds, query, 1.0)
 
 
 _BIG = 10_000

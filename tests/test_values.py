@@ -116,7 +116,7 @@ CASES = {
                     f"SelectQuery(projection=(Variable(name='x'),), pattern=BGP(patterns=()), base={A!r}, "
                     "prefixes=PrefixMap(base=None, _namespaces={}), dataset_clauses=(), limit=3)",
                     None, True, False),
-    "SolutionSequence": (lambda: SolutionSequence(("x",), [{"x": A}]),
+    "SolutionSequence": (lambda: SolutionSequence(("x",), ("x",), [(0,)], [f"<{A.value}>"]),
                          f"SolutionSequence(variables=('x',), rows=[{{'x': {A!r}}}])",
                          None, False, False),
 }
