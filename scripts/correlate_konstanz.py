@@ -7,7 +7,9 @@ Inputs (downloaded separately, not bundled):
   --ghcnd-csv      long-format observations: station,date,datatype,value
                    for the Konstanz station (GHCND:GME00102404)
 
-Only the requested device columns are uplifted to keep memory bounded.
+Only the requested device columns are read, and their readings are
+folded into days as they are read, so beyond the reduced CSV's text the
+memory follows the daily values, not the readings.
 Prints the per-device coefficient against TMAX at daily resolution.
 
 Example:
@@ -28,7 +30,7 @@ from energykg.climate import link_network_to_station, observation_quads, parse_n
 from energykg.dataset import Dataset
 from energykg.headings import parse_heading
 from energykg.namespaces import DEFAULT_BASE, device_resource, station_resource
-from energykg.uplift import evaluation_quads, read_energy_csv, to_daily, topology_quads
+from energykg.uplift import evaluation_quads, read_energy_csv, topology_quads
 
 DEFAULT_DEVICES = [
     "DE_KN_industrial1_pv_1",
@@ -59,7 +61,7 @@ def main() -> None:
     parser.add_argument("--datatype", default="TMAX")
     args = parser.parse_args()
 
-    table = to_daily(read_energy_csv(reduced_energy_csv(args.household_csv, args.devices)))
+    table = read_energy_csv(reduced_energy_csv(args.household_csv, args.devices), daily=True)
     ds = Dataset()
     ds.add_all(topology_quads([parse_heading(d) for d in args.devices]))
     ds.add_all(evaluation_quads(table))

@@ -261,14 +261,12 @@ def cmd_uplift(energy_csv: str, config: PipelineConfig) -> str:
     """Energy CSV to one Turtle file holding the cossmic graph."""
     from .headings import parse_heading
     from .uplift import (
-        CounterMode, evaluation_triples, network_triple, read_energy_csv, station_link, to_daily,
+        CounterMode, evaluation_triples, network_triple, read_energy_csv, station_link,
         topology_triples,
     )
 
     mode = CounterMode(config.counter_mode)
-    table = read_energy_csv(_read(energy_csv), mode)
-    if config.resolution == "daily":
-        table = to_daily(table)
+    table = read_energy_csv(_read(energy_csv), mode, daily=config.resolution == "daily")
     headings = [parse_heading(name) for name in table.columns]
     base = config.base_iri
     if headings:

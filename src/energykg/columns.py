@@ -56,7 +56,7 @@ def text_lines(text: str) -> Iterator[str]:
 
 
 # Rows read and turned into columns at a time: only one block's texts
-# are held, and freed as a whole, while the values grow.
+# are held, and freed as a whole.
 _BLOCK_ROWS = 256
 
 

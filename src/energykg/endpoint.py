@@ -22,6 +22,7 @@ error (the connection closes); 503 evaluation passed its deadline.
 from __future__ import annotations
 
 import signal
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -96,11 +97,16 @@ def serve(config: EndpointConfig, ds: Dataset) -> None:
     """Blocking convenience wrapper used by the CLI. Once bound, it stops
     cleanly on SIGINT or SIGTERM, also when it was started with SIGINT
     ignored, as a shell starts a background job; the previous handlers
-    are restored when it returns."""
+    are restored when it returns. Once bound, and with those handlers
+    set, it writes one line to stderr, ``listening on
+    http://HOST:PORT``, which names the port the system chose for port
+    0."""
     server = EndpointServer(config, ds)
     stops = (signal.SIGINT, signal.SIGTERM)
     previous = [signal.signal(signum, signal.default_int_handler) for signum in stops]
     try:
+        host, port = server.address
+        print(f"listening on http://{host}:{port}", file=sys.stderr, flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -12,12 +12,16 @@ and hands to the Turtle writer without building a store;
 same triples as a set of quads. An ``EnergyTable`` is the one form of
 the readings from the CSV to the minted evaluations.
 
-The table is read, resampled and minted a column at a time: each
-column's numbers are parsed in one ``map`` (``columns.number_column``),
-a cumulative counter is checked, and each day's last reading taken, by
-C-level ``map``, ``zip`` and ``dict`` calls, and the daily arithmetic
-runs once per (column, day). No Python-level call runs per cell, and
-none per triple.
+The CSV is read a block of rows at a time, and each block a column at a
+time: each column's numbers are parsed in one ``map``
+(``columns.number_column``). A daily read folds each block into each
+column's per-day state as it is read (``_DailyFold``) and drops it, so
+its memory follows the days it gives, not the readings it reads: a
+cumulative counter is checked, and each day's last reading kept, by
+C-level ``map``, ``zip`` and ``dict`` calls, and the day-over-day
+arithmetic runs once per (column, day); ``to_daily`` folds a table read
+whole as one block. The table is minted a column at a time. No
+Python-level call runs per cell, and none per triple.
 
 Every IRI is checked (``terms.check_iri``) once per distinct value it is
 minted from: a device's IRI once per heading, and an evaluation's IRI,
@@ -34,7 +38,7 @@ from enum import Enum
 from functools import cache, reduce
 from itertools import chain, compress, groupby, islice, repeat
 from operator import add, is_not, itemgetter, le, lt, sub
-from typing import Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .columns import (
     Failure, NotANumber, csv_blocks, csv_header, number_column, parse_column, raise_first,
@@ -109,17 +113,24 @@ class EnergyTable(Record):
 _PASSTHROUGH_COLUMNS = {"cet_cest_timestamp", "interpolated"}
 
 
-def read_energy_csv(text: str, counter_mode: CounterMode = CounterMode.CUMULATIVE) -> EnergyTable:
-    """Parse an energy CSV: utc_timestamp first, one column per heading.
+def read_energy_csv(
+    text: str, counter_mode: CounterMode = CounterMode.CUMULATIVE, daily: bool = False
+) -> EnergyTable:
+    """Parse an energy CSV: utc_timestamp first, one column per heading;
+    with daily, resample it to days as ``to_daily`` does, as it is read.
 
     Blank rows are skipped, and a heading may not repeat. The rows are
     turned into columns a block of rows at a time (``columns.csv_blocks``),
     and each column of a block is parsed and checked whole: the
-    timestamps, then each heading's numbers (``columns.number_column``);
-    the timestamps' order is checked once all are read. An error names
-    the first row that has one, and within it the first check of: the
-    row's length, its timestamp, the timestamps' order, its cells from
-    left to right.
+    timestamps, then each heading's numbers (``columns.number_column``),
+    then the timestamps' order. An error names the first row that has
+    one, and within it the first check of: the row's length, its
+    timestamp, the timestamps' order, its cells from left to right.
+
+    With daily, each block is folded into each column's per-day state
+    (``_DailyFold``) and dropped, so the readings are never held
+    together; a failure to read any row of the file still comes before
+    any failure to resample.
     """
     reader = csv.reader(text_lines(text))
     header = csv_header(reader, UpliftError)
@@ -139,30 +150,65 @@ def read_energy_csv(text: str, counter_mode: CounterMode = CounterMode.CUMULATIV
         repeated = next(h for k, h in enumerate(headings) if h in headings[:k])
         raise UpliftError(f"energy CSV header repeats heading {repeated!r}")
 
-    failures: list[Failure] = []
-    numbers: list[int] = []
+    if daily:
+        fold = _DailyFold(headings, counter_mode)
+        _read_rows(reader, header, keep, fold.add)
+        return fold.table()
     timestamps: list[datetime] = []
-    columns: dict[str, list[Optional[Decimal]]] = {header[i]: [] for i in keep}
-    for cells, block_numbers in csv_blocks(reader, len(header), failures):
-        start = len(numbers)
-        numbers += block_numbers
+    columns: dict[str, list[Optional[Decimal]]] = {heading: [] for heading in headings}
+
+    def extend(stamps: list[datetime], values: list[list[Optional[Decimal]]]) -> None:
+        timestamps.extend(stamps)
+        for column, block in zip(columns.values(), values):
+            column += block
+
+    _read_rows(reader, header, keep, extend)
+    return EnergyTable(timestamps, columns, counter_mode)
+
+
+def _read_rows(
+    reader: Iterator[list[str]],
+    header: list[str],
+    keep: list[int],
+    take: Callable[[list[datetime], list[list[Optional[Decimal]]]], None],
+) -> None:
+    """Read the rows left in reader a block of rows at a time, and pass
+    take each block's timestamps and the numbers of each column at keep.
+    A block in which a row fails a check is not passed on: its earliest
+    failure is raised, since no later row can fail earlier. A block's
+    cells and values are dropped before the next block is read."""
+    failures: list[Failure] = []
+    # The rows' index, among the rows read, at the block's start; and the
+    # last timestamp before it, if any.
+    start = 0
+    last: list[datetime] = []
+    for cells, numbers in csv_blocks(reader, len(header), failures):
         stamps, failed = parse_column(_parse_timestamp, cells[0], EnergyKgError)
-        timestamps += stamps
         if failed is not None:
-            failures.append((len(timestamps), 1, str(failed)))
+            failures.append((start + len(stamps), 1, str(failed)))
+        values = []
         for place, i in enumerate(keep, start=3):
             try:
-                columns[header[i]] += number_column(cells[i])
+                values.append(number_column(cells[i]))
             except NotANumber as exc:
                 failures.append((start + exc.index, place, f"column {header[i]!r} has {exc}"))
-        if failures:
-            # No later row can fail earlier.
-            break
-    if not all(map(lt, timestamps, islice(timestamps, 1, None))):
-        later = next(k for k in range(1, len(timestamps)) if timestamps[k] <= timestamps[k - 1])
-        failures.append((later, 2, "timestamps not strictly increasing"))
-    raise_first(failures, lambda index: f"row {numbers[index]}", UpliftError)
-    return EnergyTable(timestamps, columns, counter_mode)
+        ordered = last + stamps
+        later = _first_break(lt, ordered)
+        if later is not None:
+            failures.append((start - len(last) + later, 2, "timestamps not strictly increasing"))
+        raise_first(failures, lambda index: f"row {numbers[index - start]}", UpliftError)
+        take(stamps, values)
+        start += len(stamps)
+        last = ordered[-1:]
+        del cells, values
+
+
+def _first_break(holds: Callable[[Any, Any], bool], ordered: list) -> Optional[int]:
+    """The first index k > 0 at which ``holds(ordered[k - 1], ordered[k])``
+    is false, found by one C-level ``map``; or None."""
+    if all(map(holds, ordered, islice(ordered, 1, None))):
+        return None
+    return next(k for k in range(1, len(ordered)) if not holds(ordered[k - 1], ordered[k]))
 
 
 def to_daily(table: EnergyTable) -> EnergyTable:
@@ -170,66 +216,114 @@ def to_daily(table: EnergyTable) -> EnergyTable:
 
     Cumulative counters are differenced day over day (a day without a
     previous-day reading is skipped); interval readings are summed within
-    the day. A decreasing cumulative counter is an error.
-
-    Each column is resampled whole: one check that a counter never
-    decreases, each day's last reading by a dict built from the days and
-    readings, and the day-over-day differences, or each day's sum, in one
-    decimal operation per (column, day). The arithmetic keeps every digit
-    that a written value may have (``MAX_DECIMAL_CHARS``) and raises where
-    it would drop one, so no daily value is rounded; a day's readings are
-    summed in order, as adding them one by one would.
+    the day. A decreasing cumulative counter is an error. The table is
+    folded (``_DailyFold``) as one block.
     """
-    context = Context(
-        prec=MAX_DECIMAL_CHARS, traps=[InvalidOperation, DivisionByZero, Overflow, Inexact]
-    )
-    # Each timestamp's UTC day, shared by every column.
-    day_of = list(map(datetime.date, table.timestamps))
-    daily: dict[str, dict[date, Decimal]] = {}
-    all_days: set[date] = set()
-    for heading, values in table.columns.items():
-        present = list(map(is_not, values, repeat(None)))
-        days = list(compress(day_of, present))
-        readings = list(compress(values, present))
-        try:
-            if table.counter_mode is CounterMode.CUMULATIVE:
-                if not all(map(le, readings, islice(readings, 1, None))):
-                    k = next(k for k in range(1, len(readings)) if readings[k] < readings[k - 1])
-                    raise UpliftError(
-                        f"cumulative counter for {heading!r} decreased on "
-                        f"{days[k].isoformat()} (counter reset?)"
-                    )
-                last_by_day = dict(zip(days, readings))
-                before = list(map(sub, last_by_day, repeat(_ONE_DAY)))
-                follows = list(map(last_by_day.__contains__, before))
-                per_day = dict(
-                    zip(
-                        compress(last_by_day, follows),
-                        map(
-                            context.subtract,
-                            compress(last_by_day.values(), follows),
-                            map(last_by_day.__getitem__, compress(before, follows)),
-                        ),
-                    )
-                )
-            else:
-                per_day = {}
-                for day, run in groupby(zip(days, readings), _FIRST):
-                    per_day[day] = reduce(context.add, map(_SECOND, run), per_day.get(day, _ZERO))
-        except Overflow:
-            raise UpliftError(f"a daily value for {heading!r} is out of range")
-        except Inexact:
-            raise UpliftError(
-                f"a daily value for {heading!r} has more than "
-                f"{MAX_DECIMAL_CHARS} significant digits"
-            )
-        daily[heading] = per_day
-        all_days.update(per_day)
+    fold = _DailyFold(list(table.columns), table.counter_mode)
+    fold.add(table.timestamps, list(table.columns.values()))
+    return fold.table()
 
-    days = sorted(all_days)
-    columns = {heading: list(map(per_day.get, days)) for heading, per_day in daily.items()}
-    midnights = list(map(datetime.combine, days, repeat(_MIDNIGHT_UTC)))
-    return EnergyTable(midnights, columns, table.counter_mode)
+
+class _DailyFold:
+    """The per-day state of each column of an energy table, fed its rows
+    a block at a time (``add``), and the daily table it gives (``table``).
+
+    A cumulative counter keeps each day's last reading; an interval
+    column keeps each day's sum, added to in row order. Each column of a
+    block is folded whole: one check that a counter never decreases,
+    from its last reading before the block on, and each day's last
+    reading by one ``dict.update``; or each day's sum in one decimal
+    operation per reading. The day-over-day differences are taken once
+    all rows are in. The blocks' timestamps must increase, so that a
+    counter's last reading is its last day's. The arithmetic keeps
+    every digit that a written value may have (``MAX_DECIMAL_CHARS``) and
+    raises where it would drop one, so no daily value is rounded.
+
+    A column's first failure is kept, and ``table`` raises the first
+    column's, in header order, as resampling the table column by column
+    would: a reader can so raise its own failures first.
+    """
+
+    def __init__(self, headings: list[str], counter_mode: CounterMode) -> None:
+        self.counter_mode = counter_mode
+        self.context = Context(
+            prec=MAX_DECIMAL_CHARS, traps=[InvalidOperation, DivisionByZero, Overflow, Inexact]
+        )
+        # Per heading: each day's last reading, or its sum so far.
+        self.days: dict[str, dict[date, Decimal]] = {heading: {} for heading in headings}
+        self.failed: dict[str, UpliftError] = {}
+
+    def add(self, timestamps: list[datetime], columns: list[list[Optional[Decimal]]]) -> None:
+        """Fold in rows: their timestamps and each heading's values, in
+        header order."""
+        # Each timestamp's UTC day, shared by every column.
+        day_of = list(map(datetime.date, timestamps))
+        for heading, values in zip(self.days, columns):
+            if heading in self.failed:
+                continue
+            present = list(map(is_not, values, repeat(None)))
+            days = list(compress(day_of, present))
+            readings = list(compress(values, present))
+            per_day = self.days[heading]
+            if self.counter_mode is CounterMode.INTERVAL:
+                try:
+                    for day, run in groupby(zip(days, readings), _FIRST):
+                        per_day[day] = reduce(
+                            self.context.add, map(_SECOND, run), per_day.get(day, _ZERO)
+                        )
+                except Inexact as exc:
+                    self.failed[heading] = _daily_error(heading, exc)
+                continue
+            last = [next(reversed(per_day.values()))] if per_day else []
+            k = _first_break(le, last + readings)
+            if k is not None:
+                self.failed[heading] = UpliftError(
+                    f"cumulative counter for {heading!r} decreased on "
+                    f"{days[k - len(last)].isoformat()} (counter reset?)"
+                )
+                continue
+            per_day.update(zip(days, readings))
+
+    def table(self) -> EnergyTable:
+        """The daily table of the rows folded in, or the first column's
+        failure."""
+        daily: dict[str, dict[date, Decimal]] = {}
+        for heading, per_day in self.days.items():
+            if heading in self.failed:
+                raise self.failed[heading]
+            if self.counter_mode is CounterMode.CUMULATIVE:
+                # Each day's last reading less the previous day's, for
+                # each day that has a previous day.
+                before = list(map(sub, per_day, repeat(_ONE_DAY)))
+                follows = list(map(per_day.__contains__, before))
+                try:
+                    per_day = dict(
+                        zip(
+                            compress(per_day, follows),
+                            map(
+                                self.context.subtract,
+                                compress(per_day.values(), follows),
+                                map(per_day.__getitem__, compress(before, follows)),
+                            ),
+                        )
+                    )
+                except Inexact as exc:
+                    raise _daily_error(heading, exc)
+            daily[heading] = per_day
+        days = sorted(set().union(*daily.values()))
+        columns = {heading: list(map(per_day.get, days)) for heading, per_day in daily.items()}
+        midnights = list(map(datetime.combine, days, repeat(_MIDNIGHT_UTC)))
+        return EnergyTable(midnights, columns, self.counter_mode)
+
+
+def _daily_error(heading: str, exc: Inexact) -> UpliftError:
+    """The error for a daily value of the heading that the arithmetic
+    cannot hold: out of range (``Overflow``), or with too many digits."""
+    if isinstance(exc, Overflow):
+        return UpliftError(f"a daily value for {heading!r} is out of range")
+    return UpliftError(
+        f"a daily value for {heading!r} has more than {MAX_DECIMAL_CHARS} significant digits"
+    )
 
 
 # -- IRI minting -------------------------------------------------------------

@@ -1,11 +1,12 @@
 import gc
 import json
 import os
+import re
+import select
 import signal
 import socket
 import subprocess
 import sys
-import time
 import urllib.parse
 import urllib.request
 from pathlib import Path
@@ -740,25 +741,21 @@ def _ignore_sigint() -> None:
     ids=["sigterm", "sigint-started-ignored"],
 )
 def test_serve_process_stops_cleanly_on_a_signal(store_files, stop, before):
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
+    # The child binds a port of the system's choice, and says which.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    command = [sys.executable, "-m", "energykg", "serve", *store_files, "--bind", f"127.0.0.1:{port}"]
+    command = [sys.executable, "-m", "energykg", "serve", *store_files, "--bind", "127.0.0.1:0"]
     with subprocess.Popen(
         command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=before
     ) as child:
         try:
-            waited = time.monotonic() + 30
-            while True:
-                try:
-                    with urllib.request.urlopen(f"http://127.0.0.1:{port}/health", timeout=1) as response:
-                        assert response.read() == b"ok"
-                    break
-                except OSError:
-                    assert child.poll() is None, child.stderr.read()
-                    assert time.monotonic() < waited, "serve never answered /health"
-                    time.sleep(0.05)
+            readable, _, _ = select.select([child.stderr], [], [], 30)
+            assert readable, "serve wrote no line in 30 s"
+            line = child.stderr.readline().decode()
+            listening = re.fullmatch(r"listening on http://127\.0\.0\.1:([0-9]+)\n", line)
+            assert listening, line
+            port = int(listening.group(1))
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/health", timeout=10) as response:
+                assert response.read() == b"ok"
             child.send_signal(stop)
             assert child.wait(timeout=10) == 0, child.stderr.read()
         finally:

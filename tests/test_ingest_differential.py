@@ -4,9 +4,10 @@
 For generated energy CSVs (blank rows, padding, empty cells, helper
 columns, gaps, counter resets, NaN and Infinity, non-numbers, unsorted
 and malformed timestamps, rows of the wrong length, both counter modes
-and both resolutions) and generated climate CSV and JSON inputs, the
-package must give the same table or observations, or fail with the
-same error message.
+and both resolutions, the days resampled from the table read or folded
+in as blocks of one to three rows are read) and generated climate CSV
+and JSON inputs, the package must give the same table or observations,
+or fail with the same error message.
 
 The package rejects on purpose some spellings that Python's parsers
 accept: a number with underscores or with the digits of another script,
@@ -20,12 +21,13 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
+from unittest import mock
 
 import naive_uplift
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from energykg import climate, uplift
+from energykg import climate, columns, uplift
 from energykg.climate import ClimateError
 from energykg.errors import EnergyKgError
 from energykg.columns import spelt_number
@@ -143,30 +145,38 @@ def _outcome(read, *args):
 
 def _table_key(table):
     """Every field of a table, with each value's exact text (its exponent too)."""
-    columns = {
+    texts = {
         heading: [None if value is None else str(value) for value in values]
         for heading, values in table.columns.items()
     }
-    return table.timestamps, columns, table.counter_mode
+    return table.timestamps, texts, table.counter_mode
 
 
 def _ingest(module, text, mode, resolution):
+    if resolution == "streamed":
+        # Days folded as the rows are read; the reference reads, then resamples.
+        if module is uplift:
+            return _table_key(uplift.read_energy_csv(text, mode, daily=True))
+        resolution = "daily"
     table = module.read_energy_csv(text, mode)
     if resolution == "daily":
         table = module.to_daily(table)
     return _table_key(table)
 
 
-@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     text=_energy_csvs(),
     mode=st.sampled_from(list(uplift.CounterMode)),
-    resolution=st.sampled_from(["daily", "raw"]),
+    resolution=st.sampled_from(["streamed", "daily", "raw"]),
+    # Blocks of one to three rows cut days, gaps, decreases and sums.
+    block_rows=st.sampled_from([1, 2, 3, columns._BLOCK_ROWS]),
 )
-def test_energy_ingest_matches_the_row_at_a_time_reference(text, mode, resolution):
+def test_energy_ingest_matches_the_row_at_a_time_reference(text, mode, resolution, block_rows):
     assume(not any(map(_python_only_number, text.replace("\n", ",").split(","))))
     expected = _outcome(_ingest, naive_uplift, text, mode, resolution)
-    assert _outcome(_ingest, uplift, text, mode, resolution) == expected
+    with mock.patch.object(columns, "_BLOCK_ROWS", block_rows):
+        assert _outcome(_ingest, uplift, text, mode, resolution) == expected
 
 
 _iso_days = st.dates(

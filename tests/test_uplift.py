@@ -1,9 +1,11 @@
-from datetime import datetime, timezone
+import tracemalloc
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
+from energykg import columns
 from energykg.dataset import ANY, Dataset
 from energykg.headings import parse_heading
 from energykg.namespaces import DEFAULT_BASE, PROV, QUDT, RDF_TYPE, SEAS, cossmic_graph
@@ -284,3 +286,103 @@ def test_read_energy_csv_names_the_first_failing_cell_of_the_first_failing_row()
     )
     with pytest.raises(UpliftError, match=r"^row 4: column 'DE_KN_residential1_freezer' has "):
         read_energy_csv(text)
+
+
+def _daily(text, mode=CounterMode.CUMULATIVE):
+    return read_energy_csv(text, mode, daily=True)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 256])
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("2016-05-03T00:00:00Z,x", "row 5: column 'DE_KN_residential1_pv' has non-numeric value 'x'"),
+        ("2016-05-03T00:00:00Z", "row 5: expected 2 cells, got 1"),
+        ("2016-05-01T12:00:00Z,7", "row 5: timestamps not strictly increasing"),
+    ],
+    ids=["bad-cell", "short-row", "unsorted"],
+)
+def test_daily_read_fails_on_a_later_rows_error_before_an_earlier_decrease(
+    monkeypatch, block_rows, row, error
+):
+    # The counter decreases in row 3; with blocks of one or two rows, the
+    # failing row 5 is read after the block that decreases.
+    monkeypatch.setattr(columns, "_BLOCK_ROWS", block_rows)
+    text = (
+        "utc_timestamp,DE_KN_residential1_pv\n"
+        "2016-05-01T00:00:00Z,5\n"
+        "2016-05-01T01:00:00Z,4\n"
+        "2016-05-02T00:00:00Z,6\n"
+        f"{row}\n"
+    )
+    with pytest.raises(UpliftError) as excinfo:
+        _daily(text)
+    assert str(excinfo.value) == error
+
+
+_TOO_LONG = "1" + "0" * 99 + ".1"
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 256])
+@pytest.mark.parametrize(
+    "mode, pv, freezer, error",
+    [
+        # pv decreases in the last row; the freezer in the second.
+        (
+            CounterMode.CUMULATIVE, ["1", "2", "3", "0"], ["5", "4", "6", "7"],
+            "cumulative counter for 'DE_KN_residential1_pv' decreased on 2016-05-02 "
+            "(counter reset?)",
+        ),
+        # pv's difference from day 1 to day 2 has 101 digits, which only
+        # the differences taken after the read find.
+        (
+            CounterMode.CUMULATIVE, ["0", "0", _TOO_LONG, _TOO_LONG], ["5", "4", "6", "7"],
+            "a daily value for 'DE_KN_residential1_pv' has more than 100 significant digits",
+        ),
+        # pv's second day sums to 101 digits; the freezer's first day overflows.
+        (
+            CounterMode.INTERVAL, ["1", "2", "1" + "0" * 99, "0.1"],
+            ["9e999999", "9e999999", "1", "1"],
+            "a daily value for 'DE_KN_residential1_pv' has more than 100 significant digits",
+        ),
+    ],
+    ids=["decreases", "digits-after-decrease", "interval"],
+)
+def test_daily_read_names_the_first_failing_column_in_header_order(
+    monkeypatch, block_rows, mode, pv, freezer, error
+):
+    monkeypatch.setattr(columns, "_BLOCK_ROWS", block_rows)
+    stamps = [f"2016-05-0{day}T{hour:02d}:00:00Z" for day in (1, 2) for hour in (0, 12)]
+    text = "utc_timestamp,DE_KN_residential1_pv,DE_KN_residential1_freezer\n" + "".join(
+        f"{stamp},{a},{b}\n" for stamp, a, b in zip(stamps, pv, freezer)
+    )
+    for read in (_daily, lambda text, mode: to_daily(read_energy_csv(text, mode))):
+        with pytest.raises(UpliftError) as excinfo:
+            read(text, mode)
+        assert str(excinfo.value) == error
+
+
+def test_daily_read_of_hourly_counters_holds_days_not_readings():
+    # pipeline's shape in the benchmark: 30 devices' hourly cumulative
+    # counters over 90 days, 64,800 readings for 2,670 daily values.
+    kinds = ("pv", "heat_pump", "freezer", "washing_machine", "grid_import", "dishwasher")
+    sites = ["industrial1"] + [f"residential{i}" for i in range(1, 5)]
+    devices = [f"DE_KN_{site}_{kind}" for site in sites for kind in kinds]
+    start = datetime(2016, 1, 1, tzinfo=timezone.utc)
+    lines = ["utc_timestamp," + ",".join(devices)]
+    for hour in range(90 * 24):
+        stamp = (start + timedelta(hours=hour)).strftime("%Y-%m-%dT%H:%M:%SZ")
+        cents = [100_000 + hour * (13 + k) for k in range(len(devices))]
+        lines.append(stamp + "," + ",".join(f"{c // 100}.{c % 100:02d}" for c in cents))
+    text = "\n".join(lines) + "\n"
+    readings = 90 * 24 * len(devices)
+    tracemalloc.start()
+    try:
+        table = _daily(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.timestamps) == 89
+    assert table.columns[devices[0]][0] == Decimal("3.12")
+    # The parent read every reading into a table first: about 133 B each.
+    assert peak / readings < 50, f"{peak / readings:.1f} B per reading"
