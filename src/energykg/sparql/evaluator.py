@@ -9,12 +9,14 @@ encoding of their bindings, and cut by LIMIT, in that order.
 Rows bind variables to the store's term ids. ``evaluate`` is the one
 entry point: it returns a ``SolutionSequence`` of the projected rows as
 tuples of ids, sorted by the canonical text of each id, with the store's
-texts; inside it a term is decoded only to evaluate FILTER and join-key
-expressions, once per id and evaluation. The sequence decodes its rows
-into terms only if a caller reads them; the serializers (``results.py``)
-render each distinct id once from its text, and ``analysis`` reads the
-id rows and decodes each id once. A query constant that no quad holds
-matches nothing.
+texts. Inside it each FILTER condition and join key is compiled once
+into closures over rows. A term is decoded only for such an expression,
+once per id and evaluation, and a date function of a variable parses
+the instant of each id once per evaluation, from the id's text. The
+sequence decodes its rows into terms only if a caller reads them; the
+serializers (``results.py``) render each distinct id once from its text,
+and ``analysis`` reads the id rows and decodes each id once. A query
+constant that no quad holds matches nothing.
 
 Each BGP, after its property paths are lowered, is ordered greedily: the
 next pattern is the one with the smallest index bucket among its
@@ -39,7 +41,7 @@ from datetime import datetime
 from decimal import Decimal
 from functools import cache
 from itertools import count
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional, Union
 
 from ..dataset import Dataset
@@ -50,12 +52,12 @@ from ..terms import (
     Iri,
     Literal,
     NUMERIC_DATATYPES,
-    Term,
     XSD_BOOLEAN,
     XSD_DATETIME,
     XSD_STRING,
     parse_datetime,
     parse_numeric,
+    term_key,
 )
 from .ast import (
     And,
@@ -87,6 +89,8 @@ IdPattern = tuple[Union[int, str], Union[int, str], Union[int, str]]
 # power of two, so a counter is checked with a mask.
 _CHECK_EVERY = 256
 _CHECK_MASK = _CHECK_EVERY - 1
+# How the canonical text of an xsd:dateTime literal ends.
+_DATETIME_END = f'"^^<{XSD_DATETIME.value}>'
 
 
 class EvaluationError(EnergyKgError):
@@ -103,11 +107,15 @@ class _ExprError(Exception):
 
 class _Run:
     """One evaluation's store, its term decoder (which asks the store once
-    per id), FROM NAMED graphs, fresh names and deadline."""
+    per id) and the instant of each id (parsed once per id; None where
+    the id is no valid xsd:dateTime), FROM NAMED graphs, fresh names and
+    deadline."""
 
     def __init__(self, ds: Dataset, named: frozenset[Iri], deadline: Optional[float]) -> None:
         self.ds = ds
         self.term = cache(ds.term)
+        texts = ds.texts()
+        self.instant = cache(lambda id_: _text_instant(texts[id_]))
         self.named = named
         self.fresh = count()
         self.deadline = deadline
@@ -370,7 +378,7 @@ def _hash_join(
     right_keys: tuple[DateFunc, ...] = (),
 ) -> list[Row]:
     index: dict[tuple, list[Row]] = {}
-    key_of = _join_key(shared, right_keys, run.term)
+    key_of = _join_key(shared, right_keys, run)
     for n, row in enumerate(right):
         if not n & _CHECK_MASK:
             run.check()
@@ -379,7 +387,7 @@ def _hash_join(
             index.setdefault(key, []).append(row)
     out: list[Row] = []
     emit = out.append
-    key_of = _join_key(shared, left_keys, run.term)
+    key_of = _join_key(shared, left_keys, run)
     for n, row in enumerate(left):
         if not n & _CHECK_MASK:
             run.check()
@@ -396,30 +404,18 @@ def _hash_join(
 
 
 def _join_key(
-    shared: list[str], keys: tuple[DateFunc, ...], term: Callable[[int], Term]
+    shared: list[str], keys: tuple[DateFunc, ...], run: _Run
 ) -> Callable[[Row], Optional[tuple]]:
     """A function from a row to its join key: the row's ids of the shared
-    variables, then the value of each key. Each distinct argument of the
-    keys is evaluated and parsed as an instant once per row, and each key
-    takes its component from that instant."""
-    # Each distinct argument, with the component its first key reads.
-    arguments: dict[Expression, str] = {}
-    for key in keys:
-        arguments.setdefault(key.argument, key.component)
-    position = {argument: i for i, argument in enumerate(arguments)}
-    picks = [(position[key.argument], key.component) for key in keys]
+    variables, then the value of each key; None where a key errors, as the
+    equality it came from can never be true there."""
+    parts = [*map(itemgetter, shared), *[_value(key, run) for key in keys]]
 
     def key_of(row: Row) -> Optional[tuple]:
-        instants = []
-        for argument, component in arguments.items():
-            try:
-                instants.append(_instant(_eval_expression(argument, row, term), component))
-            except _ExprError:
-                # The equality some key came from can never be true here.
-                return None
-        parts = list(map(row.get, shared))
-        parts.extend([getattr(instants[i], component) for i, component in picks])
-        return tuple(parts)
+        try:
+            return tuple([part(row) for part in parts])
+        except _ERRORS:
+            return None
 
     return key_of
 
@@ -461,11 +457,15 @@ def _eval_filter(node: Filter, active: tuple[GraphName, ...], run: _Run) -> list
 
 def _kept(rows: list[Row], conditions: list[Expression], run: _Run) -> list[Row]:
     """The rows on which every condition is true."""
+    tests = [_test(condition, run) for condition in conditions]
     out = []
     for n, row in enumerate(rows):
         if not n & _CHECK_MASK:
             run.check()
-        if all(_try_bool(condition, row, run.term) is True for condition in conditions):
+        for test in tests:
+            if test(row) is not True:
+                break
+        else:
             out.append(row)
     return out
 
@@ -482,52 +482,97 @@ def _is_keyable(expression: Expression) -> bool:
 
 
 # -- expressions -------------------------------------------------------------
+# An expression is compiled once per evaluation into a function from a row
+# to its value. Where SPARQL has an error, the function raises _ExprError,
+# or KeyError for a variable that the row does not bind.
+
+_ERRORS = (_ExprError, KeyError)
 
 
-def _eval_expression(expression: Expression, row: Row, term: Callable[[int], Term]):
-    """Value of expression on row, whose ids are decoded by term."""
+def _value(expression: Expression, run: _Run) -> Callable[[Row], object]:
     if isinstance(expression, Variable):
-        value = row.get(expression.name)
-        if value is None:
-            raise _ExprError("unbound variable")
-        return term(value)
+        term, at = run.term, itemgetter(expression.name)
+        return lambda row: term(at(row))
     if isinstance(expression, Constant):
-        return expression.value
+        constant = expression.value
+        return lambda row: constant
     if isinstance(expression, DateFunc):
-        value = _eval_expression(expression.argument, row, term)
-        return getattr(_instant(value, expression.component), expression.component)
+        component, argument = attrgetter(expression.component), expression.argument
+        if isinstance(argument, Variable):
+            # Its instant is parsed once per id.
+            instant_of, at = run.instant, itemgetter(argument.name)
+        else:
+            instant_of, at = _instant, _value(argument, run)
+
+        def date_part(row: Row) -> int:
+            instant = instant_of(at(row))
+            if instant is None:
+                raise _ExprError("date function needs a valid xsd:dateTime")
+            return component(instant)
+
+        return date_part
     if isinstance(expression, Equals):
-        return _equals(
-            _eval_expression(expression.left, row, term),
-            _eval_expression(expression.right, row, term),
-        )
+        left, right = _operand(expression.left, run), _operand(expression.right, run)
+        return lambda row: _equals(*left(row), *right(row))
     if isinstance(expression, And):
-        left = _try_bool(expression.left, row, term)
-        right = _try_bool(expression.right, row, term)
-        # SPARQL logical-and: false wins over an error on the other side.
-        if left is False or right is False:
-            return False
-        if left is None or right is None:
-            raise _ExprError("error in && operand")
-        return True
-    raise _ExprError(f"unknown expression {expression!r}")
+        left_test, right_test = _test(expression.left, run), _test(expression.right, run)
+
+        def both(row: Row) -> bool:
+            left, right = left_test(row), right_test(row)
+            # SPARQL logical-and: false wins over an error on the other side.
+            if left is False or right is False:
+                return False
+            if left is None or right is None:
+                raise _ExprError("error in && operand")
+            return True
+
+        return both
+    raise EvaluationError(f"unknown expression node {expression!r}")
 
 
-def _instant(value, component: str) -> datetime:
-    """The instant that the value, an xsd:dateTime literal, spells, for
-    reading its component."""
-    if not isinstance(value, Literal) or value.datatype != XSD_DATETIME:
-        raise _ExprError(f"{component}() needs an xsd:dateTime")
+def _test(expression: Expression, run: _Run) -> Callable[[Row], Optional[bool]]:
+    """A function from a row to the expression's effective boolean value,
+    or None where the expression errors."""
+    value = _value(expression, run)
+
+    def test(row: Row) -> Optional[bool]:
+        try:
+            return _effective_boolean(value(row))
+        except _ERRORS:
+            return None
+
+    return test
+
+
+def _operand(expression: Expression, run: _Run) -> Callable[[Row], tuple]:
+    """A function from a row to the value of an operand of ``=`` and its
+    number. A date part is its own number, and a constant's pair is made
+    once, unless its number errors."""
+    value = _value(expression, run)
+    if isinstance(expression, DateFunc):
+        return lambda row: (part := value(row), part)
+    if isinstance(expression, Constant):
+        try:
+            pair = expression.value, _number(expression.value)
+            return lambda row: pair
+        except _ExprError:
+            pass
+    return lambda row: (found := value(row), _number(found))
+
+
+def _instant(value) -> Optional[datetime]:
+    """The instant that the value spells if it is a valid xsd:dateTime literal."""
+    return _text_instant(term_key(value)) if isinstance(value, Literal) else None
+
+
+def _text_instant(text: str) -> Optional[datetime]:
+    """The instant that a term's canonical text spells if it is a valid
+    xsd:dateTime literal's, the only texts that end as theirs do."""
+    if not text.endswith(_DATETIME_END):
+        return None
     try:
-        return parse_datetime(value.lexical)
+        return parse_datetime(text[1 : -len(_DATETIME_END)])
     except EnergyKgError:
-        raise _ExprError("invalid dateTime lexical form")
-
-
-def _try_bool(expression: Expression, row: Row, term: Callable[[int], Term]) -> Optional[bool]:
-    try:
-        return _effective_boolean(_eval_expression(expression, row, term))
-    except _ExprError:
         return None
 
 
@@ -540,23 +585,21 @@ def _effective_boolean(value) -> bool:
         if value.datatype == XSD_BOOLEAN:
             return value.lexical == "true"
         if value.datatype in NUMERIC_DATATYPES:
-            return _maybe_decimal(value) != 0
+            return _number(value) != 0
         if value.datatype == XSD_STRING:
             return value.lexical != ""
     raise _ExprError(f"no effective boolean value for {value!r}")
 
 
-def _equals(a, b) -> bool:
-    a_num = _maybe_decimal(a)
-    b_num = _maybe_decimal(b)
-    if a_num is not None and b_num is not None:
-        return a_num == b_num
+def _equals(a, a_number, b, b_number) -> bool:
+    if a_number is not None and b_number is not None:
+        return a_number == b_number
     if isinstance(a, Literal) and isinstance(b, Literal):
         if a.datatype == XSD_DATETIME and b.datatype == XSD_DATETIME:
-            try:
-                return parse_datetime(a.lexical) == parse_datetime(b.lexical)
-            except EnergyKgError:
+            a_instant, b_instant = _instant(a), _instant(b)
+            if a_instant is None or b_instant is None:
                 raise _ExprError("invalid dateTime in comparison")
+            return a_instant == b_instant
         if a.datatype == XSD_STRING and b.datatype == XSD_STRING:
             return a.lexical == b.lexical
         if a == b:
@@ -572,11 +615,13 @@ def _equals(a, b) -> bool:
     raise _ExprError(f"cannot compare {a!r} with {b!r}")
 
 
-def _maybe_decimal(value) -> Optional[Decimal]:
+def _number(value) -> Union[int, Decimal, None]:
+    """The value as a number for ``=``: an int as itself (which compares as
+    its Decimal would), a numeric literal as its Decimal; else None."""
     if isinstance(value, bool):
         return None
     if isinstance(value, int):
-        return Decimal(value)
+        return value
     if isinstance(value, Literal) and value.datatype in NUMERIC_DATATYPES:
         try:
             return parse_numeric(value)

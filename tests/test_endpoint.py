@@ -1,5 +1,7 @@
+import http.client
 import json
 import socket
+import statistics
 import time
 import urllib.error
 import urllib.parse
@@ -26,6 +28,7 @@ def server(three_day_store):
 
 
 def _get(server, path):
+    """Status, content type and body of a GET on a fresh connection."""
     host, port = server.address
     try:
         with urllib.request.urlopen(f"http://{host}:{port}{path}") as response:
@@ -295,3 +298,106 @@ def test_unexpected_error_is_500_and_closes(server, monkeypatch, capsys):
     assert b"Content-Type: text/plain" in head
     assert body == b"internal server error"
     assert "RuntimeError: serializer broke" in capsys.readouterr().err
+
+
+def test_chunked_post_is_411_and_closes(server):
+    # The chunk framing must not be taken for a second request.
+    chunk = SIMPLE_QUERY.encode()
+    request = (
+        b"POST /sparql HTTP/1.1\r\n"
+        b"Host: localhost\r\n"
+        b"Content-Type: application/sparql-query\r\n"
+        b"Transfer-Encoding: chunked\r\n"
+        b"\r\n"
+        b"%x\r\n%s\r\n0\r\n\r\n" % (len(chunk), chunk)
+    )
+    head, body = _raw_exchange(server, request)
+    assert head.startswith(b"HTTP/1.1 411 ")
+    assert b"Connection: close" in head
+    assert b"Content-Length: %d" % len(body) in head
+    assert b"HTTP/1.1 " not in body
+
+
+def test_keep_alive_requests_are_not_delayed(server):
+    # With Nagle's algorithm on, a response sent in two writes waits for the
+    # client's delayed ACK (about 40 ms) before its second segment leaves.
+    connection = http.client.HTTPConnection(*server.address, timeout=5)
+    headers = {"Content-Type": "application/sparql-query"}
+    times = []
+    try:
+        for method, path, body in [("GET", "/health", None)] * 20 + [
+            ("POST", "/sparql", SIMPLE_QUERY)
+        ] * 20:
+            start = time.perf_counter()
+            connection.request(method, path, body, headers if body else {})
+            response = connection.getresponse()
+            response.read()
+            times.append(time.perf_counter() - start)
+            assert response.status == 200
+    finally:
+        connection.close()
+    assert statistics.median(times) < 0.020
+
+
+def test_kept_alive_responses_equal_fresh_ones(server, join_query_text):
+    # Each response on one kept-alive connection is complete and equals the
+    # answer to the same request on a fresh connection.
+    exchanges = [
+        ("GET", _query_url(join_query_text), None, None),
+        ("GET", _query_url("SELEC ?s WHERE { ?s ?p ?o }"), None, None),
+        ("GET", "/nowhere", None, None),
+        ("POST", "/sparql", SIMPLE_QUERY, "text/plain"),
+        ("POST", "/sparql", SIMPLE_QUERY, "application/sparql-query"),
+    ]
+    # Status and body of each request on a fresh connection.
+    fresh = [
+        _post(server, body, content_type) if body else _get(server, path)[0::2]
+        for _, path, body, content_type in exchanges
+    ]
+    assert [status for status, _ in fresh] == [200, 400, 404, 415, 200]
+    connection = http.client.HTTPConnection(*server.address, timeout=5)
+    try:
+        for (method, path, body, content_type), expected in zip(exchanges, fresh):
+            headers = {"Content-Type": content_type} if content_type else {}
+            connection.request(method, path, body, headers)
+            response = connection.getresponse()
+            assert (response.status, response.read()) == expected
+            assert not response.will_close
+    finally:
+        connection.close()
+
+
+def test_a_closing_response_is_sent_whole_after_a_kept_alive_one(server):
+    request = b"GET /health HTTP/1.1\r\nHost: localhost\r\n\r\n" + _raw_post(
+        b"", 1_000_000_000, close=False
+    )
+    head, body = _raw_exchange(server, request)
+    assert head.startswith(b"HTTP/1.1 200 ")
+    health, _, closing = body.partition(b"HTTP/1.1 413 ")
+    assert health == b"ok"
+    assert closing.endswith(b"\r\n\r\nquery too large")
+
+
+def test_expect_100_continue_is_sent_before_the_body_is_read(server):
+    body = SIMPLE_QUERY.encode()
+    head = (
+        b"POST /sparql HTTP/1.1\r\n"
+        b"Host: localhost\r\n"
+        b"Content-Type: application/sparql-query\r\n"
+        b"Content-Length: %d\r\n"
+        b"Expect: 100-continue\r\n"
+        b"Connection: close\r\n"
+        b"\r\n" % len(body)
+    )
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(head)
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            interim += sock.recv(1)
+        sock.sendall(body)
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+    assert response.startswith(b"HTTP/1.1 200 ")
+    assert response.endswith(_post(server, SIMPLE_QUERY, "application/sparql-query")[1])

@@ -300,7 +300,27 @@ def test_deadline_is_checked_while_a_filter_runs(counted_checks):
     assert len(counted_checks) >= _BIG // 256
 
 
-def test_day_join_parses_each_rows_instant_once_per_side(monkeypatch):
+@pytest.fixture()
+def counted_parses(monkeypatch):
+    calls = []
+    original = evaluator.parse_datetime
+
+    def counting(lexical):
+        calls.append(lexical)
+        return original(lexical)
+
+    monkeypatch.setattr(evaluator, "parse_datetime", counting)
+    return calls
+
+
+_DAY_JOIN = (
+    f"SELECT ?r ?o FROM <urn:x-arq:DefaultGraph> FROM NAMED <{EX}g> WHERE {{"
+    f" ?o <{EX}on> ?u . GRAPH <{EX}g> {{ ?r <{EX}at> ?t }}"
+    " FILTER (year(?t) = year(?u) && month(?t) = month(?u) && day(?t) = day(?u)) }"
+)
+
+
+def test_day_join_parses_each_rows_instant_once_per_side(counted_parses):
     # N readings in a named graph, at N / 2 hours of two days, joined by
     # year, month and day to N observations in the default graph, N / 2 at
     # midnight of each day.
@@ -311,22 +331,51 @@ def test_day_join_parses_each_rows_instant_once_per_side(monkeypatch):
     midnights = [f"2016-05-0{1 + i % 2}T00:00:00Z" for i in range(n)]
     quads += [q(f"o{i}", "on", Literal(stamp, XSD_DATETIME)) for i, stamp in enumerate(midnights)]
     ds = Dataset(quads).freeze()
-    query = parse_query(
-        f"SELECT ?r ?o FROM <urn:x-arq:DefaultGraph> FROM NAMED <{EX}g> WHERE {{"
-        f" ?o <{EX}on> ?u . GRAPH <{EX}g> {{ ?r <{EX}at> ?t }}"
-        " FILTER (year(?t) = year(?u) && month(?t) = month(?u) && day(?t) = day(?u)) }"
-    )
-    calls = []
-    original = evaluator.parse_datetime
-
-    def counting(lexical):
-        calls.append(lexical)
-        return original(lexical)
-
-    monkeypatch.setattr(evaluator, "parse_datetime", counting)
+    query = parse_query(_DAY_JOIN)
     rows = evaluate(ds, query).rows
     assert len(rows) == 2 * (n // 2) ** 2
-    assert len(calls) <= 2 * n
+    assert len(counted_parses) <= 2 * n
+    assert rows == naive.naive_evaluate(ds, query)
+
+
+def test_day_join_parses_each_date_ids_instant_once_per_side(counted_parses):
+    # N devices read at noon of the same D days, in a named graph, joined by
+    # year, month and day to one observation at midnight of each day: N * D
+    # rows on one side, D on the other, over D date ids on each.
+    devices, days = 8, 5
+    g = Iri(EX + "g")
+    noons = [Literal(f"2016-05-0{d}T12:00:00Z", XSD_DATETIME) for d in range(1, days + 1)]
+    quads = [q(f"r{i}_{d}", "at", noon, g) for i in range(devices) for d, noon in enumerate(noons)]
+    quads += [
+        q(f"o{d}", "on", Literal(f"2016-05-0{d}T00:00:00Z", XSD_DATETIME))
+        for d in range(1, days + 1)
+    ]
+    ds = Dataset(quads).freeze()
+    query = parse_query(_DAY_JOIN)
+    rows = evaluate(ds, query).rows
+    assert len(rows) == devices * days
+    assert sorted(counted_parses) == sorted(
+        f"2016-05-0{d}T{hour}:00:00Z" for d in range(1, days + 1) for hour in ("00", "12")
+    )
+    assert rows == naive.naive_evaluate(ds, query)
+
+
+def test_month_filter_parses_each_date_ids_instant_once(counted_parses):
+    # Three devices read on the same 20 days: 60 rows over 20 date ids, each
+    # read by both date functions.
+    stamps = [f"2016-0{m}-{d:02d}T00:00:00Z" for m in (4, 5) for d in range(1, 11)]
+    quads = [
+        q(f"{device}{i}", "at", Literal(stamp, XSD_DATETIME))
+        for device in "abc"
+        for i, stamp in enumerate(stamps)
+    ]
+    ds = Dataset(quads).freeze()
+    query = parse_query(
+        f"SELECT ?r ?t WHERE {{ ?r <{EX}at> ?t FILTER (year(?t) = 2016 && month(?t) = 5) }}"
+    )
+    rows = evaluate(ds, query).rows
+    assert len(rows) == 30
+    assert sorted(counted_parses) == sorted(stamps)
     assert rows == naive.naive_evaluate(ds, query)
 
 
