@@ -6,17 +6,25 @@ keeps rows whose expression evaluates to true, dropping rows whose
 expression errors. Results are projected, sorted by the canonical
 encoding of their bindings, and cut by LIMIT, in that order.
 
-Rows bind variables to the store's term ids. ``evaluate`` is the one
-entry point: it returns a ``SolutionSequence`` of the projected rows as
-tuples of ids, sorted by the canonical text of each id, with the store's
+A row is a tuple of the store's term ids, one per variable, in slot
+order: each result carries its rows with ``slots``, a map from each
+variable's name to its place in the row. A BGP numbers its variables as
+its plan binds them, so a step appends the ids it binds (``row +
+picked``), and a step that binds nothing passes the row on as it is; a
+join appends the right row's columns that the left lacks. Ids are
+decoded only where an expression reads them: this is late
+materialisation over dictionary ids (Abadi et al., ICDE 2007), as in
+RDF-3X (Neumann and Weikum, VLDB 2008). ``evaluate`` is the one entry
+point: it returns a ``SolutionSequence`` of the projected rows as tuples
+of ids, sorted by the canonical text of each id, with the store's
 texts. Inside it each FILTER condition and join key is compiled once
-into closures over rows. A term is decoded only for such an expression,
-once per id and evaluation, and a date function of a variable parses
-the instant of each id once per evaluation, from the id's text. The
-sequence decodes its rows into terms only if a caller reads them; the
-serializers (``results.py``) render each distinct id once from its text,
-and ``analysis`` reads the id rows and decodes each id once. A query
-constant that no quad holds matches nothing.
+into closures that read rows by slot. A term is decoded only for such an
+expression, once per id and evaluation, and a date function of a
+variable parses the instant of each id once per evaluation, from the
+id's text. The sequence decodes its rows into terms only if a caller
+reads them; the serializers (``results.py``) render each distinct id
+once from its text, and ``analysis`` reads the id rows and decodes each
+id once. A query constant that no quad holds matches nothing.
 
 Each BGP, after its property paths are lowered, is ordered greedily: the
 next pattern is the one with the smallest index bucket among its
@@ -28,9 +36,15 @@ then reads the active graph's buckets (``_Graph.bucket`` for a constant,
 scans the smallest bucket among the constant and bound positions,
 checking as it goes the fixed positions that the bucket does not fix.
 
-Joins are hash-based on the statically shared variables; a FILTER whose
-conjuncts equate date components across the two sides of a Join is
-turned into an equi-join key so day-alignment queries stay linear.
+A FILTER over a BGP, or over a GRAPH block of one BGP, tests each of its
+``&&`` conjuncts right after the plan step that binds the conjunct's
+last variable, so later steps extend only the rows it keeps. This is
+exact: in this subset a row passes only if every conjunct is true, an
+unbound variable makes a conjunct an error, and a later step never
+changes a bound id. Joins are hash-based on the statically shared
+variables; a FILTER whose conjuncts equate date components across the
+two sides of a Join is turned into an equi-join key so day-alignment
+queries stay linear.
 """
 
 from __future__ import annotations
@@ -40,9 +54,9 @@ import time
 from datetime import datetime
 from decimal import Decimal
 from functools import cache
-from itertools import count
+from itertools import chain, count
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from ..dataset import Dataset
 from ..errors import EnergyKgError
@@ -80,8 +94,13 @@ from .ast import (
     pattern_variables,
 )
 
-# Variable name -> term id.
-Row = dict[str, int]
+# The term ids that a row binds, one per variable, in slot order.
+Row = tuple[int, ...]
+# Each variable's name -> its slot: its place in the rows.
+Slots = dict[str, int]
+# A pattern's answer: its slots and its rows. The slots of an answer
+# without rows may lack variables, since no row reads them.
+Answer = tuple[Slots, list[Row]]
 # A triple pattern with each constant as its term id and each variable as its name.
 IdPattern = tuple[Union[int, str], Union[int, str], Union[int, str]]
 
@@ -131,25 +150,23 @@ def evaluate(ds: Dataset, query: SelectQuery, deadline: Optional[float] = None) 
     LIMIT, with the store's texts.
 
     Raises QueryTimeout once time.monotonic() passes deadline. The
-    deadline is checked every 256 rows that a BGP step, hash join or
-    filter goes through and every 256 triples a BGP step scans, so the
-    longest stretch between two checks is 256 rows or triples of work,
-    and once more after the final sort.
+    deadline is checked every 256 rows that a hash join or filter goes
+    through, and a BGP step checks it before the rows and triples it goes
+    through, counted together, pass 256 since its last check, and before
+    each 256 triples of a larger bucket; so the longest stretch between
+    two checks is about 256 rows or triples of work. It is checked once
+    more after the final sort.
     Every row binds each variable of the pattern; a projected variable
     that the pattern lacks, which only a query built without the parser
     can hold, is bound in no row and left out of the names."""
     default_graphs, named_graphs = _resolve_dataset(ds, query)
     run = _Run(ds, named_graphs, deadline)
     run.check()
-    rows = _eval_pattern(query.pattern, default_graphs, run)
+    slots, rows = _eval_pattern(query.pattern, default_graphs, run)
 
     bound = pattern_variables(query.pattern)
     names = tuple(v.name for v in query.projection if v.name in bound)
-    # One column per name; zipping no columns would drop the rows.
-    if names:
-        projected = list(zip(*[map(itemgetter(name), rows) for name in names]))
-    else:
-        projected = [()] * len(rows)
+    projected = list(map(_picker([slots[name] for name in names]), rows)) if rows else []
     run.check()
     # Canonical order is the order of the ids' texts.
     texts = ds.texts()
@@ -180,25 +197,32 @@ def _resolve_dataset(
 # -- pattern evaluation ------------------------------------------------------
 
 
-def _eval_pattern(pattern: GraphPattern, active: tuple[GraphName, ...], run: _Run) -> list[Row]:
+def _eval_pattern(pattern: GraphPattern, active: tuple[GraphName, ...], run: _Run) -> Answer:
     if isinstance(pattern, BGP):
         return _eval_bgp(pattern, active, run)
     if isinstance(pattern, Graph):
-        if pattern.name.value == DEFAULT_GRAPH_ALIAS:
-            return _eval_pattern(pattern.pattern, active, run)
-        if pattern.name not in run.named:
-            return []
-        return _eval_pattern(pattern.pattern, (pattern.name,), run)
+        scope = _graph_scope(pattern, active, run)
+        return ({}, []) if scope is None else _eval_pattern(pattern.pattern, scope, run)
     if isinstance(pattern, Join):
         left = _eval_pattern(pattern.left, active, run)
-        if not left:
-            return []
+        if not left[1]:
+            return left
         right = _eval_pattern(pattern.right, active, run)
         shared = sorted(pattern_variables(pattern.left) & pattern_variables(pattern.right))
         return _hash_join(left, right, shared, run)
     if isinstance(pattern, Filter):
         return _eval_filter(pattern, active, run)
     raise EvaluationError(f"unknown pattern node {pattern!r}")
+
+
+def _graph_scope(
+    pattern: Graph, active: tuple[GraphName, ...], run: _Run
+) -> Optional[tuple[GraphName, ...]]:
+    """The active graphs inside a GRAPH block, or None when its graph is
+    not a named one, where the block matches nothing."""
+    if pattern.name.value == DEFAULT_GRAPH_ALIAS:
+        return active
+    return (pattern.name,) if pattern.name in run.named else None
 
 
 def _lower_paths(patterns: tuple[TriplePattern, ...], run: _Run) -> Iterator[TriplePattern]:
@@ -213,7 +237,12 @@ def _lower_paths(patterns: tuple[TriplePattern, ...], run: _Run) -> Iterator[Tri
             yield tp
 
 
-def _eval_bgp(bgp: BGP, active: tuple[GraphName, ...], run: _Run) -> list[Row]:
+def _eval_bgp(
+    bgp: BGP, active: tuple[GraphName, ...], run: _Run, conditions: Sequence[Expression] = ()
+) -> Answer:
+    """The BGP's answer; with conditions, only its rows on which each
+    condition is true, each one tested right after the plan step that
+    binds its last variable."""
     ds = run.ds
     patterns: list[IdPattern] = []
     for tp in _lower_paths(bgp.patterns, run):
@@ -222,124 +251,146 @@ def _eval_bgp(bgp: BGP, active: tuple[GraphName, ...], run: _Run) -> list[Row]:
             for x in (tp.subject, tp.predicate, tp.object)
         )
         if None in encoded:
-            return []
+            return {}, []
         patterns.append(encoded)
 
     graphs = [graph for graph in map(ds.graph, active) if graph is not None]
     if patterns and not graphs:
-        return []
-    rows: list[Row] = [{}]
-    bound: set[str] = set()
-    for tp in _plan(patterns, graphs):
-        rows = _extend(rows, tp, bound, graphs, run)
-        bound.update(x for x in tp if isinstance(x, str))
+        return {}, []
+    plan = _plan(patterns, graphs)
+    # Each variable's step: the number of the step that binds it, from 1.
+    # A condition over a variable that no step binds is never true, and
+    # waits for the last step; one over no variable is tested first.
+    step_of: dict[str, int] = {}
+    for step, tp in enumerate(plan, 1):
+        step_of.update((x, step) for x in tp if isinstance(x, str) and x not in step_of)
+    due: list[list[Expression]] = [[] for _ in range(len(plan) + 1)]
+    for condition in conditions:
+        variables = expression_variables(condition)
+        due[max((step_of.get(name, len(plan)) for name in variables), default=0)].append(condition)
+
+    slots: Slots = {}
+    rows: list[Row] = _kept([()], due[0], slots, run)
+    for tp, tested in zip(plan, due[1:]):
         if not rows:
             break
-    return rows
+        rows = _kept(_extend(rows, tp, slots, graphs, run), tested, slots, run)
+    return slots, rows
 
 
-def _extend(rows: list[Row], tp: IdPattern, bound: set[str], graphs: list, run: _Run) -> list[Row]:
-    """Each row extended by each triple of the graphs that matches tp under it.
+def _extend(rows: list[Row], tp: IdPattern, slots: Slots, graphs: list, run: _Run) -> list[Row]:
+    """Each row extended by each triple of the graphs that matches tp under
+    it: the row, then the triple's ids of the variables that tp binds
+    first, which are given the next slots.
 
-    Several graphs form one merged graph: a triple set, so identical
-    triples from different graphs collapse. A bucket lists its triples in
-    the graph's triple order, so whichever bucket is scanned, the matching
-    triples come in the same order.
+    Several graphs form one merged graph: a triple set, so a triple in
+    two graphs extends a row once. A row's extensions by different
+    triples differ, and the rows differ, so the merge is the union of the
+    extensions in each graph, without repeats.
     """
     consts = [(i, x) for i, x in enumerate(tp) if isinstance(x, int)]
-    keys = [(i, x) for i, x in enumerate(tp) if isinstance(x, str) and x in bound]
+    keys = [(i, slots[x]) for i, x in enumerate(tp) if isinstance(x, str) and x in slots]
     # Each free variable's first position; one listed again must match itself there.
     free: dict[str, int] = {}
     repeats: list[tuple[int, int]] = []
     for i, x in enumerate(tp):
-        if isinstance(x, str) and x not in bound:
+        if isinstance(x, str) and x not in slots:
             if x in free:
                 repeats.append((free[x], i))
             else:
                 free[x] = i
-    assigned = tuple(free.items())
+    picked = _picker(list(free.values()))
+    slots.update(zip(free, count(len(slots))))
+    extended = [_extend_in(graph, rows, tp, consts, keys, repeats, picked, run) for graph in graphs]
+    return extended[0] if len(extended) == 1 else list(dict.fromkeys(chain.from_iterable(extended)))
 
-    # Per graph, the size of its smallest constant bucket and the position
-    # that bucket fixes, or every triple when there is no constant; the
-    # bucket itself, sliced when a row first scans it; and the graph's runs
-    # at each bound position.
-    sources = []
-    for graph in graphs:
-        size, at = len(graph.triples), None
-        for i, x in consts:
-            found = graph.size(i, x)
-            if found < size:
-                size, at = found, i
-        start = graph.triples if at is None else None
-        sources.append([start, size, at, graph, [(*graph.runs(i), i, name) for i, name in keys]])
-    # The check of a bucket's triples, by the position the bucket fixes;
-    # the merged buckets of several graphs fix none.
-    fixing = {source[2] for source in sources}.union(i for i, _ in keys)
-    if len(sources) > 1:
-        fixing.add(None)
-    checks = {i: _check(keys, consts, i) for i in fixing}
+
+def _extend_in(
+    graph, rows: list[Row], tp: IdPattern, consts, keys, repeats, picked, run: _Run
+) -> list[Row]:
+    """``_extend`` in one graph, given tp's constant positions, its bound
+    positions with their slots, its repeated free positions and the
+    picker of the ids that it binds. Per row it scans the smallest bucket
+    among the constant and bound positions'. A bucket lists its triples
+    in the graph's triple order, so whichever bucket is scanned, the
+    matching triples come in the same order."""
+    # The smallest constant bucket and the position it fixes, or every
+    # triple when there is no constant; the bucket is sliced when a row
+    # first scans it. Then the runs at each bound position, and the check
+    # of a bucket's triples by the position that the bucket fixes.
+    size, at = len(graph.triples), None
+    for i, x in consts:
+        found = graph.size(i, x)
+        if found < size:
+            size, at = found, i
+    start = graph.triples if at is None else None
+    start_check = _check(keys, consts, at)
+    lookups = [(*graph.runs(i), slot, _check(keys, consts, i)) for i, slot in keys]
 
     out: list[Row] = []
     emit = out.append
-    scanned = 0
-    for n, row in enumerate(rows):
-        if not n & _CHECK_MASK:
-            run.check()
-        triples = fixes = None
-        for source in sources:
-            bucket, size, at, graph, lookups = source
-            for run_of, starts, ordered, i, name in lookups:
-                # An id no triple holds at i gets run -1, which spans
-                # ordered[count:0], an empty slice.
-                number = run_of(row[name])
-                begin = starts[number]
-                end = starts[number + 1]
-                if end - begin < size:
-                    bucket, size, at = ordered[begin:end], end - begin, i
-            if bucket is None:
-                bucket = source[0] = graph.bucket(at, tp[at])
-            if triples is None:
-                triples, fixes = bucket, at
-            else:
-                triples, fixes = set(triples).union(bucket), None
-        probe, target_of, target = checks[fixes]
+    # Rows and triples gone through since the last deadline check; a row
+    # counts with its bucket before the bucket is scanned.
+    work = 0
+    for row in rows:
+        triples, least, check = start, size, start_check
+        for run_of, starts, ordered, slot, lookup_check in lookups:
+            # An id that no triple holds at this position gets run -1,
+            # which spans ordered[count:0], an empty slice.
+            number = run_of(row[slot])
+            begin = starts[number]
+            end = starts[number + 1]
+            if end - begin < least:
+                triples, least, check = ordered[begin:end], end - begin, lookup_check
+        if triples is None:
+            triples = start = graph.bucket(at, tp[at])
+        probe, target_of, target = check
         if target_of is not None:
             target = target_of(row)
+        units = 1 + len(triples)
+        work += units
+        if work > _CHECK_EVERY:
+            work = units
+            run.check()
+        if repeats or len(triples) > _CHECK_EVERY:
+            triples = _scan(triples, repeats, run)
         for triple in triples:
-            scanned += 1
-            if not scanned & _CHECK_MASK:
-                run.check()
-            if probe is not None and probe(triple) != target:
-                continue
-            if repeats and any(triple[i] != triple[j] for i, j in repeats):
-                continue
-            extended = row.copy()
-            for name, i in assigned:
-                extended[name] = triple[i]
-            emit(extended)
+            if probe(triple) == target:
+                emit(row + picked(triple))
     return out
 
 
+def _scan(triples: list, repeats: list[tuple[int, int]], run: _Run) -> Iterator[tuple]:
+    """The triples whose positions listed in pairs hold the same id, with
+    a deadline check before each 256 of them."""
+    for begin in range(0, len(triples), _CHECK_EVERY):
+        run.check()
+        window = triples[begin : begin + _CHECK_EVERY]
+        if repeats:
+            window = [t for t in window if all(t[i] == t[j] for i, j in repeats)]
+        yield from window
+
+
 def _check(
-    keys: list[tuple[int, str]], consts: list[tuple[int, int]], fixed: Optional[int]
-) -> tuple[Optional[Callable], Optional[Callable[[Row], object]], object]:
+    keys: list[tuple[int, int]], consts: list[tuple[int, int]], fixed: Optional[int]
+) -> tuple[Callable, Optional[Callable[[Row], object]], object]:
     """How a triple of a bucket is checked against a row when every triple
     of the bucket holds the right id at position ``fixed`` (None when no
     position is known to): it matches when ``probe(triple)`` equals the
-    target, the ids at the other bound positions (the row's) and then at
-    the other constant positions, one id alone, else a tuple. Returns the
-    probe, or None when there is nothing to check; and a function from the
-    row to the target, or None and the target itself when no bound
-    position is left."""
-    keys = [(i, name) for i, name in keys if i != fixed]
+    target, the ids at the other bound positions (the row's, at the keys'
+    slots) and then at the other constant positions, one id alone, else a
+    tuple, empty when there is nothing to check. Returns the probe; and a
+    function from the row to the target, or None and the target itself
+    when no bound position is left."""
+    keys = [(i, slot) for i, slot in keys if i != fixed]
     consts = [(i, x) for i, x in consts if i != fixed]
     if not keys and not consts:
-        return None, None, None
+        return _picker([]), None, ()
     probe = itemgetter(*[i for i, _ in keys + consts])
     const_ids = tuple(x for _, x in consts)
     if not keys:
         return probe, None, const_ids[0] if len(const_ids) == 1 else const_ids
-    get = itemgetter(*[name for _, name in keys])
+    get = itemgetter(*[slot for _, slot in keys])
     if not const_ids:
         return probe, get, None
     if len(keys) == 1:
@@ -370,104 +421,126 @@ def _plan(patterns: list[IdPattern], graphs: list) -> list[IdPattern]:
 
 
 def _hash_join(
-    left: list[Row],
-    right: list[Row],
+    left: Answer,
+    right: Answer,
     shared: list[str],
     run: _Run,
     left_keys: tuple[DateFunc, ...] = (),
     right_keys: tuple[DateFunc, ...] = (),
-) -> list[Row]:
+) -> Answer:
+    """Each left row followed by the columns of each right row with the
+    same key that the left rows lack."""
+    (slots, rows), (right_slots, right_rows) = left, right
+    if not rows or not right_rows:
+        return slots, []
+    # The right row's columns that are appended, in slot order.
+    added = [name for name in right_slots if name not in slots]
+    tail_of = _picker([right_slots[name] for name in added])
     index: dict[tuple, list[Row]] = {}
-    key_of = _join_key(shared, right_keys, run)
-    for n, row in enumerate(right):
+    key_of = _join_key(shared, right_keys, right_slots, run)
+    for n, row in enumerate(right_rows):
         if not n & _CHECK_MASK:
             run.check()
         key = key_of(row)
         if key is not None:
-            index.setdefault(key, []).append(row)
+            index.setdefault(key, []).append(tail_of(row))
     out: list[Row] = []
     emit = out.append
-    key_of = _join_key(shared, left_keys, run)
-    for n, row in enumerate(left):
+    key_of = _join_key(shared, left_keys, slots, run)
+    for n, row in enumerate(rows):
         if not n & _CHECK_MASK:
             run.check()
         key = key_of(row)
         if key is None:
             continue
-        for other in index.get(key, ()):
+        for tail in index.get(key, ()):
             if not len(out) & _CHECK_MASK:
                 run.check()
-            merged = row.copy()
-            merged.update(other)
-            emit(merged)
-    return out
+            emit(row + tail)
+    return {**slots, **dict(zip(added, count(len(slots))))}, out
 
 
 def _join_key(
-    shared: list[str], keys: tuple[DateFunc, ...], run: _Run
+    shared: list[str], keys: tuple[DateFunc, ...], slots: Slots, run: _Run
 ) -> Callable[[Row], Optional[tuple]]:
     """A function from a row to its join key: the row's ids of the shared
     variables, then the value of each key; None where a key errors, as the
     equality it came from can never be true there."""
-    parts = [*map(itemgetter, shared), *[_value(key, run) for key in keys]]
+    parts = [*[_slot(name, slots) for name in shared], *[_value(key, slots, run) for key in keys]]
 
     def key_of(row: Row) -> Optional[tuple]:
         try:
             return tuple([part(row) for part in parts])
-        except _ERRORS:
+        except _ExprError:
             return None
 
     return key_of
 
 
-def _eval_filter(node: Filter, active: tuple[GraphName, ...], run: _Run) -> list[Row]:
+def _eval_filter(node: Filter, active: tuple[GraphName, ...], run: _Run) -> Answer:
     inner = node.pattern
+    conjuncts = _split_and(node.expression)
+    if isinstance(inner, Graph) and isinstance(inner.pattern, BGP):
+        scope = _graph_scope(inner, active, run)
+        return ({}, []) if scope is None else _eval_bgp(inner.pattern, scope, run, conjuncts)
+    if isinstance(inner, BGP):
+        return _eval_bgp(inner, active, run, conjuncts)
     if isinstance(inner, Join):
-        conjuncts = _split_and(node.expression)
-        left_scope = pattern_variables(inner.left)
-        right_scope = pattern_variables(inner.right)
-        left_keys: list[Expression] = []
-        right_keys: list[Expression] = []
-        rest: list[Expression] = []
-        for conjunct in conjuncts:
-            placed = False
-            if isinstance(conjunct, Equals):
-                a_vars = expression_variables(conjunct.left)
-                b_vars = expression_variables(conjunct.right)
-                if _is_keyable(conjunct.left) and _is_keyable(conjunct.right) and a_vars and b_vars:
-                    if a_vars <= left_scope and b_vars <= right_scope:
-                        left_keys.append(conjunct.left)
-                        right_keys.append(conjunct.right)
-                        placed = True
-                    elif a_vars <= right_scope and b_vars <= left_scope:
-                        left_keys.append(conjunct.right)
-                        right_keys.append(conjunct.left)
-                        placed = True
-            if not placed:
-                rest.append(conjunct)
-        if left_keys:
+        scopes = pattern_variables(inner.left), pattern_variables(inner.right)
+        pairs = [_key_pair(conjunct, *scopes) for conjunct in conjuncts]
+        if any(pairs):
             left = _eval_pattern(inner.left, active, run)
             right = _eval_pattern(inner.right, active, run)
-            shared = sorted(left_scope & right_scope)
-            joined = _hash_join(left, right, shared, run, tuple(left_keys), tuple(right_keys))
-            return _kept(joined, rest, run)
+            left_keys, right_keys = zip(*filter(None, pairs))
+            shared = sorted(scopes[0] & scopes[1])
+            slots, rows = _hash_join(left, right, shared, run, left_keys, right_keys)
+            rest = [conjunct for conjunct, pair in zip(conjuncts, pairs) if pair is None]
+            return slots, _kept(rows, rest, slots, run)
 
-    return _kept(_eval_pattern(inner, active, run), [node.expression], run)
+    slots, rows = _eval_pattern(inner, active, run)
+    return slots, _kept(rows, [node.expression], slots, run)
 
 
-def _kept(rows: list[Row], conditions: list[Expression], run: _Run) -> list[Row]:
-    """The rows on which every condition is true."""
-    tests = [_test(condition, run) for condition in conditions]
+def _kept(rows: list[Row], conditions: list[Expression], slots: Slots, run: _Run) -> list[Row]:
+    """The rows on which every condition is true: where one is false or
+    errors, the row is dropped."""
+    if not conditions:
+        return rows
+    values = [_value(condition, slots, run) for condition in conditions]
     out = []
     for n, row in enumerate(rows):
         if not n & _CHECK_MASK:
             run.check()
-        for test in tests:
-            if test(row) is not True:
-                break
-        else:
-            out.append(row)
+        try:
+            for value in values:
+                found = value(row)
+                if found is not True and (found is False or not _effective_boolean(found)):
+                    break
+            else:
+                out.append(row)
+        except _ExprError:
+            pass
     return out
+
+
+def _picker(slots: list[int]) -> Callable[[tuple], tuple]:
+    """A function from a row, or an id triple, to the tuple of its ids at
+    slots, in C: one slot or none is read as a slice."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return itemgetter(slice(*slots, slots[0] + 1) if slots else slice(0))
+
+
+def _slot(name: str, slots: Slots) -> Callable[[Row], int]:
+    """A function from a row to its id of the named variable; one that
+    raises _ExprError when the rows do not bind the variable."""
+    if name in slots:
+        return itemgetter(slots[name])
+
+    def unbound(row: Row) -> int:
+        raise _ExprError(f"unbound variable ?{name}")
+
+    return unbound
 
 
 def _split_and(expression: Expression) -> list[Expression]:
@@ -476,22 +549,31 @@ def _split_and(expression: Expression) -> list[Expression]:
     return [expression]
 
 
-def _is_keyable(expression: Expression) -> bool:
-    """Expressions whose values hash consistently across rows (date parts)."""
-    return isinstance(expression, DateFunc)
+def _key_pair(
+    conjunct: Expression, left_scope: frozenset[str], right_scope: frozenset[str]
+) -> Optional[tuple[DateFunc, DateFunc]]:
+    """The sides of a conjunct that equates two date parts, whose values
+    hash consistently across rows, the left one first, when each side
+    reads variables of one side of a Join only; else None."""
+    if isinstance(conjunct, Equals):
+        for a, b in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
+            a_vars, b_vars = expression_variables(a), expression_variables(b)
+            if isinstance(a, DateFunc) and isinstance(b, DateFunc) and a_vars and b_vars:
+                if a_vars <= left_scope and b_vars <= right_scope:
+                    return a, b
+    return None
 
 
 # -- expressions -------------------------------------------------------------
-# An expression is compiled once per evaluation into a function from a row
-# to its value. Where SPARQL has an error, the function raises _ExprError,
-# or KeyError for a variable that the row does not bind.
+# An expression is compiled once per evaluation, for rows with the given
+# slots, into a function from a row to its value. Where SPARQL has an
+# error, such as a variable that the rows do not bind, the function raises
+# _ExprError.
 
-_ERRORS = (_ExprError, KeyError)
 
-
-def _value(expression: Expression, run: _Run) -> Callable[[Row], object]:
+def _value(expression: Expression, slots: Slots, run: _Run) -> Callable[[Row], object]:
     if isinstance(expression, Variable):
-        term, at = run.term, itemgetter(expression.name)
+        term, at = run.term, _slot(expression.name, slots)
         return lambda row: term(at(row))
     if isinstance(expression, Constant):
         constant = expression.value
@@ -500,9 +582,9 @@ def _value(expression: Expression, run: _Run) -> Callable[[Row], object]:
         component, argument = attrgetter(expression.component), expression.argument
         if isinstance(argument, Variable):
             # Its instant is parsed once per id.
-            instant_of, at = run.instant, itemgetter(argument.name)
+            instant_of, at = run.instant, _slot(argument.name, slots)
         else:
-            instant_of, at = _instant, _value(argument, run)
+            instant_of, at = _instant, _value(argument, slots, run)
 
         def date_part(row: Row) -> int:
             instant = instant_of(at(row))
@@ -512,10 +594,15 @@ def _value(expression: Expression, run: _Run) -> Callable[[Row], object]:
 
         return date_part
     if isinstance(expression, Equals):
-        left, right = _operand(expression.left, run), _operand(expression.right, run)
+        (left, left_number), (right, right_number) = (
+            _operand(side, slots, run) for side in (expression.left, expression.right)
+        )
+        if left_number and right_number:
+            return lambda row: left_number(row) == right_number(row)
         return lambda row: _equals(*left(row), *right(row))
     if isinstance(expression, And):
-        left_test, right_test = _test(expression.left, run), _test(expression.right, run)
+        left_test = _test(expression.left, slots, run)
+        right_test = _test(expression.right, slots, run)
 
         def both(row: Row) -> bool:
             left, right = left_test(row), right_test(row)
@@ -530,34 +617,37 @@ def _value(expression: Expression, run: _Run) -> Callable[[Row], object]:
     raise EvaluationError(f"unknown expression node {expression!r}")
 
 
-def _test(expression: Expression, run: _Run) -> Callable[[Row], Optional[bool]]:
+def _test(expression: Expression, slots: Slots, run: _Run) -> Callable[[Row], Optional[bool]]:
     """A function from a row to the expression's effective boolean value,
     or None where the expression errors."""
-    value = _value(expression, run)
+    value = _value(expression, slots, run)
 
     def test(row: Row) -> Optional[bool]:
         try:
             return _effective_boolean(value(row))
-        except _ERRORS:
+        except _ExprError:
             return None
 
     return test
 
 
-def _operand(expression: Expression, run: _Run) -> Callable[[Row], tuple]:
+def _operand(
+    expression: Expression, slots: Slots, run: _Run
+) -> tuple[Callable[[Row], tuple], Optional[Callable[[Row], object]]]:
     """A function from a row to the value of an operand of ``=`` and its
-    number. A date part is its own number, and a constant's pair is made
-    once, unless its number errors."""
-    value = _value(expression, run)
+    number; and, where every row's value is a number, a function from a
+    row to that number, else None. A date part is its own number, and a
+    constant's pair is made once, unless its number errors."""
+    value = _value(expression, slots, run)
     if isinstance(expression, DateFunc):
-        return lambda row: (part := value(row), part)
+        return (lambda row: (part := value(row), part)), value
     if isinstance(expression, Constant):
         try:
             pair = expression.value, _number(expression.value)
-            return lambda row: pair
+            return (lambda row: pair), None if pair[1] is None else lambda row: pair[1]
         except _ExprError:
             pass
-    return lambda row: (found := value(row), _number(found))
+    return (lambda row: (found := value(row), _number(found))), None
 
 
 def _instant(value) -> Optional[datetime]:
@@ -617,14 +707,20 @@ def _equals(a, a_number, b, b_number) -> bool:
 
 def _number(value) -> Union[int, Decimal, None]:
     """The value as a number for ``=``: an int as itself (which compares as
-    its Decimal would), a numeric literal as its Decimal; else None."""
+    its Decimal would), a numeric literal as its Decimal; else None. A
+    lexical form that spells no finite number, such as ``NaN`` or
+    ``sNaN``, which Decimal accepts and whose comparison can raise, is an
+    expression error."""
     if isinstance(value, bool):
         return None
     if isinstance(value, int):
         return value
     if isinstance(value, Literal) and value.datatype in NUMERIC_DATATYPES:
         try:
-            return parse_numeric(value)
+            number = parse_numeric(value)
         except EnergyKgError:
             raise _ExprError("unparseable numeric literal")
+        if not number.is_finite():
+            raise _ExprError("numeric literal is no finite number")
+        return number
     return None

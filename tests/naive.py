@@ -12,7 +12,9 @@ code, and reimplements the documented semantics independently:
   drops the row; false on one side of && beats an error on the other
 - equality is by numeric value across numeric datatypes, by instant for
   dateTimes, by lexical form for plain strings, term identity otherwise;
-  mismatched literal datatypes are an error, mismatched term kinds false
+  mismatched literal datatypes are an error, mismatched term kinds false;
+  a numeric lexical form that spells no finite number (``NaN``, ``sNaN``,
+  ``INF``, ``Infinity``) is an error
 - results are projected, sorted by the canonical term encoding of the
   projected bindings, then cut by LIMIT
 """
@@ -231,6 +233,7 @@ def _number(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Literal) and value.datatype.value in _NUMERIC:
+        # Fraction reads only finite numbers: NaN and infinities raise ValueError.
         try:
             return Fraction(value.lexical)
         except (ValueError, ZeroDivisionError):

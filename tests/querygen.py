@@ -2,7 +2,10 @@
 
 Queries are produced as text so every oracle comparison also exercises
 the parser. Constants are drawn mostly from the dataset so patterns hit;
-the numeric pool sticks to short exact decimals.
+the numeric pool sticks to short exact decimals. A group is sometimes one
+GRAPH block and a FILTER, and a FILTER is an ``&&`` chain whose conjuncts
+read variables drawn apart, so the oracle also judges conjuncts that the
+engine tests at different steps of a BGP's plan.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ class _QueryBuilder:
         self.quads = list(ds) or [Quad(Iri(BASE + "s0"), Iri(BASE + "p0"), Literal("x"))]
         self.variables = [f"v{i}" for i in range(6)]
         self.used_vars: set[str] = set()
+        # (variable, term) for each object variable of a pattern drawn from the data.
+        self.hints: list[tuple[str, object]] = []
         self.predicates = sorted({q.predicate.value for q in self.quads})
 
     def _var(self) -> str:
@@ -118,34 +123,75 @@ class _QueryBuilder:
             lines.append(line)
         return "\n  ".join(lines)
 
+    def _star(self, graph) -> str:
+        """Patterns that the graph's data matches: up to three triples of
+        one subject, with the subject and most objects as variables."""
+        quads = [quad for quad in self.quads if quad.graph == graph] or self.quads
+        subject = self.rnd.choice(quads).subject
+        picks = [quad for quad in quads if quad.subject == subject]
+        self.rnd.shuffle(picks)
+        center = self._var()
+        lines = []
+        for quad in picks[:3]:
+            name = self.rnd.choice(self.variables)
+            if f"?{name}" == center or self.rnd.random() < 0.2:
+                obj = _render(quad.object)
+            else:
+                obj = f"?{name}"
+                self.used_vars.add(name)
+                self.hints.append((obj, quad.object))
+            lines.append(f"{center} <{quad.predicate.value}> {obj} .")
+        return "\n  ".join(lines)
+
+    def _conjunct(self, bound: list[str]) -> str:
+        if self.hints and self.rnd.random() < 0.4:
+            # True where the variable holds the object it was drawn from.
+            variable, term = self.rnd.choice(self.hints)
+            if isinstance(term, Literal) and term.datatype == XSD_DATETIME:
+                return f"month({variable}) = {int(term.lexical[5:7])}"
+            return f"{variable} = {_render(term)}"
+        kind = self.rnd.random()
+        # Objects drawn from the data hold literals more often than others.
+        objects = [variable for variable, _ in self.hints]
+        if not objects or self.rnd.random() < 0.5:
+            objects = [f"?{name}" for name in bound]
+        a = self.rnd.choice(objects)
+        # Mostly the same variable again, a conjunct that more rows pass.
+        b = a if self.rnd.random() < 0.5 else f"?{self.rnd.choice(bound)}"
+        if kind < 0.3:
+            return f"{a} = {b}"
+        if kind < 0.55:
+            return f"{a} = {_render(self.rnd.choice(self.quads).object)}"
+        if kind < 0.8:
+            part = self.rnd.choice(["year", "month", "day"])
+            return f"{part}({a}) = {part}({b})"
+        return f"year({a}) = 2016"
+
     def _filter(self) -> str:
+        """A FILTER of one to three conjuncts, each over variables drawn
+        apart, so that a BGP's plan binds them at different steps."""
         bound = sorted(self.used_vars)
         if not bound:
             return ""
-        kind = self.rnd.random()
-        a = f"?{self.rnd.choice(bound)}"
-        b = f"?{self.rnd.choice(bound)}"
-        if kind < 0.3:
-            clause = f"{a} = {b}"
-        elif kind < 0.55:
-            constant = _render(self.rnd.choice(self.quads).object)
-            clause = f"{a} = {constant}"
-        elif kind < 0.8:
-            part = self.rnd.choice(["year", "month", "day"])
-            clause = f"{part}({a}) = {part}({b})"
-        else:
-            clause = f"year({a}) = 2016"
-        if self.rnd.random() < 0.35 and len(bound) > 1:
-            extra = f"month(?{self.rnd.choice(bound)}) = 5"
-            clause = f"{clause} && {extra}"
-        return f"  FILTER ({clause})\n"
+        conjuncts = [self._conjunct(bound) for _ in range(self.rnd.choice((1, 1, 2, 3)))]
+        return f"  FILTER ({' && '.join(conjuncts)})\n"
 
     def build(self) -> str:
-        body = "  " + self._bgp(self.rnd.randint(1, 3)) + "\n"
-        if self.rnd.random() < 0.4:
-            graph = self.rnd.choice(NAMED_GRAPHS)
-            inner = self._bgp(self.rnd.randint(1, 2))
-            body += f"  GRAPH <{graph.value}> {{\n  {inner}\n  }}\n"
+        graph = self.rnd.choice(NAMED_GRAPHS)
+        if self.rnd.random() < 0.2:
+            # A group that is one GRAPH block and a FILTER, as the
+            # endpoint's month query is.
+            if self.rnd.random() < 0.6:
+                inner = self._star(graph)
+            else:
+                inner = self._bgp(self.rnd.randint(1, 3))
+            body = f"  GRAPH <{graph.value}> {{\n  {inner}\n  }}\n"
+        else:
+            top = self._star(None) if self.rnd.random() < 0.3 else self._bgp(self.rnd.randint(1, 3))
+            body = "  " + top + "\n"
+            if self.rnd.random() < 0.4:
+                inner = self._bgp(self.rnd.randint(1, 2))
+                body += f"  GRAPH <{graph.value}> {{\n  {inner}\n  }}\n"
         body += self._filter()
 
         clauses = ""

@@ -514,6 +514,22 @@ def test_year_filter_drops_a_date_outside_the_years_of_utc(tmp_path, capsys):
     assert capsys.readouterr().out == "?s\n<http://example.org/a>\n"
 
 
+def test_comparing_with_a_signaling_nan_drops_the_row(tmp_path, capsys):
+    # Decimal reads "sNaN" and raises when it is compared; the comparison is
+    # an expression error, so the FILTER drops the row and the query answers.
+    store = tmp_path / "store.ttl"
+    store.write_text(
+        '@prefix : <http://example.org/> .\n'
+        '@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n'
+        ':a :v "1"^^xsd:decimal .\n',
+        encoding="utf-8",
+    )
+    decimal = "<http://www.w3.org/2001/XMLSchema#decimal>"
+    query = f'SELECT ?s WHERE {{ ?s <http://example.org/v> ?v FILTER (?v = "sNaN"^^{decimal}) }}'
+    assert main(["query", str(store), query]) == 0
+    assert capsys.readouterr() == ("?s\n", "")
+
+
 @pytest.mark.parametrize("command", ["uplift", "climate"])
 @pytest.mark.parametrize("where", ["header", "body"])
 def test_csv_field_longer_than_the_reader_allows_exits_1_naming_the_row(

@@ -184,6 +184,22 @@ def test_timeout_returns_503(three_day_store):
         assert b"timed out" in body
 
 
+def test_comparing_with_a_signaling_nan_answers_no_rows_and_keeps_the_connection(server):
+    decimal = "<http://www.w3.org/2001/XMLSchema#decimal>"
+    query = f'SELECT ?s WHERE {{ ?s ?p ?v FILTER (?v = "sNaN"^^{decimal}) }}'
+    connection = http.client.HTTPConnection(*server.address, timeout=10)
+    try:
+        for _ in range(2):
+            headers = {"Content-Type": "application/sparql-query"}
+            connection.request("POST", "/sparql", query, headers)
+            response = connection.getresponse()
+            body = response.read()
+            assert (response.status, response.will_close) == (200, False)
+            assert json.loads(body)["results"]["bindings"] == []
+    finally:
+        connection.close()
+
+
 def test_unfrozen_dataset_rejected(three_day_store):
     from energykg.dataset import Dataset
 

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from energykg.dataset import Dataset
 from energykg.sparql import QueryTimeout, evaluate, parse_query
 from energykg.sparql import evaluator
-from energykg.sparql.ast import SelectQuery, Variable
+from energykg.sparql.ast import And, Filter, Graph, SelectQuery, Variable
 from energykg.terms import Iri, Literal, Quad, XSD_DATETIME, XSD_DECIMAL, XSD_INTEGER
 
 import naive
@@ -155,6 +156,29 @@ def test_numeric_equality_across_datatypes():
     assert [r["s"].value for r in rows] == [EX + "s1", EX + "s2"]
 
 
+def test_a_number_that_is_not_finite_is_an_expression_error():
+    # Decimal reads these lexical forms, and comparing sNaN raises; each is
+    # an error that drops the row, as in the oracle, in data and in the query.
+    lexicals = ("1", "sNaN", "NaN", "Infinity", "-inf")
+    ds = Dataset([q(f"s{i}", "v", Literal(x, XSD_DECIMAL)) for i, x in enumerate(lexicals)])
+    ds.freeze()
+    one = Iri(EX + "s0")
+    cases = [
+        (
+            f'SELECT ?s WHERE {{ ?s <{EX}v> ?v FILTER (?v = "{lexical}"^^<{XSD_DECIMAL.value}>) }}',
+            [{"s": one}] if lexical == "1" else [],
+        )
+        for lexical in lexicals
+    ]
+    pairs = f"SELECT ?s ?t WHERE {{ ?s <{EX}v> ?v . ?t <{EX}v> ?w FILTER (?v = ?w) }}"
+    cases.append((pairs, [{"s": one, "t": one}]))
+    for text, expected in cases:
+        query = parse_query(text)
+        rows = evaluate(ds, query).rows
+        assert rows == expected, text
+        assert rows == naive.naive_evaluate(ds, query), text
+
+
 def test_date_builtins():
     ds = Dataset(
         [
@@ -227,6 +251,31 @@ def test_randomized_oracle_equivalence_small():
         assert naive.row_multiset(engine) == naive.row_multiset(reference), text
 
 
+def test_oracle_judges_filters_over_a_graph_block_and_conjunct_chains():
+    # The generator's groups that are one GRAPH block and a FILTER, and its
+    # && chains, whose conjuncts a BGP's plan binds at different steps.
+    rnd = random.Random(22)
+    shapes = Counter()
+    for _ in range(300):
+        ds = querygen.random_dataset(rnd, max_quads=60)
+        text = querygen.random_query_text(rnd, ds)
+        query = parse_query(text)
+        pattern = query.pattern
+        if not isinstance(pattern, Filter):
+            continue
+        engine = evaluate(ds, query).rows
+        reference = naive.naive_evaluate(ds, query)
+        assert naive.row_multiset(engine) == naive.row_multiset(reference), text
+        for shape, seen in (
+            ("graph", isinstance(pattern.pattern, Graph)),
+            ("chain", isinstance(pattern.expression, And)),
+        ):
+            shapes[shape] += seen
+            # Answers with rows show that no conjunct was tested too early.
+            shapes[shape + " with rows"] += seen and bool(engine)
+    assert min(shapes.values()) >= 8, shapes
+
+
 def test_deadline_stops_evaluation(three_day_store, join_query_text):
     query = parse_query(join_query_text)
     with pytest.raises(QueryTimeout):
@@ -287,16 +336,17 @@ def test_deadline_is_checked_while_one_row_scans_a_large_bucket(counted_checks):
 
 def test_deadline_is_checked_while_a_hash_join_probes(counted_checks):
     run = evaluator._Run(Dataset().freeze(), frozenset(), None)
-    left = [{"a": i} for i in range(_BIG)]
-    assert evaluator._hash_join(left, [{"a": -1}], ["a"], run) == []
+    left = [(i,) for i in range(_BIG)]
+    _, rows = evaluator._hash_join(({"a": 0}, left), ({"a": 0}, [(-1,)]), ["a"], run)
+    assert rows == []
     assert len(counted_checks) >= _BIG // 256
 
 
 def test_deadline_is_checked_while_a_filter_runs(counted_checks):
     run = evaluator._Run(Dataset().freeze(), frozenset(), None)
-    rows = [{"a": i} for i in range(_BIG)]
+    rows = [(i,) for i in range(_BIG)]
     never = parse_query("SELECT ?a WHERE { ?a ?b ?c FILTER (?unbound = ?a) }").pattern.expression
-    assert evaluator._kept(rows, [never], run) == []
+    assert evaluator._kept(rows, [never], {"a": 0}, run) == []
     assert len(counted_checks) >= _BIG // 256
 
 
@@ -377,6 +427,41 @@ def test_month_filter_parses_each_date_ids_instant_once(counted_parses):
     assert len(rows) == 30
     assert sorted(counted_parses) == sorted(stamps)
     assert rows == naive.naive_evaluate(ds, query)
+
+
+@pytest.mark.parametrize("graph", [None, Iri(EX + "g")])
+def test_filter_conjuncts_prune_the_rows_that_later_steps_extend(monkeypatch, graph):
+    # The endpoint's month query: one device read on 40 days, 20 of them in
+    # May, each reading's value one step further away than its date.
+    days = [f"2016-04-{d:02d}" for d in range(11, 31)] + [f"2016-05-{d:02d}" for d in range(1, 21)]
+    quads = []
+    for i, day in enumerate(days):
+        quads.append(q("dev", "evaluation", f"e{i}", graph))
+        quads.append(q(f"e{i}", "at", Literal(f"{day}T00:00:00Z", XSD_DATETIME), graph))
+        quads.append(q(f"e{i}", "value", f"r{i}", graph))
+        quads.append(q(f"r{i}", "number", Literal(str(i), XSD_INTEGER), graph))
+    ds = Dataset(quads).freeze()
+    body = f"<{EX}dev> <{EX}evaluation> ?e . ?e <{EX}at> ?d ; <{EX}value>/<{EX}number> ?v ."
+    if graph is not None:
+        body = f"GRAPH <{graph.value}> {{ {body} }}"
+    query = parse_query(
+        f"SELECT ?d ?v WHERE {{ {body} FILTER (year(?d) = 2016 && month(?d) = 5) }}"
+    )
+    steps = []
+    original = evaluator._extend
+
+    def counting(rows, tp, *rest):
+        steps.append((tp, len(rows)))
+        return original(rows, tp, *rest)
+
+    monkeypatch.setattr(evaluator, "_extend", counting)
+    rows = evaluate(ds, query).rows
+    assert len(rows) == 20
+    assert rows == naive.naive_evaluate(ds, query)
+    dated = next(n for n, (tp, _) in enumerate(steps) if "d" in tp)
+    assert [size for _, size in steps[: dated + 1]] == [1, 40]
+    # The value's two steps come later and extend only the May rows.
+    assert [size for _, size in steps[dated + 1 :]] == [20, 20]
 
 
 def test_constant_absent_from_store_gives_no_rows():
