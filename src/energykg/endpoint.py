@@ -6,11 +6,21 @@ application/sparql-results+json; identical requests always produce
 byte-identical bodies because evaluation is deterministic and the
 dataset is immutable.
 
-Each connection has one thread, which parses, evaluates and serializes
-its queries itself. ``timeout_seconds`` bounds a request twice over: the
-evaluation runs under a deadline that stops the work, and every socket
-read or write waits at most that long before the connection is closed
-without a reply (an idle keep-alive connection closes the same way).
+The server is one process per CPU that it may run on, forked after the
+store is loaded and the port is bound, so every worker shares the frozen
+store copy-on-write. The parent only accepts connections: it hands each,
+in turn, to the next worker over that worker's Unix socket pair, so any
+W consecutive connections land on W different workers. In a worker each
+connection has one thread, which parses, evaluates and serializes its
+queries itself. A worker found dead at hand-off is reaped and replaced,
+and the connection goes to its replacement. ``stop()`` ends and reaps
+every worker, and a worker whose parent is gone exits once its socket
+pair reaches end of file.
+
+``timeout_seconds`` bounds a request twice over: the evaluation runs
+under a deadline that stops the work, and every socket read or write
+waits at most that long before the connection is closed without a reply
+(an idle keep-alive connection closes the same way).
 
 Connections are kept alive and set TCP_NODELAY, and each response is
 written through a buffer that is flushed once the request is handled: a
@@ -29,12 +39,17 @@ deadline.
 
 from __future__ import annotations
 
+import json
+import os
 import signal
+import socket
 import sys
 import threading
 import time
+from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from socketserver import BaseRequestHandler, TCPServer
+from typing import Callable, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from .dataset import Dataset
@@ -66,39 +81,136 @@ class EndpointConfig(Record):
 
 
 class EndpointServer:
-    """Owns the HTTP server thread; use as a context manager in tests."""
+    """The listening socket and one worker process per CPU; start()
+    accepts on a thread, so tests use it as a context manager."""
 
     def __init__(self, config: EndpointConfig, ds: Dataset) -> None:
         if not ds.frozen:
             raise EnergyKgError("dataset must be frozen before serving")
-        handler = _make_handler(ds, config)
-        self._httpd = ThreadingHTTPServer((config.host, config.port), handler)
-        self._httpd.daemon_threads = True
+        self._handler = _make_handler(ds, config)
+        self._listener = _Listener((config.host, config.port), self._hand_off)
+        self._workers: list[tuple[int, socket.socket]] = []
+        self._turn = 0
         self._thread: Optional[threading.Thread] = None
+        try:
+            for _ in range(len(os.sched_getaffinity(0))):
+                self._workers.append(self._fork())
+        except BaseException:
+            self._end_workers()
+            self._listener.server_close()
+            raise
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._httpd.server_address[:2]
+        return self._listener.server_address[:2]
+
+    @property
+    def worker_pids(self) -> list[int]:
+        return [pid for pid, _ in self._workers]
 
     def start(self) -> "EndpointServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._listener.serve_forever, daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
-        self._httpd.serve_forever()
+        self._listener.serve_forever()
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self._listener.shutdown()
+        self._listener.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
+        self._end_workers()
 
     def __enter__(self) -> "EndpointServer":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+    def _hand_off(self, connection: socket.socket, client_address: tuple) -> None:
+        """Pass the connection to the next worker in turn."""
+        turn = self._turn
+        self._turn = (turn + 1) % len(self._workers)
+        message = json.dumps(client_address).encode()
+        try:
+            socket.send_fds(self._workers[turn][1], [message], [connection.fileno()])
+        except ConnectionError:
+            # The worker is gone, and its end of the pair with it.
+            pid, channel = self._workers[turn]
+            channel.close()
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+            self._workers[turn] = self._fork(connection)
+            socket.send_fds(self._workers[turn][1], [message], [connection.fileno()])
+
+    def _fork(self, connection: Optional[socket.socket] = None) -> tuple[int, socket.socket]:
+        """A new worker's pid and the parent's end of its socket pair. A
+        forked worker shares the loaded store, which a spawned one would
+        load again; under ``serve`` the parent runs no other thread, so
+        no lock is held across the fork."""
+        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        pid = os.fork()
+        if pid:
+            theirs.close()
+            return pid, ours
+        code = 1
+        try:
+            # Ctrl-C reaches the whole process group; the parent ends its workers.
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            # Held here, the parent's sockets would outlive the parent.
+            channels = [channel for _, channel in self._workers]
+            for inherited in (self._listener.socket, ours, connection, *channels):
+                if inherited is not None:
+                    inherited.close()
+            _work(theirs, self._handler)
+            code = 0
+        except Exception:
+            import traceback
+
+            traceback.print_exc()
+        finally:
+            sys.stderr.flush()
+            os._exit(code)
+
+    def _end_workers(self) -> None:
+        for pid, channel in self._workers:
+            channel.close()
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGTERM)
+        for pid, _ in self._workers:
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        self._workers = []
+
+
+class _Listener(TCPServer):
+    """Accepts connections and gives each to hand_off, then closes its own copy."""
+
+    allow_reuse_address = True
+
+    def __init__(self, address: tuple[str, int], hand_off: Callable) -> None:
+        self.hand_off = hand_off
+        super().__init__(address, BaseRequestHandler)
+
+    def process_request(self, request: socket.socket, client_address: tuple) -> None:
+        self.hand_off(request, client_address)
+        self.close_request(request)
+
+
+def _work(channel: socket.socket, handler: type) -> None:
+    """Serve each connection that arrives on channel on a thread of its
+    own, until the channel's other end is closed."""
+    httpd = ThreadingHTTPServer(("", 0), handler, bind_and_activate=False)
+    # Its own socket is never bound: connections arrive on the channel.
+    httpd.server_close()
+    while True:
+        message, fds, _, _ = socket.recv_fds(channel, 256, 1)
+        if not message:
+            return
+        httpd.process_request(socket.socket(fileno=fds[0]), tuple(json.loads(message)))
 
 
 def serve(config: EndpointConfig, ds: Dataset) -> None:
@@ -176,6 +288,8 @@ def _make_handler(ds: Dataset, config: EndpointConfig):
                 import traceback
 
                 traceback.print_exc()
+                # A worker leaves by os._exit, which flushes nothing.
+                sys.stderr.flush()
                 self._reply_text(500, "internal server error", close=True)
                 return
             self._reply(200, body, "application/sparql-results+json")

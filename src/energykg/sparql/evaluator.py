@@ -465,16 +465,41 @@ def _join_key(
 ) -> Callable[[Row], Optional[tuple]]:
     """A function from a row to its join key: the row's ids of the shared
     variables, then the value of each key; None where a key errors, as the
-    equality it came from can never be true there."""
-    parts = [*[_slot(name, slots) for name in shared], *[_value(key, slots, run) for key in keys]]
+    equality it came from can never be true there. Keys that follow each
+    other and take parts of one argument's date read its instant once per
+    row, as the day-join's year, month and day do."""
+    ids = [_slot(name, slots) for name in shared]
+    runs: list[tuple[Expression, list[str]]] = []
+    for key in keys:
+        if runs and key.argument == runs[-1][0]:
+            runs[-1][1].append(key.component)
+        else:
+            runs.append((key.argument, [key.component]))
+    dates = [
+        (*_date_source(argument, slots, run), _parts(components)) for argument, components in runs
+    ]
 
     def key_of(row: Row) -> Optional[tuple]:
         try:
-            return tuple([part(row) for part in parts])
+            key = [at(row) for at in ids]
+            for instant_of, at, parts in dates:
+                instant = instant_of(at(row))
+                if instant is None:
+                    return None
+                key += parts(instant)
         except _ExprError:
             return None
+        return tuple(key)
 
     return key_of
+
+
+def _parts(components: list[str]) -> Callable[[datetime], tuple]:
+    """A function from an instant to the tuple of its named parts."""
+    parts = attrgetter(*components)
+    if len(components) > 1:
+        return parts
+    return lambda instant: (parts(instant),)
 
 
 def _eval_filter(node: Filter, active: tuple[GraphName, ...], run: _Run) -> Answer:
@@ -579,12 +604,8 @@ def _value(expression: Expression, slots: Slots, run: _Run) -> Callable[[Row], o
         constant = expression.value
         return lambda row: constant
     if isinstance(expression, DateFunc):
-        component, argument = attrgetter(expression.component), expression.argument
-        if isinstance(argument, Variable):
-            # Its instant is parsed once per id.
-            instant_of, at = run.instant, _slot(argument.name, slots)
-        else:
-            instant_of, at = _instant, _value(argument, slots, run)
+        component = attrgetter(expression.component)
+        instant_of, at = _date_source(expression.argument, slots, run)
 
         def date_part(row: Row) -> int:
             instant = instant_of(at(row))
@@ -615,6 +636,17 @@ def _value(expression: Expression, slots: Slots, run: _Run) -> Callable[[Row], o
 
         return both
     raise EvaluationError(f"unknown expression node {expression!r}")
+
+
+def _date_source(
+    argument: Expression, slots: Slots, run: _Run
+) -> tuple[Callable[[object], Optional[datetime]], Callable[[Row], object]]:
+    """For a date function's argument: the function from its value to the
+    instant it spells, or None, and the function from a row to its value.
+    A variable's value is its id, whose instant is parsed once."""
+    if isinstance(argument, Variable):
+        return run.instant, _slot(argument.name, slots)
+    return _instant, _value(argument, slots, run)
 
 
 def _test(expression: Expression, slots: Slots, run: _Run) -> Callable[[Row], Optional[bool]]:

@@ -22,6 +22,15 @@ def utc_day(day: int, month: int = 5, year: int = 2016) -> datetime:
     return datetime(year, month, day, tzinfo=timezone.utc)
 
 
+def has_exited(pid: int) -> bool:
+    """Whether the process is gone or a zombie, from /proc."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
 def build_three_day_store() -> Dataset:
     """One pv device with three daily readings plus TMAX/PRCP observations."""
     pv = parse_heading(PV_DEVICE)

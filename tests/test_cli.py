@@ -7,11 +7,13 @@ import signal
 import socket
 import subprocess
 import sys
+import time
 import urllib.parse
 import urllib.request
 from pathlib import Path
 
 import pytest
+from conftest import has_exited
 
 from energykg import cli, turtle_writer
 from energykg.analysis import AnalysisError
@@ -757,25 +759,64 @@ def _ignore_sigint() -> None:
     ids=["sigterm", "sigint-started-ignored"],
 )
 def test_serve_process_stops_cleanly_on_a_signal(store_files, stop, before):
-    # The child binds a port of the system's choice, and says which.
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    command = [sys.executable, "-m", "energykg", "serve", *store_files, "--bind", "127.0.0.1:0"]
-    with subprocess.Popen(
-        command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=before
-    ) as child:
+    with _serve_child(store_files, before) as child:
         try:
-            readable, _, _ = select.select([child.stderr], [], [], 30)
-            assert readable, "serve wrote no line in 30 s"
-            line = child.stderr.readline().decode()
-            listening = re.fullmatch(r"listening on http://127\.0\.0\.1:([0-9]+)\n", line)
-            assert listening, line
-            port = int(listening.group(1))
+            port = _listening_port(child)
             with urllib.request.urlopen(f"http://127.0.0.1:{port}/health", timeout=10) as response:
                 assert response.read() == b"ok"
+            workers = _children(child.pid)
+            assert len(workers) == len(os.sched_getaffinity(0))
             child.send_signal(stop)
             assert child.wait(timeout=10) == 0, child.stderr.read()
+            # Reaped, not left as zombies.
+            assert [pid for pid in workers if Path(f"/proc/{pid}").exists()] == []
         finally:
             child.kill()
+
+
+def test_workers_exit_when_serve_is_killed(store_files):
+    with _serve_child(store_files) as child:
+        workers = []
+        try:
+            _listening_port(child)
+            workers = _children(child.pid)
+            assert len(workers) == len(os.sched_getaffinity(0))
+            child.kill()
+            child.wait(timeout=10)
+            deadline = time.monotonic() + 2
+            while not all(map(has_exited, workers)):
+                assert time.monotonic() < deadline, "a worker outlived serve by 2 s"
+                time.sleep(0.01)
+        finally:
+            child.kill()
+            for pid in workers:
+                if not has_exited(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _serve_child(store_files, before=None) -> subprocess.Popen:
+    """``energykg serve`` as a child on a port of the system's choice."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    command = [sys.executable, "-m", "energykg", "serve", *store_files, "--bind", "127.0.0.1:0"]
+    return subprocess.Popen(
+        command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=before
+    )
+
+
+def _listening_port(child: subprocess.Popen) -> int:
+    """The port that the child says it listens on."""
+    readable, _, _ = select.select([child.stderr], [], [], 30)
+    assert readable, "serve wrote no line in 30 s"
+    line = child.stderr.readline().decode()
+    listening = re.fullmatch(r"listening on http://127\.0\.0\.1:([0-9]+)\n", line)
+    assert listening, line
+    return int(listening.group(1))
+
+
+def _children(pid: int) -> list[int]:
+    """The pids of the process's children, from /proc."""
+    tasks = Path(f"/proc/{pid}/task").glob("*/children")
+    return [int(child) for task in tasks for child in task.read_text().split()]
 
 
 # Prints the modules a CLI run leaves loaded, one per line, to the file

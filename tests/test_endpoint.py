@@ -1,5 +1,7 @@
 import http.client
 import json
+import os
+import signal
 import socket
 import statistics
 import time
@@ -9,6 +11,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from conftest import has_exited
 
 from energykg.cli import main
 from energykg.dataset import Dataset
@@ -241,22 +244,87 @@ def _raw_post(body: bytes, length: int, close: bool) -> bytes:
     ) + body
 
 
+def _cpu_seconds(pid: int) -> float:
+    """The user and system CPU seconds that a process has spent, from /proc."""
+    with open(f"/proc/{pid}/stat") as stat:
+        fields = stat.read().rpartition(")")[2].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def _numbered(count: int) -> Dataset:
+    return Dataset(
+        Quad(Iri(f"http://example.org/s{i}"), Iri("http://example.org/p"), Literal(str(i)))
+        for i in range(count)
+    ).freeze()
+
+
 def test_timeout_stops_the_evaluation():
     # In full, the three-pattern cross product over 80 quads (512,000 rows)
-    # takes seconds of CPU; the evaluation must end with the 503.
-    ds = Dataset(
-        Quad(Iri(f"http://example.org/s{i}"), Iri("http://example.org/p"), Literal(str(i)))
-        for i in range(80)
-    ).freeze()
+    # takes seconds of CPU; the evaluation, in a worker process, must end
+    # with the 503.
     query = "SELECT ?a WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }"
-    with EndpointServer(EndpointConfig(port=0, timeout_seconds=0.2), ds) as server:
+    with EndpointServer(EndpointConfig(port=0, timeout_seconds=0.2), _numbered(80)) as server:
         start = time.monotonic()
         status, _, body = _get(server, _query_url(query))
         assert time.monotonic() - start < 1.0
         assert (status, body) == (503, b"query timed out")
-        cpu = time.process_time()
+        cpu = sum(map(_cpu_seconds, server.worker_pids))
         time.sleep(1.0)
-        assert time.process_time() - cpu < 0.3
+        assert sum(map(_cpu_seconds, server.worker_pids)) - cpu < 0.3
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU, so one worker")
+def test_connections_opened_in_turn_are_evaluated_in_different_workers():
+    # The two-pattern cross product over 500 quads (250,000 rows) takes
+    # about a quarter of a CPU second.
+    query = _query_url("SELECT ?a WHERE { ?a ?b ?c . ?d ?e ?f } LIMIT 1")
+    with EndpointServer(EndpointConfig(port=0), _numbered(500)) as server:
+        first, second = (http.client.HTTPConnection(*server.address, timeout=10) for _ in "12")
+        try:
+            first.connect()
+            second.connect()
+            busy = []
+            # Each answer spends its CPU in one worker, and a kept-alive
+            # connection stays with its worker.
+            for connection in (first, second, first):
+                before = [_cpu_seconds(pid) for pid in server.worker_pids]
+                connection.request("GET", query)
+                response = connection.getresponse()
+                assert (response.status, response.will_close) == (200, False)
+                response.read()
+                spent = [_cpu_seconds(pid) - b for pid, b in zip(server.worker_pids, before)]
+                busy.append(spent.index(max(spent)))
+                assert max(spent) > 0.1 > sorted(spent)[-2], spent
+        finally:
+            first.close()
+            second.close()
+    assert busy[0] != busy[1] and busy[2] == busy[0]
+
+
+def test_a_killed_worker_is_replaced_and_no_connection_is_lost(three_day_store):
+    with EndpointServer(EndpointConfig(port=0), three_day_store) as server:
+        killed = server.worker_pids[0]
+        os.kill(killed, signal.SIGKILL)
+        deadline = time.monotonic() + 5
+        while not has_exited(killed):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        # Any W fresh connections in a row reach each worker once.
+        answers = [_get(server, "/health") for _ in server.worker_pids]
+        assert answers == [(200, "text/plain; charset=utf-8", b"ok")] * len(answers)
+        assert killed not in server.worker_pids
+        assert len(server.worker_pids) == len(os.sched_getaffinity(0))
+
+
+def test_stop_reaps_every_worker(three_day_store):
+    with EndpointServer(EndpointConfig(port=0), three_day_store) as server:
+        pids = server.worker_pids
+        assert len(pids) == len(os.sched_getaffinity(0))
+        assert _get(server, "/health")[0] == 200
+    for pid in pids:
+        # Neither running nor a zombie: no longer a child of this process.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 _WHERE = "SELECT ?s WHERE { ?s ?p ?o "
@@ -303,17 +371,20 @@ def test_oversized_post_is_413_without_reading_the_body(server):
     assert body == b"query too large"
 
 
-def test_unexpected_error_is_500_and_closes(server, monkeypatch, capsys):
+def test_unexpected_error_is_500_and_closes(three_day_store, monkeypatch, capfd):
     def broken(solutions):
         raise RuntimeError("serializer broke")
 
     monkeypatch.setattr("energykg.endpoint.to_results_json", broken)
-    request = f"GET {_query_url(SIMPLE_QUERY)} HTTP/1.1\r\nHost: localhost\r\n\r\n"
-    head, body = _raw_exchange(server, request.encode())
+    # Forked after the patch, the workers inherit it; they print to the
+    # same stderr file, which capfd reads.
+    with EndpointServer(EndpointConfig(port=0), three_day_store) as server:
+        request = f"GET {_query_url(SIMPLE_QUERY)} HTTP/1.1\r\nHost: localhost\r\n\r\n"
+        head, body = _raw_exchange(server, request.encode())
     assert head.startswith(b"HTTP/1.1 500 ")
     assert b"Content-Type: text/plain" in head
     assert body == b"internal server error"
-    assert "RuntimeError: serializer broke" in capsys.readouterr().err
+    assert "RuntimeError: serializer broke" in capfd.readouterr().err
 
 
 def test_chunked_post_is_411_and_closes(server):

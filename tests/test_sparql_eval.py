@@ -388,6 +388,30 @@ def test_day_join_parses_each_rows_instant_once_per_side(counted_parses):
     assert rows == naive.naive_evaluate(ds, query)
 
 
+def test_join_keys_that_group_differently_on_each_side_match_the_oracle():
+    # One side's keys take three parts of one variable, the other's take
+    # parts of two variables in turn, so their keys line up by position.
+    g = Iri(EX + "g")
+    stamps = [f"2016-0{month}-0{day}T12:00:00Z" for month in (5, 6) for day in (1, 2)]
+    quads = [q(f"r{i}", "at", Literal(stamp, XSD_DATETIME), g) for i, stamp in enumerate(stamps)]
+    for i, u in enumerate(stamps):
+        for j, v in enumerate(stamps):
+            quads += [
+                q(f"o{i}{j}", "on", Literal(u, XSD_DATETIME)),
+                q(f"o{i}{j}", "in", Literal(v, XSD_DATETIME)),
+            ]
+    ds = Dataset(quads).freeze()
+    query = parse_query(
+        f"SELECT ?r ?o FROM <urn:x-arq:DefaultGraph> FROM NAMED <{EX}g> WHERE {{"
+        f" ?o <{EX}on> ?u ; <{EX}in> ?v . GRAPH <{EX}g> {{ ?r <{EX}at> ?t }}"
+        " FILTER (year(?u) = year(?t) && month(?v) = month(?t) && day(?u) = day(?t)) }"
+    )
+    rows = evaluate(ds, query).rows
+    # Each reading meets two days of ?u and two months of ?v.
+    assert len(rows) == 4 * 4
+    assert rows == naive.naive_evaluate(ds, query)
+
+
 def test_day_join_parses_each_date_ids_instant_once_per_side(counted_parses):
     # N devices read at noon of the same D days, in a named graph, joined by
     # year, month and day to one observation at midnight of each day: N * D
