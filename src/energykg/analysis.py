@@ -23,7 +23,7 @@ from enum import Enum
 from functools import cache
 from typing import Callable, Optional, Sequence
 
-from .dataset import ANY, Dataset
+from .dataset import Dataset
 from .errors import EnergyKgError
 from .headings import DeviceHeading, parse_heading
 from .namespaces import DEFAULT_BASE, ca_property, cossmic_graph
@@ -161,10 +161,13 @@ WHERE
 
 
 def _linked_network(ds: Dataset, station: Iri, base: Iri, graph: Iri) -> Iri:
-    links = ds.match(ANY, ca_property(base, "retrieveWeatherFrom"), station, graph)
+    """The subject that links to the station, read from the store's ids:
+    of several, the one whose text sorts first."""
+    link, target = ds.id_of(ca_property(base, "retrieveWeatherFrom")), ds.id_of(station)
+    links = [] if link is None or target is None else ds.triples(None, link, target, graph)
     if not links:
         raise AnalysisError(f"network not linked to station {station.value}")
-    subject = links[0].subject
+    subject = ds.term(min((s for s, _, _ in links), key=ds.texts().__getitem__))
     if not isinstance(subject, Iri):
         raise AnalysisError("network link subject is not an IRI")
     return subject

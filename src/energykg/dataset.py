@@ -12,13 +12,18 @@ their texts.
 Each graph is kept in one frozen, columnar form (``_Graph``), as RDF-3X
 (Neumann and Weikum, VLDB 2008) and HDT (Fernandez et al., J. Web
 Semantics 2013) keep theirs: its distinct ``(s, p, o)`` id triples once,
-and for each position one ``grouping``, the triples ordered so that each
-id's triples are contiguous, with a run table from each id to its run. A
-bucket is one slice of that order. A run table is a flat ``array('i')``
-indexed by term id, -1 where no triple holds the id, filled in C; it is
-4 bytes per id of the dictionary where a dict took an entry and an int
-object per run. A graph built before a later insert interned more terms
-has its tables widened to every id when it is next read, or at
+in an order that keeps each subject's triples together (a written
+document's order already does, and the triples are then that list
+alone), so that a subject's bucket is one slice of them, found through a
+run table: a flat ``array('i')`` indexed by term id, holding the id's
+run number or -1, filled in C. For the predicate
+and the object the graph keeps one ``grouping`` each, as ``array``s: the
+triple numbers ordered by that position's id, the ids of the runs,
+rising, and the runs' starts. Their bucket of an id is found by
+bisecting the run ids, and read with one ``map`` from the triple numbers
+to the triples; so only subjects cost a run table and only the triples
+are tuples. A graph built before a later insert interned more terms has
+its run table widened to every id when it is next read, or at
 ``freeze()``, so a frozen dataset's tables are never changed. A term that
 no quad holds has no id and matches nothing before any table is read.
 Triples inserted with ``add_ids`` collect in an insertion-ordered dict,
@@ -35,7 +40,9 @@ lookup that calls ``TermIds.__missing__``. A snapshot sidecar
 ``TermIds.intern_all``, which into an empty dictionary is one ``update``,
 and hands its triples and stored groupings to ``add_graph``, so no
 triple is looked at one at a time in Python and the store is the same
-as the parse's, bucket for bucket.
+as the parse's, bucket for bucket. A sidecar's groupings keep the ids of
+its own file; where the dictionary gave its terms other ids, the graph
+maps each id of the dictionary to the file's before it bisects.
 
 Writing needs no Dataset, nor a ``TermIds``: ``uplift`` and ``climate``
 number their generators' distinct texts by first appearance with
@@ -51,9 +58,10 @@ it. Quads have set semantics: inserting a duplicate is a no-op.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from contextlib import contextmanager
-from itertools import count, filterfalse, groupby, repeat
-from operator import attrgetter, itemgetter
+from itertools import count, filterfalse, groupby, islice, repeat
+from operator import attrgetter, itemgetter, ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EnergyKgError
@@ -123,7 +131,13 @@ def text_order(texts: Sequence[str]) -> tuple[list[int], list[int]]:
 
 # Triple numbers ordered by one position's id, then the distinct ids in
 # that order and where each one's run starts, then the triple count.
-Grouping = tuple[Sequence[int], Iterable[int], Sequence[int]]
+Grouping = tuple[Sequence[int], Sequence[int], Sequence[int]]
+
+# Array typecodes of four-byte unsigned and signed ints.
+U32 = "I" if array("I").itemsize == 4 else "L"
+I32 = "i" if array("i").itemsize == 4 else "l"
+# One run-table entry for an id that no triple holds.
+_NO_RUNS = array(I32, [-1])
 
 
 def grouping(column: Sequence[int], grouped: bool = False) -> Grouping:
@@ -140,91 +154,135 @@ def grouping(column: Sequence[int], grouped: bool = False) -> Grouping:
     return order, list(ends), [0, *ends.values()]
 
 
-# One run-table entry for an id that no triple holds.
-_NO_RUNS = array("i", [-1])
+def run_table(keys: Iterable[int], ids: int) -> array:
+    """For each of ``ids`` term ids, its run's number among the run ids
+    ``keys``, or -1 where it has none."""
+    table = _NO_RUNS * ids
+    # __setitem__ returns None, so any() runs the map to its end, in C.
+    any(map(table.__setitem__, keys, count()))
+    return table
 
 
 class FrozenDatasetError(EnergyKgError):
     """Mutation attempted after freeze()."""
 
 
+def _run(keys: Sequence[int], local: Optional[array], key: int) -> int:
+    """The number of the run of an id of the dictionary among the rising
+    run ids ``keys``, or -1 where no run has it; ``local``, where not
+    None, first maps the id to the ids that keys are in."""
+    if local is not None:
+        key = local[key]
+    run = bisect_left(keys, key)
+    return run if run < len(keys) and keys[run] == key else -1
+
+
 class _Graph:
-    """One graph's distinct id triples, grouped by the id at each position.
+    """One graph's distinct id triples, with the buckets at each position.
 
-    ``triples`` lists each triple once. For each position (0 subject, 1
-    predicate, 2 object) the graph keeps the triples in the order of a
-    ``grouping``, a run table, and the runs' starts; the bucket of an id
-    is then one slice of that order. A run table is an ``array('i')``
-    indexed by term id, holding the id's run number, or -1 where no triple
-    holds the id; it spans every id of the dictionary (``pad``). Built in
-    one go and never changed but for padding, so any number of readers of
-    a frozen dataset may share it."""
+    ``triples`` lists each triple once. The subjects' buckets are runs of
+    the triples in an order that keeps each subject's triples together:
+    the triples' own, when they are so already, as a written document's
+    are. The subjects' run table is an ``array('i')`` indexed by term id,
+    holding the id's run number, or -1 where no triple holds the id as
+    subject; it spans every id of the dictionary (``pad``). The
+    predicates and the objects each keep a ``grouping`` of the triples,
+    whose run ids rise: in the dictionary's ids, or, where ``local`` is
+    not None, in the ids that ``local`` maps the dictionary's ids to (-1
+    for one the graph lacks), as a later sidecar's graph keeps its
+    file's. Every bucket lists its triples in triple order. Built in one
+    go and never changed but for padding, so any number of readers of a
+    frozen dataset may share it."""
 
-    __slots__ = ("triples", "_ordered", "_runs", "_counts", "_starts")
+    __slots__ = ("triples", "_ordered", "_table", "_starts", "_groupings", "_local")
 
     def __init__(
-        self, triples: list[IdTriple], ids: int, groupings: Optional[Iterable[Grouping]] = None
+        self,
+        triples: list[IdTriple],
+        table: array,
+        starts: Sequence[int],
+        groupings: list[Grouping],
+        local: Optional[array] = None,
+        ordered: Optional[list[IdTriple]] = None,
     ) -> None:
-        if groupings is None:
-            # One position at a time, so one grouping's triple numbers are held.
-            groupings = (grouping(list(map(itemgetter(i), triples))) for i in range(3))
         self.triples = triples
-        self._ordered: list[list[IdTriple]] = []
-        self._runs: list[array] = []
-        self._counts: list[int] = []
-        self._starts: list[Sequence[int]] = []
-        triple = triples.__getitem__
-        for order, keys, starts in groupings:
-            # A triple number past the triples, or an id past the
-            # dictionary, raises IndexError here. A grouping that keeps the
-            # triples' order shares their list.
-            ordered = triples if order == range(len(triples)) else list(map(triple, order))
-            # A computed order is freed before the run table is built.
-            del order
-            table = _NO_RUNS * ids
-            # Each key's run number, set in C; __setitem__ returns None.
-            runs = count()
-            any(map(table.__setitem__, keys, runs))
-            self._ordered.append(ordered)
-            self._runs.append(table)
-            self._counts.append(next(runs))
-            self._starts.append(starts)
+        self._ordered = triples if ordered is None else ordered
+        self._table = table
+        self._starts = starts
+        self._groupings = groupings
+        self._local = local
+
+    @classmethod
+    def of(cls, triples: list[IdTriple], ids: int) -> "_Graph":
+        """The graph of distinct triples in any order. Triples that keep
+        each subject's together are its subjects' run order as they are."""
+        subjects = list(map(itemgetter(0), triples))
+        # Together when each change of subject starts a new one.
+        grouped = len(set(subjects)) == sum(map(ne, subjects, islice(subjects, 1, None))) + 1
+        order, keys, starts = grouping(subjects, grouped)
+        ordered = None if grouped else list(map(triples.__getitem__, order))
+        del subjects, order
+        groupings = [
+            tuple(array(U32, part) for part in grouping(list(map(itemgetter(i), triples))))
+            for i in (1, 2)
+        ]
+        return cls(triples, run_table(keys, ids), array(U32, starts), groupings, None, ordered)
 
     def pad(self, ids: int) -> None:
-        """Widen the run tables to ids term ids, the new ones in no run."""
-        for table in self._runs:
-            if len(table) < ids:
+        """Widen the id-indexed tables to ids term ids, the new ones in no run."""
+        for table in (self._table, self._local):
+            if table is not None and len(table) < ids:
                 table.extend(_NO_RUNS * (ids - len(table)))
 
-    def runs(self, position: int) -> tuple[Callable[[int], int], Sequence[int], list]:
-        """The buckets at position (0 subject, 1 predicate, 2 object), for
-        reading many without a call each: a function from an id to its
-        run's number, or to -1 when no triple holds the id; the runs'
-        starts, then the count; and the triples in run order. Run r's
-        bucket is ``ordered[starts[r] : starts[r + 1]]``; for r = -1 that
-        is ``ordered[count:0]``, which is empty. The id must be one of the
-        dictionary's, not negative."""
-        return self._runs[position].__getitem__, self._starts[position], self._ordered[position]
+    def runs(self) -> tuple[Callable[[int], int], Sequence[int], list[IdTriple]]:
+        """The subjects' buckets, for reading many without a call each: a
+        function from an id to its run's number, or to -1 when no triple
+        has the id as subject; the runs' starts, then the count; and the
+        triples in run order. Run r's bucket is ``ordered[starts[r] :
+        starts[r + 1]]``; for r = -1 that is ``ordered[count:0]``, which is
+        empty. The id must be one of the dictionary's, not negative."""
+        return self._table.__getitem__, self._starts, self._ordered
+
+    def finder(self, position: int) -> Callable[[int], list[IdTriple]]:
+        """A function from an id to its bucket at position 1 (predicate) or
+        2 (object), as a new list: its run found by bisecting the run ids,
+        and its triples read with one map from its triple numbers. It does
+        what ``_run`` does inline, as it runs once per row."""
+        order, keys, starts = self._groupings[position - 1]
+        local, triple, runs = self._local, self.triples.__getitem__, len(keys)
+
+        def bucket(key: int) -> list[IdTriple]:
+            if local is not None:
+                key = local[key]
+            run = bisect_left(keys, key)
+            if run == runs or keys[run] != key:
+                return []
+            begin, end = starts[run], starts[run + 1]
+            if end - begin == 1:
+                return [triple(order[begin])]
+            return list(map(triple, order[begin:end]))
+
+        return bucket
 
     def bucket(self, position: int, key: int) -> list[IdTriple]:
         """The triples holding id key at position, as a new list."""
-        run = self._runs[position][key]
-        if run < 0:
-            return []
-        starts = self._starts[position]
-        return self._ordered[position][starts[run] : starts[run + 1]]
+        if position:
+            return self.finder(position)(key)
+        run = self._table[key]
+        return self._ordered[self._starts[run] : self._starts[run + 1]] if run >= 0 else []
 
     def size(self, position: int, key: int) -> int:
         """How many triples hold id key at position."""
-        run = self._runs[position][key]
-        if run < 0:
-            return 0
-        starts = self._starts[position]
-        return starts[run + 1] - starts[run]
+        if position:
+            _, keys, starts = self._groupings[position - 1]
+            run = _run(keys, self._local, key)
+        else:
+            starts, run = self._starts, self._table[key]
+        return starts[run + 1] - starts[run] if run >= 0 else 0
 
     def mean(self, position: int) -> float:
         """The mean size of the buckets at position."""
-        runs = self._counts[position]
+        runs = len(self._starts if not position else self._groupings[position - 1][2]) - 1
         return len(self.triples) / runs if runs else 0
 
     def match(self, s: Optional[int], p: Optional[int], o: Optional[int]) -> list[IdTriple]:
@@ -297,27 +355,35 @@ class Dataset:
             raise FrozenDatasetError("dataset is frozen")
         added = self._added.get(graph)
         if added is None:
-            store = self._graphs.setdefault(graph, _Graph([], 0))
+            store = self._graphs.setdefault(graph, _Graph.of([], 0))
             added = self._added[graph] = dict.fromkeys(store.triples)
         added.update(zip(triples, repeat(None)))
 
     def add_graph(
-        self, graph: GraphName, triples: list[IdTriple], groupings: Iterable[Grouping]
+        self,
+        graph: GraphName,
+        triples: list[IdTriple],
+        table: array,
+        starts: Sequence[int],
+        groupings: list[Grouping],
+        local: Optional[array] = None,
     ) -> None:
-        """Insert distinct id triples into one graph together with their
-        ``grouping`` at each position, in the order of ``triples``, as a
-        snapshot sidecar stores them. A graph that holds triples already
-        takes them as ``add_ids`` does."""
+        """Insert distinct id triples, each subject's together, into one
+        graph, with the subjects' run table and run starts and the
+        predicates' and objects' groupings, whose run ids rise in the ids
+        that ``local`` maps the dictionary's ids to (where not None), as a
+        snapshot sidecar stores them; see ``_Graph``. A graph that holds
+        triples already takes the triples as ``add_ids`` does."""
         if graph in self._graphs:
             self.add_ids(triples, graph)
             return
         if self._frozen:
             raise FrozenDatasetError("dataset is frozen")
-        self._graphs[graph] = _Graph(triples, len(self._ids), groupings)
+        self._graphs[graph] = _Graph(triples, table, starts, groupings, local)
 
     def freeze(self) -> "Dataset":
-        # Group the graphs now, and span every id with their run tables,
-        # so readers of the snapshot never change them.
+        # Group the graphs now, and span every id with their id-indexed
+        # tables, so readers of the snapshot never change them.
         for _, store in self._stores():
             store.pad(len(self._ids))
         self._frozen = True
@@ -408,13 +474,13 @@ class Dataset:
     def graph(self, graph: GraphName) -> Optional[_Graph]:
         """One graph's id triples and buckets, or None when the dataset has
         no such graph. A graph inserted into since it was last read is
-        grouped first, and its run tables widened to ids interned since; a
+        grouped first, and its id-indexed tables widened to ids interned since; a
         frozen dataset's graphs are all grouped and span every id."""
         if self._frozen:
             return self._graphs.get(graph)
         if graph in self._added:
             # The dict of added triples is freed before the graph is grouped.
-            self._graphs[graph] = _Graph(list(self._added.pop(graph)), len(self._ids))
+            self._graphs[graph] = _Graph.of(list(self._added.pop(graph)), len(self._ids))
         store = self._graphs.get(graph)
         if store is not None:
             store.pad(len(self._ids))

@@ -5,17 +5,18 @@ gives, ready to use.
 file. It holds the file's term texts and id triples exactly as the Turtle
 parser would produce them: ids numbered by each term's first appearance
 as subject, predicate, then object, in document order, and the distinct
-triples in document order. It also holds, for each position, the
-``dataset.grouping`` that the store keeps of those triples: the triple
-numbers ordered by that position's id, and each id's run. Loading maps
-the ids onto the store's dictionary with C-level ``map`` and hands the
-groupings over as read, so the store equals the parse's bucket for
-bucket, every query answer is byte-identical, and no load step loops
-over triples in Python or sorts. ``Snapshot.load`` drops each section
-once the store has taken it: the texts and the triple array once the
-triples are built, and each grouping's arrays as its position's run
-table is built (the run starts stay, as the store's own). So the
-sidecar's arrays and the built store are not held at once.
+triples in document order, which keeps each subject's triples together.
+It also holds the store's form of those triples (``dataset._Graph``): the
+subjects' run table, run ids and run starts, and for the predicate and
+the object the ``dataset.grouping`` of the triples, whose run ids rise.
+Loading splits the texts in one C call, maps the ids onto the store's
+dictionary with C-level ``map`` into triple tuples, and hands the rest
+over as read: the arrays of the predicates' and objects' groupings stay
+the store's, read by bisection, and so does the first file's run table.
+So the store equals the parse's bucket for bucket, every query answer is
+byte-identical, and no load step loops over triples in Python or sorts.
+``Snapshot.load`` drops the texts and the triple array once the store
+has taken them.
 
 A sidecar is used only when it proves that it describes the very bytes
 of its Turtle file, as a hash-based ``.pyc`` does (PEP 552): its header
@@ -26,26 +27,31 @@ blocks, so the writer hashes the file it streamed out, and the reader
 the file's open handle, a block at a time, neither holding its bytes.
 ``read`` returns None for a missing, truncated, stale, foreign,
 older-version or inconsistent sidecar, and ``Snapshot.load`` returns
-False, having added nothing, for one whose ids or triple numbers are
-out of range; either way the caller parses the Turtle instead.
+False, having added nothing, for one whose ids are out of range or whose
+texts repeat; either way the caller parses the Turtle instead. Each
+check of the groupings loops in C over their runs, or over the triple
+numbers for their range.
 
-Layout (version 2), every integer little-endian:
+Layout (version 3), every integer little-endian:
 
 - header (``_HEADER``): magic, version, Turtle length and hash, term
   count, character count, blob byte count, triple count, for each
-  position the length of its triple-number section (the triple count,
-  or 0 when the grouping keeps the triples' own order, as the subjects'
-  does) and its run count, and the CRC-32 of everything after the
-  header, then of the header before the CRC
-- term count + 1 character offsets into the blob, ``uint32``
-- the blob: every term's canonical text in id order, UTF-8
+  position its run count, and the CRC-32 of everything after the header,
+  then of the header before the CRC
+- the blob: every term's canonical text in id order, joined by ``"\\0"``,
+  UTF-8
 - triple count × 3 term ids, ``uint32``
-- for subject, predicate and object in turn, ``uint32`` each: the triple
-  numbers in grouping order (if any), the id of each run (run count),
-  and each run's start, then the triple count (run count + 1)
+- the subjects' run table, ``int32`` per term id: the run number of the
+  id's triples, or -1; then the id of each run (run count) and each
+  run's start, then the triple count (run count + 1), ``uint32``
+- for predicate and object in turn, ``uint32`` each: the triple numbers
+  in grouping order (triple count), the id of each run, rising, and each
+  run's start, then the triple count
 
-A graph holding a blank node gets no sidecar: the parser relabels blank
-nodes apart from those already loaded, which a fixed id table cannot.
+Sidecars of versions 1 and 2 are ignored. A graph holding a blank node,
+or a text holding ``"\\0"``, gets no sidecar: the parser relabels blank
+nodes apart from those already loaded, which a fixed id table cannot,
+and the separator would split the text.
 """
 
 from __future__ import annotations
@@ -57,28 +63,27 @@ from array import array
 from binascii import crc32
 from functools import partial
 from importlib.util import source_hash
-from itertools import accumulate, islice
-from operator import itemgetter
-from typing import BinaryIO, Callable, Iterator, Optional, TextIO
+from itertools import chain, islice
+from operator import itemgetter, lt
+from typing import BinaryIO, Optional, TextIO
 
-from .dataset import Dataset, Grouping, grouping
+from .dataset import I32, U32, Dataset, Grouping, grouping, run_table
 from .terms import GraphName
 
 SUFFIX = ".ekg"
 _MAGIC = b"EKGSNAP\0"
-_VERSION = 2
+_VERSION = 3
 # Magic, version, Turtle length and hash, term, character, blob byte and
-# triple counts, and each position's triple-number and run counts; then
-# the CRC-32.
-_HEADER = struct.Struct("<8sIQ8sQQQQ6Q")
+# triple counts, and each position's run count; then the CRC-32.
+_HEADER = struct.Struct("<8sIQ8sQQQQ3Q")
 _CRC = struct.Struct("<I")
 _START = _HEADER.size + _CRC.size
-# An array typecode of four-byte unsigned ints.
-_U32 = "I" if array("I").itemsize == 4 else "L"
 _SWAP = sys.byteorder == "big"
 # Term texts per chunk written, which bounds the writer's buffers.
 _CHUNK = 1024
 _BLOCK = 1 << 16
+# A text's first character, or "" for an empty text.
+_FIRST = itemgetter(slice(1))
 
 
 def _digest(turtle: BinaryIO) -> tuple[int, bytes]:
@@ -92,47 +97,57 @@ def _digest(turtle: BinaryIO) -> tuple[int, bytes]:
 
 
 class Snapshot:
-    """A sidecar's term texts, in id order, its flat id triples and the
-    grouping of the triples at each position."""
+    """A sidecar's term texts, in id order, its flat id triples, the
+    subjects' run table and their run ids and starts, and the predicates'
+    and objects' groupings, all in the file's ids."""
 
-    __slots__ = ("texts", "triples", "groupings")
+    __slots__ = ("texts", "triples", "table", "subjects", "groupings")
 
-    def __init__(self, texts: list[str], triples: array, groupings: list[Grouping]) -> None:
+    def __init__(
+        self,
+        texts: list[str],
+        triples: array,
+        table: array,
+        subjects: tuple[array, array],
+        groupings: list[Grouping],
+    ) -> None:
         self.texts = texts
         self.triples = triples
+        self.table = table
+        self.subjects = subjects
         self.groupings = groupings
 
     def load(self, ds: Dataset, graph: GraphName) -> bool:
         """Intern the texts into the dataset and add the triples to graph,
         as loading the Turtle file would. Returns False, and leaves the
-        dataset as it was, when an id or a triple number is out of range.
-        Each section is dropped from the snapshot as the store takes it,
-        so the sidecar's arrays and the built store are not held at once,
-        and a snapshot loads only once."""
+        dataset as it was, when an id is out of range or two texts are
+        one. The texts and the triple array are dropped from the snapshot
+        as the store takes them, and a snapshot loads only once."""
         try:
             with ds.interning() as ids:
-                # Mapped through the dictionary's own ids, so the triples
-                # share its int objects; an id past the texts has none.
-                remap = ids.intern_all(self.texts).__getitem__
+                known = len(ids)
+                # The dictionary's own ids, so the triples share its int objects.
+                mapped = ids.intern_all(self.texts)
+                del self.texts
+                local = None
+                if known or len(ids) != len(mapped):
+                    # The file's ids are not the dictionary's: each of the
+                    # dictionary's ids is mapped to the file's for bisection.
+                    local = run_table(mapped, len(ids))
+                    if local.count(-1) != len(ids) - len(mapped):
+                        raise ValueError("two texts of the sidecar are one term")
+                remap = mapped.__getitem__
+                # An id past the texts raises IndexError.
                 flat = map(remap, self.triples)
-                del self.texts, self.triples
+                del self.triples
                 triples = list(zip(flat, flat, flat))
                 del flat
-                groupings = self.groupings
-                del self.groupings
-                # A triple number past the triples raises before the graph is added.
-                ds.add_graph(graph, triples, _handed(groupings, remap))
-        except IndexError:
+                keys, starts = self.subjects
+                table = self.table if local is None else run_table(map(remap, keys), len(ids))
+                ds.add_graph(graph, triples, table, starts, self.groupings, local)
+        except (IndexError, ValueError):
             return False
         return True
-
-
-def _handed(groupings: list[Grouping], remap: Callable[[int], int]) -> Iterator[Grouping]:
-    """Each grouping with its run ids remapped, taken off the list as it
-    is handed over."""
-    while groupings:
-        order, keys, starts = groupings.pop(0)
-        yield order, map(remap, keys), starts
 
 
 def read(path: str, turtle: BinaryIO) -> Optional[Snapshot]:
@@ -143,67 +158,86 @@ def read(path: str, turtle: BinaryIO) -> Optional[Snapshot]:
     try:
         with open(path, "rb") as handle:
             return _read(handle, turtle)
-    except (OSError, EOFError, ValueError, struct.error):
-        # Unreadable, shorter than its header says, or not UTF-8.
+    except (OSError, EOFError, ValueError, IndexError, struct.error):
+        # Unreadable, shorter than its header says, not UTF-8, or a run
+        # id past the run table.
         return None
 
 
-def _u32(handle: BinaryIO, count: int) -> array:
-    section = array(_U32)
+def _section(handle: BinaryIO, typecode: str, count: int) -> array:
+    section = array(typecode)
     section.fromfile(handle, count)
     return section
 
 
+def _rise(values: array) -> bool:
+    """Whether each value is below the next, compared in C."""
+    return all(map(lt, values, islice(values, 1, None)))
+
+
+def _sorted(values: array) -> bool:
+    """Whether no value is below the one before it: the values as a list
+    equal their sort, which finds them in one run, in C."""
+    listed = values.tolist()
+    return listed == sorted(listed)
+
+
 def _read(handle: BinaryIO, turtle: BinaryIO) -> Optional[Snapshot]:
     head = handle.read(_START)
-    magic, version, length, digest, terms, chars, size, count, *shapes = _HEADER.unpack_from(head)
+    magic, version, length, digest, terms, chars, size, count, *runs = _HEADER.unpack_from(head)
     if magic != _MAGIC or version != _VERSION:
-        return None
-    # Per position, the length of its triple numbers and its run count.
-    shapes = list(zip(shapes[0::2], shapes[1::2]))
-    if any(numbers not in (0, count) for numbers, _ in shapes):
         return None
     if _digest(turtle) != (length, digest):
         return None
     # Checked before any section is read, so no count can ask for more
-    # memory than the file holds.
-    groups = sum(4 * numbers + 8 * runs + 4 for numbers, runs in shapes)
-    if os.fstat(handle.fileno()).st_size != _START + 4 * (terms + 1) + size + 12 * count + groups:
+    # memory than the file holds: the blob, the triples, the run table,
+    # each position's run ids and starts, and two positions' triple numbers.
+    sections = size + 4 * (3 * count + terms) + sum(8 * n + 4 for n in runs) + 8 * count
+    if os.fstat(handle.fileno()).st_size != _START + sections:
         return None
-    offsets = _u32(handle, terms + 1)
     blob = handle.read(size)
-    triples = _u32(handle, 3 * count)
+    triples = _section(handle, U32, 3 * count)
+    table = _section(handle, I32, terms)
+    subjects = _section(handle, U32, runs[0]), _section(handle, U32, runs[0] + 1)
+    groupings = [
+        (_section(handle, U32, count), _section(handle, U32, n), _section(handle, U32, n + 1))
+        for n in runs[1:]
+    ]
     # The arrays after the blob, in file order.
-    sections = [triples]
-    groupings = []
-    for numbers, runs in shapes:
-        order = _u32(handle, numbers) if numbers else range(count)
-        keys, starts = _u32(handle, runs), _u32(handle, runs + 1)
-        sections += (order, keys, starts) if numbers else (keys, starts)
-        groupings.append((order, keys, starts))
-    crc = crc32(blob, crc32(offsets))
-    for section in sections:
+    arrays = [triples, table, *subjects, *chain.from_iterable(groupings)]
+    crc = crc32(blob)
+    for section in arrays:
         crc = crc32(section, crc)
     if (crc32(head[: _HEADER.size], crc),) != _CRC.unpack_from(head, _HEADER.size):
         return None
     if _SWAP:
-        for section in (offsets, *sections):
+        for section in arrays:
             section.byteswap()
     text = blob.decode("utf-8")
     del blob
-    # The offsets run from 0 to the end of the text.
-    if offsets[0] != 0 or offsets[-1] != chars or len(text) != chars:
+    texts = text.split("\0") if text else []
+    # Each text is an IRI's or a literal's: not empty, not a blank node's.
+    if len(text) != chars or len(texts) != terms or not set(map(_FIRST, texts)) <= {"<", '"'}:
         return None
-    texts = list(map(text.__getitem__, map(slice, offsets, islice(offsets, 1, None))))
-    # No text is empty, so the offsets rise; each is an IRI or a literal,
-    # not a blank node.
-    if not all(texts) or not set(map(itemgetter(0), texts)) <= {"<", '"'}:
+    # Each grouping's runs start at 0, end at the triple count, and no run
+    # starts before the one before it, so that each triple is in one run.
+    for starts in (subjects[1], *map(itemgetter(2), groupings)):
+        if starts[0] != 0 or starts[-1] != count or not _sorted(starts):
+            return None
+    # The run table holds each subject run's id at its run's number, and
+    # no other id; so no run id repeats.
+    keys = subjects[0]
+    if table.count(-1) != terms - len(keys):
         return None
-    # Each grouping's runs start at 0 and end at the triple count. The ids
-    # and triple numbers are bounded as they are loaded.
-    if any(starts[0] != 0 or starts[-1] != count for _, _, starts in groupings):
+    if list(map(table.__getitem__, keys)) != list(range(len(keys))):
         return None
-    return Snapshot(texts, triples, groupings)
+    # The predicates' and objects' run ids rise below the term count, and
+    # their triple numbers are below the triple count. The triples' ids
+    # are bounded as they are loaded.
+    for order, keys, _ in groupings:
+        if not _rise(keys) or (keys and keys[-1] >= terms) or (order and max(order) >= count):
+            return None
+    return Snapshot(texts, triples, table, subjects, groupings)
 
 
 def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: list[int]) -> bool:
@@ -212,18 +246,13 @@ def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: list[int]
 
     ``texts`` and ``triples`` are the document order ``write_turtle``
     returned: the term texts by document id, and each triple's ids in
-    turn, in written order. The list of triples is cleared once it is
-    written, so it is not held while the groupings are built. Writes
-    nothing and returns False for a graph holding a blank node, or one
-    whose texts are too long for 32-bit offsets.
+    turn, in written order, which keeps each subject's triples together.
+    The list of triples is cleared once it is written, so it is not held
+    while the groupings are built. Writes nothing whole and returns False
+    for a graph holding a blank node or a text holding ``"\\0"``.
     """
-    if "_" in set(map(itemgetter(0), texts)):
+    if "_" in set(map(_FIRST, texts)):
         return False
-    try:
-        offsets = array(_U32, accumulate(map(len, texts), initial=0))
-    except OverflowError:
-        return False
-    chars = offsets[-1]
     # Lists, whose items are read faster than an array's.
     columns = [triples[position::3] for position in range(3)]
     count = len(triples) // 3
@@ -239,22 +268,30 @@ def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: list[int]
         return len(section)
 
     handle.write(bytes(_START))
-    put(offsets)
-    size = 0
+    size = chars = 0
     for start in range(0, len(texts), _CHUNK):
-        size += put("".join(texts[start : start + _CHUNK]).encode("utf-8"))
-    put(array(_U32, triples))
+        chunk = texts[start : start + _CHUNK]
+        joined = "\0".join(chunk)
+        if joined.count("\0") != len(chunk) - 1:
+            return False
+        if start:
+            joined = "\0" + joined
+        chars += len(joined)
+        size += put(joined.encode("utf-8"))
+    put(array(U32, triples))
     triples.clear()
     shapes = []
     for position in range(3):
         # The document is written a subject block at a time, so the
-        # subjects' grouping keeps the triples' order and writes none.
+        # subjects' grouping keeps the triples' order and writes none;
+        # it writes the run table instead.
         grouped = position == 0
         order, keys, starts = grouping(columns[position], grouped)
         columns[position] = None
-        for section in (keys, starts) if grouped else (order, keys, starts):
-            put(array(_U32, section))
-        shapes += (0 if grouped else count, len(keys))
+        first = run_table(keys, len(texts)) if grouped else array(U32, order)
+        for section in (first, array(U32, keys), array(U32, starts)):
+            put(section)
+        shapes.append(len(keys))
 
     turtle.flush()
     with open(turtle.name, "rb") as source:

@@ -31,10 +31,15 @@ next pattern is the one with the smallest index bucket among its
 constant and already-bound positions, a bound variable counting as the
 mean bucket of its position (after Stocker et al., "SPARQL basic graph
 pattern optimization using selectivity estimation", WWW 2008). Each step
-then reads the active graph's buckets (``_Graph.bucket`` for a constant,
-``_Graph.runs`` for a bound variable, one slice per row): per row it
-scans the smallest bucket among the constant and bound positions,
-checking as it goes the fixed positions that the bucket does not fix.
+then reads the active graph's buckets (``_Graph.bucket`` for a constant;
+for a bound variable ``_Graph.runs`` at the subject, one slice per row,
+and ``_Graph.finder`` at another position): per row it scans the
+smallest bucket among the constant and bound positions, checking as it
+goes the fixed positions that the bucket does not fix. Consecutive steps
+on one subject variable that an earlier step binds, with constant
+predicates, form a star: per row the subject's run
+is looked up once and scanned once for all of them, unless a FILTER
+conjunct falls due between them.
 
 A FILTER over a BGP, or over a GRAPH block of one BGP, tests each of its
 ``&&`` conjuncts right after the plan step that binds the conjunct's
@@ -108,6 +113,8 @@ IdPattern = tuple[Union[int, str], Union[int, str], Union[int, str]]
 # power of two, so a counter is checked with a mask.
 _CHECK_EVERY = 256
 _CHECK_MASK = _CHECK_EVERY - 1
+# A triple's predicate.
+_PREDICATE = itemgetter(1)
 # How the canonical text of an xsd:dateTime literal ends.
 _DATETIME_END = f'"^^<{XSD_DATETIME.value}>'
 
@@ -271,11 +278,85 @@ def _eval_bgp(
 
     slots: Slots = {}
     rows: list[Row] = _kept([()], due[0], slots, run)
-    for tp, tested in zip(plan, due[1:]):
+    for steps, tested in _stages(plan, due, graphs):
         if not rows:
             break
-        rows = _kept(_extend(rows, tp, slots, graphs, run), tested, slots, run)
+        if len(steps) == 1:
+            rows = _extend(rows, steps[0], slots, graphs, run)
+        else:
+            rows = _extend_star(rows, steps, slots, graphs[0], run)
+        rows = _kept(rows, tested, slots, run)
     return slots, rows
+
+
+def _stages(
+    plan: list[IdPattern], due: list[list[Expression]], graphs: list
+) -> list[tuple[list[IdPattern], list[Expression]]]:
+    """The plan's steps in stages, each with the conditions due after its
+    last step. Consecutive steps form one stage, a star, when each one's
+    subject is one variable that an earlier stage binds, its predicate is
+    a constant and its subject run is its smallest bucket by the plan's
+    estimate, the graph is one, and no condition falls due between them."""
+    stages: list[tuple[list[IdPattern], list[Expression]]] = []
+    bound: set[str] = set()
+    # The variables bound before the last stage.
+    before: set[str] = set()
+    for tp, tested in zip(plan, due[1:]):
+        if stages and not stages[-1][1] and _joins(stages[-1][0], tp, before, bound, graphs):
+            stages[-1] = (stages[-1][0] + [tp], tested)
+        else:
+            before = set(bound)
+            stages.append(([tp], tested))
+        bound.update(x for x in tp if isinstance(x, str))
+    return stages
+
+
+def _joins(
+    star: list[IdPattern], tp: IdPattern, before: set[str], bound: set[str], graphs: list
+) -> bool:
+    """Whether tp joins the star of the steps before it: in one graph, its
+    subject is theirs, a variable bound before them, and each of them is
+    estimated to read its triples best from the subject's run."""
+    subject = star[0][0]
+    if len(graphs) != 1 or tp[0] != subject or subject not in before:
+        return False
+    return (len(star) > 1 or _on_run(star[0], before, graphs[0])) and _on_run(tp, bound, graphs[0])
+
+
+def _on_run(tp: IdPattern, bound: set[str], graph) -> bool:
+    """Whether a pattern on a bound subject, whose predicate is a
+    constant, is estimated to find its triples in no smaller bucket than
+    its subject's run: each of its constant and other bound positions'
+    buckets is at least the mean subject run."""
+    if not isinstance(tp[1], int):
+        return False
+    run = graph.mean(0)
+    return all(
+        run <= (graph.size(i, x) if isinstance(x, int) else graph.mean(i))
+        for i, x in enumerate(tp[1:], 1)
+        if isinstance(x, int) or x in bound
+    )
+
+
+def _binds(tp: IdPattern, slots: Slots):
+    """How tp reads a row: its constant positions with their ids, its
+    bound positions with their slots, the pairs of positions where a free
+    variable is listed again, which must hold the same id, and the picker
+    of the ids of the variables that it binds first, which are given the
+    next slots."""
+    consts = [(i, x) for i, x in enumerate(tp) if isinstance(x, int)]
+    keys = [(i, slots[x]) for i, x in enumerate(tp) if isinstance(x, str) and x in slots]
+    # Each free variable's first position; one listed again must match itself there.
+    free: dict[str, int] = {}
+    repeats: list[tuple[int, int]] = []
+    for i, x in enumerate(tp):
+        if isinstance(x, str) and x not in slots:
+            if x in free:
+                repeats.append((free[x], i))
+            else:
+                free[x] = i
+    slots.update(zip(free, count(len(slots))))
+    return consts, keys, repeats, _picker(list(free.values()))
 
 
 def _extend(rows: list[Row], tp: IdPattern, slots: Slots, graphs: list, run: _Run) -> list[Row]:
@@ -288,21 +369,73 @@ def _extend(rows: list[Row], tp: IdPattern, slots: Slots, graphs: list, run: _Ru
     triples differ, and the rows differ, so the merge is the union of the
     extensions in each graph, without repeats.
     """
-    consts = [(i, x) for i, x in enumerate(tp) if isinstance(x, int)]
-    keys = [(i, slots[x]) for i, x in enumerate(tp) if isinstance(x, str) and x in slots]
-    # Each free variable's first position; one listed again must match itself there.
-    free: dict[str, int] = {}
-    repeats: list[tuple[int, int]] = []
-    for i, x in enumerate(tp):
-        if isinstance(x, str) and x not in slots:
-            if x in free:
-                repeats.append((free[x], i))
-            else:
-                free[x] = i
-    picked = _picker(list(free.values()))
-    slots.update(zip(free, count(len(slots))))
+    consts, keys, repeats, picked = _binds(tp, slots)
     extended = [_extend_in(graph, rows, tp, consts, keys, repeats, picked, run) for graph in graphs]
     return extended[0] if len(extended) == 1 else list(dict.fromkeys(chain.from_iterable(extended)))
+
+
+def _extend_star(
+    rows: list[Row], star: list[IdPattern], slots: Slots, graph, run: _Run
+) -> list[Row]:
+    """Each row extended as ``_extend`` extends it by each pattern of the
+    star in turn, in one graph, where the patterns' subject is one
+    variable that the rows bind and each predicate is a constant. Per row
+    the subject's run is looked up once and scanned once, into a dict of
+    its triples by predicate, built in C; where no predicate repeats in
+    the run, as is usual, each pattern's one candidate is read from it,
+    and otherwise each pattern scans the run for its predicate."""
+    run_of, starts, ordered = graph.runs()
+    subject = slots[star[0][0]]
+    steps = []
+    for tp in star:
+        # Only the object can be a free variable, so none is listed twice.
+        consts, keys, _, picked = _binds(tp, slots)
+        # The run fixes the subject and the dict the predicate.
+        steps.append((tp[1], *_check(keys, [(i, x) for i, x in consts if i != 1], 0), picked))
+
+    out: list[Row] = []
+    emit = out.append
+    # Rows and triples gone through since the last deadline check, as
+    # ``_extend_in`` counts them: a row with its run, at each scan.
+    work = 0
+    for row in rows:
+        number = run_of(row[subject])
+        triples = ordered[starts[number] : starts[number + 1]]
+        units = 1 + len(triples)
+        work += units
+        if work > _CHECK_EVERY:
+            work = units
+            run.check()
+        by_predicate = dict(zip(map(_PREDICATE, triples), triples))
+        if len(by_predicate) == len(triples):
+            for predicate, probe, target_of, target, picked in steps:
+                triple = by_predicate.get(predicate)
+                if target_of is not None:
+                    target = target_of(row)
+                if triple is None or probe(triple) != target:
+                    break
+                row += picked(triple)
+            else:
+                emit(row)
+            continue
+        found = [row]
+        for predicate, probe, target_of, target, picked in steps:
+            extended: list[Row] = []
+            for partial in found:
+                work += units
+                if work > _CHECK_EVERY:
+                    work = units
+                    run.check()
+                if target_of is not None:
+                    target = target_of(partial)
+                for triple in _scan(triples, [], run) if units > _CHECK_EVERY else triples:
+                    if triple[1] == predicate and probe(triple) == target:
+                        extended.append(partial + picked(triple))
+            found = extended
+            if not found:
+                break
+        out += found
+    return out
 
 
 def _extend_in(
@@ -325,7 +458,10 @@ def _extend_in(
             size, at = found, i
     start = graph.triples if at is None else None
     start_check = _check(keys, consts, at)
-    lookups = [(*graph.runs(i), slot, _check(keys, consts, i)) for i, slot in keys]
+    # A bound subject's run is read from the run table, another bound
+    # position's bucket found by its finder.
+    lookups = [(*graph.runs(), slot, _check(keys, consts, i)) for i, slot in keys if not i]
+    finders = [(graph.finder(i), slot, _check(keys, consts, i)) for i, slot in keys if i]
 
     out: list[Row] = []
     emit = out.append
@@ -342,6 +478,10 @@ def _extend_in(
             end = starts[number + 1]
             if end - begin < least:
                 triples, least, check = ordered[begin:end], end - begin, lookup_check
+        for bucket_of, slot, lookup_check in finders:
+            bucket = bucket_of(row[slot])
+            if len(bucket) < least:
+                triples, least, check = bucket, len(bucket), lookup_check
         if triples is None:
             triples = start = graph.bucket(at, tp[at])
         probe, target_of, target = check

@@ -5,13 +5,15 @@ render each distinct id's fragment once, straight from its canonical
 text; a row is then one join of its cells. No ``Term``, per-row dict or
 payload tree is built. The JSON is the text that ``json.dumps(payload,
 ensure_ascii=False)`` gives for the SPARQL 1.1 results payload, its
-strings escaped by the same ``encode_basestring``.
+strings escaped by the same ``encode_basestring``: the C function that
+``json.encoder`` takes from ``_json``, imported from there so that a
+query process does not import the ``json`` package.
 """
 
 from __future__ import annotations
 
+from _json import encode_basestring
 from itertools import repeat
-from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Callable, Iterable
 
@@ -21,29 +23,23 @@ from .ast import SolutionSequence
 _STRING = XSD_STRING.value
 
 
-class _Memo(dict):
-    """A function's value for each key, computed when first asked for."""
-
-    def __init__(self, function: Callable[[int], str]) -> None:
-        self.function = function
-
-    def __missing__(self, key: int) -> str:
-        value = self[key] = self.function(key)
-        return value
-
-
 def _cells(
-    seq: SolutionSequence, variables: Iterable[str], column: Callable[[str], _Memo]
+    seq: SolutionSequence,
+    variables: Iterable[str],
+    render: Callable[[str, list[int]], Iterable[str]],
 ) -> Iterable[tuple[str, ...]]:
-    """Each row's cells, one per variable: ``column(name)`` gives a bound
-    variable's cells by id, and a variable that no row binds has empty cells."""
+    """Each row's cells, one per variable. A bound variable's cells are
+    rendered once per distinct id of its column, by ``render(name, ids)``;
+    a variable that no row binds has empty cells."""
     names, rows = seq.names, seq.ids
-    columns = [
-        map(column(name).__getitem__, map(itemgetter(names.index(name)), rows))
-        if name in names
-        else repeat("", len(rows))
-        for name in variables
-    ]
+    columns = []
+    for name in variables:
+        if name not in names:
+            columns.append(repeat("", len(rows)))
+            continue
+        ids = list(map(itemgetter(names.index(name)), rows))
+        distinct = list(dict.fromkeys(ids))
+        columns.append(map(dict(zip(distinct, render(name, distinct))).__getitem__, ids))
     return zip(*columns) if columns else repeat((), len(rows))
 
 
@@ -60,16 +56,14 @@ def _json_term(text: str) -> str:
 
 
 def to_results_json(seq: SolutionSequence) -> str:
-    texts = seq.texts
-    fragment = _Memo(lambda i: _json_term(texts[i]))
+    text = seq.texts.__getitem__
 
-    def column(name: str) -> _Memo:
-        key = encode_basestring(name) + ": "
-        return _Memo(lambda i: key + fragment[i])
+    def render(name: str, ids: list[int]) -> Iterable[str]:
+        return map((encode_basestring(name) + ": ").__add__, map(_json_term, map(text, ids)))
 
     # Each name once, as a JSON object's keys are; unbound ones are left out.
     keys = [name for name in dict.fromkeys(seq.variables) if name in seq.names]
-    cells = _cells(seq, keys, column)
+    cells = _cells(seq, keys, render)
     variables = ", ".join(map(encode_basestring, seq.variables))
     head = '{"head": {"vars": [' + variables + ']}, "results": {"bindings": ['
     # One join builds the text, so no second copy of it is made.
@@ -96,8 +90,7 @@ def _tsv_term(text: str) -> str:
 
 
 def to_results_tsv(seq: SolutionSequence) -> str:
-    texts = seq.texts
-    fragment = _Memo(lambda i: _tsv_term(texts[i]))
-    lines = map("\t".join, _cells(seq, seq.variables, lambda name: fragment))
+    text = seq.texts.__getitem__
+    cells = _cells(seq, seq.variables, lambda name, ids: map(_tsv_term, map(text, ids)))
     header = "\t".join(["?" + name for name in seq.variables])
-    return "\n".join([header, *lines, ""])
+    return "\n".join([header, *map("\t".join, cells), ""])

@@ -855,10 +855,12 @@ _STRPTIME = ("_strptime", "calendar")
         # The station link is minted without the climate module and its json.
         ("uplift", (*_HEAVY, _PARSER, "energykg.climate", "json", *_STRPTIME, *_START_UP)),
         ("climate", (*_HEAVY, _PARSER, *_STRPTIME, *_START_UP)),
-        # Every store file is loaded from its sidecar.
+        # Every store file is loaded from its sidecar, and the results are
+        # escaped without the json package.
         (
             "query",
-            ("http.server", "energykg.endpoint", "energykg.analysis", _PARSER, _WRITER, *_START_UP),
+            ("http.server", "energykg.endpoint", "energykg.analysis", _PARSER, _WRITER, "json",
+             *_START_UP),
         ),
         ("analyze", ("http.server", "energykg.endpoint", _PARSER, _WRITER, *_START_UP)),
     ],

@@ -11,13 +11,14 @@ the Turtle's result or its error.
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import struct
 import string
 import threading
 from binascii import crc32
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import pytest
@@ -154,7 +155,11 @@ def test_sidecar_load_equals_the_turtle_parse(
         subject = subject if isinstance(subject, Iri) else Iri(querygen.BASE + "lit")
         ds.add(Quad(subject, predicate, other, rnd.choice(_GRAPHS)))
     paths = _write_stores(directory, ds, _GRAPHS[:files], write_base)
-    assert all(os.path.exists(path + snapshot.SUFFIX) for path in paths)
+    # Each graph has a sidecar unless one of its texts holds the separator.
+    texts = ds.texts()
+    for path, graph in zip(paths, _GRAPHS):
+        held = set(chain.from_iterable(ds.triples(None, None, None, graph)))
+        assert os.path.exists(path + snapshot.SUFFIX) != any("\0" in texts[i] for i in held)
     config = _config(load_base)
 
     from_sidecars = load_store(paths, config)
@@ -192,24 +197,46 @@ def test_a_store_with_sidecars_is_loaded_without_parsing(tmp_path, turtle_loads)
     assert turtle_loads == [querygen.NAMED_GRAPHS[1]]
 
 
-def test_a_graph_with_a_blank_node_gets_no_sidecar(tmp_path, turtle_loads):
+def _assert_written_without_sidecar(tmp_path, turtle_loads, term) -> None:
     path = tmp_path / "store.ttl"
-    ds = Dataset([Quad(Iri("http://example.org/s"), Iri("http://example.org/p"), BlankNode("b"))])
+    quad = Quad(Iri("http://example.org/s"), Iri("http://example.org/p"), term)
     # A sidecar of an earlier graph does not outlive the Turtle it describes.
     _write_store(str(path), querygen.random_dataset(random.Random(1)), None, None)
     assert (tmp_path / "store.ttl.ekg").exists()
-    _write_store(str(path), ds, None, None)
+    _write_store(str(path), Dataset([quad]), None, None)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["store.ttl"]
-    assert len(load_store([str(path)], _config(None))) == 1
+    loaded = load_store([str(path)], _config(None))
+    assert len(loaded) == 1
     assert turtle_loads == [None]
+    if not isinstance(term, BlankNode):
+        assert list(loaded) == [quad]
+
+
+def test_a_graph_with_a_blank_node_gets_no_sidecar(tmp_path, turtle_loads):
+    _assert_written_without_sidecar(tmp_path, turtle_loads, BlankNode("b"))
+
+
+def test_a_graph_with_a_text_holding_nul_gets_no_sidecar(tmp_path, turtle_loads):
+    # The sidecar joins its texts with "\0".
+    _assert_written_without_sidecar(tmp_path, turtle_loads, Literal("a\0b"))
+
+
+def test_a_loaded_store_is_frozen_out_of_the_collector(written):
+    # The collector's later passes skip the store's triples and texts.
+    before = gc.get_freeze_count()
+    ds = load_store(written[0], _config(None))
+    assert gc.get_freeze_count() - before >= len(ds)
 
 
 # -- damaged, stale or foreign sidecars ------------------------------------------
 
-_HEADER = struct.Struct("<8sIQ8sQQQQ6Q")
+_HEADER = struct.Struct("<8sIQ8sQQQQ3Q")
 _START = _HEADER.size + 4
-# The header of a version-1 sidecar, which held no groupings.
+# The headers of version-1 and version-2 sidecars: the first held no
+# groupings, and neither held a run table; their texts were sliced from
+# the blob by character offsets.
 _HEADER_1 = struct.Struct("<8sIQ8sQQQQ")
+_HEADER_2 = struct.Struct("<8sIQ8sQQQQ6Q")
 
 
 def _write_two_files(directory: Path) -> list[str]:
@@ -298,34 +325,91 @@ def _field(data: bytes, index: int, value) -> bytes:
     return _HEADER.pack(*fields) + data[_HEADER.size :]
 
 
-def _sections(data: bytes):
-    """Where the blob, the triples and the groupings begin, then the
-    subject grouping's run ids and run starts and the predicate
-    grouping's triple numbers."""
-    terms, _, size, count, subject_numbers, subject_runs = _HEADER.unpack_from(data)[4:10]
-    blob = _START + 4 * (terms + 1)
-    triples = blob + size
-    groupings = triples + 12 * count
-    keys = groupings + 4 * subject_numbers
-    starts = keys + 4 * subject_runs
-    return blob, triples, groupings, keys, starts, starts + 4 * (subject_runs + 1)
+def _sections(data: bytes) -> dict:
+    """Where each section of a version-3 sidecar begins, by name, and where
+    the sidecar ends."""
+    terms, _, size, count, *runs = _HEADER.unpack_from(data)[4:]
+    lengths = [
+        ("blob", size),
+        ("triples", 12 * count),
+        ("table", 4 * terms),
+        ("subject_keys", 4 * runs[0]),
+        ("subject_starts", 4 * (runs[0] + 1)),
+    ]
+    for name, n in zip(("predicate", "object"), runs[1:]):
+        lengths += [(f"{name}_order", 4 * count), (f"{name}_keys", 4 * n)]
+        lengths.append((f"{name}_starts", 4 * (n + 1)))
+    at, sections = _START, {}
+    for name, length in lengths:
+        sections[name] = at
+        at += length
+    sections["end"] = at
+    return sections
 
 
-def _version_1(sidecar: bytes) -> bytes:
-    """The sidecar as version 1 wrote it: the same texts and triples, with
-    no groupings."""
+def _values(data: bytes, name: str) -> list:
+    """A section's integers, the run table's signed."""
+    sections = _sections(data)
+    names = list(sections)
+    at, end = sections[name], sections[names[names.index(name) + 1]]
+    typecode = "i" if name == "table" else "I"
+    return list(struct.unpack_from(f"<{(end - at) // 4}{typecode}", data, at))
+
+
+def _set(data: bytes, name: str, index: int, value) -> bytes:
+    """The sidecar with one integer of a section set."""
+    at = _sections(data)[name] + 4 * index
+    return data[:at] + struct.pack("<i" if name == "table" else "<I", value) + data[at + 4 :]
+
+
+def _swapped(data: bytes, name: str, first: int, second: int) -> bytes:
+    values = _values(data, name)
+    data = _set(data, name, first, values[second])
+    return _set(data, name, second, values[first])
+
+
+def _older(sidecar: bytes, version: int) -> bytes:
+    """The sidecar as version 1 or 2 wrote it: the same texts, sliced by
+    character offsets, and triples; version 2 with the groupings but no
+    run table, version 1 with neither."""
     fields = _HEADER.unpack_from(sidecar)
-    end = _sections(sidecar)[2]
-    header = _HEADER_1.pack(fields[0], 1, *fields[2:8])
-    body = sidecar[_START:end]
+    terms, _, size, count, *runs = fields[4:]
+    texts = sidecar[_START : _START + size].decode("utf-8").split("\0")
+    offsets = struct.pack(f"<{terms + 1}I", *accumulate(map(len, texts), initial=0))
+    blob = "".join(texts).encode("utf-8")
+    sections = _sections(sidecar)
+    body = offsets + blob + sidecar[sections["triples"] : sections["table"]]
+    counts = (len("".join(texts)), len(blob), count)
+    if version == 1:
+        header = _HEADER_1.pack(fields[0], 1, *fields[2:4], terms, *counts)
+    else:
+        body += sidecar[sections["subject_keys"] : sections["end"]]
+        shapes = (0, runs[0], count, runs[1], count, runs[2])
+        header = _HEADER_2.pack(fields[0], 2, *fields[2:4], terms, *counts, *shapes)
     return header + struct.pack("<I", crc32(header, crc32(body))) + body
 
 
+def _with_texts(sidecar: bytes, texts: list[str]) -> bytes:
+    """The sidecar with other texts, its character and blob byte counts to match."""
+    sections = _sections(sidecar)
+    joined = "\0".join(texts)
+    blob = joined.encode("utf-8")
+    data = _field(_field(sidecar, 5, len(joined)), 6, len(blob))
+    return data[: sections["blob"]] + blob + data[sections["triples"] :]
+
+
 def _damaged_sidecars(sidecar: bytes) -> dict:
-    blob, triples, _, keys, starts, order = _sections(sidecar)
+    sections = _sections(sidecar)
     version = _HEADER.unpack_from(sidecar)[1]
-    terms, _, _, count = _HEADER.unpack_from(sidecar)[4:8]
-    offset = struct.Struct("<I")
+    terms, chars, _, count = _HEADER.unpack_from(sidecar)[4:8]
+    blob = sidecar[sections["blob"] : sections["triples"]]
+    texts = blob.decode("utf-8").split("\0")
+    table = _values(sidecar, "table")
+    keys = _values(sidecar, "subject_keys")
+    object_keys = _values(sidecar, "object_keys")
+    # The cases below need a last term that is no subject, three subject
+    # runs and two object runs.
+    assert table[-1] == -1 and len(keys) >= 3 and len(object_keys) >= 2
     cases = {
         "empty": b"",
         "magic": b"X" + sidecar[1:],
@@ -336,18 +420,35 @@ def _damaged_sidecars(sidecar: bytes) -> dict:
     }
     # Consistent CRCs over inconsistent content: each must fail its own check.
     resigned = {
-        "term_count": _field(sidecar, 4, terms - 1),
-        "character_count": _field(sidecar, 5, _HEADER.unpack_from(sidecar)[5] + 1),
-        "offsets_decrease": sidecar[: _START + 4] + offset.pack(0) + sidecar[_START + 8 :],
-        "offset_past_blob": sidecar[: blob - 4] + offset.pack(2**31) + sidecar[blob:],
-        "id_out_of_range": sidecar[:triples] + offset.pack(terms) + sidecar[triples + 4 :],
-        "not_utf8": sidecar[:blob] + b"\xff" + sidecar[blob + 1 :],
-        "blank_node": sidecar[:blob] + b"_" + sidecar[blob + 1 :],
-        "triple_number_out_of_range": sidecar[:order] + offset.pack(count) + sidecar[order + 4 :],
-        "run_id_out_of_range": sidecar[:keys] + offset.pack(terms) + sidecar[keys + 4 :],
-        "runs_start_past_zero": sidecar[:starts] + offset.pack(1) + sidecar[starts + 4 :],
-        # Neither the triple count nor 0.
-        "triple_numbers_count": _field(sidecar, 10, 1),
+        # One more term, with a run table entry of no run, so that only the
+        # texts disagree with the count.
+        "term_count": _field(sidecar, 4, terms + 1)[: sections["subject_keys"]]
+        + struct.pack("<i", -1)
+        + sidecar[sections["subject_keys"] :],
+        "character_count": _field(sidecar, 5, chars + 1),
+        # The first text's separator moved before it: an empty text.
+        "empty_text": sidecar[: sections["blob"]]
+        + b"\0"
+        + blob.replace(b"\0", b"", 1)
+        + sidecar[sections["triples"] :],
+        "id_out_of_range": _set(sidecar, "triples", 0, terms),
+        "not_utf8": sidecar[: sections["blob"]] + b"\xff" + sidecar[sections["blob"] + 1 :],
+        "blank_node": sidecar[: sections["blob"]] + b"_" + sidecar[sections["blob"] + 1 :],
+        "text_repeated": _with_texts(sidecar, [texts[0], texts[0], *texts[2:]]),
+        "triple_number_out_of_range": _set(sidecar, "predicate_order", 0, count),
+        "run_id_out_of_range": _set(sidecar, "subject_keys", 0, terms),
+        "object_run_id_out_of_range": _set(sidecar, "object_keys", len(object_keys) - 1, terms),
+        # The first run's start moved up by one, and the next run's too, so
+        # that the starts still rise.
+        "runs_start_past_zero": _set(_set(sidecar, "subject_starts", 0, 1), "subject_starts", 1, 2),
+        "runs_end_past_count": _set(sidecar, "object_starts", len(object_keys), count + 1),
+        # Two interior run starts swapped, and one run id listed twice.
+        "run_starts_not_rising": _swapped(sidecar, "subject_starts", 1, 2),
+        "run_id_repeated": _set(sidecar, "subject_keys", 1, keys[0]),
+        "run_table_swapped": _swapped(sidecar, "table", keys[0], keys[1]),
+        "run_table_extra_entry": _set(sidecar, "table", terms - 1, 0),
+        "object_run_ids_not_rising": _swapped(sidecar, "object_keys", 0, 1),
+        "object_run_starts_not_rising": _swapped(sidecar, "object_starts", 1, 2),
     }
     cases.update((name, _resigned(data)) for name, data in resigned.items())
     assert len(set(cases.values())) == len(cases) and sidecar not in cases.values()
@@ -358,9 +459,11 @@ def _damaged_sidecars(sidecar: bytes) -> dict:
     "damage",
     [
         "empty", "magic", "version", "turtle_length", "turtle_hash", "trailing_byte",
-        "term_count", "character_count", "offsets_decrease", "offset_past_blob",
-        "id_out_of_range", "not_utf8", "blank_node", "triple_number_out_of_range",
-        "run_id_out_of_range", "runs_start_past_zero", "triple_numbers_count",
+        "term_count", "character_count", "empty_text", "id_out_of_range", "not_utf8",
+        "blank_node", "text_repeated", "triple_number_out_of_range", "run_id_out_of_range",
+        "object_run_id_out_of_range", "runs_start_past_zero", "runs_end_past_count",
+        "run_starts_not_rising", "run_id_repeated", "run_table_swapped",
+        "run_table_extra_entry", "object_run_ids_not_rising", "object_run_starts_not_rising",
     ],
 )
 def test_an_inconsistent_sidecar_is_ignored(tmp_path, written, turtle_loads, damage):
@@ -385,17 +488,25 @@ def test_a_sidecar_written_under_another_hash_key_is_ignored(
     _assert_ignored(tmp_path, written, turtle_loads, sidecar)
 
 
-def test_a_version_1_sidecar_is_ignored(tmp_path, written, turtle_loads):
-    old = _version_1(written[1][0])
-    (tmp_path / "v1.ekg").write_bytes(old)
+def _assert_older_version_ignored(tmp_path, written, turtle_loads, version):
+    old = _older(written[1][0], version)
+    (tmp_path / "old.ekg").write_bytes(old)
     with open(written[0][0], "rb") as turtle:
-        assert snapshot.read(str(tmp_path / "v1.ekg"), turtle) is None
+        assert snapshot.read(str(tmp_path / "old.ekg"), turtle) is None
     _assert_ignored(tmp_path, written, turtle_loads, old)
     # The answers through the parse are the bytes the sidecar gives.
     copies = [str(tmp_path / os.path.basename(path)) for path in written[0]]
     query = parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o }")
     through_parse = to_results_json(evaluate(load_store(copies, _config(None)), query))
     assert through_parse == to_results_json(evaluate(load_store(written[0], _config(None)), query))
+
+
+def test_a_version_1_sidecar_is_ignored(tmp_path, written, turtle_loads):
+    _assert_older_version_ignored(tmp_path, written, turtle_loads, 1)
+
+
+def test_a_version_2_sidecar_is_ignored(tmp_path, written, turtle_loads):
+    _assert_older_version_ignored(tmp_path, written, turtle_loads, 2)
 
 
 def _sidecar(path: str):

@@ -351,6 +351,60 @@ def test_deadline_is_checked_while_a_filter_runs(counted_checks):
 
 
 @pytest.fixture()
+def stars(monkeypatch):
+    """The patterns of each star that evaluations extend rows by."""
+    calls = []
+    original = evaluator._extend_star
+
+    def recording(rows, star, *rest):
+        calls.append(list(star))
+        return original(rows, star, *rest)
+
+    monkeypatch.setattr(evaluator, "_extend_star", recording)
+    return calls
+
+
+def test_deadline_is_checked_while_a_star_scans_a_large_run(counted_checks, stars):
+    # One subject holds 10,000 triples of one predicate; many subjects of
+    # one triple each keep the mean run small, so its patterns form a star.
+    quads = [q("s", "p", f"o{i}") for i in range(_BIG)] + [q("s", "q", "a"), q("s", "r", "b")]
+    quads += [q(f"t{i}", "r", "b") for i in range(_BIG)]
+    ds = Dataset(quads).freeze()
+    text = f"SELECT ?o WHERE {{ ?x <{EX}q> <{EX}a> . ?x <{EX}r> ?z . ?x <{EX}p> ?o }}"
+    assert len(rows_of(ds, text)) == _BIG
+    assert [len(star) for star in stars] == [2]
+    assert len(counted_checks) >= _BIG // 256
+
+
+def test_a_star_on_a_bound_subject_matches_the_oracle(stars):
+    # Items of one kind with a name, an alias and a colour each; one item
+    # has two colours, so its run repeats a predicate, and the aliases of
+    # the even items are their names. Tags of many other subjects keep the
+    # mean run below the mean object bucket, so the plan reads each item's
+    # patterns from its run.
+    quads = [q(f"t{i}", "tag", "red") for i in range(40)]
+    for i in range(12):
+        quads += [q(f"i{i}", "kind", "K"), q(f"i{i}", "colour", "red")]
+        quads += [q(f"i{i}", "name", Literal(f"n{i}"))]
+        quads += [q(f"i{i}", "alias", Literal(f"n{i - i % 2}"))]
+    quads.append(q("i3", "colour", "blue"))
+    ds = Dataset(quads).freeze()
+    item = f"?i <{EX}kind> <{EX}K> ; <{EX}name> ?n"
+    for text, count in (
+        (f"SELECT ?i ?n ?c WHERE {{ {item} ; <{EX}colour> ?c }}", 13),
+        # The alias pattern's object is bound by the name pattern, in the star.
+        (f"SELECT ?i ?c WHERE {{ {item} ; <{EX}alias> ?n ; <{EX}colour> ?c }}", 6),
+        # A colour bound before the star.
+        (f"SELECT ?i ?n WHERE {{ <{EX}i3> <{EX}colour> ?c . {item} ; <{EX}colour> ?c }}", 13),
+    ):
+        query = parse_query(text)
+        rows = evaluate(ds, query).rows
+        assert len(rows) == count, text
+        assert rows == naive.naive_evaluate(ds, query), text
+    assert [len(star) for star in stars] == [2, 3, 2]
+
+
+@pytest.fixture()
 def counted_parses(monkeypatch):
     calls = []
     original = evaluator.parse_datetime
