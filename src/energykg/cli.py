@@ -16,10 +16,9 @@ pipe's bytes are read once and serve both. `query` reads and parses its
 query before the load.
 
 `uplift` and `climate` build no store: their generators give each
-triple as canonical term texts, whose distinct texts ``_mint`` numbers
-by first appearance with one ``dict.fromkeys`` before mapping the flat
-texts to ids, and the Turtle writer (``turtle_writer.py``) sorts these
-id triples and drops the repeats.
+triple as canonical term texts, listed flat, and the Turtle writer
+(``turtle_writer.py``) ranks the distinct texts, sorts the triples and
+drops the repeats.
 
 Each subcommand imports the modules that only it uses when it runs, so
 a process loads no query engine, analysis or HTTP server it never calls;
@@ -45,8 +44,8 @@ import os
 import re
 import sys
 from contextlib import ExitStack, contextmanager, suppress
-from itertools import chain, count
-from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, TextIO
+from itertools import chain
+from typing import BinaryIO, Iterator, Optional, Sequence, TextIO
 
 from .config import PipelineConfig, load_config
 from .dataset import Dataset
@@ -61,7 +60,7 @@ from .namespaces import (
     XSD_NS,
     device_resource,
 )
-from .terms import GraphName, Iri, PrefixMap, TextTriple
+from .terms import GraphName, Iri, PrefixMap
 
 _GRAPH_MARKER = re.compile(r"^#\s*graph\s+<([^<>]+)>\s*$")
 
@@ -133,29 +132,13 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _mint(triples: Iterable[TextTriple]) -> tuple[list[str], list[int]]:
-    """The text triples' distinct texts, numbered by first appearance as
-    a ``dataset.TermIds`` numbers them, and each triple's subject,
-    predicate and object id in turn. Each step loops in C."""
-    with _collector_paused():
-        flat = list(chain.from_iterable(triples))
-        # Each distinct text once, in order of first appearance, numbered so.
-        ids = dict.fromkeys(flat)
-        texts = list(ids)
-        ids.update(zip(texts, count()))
-        # The text list is freed once its ids are listed.
-        flat = list(map(ids.__getitem__, flat))
-    return texts, flat
-
-
-def _write_store(
-    path: str, texts: list[str], triples: list[int], graph: GraphName, prefixes: PrefixMap
-) -> str:
-    """Write the triples (``turtle_writer.write_turtle``) as Turtle at
-    path, marked as the graph's, with the snapshot sidecar beside it
-    (``snapshot.py``). A graph the sidecar cannot hold leaves no sidecar.
-    The list of triples is cleared once the Turtle is written, so it is
-    not held while the sidecar is."""
+def _write_store(path: str, texts: list[str], graph: GraphName, prefixes: PrefixMap) -> str:
+    """Write the triples, given as the flat texts of each one's subject,
+    predicate and object in turn (``turtle_writer.write_turtle``), as
+    Turtle at path, marked as the graph's, with the snapshot sidecar
+    beside it (``snapshot.py``). A graph the sidecar cannot hold leaves
+    no sidecar. The list of texts is cleared once the Turtle is written,
+    so it is not held while the sidecar is."""
     from . import snapshot
     from .turtle_writer import write_turtle
 
@@ -163,8 +146,8 @@ def _write_store(
     with _replacing(path, sidecar_path) as [turtle, sidecar]:
         if graph is not None:
             turtle.write(f"# graph <{graph.value}>\n")
-        document = write_turtle(turtle, texts, triples, prefixes)
-        triples.clear()
+        document = write_turtle(turtle, texts, prefixes)
+        texts.clear()
         written = snapshot.write(sidecar.buffer, turtle, *document)
     if not written:
         with suppress(OSError):
@@ -175,7 +158,7 @@ def _write_store(
 @contextmanager
 def _collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector while a block builds a store
-    or a term dictionary.
+    or the flat texts of the triples to write.
 
     Their id tuples and texts form no cycles, so the collector's passes
     over a growing heap of them find nothing to free. When the block
@@ -275,17 +258,17 @@ def cmd_uplift(energy_csv: str, config: PipelineConfig) -> str:
     else:
         network = config.network_iri
         topology = [network_triple(network)]
-    texts, triples = _mint(
-        chain(
+    with _collector_paused():
+        triples = chain(
             topology,
             evaluation_triples(table, base),
             [station_link(network, config.station_iri, base)],
         )
-    )
+        texts = list(chain.from_iterable(triples))
     # The table's values are no longer needed while the file is written.
     del table
     path = os.path.join(config.out, "cossmic.ttl")
-    return _write_store(path, texts, triples, config.graph_iri, _uplift_prefixes(config))
+    return _write_store(path, texts, config.graph_iri, _uplift_prefixes(config))
 
 
 def cmd_climate(observations_path: str, config: PipelineConfig) -> str:
@@ -297,9 +280,10 @@ def cmd_climate(observations_path: str, config: PipelineConfig) -> str:
         observations = parse_noaa_json(text, config.scale_decimal)
     else:
         observations = parse_noaa_csv(text, config.scale_decimal)
-    texts, triples = _mint(observation_triples(observations, config.base_iri))
+    with _collector_paused():
+        texts = list(chain.from_iterable(observation_triples(observations, config.base_iri)))
     path = os.path.join(config.out, "climate.ttl")
-    return _write_store(path, texts, triples, None, _climate_prefixes(config))
+    return _write_store(path, texts, None, _climate_prefixes(config))
 
 
 def cmd_query(store_paths: Sequence[str], query: str, config: PipelineConfig) -> str:

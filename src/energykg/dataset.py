@@ -38,17 +38,17 @@ interns each new text with the dictionary's ``setdefault`` rather than a
 lookup that calls ``TermIds.__missing__``. A snapshot sidecar
 (``snapshot.py``) interns a whole file's texts at once with
 ``TermIds.intern_all``, which into an empty dictionary is one ``update``,
-and hands its triples and stored groupings to ``add_graph``, so no
+and hands its triples, the run table of its stored subject runs and its
+stored groupings to ``add_graph``, so no
 triple is looked at one at a time in Python and the store is the same
 as the parse's, bucket for bucket. A sidecar's groupings keep the ids of
 its own file; where the dictionary gave its terms other ids, the graph
 maps each id of the dictionary to the file's before it bisects.
 
 Writing needs no Dataset, nor a ``TermIds``: ``uplift`` and ``climate``
-number their generators' distinct texts by first appearance with
-``dict.fromkeys`` and hand the texts and a flat list of ids to
-``turtle_writer.write_turtle``, which drops repeated triples by sorting
-them.
+hand their generators' texts, three per triple, to
+``turtle_writer.write_turtle``, which ranks the distinct texts once and
+drops repeated triples by sorting them.
 
 A Dataset is built single-threaded, then frozen; a frozen dataset is a
 snapshot that any number of readers may share, and no read writes to
@@ -117,16 +117,6 @@ class TermIds(dict):
         self.update(zip(fresh, range(len(known), len(known) + len(fresh))))
         known.extend(fresh)
         return list(map(self.__getitem__, texts))
-
-
-def text_order(texts: Sequence[str]) -> tuple[list[int], list[int]]:
-    """The indexes of the texts in sorted text order, and each text's
-    position in that order, by index."""
-    order = sorted(range(len(texts)), key=texts.__getitem__)
-    ranks = [0] * len(texts)
-    for rank, index in enumerate(order):
-        ranks[index] = rank
-    return order, ranks
 
 
 # Triple numbers ordered by one position's id, then the distinct ids in
@@ -372,7 +362,8 @@ class Dataset:
         graph, with the subjects' run table and run starts and the
         predicates' and objects' groupings, whose run ids rise in the ids
         that ``local`` maps the dictionary's ids to (where not None), as a
-        snapshot sidecar stores them; see ``_Graph``. A graph that holds
+        snapshot sidecar stores them and fills the run table from its
+        subject runs; see ``_Graph``. A graph that holds
         triples already takes the triples as ``add_ids`` does."""
         if graph in self._graphs:
             self.add_ids(triples, graph)

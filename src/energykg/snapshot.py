@@ -6,17 +6,20 @@ file. It holds the file's term texts and id triples exactly as the Turtle
 parser would produce them: ids numbered by each term's first appearance
 as subject, predicate, then object, in document order, and the distinct
 triples in document order, which keeps each subject's triples together.
-It also holds the store's form of those triples (``dataset._Graph``): the
-subjects' run table, run ids and run starts, and for the predicate and
-the object the ``dataset.grouping`` of the triples, whose run ids rise.
+So the triples' subjects are stored as their runs alone, the id of each
+run and its start, and each triple as its predicate and object; a
+triple's subject is the id of the run it is in, and no stored subject
+can disagree with the runs. For the predicate and the object the file
+holds the ``dataset.grouping`` of the triples, whose run ids rise.
 Loading splits the texts in one C call, maps the ids onto the store's
-dictionary with C-level ``map`` into triple tuples, and hands the rest
-over as read: the arrays of the predicates' and objects' groupings stay
-the store's, read by bisection, and so does the first file's run table.
-So the store equals the parse's bucket for bucket, every query answer is
-byte-identical, and no load step loops over triples in Python or sorts.
-``Snapshot.load`` drops the texts and the triple array once the store
-has taken them.
+dictionary with C-level ``map`` into triple tuples, each run's id
+repeated over its run, fills the subjects' run table from their runs
+(``dataset.run_table``) and hands the rest over as read: the arrays of
+the predicates' and objects' groupings stay the store's, read by
+bisection. So the store equals the parse's bucket for bucket, every
+query answer is byte-identical, and no load step loops over triples in
+Python or sorts. ``Snapshot.load`` drops the texts and the triple array
+once the store has taken them.
 
 A sidecar is used only when it proves that it describes the very bytes
 of its Turtle file, as a hash-based ``.pyc`` does (PEP 552): its header
@@ -27,12 +30,12 @@ blocks, so the writer hashes the file it streamed out, and the reader
 the file's open handle, a block at a time, neither holding its bytes.
 ``read`` returns None for a missing, truncated, stale, foreign,
 older-version or inconsistent sidecar, and ``Snapshot.load`` returns
-False, having added nothing, for one whose ids are out of range or whose
-texts repeat; either way the caller parses the Turtle instead. Each
-check of the groupings loops in C over their runs, or over the triple
-numbers for their range.
+False, having added nothing, for one whose ids are out of range, whose
+texts repeat or whose subject run ids repeat; either way the caller
+parses the Turtle instead. Each check of the groupings loops in C over
+their runs, or over the triple numbers for their range.
 
-Layout (version 3), every integer little-endian:
+Layout (version 4), every integer little-endian:
 
 - header (``_HEADER``): magic, version, Turtle length and hash, term
   count, character count, blob byte count, triple count, for each
@@ -40,15 +43,15 @@ Layout (version 3), every integer little-endian:
   then of the header before the CRC
 - the blob: every term's canonical text in id order, joined by ``"\\0"``,
   UTF-8
-- triple count × 3 term ids, ``uint32``
-- the subjects' run table, ``int32`` per term id: the run number of the
-  id's triples, or -1; then the id of each run (run count) and each
-  run's start, then the triple count (run count + 1), ``uint32``
+- triple count × 2 term ids, ``uint32``: each triple's predicate and
+  object
+- the subjects' runs, ``uint32`` each: the id of each run (run count)
+  and each run's start, then the triple count (run count + 1)
 - for predicate and object in turn, ``uint32`` each: the triple numbers
   in grouping order (triple count), the id of each run, rising, and each
   run's start, then the triple count
 
-Sidecars of versions 1 and 2 are ignored. A graph holding a blank node,
+Sidecars of versions 1 to 3 are ignored. A graph holding a blank node,
 or a text holding ``"\\0"``, gets no sidecar: the parser relabels blank
 nodes apart from those already loaded, which a fixed id table cannot,
 and the separator would split the text.
@@ -63,16 +66,16 @@ from array import array
 from binascii import crc32
 from functools import partial
 from importlib.util import source_hash
-from itertools import chain, islice
-from operator import itemgetter, lt
+from itertools import chain, islice, repeat
+from operator import itemgetter, lt, sub
 from typing import BinaryIO, Optional, TextIO
 
-from .dataset import I32, U32, Dataset, Grouping, grouping, run_table
+from .dataset import U32, Dataset, Grouping, grouping, run_table
 from .terms import GraphName
 
 SUFFIX = ".ekg"
 _MAGIC = b"EKGSNAP\0"
-_VERSION = 3
+_VERSION = 4
 # Magic, version, Turtle length and hash, term, character, blob byte and
 # triple counts, and each position's run count; then the CRC-32.
 _HEADER = struct.Struct("<8sIQ8sQQQQ3Q")
@@ -97,32 +100,31 @@ def _digest(turtle: BinaryIO) -> tuple[int, bytes]:
 
 
 class Snapshot:
-    """A sidecar's term texts, in id order, its flat id triples, the
-    subjects' run table and their run ids and starts, and the predicates'
-    and objects' groupings, all in the file's ids."""
+    """A sidecar's term texts, in id order, each triple's predicate and
+    object ids, the subjects' run ids and starts, and the predicates' and
+    objects' groupings, all in the file's ids."""
 
-    __slots__ = ("texts", "triples", "table", "subjects", "groupings")
+    __slots__ = ("texts", "pairs", "subjects", "groupings")
 
     def __init__(
         self,
         texts: list[str],
-        triples: array,
-        table: array,
+        pairs: array,
         subjects: tuple[array, array],
         groupings: list[Grouping],
     ) -> None:
         self.texts = texts
-        self.triples = triples
-        self.table = table
+        self.pairs = pairs
         self.subjects = subjects
         self.groupings = groupings
 
     def load(self, ds: Dataset, graph: GraphName) -> bool:
         """Intern the texts into the dataset and add the triples to graph,
         as loading the Turtle file would. Returns False, and leaves the
-        dataset as it was, when an id is out of range or two texts are
-        one. The texts and the triple array are dropped from the snapshot
-        as the store takes them, and a snapshot loads only once."""
+        dataset as it was, when an id is out of range, two texts are one
+        or two subject runs have one id. The texts and the triple array
+        are dropped from the snapshot as the store takes them, and a
+        snapshot loads only once."""
         try:
             with ds.interning() as ids:
                 known = len(ids)
@@ -137,13 +139,18 @@ class Snapshot:
                     if local.count(-1) != len(ids) - len(mapped):
                         raise ValueError("two texts of the sidecar are one term")
                 remap = mapped.__getitem__
-                # An id past the texts raises IndexError.
-                flat = map(remap, self.triples)
-                del self.triples
-                triples = list(zip(flat, flat, flat))
-                del flat
                 keys, starts = self.subjects
-                table = self.table if local is None else run_table(map(remap, keys), len(ids))
+                # An id past the texts raises IndexError.
+                keys = list(map(remap, keys))
+                table = run_table(keys, len(ids))
+                if table.count(-1) != len(ids) - len(keys):
+                    raise ValueError("two subject runs of the sidecar have one id")
+                # Each triple's subject is its run's id, repeated over the run.
+                subjects = chain.from_iterable(map(repeat, keys, map(sub, starts[1:], starts)))
+                flat = map(remap, self.pairs)
+                del self.pairs
+                triples = list(zip(subjects, flat, flat))
+                del flat
                 ds.add_graph(graph, triples, table, starts, self.groupings, local)
         except (IndexError, ValueError):
             return False
@@ -158,9 +165,8 @@ def read(path: str, turtle: BinaryIO) -> Optional[Snapshot]:
     try:
         with open(path, "rb") as handle:
             return _read(handle, turtle)
-    except (OSError, EOFError, ValueError, IndexError, struct.error):
-        # Unreadable, shorter than its header says, not UTF-8, or a run
-        # id past the run table.
+    except (OSError, EOFError, ValueError, struct.error):
+        # Unreadable, shorter than its header says, or not UTF-8.
         return None
 
 
@@ -190,21 +196,21 @@ def _read(handle: BinaryIO, turtle: BinaryIO) -> Optional[Snapshot]:
     if _digest(turtle) != (length, digest):
         return None
     # Checked before any section is read, so no count can ask for more
-    # memory than the file holds: the blob, the triples, the run table,
-    # each position's run ids and starts, and two positions' triple numbers.
-    sections = size + 4 * (3 * count + terms) + sum(8 * n + 4 for n in runs) + 8 * count
+    # memory than the file holds: the blob, four ids per triple (its
+    # predicate and object, and its number in two groupings), and each
+    # position's run ids and starts.
+    sections = size + 16 * count + sum(8 * n + 4 for n in runs)
     if os.fstat(handle.fileno()).st_size != _START + sections:
         return None
     blob = handle.read(size)
-    triples = _section(handle, U32, 3 * count)
-    table = _section(handle, I32, terms)
+    pairs = _section(handle, U32, 2 * count)
     subjects = _section(handle, U32, runs[0]), _section(handle, U32, runs[0] + 1)
     groupings = [
         (_section(handle, U32, count), _section(handle, U32, n), _section(handle, U32, n + 1))
         for n in runs[1:]
     ]
     # The arrays after the blob, in file order.
-    arrays = [triples, table, *subjects, *chain.from_iterable(groupings)]
+    arrays = [pairs, *subjects, *chain.from_iterable(groupings)]
     crc = crc32(blob)
     for section in arrays:
         crc = crc32(section, crc)
@@ -224,20 +230,14 @@ def _read(handle: BinaryIO, turtle: BinaryIO) -> Optional[Snapshot]:
     for starts in (subjects[1], *map(itemgetter(2), groupings)):
         if starts[0] != 0 or starts[-1] != count or not _sorted(starts):
             return None
-    # The run table holds each subject run's id at its run's number, and
-    # no other id; so no run id repeats.
-    keys = subjects[0]
-    if table.count(-1) != terms - len(keys):
-        return None
-    if list(map(table.__getitem__, keys)) != list(range(len(keys))):
-        return None
     # The predicates' and objects' run ids rise below the term count, and
     # their triple numbers are below the triple count. The triples' ids
-    # are bounded as they are loaded.
+    # and the subjects' run ids are bounded, and the subjects' run ids
+    # found distinct, as they are loaded.
     for order, keys, _ in groupings:
         if not _rise(keys) or (keys and keys[-1] >= terms) or (order and max(order) >= count):
             return None
-    return Snapshot(texts, triples, table, subjects, groupings)
+    return Snapshot(texts, pairs, subjects, groupings)
 
 
 def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: list[int]) -> bool:
@@ -278,19 +278,20 @@ def write(handle: BinaryIO, turtle: TextIO, texts: list[str], triples: list[int]
             joined = "\0" + joined
         chars += len(joined)
         size += put(joined.encode("utf-8"))
+    # Each triple's predicate and object; its subject is its run's id.
+    del triples[::3]
     put(array(U32, triples))
     triples.clear()
     shapes = []
     for position in range(3):
         # The document is written a subject block at a time, so the
-        # subjects' grouping keeps the triples' order and writes none;
-        # it writes the run table instead.
+        # subjects' grouping keeps the triples' order and writes only
+        # its runs.
         grouped = position == 0
         order, keys, starts = grouping(columns[position], grouped)
         columns[position] = None
-        first = run_table(keys, len(texts)) if grouped else array(U32, order)
-        for section in (first, array(U32, keys), array(U32, starts)):
-            put(section)
+        for section in (keys, starts) if grouped else (order, keys, starts):
+            put(array(U32, section))
         shapes.append(len(keys))
 
     turtle.flush()

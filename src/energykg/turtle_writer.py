@@ -1,23 +1,24 @@
-"""Deterministic Turtle writer over term texts and id triples.
+"""Deterministic Turtle writer over canonical term texts.
 
-``write_turtle`` takes a term dictionary's canonical texts (``<iri>``,
-``"lexical"^^<datatype>`` or ``_:label``, listed by id) and a flat
-sequence of id triples, repeats allowed and in any order, so a writer
-needs no store: ``uplift`` and ``climate`` mint straight into these. It
-ranks the ids by text, sorts the triples by (subject rank, predicate IRI,
-object rank) and drops the repeats that the sort makes adjacent. Equal
-graphs therefore give byte-identical text.
+``write_turtle`` takes the flat canonical texts (``<iri>``,
+``"lexical"^^<datatype>`` or ``_:label``) of the subject, predicate and
+object of each triple in turn, repeats allowed and in any order, so a
+writer needs no store nor term ids: ``uplift`` and ``climate`` hand it
+their generators' texts. It ranks the distinct texts once, with one sort
+of their set and a dict from text to rank, sorts the triples by (subject
+rank, predicate IRI, object rank) and drops the repeats that the sort
+makes adjacent. Equal graphs therefore give byte-identical text.
 
 Every term is rendered at once, in rank order, where literals, IRIs and
 blank nodes are three contiguous ranges: a literal's lexical form is
 split off with ``str.rpartition`` and escaped with ``str.translate``,
 with one suffix per distinct datatype, and IRIs are compacted one
 namespace at a time, longest first, over the ``bisect`` range of the
-texts under it. Rendering, sorting and numbering the document loop in C,
-not once per term or per triple in Python. Two plain loops stay, where
-their C-level forms measured about twice as slow: ``dataset.text_order``
-inverting the text order into ranks, and the one flat pass that lays
-out the subject blocks, a bounded chunk of triples at a time.
+texts under it. Ranking, rendering, sorting and numbering the document
+loop in C, not once per term or per triple in Python. One plain loop
+stays, where its C-level forms measured about twice as slow: the flat
+pass that lays out the subject blocks, a bounded chunk of triples at a
+time.
 
 The writer returns the document order, in which a parse of the text
 numbers the terms and emits the triples: the ranks in order of first
@@ -35,7 +36,7 @@ from itertools import chain, compress, count, filterfalse, groupby, islice
 from operator import itemgetter, methodcaller
 from typing import Sequence, TextIO
 
-from .dataset import Dataset, text_order
+from .dataset import Dataset
 from .namespaces import RDF_TYPE
 from .terms import XSD_STRING, GraphName, PrefixMap, term_key
 
@@ -48,6 +49,8 @@ _FIRST, _THIRD = itemgetter(0), itemgetter(2)
 _SPLIT = methodcaller("rpartition", '"^^<')
 _ESCAPE = methodcaller("translate", _ESCAPES)
 _UNQUOTED = itemgetter(slice(1, None))
+# An "<iri>" text's IRI.
+_IRI = itemgetter(slice(1, -1))
 _LAST_CHAR = chr(0x10FFFF)
 # Triples per write, which bounds the text held at once.
 _CHUNK = 4096
@@ -88,14 +91,14 @@ def _literals(literals: list[str], prefixes: PrefixMap) -> list[str]:
 
 
 def write_turtle(
-    handle: TextIO, texts: Sequence[str], triples: Sequence[int], prefixes: PrefixMap
+    handle: TextIO, texts: Sequence[str], prefixes: PrefixMap
 ) -> tuple[list[str], list[int]]:
     """Write the triples to a text handle as deterministic Turtle.
 
-    ``texts`` lists canonical term texts by id. ``triples`` holds the
-    subject, predicate and object id of each triple in turn; a triple
-    may come more than once, and in any order. Subjects and objects come
-    in canonical (text) order and each subject's predicates by IRI.
+    ``texts`` holds the canonical text of each triple's subject,
+    predicate and object in turn; a triple may come more than once, and
+    in any order. Subjects and objects come in canonical (text) order and
+    each subject's predicates by IRI.
 
     Returns the document order: the texts of the terms written, in order
     of first appearance as subject, predicate, then object, and each
@@ -108,16 +111,14 @@ def write_turtle(
         head.append(f"@base <{prefixes.base.value}> .\n")
     for label, namespace in prefixes.namespaces().items():
         head.append(f"@prefix {label}: <{namespace.value}> .\n")
-    if not head and not triples:
+    if not head and not texts:
         handle.write("\n")
         return [], []
     handle.write("".join(head))
 
-    order, ranks = text_order(texts)
-    # The texts of a term dictionary are distinct: each rank's text.
-    rank_texts = list(map(texts.__getitem__, order))
-    # Its ids are int objects of their own: free them before the triples sort.
-    del order
+    # Each distinct text once, in canonical order, and its rank.
+    rank_texts = sorted(set(texts))
+    rank = dict(zip(rank_texts, count())).__getitem__
     # Literals, then IRIs, then blank nodes: '"' < '<' < '_'.
     iris, blanks = bisect_left(rank_texts, "<"), bisect_left(rank_texts, "_")
     rendered = _literals(rank_texts[:iris], prefixes)
@@ -125,23 +126,26 @@ def write_turtle(
     rendered += rank_texts[blanks:]
 
     # By IRI, which is not the order of the "<iri>" texts: "<a>" sorts after "<a!>".
-    predicates = sorted(set(islice(triples, 1, None, 3)), key=lambda p: texts[p][1:-1])
+    predicates = sorted(set(islice(texts, 1, None, 3)), key=_IRI)
     place = dict(zip(predicates, count())).__getitem__
-    rank = ranks.__getitem__
     # (subject rank, predicate place, object rank), built and sorted in C;
     # repeats end up adjacent, and one of each is kept.
     ordered = sorted(
         zip(
-            map(rank, islice(triples, 0, None, 3)),
-            map(place, islice(triples, 1, None, 3)),
-            map(rank, islice(triples, 2, None, 3)),
+            map(rank, islice(texts, 0, None, 3)),
+            map(place, islice(texts, 1, None, 3)),
+            map(rank, islice(texts, 2, None, 3)),
         )
     )
     ordered = list(map(_FIRST, groupby(ordered)))
+    predicate_ranks = list(map(rank, predicates))
+    del rank
 
     # One flat pass, which writes a chunk of triples at a time. A triple
     # that starts a subject's block ends the block before it.
-    verbs = ["a " if texts[p] == _RDF_TYPE_TEXT else rendered[ranks[p]] + " " for p in predicates]
+    verbs = [
+        "a " if p == _RDF_TYPE_TEXT else rendered[r] + " " for p, r in zip(predicates, predicate_ranks)
+    ]
     subject = verb = None
     end = ""
     for start in range(0, len(ordered), _CHUNK):
@@ -163,7 +167,6 @@ def write_turtle(
     # The written triples' ranks, each predicate's place replaced by its rank.
     written = list(chain.from_iterable(ordered))
     del ordered
-    predicate_ranks = list(map(ranks.__getitem__, predicates))
     written[1::3] = map(predicate_ranks.__getitem__, written[1::3])
     # Each written rank's document id, numbered by first appearance.
     document = dict(zip(dict.fromkeys(written), count()))
@@ -173,6 +176,6 @@ def write_turtle(
 def serialize_turtle(ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> str:
     """One graph of the dataset as deterministic Turtle text."""
     out = io.StringIO()
-    triples = list(chain.from_iterable(ds.triples(None, None, None, graph)))
-    write_turtle(out, ds.texts(), triples, prefixes)
+    ids = chain.from_iterable(ds.triples(None, None, None, graph))
+    write_turtle(out, list(map(ds.texts().__getitem__, ids)), prefixes)
     return out.getvalue()

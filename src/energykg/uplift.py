@@ -6,8 +6,8 @@ evaluatedValue path can traverse down to the numeric reading. IRIs are
 minted deterministically so re-running the uplift is idempotent. The
 generators (``topology_triples``, ``evaluation_triples``,
 ``station_link``) give each term as its canonical text (``<iri>`` or
-``"lexical"^^<datatype>``), which the CLI interns into a term dictionary
-and hands to the Turtle writer without building a store;
+``"lexical"^^<datatype>``), which the CLI lists flat and hands to the
+Turtle writer without building a store;
 ``topology_quads`` and ``evaluation_quads`` (of a table) collect the
 same triples as a set of quads. An ``EnergyTable`` is the one form of
 the readings from the CSV to the minted evaluations.

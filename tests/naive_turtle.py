@@ -7,8 +7,9 @@ over a parse error earlier in the text; the production parser must report
 the same triples, prefix map and error text for every document.
 
 The serializer is the one ``energykg.turtle`` used before it rendered
-each term once and streamed its output, kept verbatim: it renders every
-term occurrence again and compacts each IRI by trying every bound prefix.
+each term once and streamed its output, kept verbatim but for taking
+the canonical order by sorting the texts itself: it renders every term
+occurrence again and compacts each IRI by trying every bound prefix.
 The production writer must produce the same bytes for every graph.
 """
 
@@ -20,7 +21,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Optional
 
-from energykg.dataset import Dataset, text_order
+from energykg.dataset import Dataset
 from energykg.errors import EnergyKgError
 from energykg.namespaces import RDF_TYPE
 from energykg.terms import (
@@ -404,11 +405,11 @@ def serialize_turtle(ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> str:
     for label, namespace in prefixes.namespaces().items():
         lines.append(f"@prefix {label}: <{namespace.value}> .")
 
-    # Subjects and objects in canonical (rank) order; predicates by IRI.
+    # Subjects and objects in canonical (text) order; predicates by IRI.
     terms = ds.terms()
-    _, ranks = text_order(ds.texts())
+    texts = ds.texts()
     triples = ds.triples(None, None, None, graph)
-    triples = sorted(triples, key=lambda t: (ranks[t[0]], ranks[t[2]]))
+    triples = sorted(triples, key=lambda t: (texts[t[0]], texts[t[2]]))
     for s, subject_triples in groupby(triples, itemgetter(0)):
         lines.append("")
         lines.append(_render_term(terms[s], prefixes))

@@ -18,7 +18,7 @@ import struct
 import string
 import threading
 from binascii import crc32
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 
 import pytest
@@ -50,8 +50,9 @@ def _prefixes(base):
 
 def _write_store(path: str, ds: Dataset, graph, base) -> None:
     """The dataset's graph as a Turtle file with its sidecar, as uplift and climate write them."""
-    triples = list(chain.from_iterable(ds.triples(None, None, None, graph)))
-    cli._write_store(path, ds.texts(), triples, graph, _prefixes(base))
+    texts = ds.texts()
+    flat = [texts[i] for i in chain.from_iterable(ds.triples(None, None, None, graph))]
+    cli._write_store(path, flat, graph, _prefixes(base))
 
 
 def _write_stores(directory: Path, ds: Dataset, graphs, base) -> list[str]:
@@ -234,7 +235,7 @@ _HEADER = struct.Struct("<8sIQ8sQQQQ3Q")
 _START = _HEADER.size + 4
 # The headers of version-1 and version-2 sidecars: the first held no
 # groupings, and neither held a run table; their texts were sliced from
-# the blob by character offsets.
+# the blob by character offsets. Version 3 shares version 4's header.
 _HEADER_1 = struct.Struct("<8sIQ8sQQQQ")
 _HEADER_2 = struct.Struct("<8sIQ8sQQQQ6Q")
 
@@ -326,13 +327,12 @@ def _field(data: bytes, index: int, value) -> bytes:
 
 
 def _sections(data: bytes) -> dict:
-    """Where each section of a version-3 sidecar begins, by name, and where
+    """Where each section of a version-4 sidecar begins, by name, and where
     the sidecar ends."""
-    terms, _, size, count, *runs = _HEADER.unpack_from(data)[4:]
+    _, size, count, *runs = _HEADER.unpack_from(data)[5:]
     lengths = [
         ("blob", size),
-        ("triples", 12 * count),
-        ("table", 4 * terms),
+        ("pairs", 8 * count),
         ("subject_keys", 4 * runs[0]),
         ("subject_starts", 4 * (runs[0] + 1)),
     ]
@@ -348,18 +348,17 @@ def _sections(data: bytes) -> dict:
 
 
 def _values(data: bytes, name: str) -> list:
-    """A section's integers, the run table's signed."""
+    """A section's integers."""
     sections = _sections(data)
     names = list(sections)
     at, end = sections[name], sections[names[names.index(name) + 1]]
-    typecode = "i" if name == "table" else "I"
-    return list(struct.unpack_from(f"<{(end - at) // 4}{typecode}", data, at))
+    return list(struct.unpack_from(f"<{(end - at) // 4}I", data, at))
 
 
 def _set(data: bytes, name: str, index: int, value) -> bytes:
     """The sidecar with one integer of a section set."""
     at = _sections(data)[name] + 4 * index
-    return data[:at] + struct.pack("<i" if name == "table" else "<I", value) + data[at + 4 :]
+    return data[:at] + struct.pack("<I", value) + data[at + 4 :]
 
 
 def _swapped(data: bytes, name: str, first: int, second: int) -> bytes:
@@ -369,21 +368,36 @@ def _swapped(data: bytes, name: str, first: int, second: int) -> bytes:
 
 
 def _older(sidecar: bytes, version: int) -> bytes:
-    """The sidecar as version 1 or 2 wrote it: the same texts, sliced by
-    character offsets, and triples; version 2 with the groupings but no
-    run table, version 1 with neither."""
+    """The sidecar as version 1, 2 or 3 wrote it: the same texts and each
+    triple's three ids. Version 3 joined the texts as version 4 does and
+    held the subjects' run table before their runs; versions 1 and 2
+    sliced the texts by character offsets, version 2 held the groupings
+    but no run table, and version 1 neither."""
     fields = _HEADER.unpack_from(sidecar)
     terms, _, size, count, *runs = fields[4:]
+    sections = _sections(sidecar)
+    keys, starts = _values(sidecar, "subject_keys"), _values(sidecar, "subject_starts")
+    subjects = chain.from_iterable(map(repeat, keys, map(int.__sub__, starts[1:], starts)))
+    pairs = iter(_values(sidecar, "pairs"))
+    triples = struct.pack(f"<{3 * count}I", *chain.from_iterable(zip(subjects, pairs, pairs)))
+    rest = sidecar[sections["subject_keys"] : sections["end"]]
+    if version == 3:
+        table = [-1] * terms
+        for run, key in enumerate(keys):
+            table[key] = run
+        body = sidecar[sections["blob"] : sections["pairs"]] + triples
+        body += struct.pack(f"<{terms}i", *table) + rest
+        header = _HEADER.pack(fields[0], 3, *fields[2:])
+        return header + struct.pack("<I", crc32(header, crc32(body))) + body
     texts = sidecar[_START : _START + size].decode("utf-8").split("\0")
     offsets = struct.pack(f"<{terms + 1}I", *accumulate(map(len, texts), initial=0))
     blob = "".join(texts).encode("utf-8")
-    sections = _sections(sidecar)
-    body = offsets + blob + sidecar[sections["triples"] : sections["table"]]
+    body = offsets + blob + triples
     counts = (len("".join(texts)), len(blob), count)
     if version == 1:
         header = _HEADER_1.pack(fields[0], 1, *fields[2:4], terms, *counts)
     else:
-        body += sidecar[sections["subject_keys"] : sections["end"]]
+        body += rest
         shapes = (0, runs[0], count, runs[1], count, runs[2])
         header = _HEADER_2.pack(fields[0], 2, *fields[2:4], terms, *counts, *shapes)
     return header + struct.pack("<I", crc32(header, crc32(body))) + body
@@ -395,43 +409,35 @@ def _with_texts(sidecar: bytes, texts: list[str]) -> bytes:
     joined = "\0".join(texts)
     blob = joined.encode("utf-8")
     data = _field(_field(sidecar, 5, len(joined)), 6, len(blob))
-    return data[: sections["blob"]] + blob + data[sections["triples"] :]
+    return data[: sections["blob"]] + blob + data[sections["pairs"] :]
 
 
 def _damaged_sidecars(sidecar: bytes) -> dict:
     sections = _sections(sidecar)
     version = _HEADER.unpack_from(sidecar)[1]
     terms, chars, _, count = _HEADER.unpack_from(sidecar)[4:8]
-    blob = sidecar[sections["blob"] : sections["triples"]]
+    blob = sidecar[sections["blob"] : sections["pairs"]]
     texts = blob.decode("utf-8").split("\0")
-    table = _values(sidecar, "table")
     keys = _values(sidecar, "subject_keys")
     object_keys = _values(sidecar, "object_keys")
-    # The cases below need a last term that is no subject, three subject
-    # runs and two object runs.
-    assert table[-1] == -1 and len(keys) >= 3 and len(object_keys) >= 2
-    cases = {
-        "empty": b"",
+    # The cases below need three subject runs and two object runs.
+    assert len(keys) >= 3 and len(object_keys) >= 2
+    cases = {"empty": b"", "trailing_byte": sidecar + b"\0"}
+    # Consistent CRCs over inconsistent content: each must fail its own check.
+    resigned = {
         "magic": b"X" + sidecar[1:],
         "version": _field(sidecar, 1, version + 1),
         "turtle_length": _field(sidecar, 2, _HEADER.unpack_from(sidecar)[2] + 1),
         "turtle_hash": _field(sidecar, 3, bytes(8)),
-        "trailing_byte": sidecar + b"\0",
-    }
-    # Consistent CRCs over inconsistent content: each must fail its own check.
-    resigned = {
-        # One more term, with a run table entry of no run, so that only the
-        # texts disagree with the count.
-        "term_count": _field(sidecar, 4, terms + 1)[: sections["subject_keys"]]
-        + struct.pack("<i", -1)
-        + sidecar[sections["subject_keys"] :],
+        # One more term than the texts: no section's length depends on it.
+        "term_count": _field(sidecar, 4, terms + 1),
         "character_count": _field(sidecar, 5, chars + 1),
         # The first text's separator moved before it: an empty text.
         "empty_text": sidecar[: sections["blob"]]
         + b"\0"
         + blob.replace(b"\0", b"", 1)
-        + sidecar[sections["triples"] :],
-        "id_out_of_range": _set(sidecar, "triples", 0, terms),
+        + sidecar[sections["pairs"] :],
+        "id_out_of_range": _set(sidecar, "pairs", 0, terms),
         "not_utf8": sidecar[: sections["blob"]] + b"\xff" + sidecar[sections["blob"] + 1 :],
         "blank_node": sidecar[: sections["blob"]] + b"_" + sidecar[sections["blob"] + 1 :],
         "text_repeated": _with_texts(sidecar, [texts[0], texts[0], *texts[2:]]),
@@ -445,8 +451,6 @@ def _damaged_sidecars(sidecar: bytes) -> dict:
         # Two interior run starts swapped, and one run id listed twice.
         "run_starts_not_rising": _swapped(sidecar, "subject_starts", 1, 2),
         "run_id_repeated": _set(sidecar, "subject_keys", 1, keys[0]),
-        "run_table_swapped": _swapped(sidecar, "table", keys[0], keys[1]),
-        "run_table_extra_entry": _set(sidecar, "table", terms - 1, 0),
         "object_run_ids_not_rising": _swapped(sidecar, "object_keys", 0, 1),
         "object_run_starts_not_rising": _swapped(sidecar, "object_starts", 1, 2),
     }
@@ -462,8 +466,8 @@ def _damaged_sidecars(sidecar: bytes) -> dict:
         "term_count", "character_count", "empty_text", "id_out_of_range", "not_utf8",
         "blank_node", "text_repeated", "triple_number_out_of_range", "run_id_out_of_range",
         "object_run_id_out_of_range", "runs_start_past_zero", "runs_end_past_count",
-        "run_starts_not_rising", "run_id_repeated", "run_table_swapped",
-        "run_table_extra_entry", "object_run_ids_not_rising", "object_run_starts_not_rising",
+        "run_starts_not_rising", "run_id_repeated", "object_run_ids_not_rising",
+        "object_run_starts_not_rising",
     ],
 )
 def test_an_inconsistent_sidecar_is_ignored(tmp_path, written, turtle_loads, damage):
@@ -507,6 +511,10 @@ def test_a_version_1_sidecar_is_ignored(tmp_path, written, turtle_loads):
 
 def test_a_version_2_sidecar_is_ignored(tmp_path, written, turtle_loads):
     _assert_older_version_ignored(tmp_path, written, turtle_loads, 2)
+
+
+def test_a_version_3_sidecar_is_ignored(tmp_path, written, turtle_loads):
+    _assert_older_version_ignored(tmp_path, written, turtle_loads, 3)
 
 
 def _sidecar(path: str):

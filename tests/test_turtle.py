@@ -628,5 +628,6 @@ def test_writer_matches_reference_serializer(quads, bindings, base, graph):
     expected = naive_turtle.serialize_turtle(ds, graph, pm)
     assert serialize_turtle(ds, graph, pm) == expected
     out = io.StringIO()
-    write_turtle(out, ds.texts(), list(chain.from_iterable(ds.triples(None, None, None, graph))), pm)
+    texts = ds.texts()
+    write_turtle(out, [texts[i] for i in chain.from_iterable(ds.triples(None, None, None, graph))], pm)
     assert out.getvalue() == expected

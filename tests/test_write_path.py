@@ -1,8 +1,9 @@
-"""The write path of uplift and climate: canonical texts interned into a
-term dictionary and a flat list of id triples, written without a store.
+"""The write path of uplift and climate: each triple's canonical texts,
+listed flat, written without a store.
 
 Writing triples with repeats, in any order, must give the bytes that
-writing the same set from a ``Dataset`` gives, Turtle and sidecar alike.
+writing the same set from a ``Dataset`` gives, Turtle and sidecar alike,
+and the same document order.
 And since each minted IRI is checked once per distinct value it is
 minted from rather than once per triple, every IRI text the generators
 yield must pass ``check_iri`` whenever the generator did not raise.
@@ -10,6 +11,7 @@ yield must pass ``check_iri`` whenever the generator did not raise.
 
 from __future__ import annotations
 
+import io
 import random
 import string
 from datetime import datetime, timezone
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 import naive_turtle
 from energykg import cli, snapshot, turtle_writer
 from energykg.climate import ClimateObservation, observation_triples
-from energykg.dataset import Dataset, TermIds
+from energykg.dataset import Dataset
 from energykg.errors import EnergyKgError
 from energykg.headings import parse_heading
 from energykg.namespaces import RDF_TYPE, device_resource, station_resource
@@ -70,7 +72,32 @@ def _written(path: Path) -> tuple[bytes, bytes | None]:
     return path.read_bytes(), sidecar.read_bytes() if sidecar.exists() else None
 
 
+def _flat(triples) -> list[str]:
+    """Each triple's subject, predicate and object text in turn."""
+    return [term_key(term) for term in chain.from_iterable(triples)]
+
+
 _BINDINGS = [("ex", _EX), ("", _EX + "s"), ("e", _EX + "a/")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    unique=st.lists(_triples, max_size=25, unique=True),
+    bindings=st.lists(st.sampled_from(_BINDINGS), unique=True),
+)
+def test_shuffled_and_repeated_triples_write_the_same_turtle_and_document_order(
+    data, unique, bindings
+):
+    repeats = data.draw(st.lists(st.sampled_from(unique), max_size=15)) if unique else []
+    shuffled = data.draw(st.permutations(unique + repeats))
+    prefixes = _prefixes(bindings)
+    written = []
+    for triples in (unique, shuffled):
+        out = io.StringIO()
+        document = turtle_writer.write_turtle(out, _flat(triples), prefixes)
+        written.append((out.getvalue(), document))
+    assert written[0] == written[1]
 
 
 @settings(
@@ -85,18 +112,15 @@ _BINDINGS = [("ex", _EX), ("", _EX + "s"), ("e", _EX + "a/")]
 def test_repeated_triples_in_any_order_write_as_their_set(tmp_path, data, unique, graph, bindings):
     repeats = data.draw(st.lists(st.sampled_from(unique), max_size=15)) if unique else []
     triples = data.draw(st.permutations(unique + repeats))
-    ids = TermIds()
-    flat = [ids(term) for term in chain.from_iterable(triples)]
-    # The bulk interning numbers the texts by first appearance, as TermIds does.
-    assert cli._mint([tuple(map(term_key, triple)) for triple in triples]) == (ids.texts, flat)
     prefixes = _prefixes(bindings)
     path = tmp_path / "minted.ttl"
-    cli._write_store(str(path), ids.texts, flat, graph, prefixes)
+    cli._write_store(str(path), _flat(triples), graph, prefixes)
 
     ds = Dataset([Quad(s, p, o, graph) for s, p, o in triples])
     expected = tmp_path / "from_dataset.ttl"
-    ds_triples = list(chain.from_iterable(ds.triples(None, None, None, graph)))
-    cli._write_store(str(expected), ds.texts(), ds_triples, graph, prefixes)
+    texts = ds.texts()
+    ds_texts = [texts[i] for i in chain.from_iterable(ds.triples(None, None, None, graph))]
+    cli._write_store(str(expected), ds_texts, graph, prefixes)
 
     assert _written(path) == _written(expected)
     marker = "" if graph is None else f"# graph <{graph.value}>\n"
@@ -123,11 +147,10 @@ def test_a_graph_of_many_write_chunks_writes_as_the_reference_and_loads_as_parse
         for _ in range(rnd.randint(1, 4))
     ]
     ds = Dataset([Quad(s, p, o, graph) for s, p, o in triples])
-    texts, flat = cli._mint([tuple(map(term_key, triple)) for triple in triples])
     assert len(ds) > 2 * turtle_writer._CHUNK
     prefixes = _prefixes(_BINDINGS)
     path = tmp_path / "many.ttl"
-    cli._write_store(str(path), texts, flat, graph, prefixes)
+    cli._write_store(str(path), _flat(triples), graph, prefixes)
 
     text = path.read_text(encoding="utf-8")
     assert text == f"# graph <{graph.value}>\n" + naive_turtle.serialize_turtle(ds, graph, prefixes)
