@@ -11,16 +11,25 @@ store is loaded and the port is bound, so every worker shares the frozen
 store copy-on-write. The parent only accepts connections: it hands each,
 in turn, to the next worker over that worker's Unix socket pair, so any
 W consecutive connections land on W different workers. In a worker each
-connection has one thread, which parses, evaluates and serializes its
+connection has one thread, which prepares, runs and serializes its
 queries itself. A worker found dead at hand-off is reaped and replaced,
 and the connection goes to its replacement. ``stop()`` ends and reaps
 every worker, and a worker whose parent is gone exits once its socket
 pair reaches end of file.
 
-``timeout_seconds`` bounds a request twice over: the evaluation runs
-under a deadline that stops the work, and every socket read or write
-waits at most that long before the connection is closed without a reply
-(an idle keep-alive connection closes the same way).
+Each worker keeps the prepared queries (``sparql.prepare``) of the query
+texts it was last sent, keyed by text, so a text sent again is neither
+parsed nor planned again, only run. The cache is bounded: at most 512
+queries, of at most 256 KiB of text in all, the least recently used
+dropped first; a text over 16 KiB, or one that does not parse, is not
+kept. A prepared query holds no state of a run, so the connection
+threads of a worker share it.
+
+``timeout_seconds`` bounds a request twice over: the query's run, from
+the cache or not, is under the request's own deadline, which stops the
+work, and every socket read or write waits at most that long before the
+connection is closed without a reply (an idle keep-alive connection
+closes the same way).
 
 Connections are kept alive and set TCP_NODELAY, and each response is
 written through a buffer that is flushed once the request is handled: a
@@ -46,6 +55,7 @@ import socket
 import sys
 import threading
 import time
+from collections import OrderedDict
 from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from socketserver import BaseRequestHandler, TCPServer
@@ -55,7 +65,16 @@ from urllib.parse import parse_qs, urlsplit
 from .dataset import Dataset
 from .errors import EnergyKgError
 from .record import Record
-from .sparql import QueryTimeout, evaluate, parse_query, to_results_json
+from .sparql import PreparedQuery, QueryTimeout, parse_query, prepare, to_results_json
+
+# A worker keeps at most this many prepared queries, of at most this
+# many bytes of text in all; a text longer than the last is not kept.
+# The bounds hold the few hundred texts (about 200 KB) of the endpoint
+# benchmark's mix, and keep a worker's peak RSS below that of the
+# parent, which loaded the store.
+_CACHED_QUERIES = 512
+_CACHED_BYTES = 1 << 18
+_CACHEABLE_BYTES = 1 << 14
 
 
 class EndpointConfig(Record):
@@ -213,6 +232,39 @@ def _work(channel: socket.socket, handler: type) -> None:
         httpd.process_request(socket.socket(fileno=fds[0]), tuple(json.loads(message)))
 
 
+class _PreparedQueries:
+    """A worker's prepared queries by text, the least recently used
+    dropped first once the cache holds more than ``_CACHED_QUERIES`` of
+    them or more than ``_CACHED_BYTES`` of text. A text longer than
+    ``_CACHEABLE_BYTES``, or one that does not parse, is not kept. The
+    worker's connection threads share it; a text that two of them prepare
+    at once is kept once."""
+
+    def __init__(self, ds: Dataset) -> None:
+        self._ds = ds
+        # Each text's prepared query and the text's length in bytes.
+        self._kept: OrderedDict[str, tuple[PreparedQuery, int]] = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, text: str, size: int) -> PreparedQuery:
+        """The prepared query of a text that is size bytes long."""
+        with self._lock:
+            found = self._kept.get(text)
+            if found is not None:
+                self._kept.move_to_end(text)
+                return found[0]
+        prepared = prepare(self._ds, parse_query(text))
+        if size <= _CACHEABLE_BYTES:
+            with self._lock:
+                if text not in self._kept:
+                    self._kept[text] = prepared, size
+                    self._bytes += size
+                    while len(self._kept) > _CACHED_QUERIES or self._bytes > _CACHED_BYTES:
+                        self._bytes -= self._kept.popitem(last=False)[1][1]
+        return prepared
+
+
 def serve(config: EndpointConfig, ds: Dataset) -> None:
     """Blocking convenience wrapper used by the CLI. Once bound, it stops
     cleanly on SIGINT or SIGTERM, also when it was started with SIGINT
@@ -237,6 +289,9 @@ def serve(config: EndpointConfig, ds: Dataset) -> None:
 
 
 def _make_handler(ds: Dataset, config: EndpointConfig):
+    # Made before the workers are forked, so each starts with an empty copy.
+    queries = _PreparedQueries(ds)
+
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         # Socket timeout for every read and write on the connection.
@@ -272,12 +327,12 @@ def _make_handler(ds: Dataset, config: EndpointConfig):
 
         def _run_query(self, query_text: str) -> None:
             deadline = time.monotonic() + config.timeout_seconds
-            if len(query_text.encode()) > config.max_query_bytes:
+            size = len(query_text.encode())
+            if size > config.max_query_bytes:
                 self._reply_text(413, "query too large")
                 return
             try:
-                query = parse_query(query_text)
-                body = to_results_json(evaluate(ds, query, deadline=deadline)).encode()
+                body = to_results_json(queries.get(query_text, size).run(deadline)).encode()
             except QueryTimeout:
                 self._reply_text(503, "query timed out")
                 return

@@ -1,6 +1,6 @@
 from .ast import SelectQuery, SolutionSequence
 from .parser import QueryParseError, UnsupportedFeatureError, parse_query
-from .evaluator import QueryTimeout, evaluate
+from .evaluator import PreparedQuery, QueryTimeout, evaluate, prepare
 from .results import to_results_json, to_results_tsv
 
 __all__ = [
@@ -8,9 +8,11 @@ __all__ = [
     "SolutionSequence",
     "QueryParseError",
     "UnsupportedFeatureError",
+    "PreparedQuery",
     "QueryTimeout",
     "parse_query",
     "evaluate",
+    "prepare",
     "to_results_json",
     "to_results_tsv",
 ]

@@ -6,6 +6,20 @@ keeps rows whose expression evaluates to true, dropping rows whose
 expression errors. Results are projected, sorted by the canonical
 encoding of their bindings, and cut by LIMIT, in that order.
 
+Evaluation is two steps. ``prepare`` does everything that depends only
+on the store and the query: the dataset clauses, the lowering of
+property paths, the constants' ids (a constant that no quad holds
+matches nothing), each BGP's plan and stars, where each FILTER conjunct
+is tested, the join keys, and the slots. It compiles each plan step,
+FILTER condition and join key once into a function that reads rows by
+slot. The ``PreparedQuery`` it returns holds no state of a run, so it
+can be run any number of times, by several threads at once: ``run``
+takes the deadline and does the row work, the canonical sort and
+``LIMIT``.
+``evaluate``, for ``query`` and ``analyze``, is the two in turn; the
+endpoint keeps the prepared queries of the texts it was sent and runs
+them again (``endpoint.py``).
+
 A row is a tuple of the store's term ids, one per variable, in slot
 order: each result carries its rows with ``slots``, a map from each
 variable's name to its place in the row. A BGP numbers its variables as
@@ -14,17 +28,16 @@ picked``), and a step that binds nothing passes the row on as it is; a
 join appends the right row's columns that the left lacks. Ids are
 decoded only where an expression reads them: this is late
 materialisation over dictionary ids (Abadi et al., ICDE 2007), as in
-RDF-3X (Neumann and Weikum, VLDB 2008). ``evaluate`` is the one entry
-point: it returns a ``SolutionSequence`` of the projected rows as tuples
-of ids, sorted by the canonical text of each id, with the store's
-texts. Inside it each FILTER condition and join key is compiled once
-into closures that read rows by slot. A term is decoded only for such an
-expression, once per id and evaluation, and a date function of a
-variable parses the instant of each id once per evaluation, from the
-id's text. The sequence decodes its rows into terms only if a caller
-reads them; the serializers (``results.py``) render each distinct id
-once from its text, and ``analysis`` reads the id rows and decodes each
-id once. A query constant that no quad holds matches nothing.
+RDF-3X (Neumann and Weikum, VLDB 2008). A run returns a
+``SolutionSequence`` of the projected rows as tuples of ids, sorted by
+the canonical text of each id, with the store's texts. A term is decoded
+only for an expression, once per id and run. A date function of a
+variable reads the instant of each id from a memo of the store's
+(``_instants``), kept beside the store, not in it: each id's text is
+parsed once per store and process. The sequence decodes its rows into
+terms only if a caller reads them; the serializers (``results.py``)
+render each distinct id once from its text, and ``analysis`` reads the
+id rows and decodes each id once.
 
 Each BGP, after its property paths are lowered, is ordered greedily: the
 next pattern is the one with the smallest index bucket among its
@@ -58,10 +71,11 @@ import math
 import time
 from datetime import datetime
 from decimal import Decimal
-from functools import cache
+from functools import cache, lru_cache, partial
 from itertools import chain, count
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
+from weakref import WeakKeyDictionary
 
 from ..dataset import Dataset
 from ..errors import EnergyKgError
@@ -103,9 +117,6 @@ from .ast import (
 Row = tuple[int, ...]
 # Each variable's name -> its slot: its place in the rows.
 Slots = dict[str, int]
-# A pattern's answer: its slots and its rows. The slots of an answer
-# without rows may lack variables, since no row reads them.
-Answer = tuple[Slots, list[Row]]
 # A triple pattern with each constant as its term id and each variable as its name.
 IdPattern = tuple[Union[int, str], Union[int, str], Union[int, str]]
 
@@ -115,6 +126,9 @@ _CHECK_EVERY = 256
 _CHECK_MASK = _CHECK_EVERY - 1
 # A triple's predicate.
 _PREDICATE = itemgetter(1)
+# Item getters by their int keys. They hold no state, so the prepared
+# queries share them, and few distinct ones are asked for.
+_getter = lru_cache(maxsize=1024)(itemgetter)
 # How the canonical text of an xsd:dateTime literal ends.
 _DATETIME_END = f'"^^<{XSD_DATETIME.value}>'
 
@@ -132,18 +146,11 @@ class _ExprError(Exception):
 
 
 class _Run:
-    """One evaluation's store, its term decoder (which asks the store once
-    per id) and the instant of each id (parsed once per id; None where
-    the id is no valid xsd:dateTime), FROM NAMED graphs, fresh names and
+    """One run's term decoder, which asks the store once per id, and its
     deadline."""
 
-    def __init__(self, ds: Dataset, named: frozenset[Iri], deadline: Optional[float]) -> None:
-        self.ds = ds
+    def __init__(self, ds: Dataset, deadline: Optional[float]) -> None:
         self.term = cache(ds.term)
-        texts = ds.texts()
-        self.instant = cache(lambda id_: _text_instant(texts[id_]))
-        self.named = named
-        self.fresh = count()
         self.deadline = deadline
 
     def check(self) -> None:
@@ -151,37 +158,117 @@ class _Run:
             raise QueryTimeout("query timed out")
 
 
-def evaluate(ds: Dataset, query: SelectQuery, deadline: Optional[float] = None) -> SolutionSequence:
-    """The query's answer over ds: its rows as tuples of the ids of the
-    projected variables that they bind, in canonical order and cut by
-    LIMIT, with the store's texts.
+# A prepared pattern's rows in one run.
+Source = Callable[[_Run], list[Row]]
+# A prepared step from rows to the rows it extends or keeps, in one run.
+Step = Callable[[list[Row], _Run], list[Row]]
+# A prepared pattern: its slots and its rows. A pattern that matches
+# nothing numbers its variables in any order, since no row reads them.
+Prepared = tuple[Slots, Source]
 
-    Raises QueryTimeout once time.monotonic() passes deadline. The
-    deadline is checked every 256 rows that a hash join or filter goes
-    through, and a BGP step checks it before the rows and triples it goes
-    through, counted together, pass 256 since its last check, and before
-    each 256 triples of a larger bucket; so the longest stretch between
-    two checks is about 256 rows or triples of work. It is checked once
-    more after the final sort.
-    Every row binds each variable of the pattern; a projected variable
-    that the pattern lacks, which only a query built without the parser
-    can hold, is bound in no row and left out of the names."""
+
+class _Instants(dict):
+    """The instant that each id of one store spells, or None where its
+    text is no valid xsd:dateTime literal's. Each is parsed when first
+    read and kept only for an xsd:dateTime text, so the memo holds at most
+    one entry per such text of the store. Threads may fill it at once: an
+    id parsed twice gives the same instant."""
+
+    def __init__(self, texts: list[str]) -> None:
+        super().__init__()
+        self.texts = texts
+
+    def __missing__(self, id_: int) -> Optional[datetime]:
+        text = self.texts[id_]
+        instant = _text_instant(text)
+        if text.endswith(_DATETIME_END):
+            self[id_] = instant
+        return instant
+
+
+# Each store's instants, for as long as the store lives.
+_STORE_INSTANTS: "WeakKeyDictionary[Dataset, _Instants]" = WeakKeyDictionary()
+
+
+def _instants(ds: Dataset) -> _Instants:
+    """The store's instants, an empty memo when first asked for."""
+    found = _STORE_INSTANTS.get(ds)
+    if found is None:
+        found = _STORE_INSTANTS.setdefault(ds, _Instants(ds.texts()))
+    return found
+
+
+class _Planner:
+    """What preparing one query reads: the store, the FROM NAMED graphs
+    and the fresh names' counter."""
+
+    def __init__(self, ds: Dataset, named: frozenset[Iri]) -> None:
+        self.ds = ds
+        self.named = named
+        self.fresh = count()
+
+
+class PreparedQuery:
+    """A query planned over a store, to be run with ``run``. It holds no
+    state of a run, so threads may run it at once. Over a store that is
+    not frozen, run it before the store changes."""
+
+    def __init__(
+        self, ds: Dataset, variables: tuple[str, ...], names: tuple[str, ...],
+        pick: Callable[[Row], Row], rows: Source, limit: Optional[int],
+    ) -> None:
+        self._ds = ds
+        self._variables = variables
+        self._names = names
+        self._pick = pick
+        self._rows = rows
+        self._limit = limit
+
+    def run(self, deadline: Optional[float] = None) -> SolutionSequence:
+        """The query's answer: its rows as tuples of the ids of the
+        projected variables that they bind, in canonical order and cut by
+        LIMIT, with the store's texts.
+
+        Raises QueryTimeout once time.monotonic() passes deadline. The
+        deadline is checked every 256 rows that a hash join or filter
+        goes through, and a BGP step checks it before the rows and
+        triples it goes through, counted together, pass 256 since its
+        last check, and before each 256 triples of a larger bucket; so
+        the longest stretch between two checks is about 256 rows or
+        triples of work. It is checked once more after the final sort."""
+        run = _Run(self._ds, deadline)
+        run.check()
+        rows = self._rows(run)
+        projected = list(map(self._pick, rows)) if rows else []
+        run.check()
+        # Canonical order is the order of the ids' texts.
+        texts = self._ds.texts()
+        projected.sort(key=lambda row: tuple(map(texts.__getitem__, row)))
+        run.check()
+        if self._limit is not None:
+            projected = projected[: self._limit]
+        return SolutionSequence(self._variables, self._names, projected, texts)
+
+
+def prepare(ds: Dataset, query: SelectQuery) -> PreparedQuery:
+    """The query planned over ds. Every row binds each variable of the
+    pattern; a projected variable that the pattern lacks, which only a
+    query built without the parser can hold, is bound in no row and left
+    out of the names."""
     default_graphs, named_graphs = _resolve_dataset(ds, query)
-    run = _Run(ds, named_graphs, deadline)
-    run.check()
-    slots, rows = _eval_pattern(query.pattern, default_graphs, run)
-
+    slots, rows = _pattern(query.pattern, default_graphs, _Planner(ds, named_graphs))
     bound = pattern_variables(query.pattern)
     names = tuple(v.name for v in query.projection if v.name in bound)
-    projected = list(map(_picker([slots[name] for name in names]), rows)) if rows else []
-    run.check()
-    # Canonical order is the order of the ids' texts.
-    texts = ds.texts()
-    projected.sort(key=lambda row: tuple(map(texts.__getitem__, row)))
-    run.check()
-    if query.limit is not None:
-        projected = projected[: query.limit]
-    return SolutionSequence(tuple(v.name for v in query.projection), names, projected, texts)
+    pick = _picker(*[slots[name] for name in names])
+    return PreparedQuery(
+        ds, tuple(v.name for v in query.projection), names, pick, rows, query.limit
+    )
+
+
+def evaluate(ds: Dataset, query: SelectQuery, deadline: Optional[float] = None) -> SolutionSequence:
+    """The query's answer over ds: it is prepared, then run under the
+    deadline (``PreparedQuery.run``)."""
+    return prepare(ds, query).run(deadline)
 
 
 def _resolve_dataset(
@@ -201,69 +288,77 @@ def _resolve_dataset(
     return tuple(dict.fromkeys(defaults)), frozenset(named)
 
 
-# -- pattern evaluation ------------------------------------------------------
+# -- patterns ----------------------------------------------------------------
 
 
-def _eval_pattern(pattern: GraphPattern, active: tuple[GraphName, ...], run: _Run) -> Answer:
+def _pattern(pattern: GraphPattern, active: tuple[GraphName, ...], planner: _Planner) -> Prepared:
     if isinstance(pattern, BGP):
-        return _eval_bgp(pattern, active, run)
+        return _bgp(pattern, active, planner)
     if isinstance(pattern, Graph):
-        scope = _graph_scope(pattern, active, run)
-        return ({}, []) if scope is None else _eval_pattern(pattern.pattern, scope, run)
+        scope = _graph_scope(pattern, active, planner)
+        return _nothing(pattern) if scope is None else _pattern(pattern.pattern, scope, planner)
     if isinstance(pattern, Join):
-        left = _eval_pattern(pattern.left, active, run)
-        if not left[1]:
-            return left
-        right = _eval_pattern(pattern.right, active, run)
+        left = _pattern(pattern.left, active, planner)
+        right = _pattern(pattern.right, active, planner)
         shared = sorted(pattern_variables(pattern.left) & pattern_variables(pattern.right))
-        return _hash_join(left, right, shared, run)
+        return _hash_join(left, right, shared, planner)
     if isinstance(pattern, Filter):
-        return _eval_filter(pattern, active, run)
+        return _filter(pattern, active, planner)
     raise EvaluationError(f"unknown pattern node {pattern!r}")
 
 
+def _nothing(pattern: GraphPattern) -> Prepared:
+    """A pattern that matches nothing."""
+    return dict(zip(sorted(pattern_variables(pattern)), count())), _no_rows
+
+
+def _no_rows(run: _Run) -> list[Row]:
+    return []
+
+
 def _graph_scope(
-    pattern: Graph, active: tuple[GraphName, ...], run: _Run
+    pattern: Graph, active: tuple[GraphName, ...], planner: _Planner
 ) -> Optional[tuple[GraphName, ...]]:
     """The active graphs inside a GRAPH block, or None when its graph is
     not a named one, where the block matches nothing."""
     if pattern.name.value == DEFAULT_GRAPH_ALIAS:
         return active
-    return (pattern.name,) if pattern.name in run.named else None
+    return (pattern.name,) if pattern.name in planner.named else None
 
 
-def _lower_paths(patterns: tuple[TriplePattern, ...], run: _Run) -> Iterator[TriplePattern]:
+def _lower_paths(patterns: tuple[TriplePattern, ...], planner: _Planner) -> Iterator[TriplePattern]:
     """Rewrite p1/p2 into two patterns over a fresh, non-projectable variable."""
     for tp in patterns:
         if isinstance(tp.predicate, SequencePath):
             # Fresh names contain NUL, which the grammar cannot produce.
-            mid = Variable(f"\x00path{next(run.fresh)}")
-            yield from _lower_paths((TriplePattern(tp.subject, tp.predicate.left, mid),), run)
-            yield from _lower_paths((TriplePattern(mid, tp.predicate.right, tp.object),), run)
+            mid = Variable(f"\x00path{next(planner.fresh)}")
+            yield from _lower_paths((TriplePattern(tp.subject, tp.predicate.left, mid),), planner)
+            yield from _lower_paths((TriplePattern(mid, tp.predicate.right, tp.object),), planner)
         else:
             yield tp
 
 
-def _eval_bgp(
-    bgp: BGP, active: tuple[GraphName, ...], run: _Run, conditions: Sequence[Expression] = ()
-) -> Answer:
-    """The BGP's answer; with conditions, only its rows on which each
-    condition is true, each one tested right after the plan step that
-    binds its last variable."""
-    ds = run.ds
+def _bgp(
+    bgp: BGP, active: tuple[GraphName, ...], planner: _Planner,
+    conditions: Sequence[Expression] = (),
+) -> Prepared:
+    """The BGP; with conditions, only its rows on which each condition is
+    true, each one tested right after the plan step that binds its last
+    variable."""
+    ds = planner.ds
     patterns: list[IdPattern] = []
-    for tp in _lower_paths(bgp.patterns, run):
+    for tp in _lower_paths(bgp.patterns, planner):
         encoded = tuple(
             x.name if isinstance(x, Variable) else ds.id_of(x)
             for x in (tp.subject, tp.predicate, tp.object)
         )
         if None in encoded:
-            return {}, []
+            return _nothing(bgp)
         patterns.append(encoded)
 
     graphs = [graph for graph in map(ds.graph, active) if graph is not None]
     if patterns and not graphs:
-        return {}, []
+        return _nothing(bgp)
     plan = _plan(patterns, graphs)
     # Each variable's step: the number of the step that binds it, from 1.
     # A condition over a variable that no step binds is never true, and
@@ -277,16 +372,27 @@ def _eval_bgp(
         due[max((step_of.get(name, len(plan)) for name in variables), default=0)].append(condition)
 
     slots: Slots = {}
-    rows: list[Row] = _kept([()], due[0], slots, run)
+    first = _kept(due[0], slots, planner)
+    stages: list[tuple[Step, Step]] = []
     for steps, tested in _stages(plan, due, graphs):
+        if len(steps) == 1:
+            extend = _extend(steps[0], slots, graphs)
+        else:
+            extend = _extend_star(steps, slots, graphs[0])
+        # Compiled once the stage has given its variables their slots.
+        stages.append((extend, _kept(tested, slots, planner)))
+    return slots, partial(_bgp_rows, first, tuple(stages))
+
+
+def _bgp_rows(first: Step, stages: tuple[tuple[Step, Step], ...], run: _Run) -> list[Row]:
+    """A prepared BGP's rows: the empty row if the conditions over no
+    variable keep it, extended and then kept by each stage in turn."""
+    rows = first([()], run)
+    for extend, kept in stages:
         if not rows:
             break
-        if len(steps) == 1:
-            rows = _extend(rows, steps[0], slots, graphs, run)
-        else:
-            rows = _extend_star(rows, steps, slots, graphs[0], run)
-        rows = _kept(rows, tested, slots, run)
-    return slots, rows
+        rows = kept(extend(rows, run), run)
+    return rows
 
 
 def _stages(
@@ -356,13 +462,13 @@ def _binds(tp: IdPattern, slots: Slots):
             else:
                 free[x] = i
     slots.update(zip(free, count(len(slots))))
-    return consts, keys, repeats, _picker(list(free.values()))
+    return consts, keys, tuple(repeats), _picker(*free.values())
 
 
-def _extend(rows: list[Row], tp: IdPattern, slots: Slots, graphs: list, run: _Run) -> list[Row]:
-    """Each row extended by each triple of the graphs that matches tp under
-    it: the row, then the triple's ids of the variables that tp binds
-    first, which are given the next slots.
+def _extend(tp: IdPattern, slots: Slots, graphs: list) -> Step:
+    """The step that extends each row by each triple of the graphs that
+    matches tp under it: the row, then the triple's ids of the variables
+    that tp binds first, which are given the next slots.
 
     Several graphs form one merged graph: a triple set, so a triple in
     two graphs extends a row once. A row's extensions by different
@@ -370,21 +476,23 @@ def _extend(rows: list[Row], tp: IdPattern, slots: Slots, graphs: list, run: _Ru
     extensions in each graph, without repeats.
     """
     consts, keys, repeats, picked = _binds(tp, slots)
-    extended = [_extend_in(graph, rows, tp, consts, keys, repeats, picked, run) for graph in graphs]
-    return extended[0] if len(extended) == 1 else list(dict.fromkeys(chain.from_iterable(extended)))
+    steps = tuple(_extend_in(graph, tp, consts, keys, repeats, picked) for graph in graphs)
+    return steps[0] if len(steps) == 1 else partial(_merged_rows, steps)
 
 
-def _extend_star(
-    rows: list[Row], star: list[IdPattern], slots: Slots, graph, run: _Run
-) -> list[Row]:
-    """Each row extended as ``_extend`` extends it by each pattern of the
-    star in turn, in one graph, where the patterns' subject is one
-    variable that the rows bind and each predicate is a constant. Per row
-    the subject's run is looked up once and scanned once, into a dict of
-    its triples by predicate, built in C; where no predicate repeats in
-    the run, as is usual, each pattern's one candidate is read from it,
-    and otherwise each pattern scans the run for its predicate."""
-    run_of, starts, ordered = graph.runs()
+def _merged_rows(steps: tuple[Step, ...], rows: list[Row], run: _Run) -> list[Row]:
+    extended = [extend(rows, run) for extend in steps]
+    return list(dict.fromkeys(chain.from_iterable(extended)))
+
+
+def _extend_star(star: list[IdPattern], slots: Slots, graph) -> Step:
+    """The step that extends each row as ``_extend``'s steps would by each
+    pattern of the star in turn, in one graph, where the patterns' subject
+    is one variable that the rows bind and each predicate is a constant.
+    Per row the subject's run is looked up once and scanned once, into a
+    dict of its triples by predicate, built in C; where no predicate
+    repeats in the run, as is usual, each pattern's one candidate is read
+    from it, and otherwise each pattern scans the run for its predicate."""
     subject = slots[star[0][0]]
     steps = []
     for tp in star:
@@ -392,7 +500,14 @@ def _extend_star(
         consts, keys, _, picked = _binds(tp, slots)
         # The run fixes the subject and the dict the predicate.
         steps.append((tp[1], *_check(keys, [(i, x) for i, x in consts if i != 1], 0), picked))
+    return partial(_star_rows, *graph.runs(), subject, tuple(steps))
 
+
+def _star_rows(
+    run_of, starts, ordered, subject: int, steps: tuple, rows: list[Row], run: _Run
+) -> list[Row]:
+    """``_extend_star``'s step, given the graph's subject runs, the rows'
+    slot of the subject, and each pattern's predicate, check and picker."""
     out: list[Row] = []
     emit = out.append
     # Rows and triples gone through since the last deadline check, as
@@ -421,16 +536,16 @@ def _extend_star(
         found = [row]
         for predicate, probe, target_of, target, picked in steps:
             extended: list[Row] = []
-            for partial in found:
+            for prefix in found:
                 work += units
                 if work > _CHECK_EVERY:
                     work = units
                     run.check()
                 if target_of is not None:
-                    target = target_of(partial)
-                for triple in _scan(triples, [], run) if units > _CHECK_EVERY else triples:
+                    target = target_of(prefix)
+                for triple in _scan(triples, (), run) if units > _CHECK_EVERY else triples:
                     if triple[1] == predicate and probe(triple) == target:
-                        extended.append(partial + picked(triple))
+                        extended.append(prefix + picked(triple))
             found = extended
             if not found:
                 break
@@ -438,35 +553,46 @@ def _extend_star(
     return out
 
 
-def _extend_in(
-    graph, rows: list[Row], tp: IdPattern, consts, keys, repeats, picked, run: _Run
-) -> list[Row]:
-    """``_extend`` in one graph, given tp's constant positions, its bound
-    positions with their slots, its repeated free positions and the
+def _extend_in(graph, tp: IdPattern, consts, keys, repeats, picked) -> Step:
+    """``_extend``'s step in one graph, given tp's constant positions, its
+    bound positions with their slots, its repeated free positions and the
     picker of the ids that it binds. Per row it scans the smallest bucket
     among the constant and bound positions'. A bucket lists its triples
     in the graph's triple order, so whichever bucket is scanned, the
     matching triples come in the same order."""
     # The smallest constant bucket and the position it fixes, or every
-    # triple when there is no constant; the bucket is sliced when a row
-    # first scans it. Then the runs at each bound position, and the check
-    # of a bucket's triples by the position that the bucket fixes.
+    # triple when there is no constant; a run slices the bucket when a
+    # row first scans it. Then the runs at each bound position, and the
+    # check of a bucket's triples by the position that the bucket fixes.
     size, at = len(graph.triples), None
     for i, x in consts:
         found = graph.size(i, x)
         if found < size:
             size, at = found, i
-    start = graph.triples if at is None else None
     start_check = _check(keys, consts, at)
     # A bound subject's run is read from the run table, another bound
     # position's bucket found by its finder.
-    lookups = [(*graph.runs(), slot, _check(keys, consts, i)) for i, slot in keys if not i]
-    finders = [(graph.finder(i), slot, _check(keys, consts, i)) for i, slot in keys if i]
+    lookups = tuple((*graph.runs(), slot, _check(keys, consts, i)) for i, slot in keys if not i)
+    finders = tuple((graph.finder(i), slot, _check(keys, consts, i)) for i, slot in keys if i)
+    key = None if at is None else tp[at]
+    return partial(
+        _extend_rows, graph, at, key, size, start_check, lookups, finders, repeats, picked
+    )
 
+
+def _extend_rows(
+    graph, at: Optional[int], key: Optional[int], size: int, start_check, lookups, finders,
+    repeats, picked, rows: list[Row], run: _Run,
+) -> list[Row]:
+    """``_extend_in``'s step, given the position and id of the smallest
+    constant bucket (None for every triple) and its size, the check of
+    its triples, the lookups at the bound positions, the repeated free
+    positions and the picker."""
     out: list[Row] = []
     emit = out.append
-    # Rows and triples gone through since the last deadline check; a row
-    # counts with its bucket before the bucket is scanned.
+    start = graph.triples if at is None else None
+    # Rows and triples gone through since the last deadline check; a
+    # row counts with its bucket before the bucket is scanned.
     work = 0
     for row in rows:
         triples, least, check = start, size, start_check
@@ -483,7 +609,7 @@ def _extend_in(
             if len(bucket) < least:
                 triples, least, check = bucket, len(bucket), lookup_check
         if triples is None:
-            triples = start = graph.bucket(at, tp[at])
+            triples = start = graph.bucket(at, key)
         probe, target_of, target = check
         if target_of is not None:
             target = target_of(row)
@@ -500,7 +626,7 @@ def _extend_in(
     return out
 
 
-def _scan(triples: list, repeats: list[tuple[int, int]], run: _Run) -> Iterator[tuple]:
+def _scan(triples: list, repeats: Sequence[tuple[int, int]], run: _Run) -> Iterator[tuple]:
     """The triples whose positions listed in pairs hold the same id, with
     a deadline check before each 256 of them."""
     for begin in range(0, len(triples), _CHECK_EVERY):
@@ -525,12 +651,12 @@ def _check(
     keys = [(i, slot) for i, slot in keys if i != fixed]
     consts = [(i, x) for i, x in consts if i != fixed]
     if not keys and not consts:
-        return _picker([]), None, ()
-    probe = itemgetter(*[i for i, _ in keys + consts])
+        return _picker(), None, ()
+    probe = _getter(*[i for i, _ in keys + consts])
     const_ids = tuple(x for _, x in consts)
     if not keys:
         return probe, None, const_ids[0] if len(const_ids) == 1 else const_ids
-    get = itemgetter(*[slot for _, slot in keys])
+    get = _getter(*[slot for _, slot in keys])
     if not const_ids:
         return probe, get, None
     if len(keys) == 1:
@@ -561,69 +687,82 @@ def _plan(patterns: list[IdPattern], graphs: list) -> list[IdPattern]:
 
 
 def _hash_join(
-    left: Answer,
-    right: Answer,
+    left: Prepared,
+    right: Prepared,
     shared: list[str],
-    run: _Run,
+    planner: _Planner,
     left_keys: tuple[DateFunc, ...] = (),
     right_keys: tuple[DateFunc, ...] = (),
-) -> Answer:
+) -> Prepared:
     """Each left row followed by the columns of each right row with the
-    same key that the left rows lack."""
-    (slots, rows), (right_slots, right_rows) = left, right
-    if not rows or not right_rows:
-        return slots, []
+    same key that the left rows lack. The right side is not run when the
+    left has no rows."""
+    (slots, left_rows), (right_slots, right_rows) = left, right
     # The right row's columns that are appended, in slot order.
     added = [name for name in right_slots if name not in slots]
-    tail_of = _picker([right_slots[name] for name in added])
+    tail_of = _picker(*[right_slots[name] for name in added])
+    left_key = _join_key(shared, left_keys, slots, planner)
+    right_key = _join_key(shared, right_keys, right_slots, planner)
+    rows = partial(_join_rows, left_rows, right_rows, left_key, right_key, tail_of)
+    return {**slots, **dict(zip(added, count(len(slots))))}, rows
+
+
+def _join_rows(
+    left_rows: Source, right_rows: Source, left_key, right_key, tail_of, run: _Run
+) -> list[Row]:
+    """``_hash_join``'s rows, given each side's rows and join key, and the
+    picker of the right row's appended columns."""
+    rows = left_rows(run)
+    if not rows:
+        return rows
     index: dict[tuple, list[Row]] = {}
-    key_of = _join_key(shared, right_keys, right_slots, run)
-    for n, row in enumerate(right_rows):
+    for n, row in enumerate(right_rows(run)):
         if not n & _CHECK_MASK:
             run.check()
-        key = key_of(row)
+        key = right_key(row)
         if key is not None:
             index.setdefault(key, []).append(tail_of(row))
     out: list[Row] = []
+    if not index:
+        return out
     emit = out.append
-    key_of = _join_key(shared, left_keys, slots, run)
     for n, row in enumerate(rows):
         if not n & _CHECK_MASK:
             run.check()
-        key = key_of(row)
+        key = left_key(row)
         if key is None:
             continue
         for tail in index.get(key, ()):
             if not len(out) & _CHECK_MASK:
                 run.check()
             emit(row + tail)
-    return {**slots, **dict(zip(added, count(len(slots))))}, out
+    return out
 
 
 def _join_key(
-    shared: list[str], keys: tuple[DateFunc, ...], slots: Slots, run: _Run
+    shared: list[str], keys: tuple[DateFunc, ...], slots: Slots, planner: _Planner
 ) -> Callable[[Row], Optional[tuple]]:
     """A function from a row to its join key: the row's ids of the shared
-    variables, then the value of each key; None where a key errors, as the
-    equality it came from can never be true there. Keys that follow each
-    other and take parts of one argument's date read its instant once per
-    row, as the day-join's year, month and day do."""
-    ids = [_slot(name, slots) for name in shared]
-    runs: list[tuple[Expression, list[str]]] = []
+    variables, then the value of each key, a date part of a variable;
+    None where a key errors, as the equality it came from can never be
+    true there. Keys that follow each other and take parts of one
+    variable's date read its instant once per row, as the day-join's
+    year, month and day do."""
+    ids = tuple(_slot(name, slots) for name in shared)
+    runs: list[tuple[str, list[str]]] = []
     for key in keys:
-        if runs and key.argument == runs[-1][0]:
+        if runs and key.argument.name == runs[-1][0]:
             runs[-1][1].append(key.component)
         else:
-            runs.append((key.argument, [key.component]))
-    dates = [
-        (*_date_source(argument, slots, run), _parts(components)) for argument, components in runs
-    ]
+            runs.append((key.argument.name, [key.component]))
+    dates = tuple((_slot(name, slots), _parts(components)) for name, components in runs)
+    instants = _instants(planner.ds) if dates else None
 
     def key_of(row: Row) -> Optional[tuple]:
         try:
             key = [at(row) for at in ids]
-            for instant_of, at, parts in dates:
-                instant = instant_of(at(row))
+            for at, parts in dates:
+                instant = instants[at(row)]
                 if instant is None:
                     return None
                 key += parts(instant)
@@ -642,43 +781,60 @@ def _parts(components: list[str]) -> Callable[[datetime], tuple]:
     return lambda instant: (parts(instant),)
 
 
-def _eval_filter(node: Filter, active: tuple[GraphName, ...], run: _Run) -> Answer:
+def _filter(node: Filter, active: tuple[GraphName, ...], planner: _Planner) -> Prepared:
     inner = node.pattern
     conjuncts = _split_and(node.expression)
     if isinstance(inner, Graph) and isinstance(inner.pattern, BGP):
-        scope = _graph_scope(inner, active, run)
-        return ({}, []) if scope is None else _eval_bgp(inner.pattern, scope, run, conjuncts)
+        scope = _graph_scope(inner, active, planner)
+        return _nothing(inner) if scope is None else _bgp(inner.pattern, scope, planner, conjuncts)
     if isinstance(inner, BGP):
-        return _eval_bgp(inner, active, run, conjuncts)
+        return _bgp(inner, active, planner, conjuncts)
     if isinstance(inner, Join):
         scopes = pattern_variables(inner.left), pattern_variables(inner.right)
         pairs = [_key_pair(conjunct, *scopes) for conjunct in conjuncts]
         if any(pairs):
-            left = _eval_pattern(inner.left, active, run)
-            right = _eval_pattern(inner.right, active, run)
+            left = _pattern(inner.left, active, planner)
+            right = _pattern(inner.right, active, planner)
             left_keys, right_keys = zip(*filter(None, pairs))
             shared = sorted(scopes[0] & scopes[1])
-            slots, rows = _hash_join(left, right, shared, run, left_keys, right_keys)
+            joined = _hash_join(left, right, shared, planner, left_keys, right_keys)
             rest = [conjunct for conjunct, pair in zip(conjuncts, pairs) if pair is None]
-            return slots, _kept(rows, rest, slots, run)
-
-    slots, rows = _eval_pattern(inner, active, run)
-    return slots, _kept(rows, [node.expression], slots, run)
+            return _filtered(joined, rest, planner)
+    return _filtered(_pattern(inner, active, planner), [node.expression], planner)
 
 
-def _kept(rows: list[Row], conditions: list[Expression], slots: Slots, run: _Run) -> list[Row]:
-    """The rows on which every condition is true: where one is false or
-    errors, the row is dropped."""
+def _filtered(prepared: Prepared, conditions: list[Expression], planner: _Planner) -> Prepared:
+    """The pattern's rows on which every condition is true."""
+    slots, rows = prepared
     if not conditions:
-        return rows
-    values = [_value(condition, slots, run) for condition in conditions]
+        return prepared
+    return slots, partial(_filtered_rows, rows, _kept(conditions, slots, planner))
+
+
+def _filtered_rows(rows: Source, kept: Step, run: _Run) -> list[Row]:
+    return kept(rows(run), run)
+
+
+def _kept(conditions: list[Expression], slots: Slots, planner: _Planner) -> Step:
+    """The step that keeps the rows on which every condition is true:
+    where one is false or errors, the row is dropped."""
+    if not conditions:
+        return _all_rows
+    return partial(_kept_rows, tuple(_value(condition, slots, planner) for condition in conditions))
+
+
+def _all_rows(rows: list[Row], run: _Run) -> list[Row]:
+    return rows
+
+
+def _kept_rows(values: tuple[Value, ...], rows: list[Row], run: _Run) -> list[Row]:
     out = []
     for n, row in enumerate(rows):
         if not n & _CHECK_MASK:
             run.check()
         try:
             for value in values:
-                found = value(row)
+                found = value(row, run)
                 if found is not True and (found is False or not _effective_boolean(found)):
                     break
             else:
@@ -688,9 +844,11 @@ def _kept(rows: list[Row], conditions: list[Expression], slots: Slots, run: _Run
     return out
 
 
-def _picker(slots: list[int]) -> Callable[[tuple], tuple]:
+@lru_cache(maxsize=1024)
+def _picker(*slots: int) -> Callable[[tuple], tuple]:
     """A function from a row, or an id triple, to the tuple of its ids at
-    slots, in C: one slot or none is read as a slice."""
+    slots, in C: one slot or none is read as a slice. Shared, as
+    ``_getter``'s are."""
     if len(slots) > 1:
         return itemgetter(*slots)
     return itemgetter(slice(*slots, slots[0] + 1) if slots else slice(0))
@@ -700,7 +858,7 @@ def _slot(name: str, slots: Slots) -> Callable[[Row], int]:
     """A function from a row to its id of the named variable; one that
     raises _ExprError when the rows do not bind the variable."""
     if name in slots:
-        return itemgetter(slots[name])
+        return _getter(slots[name])
 
     def unbound(row: Row) -> int:
         raise _ExprError(f"unbound variable ?{name}")
@@ -717,56 +875,62 @@ def _split_and(expression: Expression) -> list[Expression]:
 def _key_pair(
     conjunct: Expression, left_scope: frozenset[str], right_scope: frozenset[str]
 ) -> Optional[tuple[DateFunc, DateFunc]]:
-    """The sides of a conjunct that equates two date parts, whose values
-    hash consistently across rows, the left one first, when each side
-    reads variables of one side of a Join only; else None."""
+    """The sides of a conjunct that equates date parts of two variables,
+    whose values hash consistently across rows, the left one first, when
+    each side's variable is one of a side of a Join only; else None."""
     if isinstance(conjunct, Equals):
         for a, b in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
-            a_vars, b_vars = expression_variables(a), expression_variables(b)
-            if isinstance(a, DateFunc) and isinstance(b, DateFunc) and a_vars and b_vars:
-                if a_vars <= left_scope and b_vars <= right_scope:
-                    return a, b
+            if isinstance(a, DateFunc) and isinstance(b, DateFunc):
+                if isinstance(a.argument, Variable) and isinstance(b.argument, Variable):
+                    if a.argument.name in left_scope and b.argument.name in right_scope:
+                        return a, b
     return None
 
 
 # -- expressions -------------------------------------------------------------
-# An expression is compiled once per evaluation, for rows with the given
-# slots, into a function from a row to its value. Where SPARQL has an
-# error, such as a variable that the rows do not bind, the function raises
-# _ExprError.
+# An expression is compiled once, when its query is prepared, for rows
+# with the given slots, into a function from a row and its run to its
+# value. Where SPARQL has an error, such as a variable that the rows do
+# not bind, the function raises _ExprError.
+
+# A compiled expression.
+Value = Callable[[Row, _Run], object]
 
 
-def _value(expression: Expression, slots: Slots, run: _Run) -> Callable[[Row], object]:
+def _value(expression: Expression, slots: Slots, planner: _Planner) -> Value:
     if isinstance(expression, Variable):
-        term, at = run.term, _slot(expression.name, slots)
-        return lambda row: term(at(row))
+        at = _slot(expression.name, slots)
+        return lambda row, run: run.term(at(row))
     if isinstance(expression, Constant):
         constant = expression.value
-        return lambda row: constant
+        return lambda row, run: constant
     if isinstance(expression, DateFunc):
-        component = attrgetter(expression.component)
-        instant_of, at = _date_source(expression.argument, slots, run)
-
-        def date_part(row: Row) -> int:
-            instant = instant_of(at(row))
-            if instant is None:
-                raise _ExprError("date function needs a valid xsd:dateTime")
-            return component(instant)
-
-        return date_part
+        part, argument = attrgetter(expression.component), expression.argument
+        if isinstance(argument, Variable):
+            # A variable's value is its id, whose instant the store's memo holds.
+            instants, at = _instants(planner.ds), _slot(argument.name, slots)
+            return partial(_date_part, part, lambda row, run: instants[at(row)])
+        value = _value(argument, slots, planner)
+        return partial(_date_part, part, lambda row, run: _instant(value(row, run)))
     if isinstance(expression, Equals):
-        (left, left_number), (right, right_number) = (
-            _operand(side, slots, run) for side in (expression.left, expression.right)
-        )
-        if left_number and right_number:
-            return lambda row: left_number(row) == right_number(row)
-        return lambda row: _equals(*left(row), *right(row))
+        left, right = expression.left, expression.right
+        if isinstance(left, Constant):
+            # Equality is symmetric, errors too: a constant goes right.
+            left, right = right, left
+        left_value, right_value = _value(left, slots, planner), _value(right, slots, planner)
+        number = _constant_number(right)
+        if isinstance(left, DateFunc) and isinstance(right, DateFunc):
+            return lambda row, run: left_value(row, run) == right_value(row, run)
+        if isinstance(left, DateFunc) and number is not None:
+            return lambda row, run: left_value(row, run) == number
+        left_pair, right_pair = _pair(left, left_value), _pair(right, right_value)
+        return lambda row, run: _equals(*left_pair(row, run), *right_pair(row, run))
     if isinstance(expression, And):
-        left_test = _test(expression.left, slots, run)
-        right_test = _test(expression.right, slots, run)
+        left_test = _test(expression.left, slots, planner)
+        right_test = _test(expression.right, slots, planner)
 
-        def both(row: Row) -> bool:
-            left, right = left_test(row), right_test(row)
+        def both(row: Row, run: _Run) -> bool:
+            left, right = left_test(row, run), right_test(row, run)
             # SPARQL logical-and: false wins over an error on the other side.
             if left is False or right is False:
                 return False
@@ -778,48 +942,57 @@ def _value(expression: Expression, slots: Slots, run: _Run) -> Callable[[Row], o
     raise EvaluationError(f"unknown expression node {expression!r}")
 
 
-def _date_source(
-    argument: Expression, slots: Slots, run: _Run
-) -> tuple[Callable[[object], Optional[datetime]], Callable[[Row], object]]:
-    """For a date function's argument: the function from its value to the
-    instant it spells, or None, and the function from a row to its value.
-    A variable's value is its id, whose instant is parsed once."""
-    if isinstance(argument, Variable):
-        return run.instant, _slot(argument.name, slots)
-    return _instant, _value(argument, slots, run)
+def _date_part(
+    part: Callable[[datetime], int], instant_of: Callable[[Row, _Run], Optional[datetime]],
+    row: Row, run: _Run,
+) -> int:
+    """A date function's value: the part of the instant that its argument spells."""
+    instant = instant_of(row, run)
+    if instant is None:
+        raise _ExprError("date function needs a valid xsd:dateTime")
+    return part(instant)
 
 
-def _test(expression: Expression, slots: Slots, run: _Run) -> Callable[[Row], Optional[bool]]:
+def _test(
+    expression: Expression, slots: Slots, planner: _Planner
+) -> Callable[[Row, _Run], Optional[bool]]:
     """A function from a row to the expression's effective boolean value,
     or None where the expression errors."""
-    value = _value(expression, slots, run)
+    value = _value(expression, slots, planner)
 
-    def test(row: Row) -> Optional[bool]:
+    def test(row: Row, run: _Run) -> Optional[bool]:
         try:
-            return _effective_boolean(value(row))
+            return _effective_boolean(value(row, run))
         except _ExprError:
             return None
 
     return test
 
 
-def _operand(
-    expression: Expression, slots: Slots, run: _Run
-) -> tuple[Callable[[Row], tuple], Optional[Callable[[Row], object]]]:
+def _constant_number(expression: Expression) -> Union[int, Decimal, None]:
+    """A constant's number, or None where it is no constant, or its value no
+    number or one that errors."""
+    if isinstance(expression, Constant):
+        try:
+            return _number(expression.value)
+        except _ExprError:
+            pass
+    return None
+
+
+def _pair(expression: Expression, value: Value) -> Callable[[Row, _Run], tuple]:
     """A function from a row to the value of an operand of ``=`` and its
-    number; and, where every row's value is a number, a function from a
-    row to that number, else None. A date part is its own number, and a
-    constant's pair is made once, unless its number errors."""
-    value = _value(expression, slots, run)
+    number. A date part is its own number, and a constant's pair is made
+    once, unless its number errors."""
     if isinstance(expression, DateFunc):
-        return (lambda row: (part := value(row), part)), value
+        return lambda row, run: (part := value(row, run), part)
     if isinstance(expression, Constant):
         try:
             pair = expression.value, _number(expression.value)
-            return (lambda row: pair), None if pair[1] is None else lambda row: pair[1]
+            return lambda row, run: pair
         except _ExprError:
             pass
-    return (lambda row: (found := value(row), _number(found))), None
+    return lambda row, run: (found := value(row, run), _number(found))
 
 
 def _instant(value) -> Optional[datetime]:

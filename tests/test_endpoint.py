@@ -1,9 +1,11 @@
 import http.client
 import json
 import os
+import random
 import signal
 import socket
 import statistics
+import sys
 import time
 import urllib.error
 import urllib.parse
@@ -11,13 +13,14 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from conftest import has_exited
+from conftest import build_three_day_store, has_exited
 
+from energykg import endpoint
 from energykg.cli import main
 from energykg.dataset import Dataset
 from energykg.endpoint import EndpointConfig, EndpointServer
 from energykg.errors import EnergyKgError
-from energykg.sparql import QueryParseError, parse_query
+from energykg.sparql import QueryParseError, evaluate, parse_query, to_results_json
 from energykg.terms import Iri, Literal, PrefixMap, Quad
 from energykg.turtle import serialize_turtle
 
@@ -271,6 +274,107 @@ def test_timeout_stops_the_evaluation():
         cpu = sum(map(_cpu_seconds, server.worker_pids))
         time.sleep(1.0)
         assert sum(map(_cpu_seconds, server.worker_pids)) - cpu < 0.3
+
+
+def test_a_cached_query_runs_under_each_requests_own_deadline():
+    # Sent twice over one kept-alive connection, the cross product is
+    # prepared for the first request and taken from the worker's cache for
+    # the second; each one must run until its own deadline, no shorter and
+    # not on.
+    query = "SELECT ?a WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }"
+    timeout = 0.2
+    with EndpointServer(EndpointConfig(port=0, timeout_seconds=timeout), _numbered(80)) as server:
+        connection = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            for _ in range(2):
+                start = time.monotonic()
+                connection.request("GET", _query_url(query))
+                response = connection.getresponse()
+                answer = response.status, response.read(), response.will_close
+                assert answer == (503, b"query timed out", False)
+                assert timeout <= time.monotonic() - start < 1.0
+        finally:
+            connection.close()
+
+
+@pytest.mark.parametrize("queries, text_bytes", [(3, 10_000), (100, 120)])
+def test_the_prepared_cache_stays_within_its_bounds(
+    three_day_store, monkeypatch, queries, text_bytes
+):
+    # More distinct texts than the cache may hold, and one text longer than
+    # it keeps, each sent twice. A worker whose cache passed a bound would
+    # answer 500.
+    monkeypatch.setattr(endpoint, "_CACHED_QUERIES", queries)
+    monkeypatch.setattr(endpoint, "_CACHED_BYTES", text_bytes)
+    monkeypatch.setattr(endpoint, "_CACHEABLE_BYTES", 64)
+    get = endpoint._PreparedQueries.get
+
+    def checked(self, text, size):
+        prepared = get(self, text, size)
+        sizes = [kept for _, kept in self._kept.values()]
+        assert len(sizes) <= queries and sum(sizes) == self._bytes <= text_bytes
+        assert max(sizes, default=0) <= 64
+        return prepared
+
+    monkeypatch.setattr(endpoint._PreparedQueries, "get", checked)
+    texts = [f"SELECT ?s WHERE {{ ?s ?p ?o }} LIMIT {n}" for n in range(8)]
+    texts.append("SELECT ?s ?o WHERE { ?s ?p ?o }" + " " * 100)
+    with EndpointServer(EndpointConfig(port=0), three_day_store) as server:
+        connection = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            headers = {"Content-Type": "application/sparql-query"}
+            for text in texts * 2:
+                connection.request("POST", "/sparql", text, headers)
+                response = connection.getresponse()
+                expected = to_results_json(evaluate(three_day_store, parse_query(text))).encode()
+                assert (response.status, response.read()) == (200, expected), text
+        finally:
+            connection.close()
+
+
+def test_the_prepared_cache_drops_the_least_recently_used_text(three_day_store, monkeypatch):
+    monkeypatch.setattr(endpoint, "_CACHED_QUERIES", 2)
+    queries = endpoint._PreparedQueries(three_day_store)
+    first, second, third = (f"SELECT ?s WHERE {{ ?s ?p ?o }} LIMIT {n}" for n in (1, 2, 3))
+    prepared = queries.get(first, len(first))
+    assert queries.get(first, len(first)) is prepared
+    queries.get(second, len(second))
+    queries.get(first, len(first))
+    queries.get(third, len(third))
+    assert list(queries._kept) == [first, third]
+    with pytest.raises(QueryParseError):
+        queries.get("SELEC ?s", 8)
+    assert list(queries._kept) == [first, third]
+    assert queries._bytes == len(first) + len(third)
+
+
+def test_threads_sharing_the_prepared_cache_keep_its_bounds(monkeypatch, join_query_text):
+    # Eight threads, more than the cores, switching as often as the
+    # interpreter lets them, prepare and run day-joins (which fill the
+    # store's date memo) through one cache that holds five: a lost update
+    # would break an answer or the count of the bytes kept.
+    monkeypatch.setattr(endpoint, "_CACHED_QUERIES", 5)
+    ds = build_three_day_store()
+    queries = endpoint._PreparedQueries(ds)
+    texts = [f"{join_query_text}LIMIT {n}" for n in range(12)]
+    expected = {text: to_results_json(evaluate(ds, parse_query(text))) for text in texts}
+
+    def ask(seed):
+        rnd = random.Random(seed)
+        for _ in range(100):
+            text = rnd.choice(texts)
+            assert to_results_json(queries.get(text, len(text)).run()) == expected[text]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(ask, seed) for seed in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    sizes = [size for _, size in queries._kept.values()]
+    assert len(sizes) == 5 and sum(sizes) == queries._bytes
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU, so one worker")

@@ -335,30 +335,34 @@ def test_deadline_is_checked_while_one_row_scans_a_large_bucket(counted_checks):
 
 
 def test_deadline_is_checked_while_a_hash_join_probes(counted_checks):
-    run = evaluator._Run(Dataset().freeze(), frozenset(), None)
+    ds = Dataset().freeze()
+    run, planner = evaluator._Run(ds, None), evaluator._Planner(ds, frozenset())
     left = [(i,) for i in range(_BIG)]
-    _, rows = evaluator._hash_join(({"a": 0}, left), ({"a": 0}, [(-1,)]), ["a"], run)
-    assert rows == []
+    _, rows = evaluator._hash_join(
+        ({"a": 0}, lambda run: left), ({"a": 0}, lambda run: [(-1,)]), ["a"], planner
+    )
+    assert rows(run) == []
     assert len(counted_checks) >= _BIG // 256
 
 
 def test_deadline_is_checked_while_a_filter_runs(counted_checks):
-    run = evaluator._Run(Dataset().freeze(), frozenset(), None)
+    ds = Dataset().freeze()
+    run, planner = evaluator._Run(ds, None), evaluator._Planner(ds, frozenset())
     rows = [(i,) for i in range(_BIG)]
     never = parse_query("SELECT ?a WHERE { ?a ?b ?c FILTER (?unbound = ?a) }").pattern.expression
-    assert evaluator._kept(rows, [never], {"a": 0}, run) == []
+    assert evaluator._kept([never], {"a": 0}, planner)(rows, run) == []
     assert len(counted_checks) >= _BIG // 256
 
 
 @pytest.fixture()
 def stars(monkeypatch):
-    """The patterns of each star that evaluations extend rows by."""
+    """The patterns of each star that prepared queries extend rows by."""
     calls = []
     original = evaluator._extend_star
 
-    def recording(rows, star, *rest):
+    def recording(star, *rest):
         calls.append(list(star))
-        return original(rows, star, *rest)
+        return original(star, *rest)
 
     monkeypatch.setattr(evaluator, "_extend_star", recording)
     return calls
@@ -507,6 +511,28 @@ def test_month_filter_parses_each_date_ids_instant_once(counted_parses):
     assert rows == naive.naive_evaluate(ds, query)
 
 
+def test_instants_are_parsed_once_per_store_not_per_evaluation(counted_parses):
+    # Ten readings a day on three days: a date function of any object
+    # parses each of the three date texts once, over two evaluations of
+    # the store, and the store's memo keeps only those three.
+    stamps = [f"2016-05-0{d}T00:00:00Z" for d in (1, 2, 3)]
+    quads = [
+        q(f"r{d}_{i}", "at", Literal(stamp, XSD_DATETIME))
+        for d, stamp in enumerate(stamps)
+        for i in range(10)
+    ]
+    quads += [q(f"r0_{i}", "tag", Literal(f"t{i}")) for i in range(10)]
+    ds = Dataset(quads).freeze()
+    query = parse_query("SELECT ?r WHERE { ?r ?p ?t FILTER (month(?t) = 5) }")
+    for _ in range(2):
+        assert len(evaluate(ds, query).rows) == 30
+    assert sorted(counted_parses) == stamps
+    assert len(evaluator._instants(ds)) == 3
+    # Another store parses its own.
+    assert len(evaluate(Dataset(quads).freeze(), query).rows) == 30
+    assert len(counted_parses) == 6
+
+
 @pytest.mark.parametrize("graph", [None, Iri(EX + "g")])
 def test_filter_conjuncts_prune_the_rows_that_later_steps_extend(monkeypatch, graph):
     # The endpoint's month query: one device read on 40 days, 20 of them in
@@ -528,9 +554,14 @@ def test_filter_conjuncts_prune_the_rows_that_later_steps_extend(monkeypatch, gr
     steps = []
     original = evaluator._extend
 
-    def counting(rows, tp, *rest):
-        steps.append((tp, len(rows)))
-        return original(rows, tp, *rest)
+    def counting(tp, *rest):
+        extend = original(tp, *rest)
+
+        def counted(rows, run):
+            steps.append((tp, len(rows)))
+            return extend(rows, run)
+
+        return counted
 
     monkeypatch.setattr(evaluator, "_extend", counting)
     rows = evaluate(ds, query).rows
