@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+from itertools import chain
 from pathlib import Path
 
 from energykg.analysis import align, pcc
-from energykg.climate import link_network_to_station, observation_quads, parse_noaa_csv
+from energykg.climate import observation_triples, parse_noaa_csv
 from energykg.dataset import Dataset
 from energykg.headings import parse_heading
-from energykg.namespaces import DEFAULT_BASE, device_resource, station_resource
-from energykg.uplift import evaluation_quads, read_energy_csv, topology_quads
+from energykg.namespaces import DEFAULT_BASE, cossmic_graph, device_resource, station_resource
+from energykg.uplift import evaluation_triples, read_energy_csv, station_link, topology_triples
 
 DEFAULT_DEVICES = [
     "DE_KN_industrial1_pv_1",
@@ -62,10 +63,6 @@ def main() -> None:
     args = parser.parse_args()
 
     table = read_energy_csv(reduced_energy_csv(args.household_csv, args.devices), daily=True)
-    ds = Dataset()
-    ds.add_all(topology_quads([parse_heading(d) for d in args.devices]))
-    ds.add_all(evaluation_quads(table))
-
     observations = [
         obs
         for obs in parse_noaa_csv(Path(args.ghcnd_csv).read_text())
@@ -73,9 +70,19 @@ def main() -> None:
     ]
     if not observations:
         raise SystemExit(f"no {args.datatype} observations in {args.ghcnd_csv}")
-    ds.add_all(observation_quads(observations))
     station = station_resource(DEFAULT_BASE, observations[0].station_id)
-    ds.add(link_network_to_station(device_resource(DEFAULT_BASE, "DE_KN_COSSMIC"), station))
+    network = device_resource(DEFAULT_BASE, "DE_KN_COSSMIC")
+    cossmic = chain(
+        topology_triples([parse_heading(d) for d in args.devices]),
+        evaluation_triples(table),
+        [station_link(network, station)],
+    )
+    # Each graph's canonical texts interned, then inserted, as a Turtle load does.
+    ds = Dataset()
+    for graph, triples in ((cossmic_graph(), cossmic), (None, observation_triples(observations))):
+        with ds.interning() as ids:
+            found = [(ids[s], ids[p], ids[o]) for s, p, o in triples]
+        ds.add_ids(found, graph)
     ds.freeze()
 
     print(f"device\t{args.datatype}_pcc\tdays")

@@ -3,10 +3,11 @@
 Observations follow the station/observation/result shape: each one is
 typed, points at its station, carries a resultTime and a result node
 holding the numeric value and the datatype code. ``observation_triples``
-yields them as canonical term texts, which the CLI interns into a term
-dictionary and hands to the Turtle writer without building a store;
+yields them as canonical term texts, which the CLI hands to the Turtle
+writer without building a store;
 ``observation_quads`` collects them as default-graph quads. The
-network-to-station link quad lives in the cossmic graph instead.
+network-to-station link (``uplift.station_link``) lives in the cossmic
+graph instead.
 
 CSV and JSON inputs are read into four columns of texts (station, date,
 datatype, value), each parsed and checked whole (``columns.py``): each
@@ -33,7 +34,7 @@ from decimal import Decimal, InvalidOperation, Overflow
 from functools import cache
 from itertools import repeat
 from operator import contains, mul
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .columns import (
     Failure, NotANumber, csv_blocks, csv_header, number_column, parse_column, raise_first,
@@ -47,14 +48,12 @@ from .namespaces import (
     SOSA,
     ca_class,
     ca_property,
-    cossmic_graph,
     datatype_resource,
     observation_path,
     station_resource,
 )
 from .record import Frozen, set_field
 from .terms import (
-    GraphName,
     Iri,
     LiteralError,
     Quad,
@@ -63,7 +62,6 @@ from .terms import (
     check_iri,
     datetime_literal,
     decimal_text,
-    decode_term,
     term_key,
     text_quads,
 )
@@ -262,17 +260,3 @@ def observation_quads(
 ) -> set[Quad]:
     """``observation_triples`` as default-graph quads."""
     return text_quads(observation_triples(observations, base), None)
-
-
-def link_network_to_station(
-    network: Iri,
-    station: Iri,
-    base: Iri = DEFAULT_BASE,
-    graph: Optional[GraphName] = None,
-) -> Quad:
-    """``uplift.station_link`` as a quad in the graph (the cossmic graph by
-    default)."""
-    from .uplift import station_link
-
-    g = cossmic_graph(base) if graph is None else graph
-    return Quad(*map(decode_term, station_link(network, station, base)), g)

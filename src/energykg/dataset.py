@@ -22,16 +22,22 @@ triple numbers ordered by that position's id, the ids of the runs,
 rising, and the runs' starts. Their bucket of an id is found by
 bisecting the run ids, and read with one ``map`` from the triple numbers
 to the triples; so only subjects cost a run table and only the triples
-are tuples. A graph built before a later insert interned more terms has
-its run table widened to every id when it is next read, or at
-``freeze()``, so a frozen dataset's tables are never changed. A term that
-no quad holds has no id and matches nothing before any table is read.
-Triples inserted with ``add_ids`` collect in an insertion-ordered dict,
-and the graph is grouped, with sorts keyed in C, when it is next read or
-at ``freeze()``.
+are tuples. A term that no quad holds has no id and matches nothing
+before any table is read.
 
-``add_triples`` streams into ``add_ids``, interning each term as it is
-read. ``load_turtle`` parses a whole Turtle document straight into
+A Dataset is built, frozen, then read. It is built single-threaded:
+term texts are interned inside ``interning()``, and triples inserted
+with ``add_ids`` collect in one insertion-ordered dict per graph.
+``freeze()`` is the one place where such a graph is grouped, with sorts
+keyed in C, and where every graph's id-indexed tables are widened to
+every id, so that a sidecar's graph loaded before a later file interned
+more terms is probed with those ids too. A frozen dataset is a snapshot
+that any number of readers may share, and no read writes to it; reading
+one that is not frozen raises ``UnfrozenDatasetError``, and inserting
+into one that is raises ``FrozenDatasetError``. Quads have set
+semantics: inserting a duplicate is a no-op.
+
+``load_turtle`` parses a whole Turtle document straight into
 canonical texts and ids inside ``interning()``, which drops the terms a
 failed block added, and inserts them once the document has parsed; it
 interns each new text with the dictionary's ``setdefault`` rather than a
@@ -49,10 +55,6 @@ Writing needs no Dataset, nor a ``TermIds``: ``uplift`` and ``climate``
 hand their generators' texts, three per triple, to
 ``turtle_writer.write_turtle``, which ranks the distinct texts once and
 drops repeated triples by sorting them.
-
-A Dataset is built single-threaded, then frozen; a frozen dataset is a
-snapshot that any number of readers may share, and no read writes to
-it. Quads have set semantics: inserting a duplicate is a no-op.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
-from itertools import count, filterfalse, groupby, islice, repeat
-from operator import attrgetter, itemgetter, ne
+from itertools import count, filterfalse, islice, repeat
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EnergyKgError
@@ -81,12 +83,11 @@ IdTriple = tuple[int, int, int]
 
 class TermIds(dict):
     """Canonical term text to id; looking up a new text gives it the next
-    free id. Called with a term, it does the same for the term's text.
-    A ``Dataset`` keeps one, and ``turtle.parse_turtle`` one of its own.
-    ``texts`` lists the texts by id, so a new text's id is ``len(texts)``:
-    a bulk reader (the Turtle parser) interns with ``setdefault(text,
-    len(texts))`` and appends the text when it got that id, which skips
-    the Python-level ``__missing__`` call."""
+    free id. A ``Dataset`` keeps one, and ``turtle.parse_turtle`` one of
+    its own. ``texts`` lists the texts by id, so a new text's id is
+    ``len(texts)``: a bulk reader (the Turtle parser) interns with
+    ``setdefault(text, len(texts))`` and appends the text when it got
+    that id, which skips the Python-level ``__missing__`` call."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -96,9 +97,6 @@ class TermIds(dict):
         term_id = self[text] = len(self.texts)
         self.texts.append(text)
         return term_id
-
-    def __call__(self, term: Term) -> int:
-        return self[term_key(term)]
 
     def intern_all(self, texts: list[str]) -> list[int]:
         """Intern the texts in order, as looking each up would; their ids
@@ -155,6 +153,10 @@ def run_table(keys: Iterable[int], ids: int) -> array:
 
 class FrozenDatasetError(EnergyKgError):
     """Mutation attempted after freeze()."""
+
+
+class UnfrozenDatasetError(EnergyKgError):
+    """Read attempted before freeze()."""
 
 
 def _run(keys: Sequence[int], local: Optional[array], key: int) -> int:
@@ -290,41 +292,22 @@ def _graph_key(graph: GraphName) -> str:
 
 
 class Dataset:
-    def __init__(self, quads: Iterable[Quad] = ()) -> None:
+    def __init__(self) -> None:
         self._ids = TermIds()
-        # Every graph inserted into, in order of its first insert.
+        # Each graph's grouped form: a sidecar's as it loads, every graph's
+        # once frozen.
         self._graphs: dict[GraphName, _Graph] = {}
-        # The graphs inserted into since their _Graph was built: all their
-        # triples, in order, as the keys of a dict.
+        # The graphs inserted into with add_ids: all their triples, in
+        # order, as the keys of a dict, grouped at freeze().
         self._added: dict[GraphName, dict[IdTriple, None]] = {}
         self._frozen = False
-        self.add_all(quads)
-
-    def add(self, quad: Quad) -> None:
-        self.add_triples(((quad.subject, quad.predicate, quad.object),), quad.graph)
-
-    def add_all(self, quads: Iterable[Quad]) -> None:
-        for graph, group in groupby(quads, attrgetter("graph")):
-            self.add_triples(((q.subject, q.predicate, q.object) for q in group), graph)
-
-    def add_triples(
-        self, triples: Iterable[tuple[Term, Iri, Term]], graph: GraphName = None
-    ) -> None:
-        """Insert (subject, predicate, object) terms into one graph."""
-        # Keying a term by its text costs about what hashing the term does,
-        # so a memo of terms seen in this call would not pay for itself.
-        intern = self._ids.__getitem__
-        key = term_key
-        self.add_ids(
-            ((intern(key(s)), intern(key(p)), intern(key(o))) for s, p, o in triples), graph
-        )
 
     @contextmanager
     def interning(self) -> Iterator[TermIds]:
-        """Yield the term dictionary: called with a term, or indexed by a
-        canonical text, it gives the id, a new term the next free one. If
-        the block raises, the terms it added are dropped again, so every
-        id stays held by some quad."""
+        """Yield the term dictionary: indexed by a canonical text, it gives
+        the id, a new text the next free one. If the block raises, the
+        terms it added are dropped again, so every id stays held by some
+        quad."""
         if self._frozen:
             raise FrozenDatasetError("dataset is frozen")
         ids = self._ids
@@ -340,13 +323,14 @@ class Dataset:
 
     def add_ids(self, triples: Iterable[IdTriple], graph: GraphName = None) -> None:
         """Insert id triples, with ids from the term dictionary, into one
-        graph. The graph is grouped again when it is next read."""
+        graph, which ``freeze()`` groups. A sidecar's graph takes them
+        after its own."""
         if self._frozen:
             raise FrozenDatasetError("dataset is frozen")
         added = self._added.get(graph)
         if added is None:
-            store = self._graphs.setdefault(graph, _Graph.of([], 0))
-            added = self._added[graph] = dict.fromkeys(store.triples)
+            built = self._graphs.pop(graph, None)
+            added = self._added[graph] = dict.fromkeys(() if built is None else built.triples)
         added.update(zip(triples, repeat(None)))
 
     def add_graph(
@@ -365,18 +349,23 @@ class Dataset:
         snapshot sidecar stores them and fills the run table from its
         subject runs; see ``_Graph``. A graph that holds
         triples already takes the triples as ``add_ids`` does."""
-        if graph in self._graphs:
-            self.add_ids(triples, graph)
-            return
         if self._frozen:
             raise FrozenDatasetError("dataset is frozen")
-        self._graphs[graph] = _Graph(triples, table, starts, groupings, local)
+        if graph in self._graphs or graph in self._added:
+            self.add_ids(triples, graph)
+        else:
+            self._graphs[graph] = _Graph(triples, table, starts, groupings, local)
 
     def freeze(self) -> "Dataset":
-        # Group the graphs now, and span every id with their id-indexed
-        # tables, so readers of the snapshot never change them.
-        for _, store in self._stores():
-            store.pad(len(self._ids))
+        """Group each graph inserted into with ``add_ids``, and widen every
+        graph's id-indexed tables to every id, so that readers of the
+        snapshot never change them."""
+        ids = len(self._ids)
+        for graph in list(self._added):
+            # The dict of added triples is freed before the graph is grouped.
+            self._graphs[graph] = _Graph.of(list(self._added.pop(graph)), ids)
+        for store in self._graphs.values():
+            store.pad(ids)
         self._frozen = True
         return self
 
@@ -384,33 +373,19 @@ class Dataset:
     def frozen(self) -> bool:
         return self._frozen
 
-    def _stores(self) -> Iterable[tuple[GraphName, _Graph]]:
-        """Every graph and its triples, grouped."""
-        for graph in list(self._added):
-            self.graph(graph)
-        return self._graphs.items()
+    def _built(self) -> dict[GraphName, _Graph]:
+        """Every graph, once the dataset is frozen: a store is read only then."""
+        if not self._frozen:
+            raise UnfrozenDatasetError("dataset is not frozen: freeze() it before reading")
+        return self._graphs
 
     def __len__(self) -> int:
-        return sum(len(store.triples) for _, store in self._stores())
-
-    def __contains__(self, quad: object) -> bool:
-        if not isinstance(quad, Quad) or quad.graph not in self._graphs:
-            return False
-        triple = (self.id_of(quad.subject), self.id_of(quad.predicate), self.id_of(quad.object))
-        if None in triple:
-            return False
-        return triple in self.graph(quad.graph).bucket(0, triple[0])
-
-    def __iter__(self) -> Iterator[Quad]:
-        term = self.term
-        for graph, store in self._stores():
-            for s, p, o in store.triples:
-                yield Quad(term(s), term(p), term(o), graph)
+        return sum(len(store.triples) for store in self._built().values())
 
     def graphs(self) -> list[Iri]:
         """Named graphs present, in canonical order."""
         return sorted(
-            (g for g, store in self._stores() if g is not None and store.triples),
+            (g for g, store in self._built().items() if g is not None and store.triples),
             key=_graph_key,
         )
 
@@ -426,12 +401,13 @@ class Dataset:
         ``ANY`` is the wildcard; ``graph=None`` addresses the default
         graph. Each graph answers from its narrowest bucket.
         """
+        graphs = self._built()
         ids = self._ids
         key = [None if t is ANY else ids.get(term_key(t), -1) for t in (subject, predicate, object)]
         if -1 in key:
             # A term no quad holds matches nothing.
             return []
-        names = sorted(self._graphs, key=_graph_key) if graph is ANY else [graph]
+        names = sorted(graphs, key=_graph_key) if graph is ANY else [graph]
         term = self.term
         texts = ids.texts
         out: list[Quad] = []
@@ -451,11 +427,6 @@ class Dataset:
         """The term with the id, decoded from its text on each call."""
         return decode_term(self._ids.texts[term_id])
 
-    def terms(self) -> list[Term]:
-        """Every interned term, indexed by its id. This decodes them all;
-        a reader of a few ids calls ``term``."""
-        return list(map(self.term, range(len(self._ids))))
-
     def texts(self) -> list[str]:
         """Every interned term's canonical text, indexed by its id. The
         list is the dictionary's own: do not change it. Texts are distinct
@@ -464,18 +435,8 @@ class Dataset:
 
     def graph(self, graph: GraphName) -> Optional[_Graph]:
         """One graph's id triples and buckets, or None when the dataset has
-        no such graph. A graph inserted into since it was last read is
-        grouped first, and its id-indexed tables widened to ids interned since; a
-        frozen dataset's graphs are all grouped and span every id."""
-        if self._frozen:
-            return self._graphs.get(graph)
-        if graph in self._added:
-            # The dict of added triples is freed before the graph is grouped.
-            self._graphs[graph] = _Graph.of(list(self._added.pop(graph)), len(self._ids))
-        store = self._graphs.get(graph)
-        if store is not None:
-            store.pad(len(self._ids))
-        return store
+        no such graph."""
+        return self._built().get(graph)
 
     def triples(
         self, s: Optional[int], p: Optional[int], o: Optional[int], graph: GraphName

@@ -210,8 +210,7 @@ class _Planner:
 
 class PreparedQuery:
     """A query planned over a store, to be run with ``run``. It holds no
-    state of a run, so threads may run it at once. Over a store that is
-    not frozen, run it before the store changes."""
+    state of a run, so threads may run it at once."""
 
     def __init__(
         self, ds: Dataset, variables: tuple[str, ...], names: tuple[str, ...],

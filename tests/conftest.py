@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from energykg.climate import ClimateObservation, link_network_to_station, observation_quads
+from energykg.climate import ClimateObservation
 from energykg.dataset import Dataset
 from energykg.headings import parse_heading
-from energykg.namespaces import DEFAULT_BASE, device_resource, station_resource
-from energykg.uplift import EnergyTable, evaluation_quads, topology_quads
+from energykg.namespaces import DEFAULT_BASE, station_resource
+from energykg.uplift import EnergyTable
+
+from stores import pipeline_store
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -35,28 +37,16 @@ def build_three_day_store() -> Dataset:
     """One pv device with three daily readings plus TMAX/PRCP observations."""
     pv = parse_heading(PV_DEVICE)
     grid_import = parse_heading("DE_KN_industrial1_grid_import")
-    ds = Dataset()
-    ds.add_all(topology_quads([pv, grid_import]))
-    ds.add_all(
-        evaluation_quads(
-            EnergyTable(
-                [utc_day(1), utc_day(2), utc_day(3)],
-                {pv.raw: [Decimal("12.5"), Decimal("13.0"), Decimal("9.75")]},
-            )
-        )
+    table = EnergyTable(
+        [utc_day(1), utc_day(2), utc_day(3)],
+        {pv.raw: [Decimal("12.5"), Decimal("13.0"), Decimal("9.75")]},
     )
     observations = []
     for day, tmax, prcp in [(1, "22.3", "0"), (2, "25.0", "2.5"), (3, "18.1", "7.1")]:
         observations.append(ClimateObservation(STATION_ID, utc_day(day), "TMAX", Decimal(tmax)))
         observations.append(ClimateObservation(STATION_ID, utc_day(day), "PRCP", Decimal(prcp)))
-    ds.add_all(observation_quads(observations))
-    ds.add(
-        link_network_to_station(
-            device_resource(DEFAULT_BASE, "DE_KN_COSSMIC"),
-            station_resource(DEFAULT_BASE, STATION_ID),
-        )
-    )
-    return ds.freeze()
+    station = station_resource(DEFAULT_BASE, STATION_ID)
+    return pipeline_store(table, observations, station, [pv, grid_import])
 
 
 @pytest.fixture(scope="session")

@@ -73,7 +73,7 @@ def _triples_of(quads, graphs) -> list[tuple]:
 
 def naive_evaluate(ds, query):
     """Rows of the query over the dataset, mirroring the engine contract."""
-    quads = list(ds)
+    quads = ds.match()
     if query.dataset_clauses:
         defaults, named = [], set()
         for clause in query.dataset_clauses:

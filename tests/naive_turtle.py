@@ -406,8 +406,8 @@ def serialize_turtle(ds: Dataset, graph: GraphName, prefixes: PrefixMap) -> str:
         lines.append(f"@prefix {label}: <{namespace.value}> .")
 
     # Subjects and objects in canonical (text) order; predicates by IRI.
-    terms = ds.terms()
     texts = ds.texts()
+    terms = list(map(ds.term, range(len(texts))))
     triples = ds.triples(None, None, None, graph)
     triples = sorted(triples, key=lambda t: (texts[t[0]], texts[t[2]]))
     for s, subject_triples in groupby(triples, itemgetter(0)):

@@ -15,6 +15,8 @@ import random
 from energykg.dataset import Dataset
 from energykg.terms import Iri, Literal, Quad, XSD_DATETIME, XSD_DECIMAL, XSD_INTEGER
 
+from stores import quad_store
+
 BASE = "http://example.org/"
 NAMED_GRAPHS = (Iri(BASE + "g1"), Iri(BASE + "g2"))
 
@@ -36,17 +38,10 @@ def random_dataset(rnd: random.Random, max_quads: int = 200) -> Dataset:
     predicates = [Iri(BASE + f"p{i}") for i in range(rnd.randint(2, 5))]
     objects = subjects + predicates + _literal_pool(rnd)
     graphs = [None, None, NAMED_GRAPHS[0], NAMED_GRAPHS[1]]
-    ds = Dataset()
-    for _ in range(rnd.randint(1, max_quads)):
-        ds.add(
-            Quad(
-                rnd.choice(subjects),
-                rnd.choice(predicates),
-                rnd.choice(objects),
-                rnd.choice(graphs),
-            )
-        )
-    return ds.freeze()
+    return quad_store(
+        Quad(rnd.choice(subjects), rnd.choice(predicates), rnd.choice(objects), rnd.choice(graphs))
+        for _ in range(rnd.randint(1, max_quads))
+    )
 
 
 def _render(term) -> str:
@@ -61,7 +56,7 @@ def _render(term) -> str:
 class _QueryBuilder:
     def __init__(self, rnd: random.Random, ds: Dataset) -> None:
         self.rnd = rnd
-        self.quads = list(ds) or [Quad(Iri(BASE + "s0"), Iri(BASE + "p0"), Literal("x"))]
+        self.quads = ds.match() or [Quad(Iri(BASE + "s0"), Iri(BASE + "p0"), Literal("x"))]
         self.variables = [f"v{i}" for i in range(6)]
         self.used_vars: set[str] = set()
         # (variable, term) for each object variable of a pattern drawn from the data.

@@ -18,9 +18,12 @@ from energykg.analysis import (
     pcc,
     scatter_export,
 )
+from energykg.climate import ClimateObservation
 from energykg.headings import parse_heading
 from energykg.namespaces import DEFAULT_BASE, device_resource, station_resource
+from energykg.uplift import EnergyTable
 import conftest
+from stores import pipeline_store, store
 
 
 def oracle_pcc(x, y):
@@ -195,31 +198,19 @@ def test_align_unlinked_station_is_an_error(three_day_store):
 
 
 def test_align_station_mismatch_in_observations_gives_empty_series():
-    from decimal import Decimal
-
-    from energykg.climate import ClimateObservation, link_network_to_station, observation_quads
-    from energykg.dataset import Dataset
-    from energykg.headings import parse_heading
-    from energykg.uplift import EnergyTable, evaluation_quads
-
     linked = station_resource(DEFAULT_BASE, "GHCND:LINKED")
-    ds = Dataset()
-    ds.add_all(evaluation_quads(EnergyTable([conftest.utc_day(1)], {conftest.PV_DEVICE: [Decimal("1.5")]})))
-    # Observations belong to a different station than the linked one.
-    ds.add_all(
-        observation_quads(
-            [ClimateObservation("GHCND:OTHER", conftest.utc_day(1), "TMAX", Decimal("20"))]
-        )
+    ds = pipeline_store(
+        EnergyTable([conftest.utc_day(1)], {conftest.PV_DEVICE: [Decimal("1.5")]}),
+        # Observations belong to a different station than the linked one.
+        [ClimateObservation("GHCND:OTHER", conftest.utc_day(1), "TMAX", Decimal("20"))],
+        linked,
     )
-    ds.add(link_network_to_station(device_resource(DEFAULT_BASE, "DE_KN_COSSMIC"), linked))
-    ds.freeze()
     [series] = align(ds, [PV_IRI], "TMAX", linked)
     assert series.pairs == ()
 
 
 def test_align_requires_link():
-    ds = conftest.Dataset()
-    ds.freeze()
+    ds = store()
     with pytest.raises(AnalysisError) as excinfo:
         align(ds, [PV_IRI], "TMAX", STATION)
     assert "not linked" in str(excinfo.value)
@@ -269,19 +260,11 @@ def test_correlation_table_category_stats(three_day_store):
 
 
 def test_correlation_table_warns_on_short_series():
-    from energykg.climate import ClimateObservation, link_network_to_station, observation_quads
-    from energykg.dataset import Dataset
-    from energykg.uplift import EnergyTable, evaluation_quads
-
-    ds = Dataset()
-    ds.add_all(evaluation_quads(EnergyTable([conftest.utc_day(1)], {conftest.PV_DEVICE: [Decimal("1.5")]})))
-    ds.add_all(
-        observation_quads(
-            [ClimateObservation(conftest.STATION_ID, conftest.utc_day(1), "TMAX", Decimal("20"))]
-        )
+    ds = pipeline_store(
+        EnergyTable([conftest.utc_day(1)], {conftest.PV_DEVICE: [Decimal("1.5")]}),
+        [ClimateObservation(conftest.STATION_ID, conftest.utc_day(1), "TMAX", Decimal("20"))],
+        STATION,
     )
-    ds.add(link_network_to_station(device_resource(DEFAULT_BASE, "DE_KN_COSSMIC"), STATION))
-    ds.freeze()
     report = _table(ds, 0.0)
     assert report.entries == []
     assert len(report.warnings) == 1
@@ -289,23 +272,15 @@ def test_correlation_table_warns_on_short_series():
 
 
 def test_correlation_table_excludes_zero_variance_device():
-    from energykg.climate import ClimateObservation, link_network_to_station, observation_quads
-    from energykg.dataset import Dataset
-    from energykg.uplift import EnergyTable, evaluation_quads
-
     days = [conftest.utc_day(d) for d in (1, 2, 3)]
-    ds = Dataset()
-    ds.add_all(evaluation_quads(EnergyTable(days, {conftest.PV_DEVICE: [Decimal("2.0")] * 3})))
-    ds.add_all(
-        observation_quads(
-            [
-                ClimateObservation(conftest.STATION_ID, conftest.utc_day(d), "TMAX", Decimal(t))
-                for d, t in ((1, "20"), (2, "22"), (3, "19"))
-            ]
-        )
+    ds = pipeline_store(
+        EnergyTable(days, {conftest.PV_DEVICE: [Decimal("2.0")] * 3}),
+        [
+            ClimateObservation(conftest.STATION_ID, conftest.utc_day(d), "TMAX", Decimal(t))
+            for d, t in ((1, "20"), (2, "22"), (3, "19"))
+        ],
+        STATION,
     )
-    ds.add(link_network_to_station(device_resource(DEFAULT_BASE, "DE_KN_COSSMIC"), STATION))
-    ds.freeze()
     report = _table(ds, 0.0)
     assert report.entries == []
     assert any("undefined correlation" in w for w in report.warnings)
@@ -353,27 +328,17 @@ def test_align_decodes_each_id_once(monkeypatch):
     # each date id once per device, and each climate value once per device.
     from collections import Counter
 
-    from energykg.climate import ClimateObservation, link_network_to_station, observation_quads
     from energykg.dataset import Dataset
-    from energykg.uplift import EnergyTable, evaluation_quads
 
     names = [conftest.PV_DEVICE, "DE_KN_residential1_freezer", "DE_KN_residential1_heat_pump"]
     days = [conftest.utc_day(d) for d in (1, 2, 3)]
-    ds = Dataset()
-    ds.add_all(
-        evaluation_quads(
-            EnergyTable(days, {name: [Decimal(k), Decimal(k + 1), Decimal(k + 3)]
-                               for k, name in enumerate(names)})
-        )
+    ds = pipeline_store(
+        EnergyTable(days, {name: [Decimal(k), Decimal(k + 1), Decimal(k + 3)]
+                           for k, name in enumerate(names)}),
+        [ClimateObservation(conftest.STATION_ID, day, "TMAX", Decimal(20 + d))
+         for d, day in enumerate(days)],
+        STATION,
     )
-    ds.add_all(
-        observation_quads(
-            [ClimateObservation(conftest.STATION_ID, day, "TMAX", Decimal(20 + d))
-             for d, day in enumerate(days)]
-        )
-    )
-    ds.add(link_network_to_station(device_resource(DEFAULT_BASE, "DE_KN_COSSMIC"), STATION))
-    ds.freeze()
 
     calls = Counter()
     term = Dataset.term

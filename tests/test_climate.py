@@ -6,12 +6,11 @@ import pytest
 from energykg.climate import (
     ClimateError,
     ClimateObservation,
-    link_network_to_station,
     observation_quads,
     parse_noaa_csv,
     parse_noaa_json,
 )
-from energykg.dataset import ANY, Dataset
+from energykg.dataset import ANY
 from energykg.namespaces import (
     DEFAULT_BASE,
     QUDT,
@@ -24,7 +23,10 @@ from energykg.namespaces import (
     device_resource,
     station_resource,
 )
-from energykg.terms import Literal, XSD_DATETIME, XSD_DECIMAL
+from energykg.terms import Literal, XSD_DATETIME, XSD_DECIMAL, term_key
+from energykg.uplift import station_link
+
+from stores import quad_store, store
 
 STATION = "GHCND:GME00102404"
 
@@ -83,7 +85,7 @@ def test_observation_quads_shape():
     quads = observation_quads([observation])
     assert len(quads) == 6
     assert all(q.graph is None for q in quads)
-    ds = Dataset(quads)
+    ds = quad_store(quads)
     (typed,) = ds.match(ANY, RDF_TYPE, ca_class(DEFAULT_BASE, "Observation"), None)
     node = typed.subject
     (station_quad,) = ds.match(node, ca_property(DEFAULT_BASE, "sourceStation"), ANY, None)
@@ -109,7 +111,7 @@ def test_same_day_different_datatypes_coexist():
             ClimateObservation(STATION, utc(1), "PRCP", Decimal("2.5")),
         ]
     )
-    ds = Dataset(quads)
+    ds = quad_store(quads)
     tmax_results = ds.match(ANY, ca_property(DEFAULT_BASE, "withDataType"), datatype_resource(DEFAULT_BASE, "TMAX"), None)
     assert len(tmax_results) == 1
 
@@ -117,16 +119,13 @@ def test_same_day_different_datatypes_coexist():
 def test_link_quad_shape_and_idempotence():
     network = device_resource(DEFAULT_BASE, "DE_KN_COSSMIC")
     station = station_resource(DEFAULT_BASE, STATION)
-    quad = link_network_to_station(network, station)
-    assert quad.graph == cossmic_graph()
-    assert quad.predicate == ca_property(DEFAULT_BASE, "retrieveWeatherFrom")
-    ds = Dataset()
-    ds.add(quad)
-    ds.add(link_network_to_station(network, station))
-    assert len(ds) == 1
-    other = link_network_to_station(network, station_resource(DEFAULT_BASE, "GHCND:OTHER"))
-    ds.add(other)
-    assert len(ds.match(network, quad.predicate, ANY, cossmic_graph())) == 2
+    link = station_link(network, station)
+    predicate = ca_property(DEFAULT_BASE, "retrieveWeatherFrom")
+    assert link == tuple(map(term_key, (network, predicate, station)))
+    assert len(store((cossmic_graph(), [link, station_link(network, station)]))) == 1
+    other = station_link(network, station_resource(DEFAULT_BASE, "GHCND:OTHER"))
+    ds = store((cossmic_graph(), [link, other]))
+    assert len(ds.match(network, predicate, ANY, cossmic_graph())) == 2
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from conftest import build_three_day_store, has_exited
+from stores import quad_store
 
 from energykg import endpoint
 from energykg.cli import main
@@ -207,8 +208,6 @@ def test_comparing_with_a_signaling_nan_answers_no_rows_and_keeps_the_connection
 
 
 def test_unfrozen_dataset_rejected(three_day_store):
-    from energykg.dataset import Dataset
-
     with pytest.raises(EnergyKgError):
         EndpointServer(EndpointConfig(port=0), Dataset())
 
@@ -255,10 +254,10 @@ def _cpu_seconds(pid: int) -> float:
 
 
 def _numbered(count: int) -> Dataset:
-    return Dataset(
+    return quad_store(
         Quad(Iri(f"http://example.org/s{i}"), Iri("http://example.org/p"), Literal(str(i)))
         for i in range(count)
-    ).freeze()
+    )
 
 
 def test_timeout_stops_the_evaluation():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import naive_results
 import querygen
-from energykg.dataset import Dataset
+from stores import quad_store
 from energykg.sparql import ast, evaluate, parse_query
 from energykg.sparql.ast import SelectQuery, Variable
 from energykg.sparql.results import to_results_json, to_results_tsv
@@ -16,10 +16,10 @@ from energykg.terms import BlankNode, Iri, Literal, Quad, XSD_DECIMAL, XSD_STRIN
 def _sample():
     # An IRI's text sorts before a blank node's, so the IRI's row comes first.
     p = Iri("http://example.org/p")
-    ds = Dataset([
+    ds = quad_store([
         Quad(BlankNode("b0"), p, Literal("plain \"quoted\"\ttabbed")),
         Quad(Iri("http://example.org/a"), p, Literal("1.5", XSD_DECIMAL)),
-    ]).freeze()
+    ])
     return _evaluated(ds, ("s", "v", "missing"), "SELECT ?s ?v WHERE { ?s ?p ?v }")
 
 
@@ -106,9 +106,9 @@ def test_any_terms_and_projections_serialize_as_the_reference_does(triples, proj
     """Literals with characters to escape, non-ASCII and line separators,
     plain strings, blank nodes, and projections that repeat a variable or
     name one that no row binds."""
-    ds = Dataset(
+    ds = quad_store(
         Quad(s, Iri("http://example.org/" + p), o) for s, p, o in triples
-    ).freeze()
+    )
     _assert_as_reference(_evaluated(ds, projection))
 
 
@@ -116,7 +116,7 @@ def test_each_special_case_serializes_as_the_reference_does():
     s = Iri("http://example.org/s é")
     quads = [Quad(s, Iri("http://example.org/p"), Literal(_TRICKY))]
     quads += [Quad(BlankNode("b0"), Iri("http://example.org/q"), Literal(c, XSD_DECIMAL)) for c in _TRICKY]
-    ds = Dataset(quads).freeze()
+    ds = quad_store(quads)
     for projection in (("s", "o"), ("o", "never", "s", "o"), ("never",)):
         seq = _evaluated(ds, projection)
         _assert_as_reference(seq)

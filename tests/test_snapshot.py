@@ -25,7 +25,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import naive
 import querygen
+from stores import quad_store
 from energykg import cli, snapshot, turtle
 from energykg.cli import load_store
 from energykg.config import PipelineConfig
@@ -150,11 +152,12 @@ def test_sidecar_load_equals_the_turtle_parse(
     directory = tmp_path_factory.mktemp("stores")
     rnd = random.Random(seed)
     generated = querygen.random_dataset(rnd, max_quads=80)
-    ds = Dataset(generated)
+    quads = generated.match()
     for subject, predicate, other in extra:
         # Subjects are IRIs; anything may be an object, predicates too.
         subject = subject if isinstance(subject, Iri) else Iri(querygen.BASE + "lit")
-        ds.add(Quad(subject, predicate, other, rnd.choice(_GRAPHS)))
+        quads.append(Quad(subject, predicate, other, rnd.choice(_GRAPHS)))
+    ds = quad_store(quads)
     paths = _write_stores(directory, ds, _GRAPHS[:files], write_base)
     # Each graph has a sidecar unless one of its texts holds the separator.
     texts = ds.texts()
@@ -188,6 +191,48 @@ def test_uplift_and_climate_stores_load_equal_from_sidecars(tmp_path, turtle_loa
     assert from_sidecars == _parsed_outcome(paths, config, tmp_path)
 
 
+@pytest.mark.parametrize(
+    "sidecars",
+    [(True, True), (True, False), (False, True)],
+    ids=["two_sidecars", "sidecar_then_parse", "parse_then_sidecar"],
+)
+def test_one_graph_loaded_from_two_files_answers_as_one_parse(tmp_path, turtle_loads, sidecars):
+    rnd = random.Random(17)
+    ds = querygen.random_dataset(rnd, max_quads=150)
+    graph = querygen.NAMED_GRAPHS[0]
+    texts = ds.texts()
+    triples = ds.triples(None, None, None, graph)
+    assert len(triples) >= 6
+    # Two files of the graph that share a third of its triples, the
+    # whole graph in a third file, and the default graph in a fourth.
+    third = len(triples) // 3
+    parts = {"first": triples[: 2 * third], "second": triples[third:], "whole": triples}
+    paths = {}
+    for name, part in parts.items():
+        paths[name] = str(tmp_path / f"{name}.ttl")
+        cli._write_store(paths[name], [texts[i] for i in chain.from_iterable(part)], graph, _prefixes(None))
+    paths["default"] = str(tmp_path / "default.ttl")
+    _write_store(paths["default"], ds, None, None)
+    os.remove(paths["whole"] + snapshot.SUFFIX)
+    for name, kept in zip(("first", "second"), sidecars):
+        if not kept:
+            os.remove(paths[name] + snapshot.SUFFIX)
+    config = _config(None)
+    two = [paths["first"], paths["second"], paths["default"]]
+    loaded = load_store(two, config)
+    assert turtle_loads == [graph for kept in sidecars if not kept]
+    # Loaded as the parse of the same files is, bucket for bucket.
+    assert _view(loaded) == _parsed_outcome(two, config, tmp_path)
+    one = load_store([paths["whole"], paths["default"]], config)
+    assert loaded.match() == one.match() == ds.match(graph=None) + ds.match(graph=graph)
+    for _ in range(30):
+        text = querygen.random_query_text(rnd, ds)
+        query = parse_query(text)
+        seq = evaluate(loaded, query)
+        assert to_results_json(seq) == to_results_json(evaluate(one, query)), text
+        assert naive.row_multiset(seq.rows) == naive.row_multiset(naive.naive_evaluate(loaded, query))
+
+
 def test_a_store_with_sidecars_is_loaded_without_parsing(tmp_path, turtle_loads):
     ds = querygen.random_dataset(random.Random(3))
     paths = _write_stores(tmp_path, ds, _GRAPHS, "http://example.org/")
@@ -204,13 +249,13 @@ def _assert_written_without_sidecar(tmp_path, turtle_loads, term) -> None:
     # A sidecar of an earlier graph does not outlive the Turtle it describes.
     _write_store(str(path), querygen.random_dataset(random.Random(1)), None, None)
     assert (tmp_path / "store.ttl.ekg").exists()
-    _write_store(str(path), Dataset([quad]), None, None)
+    _write_store(str(path), quad_store([quad]), None, None)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["store.ttl"]
     loaded = load_store([str(path)], _config(None))
     assert len(loaded) == 1
     assert turtle_loads == [None]
     if not isinstance(term, BlankNode):
-        assert list(loaded) == [quad]
+        assert loaded.match() == [quad]
 
 
 def test_a_graph_with_a_blank_node_gets_no_sidecar(tmp_path, turtle_loads):

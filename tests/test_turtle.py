@@ -17,6 +17,7 @@ from energykg.terms import (
     PrefixMap,
     Quad,
     quad_key,
+    term_key,
     XSD_DATETIME,
     XSD_DECIMAL,
     XSD_INTEGER,
@@ -31,6 +32,7 @@ from energykg.turtle import (
 from energykg.turtle_writer import write_turtle
 
 import naive_turtle
+from stores import quad_store
 
 DATA = Path(__file__).parent / "data"
 
@@ -67,6 +69,7 @@ def test_match_over_topology_fixture():
 
     ds = Dataset()
     load_turtle(ds, (DATA / "cossmic_topology.ttl").read_text())
+    ds.freeze()
     hits = ds.match(ANY, RDF_TYPE, SEAS.ElectricPowerConsumer, ANY)
     assert len(hits) == 1
     assert hits[0].subject.value.endswith("washing_machine")
@@ -75,7 +78,7 @@ def test_match_over_topology_fixture():
 def test_empty_graph_serializes_to_header_only():
     pm = PrefixMap(base=BASE)
     pm.bind("seas", Iri("https://w3id.org/seas/"))
-    text = serialize_turtle(Dataset(), None, pm)
+    text = serialize_turtle(quad_store(), None, pm)
     assert text == (
         "@base <http://jresearch.ucd.ie/climate-kg/> .\n"
         "@prefix seas: <https://w3id.org/seas/> .\n"
@@ -83,14 +86,13 @@ def test_empty_graph_serializes_to_header_only():
 
 
 def test_datetime_literal_serializes_typed():
-    ds = Dataset()
-    ds.add(
+    ds = quad_store([
         Quad(
             Iri("http://example.org/e"),
             Iri("http://example.org/at"),
             Literal("2016-05-01T00:00:00Z", XSD_DATETIME),
         )
-    )
+    ])
     pm = PrefixMap()
     pm.bind("xsd", Iri("http://www.w3.org/2001/XMLSchema#"))
     text = serialize_turtle(ds, None, pm)
@@ -100,9 +102,9 @@ def test_datetime_literal_serializes_typed():
 
 
 def test_serialization_is_deterministic():
-    ds = Dataset()
-    for i in (3, 1, 2):
-        ds.add(Quad(Iri(f"http://example.org/s{i}"), RDF_TYPE, SEAS.ElectricPowerSystem))
+    ds = quad_store(
+        Quad(Iri(f"http://example.org/s{i}"), RDF_TYPE, SEAS.ElectricPowerSystem) for i in (3, 1, 2)
+    )
     pm = PrefixMap()
     assert serialize_turtle(ds, None, pm) == serialize_turtle(ds, None, pm)
 
@@ -155,6 +157,7 @@ def test_load_turtle_places_triples_in_chosen_graph():
     ds = Dataset()
     graph = Iri("http://example.org/g")
     load_turtle(ds, "<http://example.org/s> <http://example.org/p> 1 .", graph=graph)
+    ds.freeze()
     assert len(ds.match(graph=graph)) == 1
     assert ds.match(graph=None) == []
 
@@ -179,7 +182,7 @@ _quads = st.builds(lambda s, p, o: Quad(s, p, o, None), _iris, _iris, _terms)
 @settings(max_examples=120, deadline=None)
 @given(st.lists(_quads, max_size=30))
 def test_round_trip_identity_for_blank_node_free_graphs(quads):
-    ds = Dataset(quads)
+    ds = quad_store(quads)
     pm = PrefixMap()
     pm.bind("ex", Iri("http://example.org/"))
     pm.bind("xsd", Iri("http://www.w3.org/2001/XMLSchema#"))
@@ -425,7 +428,7 @@ def _load_outcome(text):
         load_turtle(ds, text)
     except EnergyKgError as exc:
         return type(exc).__name__, str(exc)
-    return sorted(ds, key=quad_key)
+    return sorted(ds.freeze().match(), key=quad_key)
 
 
 def _reference_quads(text):
@@ -494,39 +497,45 @@ def test_long_comment_after_literal_parses_like_reference(text):
 
 
 def test_failed_load_leaves_dataset_unchanged():
-    ds = Dataset()
-    load_turtle(ds, '@prefix p: <http://example.org/> .\np:s p:v p:o, "x" .\n')
-    before = (len(ds), list(ds), ds.graphs(), list(ds.terms()))
+    loaded = '@prefix p: <http://example.org/> .\np:s p:v p:o, "x" .\n'
+    ds, alone = Dataset(), Dataset()
+    load_turtle(ds, loaded)
+    load_turtle(alone, loaded)
     # Valid statements with new terms, in a new graph, then an error.
     text = '@prefix p: <http://example.org/> .\np:s p:v p:new, "y" .\np:t p:v .\n'
     with pytest.raises(TurtleParseError):
         load_turtle(ds, text, graph=Iri("http://example.org/g"))
-    assert (len(ds), list(ds), ds.graphs(), ds.terms()) == before
     assert ds.id_of(Iri("http://example.org/new")) is None
+    ds.freeze()
+    alone.freeze()
+    assert (len(ds), ds.match(), ds.graphs(), ds.texts()) == (
+        len(alone), alone.match(), alone.graphs(), alone.texts()
+    )
 
 
 def test_equal_terms_in_two_documents_get_one_id():
     ds = Dataset()
     graph = Iri("http://example.org/g")
     load_turtle(ds, '@prefix p: <http://example.org/> .\np:s p:v "1"^^p:n .\n')
-    count = len(ds.terms())
+    count = len(ds.texts())
     load_turtle(
         ds,
         '<http://example.org/s> <http://example.org/v> "1"^^<http://example.org/n> ;\n'
         "    <http://example.org/w> 1 .\n",
         graph=graph,
     )
+    ds.freeze()
     v = ds.id_of(Iri("http://example.org/v"))
     assert ds.triples(None, v, None, graph) == ds.triples(None, None, None, None)
     # Only <w> and the integer 1 are new.
-    assert len(ds.terms()) == count + 2
+    assert len(ds.texts()) == count + 2
 
 
 def test_blank_nodes_of_separate_loads_stay_distinct():
     ds = Dataset()
     load_turtle(ds, '_:x <http://example.org/p> "doc1" .\n')
     load_turtle(ds, '_:y <http://example.org/p> "doc2" .\n')
-    subjects = {q.object.lexical: q.subject for q in ds}
+    subjects = {q.object.lexical: q.subject for q in ds.freeze().match()}
     # The first document keeps its own numbering; the second is labelled apart.
     assert subjects == {"doc1": BlankNode("b0"), "doc2": BlankNode("b1")}
 
@@ -534,13 +543,15 @@ def test_blank_nodes_of_separate_loads_stay_distinct():
 def test_loaded_blank_nodes_skip_labels_the_dataset_holds():
     ds = Dataset()
     held = Quad(BlankNode("b1"), Iri("http://example.org/p"), Literal("held"))
-    ds.add(held)
+    with ds.interning() as ids:
+        ds.add_ids([tuple(ids[term_key(term)] for term in (held.subject, held.predicate, held.object))])
     text = "_:a <http://example.org/p> _:b .\n_:b <http://example.org/p> _:a .\n"
     load_turtle(ds, text)
     load_turtle(ds, text)
-    nodes = {term for q in ds for term in (q.subject, q.object) if isinstance(term, BlankNode)}
+    quads = ds.freeze().match()
+    nodes = {term for q in quads for term in (q.subject, q.object) if isinstance(term, BlankNode)}
     assert nodes == {BlankNode(f"b{i}") for i in range(5)}
-    assert len(ds) == 5 and held in ds
+    assert len(ds) == 5 and held in quads
 
 
 # -- the writer against the reference serializer ----------------------------------
@@ -621,7 +632,7 @@ _EDGE_QUADS = [
     None,
 )
 def test_writer_matches_reference_serializer(quads, bindings, base, graph):
-    ds = Dataset(quads)
+    ds = quad_store(quads)
     pm = PrefixMap(base=base)
     for label, namespace in bindings:
         pm.bind(label, Iri(namespace))

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from energykg import columns
-from energykg.dataset import ANY, Dataset
+from energykg.dataset import ANY
 from energykg.headings import parse_heading
 from energykg.namespaces import DEFAULT_BASE, PROV, QUDT, RDF_TYPE, SEAS, cossmic_graph
 from energykg.terms import Iri, Literal, XSD_DATETIME, XSD_DECIMAL
@@ -21,6 +21,8 @@ from energykg.uplift import (
     to_daily,
     topology_quads,
 )
+
+from stores import quad_store
 
 DATA = Path(__file__).parent / "data"
 GRAPH = cossmic_graph()
@@ -69,7 +71,7 @@ def test_topology_is_order_invariant():
 def test_single_producer_emits_six_quads():
     quads = topology_quads([parse_heading("DE_KN_residential1_pv")])
     assert len(quads) == 6
-    ds = Dataset(quads)
+    ds = quad_store(quads)
     grid = Iri(DEFAULT_BASE.value + "resource/cossmic/DE_KN_grid")
     pv = Iri(DEFAULT_BASE.value + "resource/cossmic/DE_KN_residential1_pv")
     assert ds.match(grid, SEAS.isPoweredBy, pv, GRAPH)
@@ -78,7 +80,7 @@ def test_single_producer_emits_six_quads():
 def test_industrial_sites_get_building_class():
     quads = topology_quads([parse_heading("DE_KN_industrial1_pv_1")])
     site = Iri(DEFAULT_BASE.value + "resource/cossmic/DE_KN_industrial1")
-    assert Dataset(quads).match(site, RDF_TYPE, SEAS.IndustrialBuilding, GRAPH)
+    assert quad_store(quads).match(site, RDF_TYPE, SEAS.IndustrialBuilding, GRAPH)
 
 
 def test_export_only_site_keeps_network_and_site_quads_only():
@@ -97,7 +99,7 @@ def test_evaluation_quads_shape():
     pv = parse_heading("DE_KN_industrial1_pv_1")
     quads = evaluation_quads(EnergyTable([ts(1)], {pv.raw: [Decimal("12.5")]}))
     assert len(quads) == 5
-    ds = Dataset(quads)
+    ds = quad_store(quads)
     device = mint_device_iri(pv)
     (eval_quad,) = ds.match(device, SEAS.evaluation, ANY, GRAPH)
     evaluation = eval_quad.object
@@ -118,7 +120,7 @@ def test_evaluation_quads_empty_input():
 def test_three_records_three_timestamps():
     pv = parse_heading("DE_KN_industrial1_pv_1")
     table = EnergyTable([ts(1), ts(2), ts(3)], {pv.raw: [Decimal(1), Decimal(2), Decimal(3)]})
-    ds = Dataset(evaluation_quads(table))
+    ds = quad_store(evaluation_quads(table))
     assert len(ds.match(ANY, PROV.generatedAtTime, ANY, GRAPH)) == 3
 
 
