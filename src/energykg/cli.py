@@ -404,18 +404,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "base", "station", "counter_mode", "resolution", "out", "scale",
-    "format", "bind", "datatype", "threshold", "min_samples",
-)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # A field without a flag, or whose flag was not given, reads None.
         overrides = {
-            key: getattr(args, key) for key in _CONFIG_KEYS if getattr(args, key, None) is not None
+            key: getattr(args, key)
+            for key in PipelineConfig._fields
+            if getattr(args, key, None) is not None
         }
         config = load_config(args.config, overrides)
         if args.command == "uplift":

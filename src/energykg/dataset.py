@@ -13,23 +13,21 @@ Each graph is kept in one frozen, columnar form (``_Graph``), as RDF-3X
 (Neumann and Weikum, VLDB 2008) and HDT (Fernandez et al., J. Web
 Semantics 2013) keep theirs: its distinct ``(s, p, o)`` id triples once,
 in an order that keeps each subject's triples together (a written
-document's order already does, and the triples are then that list
-alone), so that a subject's bucket is one slice of them, found through a
-run table: a flat ``array('i')`` indexed by term id, holding the id's
-run number or -1, filled in C. For the predicate
-and the object the graph keeps one ``grouping`` each, as ``array``s: the
-triple numbers ordered by that position's id, the ids of the runs,
-rising, and the runs' starts. Their bucket of an id is found by
-bisecting the run ids, and read with one ``map`` from the triple numbers
-to the triples; so only subjects cost a run table and only the triples
-are tuples. A term that no quad holds has no id and matches nothing
-before any table is read.
+document's order already does, and a parsed graph's triples are sorted
+by subject when it does not), and for each position one ``grouping`` of
+them: the triples in that position's run order, each run's start, and a
+run table, a flat ``array('i')`` indexed by term id holding the id's
+run number or -1, filled in C. So the bucket of any id at any position
+is one lookup and one slice: at the subject a slice of the triples, at
+the predicate and the object a slice of triple numbers read with one
+``map``; only the triples are tuples. A term that no quad holds has no
+id and matches nothing before any table is read.
 
 A Dataset is built, frozen, then read. It is built single-threaded:
 term texts are interned inside ``interning()``, and triples inserted
 with ``add_ids`` collect in one insertion-ordered dict per graph.
 ``freeze()`` is the one place where such a graph is grouped, with sorts
-keyed in C, and where every graph's id-indexed tables are widened to
+keyed in C, and where every graph's run tables are widened to
 every id, so that a sidecar's graph loaded before a later file interned
 more terms is probed with those ids too. A frozen dataset is a snapshot
 that any number of readers may share, and no read writes to it; reading
@@ -44,12 +42,11 @@ interns each new text with the dictionary's ``setdefault`` rather than a
 lookup that calls ``TermIds.__missing__``. A snapshot sidecar
 (``snapshot.py``) interns a whole file's texts at once with
 ``TermIds.intern_all``, which into an empty dictionary is one ``update``,
-and hands its triples, the run table of its stored subject runs and its
-stored groupings to ``add_graph``, so no
-triple is looked at one at a time in Python and the store is the same
-as the parse's, bucket for bucket. A sidecar's groupings keep the ids of
-its own file; where the dictionary gave its terms other ids, the graph
-maps each id of the dictionary to the file's before it bisects.
+and hands its triples and its stored groupings, their run ids mapped to
+the dictionary's, to ``add_graph``, which fills the run tables straight
+from them; so no triple is looked at one at a time in Python, and the
+store is the same as the parse's, bucket for bucket, whichever ids the
+file's terms had.
 
 Writing needs no Dataset, nor a ``TermIds``: ``uplift`` and ``climate``
 hand their generators' texts, three per triple, to
@@ -60,10 +57,9 @@ drops repeated triples by sorting them.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from contextlib import contextmanager
 from itertools import count, filterfalse, islice, repeat
-from operator import itemgetter, ne
+from operator import itemgetter, ne, setitem
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EnergyKgError
@@ -117,9 +113,10 @@ class TermIds(dict):
         return list(map(self.__getitem__, texts))
 
 
-# Triple numbers ordered by one position's id, then the distinct ids in
-# that order and where each one's run starts, then the triple count.
-Grouping = tuple[Sequence[int], Sequence[int], Sequence[int]]
+# Triple numbers ordered by one position's id (None where that is the
+# triples' own order), then the distinct ids in that order and where each
+# one's run starts, then the triple count.
+Grouping = tuple[Optional[Sequence[int]], Iterable[int], Sequence[int]]
 
 # Array typecodes of four-byte unsigned and signed ints.
 U32 = "I" if array("I").itemsize == 4 else "L"
@@ -146,8 +143,9 @@ def run_table(keys: Iterable[int], ids: int) -> array:
     """For each of ``ids`` term ids, its run's number among the run ids
     ``keys``, or -1 where it has none."""
     table = _NO_RUNS * ids
-    # __setitem__ returns None, so any() runs the map to its end, in C.
-    any(map(table.__setitem__, keys, count()))
+    # setitem returns None, so any() runs the map to its end, in C; the
+    # function is called faster than the bound __setitem__.
+    any(map(setitem, repeat(table), keys, count()))
     return table
 
 
@@ -159,122 +157,85 @@ class UnfrozenDatasetError(EnergyKgError):
     """Read attempted before freeze()."""
 
 
-def _run(keys: Sequence[int], local: Optional[array], key: int) -> int:
-    """The number of the run of an id of the dictionary among the rising
-    run ids ``keys``, or -1 where no run has it; ``local``, where not
-    None, first maps the id to the ids that keys are in."""
-    if local is not None:
-        key = local[key]
-    run = bisect_left(keys, key)
-    return run if run < len(keys) and keys[run] == key else -1
-
-
 class _Graph:
     """One graph's distinct id triples, with the buckets at each position.
 
-    ``triples`` lists each triple once. The subjects' buckets are runs of
-    the triples in an order that keeps each subject's triples together:
-    the triples' own, when they are so already, as a written document's
-    are. The subjects' run table is an ``array('i')`` indexed by term id,
-    holding the id's run number, or -1 where no triple holds the id as
-    subject; it spans every id of the dictionary (``pad``). The
-    predicates and the objects each keep a ``grouping`` of the triples,
-    whose run ids rise: in the dictionary's ids, or, where ``local`` is
-    not None, in the ids that ``local`` maps the dictionary's ids to (-1
-    for one the graph lacks), as a later sidecar's graph keeps its
-    file's. Every bucket lists its triples in triple order. Built in one
-    go and never changed but for padding, so any number of readers of a
-    frozen dataset may share it."""
+    ``triples`` lists each triple once, in an order that keeps each
+    subject's triples together: the triples' own, when they are so
+    already, as a written document's are. Each position keeps one run
+    table, an ``array('i')`` indexed by term id holding the id's run
+    number, or -1 where no triple holds the id there, spanning every id
+    of the dictionary (``pad``); the runs' starts; and the triples in run
+    order: for the subject the triples themselves, for the predicate and
+    the object their triple numbers. So every bucket is found in one
+    lookup, ``table[id]`` then a slice between two starts, and lists its
+    triples in triple order. Built in one go and never changed but for
+    padding, so any number of readers of a frozen dataset may share it."""
 
-    __slots__ = ("triples", "_ordered", "_table", "_starts", "_groupings", "_local")
+    __slots__ = ("triples", "_runs")
 
-    def __init__(
-        self,
-        triples: list[IdTriple],
-        table: array,
-        starts: Sequence[int],
-        groupings: list[Grouping],
-        local: Optional[array] = None,
-        ordered: Optional[list[IdTriple]] = None,
-    ) -> None:
+    def __init__(self, triples: list[IdTriple], groupings: Sequence[Grouping], ids: int) -> None:
+        """The graph of the triples, each subject's together, with the
+        grouping at each position in the dictionary's ids; the subjects'
+        keeps the triples' order, so its order is not read. Each run
+        table is filled from its grouping's run ids as they come."""
         self.triples = triples
-        self._ordered = triples if ordered is None else ordered
-        self._table = table
-        self._starts = starts
-        self._groupings = groupings
-        self._local = local
+        self._runs = [
+            (run_table(keys, ids), starts, order if position else triples)
+            for position, (order, keys, starts) in enumerate(groupings)
+        ]
 
     @classmethod
     def of(cls, triples: list[IdTriple], ids: int) -> "_Graph":
-        """The graph of distinct triples in any order. Triples that keep
-        each subject's together are its subjects' run order as they are."""
+        """The graph of distinct triples in any order, put in subject-run
+        order: as they are when they keep each subject's together, else
+        sorted stably by subject id."""
         subjects = list(map(itemgetter(0), triples))
         # Together when each change of subject starts a new one.
-        grouped = len(set(subjects)) == sum(map(ne, subjects, islice(subjects, 1, None))) + 1
-        order, keys, starts = grouping(subjects, grouped)
-        ordered = None if grouped else list(map(triples.__getitem__, order))
-        del subjects, order
-        groupings = [
-            tuple(array(U32, part) for part in grouping(list(map(itemgetter(i), triples))))
-            for i in (1, 2)
-        ]
-        return cls(triples, run_table(keys, ids), array(U32, starts), groupings, None, ordered)
+        if len(set(subjects)) != sum(map(ne, subjects, islice(subjects, 1, None))) + 1:
+            triples.sort(key=itemgetter(0))
+            subjects.sort()
+        _, keys, starts = grouping(subjects, True)
+        del subjects
+        groupings = [(None, keys, array(U32, starts))]
+        for i in (1, 2):
+            order, keys, starts = grouping(list(map(itemgetter(i), triples)))
+            groupings.append((array(U32, order), keys, array(U32, starts)))
+        return cls(triples, groupings, ids)
 
     def pad(self, ids: int) -> None:
-        """Widen the id-indexed tables to ids term ids, the new ones in no run."""
-        for table in (self._table, self._local):
-            if table is not None and len(table) < ids:
+        """Widen the run tables to ids term ids, the new ones in no run."""
+        for table, _, _ in self._runs:
+            if len(table) < ids:
                 table.extend(_NO_RUNS * (ids - len(table)))
 
-    def runs(self) -> tuple[Callable[[int], int], Sequence[int], list[IdTriple]]:
-        """The subjects' buckets, for reading many without a call each: a
-        function from an id to its run's number, or to -1 when no triple
-        has the id as subject; the runs' starts, then the count; and the
-        triples in run order. Run r's bucket is ``ordered[starts[r] :
-        starts[r + 1]]``; for r = -1 that is ``ordered[count:0]``, which is
+    def runs(self, position: int) -> tuple[Callable[[int], int], Sequence[int], Sequence]:
+        """The buckets at position, for reading many without a call each:
+        a function from an id to its run's number, or to -1 when no triple
+        holds the id there; the runs' starts, then the count; and the
+        triples in run order, at the subject the triples themselves and
+        elsewhere their numbers. Run r's bucket is ``order[starts[r] :
+        starts[r + 1]]``; for r = -1 that is ``order[count:0]``, which is
         empty. The id must be one of the dictionary's, not negative."""
-        return self._table.__getitem__, self._starts, self._ordered
-
-    def finder(self, position: int) -> Callable[[int], list[IdTriple]]:
-        """A function from an id to its bucket at position 1 (predicate) or
-        2 (object), as a new list: its run found by bisecting the run ids,
-        and its triples read with one map from its triple numbers. It does
-        what ``_run`` does inline, as it runs once per row."""
-        order, keys, starts = self._groupings[position - 1]
-        local, triple, runs = self._local, self.triples.__getitem__, len(keys)
-
-        def bucket(key: int) -> list[IdTriple]:
-            if local is not None:
-                key = local[key]
-            run = bisect_left(keys, key)
-            if run == runs or keys[run] != key:
-                return []
-            begin, end = starts[run], starts[run + 1]
-            if end - begin == 1:
-                return [triple(order[begin])]
-            return list(map(triple, order[begin:end]))
-
-        return bucket
+        table, starts, order = self._runs[position]
+        return table.__getitem__, starts, order
 
     def bucket(self, position: int, key: int) -> list[IdTriple]:
         """The triples holding id key at position, as a new list."""
-        if position:
-            return self.finder(position)(key)
-        run = self._table[key]
-        return self._ordered[self._starts[run] : self._starts[run + 1]] if run >= 0 else []
+        run_of, starts, order = self.runs(position)
+        run = run_of(key)
+        found = order[starts[run] : starts[run + 1]]
+        return found if position == 0 else list(map(self.triples.__getitem__, found))
 
     def size(self, position: int, key: int) -> int:
         """How many triples hold id key at position."""
-        if position:
-            _, keys, starts = self._groupings[position - 1]
-            run = _run(keys, self._local, key)
-        else:
-            starts, run = self._starts, self._table[key]
+        table, starts, _ = self._runs[position]
+        run = table[key]
         return starts[run + 1] - starts[run] if run >= 0 else 0
 
     def mean(self, position: int) -> float:
         """The mean size of the buckets at position."""
-        runs = len(self._starts if not position else self._groupings[position - 1][2]) - 1
+        runs = len(self._runs[position][1]) - 1
         return len(self.triples) / runs if runs else 0
 
     def match(self, s: Optional[int], p: Optional[int], o: Optional[int]) -> list[IdTriple]:
@@ -334,27 +295,26 @@ class Dataset:
         added.update(zip(triples, repeat(None)))
 
     def add_graph(
-        self,
-        graph: GraphName,
-        triples: list[IdTriple],
-        table: array,
-        starts: Sequence[int],
-        groupings: list[Grouping],
-        local: Optional[array] = None,
+        self, graph: GraphName, triples: list[IdTriple], groupings: Sequence[Grouping]
     ) -> None:
         """Insert distinct id triples, each subject's together, into one
-        graph, with the subjects' run table and run starts and the
-        predicates' and objects' groupings, whose run ids rise in the ids
-        that ``local`` maps the dictionary's ids to (where not None), as a
-        snapshot sidecar stores them and fills the run table from its
-        subject runs; see ``_Graph``. A graph that holds
+        graph, with the grouping at each position in the dictionary's ids,
+        as a snapshot sidecar stores them; see ``_Graph``. The subjects'
+        run ids follow the triples rather than rise, so two runs of one id
+        can occur, and raise ``ValueError``; a run id past the dictionary
+        raises ``IndexError``; either adds nothing. A graph that holds
         triples already takes the triples as ``add_ids`` does."""
         if self._frozen:
             raise FrozenDatasetError("dataset is frozen")
+        ids = len(self._ids)
+        built = _Graph(triples, groupings, ids)
+        table, starts, _ = built._runs[0]
+        if table.count(-1) != ids - (len(starts) - 1):
+            raise ValueError("two subject runs have one id")
         if graph in self._graphs or graph in self._added:
-            self.add_ids(triples, graph)
+            self.add_ids(built.triples, graph)
         else:
-            self._graphs[graph] = _Graph(triples, table, starts, groupings, local)
+            self._graphs[graph] = built
 
     def freeze(self) -> "Dataset":
         """Group each graph inserted into with ``add_ids``, and widen every

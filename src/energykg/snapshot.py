@@ -10,16 +10,17 @@ So the triples' subjects are stored as their runs alone, the id of each
 run and its start, and each triple as its predicate and object; a
 triple's subject is the id of the run it is in, and no stored subject
 can disagree with the runs. For the predicate and the object the file
-holds the ``dataset.grouping`` of the triples, whose run ids rise.
+holds the ``dataset.grouping`` of the triples, whose run ids rise, so
+that no id has two runs.
 Loading splits the texts in one C call, maps the ids onto the store's
 dictionary with C-level ``map`` into triple tuples, each run's id
-repeated over its run, fills the subjects' run table from their runs
-(``dataset.run_table``) and hands the rest over as read: the arrays of
-the predicates' and objects' groupings stay the store's, read by
-bisection. So the store equals the parse's bucket for bucket, every
-query answer is byte-identical, and no load step loops over triples in
-Python or sorts. ``Snapshot.load`` drops the texts and the triple array
-once the store has taken them.
+repeated over its run, and hands the three groupings to
+``Dataset.add_graph`` with their run ids mapped as they are read, which
+fills each position's run table from them: the arrays of the triple
+numbers and run starts stay the store's. So the store equals the
+parse's bucket for bucket, every query answer is byte-identical, and no
+load step loops over triples in Python or sorts. ``Snapshot.load`` drops
+the texts and the triple array once the store has taken them.
 
 A sidecar is used only when it proves that it describes the very bytes
 of its Turtle file, as a hash-based ``.pyc`` does (PEP 552): its header
@@ -70,7 +71,7 @@ from itertools import chain, islice, repeat
 from operator import itemgetter, lt, sub
 from typing import BinaryIO, Optional, TextIO
 
-from .dataset import U32, Dataset, Grouping, grouping, run_table
+from .dataset import U32, Dataset, Grouping, grouping
 from .terms import GraphName
 
 SUFFIX = ".ekg"
@@ -131,27 +132,28 @@ class Snapshot:
                 # The dictionary's own ids, so the triples share its int objects.
                 mapped = ids.intern_all(self.texts)
                 del self.texts
-                local = None
-                if known or len(ids) != len(mapped):
-                    # The file's ids are not the dictionary's: each of the
-                    # dictionary's ids is mapped to the file's for bisection.
-                    local = run_table(mapped, len(ids))
-                    if local.count(-1) != len(ids) - len(mapped):
-                        raise ValueError("two texts of the sidecar are one term")
+                # Texts that are all new and distinct take one new id each.
+                if len(ids) - known != len(mapped) and len(set(mapped)) != len(mapped):
+                    raise ValueError("two texts of the sidecar are one term")
+                # An id past the texts raises IndexError, here or where it
+                # fills a run table.
                 remap = mapped.__getitem__
                 keys, starts = self.subjects
-                # An id past the texts raises IndexError.
-                keys = list(map(remap, keys))
-                table = run_table(keys, len(ids))
-                if table.count(-1) != len(ids) - len(keys):
-                    raise ValueError("two subject runs of the sidecar have one id")
                 # Each triple's subject is its run's id, repeated over the run.
-                subjects = chain.from_iterable(map(repeat, keys, map(sub, starts[1:], starts)))
+                runs = map(repeat, map(remap, keys), map(sub, starts[1:], starts))
                 flat = map(remap, self.pairs)
                 del self.pairs
-                triples = list(zip(subjects, flat, flat))
+                triples = list(zip(chain.from_iterable(runs), flat, flat))
                 del flat
-                ds.add_graph(graph, triples, table, starts, self.groupings, local)
+                groupings = [(None, keys, starts), *self.groupings]
+                if known:
+                    # The first file's ids are the dictionary's; a later
+                    # file's run ids are mapped as the tables are filled.
+                    groupings = [
+                        (order, map(remap, run_ids), run_starts)
+                        for order, run_ids, run_starts in groupings
+                    ]
+                ds.add_graph(graph, triples, groupings)
         except (IndexError, ValueError):
             return False
         return True
@@ -230,12 +232,11 @@ def _read(handle: BinaryIO, turtle: BinaryIO) -> Optional[Snapshot]:
     for starts in (subjects[1], *map(itemgetter(2), groupings)):
         if starts[0] != 0 or starts[-1] != count or not _sorted(starts):
             return None
-    # The predicates' and objects' run ids rise below the term count, and
-    # their triple numbers are below the triple count. The triples' ids
-    # and the subjects' run ids are bounded, and the subjects' run ids
-    # found distinct, as they are loaded.
+    # The predicates' and objects' run ids rise, so each is one run's, and
+    # their triple numbers are below the triple count. Every id is bounded,
+    # and the subjects' run ids found distinct, as they are loaded.
     for order, keys, _ in groupings:
-        if not _rise(keys) or (keys and keys[-1] >= terms) or (order and max(order) >= count):
+        if not _rise(keys) or (order and max(order) >= count):
             return None
     return Snapshot(texts, pairs, subjects, groupings)
 

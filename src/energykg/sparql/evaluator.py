@@ -44,9 +44,9 @@ next pattern is the one with the smallest index bucket among its
 constant and already-bound positions, a bound variable counting as the
 mean bucket of its position (after Stocker et al., "SPARQL basic graph
 pattern optimization using selectivity estimation", WWW 2008). Each step
-then reads the active graph's buckets (``_Graph.bucket`` for a constant;
-for a bound variable ``_Graph.runs`` at the subject, one slice per row,
-and ``_Graph.finder`` at another position): per row it scans the
+then reads the active graph's buckets (``_Graph.bucket`` for a constant,
+``_Graph.runs`` for a bound variable at any position): per row it looks
+up the run of each bound position's id, and reads and scans only the
 smallest bucket among the constant and bound positions, checking as it
 goes the fixed positions that the bucket does not fix. Consecutive steps
 on one subject variable that an earlier step binds, with constant
@@ -499,7 +499,7 @@ def _extend_star(star: list[IdPattern], slots: Slots, graph) -> Step:
         consts, keys, _, picked = _binds(tp, slots)
         # The run fixes the subject and the dict the predicate.
         steps.append((tp[1], *_check(keys, [(i, x) for i, x in consts if i != 1], 0), picked))
-    return partial(_star_rows, *graph.runs(), subject, tuple(steps))
+    return partial(_star_rows, *graph.runs(0), subject, tuple(steps))
 
 
 def _star_rows(
@@ -569,45 +569,44 @@ def _extend_in(graph, tp: IdPattern, consts, keys, repeats, picked) -> Step:
         if found < size:
             size, at = found, i
     start_check = _check(keys, consts, at)
-    # A bound subject's run is read from the run table, another bound
-    # position's bucket found by its finder.
-    lookups = tuple((*graph.runs(), slot, _check(keys, consts, i)) for i, slot in keys if not i)
-    finders = tuple((graph.finder(i), slot, _check(keys, consts, i)) for i, slot in keys if i)
+    lookups = tuple((*graph.runs(i), slot, _check(keys, consts, i)) for i, slot in keys)
     key = None if at is None else tp[at]
-    return partial(
-        _extend_rows, graph, at, key, size, start_check, lookups, finders, repeats, picked
-    )
+    return partial(_extend_rows, graph, at, key, size, start_check, lookups, repeats, picked)
 
 
 def _extend_rows(
-    graph, at: Optional[int], key: Optional[int], size: int, start_check, lookups, finders,
-    repeats, picked, rows: list[Row], run: _Run,
+    graph, at: Optional[int], key: Optional[int], size: int, start_check, lookups, repeats,
+    picked, rows: list[Row], run: _Run,
 ) -> list[Row]:
     """``_extend_in``'s step, given the position and id of the smallest
     constant bucket (None for every triple) and its size, the check of
-    its triples, the lookups at the bound positions, the repeated free
+    its triples, the runs at the bound positions, the repeated free
     positions and the picker."""
     out: list[Row] = []
     emit = out.append
-    start = graph.triples if at is None else None
+    every = graph.triples
+    numbered = every.__getitem__
+    start = every if at is None else None
     # Rows and triples gone through since the last deadline check; a
     # row counts with its bucket before the bucket is scanned.
     work = 0
     for row in rows:
-        triples, least, check = start, size, start_check
-        for run_of, starts, ordered, slot, lookup_check in lookups:
+        triples, least, check, chosen = start, size, start_check, None
+        for run_of, starts, order, slot, lookup_check in lookups:
             # An id that no triple holds at this position gets run -1,
-            # which spans ordered[count:0], an empty slice.
+            # which spans order[count:0], an empty slice.
             number = run_of(row[slot])
             begin = starts[number]
             end = starts[number + 1]
             if end - begin < least:
-                triples, least, check = ordered[begin:end], end - begin, lookup_check
-        for bucket_of, slot, lookup_check in finders:
-            bucket = bucket_of(row[slot])
-            if len(bucket) < least:
-                triples, least, check = bucket, len(bucket), lookup_check
-        if triples is None:
+                least, check, chosen, first = end - begin, lookup_check, order, begin
+        if chosen is not None:
+            # Only the smallest run is read: a subject's as a slice of the
+            # triples, another position's through its triple numbers.
+            triples = chosen[first : first + least]
+            if chosen is not every:
+                triples = list(map(numbered, triples))
+        elif triples is None:
             triples = start = graph.bucket(at, key)
         probe, target_of, target = check
         if target_of is not None:

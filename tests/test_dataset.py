@@ -1,6 +1,5 @@
 import pickle
 import random
-from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -73,7 +72,7 @@ def test_freeze_blocks_mutation():
     # A graph the store holds, and one it does not.
     for graph in (None, G):
         with pytest.raises(FrozenDatasetError):
-            ds.add_graph(graph, [], array("i"), [0], [])
+            ds.add_graph(graph, [], [(None, [], [0])] * 3)
     assert ds.match() == [Quad(S, P, O)]
 
 

@@ -233,6 +233,57 @@ def test_one_graph_loaded_from_two_files_answers_as_one_parse(tmp_path, turtle_l
         assert naive.row_multiset(seq.rows) == naive.row_multiset(naive.naive_evaluate(loaded, query))
 
 
+def _assert_buckets_as_scanned(ds: Dataset) -> None:
+    """Each graph's bucket of every id at every position, and its size,
+    as a linear scan of the graph's triples finds them, in their order."""
+    ids = range(len(ds.texts()))
+    for name in [None, *ds.graphs()]:
+        store = ds.graph(name)
+        if store is None:
+            continue
+        for position in range(3):
+            for i in ids:
+                scanned = [t for t in store.triples if t[position] == i]
+                assert store.bucket(position, i) == scanned, (name, position, i)
+                assert store.size(position, i) == len(scanned), (name, position, i)
+
+
+@pytest.mark.parametrize(
+    "load",
+    ["two_sidecars", "two_sidecars_swapped", "parse_then_sidecar", "sidecar_then_parse",
+     "one_graph_from_two_files"],
+)
+def test_every_bucket_of_a_loaded_store_equals_a_linear_scan(tmp_path, turtle_loads, load):
+    ds = querygen.random_dataset(random.Random(5), max_quads=150)
+    graph = querygen.NAMED_GRAPHS[0]
+    if load == "one_graph_from_two_files":
+        # Two files of one graph that share a third of its triples.
+        texts = ds.texts()
+        triples = ds.triples(None, None, None, graph)
+        third = len(triples) // 3
+        paths = []
+        for name, part in (("first", triples[: 2 * third]), ("second", triples[third:])):
+            paths.append(str(tmp_path / f"{name}.ttl"))
+            flat = [texts[i] for i in chain.from_iterable(part)]
+            cli._write_store(paths[-1], flat, graph, _prefixes(None))
+        graphs = [graph]
+    else:
+        graphs = [graph, None]
+        paths = _write_stores(tmp_path, ds, graphs, None)
+        if load == "two_sidecars_swapped":
+            paths.reverse()
+            graphs.reverse()
+        elif load != "two_sidecars":
+            # The file loaded first or second is parsed.
+            os.remove(paths[load == "sidecar_then_parse"] + snapshot.SUFFIX)
+    loaded = load_store(paths, _config(None))
+    assert turtle_loads == {"parse_then_sidecar": [graph], "sidecar_then_parse": [None]}.get(
+        load, []
+    )
+    assert [loaded.match(graph=g) for g in graphs] == [ds.match(graph=g) for g in graphs]
+    _assert_buckets_as_scanned(loaded)
+
+
 def test_a_store_with_sidecars_is_loaded_without_parsing(tmp_path, turtle_loads):
     ds = querygen.random_dataset(random.Random(3))
     paths = _write_stores(tmp_path, ds, _GRAPHS, "http://example.org/")
