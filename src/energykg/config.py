@@ -24,26 +24,11 @@ class ConfigError(EnergyKgError):
     """Invalid configuration value or file."""
 
 
-# Each setting's name and type, in the order PipelineConfig takes them.
-_FIELD_TYPES = {
-    "base": str,
-    "station": str,
-    "graph": str,
-    "network": str,
-    "counter_mode": str,
-    "resolution": str,
-    "out": str,
-    "threshold": float,
-    "datatype": str,
-    "scale": str,
-    "bind": str,
-    "format": str,
-    "min_samples": int,
-}
-
-
 class PipelineConfig(Record):
-    _fields = tuple(_FIELD_TYPES)
+    _fields = (
+        "base", "station", "graph", "network", "counter_mode", "resolution", "out",
+        "threshold", "datatype", "scale", "bind", "format", "min_samples",
+    )
 
     def __init__(
         self,
@@ -139,6 +124,10 @@ class PipelineConfig(Record):
         if not (0 <= port <= 65535):
             raise ConfigError(f"bind port out of range: {port}")
         return host, port
+
+
+# Each setting's type: its default's.
+_FIELD_TYPES = dict(zip(PipelineConfig._fields, map(type, PipelineConfig()._astuple())))
 
 
 def parse_config_file(text: str, path: str = "<config>") -> dict[str, str]:

@@ -50,9 +50,11 @@ up the run of each bound position's id, and reads and scans only the
 smallest bucket among the constant and bound positions, checking as it
 goes the fixed positions that the bucket does not fix. Consecutive steps
 on one subject variable that an earlier step binds, with constant
-predicates, form a star: per row the subject's run
-is looked up once and scanned once for all of them, unless a FILTER
-conjunct falls due between them.
+predicates, form a star, by that shape alone, unless a FILTER conjunct
+falls due between them: per row the subject's run is looked up once and
+read once, into a dict of its triples by predicate, from which each step
+takes its triple. A row whose run repeats a predicate is extended pattern
+by pattern instead, by each step's own bucket scan.
 
 A FILTER over a BGP, or over a GRAPH block of one BGP, tests each of its
 ``&&`` conjuncts right after the plan step that binds the conjunct's
@@ -131,6 +133,8 @@ _PREDICATE = itemgetter(1)
 _getter = lru_cache(maxsize=1024)(itemgetter)
 # How the canonical text of an xsd:dateTime literal ends.
 _DATETIME_END = f'"^^<{XSD_DATETIME.value}>'
+# The value of each valid lexical form of xsd:boolean.
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
 
 
 class EvaluationError(EnergyKgError):
@@ -398,16 +402,16 @@ def _stages(
     plan: list[IdPattern], due: list[list[Expression]], graphs: list
 ) -> list[tuple[list[IdPattern], list[Expression]]]:
     """The plan's steps in stages, each with the conditions due after its
-    last step. Consecutive steps form one stage, a star, when each one's
-    subject is one variable that an earlier stage binds, its predicate is
-    a constant and its subject run is its smallest bucket by the plan's
-    estimate, the graph is one, and no condition falls due between them."""
+    last step. Consecutive steps form one stage, a star, when the graph is
+    one, each step's subject is one variable that an earlier stage binds
+    and its predicate is a constant, and no condition falls due between
+    them."""
     stages: list[tuple[list[IdPattern], list[Expression]]] = []
     bound: set[str] = set()
     # The variables bound before the last stage.
     before: set[str] = set()
     for tp, tested in zip(plan, due[1:]):
-        if stages and not stages[-1][1] and _joins(stages[-1][0], tp, before, bound, graphs):
+        if stages and not stages[-1][1] and _joins(stages[-1][0], tp, before, graphs):
             stages[-1] = (stages[-1][0] + [tp], tested)
         else:
             before = set(bound)
@@ -416,30 +420,14 @@ def _stages(
     return stages
 
 
-def _joins(
-    star: list[IdPattern], tp: IdPattern, before: set[str], bound: set[str], graphs: list
-) -> bool:
-    """Whether tp joins the star of the steps before it: in one graph, its
-    subject is theirs, a variable bound before them, and each of them is
-    estimated to read its triples best from the subject's run."""
+def _joins(star: list[IdPattern], tp: IdPattern, before: set[str], graphs: list) -> bool:
+    """Whether tp joins the star of the steps before it, by shape alone: in
+    one graph, its subject is theirs, a variable bound before them, and
+    its predicate and the star's first one are constants."""
     subject = star[0][0]
-    if len(graphs) != 1 or tp[0] != subject or subject not in before:
-        return False
-    return (len(star) > 1 or _on_run(star[0], before, graphs[0])) and _on_run(tp, bound, graphs[0])
-
-
-def _on_run(tp: IdPattern, bound: set[str], graph) -> bool:
-    """Whether a pattern on a bound subject, whose predicate is a
-    constant, is estimated to find its triples in no smaller bucket than
-    its subject's run: each of its constant and other bound positions'
-    buckets is at least the mean subject run."""
-    if not isinstance(tp[1], int):
-        return False
-    run = graph.mean(0)
-    return all(
-        run <= (graph.size(i, x) if isinstance(x, int) else graph.mean(i))
-        for i, x in enumerate(tp[1:], 1)
-        if isinstance(x, int) or x in bound
+    return (
+        len(graphs) == 1 and tp[0] == subject and subject in before
+        and isinstance(star[0][1], int) and isinstance(tp[1], int)
     )
 
 
@@ -488,29 +476,32 @@ def _extend_star(star: list[IdPattern], slots: Slots, graph) -> Step:
     """The step that extends each row as ``_extend``'s steps would by each
     pattern of the star in turn, in one graph, where the patterns' subject
     is one variable that the rows bind and each predicate is a constant.
-    Per row the subject's run is looked up once and scanned once, into a
+    Per row the subject's run is looked up once and read once, into a
     dict of its triples by predicate, built in C; where no predicate
     repeats in the run, as is usual, each pattern's one candidate is read
-    from it, and otherwise each pattern scans the run for its predicate."""
+    from it, and otherwise the row is extended pattern by pattern, by each
+    one's own ``_extend_in`` step, made from the same ``_binds``."""
     subject = slots[star[0][0]]
-    steps = []
+    checks, steps = [], []
     for tp in star:
-        # Only the object can be a free variable, so none is listed twice.
-        consts, keys, _, picked = _binds(tp, slots)
+        consts, keys, repeats, picked = _binds(tp, slots)
         # The run fixes the subject and the dict the predicate.
-        steps.append((tp[1], *_check(keys, [(i, x) for i, x in consts if i != 1], 0), picked))
-    return partial(_star_rows, *graph.runs(0), subject, tuple(steps))
+        checks.append((tp[1], *_check(keys, [(i, x) for i, x in consts if i != 1], 0), picked))
+        steps.append(_extend_in(graph, tp, consts, keys, repeats, picked))
+    return partial(_star_rows, *graph.runs(0), subject, tuple(checks), tuple(steps))
 
 
 def _star_rows(
-    run_of, starts, ordered, subject: int, steps: tuple, rows: list[Row], run: _Run
+    run_of, starts, ordered, subject: int, checks: tuple, steps: tuple, rows: list[Row], run: _Run
 ) -> list[Row]:
     """``_extend_star``'s step, given the graph's subject runs, the rows'
-    slot of the subject, and each pattern's predicate, check and picker."""
+    slot of the subject, each pattern's predicate, check and picker, and
+    each pattern's own step."""
     out: list[Row] = []
     emit = out.append
     # Rows and triples gone through since the last deadline check, as
-    # ``_extend_in`` counts them: a row with its run, at each scan.
+    # ``_extend_in`` counts them: a row with its run. A pattern's own step
+    # counts the work it does.
     work = 0
     for row in rows:
         number = run_of(row[subject])
@@ -522,7 +513,7 @@ def _star_rows(
             run.check()
         by_predicate = dict(zip(map(_PREDICATE, triples), triples))
         if len(by_predicate) == len(triples):
-            for predicate, probe, target_of, target, picked in steps:
+            for predicate, probe, target_of, target, picked in checks:
                 triple = by_predicate.get(predicate)
                 if target_of is not None:
                     target = target_of(row)
@@ -533,19 +524,8 @@ def _star_rows(
                 emit(row)
             continue
         found = [row]
-        for predicate, probe, target_of, target, picked in steps:
-            extended: list[Row] = []
-            for prefix in found:
-                work += units
-                if work > _CHECK_EVERY:
-                    work = units
-                    run.check()
-                if target_of is not None:
-                    target = target_of(prefix)
-                for triple in _scan(triples, (), run) if units > _CHECK_EVERY else triples:
-                    if triple[1] == predicate and probe(triple) == target:
-                        extended.append(prefix + picked(triple))
-            found = extended
+        for extend in steps:
+            found = extend(found, run)
             if not found:
                 break
         out += found
@@ -654,11 +634,9 @@ def _check(
     const_ids = tuple(x for _, x in consts)
     if not keys:
         return probe, None, const_ids[0] if len(const_ids) == 1 else const_ids
-    get = _getter(*[slot for _, slot in keys])
     if not const_ids:
-        return probe, get, None
-    if len(keys) == 1:
-        return probe, lambda row: (get(row),) + const_ids, None
+        return probe, _getter(*[slot for _, slot in keys]), None
+    get = _picker(*[slot for _, slot in keys])
     return probe, lambda row: get(row) + const_ids, None
 
 
@@ -917,8 +895,6 @@ def _value(expression: Expression, slots: Slots, planner: _Planner) -> Value:
             left, right = right, left
         left_value, right_value = _value(left, slots, planner), _value(right, slots, planner)
         number = _constant_number(right)
-        if isinstance(left, DateFunc) and isinstance(right, DateFunc):
-            return lambda row, run: left_value(row, run) == right_value(row, run)
         if isinstance(left, DateFunc) and number is not None:
             return lambda row, run: left_value(row, run) == number
         left_pair, right_pair = _pair(left, left_value), _pair(right, right_value)
@@ -1016,7 +992,8 @@ def _effective_boolean(value) -> bool:
         return value != 0
     if isinstance(value, Literal):
         if value.datatype == XSD_BOOLEAN:
-            return value.lexical == "true"
+            # An invalid lexical form is false (SPARQL 1.1, 17.2.2).
+            return _BOOLEANS.get(value.lexical, False)
         if value.datatype in NUMERIC_DATATYPES:
             return _number(value) != 0
         if value.datatype == XSD_STRING:
@@ -1035,6 +1012,8 @@ def _equals(a, a_number, b, b_number) -> bool:
             return a_instant == b_instant
         if a.datatype == XSD_STRING and b.datatype == XSD_STRING:
             return a.lexical == b.lexical
+        if a.datatype == XSD_BOOLEAN == b.datatype and {a.lexical, b.lexical} <= _BOOLEANS.keys():
+            return _BOOLEANS[a.lexical] == _BOOLEANS[b.lexical]
         if a == b:
             return True
         raise _ExprError(f"cannot compare literals {a} and {b}")

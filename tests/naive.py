@@ -8,10 +8,13 @@ code, and reimplements the documented semantics independently:
 - multiple FROM graphs merge into one triple set (duplicates collapse)
 - GRAPH <g> matches only graphs in the named set; the default-graph
   alias IRI stands for the store default
+- an xsd:boolean's effective boolean value is true for ``"true"`` and
+  ``"1"``, false for ``"false"``, ``"0"`` and an invalid lexical form
 - FILTER keeps rows whose expression is true; an erroring expression
   drops the row; false on one side of && beats an error on the other
 - equality is by numeric value across numeric datatypes, by instant for
-  dateTimes, by lexical form for plain strings, term identity otherwise;
+  dateTimes, by lexical form for plain strings, by truth value for valid
+  booleans (``"1"`` is ``true``), term identity otherwise;
   mismatched literal datatypes are an error, mismatched term kinds false;
   a numeric lexical form that spells no finite number (``NaN``, ``sNaN``,
   ``INF``, ``Infinity``) is an error
@@ -44,6 +47,7 @@ _XSD = "http://www.w3.org/2001/XMLSchema#"
 _NUMERIC = {_XSD + "integer", _XSD + "decimal", _XSD + "double"}
 _DATETIME = _XSD + "dateTime"
 _STRING = _XSD + "string"
+_BOOLEAN = _XSD + "boolean"
 
 
 class _Error(Exception):
@@ -247,8 +251,9 @@ def _ebv(value) -> bool:
     if isinstance(value, int):
         return value != 0
     if isinstance(value, Literal):
-        if value.datatype.value == _XSD + "boolean":
-            return value.lexical == "true"
+        if value.datatype.value == _BOOLEAN:
+            # Only "true" and "1" are true; "0", "false" and any invalid form are false.
+            return value.lexical in ("true", "1")
         if value.datatype.value in _NUMERIC:
             number = _number(value)
             return number != 0
@@ -267,6 +272,10 @@ def _eq(a, b) -> bool:
             return _instant(a.lexical) == _instant(b.lexical)
         if a.datatype.value == _STRING and b.datatype.value == _STRING:
             return a.lexical == b.lexical
+        if a.datatype.value == _BOOLEAN and b.datatype.value == _BOOLEAN:
+            truth = {"true": True, "1": True, "false": False, "0": False}
+            if a.lexical in truth and b.lexical in truth:
+                return truth[a.lexical] == truth[b.lexical]
         if a == b:
             return True
         raise _Error("incomparable literals")

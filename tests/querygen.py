@@ -6,6 +6,13 @@ the numeric pool sticks to short exact decimals. A group is sometimes one
 GRAPH block and a FILTER, and a FILTER is an ``&&`` chain whose conjuncts
 read variables drawn apart, so the oracle also judges conjuncts that the
 engine tests at different steps of a BGP's plan.
+
+With ``rare``, the data also holds xsd:boolean literals, some of invalid
+lexical form, and the queries also take shapes that the others lack: a
+GRAPH block on the default-graph alias, a conjunct that is a bare term or
+a date part, one that equates a date part with a variable, a date
+function of a constant, and parentheses around a conjunct. Without it,
+each seed gives the datasets and queries that it always gave.
 """
 
 from __future__ import annotations
@@ -13,30 +20,47 @@ from __future__ import annotations
 import random
 
 from energykg.dataset import Dataset
-from energykg.terms import Iri, Literal, Quad, XSD_DATETIME, XSD_DECIMAL, XSD_INTEGER
+from energykg.sparql.ast import DEFAULT_GRAPH_ALIAS
+from energykg.terms import (
+    Iri, Literal, Quad, XSD_BOOLEAN, XSD_DATETIME, XSD_DECIMAL, XSD_INTEGER,
+)
 
 from stores import quad_store
 
 BASE = "http://example.org/"
 NAMED_GRAPHS = (Iri(BASE + "g1"), Iri(BASE + "g2"))
+_ALIAS = Iri(DEFAULT_GRAPH_ALIAS)
+# Terms that a rare conjunct is made of alone: a true and a false one of
+# each kind that has an effective boolean value, an invalid boolean, which
+# is false, and an IRI, which has none.
+_BARE_TERMS = (
+    "3", "0", "1.5", "0.0", '"x"', '""', "true", "false",
+    f'"1"^^<{XSD_BOOLEAN.value}>', f'"0"^^<{XSD_BOOLEAN.value}>',
+    f'"maybe"^^<{XSD_BOOLEAN.value}>', f"<{BASE}s0>",
+)
+_DATES = [
+    Literal(f"201{y}-0{m}-0{d}T0{h}:00:00Z", XSD_DATETIME)
+    for y, m, d, h in ((6, 5, 1, 0), (6, 5, 1, 3), (6, 5, 2, 0), (7, 1, 3, 5))
+]
+# Where each date part stands in such a lexical form.
+_PARTS = {"year": slice(0, 4), "month": slice(5, 7), "day": slice(8, 10)}
 
 
-def _literal_pool(rnd: random.Random) -> list[Literal]:
+def _literal_pool(rnd: random.Random, rare: bool) -> list[Literal]:
     pool = [Literal(w) for w in ("red", "green", "blue", "")]
+    if rare:
+        pool += [Literal(w, XSD_BOOLEAN) for w in ("true", "false", "1", "0", "maybe")]
     pool += [Literal(str(n), XSD_INTEGER) for n in (0, 1, 2, 7, 42)]
     pool += [Literal(t, XSD_DECIMAL) for t in ("1.5", "2.25", "7.0", "0.5")]
-    pool += [
-        Literal(f"201{y}-0{m}-0{d}T0{h}:00:00Z", XSD_DATETIME)
-        for y, m, d, h in ((6, 5, 1, 0), (6, 5, 1, 3), (6, 5, 2, 0), (7, 1, 3, 5))
-    ]
+    pool += _DATES
     rnd.shuffle(pool)
     return pool
 
 
-def random_dataset(rnd: random.Random, max_quads: int = 200) -> Dataset:
+def random_dataset(rnd: random.Random, max_quads: int = 200, rare: bool = False) -> Dataset:
     subjects = [Iri(BASE + f"s{i}") for i in range(rnd.randint(2, 8))]
     predicates = [Iri(BASE + f"p{i}") for i in range(rnd.randint(2, 5))]
-    objects = subjects + predicates + _literal_pool(rnd)
+    objects = subjects + predicates + _literal_pool(rnd, rare)
     graphs = [None, None, NAMED_GRAPHS[0], NAMED_GRAPHS[1]]
     return quad_store(
         Quad(rnd.choice(subjects), rnd.choice(predicates), rnd.choice(objects), rnd.choice(graphs))
@@ -54,8 +78,9 @@ def _render(term) -> str:
 
 
 class _QueryBuilder:
-    def __init__(self, rnd: random.Random, ds: Dataset) -> None:
+    def __init__(self, rnd: random.Random, ds: Dataset, rare: bool) -> None:
         self.rnd = rnd
+        self.rare = rare
         self.quads = ds.match() or [Quad(Iri(BASE + "s0"), Iri(BASE + "p0"), Literal("x"))]
         self.variables = [f"v{i}" for i in range(6)]
         self.used_vars: set[str] = set()
@@ -138,7 +163,27 @@ class _QueryBuilder:
             lines.append(f"{center} <{quad.predicate.value}> {obj} .")
         return "\n  ".join(lines)
 
+    def _rare_conjunct(self, bound: list[str]) -> str:
+        a = f"?{self.rnd.choice(bound)}"
+        part = self.rnd.choice(["year", "month", "day"])
+        kind = self.rnd.random()
+        if kind < 0.25:
+            return self.rnd.choice(_BARE_TERMS)
+        if kind < 0.4:
+            return self.rnd.choice((a, f"{part}({a})"))
+        if kind < 0.55:
+            return f"{part}({a}) = ?{self.rnd.choice(bound)}"
+        if kind < 0.8:
+            # A date function of a constant, mostly a dateTime, equated
+            # mostly with the part that the constant spells.
+            term = self.rnd.choice(_DATES + [Literal("2016-05-01T00:00:00Z")])
+            other = f"{part}({a})" if self.rnd.random() < 0.3 else int(term.lexical[_PARTS[part]])
+            return f"{part}({_render(term)}) = {other}"
+        return f"({self._conjunct(bound)})"
+
     def _conjunct(self, bound: list[str]) -> str:
+        if self.rare and self.rnd.random() < 0.4:
+            return self._rare_conjunct(bound)
         if self.hints and self.rnd.random() < 0.4:
             # True where the variable holds the object it was drawn from.
             variable, term = self.rnd.choice(self.hints)
@@ -173,11 +218,15 @@ class _QueryBuilder:
 
     def build(self) -> str:
         graph = self.rnd.choice(NAMED_GRAPHS)
+        if self.rare and self.rnd.random() < 0.3:
+            graph = _ALIAS
         if self.rnd.random() < 0.2:
             # A group that is one GRAPH block and a FILTER, as the
             # endpoint's month query is.
             if self.rnd.random() < 0.6:
-                inner = self._star(graph)
+                # The alias's graph is the default one, where the
+                # generator's store holds the quads of the graph None.
+                inner = self._star(None if graph == _ALIAS else graph)
             else:
                 inner = self._bgp(self.rnd.randint(1, 3))
             body = f"  GRAPH <{graph.value}> {{\n  {inner}\n  }}\n"
@@ -213,8 +262,8 @@ class _QueryBuilder:
         return f"SELECT {select}\n{clauses}WHERE {{\n{body}}}{limit}\n"
 
 
-def random_query_text(rnd: random.Random, ds: Dataset) -> str:
+def random_query_text(rnd: random.Random, ds: Dataset, rare: bool = False) -> str:
     while True:
-        text = _QueryBuilder(rnd, ds).build()
+        text = _QueryBuilder(rnd, ds, rare).build()
         if text is not None:
             return text

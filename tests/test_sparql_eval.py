@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from collections import Counter
 from types import SimpleNamespace
@@ -8,7 +9,9 @@ import pytest
 from energykg.sparql import QueryTimeout, evaluate, parse_query
 from energykg.sparql import evaluator
 from energykg.sparql.ast import And, Filter, Graph, SelectQuery, Variable
-from energykg.terms import Iri, Literal, Quad, XSD_DATETIME, XSD_DECIMAL, XSD_INTEGER
+from energykg.terms import (
+    Iri, Literal, Quad, XSD_BOOLEAN, XSD_DATETIME, XSD_DECIMAL, XSD_INTEGER,
+)
 
 import naive
 import querygen
@@ -178,6 +181,116 @@ def test_a_number_that_is_not_finite_is_an_expression_error():
         assert rows == naive.naive_evaluate(ds, query), text
 
 
+def test_boolean_values_follow_the_spec():
+    # SPARQL 1.1, 17.2.2: an xsd:boolean's effective boolean value is its
+    # value, "1" true and "0" false, and an invalid lexical form is false.
+    # 17.3, op:boolean-equal: = compares two booleans by value; a literal
+    # of an invalid form equals only itself, and another term is an error.
+    forms = ("true", "false", "1", "0", "yes")
+    ds = quad_store([q(f"b_{form}", "v", Literal(form, XSD_BOOLEAN)) for form in forms])
+    boolean = f"^^<{XSD_BOOLEAN.value}>"
+
+    def subjects(*forms):
+        return [{"s": Iri(EX + f"b_{form}")} for form in forms]
+
+    for condition, expected in (
+        ("?b", subjects("1", "true")),
+        ("?b = true", subjects("1", "true")),
+        ("true = ?b", subjects("1", "true")),
+        ("?b = false", subjects("0", "false")),
+        (f'?b = "1"{boolean}', subjects("1", "true")),
+        (f'?b = "0"{boolean}', subjects("0", "false")),
+        (f'?b = "yes"{boolean}', subjects("yes")),
+        (f'?b = "yes"{boolean} && ?b', []),
+    ):
+        query = parse_query(f"SELECT ?s WHERE {{ ?s <{EX}v> ?b FILTER ({condition}) }}")
+        assert evaluate(ds, query).rows == expected, condition
+        assert naive.naive_evaluate(ds, query) == expected, condition
+    pairs = [("0", "0"), ("0", "false"), ("1", "1"), ("1", "true"), ("false", "0")]
+    pairs += [("false", "false"), ("true", "1"), ("true", "true"), ("yes", "yes")]
+    expected = [{"s": Iri(EX + f"b_{a}"), "t": Iri(EX + f"b_{b}")} for a, b in pairs]
+    query = parse_query(f"SELECT ?s ?t WHERE {{ ?s <{EX}v> ?b . ?t <{EX}v> ?c FILTER (?b = ?c) }}")
+    assert evaluate(ds, query).rows == expected
+    assert naive.naive_evaluate(ds, query) == expected
+
+
+def test_filter_over_a_bare_term_is_its_effective_boolean_value():
+    date = Literal("2016-05-01T00:00:00Z", XSD_DATETIME)
+    ds = quad_store([q("s1", "at", date), q("s2", "at", Literal("never")), q("s3", "at", "o")])
+    every, none = [{"s": Iri(EX + f"s{i}")} for i in (1, 2, 3)], []
+    boolean = f"^^<{XSD_BOOLEAN.value}>"
+    for condition, expected in (
+        ("0", none),
+        ("2", every),
+        ("0.0", none),
+        ("1.5", every),
+        ('""', none),
+        ('"x"', every),
+        ("true", every),
+        ("false", none),
+        (f'"1"{boolean}', every),
+        (f'"no"{boolean}', none),
+        # An IRI has no effective boolean value: an error drops every row.
+        (f"<{EX}o>", none),
+        # A date part is an integer, 2016 here; a string has no date part.
+        ("year(?t)", every[:1]),
+        # A plain string is true when it is not empty; an IRI errors.
+        ("?t", [{"s": Iri(EX + "s2")}]),
+    ):
+        query = parse_query(f"SELECT ?s WHERE {{ ?s <{EX}at> ?t FILTER ({condition}) }}")
+        assert evaluate(ds, query).rows == expected, condition
+        assert naive.naive_evaluate(ds, query) == expected, condition
+
+
+def test_a_date_part_equals_a_variable_and_a_constant_date():
+    dated = [("2016-05-01T00:00:00Z", Literal("2016", XSD_INTEGER))]
+    dated += [("2017-01-01T00:00:00Z", Literal("2017.0", XSD_DECIMAL))]
+    dated += [("2016-05-02T00:00:00Z", Literal("2016"))]
+    dated += [("2016-05-03T00:00:00Z", Literal("2017", XSD_INTEGER))]
+    quads = [q("s4", "at", Literal("not a date")), q("s4", "n", Literal("2016", XSD_INTEGER))]
+    for i, (instant, number) in enumerate(dated):
+        quads += [q(f"s{i}", "at", Literal(instant, XSD_DATETIME)), q(f"s{i}", "n", number)]
+    ds = quad_store(quads)
+    everything = [{"s": Iri(EX + f"s{i}")} for i in range(5)]
+    dt = f"^^<{XSD_DATETIME.value}>"
+    for condition, expected in (
+        # A number equal to the year, as an integer or a decimal; a string
+        # and a value that is no date are errors.
+        ("year(?t) = ?n", everything[:2]),
+        ("?n = year(?t)", everything[:2]),
+        # A date function of a constant: its value, or an error for a
+        # constant that is no valid xsd:dateTime.
+        (f'year("2016-05-01T00:00:00Z"{dt}) = 2016', everything),
+        (f'month("2016-05-01T00:00:00Z"{dt}) = 6', []),
+        (f'month("2016-05-01T00:00:00Z"{dt}) = month(?t)', [everything[i] for i in (0, 2, 3)]),
+        ('year("2016-05-01T00:00:00Z") = 2016', []),
+        (f'year("May 2016"{dt}) = 2016', []),
+    ):
+        query = parse_query(
+            f"SELECT ?s WHERE {{ ?s <{EX}at> ?t ; <{EX}n> ?n FILTER ({condition}) }}"
+        )
+        assert evaluate(ds, query).rows == expected, condition
+        assert naive.naive_evaluate(ds, query) == expected, condition
+
+
+def test_default_graph_alias_inside_where_matches_the_oracle():
+    # GRAPH on the alias reads the active default graph: the store's
+    # default, or the FROM graphs.
+    g1 = querygen.NAMED_GRAPHS[0]
+    ds = quad_store([q("s1", "p", "o1"), q("s2", "p", "o2", g1)])
+    alias = "GRAPH <urn:x-arq:DefaultGraph>"
+    for text, expected in (
+        (f"SELECT ?s WHERE {{ {alias} {{ ?s <{EX}p> ?o }} }}", ["s1"]),
+        (f"SELECT ?s FROM <{g1.value}> WHERE {{ {alias} {{ ?s <{EX}p> ?o }} }}", ["s2"]),
+        (f"SELECT ?s WHERE {{ {alias} {{ ?s <{EX}p> ?o }} FILTER (?o = <{EX}o1>) }}", ["s1"]),
+        (f"SELECT ?s WHERE {{ {alias} {{ ?s <{EX}p> ?o }} FILTER (?o = <{EX}o2>) }}", []),
+    ):
+        query = parse_query(text)
+        rows = [{"s": Iri(EX + name)} for name in expected]
+        assert evaluate(ds, query).rows == rows, text
+        assert naive.naive_evaluate(ds, query) == rows, text
+
+
 def test_date_builtins():
     ds = quad_store(
         [
@@ -275,6 +388,37 @@ def test_oracle_judges_filters_over_a_graph_block_and_conjunct_chains():
     assert min(shapes.values()) >= 8, shapes
 
 
+def test_oracle_judges_the_generators_rare_shapes():
+    # Boolean data, GRAPH on the default-graph alias, bare terms and date
+    # parts as conjuncts, a date part equated with a variable, a date
+    # function of a constant, and a parenthesised conjunct.
+    rnd = random.Random(30)
+    shapes = Counter()
+    for _ in range(300):
+        ds = querygen.random_dataset(rnd, max_quads=60, rare=True)
+        text = querygen.random_query_text(rnd, ds, rare=True)
+        query = parse_query(text)
+        engine = evaluate(ds, query).rows
+        reference = naive.naive_evaluate(ds, query)
+        assert naive.row_multiset(engine) == naive.row_multiset(reference), text
+        found = re.search(r"FILTER \((.*)\)\n", text)
+        conjuncts = found.group(1).split(" && ") if found else []
+        for shape, seen in (
+            ("alias", "GRAPH <urn:x-arq:DefaultGraph>" in text),
+            ("bare", any("=" not in conjunct for conjunct in conjuncts)),
+            ("part = variable", re.search(r"(year|month|day)\(\?\w+\) = \?", text) is not None),
+            ("date of a constant", re.search(r'(year|month|day)\("', text) is not None),
+            ("parenthesised", any(conjunct.startswith("(") for conjunct in conjuncts)),
+        ):
+            shapes[shape] += seen
+            shapes[shape + " with rows"] += seen and bool(engine)
+    # A date part seldom equals another variable of a random store's row;
+    # test_a_date_part_equals_a_variable_and_a_constant_date has such rows.
+    del shapes["part = variable with rows"]
+    assert min(shapes.values()) >= 2, shapes
+    assert min(shapes[shape] for shape in shapes if "rows" not in shape) >= 20, shapes
+
+
 def test_deadline_stops_evaluation(three_day_store, join_query_text):
     query = parse_query(join_query_text)
     with pytest.raises(QueryTimeout):
@@ -368,8 +512,9 @@ def stars(monkeypatch):
 
 
 def test_deadline_is_checked_while_a_star_scans_a_large_run(counted_checks, stars):
-    # One subject holds 10,000 triples of one predicate; many subjects of
-    # one triple each keep the mean run small, so its patterns form a star.
+    # One subject holds 10,000 triples of one predicate, so its run repeats
+    # a predicate and the star extends its row pattern by pattern, each
+    # pattern's step checking the deadline as it scans.
     quads = [q("s", "p", f"o{i}") for i in range(_BIG)] + [q("s", "q", "a"), q("s", "r", "b")]
     quads += [q(f"t{i}", "r", "b") for i in range(_BIG)]
     ds = quad_store(quads)
@@ -382,9 +527,8 @@ def test_deadline_is_checked_while_a_star_scans_a_large_run(counted_checks, star
 def test_a_star_on_a_bound_subject_matches_the_oracle(stars):
     # Items of one kind with a name, an alias and a colour each; one item
     # has two colours, so its run repeats a predicate, and the aliases of
-    # the even items are their names. Tags of many other subjects keep the
-    # mean run below the mean object bucket, so the plan reads each item's
-    # patterns from its run.
+    # the even items are their names. Tags of many other subjects make the
+    # colour red's object bucket larger than an item's run.
     quads = [q(f"t{i}", "tag", "red") for i in range(40)]
     for i in range(12):
         quads += [q(f"i{i}", "kind", "K"), q(f"i{i}", "colour", "red")]

@@ -15,6 +15,7 @@ from energykg.sparql import parser
 from energykg.sparql.ast import (
     And,
     BGP,
+    Constant,
     DateFunc,
     Equals,
     Filter,
@@ -24,7 +25,7 @@ from energykg.sparql.ast import (
     Variable,
 )
 from energykg.sparql.parser import MAX_DEPTH, _tokenize
-from energykg.terms import Iri, Literal, XSD_INTEGER
+from energykg.terms import Iri, Literal, XSD_BOOLEAN, XSD_INTEGER
 
 
 def test_minimal_query_ast():
@@ -137,6 +138,19 @@ def test_filter_expression_shapes():
     )
     assert isinstance(q.pattern, Filter)
     assert q.limit == 0
+
+
+def test_parenthesised_expressions_and_boolean_constants():
+    q = parse_query("SELECT ?a WHERE { ?a ?b ?c . FILTER (((?a = ?c)) && (true) && false) }")
+    true, false = (Constant(Literal(word, XSD_BOOLEAN)) for word in ("true", "false"))
+    # Parentheses only group: the tree is as without them, left-deep.
+    assert q.pattern.expression == And(And(Equals(Variable("a"), Variable("c")), true), false)
+
+
+def test_select_needs_a_variable():
+    with pytest.raises(QueryParseError, match="SELECT needs at least one variable") as info:
+        parse_query("SELECT WHERE { ?s ?p ?o }")
+    assert (info.value.line, info.value.column) == (1, 8)
 
 
 def test_numeric_and_string_literals_in_patterns():
