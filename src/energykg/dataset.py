@@ -12,16 +12,20 @@ their texts.
 Each graph is kept in one frozen, columnar form (``_Graph``), as RDF-3X
 (Neumann and Weikum, VLDB 2008) and HDT (Fernandez et al., J. Web
 Semantics 2013) keep theirs: its distinct ``(s, p, o)`` id triples once,
-in an order that keeps each subject's triples together (a written
-document's order already does, and a parsed graph's triples are sorted
-by subject when it does not), and for each position one ``grouping`` of
-them: the triples in that position's run order, each run's start, and a
-run table, a flat ``array('i')`` indexed by term id holding the id's
+as three columns, the subjects', predicates' and objects' ids indexed by
+triple number, in an order that keeps each subject's triples together
+(a written document's order already does, and a parsed graph's triples
+are sorted by subject when it does not); the columns hold the
+dictionary's own int objects, so a triple is three list slots and no
+object of its own. For each position the graph keeps one ``grouping``:
+the triple numbers in that position's run order, each run's start, and
+a run table, a flat ``array('i')`` indexed by term id holding the id's
 run number or -1, filled in C. So the bucket of any id at any position
-is one lookup and one slice: at the subject a slice of the triples, at
-the predicate and the object a slice of triple numbers read with one
-``map``; only the triples are tuples. A term that no quad holds has no
-id and matches nothing before any table is read.
+is one lookup and one range of triple numbers: at the subject the run's
+own range, at the predicate and the object a slice of the order; a
+reader reads from the columns only the positions it needs, and triples
+become tuples only for the callers that ask for them. A term that no
+quad holds has no id and matches nothing before any table is read.
 
 A Dataset is built, frozen, then read. It is built single-threaded:
 term texts are interned inside ``interning()``, and triples inserted
@@ -42,8 +46,8 @@ interns each new text with the dictionary's ``setdefault`` rather than a
 lookup that calls ``TermIds.__missing__``. A snapshot sidecar
 (``snapshot.py``) interns a whole file's texts at once with
 ``TermIds.intern_all``, which into an empty dictionary is one ``update``,
-and hands its triples and its stored groupings, their run ids mapped to
-the dictionary's, to ``add_graph``, which fills the run tables straight
+and hands its three columns and its stored groupings, their run ids
+mapped to the dictionary's, to ``add_graph``, which fills the run tables straight
 from them; so no triple is looked at one at a time in Python, and the
 store is the same as the parse's, bucket for bucket, whichever ids the
 file's terms had.
@@ -75,6 +79,8 @@ ANY = _Any()
 
 Pattern = Union[Term, None, _Any]
 IdTriple = tuple[int, int, int]
+# A graph's subject, predicate and object ids, each indexed by triple number.
+Columns = tuple[list[int], list[int], list[int]]
 
 
 class TermIds(dict):
@@ -160,48 +166,59 @@ class UnfrozenDatasetError(EnergyKgError):
 class _Graph:
     """One graph's distinct id triples, with the buckets at each position.
 
-    ``triples`` lists each triple once, in an order that keeps each
-    subject's triples together: the triples' own, when they are so
-    already, as a written document's are. Each position keeps one run
-    table, an ``array('i')`` indexed by term id holding the id's run
-    number, or -1 where no triple holds the id there, spanning every id
-    of the dictionary (``pad``); the runs' starts; and the triples in run
-    order: for the subject the triples themselves, for the predicate and
-    the object their triple numbers. So every bucket is found in one
+    ``columns`` holds the triples as three lists of ids, the subjects,
+    predicates and objects, indexed by triple number, in an order that
+    keeps each subject's triples together: the triples' own, when they
+    are so already, as a written document's are. The lists hold the
+    dictionary's own int objects, so a triple costs three list slots and
+    no object of its own. Each position keeps one run table, an
+    ``array('i')`` indexed by term id holding the id's run number, or -1
+    where no triple holds the id there, spanning every id of the
+    dictionary (``pad``); the runs' starts; and the triple numbers in run
+    order: for the subject the triples' own order, a ``range``, for the
+    predicate and the object an array. So every bucket is found in one
     lookup, ``table[id]`` then a slice between two starts, and lists its
-    triples in triple order. Built in one go and never changed but for
+    triple numbers in triple order; a reader reads from the columns only
+    the positions it needs. Built in one go and never changed but for
     padding, so any number of readers of a frozen dataset may share it."""
 
-    __slots__ = ("triples", "_runs")
+    __slots__ = ("columns", "_runs")
 
-    def __init__(self, triples: list[IdTriple], groupings: Sequence[Grouping], ids: int) -> None:
+    def __init__(self, columns: Columns, groupings: Sequence[Grouping], ids: int) -> None:
         """The graph of the triples, each subject's together, with the
         grouping at each position in the dictionary's ids; the subjects'
         keeps the triples' order, so its order is not read. Each run
         table is filled from its grouping's run ids as they come."""
-        self.triples = triples
-        self._runs = [
-            (run_table(keys, ids), starts, order if position else triples)
-            for position, (order, keys, starts) in enumerate(groupings)
-        ]
+        self.columns = columns
+        self._runs = [(run_table(keys, ids), starts, order) for order, keys, starts in groupings]
 
     @classmethod
     def of(cls, triples: list[IdTriple], ids: int) -> "_Graph":
         """The graph of distinct triples in any order, put in subject-run
         order: as they are when they keep each subject's together, else
-        sorted stably by subject id."""
+        sorted stably by subject id. The list is emptied."""
         subjects = list(map(itemgetter(0), triples))
         # Together when each change of subject starts a new one.
         if len(set(subjects)) != sum(map(ne, subjects, islice(subjects, 1, None))) + 1:
             triples.sort(key=itemgetter(0))
             subjects.sort()
+        columns = (subjects, list(map(itemgetter(1), triples)), list(map(itemgetter(2), triples)))
+        # The tuples are freed before the triples are grouped.
+        triples.clear()
         _, keys, starts = grouping(subjects, True)
-        del subjects
         groupings = [(None, keys, array(U32, starts))]
-        for i in (1, 2):
-            order, keys, starts = grouping(list(map(itemgetter(i), triples)))
+        for column in columns[1:]:
+            order, keys, starts = grouping(column)
             groupings.append((array(U32, order), keys, array(U32, starts)))
-        return cls(triples, groupings, ids)
+        return cls(columns, groupings, ids)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    @property
+    def triples(self) -> list[IdTriple]:
+        """Every triple as an id tuple, in triple order, built on each call."""
+        return list(zip(*self.columns))
 
     def pad(self, ids: int) -> None:
         """Widen the run tables to ids term ids, the new ones in no run."""
@@ -209,23 +226,30 @@ class _Graph:
             if len(table) < ids:
                 table.extend(_NO_RUNS * (ids - len(table)))
 
-    def runs(self, position: int) -> tuple[Callable[[int], int], Sequence[int], Sequence]:
+    def runs(
+        self, position: int
+    ) -> tuple[Callable[[int], int], Sequence[int], Optional[Sequence[int]]]:
         """The buckets at position, for reading many without a call each:
         a function from an id to its run's number, or to -1 when no triple
         holds the id there; the runs' starts, then the count; and the
-        triples in run order, at the subject the triples themselves and
-        elsewhere their numbers. Run r's bucket is ``order[starts[r] :
-        starts[r + 1]]``; for r = -1 that is ``order[count:0]``, which is
-        empty. The id must be one of the dictionary's, not negative."""
+        triple numbers in run order, or None at the subject, whose runs
+        follow the triples' own order. Run r's bucket is ``order[starts[r]
+        : starts[r + 1]]``, at the subject ``range(starts[r], starts[r +
+        1])``; for r = -1 either is empty, as ``starts[-1]`` is the count
+        and ``starts[0]`` is 0. The id must be one of the dictionary's, not
+        negative."""
         table, starts, order = self._runs[position]
         return table.__getitem__, starts, order
 
-    def bucket(self, position: int, key: int) -> list[IdTriple]:
-        """The triples holding id key at position, as a new list."""
+    def numbers(self, position: int, key: int) -> Sequence[int]:
+        """The numbers of the triples holding id key at position, rising."""
         run_of, starts, order = self.runs(position)
         run = run_of(key)
-        found = order[starts[run] : starts[run + 1]]
-        return found if position == 0 else list(map(self.triples.__getitem__, found))
+        begin, end = starts[run], starts[run + 1]
+        return range(begin, end) if order is None else order[begin:end]
+
+    def _tuples(self, numbers: Sequence[int]) -> list[IdTriple]:
+        return list(zip(*[map(column.__getitem__, numbers) for column in self.columns]))
 
     def size(self, position: int, key: int) -> int:
         """How many triples hold id key at position."""
@@ -236,16 +260,16 @@ class _Graph:
     def mean(self, position: int) -> float:
         """The mean size of the buckets at position."""
         runs = len(self._runs[position][1]) - 1
-        return len(self.triples) / runs if runs else 0
+        return len(self) / runs if runs else 0
 
     def match(self, s: Optional[int], p: Optional[int], o: Optional[int]) -> list[IdTriple]:
+        """The triples holding each given id at its position, as a new list."""
         fixed = [(i, key) for i, key in enumerate((s, p, o)) if key is not None]
         if not fixed:
             return self.triples
-        bucket = self.bucket(*min(fixed, key=lambda at: self.size(*at)))
-        if len(fixed) == 1:
-            return bucket
-        return [t for t in bucket if all(t[i] == x for i, x in fixed)]
+        numbers = self.numbers(*min(fixed, key=lambda at: self.size(*at)))
+        checks = [(self.columns[i], key) for i, key in fixed]
+        return self._tuples([n for n in numbers if all(c[n] == key for c, key in checks)])
 
 
 def _graph_key(graph: GraphName) -> str:
@@ -294,12 +318,11 @@ class Dataset:
             added = self._added[graph] = dict.fromkeys(() if built is None else built.triples)
         added.update(zip(triples, repeat(None)))
 
-    def add_graph(
-        self, graph: GraphName, triples: list[IdTriple], groupings: Sequence[Grouping]
-    ) -> None:
-        """Insert distinct id triples, each subject's together, into one
-        graph, with the grouping at each position in the dictionary's ids,
-        as a snapshot sidecar stores them; see ``_Graph``. The subjects'
+    def add_graph(self, graph: GraphName, columns: Columns, groupings: Sequence[Grouping]) -> None:
+        """Insert distinct id triples, given as their three columns, each
+        subject's together, into one graph, with the grouping at each
+        position in the dictionary's ids, as a snapshot sidecar stores
+        them; see ``_Graph``. The subjects'
         run ids follow the triples rather than rise, so two runs of one id
         can occur, and raise ``ValueError``; a run id past the dictionary
         raises ``IndexError``; either adds nothing. A graph that holds
@@ -307,7 +330,7 @@ class Dataset:
         if self._frozen:
             raise FrozenDatasetError("dataset is frozen")
         ids = len(self._ids)
-        built = _Graph(triples, groupings, ids)
+        built = _Graph(columns, groupings, ids)
         table, starts, _ = built._runs[0]
         if table.count(-1) != ids - (len(starts) - 1):
             raise ValueError("two subject runs have one id")
@@ -340,12 +363,12 @@ class Dataset:
         return self._graphs
 
     def __len__(self) -> int:
-        return sum(len(store.triples) for store in self._built().values())
+        return sum(map(len, self._built().values()))
 
     def graphs(self) -> list[Iri]:
         """Named graphs present, in canonical order."""
         return sorted(
-            (g for g, store in self._built().items() if g is not None and store.triples),
+            (g for g, store in self._built().items() if g is not None and len(store)),
             key=_graph_key,
         )
 
@@ -402,7 +425,7 @@ class Dataset:
         self, s: Optional[int], p: Optional[int], o: Optional[int], graph: GraphName
     ) -> list[IdTriple]:
         """Id triples of one graph matching the bound ids (None is the
-        wildcard), unsorted. The list may be the graph's own: do not change it."""
+        wildcard), unsorted, as a new list of tuples."""
         store = self.graph(graph)
         return [] if store is None else store.match(s, p, o)
 

@@ -68,11 +68,15 @@ from .record import Record
 from .sparql import PreparedQuery, QueryTimeout, parse_query, prepare, to_results_json
 
 # A worker keeps at most this many prepared queries, of at most this
-# many bytes of text in all; a text longer than the last is not kept.
-# The bounds hold the few hundred texts (about 200 KB) of the endpoint
-# benchmark's mix, and keep a worker's peak RSS below that of the
-# parent, which loaded the store.
+# size in all (``PreparedQuery.size``, about 500 bytes a unit), and of at
+# most this many bytes of text, the cache's keys, which the size does not
+# count; a text longer than the last bound is not kept. The bounds hold
+# the 391 texts of the endpoint benchmark's mix (size 7,776, about 200 KB
+# of text) with a worker's peak RSS below that of the parent, which
+# loaded the store; a flood of other texts can lift a worker by about
+# 5 MB more.
 _CACHED_QUERIES = 512
+_CACHED_SIZE = 10_000
 _CACHED_BYTES = 1 << 18
 _CACHEABLE_BYTES = 1 << 14
 
@@ -235,33 +239,42 @@ def _work(channel: socket.socket, handler: type) -> None:
 class _PreparedQueries:
     """A worker's prepared queries by text, the least recently used
     dropped first once the cache holds more than ``_CACHED_QUERIES`` of
-    them or more than ``_CACHED_BYTES`` of text. A text longer than
+    them, their sizes add up to more than ``_CACHED_SIZE`` or their texts
+    to more than ``_CACHED_BYTES``. A text longer than
     ``_CACHEABLE_BYTES``, or one that does not parse, is not kept. The
     worker's connection threads share it; a text that two of them prepare
     at once is kept once."""
 
     def __init__(self, ds: Dataset) -> None:
         self._ds = ds
-        # Each text's prepared query and the text's length in bytes.
-        self._kept: OrderedDict[str, tuple[PreparedQuery, int]] = OrderedDict()
+        # Each text's prepared query, its size and the text's length in bytes.
+        self._kept: OrderedDict[str, tuple[PreparedQuery, int, int]] = OrderedDict()
+        self._size = 0
         self._bytes = 0
         self._lock = threading.Lock()
 
-    def get(self, text: str, size: int) -> PreparedQuery:
-        """The prepared query of a text that is size bytes long."""
+    def get(self, text: str, length: int) -> PreparedQuery:
+        """The prepared query of a text that is length bytes long."""
         with self._lock:
             found = self._kept.get(text)
             if found is not None:
                 self._kept.move_to_end(text)
                 return found[0]
         prepared = prepare(self._ds, parse_query(text))
-        if size <= _CACHEABLE_BYTES:
+        if length <= _CACHEABLE_BYTES:
             with self._lock:
                 if text not in self._kept:
-                    self._kept[text] = prepared, size
-                    self._bytes += size
-                    while len(self._kept) > _CACHED_QUERIES or self._bytes > _CACHED_BYTES:
-                        self._bytes -= self._kept.popitem(last=False)[1][1]
+                    self._kept[text] = prepared, prepared.size, length
+                    self._size += prepared.size
+                    self._bytes += length
+                    while (
+                        len(self._kept) > _CACHED_QUERIES
+                        or self._size > _CACHED_SIZE
+                        or self._bytes > _CACHED_BYTES
+                    ):
+                        _, size, dropped = self._kept.popitem(last=False)[1]
+                        self._size -= size
+                        self._bytes -= dropped
         return prepared
 
 

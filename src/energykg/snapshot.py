@@ -13,8 +13,9 @@ can disagree with the runs. For the predicate and the object the file
 holds the ``dataset.grouping`` of the triples, whose run ids rise, so
 that no id has two runs.
 Loading splits the texts in one C call, maps the ids onto the store's
-dictionary with C-level ``map`` into triple tuples, each run's id
-repeated over its run, and hands the three groupings to
+dictionary with C-level ``map`` into the store's three columns, the
+subjects' from the runs, each run's id repeated over its run, and the
+predicates' and objects' from the pairs; and it hands the three groupings to
 ``Dataset.add_graph`` with their run ids mapped as they are read, which
 fills each position's run table from them: the arrays of the triple
 numbers and run starts stay the store's. So the store equals the
@@ -141,10 +142,14 @@ class Snapshot:
                 keys, starts = self.subjects
                 # Each triple's subject is its run's id, repeated over the run.
                 runs = map(repeat, map(remap, keys), map(sub, starts[1:], starts))
-                flat = map(remap, self.pairs)
+                pairs = self.pairs
                 del self.pairs
-                triples = list(zip(chain.from_iterable(runs), flat, flat))
-                del flat
+                columns = (
+                    list(chain.from_iterable(runs)),
+                    list(map(remap, islice(pairs, 0, None, 2))),
+                    list(map(remap, islice(pairs, 1, None, 2))),
+                )
+                del pairs
                 groupings = [(None, keys, starts), *self.groupings]
                 if known:
                     # The first file's ids are the dictionary's; a later
@@ -153,7 +158,7 @@ class Snapshot:
                         (order, map(remap, run_ids), run_starts)
                         for order, run_ids, run_starts in groupings
                     ]
-                ds.add_graph(graph, triples, groupings)
+                ds.add_graph(graph, columns, groupings)
         except (IndexError, ValueError):
             return False
         return True

@@ -44,16 +44,18 @@ next pattern is the one with the smallest index bucket among its
 constant and already-bound positions, a bound variable counting as the
 mean bucket of its position (after Stocker et al., "SPARQL basic graph
 pattern optimization using selectivity estimation", WWW 2008). Each step
-then reads the active graph's buckets (``_Graph.bucket`` for a constant,
-``_Graph.runs`` for a bound variable at any position): per row it looks
-up the run of each bound position's id, and reads and scans only the
-smallest bucket among the constant and bound positions, checking as it
-goes the fixed positions that the bucket does not fix. Consecutive steps
-on one subject variable that an earlier step binds, with constant
-predicates, form a star, by that shape alone, unless a FILTER conjunct
-falls due between them: per row the subject's run is looked up once and
-read once, into a dict of its triples by predicate, from which each step
-takes its triple. A row whose run repeats a predicate is extended pattern
+then reads the active graph's buckets (``_Graph.numbers`` for a
+constant, ``_Graph.runs`` for a bound variable at any position): per row
+it looks up the run of each bound position's id, and scans only the
+smallest bucket among the constant and bound positions, as triple
+numbers, reading from the graph's id columns by triple number only the
+positions that its check and its picker need; no triple is a tuple.
+Consecutive steps on one subject variable that an earlier step binds,
+with constant predicates, form a star, by that shape alone, unless a
+FILTER conjunct falls due between them: per row the subject's run is
+looked up once and read once, into a dict of its objects by predicate
+built from two slices of the columns, from which each step takes its
+object. A row whose run repeats a predicate is extended pattern
 by pattern instead, by each step's own bucket scan.
 
 A FILTER over a BGP, or over a GRAPH block of one BGP, tests each of its
@@ -126,8 +128,6 @@ IdPattern = tuple[Union[int, str], Union[int, str], Union[int, str]]
 # power of two, so a counter is checked with a mask.
 _CHECK_EVERY = 256
 _CHECK_MASK = _CHECK_EVERY - 1
-# A triple's predicate.
-_PREDICATE = itemgetter(1)
 # Item getters by their int keys. They hold no state, so the prepared
 # queries share them, and few distinct ones are asked for.
 _getter = lru_cache(maxsize=1024)(itemgetter)
@@ -135,6 +135,11 @@ _getter = lru_cache(maxsize=1024)(itemgetter)
 _DATETIME_END = f'"^^<{XSD_DATETIME.value}>'
 # The value of each valid lexical form of xsd:boolean.
 _BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+# The canonical literal of each boolean value.
+_BOOLEAN_LITERALS = {value: Literal(str(value).lower(), XSD_BOOLEAN) for value in (True, False)}
+# Characters of a constant's text that count one more unit of a prepared
+# query's size, about what a step holds.
+_TEXT_UNIT = 512
 
 
 class EvaluationError(EnergyKgError):
@@ -204,22 +209,30 @@ def _instants(ds: Dataset) -> _Instants:
 
 class _Planner:
     """What preparing one query reads: the store, the FROM NAMED graphs
-    and the fresh names' counter."""
+    and the fresh names' counter; and the size of what it has compiled
+    so far (``PreparedQuery.size``)."""
 
     def __init__(self, ds: Dataset, named: frozenset[Iri]) -> None:
         self.ds = ds
         self.named = named
         self.fresh = count()
+        self.size = 0
 
 
 class PreparedQuery:
     """A query planned over a store, to be run with ``run``. It holds no
-    state of a run, so threads may run it at once."""
+    state of a run, so threads may run it at once. Its ``size`` grows
+    with what it holds, at about 500 bytes a unit: one for each pattern
+    step, each constant or bound position of a step, each join and each
+    join key,
+    and each node of a FILTER expression, and one more for each 512
+    characters of a FILTER constant's text."""
 
     def __init__(
         self, ds: Dataset, variables: tuple[str, ...], names: tuple[str, ...],
-        pick: Callable[[Row], Row], rows: Source, limit: Optional[int],
+        pick: Callable[[Row], Row], rows: Source, limit: Optional[int], size: int,
     ) -> None:
+        self.size = size
         self._ds = ds
         self._variables = variables
         self._names = names
@@ -259,12 +272,14 @@ def prepare(ds: Dataset, query: SelectQuery) -> PreparedQuery:
     query built without the parser can hold, is bound in no row and left
     out of the names."""
     default_graphs, named_graphs = _resolve_dataset(ds, query)
-    slots, rows = _pattern(query.pattern, default_graphs, _Planner(ds, named_graphs))
+    planner = _Planner(ds, named_graphs)
+    slots, rows = _pattern(query.pattern, default_graphs, planner)
     bound = pattern_variables(query.pattern)
     names = tuple(v.name for v in query.projection if v.name in bound)
     pick = _picker(*[slots[name] for name in names])
     return PreparedQuery(
-        ds, tuple(v.name for v in query.projection), names, pick, rows, query.limit
+        ds, tuple(v.name for v in query.projection), names, pick, rows, query.limit,
+        planner.size,
     )
 
 
@@ -368,6 +383,8 @@ def _bgp(
     # waits for the last step; one over no variable is tested first.
     step_of: dict[str, int] = {}
     for step, tp in enumerate(plan, 1):
+        # A step holds a lookup for each constant and each bound position.
+        planner.size += 1 + sum(isinstance(x, int) or x in step_of for x in tp)
         step_of.update((x, step) for x in tp if isinstance(x, str) and x not in step_of)
     due: list[list[Expression]] = [[] for _ in range(len(plan) + 1)]
     for condition in conditions:
@@ -434,8 +451,8 @@ def _joins(star: list[IdPattern], tp: IdPattern, before: set[str], graphs: list)
 def _binds(tp: IdPattern, slots: Slots):
     """How tp reads a row: its constant positions with their ids, its
     bound positions with their slots, the pairs of positions where a free
-    variable is listed again, which must hold the same id, and the picker
-    of the ids of the variables that it binds first, which are given the
+    variable is listed again, which must hold the same id, and the
+    positions of the variables that it binds first, which are given the
     next slots."""
     consts = [(i, x) for i, x in enumerate(tp) if isinstance(x, int)]
     keys = [(i, slots[x]) for i, x in enumerate(tp) if isinstance(x, str) and x in slots]
@@ -449,7 +466,7 @@ def _binds(tp: IdPattern, slots: Slots):
             else:
                 free[x] = i
     slots.update(zip(free, count(len(slots))))
-    return consts, keys, tuple(repeats), _picker(*free.values())
+    return consts, keys, tuple(repeats), tuple(free.values())
 
 
 def _extend(tp: IdPattern, slots: Slots, graphs: list) -> Step:
@@ -462,8 +479,8 @@ def _extend(tp: IdPattern, slots: Slots, graphs: list) -> Step:
     triples differ, and the rows differ, so the merge is the union of the
     extensions in each graph, without repeats.
     """
-    consts, keys, repeats, picked = _binds(tp, slots)
-    steps = tuple(_extend_in(graph, tp, consts, keys, repeats, picked) for graph in graphs)
+    consts, keys, repeats, free = _binds(tp, slots)
+    steps = tuple(_extend_in(graph, tp, consts, keys, repeats, free) for graph in graphs)
     return steps[0] if len(steps) == 1 else partial(_merged_rows, steps)
 
 
@@ -477,26 +494,37 @@ def _extend_star(star: list[IdPattern], slots: Slots, graph) -> Step:
     pattern of the star in turn, in one graph, where the patterns' subject
     is one variable that the rows bind and each predicate is a constant.
     Per row the subject's run is looked up once and read once, into a
-    dict of its triples by predicate, built in C; where no predicate
-    repeats in the run, as is usual, each pattern's one candidate is read
-    from it, and otherwise the row is extended pattern by pattern, by each
-    one's own ``_extend_in`` step, made from the same ``_binds``."""
+    dict of its objects by predicate, built in C from two slices of the
+    columns; where no predicate repeats in the run, as is usual, each
+    pattern's one candidate object is read from it, and otherwise the row
+    is extended pattern by pattern, by each one's own ``_extend_in`` step,
+    made from the same ``_binds``."""
     subject = slots[star[0][0]]
     checks, steps = [], []
     for tp in star:
-        consts, keys, repeats, picked = _binds(tp, slots)
-        # The run fixes the subject and the dict the predicate.
-        checks.append((tp[1], *_check(keys, [(i, x) for i, x in consts if i != 1], 0), picked))
-        steps.append(_extend_in(graph, tp, consts, keys, repeats, picked))
-    return partial(_star_rows, *graph.runs(0), subject, tuple(checks), tuple(steps))
+        consts, keys, repeats, free = _binds(tp, slots)
+        # The run fixes the subject and the dict the predicate, so only the
+        # object is left: a constant or a bound variable to check, or a
+        # variable that the pattern binds.
+        target = next((x for i, x in consts if i == 2), None)
+        target_of = next((_getter(slot) for i, slot in keys if i == 2), None)
+        checks.append((tp[1], target_of, target, bool(free)))
+        steps.append(_extend_in(graph, tp, consts, keys, repeats, free))
+    run_of, starts, _ = graph.runs(0)
+    _, predicates, objects = graph.columns
+    return partial(
+        _star_rows, run_of, starts, predicates, objects, subject, tuple(checks), tuple(steps)
+    )
 
 
 def _star_rows(
-    run_of, starts, ordered, subject: int, checks: tuple, steps: tuple, rows: list[Row], run: _Run
+    run_of, starts, predicates, objects, subject: int, checks: tuple, steps: tuple,
+    rows: list[Row], run: _Run,
 ) -> list[Row]:
-    """``_extend_star``'s step, given the graph's subject runs, the rows'
-    slot of the subject, each pattern's predicate, check and picker, and
-    each pattern's own step."""
+    """``_extend_star``'s step, given the graph's subject runs and its
+    predicate and object columns, the rows' slot of the subject, each
+    pattern's predicate, object check and whether it binds the object,
+    and each pattern's own step."""
     out: list[Row] = []
     emit = out.append
     # Rows and triples gone through since the last deadline check, as
@@ -505,21 +533,24 @@ def _star_rows(
     work = 0
     for row in rows:
         number = run_of(row[subject])
-        triples = ordered[starts[number] : starts[number + 1]]
-        units = 1 + len(triples)
+        begin, end = starts[number], starts[number + 1]
+        # A subject's run is a slice of the columns; run -1's is empty.
+        held = predicates[begin:end]
+        units = 1 + len(held)
         work += units
         if work > _CHECK_EVERY:
             work = units
             run.check()
-        by_predicate = dict(zip(map(_PREDICATE, triples), triples))
-        if len(by_predicate) == len(triples):
-            for predicate, probe, target_of, target, picked in checks:
-                triple = by_predicate.get(predicate)
+        by_predicate = dict(zip(held, objects[begin:end]))
+        if len(by_predicate) == len(held):
+            for predicate, target_of, target, binds in checks:
+                found = by_predicate.get(predicate)
                 if target_of is not None:
                     target = target_of(row)
-                if triple is None or probe(triple) != target:
+                if found is None or (target is not None and found != target):
                     break
-                row += picked(triple)
+                if binds:
+                    row += (found,)
             else:
                 emit(row)
             continue
@@ -532,26 +563,30 @@ def _star_rows(
     return out
 
 
-def _extend_in(graph, tp: IdPattern, consts, keys, repeats, picked) -> Step:
+def _extend_in(graph, tp: IdPattern, consts, keys, repeats, free) -> Step:
     """``_extend``'s step in one graph, given tp's constant positions, its
     bound positions with their slots, its repeated free positions and the
-    picker of the ids that it binds. Per row it scans the smallest bucket
-    among the constant and bound positions'. A bucket lists its triples
-    in the graph's triple order, so whichever bucket is scanned, the
-    matching triples come in the same order."""
+    positions that it binds. Per row it scans the smallest bucket among
+    the constant and bound positions', reading from the graph's columns
+    by triple number only the positions that its check and its picker
+    need. A bucket lists its triple numbers rising, so whichever bucket
+    is scanned, the matching triples come in the same order."""
     # The smallest constant bucket and the position it fixes, or every
-    # triple when there is no constant; a run slices the bucket when a
+    # triple when there is no constant; a run reads the bucket when a
     # row first scans it. Then the runs at each bound position, and the
     # check of a bucket's triples by the position that the bucket fixes.
-    size, at = len(graph.triples), None
+    size, at = len(graph), None
     for i, x in consts:
         found = graph.size(i, x)
         if found < size:
             size, at = found, i
-    start_check = _check(keys, consts, at)
-    lookups = tuple((*graph.runs(i), slot, _check(keys, consts, i)) for i, slot in keys)
+    columns = graph.columns
+    start_check = _check(columns, keys, consts, at)
+    lookups = tuple((*graph.runs(i), slot, _check(columns, keys, consts, i)) for i, slot in keys)
     key = None if at is None else tp[at]
-    return partial(_extend_rows, graph, at, key, size, start_check, lookups, repeats, picked)
+    pairs = tuple((columns[i], columns[j]) for i, j in repeats)
+    picked = _taker(columns, free)
+    return partial(_extend_rows, graph, at, key, size, start_check, lookups, pairs, picked)
 
 
 def _extend_rows(
@@ -560,77 +595,78 @@ def _extend_rows(
 ) -> list[Row]:
     """``_extend_in``'s step, given the position and id of the smallest
     constant bucket (None for every triple) and its size, the check of
-    its triples, the runs at the bound positions, the repeated free
-    positions and the picker."""
+    its triples, the runs at the bound positions, the column pairs that
+    must hold one id and the picker."""
     out: list[Row] = []
     emit = out.append
-    every = graph.triples
-    numbered = every.__getitem__
-    start = every if at is None else None
+    start = range(size) if at is None else None
     # Rows and triples gone through since the last deadline check; a
     # row counts with its bucket before the bucket is scanned.
     work = 0
     for row in rows:
-        triples, least, check, chosen = start, size, start_check, None
+        numbers, least, check, first = start, size, start_check, None
         for run_of, starts, order, slot, lookup_check in lookups:
             # An id that no triple holds at this position gets run -1,
-            # which spans order[count:0], an empty slice.
+            # which spans from the count to 0: an empty bucket.
             number = run_of(row[slot])
             begin = starts[number]
             end = starts[number + 1]
             if end - begin < least:
                 least, check, chosen, first = end - begin, lookup_check, order, begin
-        if chosen is not None:
-            # Only the smallest run is read: a subject's as a slice of the
-            # triples, another position's through its triple numbers.
-            triples = chosen[first : first + least]
-            if chosen is not every:
-                triples = list(map(numbered, triples))
-        elif triples is None:
-            triples = start = graph.bucket(at, key)
+        if first is not None:
+            # Only the smallest run is read: a subject's is a range of
+            # triple numbers, another position's a slice of its order.
+            end = first + least
+            numbers = range(first, end) if chosen is None else chosen[first:end]
+        elif numbers is None:
+            numbers = start = graph.numbers(at, key)
         probe, target_of, target = check
         if target_of is not None:
             target = target_of(row)
-        units = 1 + len(triples)
+        units = 1 + len(numbers)
         work += units
         if work > _CHECK_EVERY:
             work = units
             run.check()
-        if repeats or len(triples) > _CHECK_EVERY:
-            triples = _scan(triples, repeats, run)
-        for triple in triples:
-            if probe(triple) == target:
-                emit(row + picked(triple))
+        if repeats or len(numbers) > _CHECK_EVERY:
+            numbers = _scan(numbers, repeats, run)
+        for n in numbers:
+            if probe[n] == target:
+                emit(row + picked(n))
     return out
 
 
-def _scan(triples: list, repeats: Sequence[tuple[int, int]], run: _Run) -> Iterator[tuple]:
-    """The triples whose positions listed in pairs hold the same id, with
+def _scan(numbers: Sequence[int], repeats: Sequence[tuple[list, list]], run: _Run) -> Iterator[int]:
+    """The triple numbers at which each pair of columns holds one id, with
     a deadline check before each 256 of them."""
-    for begin in range(0, len(triples), _CHECK_EVERY):
+    for begin in range(0, len(numbers), _CHECK_EVERY):
         run.check()
-        window = triples[begin : begin + _CHECK_EVERY]
+        window = numbers[begin : begin + _CHECK_EVERY]
         if repeats:
-            window = [t for t in window if all(t[i] == t[j] for i, j in repeats)]
+            window = [n for n in window if all(a[n] == b[n] for a, b in repeats)]
         yield from window
 
 
 def _check(
-    keys: list[tuple[int, int]], consts: list[tuple[int, int]], fixed: Optional[int]
-) -> tuple[Callable, Optional[Callable[[Row], object]], object]:
-    """How a triple of a bucket is checked against a row when every triple
-    of the bucket holds the right id at position ``fixed`` (None when no
-    position is known to): it matches when ``probe(triple)`` equals the
-    target, the ids at the other bound positions (the row's, at the keys'
-    slots) and then at the other constant positions, one id alone, else a
-    tuple, empty when there is nothing to check. Returns the probe; and a
-    function from the row to the target, or None and the target itself
-    when no bound position is left."""
-    keys = [(i, slot) for i, slot in keys if i != fixed]
-    consts = [(i, x) for i, x in consts if i != fixed]
-    if not keys and not consts:
-        return _picker(), None, ()
-    probe = _getter(*[i for i, _ in keys + consts])
+    columns, keys: list[tuple[int, int]], consts: list[tuple[int, int]], fixed: Optional[int]
+) -> tuple[Callable[[int], object], Optional[Callable[[Row], object]], object]:
+    """How the triple numbered n of a bucket is checked against a row when
+    every triple of the bucket holds the right id at position ``fixed``
+    (None when no position is known to): it matches when ``probe[n]``
+    equals the target, the ids at the other bound positions (the row's,
+    at the keys' slots) and then at the other constant positions, one id
+    alone, else a tuple, empty when there is nothing to check. Where
+    only the fixed position is bound or constant, it is the one checked,
+    which every triple of the bucket passes, so the check is one column
+    read. Returns the probe, the one column read or else an ``_Ids``
+    view; and a function from the row to the target, or None and the
+    target itself when no bound position is left."""
+    other_keys = [(i, slot) for i, slot in keys if i != fixed]
+    other_consts = [(i, x) for i, x in consts if i != fixed]
+    if other_keys or other_consts:
+        keys, consts = other_keys, other_consts
+    read = [columns[i] for i, _ in keys + consts]
+    probe = read[0] if len(read) == 1 else _Ids(read)
     const_ids = tuple(x for _, x in consts)
     if not keys:
         return probe, None, const_ids[0] if len(const_ids) == 1 else const_ids
@@ -638,6 +674,31 @@ def _check(
         return probe, _getter(*[slot for _, slot in keys]), None
     get = _picker(*[slot for _, slot in keys])
     return probe, lambda row: get(row) + const_ids, None
+
+
+class _Ids:
+    """Some of a graph's columns, indexed by triple number: the tuple of
+    that triple's ids in them."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: list[list[int]]) -> None:
+        self.columns = columns
+
+    def __getitem__(self, n: int) -> Row:
+        return tuple([column[n] for column in self.columns])
+
+
+def _taker(columns, positions: Sequence[int]) -> Callable[[int], Row]:
+    """A function from a triple number to the tuple of its ids at positions."""
+    read = [columns[i] for i in positions]
+    if len(read) == 1:
+        (a,) = read
+        return lambda n: (a[n],)
+    if len(read) == 2:
+        a, b = read
+        return lambda n: (a[n], b[n])
+    return _Ids(read).__getitem__
 
 
 def _plan(patterns: list[IdPattern], graphs: list) -> list[IdPattern]:
@@ -677,6 +738,7 @@ def _hash_join(
     # The right row's columns that are appended, in slot order.
     added = [name for name in right_slots if name not in slots]
     tail_of = _picker(*[right_slots[name] for name in added])
+    planner.size += 1 + len(left_keys)
     left_key = _join_key(shared, left_keys, slots, planner)
     right_key = _join_key(shared, right_keys, right_slots, planner)
     rows = partial(_join_rows, left_rows, right_rows, left_key, right_key, tail_of)
@@ -822,7 +884,7 @@ def _kept_rows(values: tuple[Value, ...], rows: list[Row], run: _Run) -> list[Ro
 
 @lru_cache(maxsize=1024)
 def _picker(*slots: int) -> Callable[[tuple], tuple]:
-    """A function from a row, or an id triple, to the tuple of its ids at
+    """A function from a row to the tuple of its ids at
     slots, in C: one slot or none is read as a slice. Shared, as
     ``_getter``'s are."""
     if len(slots) > 1:
@@ -874,11 +936,13 @@ Value = Callable[[Row, _Run], object]
 
 
 def _value(expression: Expression, slots: Slots, planner: _Planner) -> Value:
+    planner.size += 1
     if isinstance(expression, Variable):
         at = _slot(expression.name, slots)
         return lambda row, run: run.term(at(row))
     if isinstance(expression, Constant):
         constant = expression.value
+        planner.size += len(term_key(constant)) // _TEXT_UNIT
         return lambda row, run: constant
     if isinstance(expression, DateFunc):
         part, argument = attrgetter(expression.component), expression.argument
@@ -1004,6 +1068,12 @@ def _effective_boolean(value) -> bool:
 def _equals(a, a_number, b, b_number) -> bool:
     if a_number is not None and b_number is not None:
         return a_number == b_number
+    # The value of an ``=`` is an xsd:boolean (SPARQL 1.1, 17.3), so it
+    # compares as that literal: by value with another boolean.
+    if isinstance(a, bool):
+        a = _BOOLEAN_LITERALS[a]
+    if isinstance(b, bool):
+        b = _BOOLEAN_LITERALS[b]
     if isinstance(a, Literal) and isinstance(b, Literal):
         if a.datatype == XSD_DATETIME and b.datatype == XSD_DATETIME:
             a_instant, b_instant = _instant(a), _instant(b)

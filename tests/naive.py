@@ -267,6 +267,8 @@ def _eq(a, b) -> bool:
     b_number = _number(b)
     if a_number is not None and b_number is not None:
         return a_number == b_number
+    # An = gives an xsd:boolean, which compares as that literal.
+    a, b = (Literal(str(x).lower(), Iri(_BOOLEAN)) if isinstance(x, bool) else x for x in (a, b))
     if isinstance(a, Literal) and isinstance(b, Literal):
         if a.datatype.value == _DATETIME and b.datatype.value == _DATETIME:
             return _instant(a.lexical) == _instant(b.lexical)

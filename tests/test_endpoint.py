@@ -21,8 +21,8 @@ from energykg.cli import main
 from energykg.dataset import Dataset
 from energykg.endpoint import EndpointConfig, EndpointServer
 from energykg.errors import EnergyKgError
-from energykg.sparql import QueryParseError, evaluate, parse_query, to_results_json
-from energykg.terms import Iri, Literal, PrefixMap, Quad
+from energykg.sparql import QueryParseError, evaluate, parse_query, prepare, to_results_json
+from energykg.terms import XSD_STRING, Iri, Literal, PrefixMap, Quad, term_key
 from energykg.turtle import serialize_turtle
 
 SIMPLE_QUERY = "SELECT ?s WHERE { ?s ?p ?o } LIMIT 1"
@@ -296,28 +296,43 @@ def test_a_cached_query_runs_under_each_requests_own_deadline():
             connection.close()
 
 
-@pytest.mark.parametrize("queries, text_bytes", [(3, 10_000), (100, 120)])
+@pytest.mark.parametrize(
+    "queries, size, text_bytes", [(3, 10_000, 100_000), (100, 40, 100_000), (100, 10_000, 3_000)]
+)
 def test_the_prepared_cache_stays_within_its_bounds(
-    three_day_store, monkeypatch, queries, text_bytes
+    three_day_store, monkeypatch, queries, size, text_bytes
 ):
-    # More distinct texts than the cache may hold, and one text longer than
-    # it keeps, each sent twice. A worker whose cache passed a bound would
-    # answer 500.
+    # More distinct texts than the cache may hold: pattern-dense ones whose
+    # prepared size is many times that of the others though their texts
+    # are short, ones that FILTER on a long literal, which the size counts
+    # as the cache holds it twice, in the text and in the constant, and one
+    # text longer than the cache keeps, each sent twice. The parameters
+    # make each bound in turn the one that evicts. A worker whose cache
+    # passed a bound would answer 500.
     monkeypatch.setattr(endpoint, "_CACHED_QUERIES", queries)
+    monkeypatch.setattr(endpoint, "_CACHED_SIZE", size)
     monkeypatch.setattr(endpoint, "_CACHED_BYTES", text_bytes)
-    monkeypatch.setattr(endpoint, "_CACHEABLE_BYTES", 64)
+    monkeypatch.setattr(endpoint, "_CACHEABLE_BYTES", 2048)
     get = endpoint._PreparedQueries.get
 
-    def checked(self, text, size):
-        prepared = get(self, text, size)
-        sizes = [kept for _, kept in self._kept.values()]
-        assert len(sizes) <= queries and sum(sizes) == self._bytes <= text_bytes
-        assert max(sizes, default=0) <= 64
+    def checked(self, text, length):
+        prepared = get(self, text, length)
+        kept = list(self._kept.items())
+        assert all(entry[1:] == (entry[0].size, len(key)) for key, entry in kept)
+        assert len(kept) <= queries
+        assert sum(entry[1] for _, entry in kept) == self._size <= size
+        assert sum(entry[2] for _, entry in kept) == self._bytes <= text_bytes
+        assert all(len(key) <= 2048 for key, _ in kept)
         return prepared
 
     monkeypatch.setattr(endpoint._PreparedQueries, "get", checked)
     texts = [f"SELECT ?s WHERE {{ ?s ?p ?o }} LIMIT {n}" for n in range(8)]
-    texts.append("SELECT ?s ?o WHERE { ?s ?p ?o }" + " " * 100)
+    # Fifteen patterns in under 256 bytes: a prepared size of 15.
+    dense = " ".join(f"?s ?p{i} ?o ." for i in range(15))
+    texts += [f"SELECT ?s WHERE {{ {dense} }} LIMIT {n}" for n in range(4)]
+    # A 1,500-character literal: a size of 7 in a text of over 1,500 bytes.
+    texts += [f'SELECT ?s WHERE {{ ?s ?p ?o FILTER(?o = "{n}{"x" * 1500}") }}' for n in range(4)]
+    texts.append("SELECT ?s ?o WHERE { ?s ?p ?o }" + " " * 2048)
     with EndpointServer(EndpointConfig(port=0), three_day_store) as server:
         connection = http.client.HTTPConnection(*server.address, timeout=10)
         try:
@@ -329,6 +344,26 @@ def test_the_prepared_cache_stays_within_its_bounds(
                 assert (response.status, response.read()) == (200, expected), text
         finally:
             connection.close()
+
+
+def test_a_prepared_querys_size_grows_with_what_it_holds(three_day_store):
+    def size(body):
+        return prepare(three_day_store, parse_query(f"SELECT ?s WHERE {{ {body} }}")).size
+
+    # A step, and one unit more for each constant or bound position.
+    assert size("?s ?p ?o") == 1
+    dense = " ".join(f"?s ?p{i} ?o ." for i in range(20))
+    assert size(dense) == 1 + 19 * 3
+    # One unit for each node of a FILTER expression.
+    assert size("?s ?p ?o FILTER(?o = ?s)") == 1 + 3
+    assert size("?s ?p ?o FILTER(((?o = ?s) = (?s = ?o)) = (?o = ?o))") == 1 + 11
+    # And one for each 512 characters of a constant's text, which a long
+    # literal or a long prefixed name makes large in a short query.
+    literal = Literal("x" * 5000, XSD_STRING)
+    assert size(f'?s ?p ?o FILTER(?o = "{"x" * 5000}")') == 1 + 3 + len(term_key(literal)) // 512
+    prefixed = "PREFIX p: <http://example.org/" + "y" * 2000 + "> SELECT ?s WHERE { ?s ?p ?o "
+    prefixed += " ".join(["FILTER(?o = p:a)"] * 10) + " }"
+    assert prepare(three_day_store, parse_query(prefixed)).size == 1 + 10 * (3 + 3)
 
 
 def test_the_prepared_cache_drops_the_least_recently_used_text(three_day_store, monkeypatch):
@@ -344,14 +379,14 @@ def test_the_prepared_cache_drops_the_least_recently_used_text(three_day_store, 
     with pytest.raises(QueryParseError):
         queries.get("SELEC ?s", 8)
     assert list(queries._kept) == [first, third]
-    assert queries._bytes == len(first) + len(third)
+    assert (queries._size, queries._bytes) == (2, len(first) + len(third))
 
 
 def test_threads_sharing_the_prepared_cache_keep_its_bounds(monkeypatch, join_query_text):
     # Eight threads, more than the cores, switching as often as the
     # interpreter lets them, prepare and run day-joins (which fill the
     # store's date memo) through one cache that holds five: a lost update
-    # would break an answer or the count of the bytes kept.
+    # would break an answer or the count of the sizes or bytes kept.
     monkeypatch.setattr(endpoint, "_CACHED_QUERIES", 5)
     ds = build_three_day_store()
     queries = endpoint._PreparedQueries(ds)
@@ -372,8 +407,10 @@ def test_threads_sharing_the_prepared_cache_keep_its_bounds(monkeypatch, join_qu
                 future.result(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    sizes = [size for _, size in queries._kept.values()]
-    assert len(sizes) == 5 and sum(sizes) == queries._bytes
+    kept = list(queries._kept.values())
+    assert len(kept) == 5
+    assert sum(size for _, size, _ in kept) == queries._size
+    assert sum(length for _, _, length in kept) == queries._bytes
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU, so one worker")

@@ -214,6 +214,28 @@ def test_boolean_values_follow_the_spec():
     assert naive.naive_evaluate(ds, query) == expected
 
 
+def test_the_value_of_an_equals_is_a_boolean():
+    # SPARQL 1.1, 17.3: "=" gives an xsd:boolean, so op:boolean-equal
+    # compares it with another boolean by value; with an IRI,
+    # RDFterm-equal gives false; with a string literal, an error.
+    ds = quad_store([q("s", "p", "s")])
+    boolean = f"^^<{XSD_BOOLEAN.value}>"
+    row = [{"s": Iri(EX + "s")}]
+    for condition, expected in (
+        ("(?s = ?o)", row),
+        ("(?s = ?o) = true", row),
+        ("true = (?s = ?o)", row),
+        (f'(?s = ?o) = "1"{boolean}', row),
+        ("(?s = ?o) = false", []),
+        ("(?s = ?o) = (?s = ?s)", row),
+        ("((?s = ?o) = ?s) = false", row),
+        ('((?s = ?o) = "true") = false', []),
+    ):
+        query = parse_query(f"SELECT ?s WHERE {{ ?s <{EX}p> ?o FILTER ({condition}) }}")
+        assert evaluate(ds, query).rows == expected, condition
+        assert naive.naive_evaluate(ds, query) == expected, condition
+
+
 def test_filter_over_a_bare_term_is_its_effective_boolean_value():
     date = Literal("2016-05-01T00:00:00Z", XSD_DATETIME)
     ds = quad_store([q("s1", "at", date), q("s2", "at", Literal("never")), q("s3", "at", "o")])
