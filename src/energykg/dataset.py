@@ -226,27 +226,23 @@ class _Graph:
             if len(table) < ids:
                 table.extend(_NO_RUNS * (ids - len(table)))
 
-    def runs(
-        self, position: int
-    ) -> tuple[Callable[[int], int], Sequence[int], Optional[Sequence[int]]]:
+    def runs(self, position: int) -> tuple[Callable[[int], int], Sequence[int], Sequence[int]]:
         """The buckets at position, for reading many without a call each:
         a function from an id to its run's number, or to -1 when no triple
         holds the id there; the runs' starts, then the count; and the
-        triple numbers in run order, or None at the subject, whose runs
-        follow the triples' own order. Run r's bucket is ``order[starts[r]
-        : starts[r + 1]]``, at the subject ``range(starts[r], starts[r +
-        1])``; for r = -1 either is empty, as ``starts[-1]`` is the count
-        and ``starts[0]`` is 0. The id must be one of the dictionary's, not
-        negative."""
+        triple numbers in run order, at the subject every triple number in
+        a range, as its runs follow the triples' own order. Run r's bucket
+        is ``order[starts[r] : starts[r + 1]]``; for r = -1 it is empty, as
+        ``starts[-1]`` is the count and ``starts[0]`` is 0. The id must be
+        one of the dictionary's, not negative."""
         table, starts, order = self._runs[position]
-        return table.__getitem__, starts, order
+        return table.__getitem__, starts, range(len(self)) if order is None else order
 
     def numbers(self, position: int, key: int) -> Sequence[int]:
         """The numbers of the triples holding id key at position, rising."""
         run_of, starts, order = self.runs(position)
         run = run_of(key)
-        begin, end = starts[run], starts[run + 1]
-        return range(begin, end) if order is None else order[begin:end]
+        return order[starts[run] : starts[run + 1]]
 
     def _tuples(self, numbers: Sequence[int]) -> list[IdTriple]:
         return list(zip(*[map(column.__getitem__, numbers) for column in self.columns]))

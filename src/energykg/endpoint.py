@@ -20,10 +20,11 @@ pair reaches end of file.
 Each worker keeps the prepared queries (``sparql.prepare``) of the query
 texts it was last sent, keyed by text, so a text sent again is neither
 parsed nor planned again, only run. The cache is bounded: at most 512
-queries, of at most 256 KiB of text in all, the least recently used
-dropped first; a text over 16 KiB, or one that does not parse, is not
-kept. A prepared query holds no state of a run, so the connection
-threads of a worker share it.
+queries, of at most 256 KiB of text in all and of a size
+(``PreparedQuery.size``, about 500 bytes a unit) of at most 10,000 units
+in all, the least recently used dropped first; a text over 16 KiB, or
+one that does not parse, is not kept. A prepared query holds no state
+of a run, so the connection threads of a worker share it.
 
 ``timeout_seconds`` bounds a request twice over: the query's run, from
 the cache or not, is under the request's own deadline, which stops the

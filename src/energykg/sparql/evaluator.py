@@ -44,8 +44,7 @@ next pattern is the one with the smallest index bucket among its
 constant and already-bound positions, a bound variable counting as the
 mean bucket of its position (after Stocker et al., "SPARQL basic graph
 pattern optimization using selectivity estimation", WWW 2008). Each step
-then reads the active graph's buckets (``_Graph.numbers`` for a
-constant, ``_Graph.runs`` for a bound variable at any position): per row
+then reads the active graph's buckets through ``_Graph.runs``: per row
 it looks up the run of each bound position's id, and scans only the
 smallest bucket among the constant and bound positions, as triple
 numbers, reading from the graph's id columns by triple number only the
@@ -55,8 +54,24 @@ with constant predicates, form a star, by that shape alone, unless a
 FILTER conjunct falls due between them: per row the subject's run is
 looked up once and read once, into a dict of its objects by predicate
 built from two slices of the columns, from which each step takes its
-object. A row whose run repeats a predicate is extended pattern
-by pattern instead, by each step's own bucket scan.
+object. The rows whose run repeats a predicate are extended pattern by
+pattern instead, by each step's own bucket scan.
+
+Rows go through the steps a batch at a time: the iterator model
+(Graefe, "Volcano", IEEE TKDE 1994) run a batch at a time, as in
+MonetDB/X100 (Boncz et al., CIDR 2005). A prepared pattern's rows come
+in batches, and one driver, ``_drive``, runs stages over them depth
+first: it feeds a stage at most ``_BATCH`` (256) rows, and each batch
+that the stage makes goes through the later stages before the stage
+goes on, so no list of rows between two stages grows much past a
+batch. A BGP is its stages run over the empty row; a step scans a
+bucket of more than ``_BATCH`` triples a window at a time, each
+window's rows a batch of their own; a hash join indexes its right side
+whole and probes it with the left side's batches; and a FILTER not
+tested inside a BGP keeps rows a batch at a time. The driver keeps its
+open stages on a stack, so a plan of any length runs at one depth of
+the Python stack, and it is the one place in the row work where the
+deadline is checked: once for each batch that a stage makes.
 
 A FILTER over a BGP, or over a GRAPH block of one BGP, tests each of its
 ``&&`` conjuncts right after the plan step that binds the conjunct's
@@ -76,9 +91,9 @@ import time
 from datetime import datetime
 from decimal import Decimal
 from functools import cache, lru_cache, partial
-from itertools import chain, count
+from itertools import chain, count, repeat
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from weakref import WeakKeyDictionary
 
 from ..dataset import Dataset
@@ -124,10 +139,9 @@ Slots = dict[str, int]
 # A triple pattern with each constant as its term id and each variable as its name.
 IdPattern = tuple[Union[int, str], Union[int, str], Union[int, str]]
 
-# Rows or triples a loop goes through between two deadline checks; a
-# power of two, so a counter is checked with a mask.
-_CHECK_EVERY = 256
-_CHECK_MASK = _CHECK_EVERY - 1
+# The most rows that a stage is fed at once, and the most triple numbers
+# that a step scans in one window (``_drive``).
+_BATCH = 256
 # Item getters by their int keys. They hold no state, so the prepared
 # queries share them, and few distinct ones are asked for.
 _getter = lru_cache(maxsize=1024)(itemgetter)
@@ -167,10 +181,11 @@ class _Run:
             raise QueryTimeout("query timed out")
 
 
-# A prepared pattern's rows in one run.
-Source = Callable[[_Run], list[Row]]
-# A prepared step from rows to the rows it extends or keeps, in one run.
-Step = Callable[[list[Row], _Run], list[Row]]
+# A prepared pattern's rows in one run, in batches, none of them empty.
+Source = Callable[[_Run], Iterator[list[Row]]]
+# A prepared stage: from a batch of rows, in one run, to the batches of
+# the rows that it extends or keeps.
+Stage = Callable[[list[Row], _Run], Iterator[list[Row]]]
 # A prepared pattern: its slots and its rows. A pattern that matches
 # nothing numbers its variables in any order, since no row reads them.
 Prepared = tuple[Slots, Source]
@@ -246,17 +261,15 @@ class PreparedQuery:
         LIMIT, with the store's texts.
 
         Raises QueryTimeout once time.monotonic() passes deadline. The
-        deadline is checked every 256 rows that a hash join or filter
-        goes through, and a BGP step checks it before the rows and
-        triples it goes through, counted together, pass 256 since its
-        last check, and before each 256 triples of a larger bucket; so
-        the longest stretch between two checks is about 256 rows or
-        triples of work. It is checked once more after the final sort."""
+        deadline is checked before the rows, by ``_drive`` for each batch
+        of rows that comes out of a stage, and after the final sort. A
+        stage is fed at most 256 rows, and a step hands on a batch after
+        each 256 triples of a larger bucket, so between two checks a
+        stage reads at most 256 rows, each with at most 256 triples of a
+        bucket or, in a star, its subject's run."""
         run = _Run(self._ds, deadline)
         run.check()
-        rows = self._rows(run)
-        projected = list(map(self._pick, rows)) if rows else []
-        run.check()
+        projected = list(map(self._pick, chain.from_iterable(self._rows(run))))
         # Canonical order is the order of the ids' texts.
         texts = self._ds.texts()
         projected.sort(key=lambda row: tuple(map(texts.__getitem__, row)))
@@ -330,8 +343,8 @@ def _nothing(pattern: GraphPattern) -> Prepared:
     return dict(zip(sorted(pattern_variables(pattern)), count())), _no_rows
 
 
-def _no_rows(run: _Run) -> list[Row]:
-    return []
+def _no_rows(run: _Run) -> Iterator[list[Row]]:
+    return iter(())
 
 
 def _graph_scope(
@@ -391,28 +404,48 @@ def _bgp(
         variables = expression_variables(condition)
         due[max((step_of.get(name, len(plan)) for name in variables), default=0)].append(condition)
 
+    # The empty row is kept by the conditions over no variable, then
+    # extended and kept by each stage in turn.
     slots: Slots = {}
-    first = _kept(due[0], slots, planner)
-    stages: list[tuple[Step, Step]] = []
+    stages = _kept(due[0], slots, planner)
     for steps, tested in _stages(plan, due, graphs):
         if len(steps) == 1:
-            extend = _extend(steps[0], slots, graphs)
+            stages.append(_extend(steps[0], slots, graphs))
         else:
-            extend = _extend_star(steps, slots, graphs[0])
+            stages.append(_extend_star(steps, slots, graphs[0]))
         # Compiled once the stage has given its variables their slots.
-        stages.append((extend, _kept(tested, slots, planner)))
-    return slots, partial(_bgp_rows, first, tuple(stages))
+        stages += _kept(tested, slots, planner)
+    return slots, partial(_drive, ([()],), tuple(stages))
 
 
-def _bgp_rows(first: Step, stages: tuple[tuple[Step, Step], ...], run: _Run) -> list[Row]:
-    """A prepared BGP's rows: the empty row if the conditions over no
-    variable keep it, extended and then kept by each stage in turn."""
-    rows = first([()], run)
-    for extend, kept in stages:
-        if not rows:
-            break
-        rows = kept(extend(rows, run), run)
-    return rows
+def _drive(
+    batches: Iterable[list[Row]], stages: Sequence[Stage], run: _Run
+) -> Iterator[list[Row]]:
+    """The batches of rows that the stages, in turn, make of the batches,
+    depth first: each batch that a stage makes goes through the later
+    stages before that stage goes on, and a stage is fed at most _BATCH
+    rows at a time, a larger batch in slices. The open stages are kept on
+    a stack, not in nested generators, so a plan of any length runs at
+    one depth of the Python stack. The deadline is checked for each
+    batch that comes out of a stage or of the batches, empty ones too,
+    and an empty batch goes no further."""
+    stack = [iter(batches)]
+    while stack:
+        batch = next(stack[-1], None)
+        if batch is None:
+            stack.pop()
+            continue
+        run.check()
+        if not batch:
+            continue
+        depth = len(stack) - 1
+        if depth == len(stages):
+            yield batch
+        elif len(batch) <= _BATCH:
+            stack.append(stages[depth](batch, run))
+        else:
+            slices = [batch[begin : begin + _BATCH] for begin in range(0, len(batch), _BATCH)]
+            stack.append(chain.from_iterable(map(stages[depth], slices, repeat(run))))
 
 
 def _stages(
@@ -469,7 +502,7 @@ def _binds(tp: IdPattern, slots: Slots):
     return consts, keys, tuple(repeats), tuple(free.values())
 
 
-def _extend(tp: IdPattern, slots: Slots, graphs: list) -> Step:
+def _extend(tp: IdPattern, slots: Slots, graphs: list) -> Stage:
     """The step that extends each row by each triple of the graphs that
     matches tp under it: the row, then the triple's ids of the variables
     that tp binds first, which are given the next slots.
@@ -484,12 +517,18 @@ def _extend(tp: IdPattern, slots: Slots, graphs: list) -> Step:
     return steps[0] if len(steps) == 1 else partial(_merged_rows, steps)
 
 
-def _merged_rows(steps: tuple[Step, ...], rows: list[Row], run: _Run) -> list[Row]:
-    extended = [extend(rows, run) for extend in steps]
-    return list(dict.fromkeys(chain.from_iterable(extended)))
+def _merged_rows(steps: tuple[Stage, ...], rows: list[Row], run: _Run) -> Iterator[list[Row]]:
+    """The batches of each graph's step in turn, without the rows that an
+    earlier graph's made of the same batch: the rows made of the batch
+    are remembered until it is done."""
+    seen: set[Row] = set()
+    for extend in steps:
+        for batch in extend(rows, run):
+            yield [row for row in batch if row not in seen]
+            seen.update(batch)
 
 
-def _extend_star(star: list[IdPattern], slots: Slots, graph) -> Step:
+def _extend_star(star: list[IdPattern], slots: Slots, graph) -> Stage:
     """The step that extends each row as ``_extend``'s steps would by each
     pattern of the star in turn, in one graph, where the patterns' subject
     is one variable that the rows bind and each predicate is a constant.
@@ -498,7 +537,7 @@ def _extend_star(star: list[IdPattern], slots: Slots, graph) -> Step:
     columns; where no predicate repeats in the run, as is usual, each
     pattern's one candidate object is read from it, and otherwise the row
     is extended pattern by pattern, by each one's own ``_extend_in`` step,
-    made from the same ``_binds``."""
+    made from the same ``_binds``, through ``_drive``."""
     subject = slots[star[0][0]]
     checks, steps = [], []
     for tp in star:
@@ -520,50 +559,38 @@ def _extend_star(star: list[IdPattern], slots: Slots, graph) -> Step:
 def _star_rows(
     run_of, starts, predicates, objects, subject: int, checks: tuple, steps: tuple,
     rows: list[Row], run: _Run,
-) -> list[Row]:
+) -> Iterator[list[Row]]:
     """``_extend_star``'s step, given the graph's subject runs and its
     predicate and object columns, the rows' slot of the subject, each
     pattern's predicate, object check and whether it binds the object,
     and each pattern's own step."""
     out: list[Row] = []
-    emit = out.append
-    # Rows and triples gone through since the last deadline check, as
-    # ``_extend_in`` counts them: a row with its run. A pattern's own step
-    # counts the work it does.
-    work = 0
+    # The rows whose run repeats a predicate.
+    repeated: list[Row] = []
     for row in rows:
         number = run_of(row[subject])
         begin, end = starts[number], starts[number + 1]
         # A subject's run is a slice of the columns; run -1's is empty.
         held = predicates[begin:end]
-        units = 1 + len(held)
-        work += units
-        if work > _CHECK_EVERY:
-            work = units
-            run.check()
         by_predicate = dict(zip(held, objects[begin:end]))
-        if len(by_predicate) == len(held):
-            for predicate, target_of, target, binds in checks:
-                found = by_predicate.get(predicate)
-                if target_of is not None:
-                    target = target_of(row)
-                if found is None or (target is not None and found != target):
-                    break
-                if binds:
-                    row += (found,)
-            else:
-                emit(row)
+        if len(by_predicate) < len(held):
+            repeated.append(row)
             continue
-        found = [row]
-        for extend in steps:
-            found = extend(found, run)
-            if not found:
+        for predicate, target_of, target, binds in checks:
+            found = by_predicate.get(predicate)
+            if target_of is not None:
+                target = target_of(row)
+            if found is None or (target is not None and found != target):
                 break
-        out += found
-    return out
+            if binds:
+                row += (found,)
+        else:
+            out.append(row)
+    yield out
+    yield from _drive((repeated,), steps, run)
 
 
-def _extend_in(graph, tp: IdPattern, consts, keys, repeats, free) -> Step:
+def _extend_in(graph, tp: IdPattern, consts, keys, repeats, free) -> Stage:
     """``_extend``'s step in one graph, given tp's constant positions, its
     bound positions with their slots, its repeated free positions and the
     positions that it binds. Per row it scans the smallest bucket among
@@ -571,80 +598,60 @@ def _extend_in(graph, tp: IdPattern, consts, keys, repeats, free) -> Step:
     by triple number only the positions that its check and its picker
     need. A bucket lists its triple numbers rising, so whichever bucket
     is scanned, the matching triples come in the same order."""
-    # The smallest constant bucket and the position it fixes, or every
-    # triple when there is no constant; a run reads the bucket when a
-    # row first scans it. Then the runs at each bound position, and the
-    # check of a bucket's triples by the position that the bucket fixes.
-    size, at = len(graph), None
-    for i, x in consts:
-        found = graph.size(i, x)
-        if found < size:
-            size, at = found, i
+    # The smallest constant bucket, or every triple when there is no
+    # constant, as its position's triple numbers in run order and its
+    # bounds there, with the check of its triples by the position that it
+    # fixes; then the runs at each bound position.
     columns = graph.columns
-    start_check = _check(columns, keys, consts, at)
+    start, at = (range(len(graph)), 0, len(graph)), None
+    for i, x in consts:
+        run_of, starts, order = graph.runs(i)
+        begin, end = starts[run_of(x)], starts[run_of(x) + 1]
+        if end - begin < start[2] - start[1]:
+            start, at = (order, begin, end), i
+    start += (_check(columns, keys, consts, at),)
     lookups = tuple((*graph.runs(i), slot, _check(columns, keys, consts, i)) for i, slot in keys)
-    key = None if at is None else tp[at]
     pairs = tuple((columns[i], columns[j]) for i, j in repeats)
-    picked = _taker(columns, free)
-    return partial(_extend_rows, graph, at, key, size, start_check, lookups, pairs, picked)
+    return partial(_extend_rows, start, lookups, pairs, _taker(columns, free))
 
 
 def _extend_rows(
-    graph, at: Optional[int], key: Optional[int], size: int, start_check, lookups, repeats,
-    picked, rows: list[Row], run: _Run,
-) -> list[Row]:
-    """``_extend_in``'s step, given the position and id of the smallest
-    constant bucket (None for every triple) and its size, the check of
-    its triples, the runs at the bound positions, the column pairs that
-    must hold one id and the picker."""
+    start: tuple, lookups: tuple, repeats, picked, rows: list[Row], run: _Run
+) -> Iterator[list[Row]]:
+    """``_extend_in``'s step, given the smallest constant bucket with its
+    check, the runs at the bound positions, the column pairs that must
+    hold one id and the picker. Per row only the smallest bucket is read;
+    one larger than _BATCH, or one whose triples must repeat an id, is
+    scanned a window at a time, each window's rows a batch of their own,
+    and the other rows are handed on once more than _BATCH are made."""
     out: list[Row] = []
-    emit = out.append
-    start = range(size) if at is None else None
-    # Rows and triples gone through since the last deadline check; a
-    # row counts with its bucket before the bucket is scanned.
-    work = 0
     for row in rows:
-        numbers, least, check, first = start, size, start_check, None
+        numbers, first, end, check = start
         for run_of, starts, order, slot, lookup_check in lookups:
             # An id that no triple holds at this position gets run -1,
             # which spans from the count to 0: an empty bucket.
             number = run_of(row[slot])
             begin = starts[number]
-            end = starts[number + 1]
-            if end - begin < least:
-                least, check, chosen, first = end - begin, lookup_check, order, begin
-        if first is not None:
-            # Only the smallest run is read: a subject's is a range of
-            # triple numbers, another position's a slice of its order.
-            end = first + least
-            numbers = range(first, end) if chosen is None else chosen[first:end]
-        elif numbers is None:
-            numbers = start = graph.numbers(at, key)
+            stop = starts[number + 1]
+            if stop - begin < end - first:
+                numbers, first, end, check = order, begin, stop, lookup_check
         probe, target_of, target = check
         if target_of is not None:
             target = target_of(row)
-        units = 1 + len(numbers)
-        work += units
-        if work > _CHECK_EVERY:
-            work = units
-            run.check()
-        if repeats or len(numbers) > _CHECK_EVERY:
-            numbers = _scan(numbers, repeats, run)
-        for n in numbers:
+        if repeats or end - first > _BATCH:
+            for begin in range(first, end, _BATCH):
+                window = numbers[begin : min(begin + _BATCH, end)]
+                if repeats:
+                    window = [n for n in window if all(a[n] == b[n] for a, b in repeats)]
+                yield [row + picked(n) for n in window if probe[n] == target]
+            continue
+        for n in numbers[first:end]:
             if probe[n] == target:
-                emit(row + picked(n))
-    return out
-
-
-def _scan(numbers: Sequence[int], repeats: Sequence[tuple[list, list]], run: _Run) -> Iterator[int]:
-    """The triple numbers at which each pair of columns holds one id, with
-    a deadline check before each 256 of them."""
-    for begin in range(0, len(numbers), _CHECK_EVERY):
-        run.check()
-        window = numbers[begin : begin + _CHECK_EVERY]
-        if repeats:
-            window = [n for n in window if all(a[n] == b[n] for a, b in repeats)]
-        yield from window
+                out.append(row + picked(n))
+        if len(out) > _BATCH:
+            yield out
+            out = []
+    yield out
 
 
 def _check(
@@ -747,34 +754,39 @@ def _hash_join(
 
 def _join_rows(
     left_rows: Source, right_rows: Source, left_key, right_key, tail_of, run: _Run
-) -> list[Row]:
+) -> Iterator[list[Row]]:
     """``_hash_join``'s rows, given each side's rows and join key, and the
-    picker of the right row's appended columns."""
-    rows = left_rows(run)
-    if not rows:
-        return rows
+    picker of the right row's appended columns: the right side's rows are
+    indexed whole by key, and the left side's probe the index a batch at
+    a time (``_probe``)."""
+    left = left_rows(run)
+    first = next(left, None)
+    if first is None:
+        return
     index: dict[tuple, list[Row]] = {}
-    for n, row in enumerate(right_rows(run)):
-        if not n & _CHECK_MASK:
-            run.check()
-        key = right_key(row)
-        if key is not None:
-            index.setdefault(key, []).append(tail_of(row))
+    for batch in right_rows(run):
+        for row in batch:
+            key = right_key(row)
+            if key is not None:
+                index.setdefault(key, []).append(tail_of(row))
+    if index:
+        yield from _drive(chain((first,), left), (partial(_probe, index, left_key),), run)
+
+
+def _probe(
+    index: dict[tuple, list[Row]], left_key, rows: list[Row], run: _Run
+) -> Iterator[list[Row]]:
+    """Each row followed by each tail that the index holds under the row's
+    key, handed on _BATCH rows at a time."""
     out: list[Row] = []
-    if not index:
-        return out
-    emit = out.append
-    for n, row in enumerate(rows):
-        if not n & _CHECK_MASK:
-            run.check()
-        key = left_key(row)
-        if key is None:
-            continue
-        for tail in index.get(key, ()):
-            if not len(out) & _CHECK_MASK:
-                run.check()
-            emit(row + tail)
-    return out
+    for row in rows:
+        # A key that errors is None, under which the index holds nothing.
+        for tail in index.get(left_key(row), ()):
+            out.append(row + tail)
+            if len(out) == _BATCH:
+                yield out
+                out = []
+    yield out
 
 
 def _join_key(
@@ -844,32 +856,27 @@ def _filter(node: Filter, active: tuple[GraphName, ...], planner: _Planner) -> P
 def _filtered(prepared: Prepared, conditions: list[Expression], planner: _Planner) -> Prepared:
     """The pattern's rows on which every condition is true."""
     slots, rows = prepared
+    kept = _kept(conditions, slots, planner)
+    return (slots, partial(_filtered_rows, rows, tuple(kept))) if kept else prepared
+
+
+def _filtered_rows(rows: Source, kept: tuple[Stage, ...], run: _Run) -> Iterator[list[Row]]:
+    return _drive(rows(run), kept, run)
+
+
+def _kept(conditions: list[Expression], slots: Slots, planner: _Planner) -> list[Stage]:
+    """The stages that keep the rows on which every condition is true,
+    dropping a row where one is false or errors: one stage, or none
+    without a condition."""
     if not conditions:
-        return prepared
-    return slots, partial(_filtered_rows, rows, _kept(conditions, slots, planner))
+        return []
+    values = tuple(_value(condition, slots, planner) for condition in conditions)
+    return [partial(_kept_rows, values)]
 
 
-def _filtered_rows(rows: Source, kept: Step, run: _Run) -> list[Row]:
-    return kept(rows(run), run)
-
-
-def _kept(conditions: list[Expression], slots: Slots, planner: _Planner) -> Step:
-    """The step that keeps the rows on which every condition is true:
-    where one is false or errors, the row is dropped."""
-    if not conditions:
-        return _all_rows
-    return partial(_kept_rows, tuple(_value(condition, slots, planner) for condition in conditions))
-
-
-def _all_rows(rows: list[Row], run: _Run) -> list[Row]:
-    return rows
-
-
-def _kept_rows(values: tuple[Value, ...], rows: list[Row], run: _Run) -> list[Row]:
+def _kept_rows(values: tuple[Value, ...], rows: list[Row], run: _Run) -> Iterator[list[Row]]:
     out = []
-    for n, row in enumerate(rows):
-        if not n & _CHECK_MASK:
-            run.check()
+    for row in rows:
         try:
             for value in values:
                 found = value(row, run)
@@ -879,7 +886,7 @@ def _kept_rows(values: tuple[Value, ...], rows: list[Row], run: _Run) -> list[Ro
                 out.append(row)
         except _ExprError:
             pass
-    return out
+    yield out
 
 
 @lru_cache(maxsize=1024)

@@ -666,13 +666,21 @@ def test_analyze_raw_resolution_store_is_an_error(tmp_path):
         "2016-05-01T10:00:00Z,100.0\n"
         "2016-05-01T16:00:00Z,104.5\n"
         "2016-05-02T10:00:00Z,110.0\n"
+        "2016-05-02T16:00:00Z,115.0\n"
     )
     climate = tmp_path / "climate.csv"
     climate.write_text(CLIMATE_CSV)
     config = load_config(cli_overrides={"out": str(tmp_path), "resolution": "raw"})
     stores = [cmd_uplift(str(energy), config), cmd_climate(str(climate), config)]
-    with pytest.raises(AnalysisError, match="daily resolution"):
+    # Two days are read twice; the rows' canonical order, not the order in
+    # which the evaluator makes them, decides that the first one is named.
+    with pytest.raises(AnalysisError) as raised:
         cmd_analyze(stores, config)
+    assert str(raised.value) == (
+        "duplicate day 2016-05-01 for "
+        "http://jresearch.ucd.ie/climate-kg/resource/cossmic/DE_KN_industrial1_pv_1; "
+        "store is not at daily resolution"
+    )
 
 
 def test_threshold_out_of_range_exits_1(store_files, tmp_path):

@@ -1,6 +1,9 @@
+import inspect
 import random
 import re
+import sys
 import time
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -500,13 +503,16 @@ def test_deadline_is_checked_while_one_row_scans_a_large_bucket(counted_checks):
 
 
 def test_deadline_is_checked_while_a_hash_join_probes(counted_checks):
+    # The left side is one batch of 10,000 rows, which the driver feeds to
+    # the probe in slices, each probed without a match.
     ds = quad_store()
     run, planner = evaluator._Run(ds, None), evaluator._Planner(ds, frozenset())
     left = [(i,) for i in range(_BIG)]
     _, rows = evaluator._hash_join(
-        ({"a": 0}, lambda run: left), ({"a": 0}, lambda run: [(-1,)]), ["a"], planner
+        ({"a": 0}, lambda run: iter([left])), ({"a": 0}, lambda run: iter([[(-1,)]])), ["a"],
+        planner,
     )
-    assert rows(run) == []
+    assert list(rows(run)) == []
     assert len(counted_checks) >= _BIG // 256
 
 
@@ -515,8 +521,60 @@ def test_deadline_is_checked_while_a_filter_runs(counted_checks):
     run, planner = evaluator._Run(ds, None), evaluator._Planner(ds, frozenset())
     rows = [(i,) for i in range(_BIG)]
     never = parse_query("SELECT ?a WHERE { ?a ?b ?c FILTER (?unbound = ?a) }").pattern.expression
-    assert evaluator._kept([never], {"a": 0}, planner)(rows, run) == []
+    _, kept = evaluator._filtered(({"a": 0}, lambda run: iter([rows])), [never], planner)
+    assert list(kept(run)) == []
     assert len(counted_checks) >= _BIG // 256
+
+
+def test_a_filtered_cross_product_is_run_a_batch_at_a_time():
+    # 300 triples crossed with themselves are 90,000 rows, of which the
+    # FILTER keeps 500. Built whole, those rows take about 8.7 MB; a batch
+    # at a time, the run takes about 0.15 MB.
+    ds = quad_store([q(f"s{i % 40}", f"p{i % 3}", f"o{i % 50}") for i in range(300)])
+    query = parse_query("SELECT ?a ?b WHERE { ?a ?p ?o . ?b ?q ?r FILTER(?o = ?r && ?a = ?b) }")
+    tracemalloc.start()
+    try:
+        rows = evaluate(ds, query).rows
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 500
+    assert naive.row_multiset(rows) == naive.row_multiset(naive.naive_evaluate(ds, query))
+    assert peak < 1_000_000
+
+
+def test_a_long_chain_runs_at_one_depth_of_the_python_stack():
+    # ?v0 p ?v1 . ?v1 p ?v2 ... over the chain n0 p n1 ...: 300 stages, each
+    # extending one row, run under a recursion limit of 100 frames more
+    # than the test's own, which a generator nested per stage overruns.
+    length = 300
+    ds = quad_store([q(f"n{i}", "p", f"n{i + 1}") for i in range(length)])
+    body = " . ".join(f"?v{i} <{EX}p> ?v{i + 1}" for i in range(length))
+    prepared = evaluator.prepare(ds, parse_query(f"SELECT ?v0 ?v{length} WHERE {{ {body} }}"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        answer = prepared.run()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert answer.rows == [{"v0": Iri(EX + "n0"), f"v{length}": Iri(EX + f"n{length}")}]
+
+
+@pytest.mark.parametrize("rare", [False, True])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_answers_do_not_depend_on_the_batch_size(monkeypatch, batch, rare):
+    # With batches of one or three rows, every window of a bucket, star
+    # fallback, merged-graph step and join probe crosses a batch's edge.
+    # About one answer in ten has two rows or more, so 400 cases are run.
+    monkeypatch.setattr(evaluator, "_BATCH", batch)
+    rnd = random.Random(batch)
+    for _ in range(400):
+        ds = querygen.random_dataset(rnd, max_quads=60 if rare else 150, rare=rare)
+        text = querygen.random_query_text(rnd, ds, rare=rare)
+        query = parse_query(text)
+        engine = evaluate(ds, query).rows
+        reference = naive.naive_evaluate(ds, query)
+        assert naive.row_multiset(engine) == naive.row_multiset(reference), text
 
 
 @pytest.fixture()
