@@ -406,7 +406,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    # The positionals after an option are left over, and belong to the
+    # stores and the query; anything else is refused as parse_args would.
+    if rest and getattr(args, "stores", None) and not any(a.startswith("-") for a in rest):
+        args.stores += rest
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         # A field without a flag, or whose flag was not given, reads None.
         overrides = {

@@ -32,9 +32,12 @@ RDF-3X (Neumann and Weikum, VLDB 2008). A run returns a
 ``SolutionSequence`` of the projected rows as tuples of ids, sorted by
 the canonical text of each id, with the store's texts. A term is decoded
 only for an expression, once per id and run. A date function of a
-variable reads the instant of each id from a memo of the store's
-(``_instants``), kept beside the store, not in it: each id's text is
-parsed once per store and process. The sequence decodes its rows into
+variable reads its id's parts from memos of the store's, kept beside
+the store, not in it: ``_instants`` parses each id's text once per
+store and process, and ``_dates`` keeps each id's tuple of some parts
+of that instant, such as its (year, month, day), one memo per set of
+parts; so a day-join's key, or the parts that a month FILTER equates
+with numbers, are one dict read per row. The sequence decodes its rows into
 terms only if a caller reads them; the serializers (``results.py``)
 render each distinct id once from its text, and ``analysis`` reads the
 id rows and decodes each id once.
@@ -78,10 +81,12 @@ A FILTER over a BGP, or over a GRAPH block of one BGP, tests each of its
 last variable, so later steps extend only the rows it keeps. This is
 exact: in this subset a row passes only if every conjunct is true, an
 unbound variable makes a conjunct an error, and a later step never
-changes a bound id. Joins are hash-based on the statically shared
-variables; a FILTER whose conjuncts equate date components across the
-two sides of a Join is turned into an equi-join key so day-alignment
-queries stay linear.
+changes a bound id. The conjuncts tested at one point that equate a date
+part of one variable with a number are one test per row, ``_dated_rows``:
+the id's tuple of those parts equals the numbers' tuple. Joins are
+hash-based on the statically shared variables; a FILTER whose conjuncts
+equate date components across the two sides of a Join is turned into an
+equi-join key so day-alignment queries stay linear.
 """
 
 from __future__ import annotations
@@ -145,6 +150,9 @@ _BATCH = 256
 # Item getters by their int keys. They hold no state, so the prepared
 # queries share them, and few distinct ones are asked for.
 _getter = lru_cache(maxsize=1024)(itemgetter)
+# The parts of an instant that a date function takes, in the order in
+# which a memo of several holds them (``_dates``).
+_PARTS = ("year", "month", "day")
 # How the canonical text of an xsd:dateTime literal ends.
 _DATETIME_END = f'"^^<{XSD_DATETIME.value}>'
 # The value of each valid lexical form of xsd:boolean.
@@ -196,11 +204,13 @@ class _Instants(dict):
     text is no valid xsd:dateTime literal's. Each is parsed when first
     read and kept only for an xsd:dateTime text, so the memo holds at most
     one entry per such text of the store. Threads may fill it at once: an
-    id parsed twice gives the same instant."""
+    id parsed twice gives the same instant. ``dates`` holds the store's
+    memos of date parts (``_dates``)."""
 
     def __init__(self, texts: list[str]) -> None:
         super().__init__()
         self.texts = texts
+        self.dates: dict[tuple[str, ...], _Dates] = {}
 
     def __missing__(self, id_: int) -> Optional[datetime]:
         text = self.texts[id_]
@@ -208,6 +218,26 @@ class _Instants(dict):
         if text.endswith(_DATETIME_END):
             self[id_] = instant
         return instant
+
+
+class _Dates(dict):
+    """The tuple of some parts of the instant that each id of one store
+    spells, such as its (year, month, day), or None where it spells none.
+    Each is read from the store's instants when first asked for, and kept
+    only for an id that they keep, so a text is parsed once for every
+    memo, and each memo holds at most one entry per xsd:dateTime text."""
+
+    def __init__(self, instants: _Instants, parts: tuple[str, ...]) -> None:
+        super().__init__()
+        self.instants = instants
+        self.parts = parts
+
+    def __missing__(self, id_: int) -> Optional[tuple[int, ...]]:
+        instant = self.instants[id_]
+        parts = None if instant is None else tuple([getattr(instant, p) for p in self.parts])
+        if id_ in self.instants:
+            self[id_] = parts
+        return parts
 
 
 # Each store's instants, for as long as the store lives.
@@ -220,6 +250,15 @@ def _instants(ds: Dataset) -> _Instants:
     if found is None:
         found = _STORE_INSTANTS.setdefault(ds, _Instants(ds.texts()))
     return found
+
+
+def _dates(ds: Dataset, components: Iterable[str]) -> _Dates:
+    """The store's memo of the tuple of the components' distinct parts, in
+    ``_PARTS`` order, an empty one when first asked for: a store has at
+    most one memo for each set of parts, seven in all."""
+    parts = tuple(sorted(set(components), key=_PARTS.index))
+    instants = _instants(ds)
+    return instants.dates.setdefault(parts, _Dates(instants, parts))
 
 
 class _Planner:
@@ -258,7 +297,10 @@ class PreparedQuery:
     def run(self, deadline: Optional[float] = None) -> SolutionSequence:
         """The query's answer: its rows as tuples of the ids of the
         projected variables that they bind, in canonical order and cut by
-        LIMIT, with the store's texts.
+        LIMIT, with the store's texts. The order is sorted a column at a
+        time: each column's texts are read in one comprehension, and the
+        row numbers are sorted by them, or by the columns' tuples of them,
+        in C.
 
         Raises QueryTimeout once time.monotonic() passes deadline. The
         deadline is checked before the rows, by ``_drive`` for each batch
@@ -270,12 +312,17 @@ class PreparedQuery:
         run = _Run(self._ds, deadline)
         run.check()
         projected = list(map(self._pick, chain.from_iterable(self._rows(run))))
-        # Canonical order is the order of the ids' texts.
+        # Canonical order is the order of the ids' texts: the texts are
+        # read a column at a time, and the row numbers sorted by them.
         texts = self._ds.texts()
-        projected.sort(key=lambda row: tuple(map(texts.__getitem__, row)))
-        run.check()
-        if self._limit is not None:
+        if self._names:
+            keys = [[texts[row[j]] for row in projected] for j in range(len(self._names))]
+            keys = keys[0] if len(keys) == 1 else list(zip(*keys))
+            order = sorted(range(len(projected)), key=keys.__getitem__)
+            projected = [projected[i] for i in order[: self._limit]]
+        else:
             projected = projected[: self._limit]
+        run.check()
         return SolutionSequence(self._variables, self._names, projected, texts)
 
 
@@ -755,7 +802,7 @@ def _hash_join(
 def _join_rows(
     left_rows: Source, right_rows: Source, left_key, right_key, tail_of, run: _Run
 ) -> Iterator[list[Row]]:
-    """``_hash_join``'s rows, given each side's rows and join key, and the
+    """``_hash_join``'s rows, given each side's rows and join keys, and the
     picker of the right row's appended columns: the right side's rows are
     indexed whole by key, and the left side's probe the index a batch at
     a time (``_probe``)."""
@@ -765,10 +812,9 @@ def _join_rows(
         return
     index: dict[tuple, list[Row]] = {}
     for batch in right_rows(run):
-        for row in batch:
-            key = right_key(row)
+        for key, tail in zip(right_key(batch), map(tail_of, batch)):
             if key is not None:
-                index.setdefault(key, []).append(tail_of(row))
+                index.setdefault(key, []).append(tail)
     if index:
         yield from _drive(chain((first,), left), (partial(_probe, index, left_key),), run)
 
@@ -779,9 +825,9 @@ def _probe(
     """Each row followed by each tail that the index holds under the row's
     key, handed on _BATCH rows at a time."""
     out: list[Row] = []
-    for row in rows:
-        # A key that errors is None, under which the index holds nothing.
-        for tail in index.get(left_key(row), ()):
+    # A key that errors is None, under which the index holds nothing.
+    for row, tails in zip(rows, map(index.get, left_key(rows), repeat(()))):
+        for tail in tails:
             out.append(row + tail)
             if len(out) == _BATCH:
                 yield out
@@ -791,44 +837,43 @@ def _probe(
 
 def _join_key(
     shared: list[str], keys: tuple[DateFunc, ...], slots: Slots, planner: _Planner
-) -> Callable[[Row], Optional[tuple]]:
-    """A function from a row to its join key: the row's ids of the shared
-    variables, then the value of each key, a date part of a variable;
-    None where a key errors, as the equality it came from can never be
-    true there. Keys that follow each other and take parts of one
-    variable's date read its instant once per row, as the day-join's
-    year, month and day do."""
-    ids = tuple(_slot(name, slots) for name in shared)
+) -> Callable[[list[Row]], Iterable[Optional[tuple]]]:
+    """A function from a batch of rows to their join keys, in order: each
+    row's ids of the shared variables, then the value of each key, a date
+    part of a variable; None where a key errors, as the equality it came
+    from can never be true there. Keys that follow each other and take
+    parts of one variable's date, in year, month, day order, are one read
+    of the store's memo of those parts (``_dates``). Where that read is
+    the whole key, as the day-join's year, month and day are, the keys are
+    read through C-level ``map``s, with no Python call per row. The rows
+    bind every variable of their pattern, so each shared and key
+    variable."""
+    ids = _picker(*[slots[name] for name in shared])
     runs: list[tuple[str, list[str]]] = []
     for key in keys:
-        if runs and key.argument.name == runs[-1][0]:
-            runs[-1][1].append(key.component)
+        name, part = key.argument.name, key.component
+        # A run takes its parts in ``_PARTS`` order, as its memo holds them.
+        if runs and runs[-1][0] == name and _PARTS.index(part) > _PARTS.index(runs[-1][1][-1]):
+            runs[-1][1].append(part)
         else:
-            runs.append((key.argument.name, [key.component]))
-    dates = tuple((_slot(name, slots), _parts(components)) for name, components in runs)
-    instants = _instants(planner.ds) if dates else None
+            runs.append((name, [part]))
+    if not runs:
+        return partial(map, ids)
+    dates = [(_getter(slots[name]), _dates(planner.ds, parts)) for name, parts in runs]
+    if not shared and len(dates) == 1:
+        ((at, memo),) = dates
+        return lambda rows: map(memo.__getitem__, map(at, rows))
 
     def key_of(row: Row) -> Optional[tuple]:
-        try:
-            key = [at(row) for at in ids]
-            for at, parts in dates:
-                instant = instants[at(row)]
-                if instant is None:
-                    return None
-                key += parts(instant)
-        except _ExprError:
-            return None
-        return tuple(key)
+        key = ids(row)
+        for at, memo in dates:
+            parts = memo[at(row)]
+            if parts is None:
+                return None
+            key += parts
+        return key
 
-    return key_of
-
-
-def _parts(components: list[str]) -> Callable[[datetime], tuple]:
-    """A function from an instant to the tuple of its named parts."""
-    parts = attrgetter(*components)
-    if len(components) > 1:
-        return parts
-    return lambda instant: (parts(instant),)
+    return partial(map, key_of)
 
 
 def _filter(node: Filter, active: tuple[GraphName, ...], planner: _Planner) -> Prepared:
@@ -866,12 +911,62 @@ def _filtered_rows(rows: Source, kept: tuple[Stage, ...], run: _Run) -> Iterator
 
 def _kept(conditions: list[Expression], slots: Slots, planner: _Planner) -> list[Stage]:
     """The stages that keep the rows on which every condition is true,
-    dropping a row where one is false or errors: one stage, or none
-    without a condition."""
-    if not conditions:
-        return []
-    values = tuple(_value(condition, slots, planner) for condition in conditions)
-    return [partial(_kept_rows, values)]
+    dropping a row where one is false or errors; none without a
+    condition. The conditions that equate a date part of a variable that
+    the rows bind with a number, such as the month FILTER's ``year(?d) =
+    2016`` and ``month(?d) = 5``, one for each part, are one stage per
+    variable (``_dated_rows``); the others are tested by one stage more."""
+    dated: dict[str, dict[str, Union[int, Decimal]]] = {}
+    rest = []
+    for condition in conditions:
+        found = _date_equals(condition, slots)
+        if found is not None:
+            func, constant, number = found
+            numbers = dated.setdefault(func.argument.name, {})
+            if func.component not in numbers:
+                numbers[func.component] = number
+                # The units that ``_value`` counts for its three nodes.
+                planner.size += 3 + len(term_key(constant.value)) // _TEXT_UNIT
+                continue
+        rest.append(condition)
+    stages: list[Stage] = []
+    for name, numbers in dated.items():
+        memo = _dates(planner.ds, numbers)
+        target = tuple(numbers[part] for part in memo.parts)
+        stages.append(partial(_dated_rows, slots[name], memo, target))
+    if rest:
+        values = tuple(_value(condition, slots, planner) for condition in rest)
+        stages.append(partial(_kept_rows, values))
+    return stages
+
+
+def _date_equals(
+    condition: Expression, slots: Slots
+) -> Optional[tuple[DateFunc, Constant, Union[int, Decimal]]]:
+    """The date function, the constant and its number of a condition that
+    equates a date part of a variable that the rows bind with a constant
+    number, either way round; else None."""
+    if isinstance(condition, Equals):
+        func, constant = condition.left, condition.right
+        if isinstance(func, Constant):
+            func, constant = constant, func
+        if (
+            isinstance(func, DateFunc) and isinstance(func.argument, Variable)
+            and func.argument.name in slots
+        ):
+            number = _constant_number(constant)
+            if number is not None:
+                return func, constant, number
+    return None
+
+
+def _dated_rows(
+    slot: int, dates: _Dates, numbers: tuple, rows: list[Row], run: _Run
+) -> Iterator[list[Row]]:
+    """The rows whose id at the slot has the numbers as its date parts: one
+    memo read per row. An id with no instant has None, which equals no
+    tuple, as the equality errors there."""
+    yield [row for row in rows if dates[row[slot]] == numbers]
 
 
 def _kept_rows(values: tuple[Value, ...], rows: list[Row], run: _Run) -> Iterator[list[Row]]:
@@ -965,9 +1060,6 @@ def _value(expression: Expression, slots: Slots, planner: _Planner) -> Value:
             # Equality is symmetric, errors too: a constant goes right.
             left, right = right, left
         left_value, right_value = _value(left, slots, planner), _value(right, slots, planner)
-        number = _constant_number(right)
-        if isinstance(left, DateFunc) and number is not None:
-            return lambda row, run: left_value(row, run) == number
         left_pair, right_pair = _pair(left, left_value), _pair(right, right_value)
         return lambda row, run: _equals(*left_pair(row, run), *right_pair(row, run))
     if isinstance(expression, And):

@@ -18,6 +18,9 @@ code, and reimplements the documented semantics independently:
   mismatched literal datatypes are an error, mismatched term kinds false;
   a numeric lexical form that spells no finite number (``NaN``, ``sNaN``,
   ``INF``, ``Infinity``) is an error
+- year, month and day are the parts of a dateTime's instant in UTC, as
+  the evaluator reads them; a dateTime whose instant in UTC falls
+  outside years 1 to 9999 is an error
 - results are projected, sorted by the canonical term encoding of the
   projected bindings, then cut by LIMIT
 """
@@ -25,7 +28,7 @@ code, and reimplements the documented semantics independently:
 from __future__ import annotations
 
 from collections import Counter
-from datetime import datetime
+from datetime import datetime, timezone
 from fractions import Fraction
 
 from energykg.sparql.ast import (
@@ -228,7 +231,10 @@ def _instant(lexical: str) -> datetime:
         raise _Error("bad dateTime")
     if value.tzinfo is None:
         raise _Error("naive dateTime")
-    return value
+    try:
+        return value.astimezone(timezone.utc)
+    except OverflowError:
+        raise _Error("dateTime out of range in UTC")
 
 
 def _number(value):

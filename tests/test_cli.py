@@ -431,6 +431,43 @@ def test_query_inline_text(store_files, config):
     assert output.startswith("?s\n")
 
 
+def test_options_may_come_before_between_or_after_the_stores_and_the_query(store_files, capsys):
+    query = str(DATA / "energy_tmax_join.rq")
+    outputs = []
+    for argv in (
+        [*store_files, query, "--format", "json"],
+        [*store_files, "--format", "json", query],
+        [store_files[0], "--format", "json", store_files[1], query],
+        ["--format", "json", *store_files, query],
+    ):
+        assert main(["query", *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(set(outputs)) == 1
+    assert len(json.loads(outputs[0])["results"]["bindings"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "a.ttl", "--bogus", "q.rq"],
+        ["query", "a.ttl", "q.rq", "--bogus"],
+        ["query", "a.ttl", "--format", "json", "--bogus=1", "q.rq"],
+        ["serve", "a.ttl", "-x"],
+        ["uplift", "a.csv", "b.csv"],
+        ["climate", "a.csv", "--out", "o", "b.csv"],
+    ],
+)
+def test_unknown_arguments_exit_2_with_argparses_own_message(argv, capsys):
+    with pytest.raises(SystemExit) as refused:
+        cli._build_parser().parse_args(argv)
+    expected = capsys.readouterr().err
+    assert refused.value.code == 2 and "unrecognized arguments" in expected
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert capsys.readouterr().err == expected
+
+
 def test_query_missing_file_exits_1(tmp_path):
     assert main(["query", str(tmp_path / "nope.ttl"), "SELECT ?s WHERE { ?s ?p ?o }"]) == 1
 

@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +12,7 @@ from stores import quad_store
 from energykg.sparql import ast, evaluate, parse_query
 from energykg.sparql.ast import SelectQuery, Variable
 from energykg.sparql.results import to_results_json, to_results_tsv
-from energykg.terms import BlankNode, Iri, Literal, Quad, XSD_DECIMAL, XSD_STRING
+from energykg.terms import BlankNode, Iri, Literal, Quad, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
 
 
 def _sample():
@@ -125,6 +127,40 @@ def test_each_special_case_serializes_as_the_reference_does():
     empty = _evaluated(ds, ("s",), "SELECT ?s WHERE { ?s ?p ?o } LIMIT 0")
     _assert_as_reference(empty)
     assert to_results_json(empty) == '{"head": {"vars": ["s"]}, "results": {"bindings": []}}'
+
+
+_TAIL = '"^^<http://www.w3.org/2001/XMLSchema#decimal>'
+# The columns of one predicate's objects each, by the predicate's name.
+_COLUMNS = {
+    "kinds": [Iri("http://example.org/o"), Literal("1.5", XSD_DECIMAL), BlankNode("b1"), Literal("x")],
+    "iris": [Iri("http://example.org/o"), Iri("http://example.org/é\u2028")],
+    "datatypes": [Literal("1.5", XSD_DECIMAL), Literal("2", XSD_INTEGER), Literal("3.5", XSD_DECIMAL)],
+    "decimals": [Literal(c, XSD_DECIMAL) for c in ("1.5", "2.25", '4"^^<x>', _TRICKY)],
+    "strings": [Literal(c) for c in ("", "a", _TRICKY, "x" + _TAIL, '"^^<', '\\"^^<')],
+    # A lexical form that ends as another datatype's text does.
+    "tails": [Literal("1" + _TAIL), Literal("2.5", XSD_DECIMAL), Literal(_TAIL, XSD_INTEGER)],
+    "dates": [
+        Literal("2016-05-01T00:00:00Z", Iri(_XSD + "dateTime")), Literal("2016", Iri(_XSD + "gYear")),
+    ],
+    "bnodes": [BlankNode("b1"), BlankNode("b2")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COLUMNS))
+def test_each_kind_of_column_serializes_as_the_reference_does(name):
+    """A column of IRIs, of literals of one datatype, xsd:string among
+    them, or of anything else, beside a subject column, a variable that
+    no row binds and a repeated one; and its empty answer."""
+    ds = quad_store(
+        Quad(Iri(f"http://example.org/{name}{i}"), Iri("http://example.org/" + name), term)
+        for i, term in enumerate(_COLUMNS[name])
+    )
+    text = f"SELECT ?s ?o WHERE {{ ?s <http://example.org/{name}> ?o }}"
+    for projection in (("o",), ("s", "o"), ("o", "never", "s", "o")):
+        seq = _evaluated(ds, projection, text)
+        assert len(seq) == len(_COLUMNS[name])
+        _assert_as_reference(seq)
+        _assert_as_reference(_evaluated(ds, projection, text + " LIMIT 0"))
 
 
 def test_serializing_an_evaluation_decodes_no_term(monkeypatch):

@@ -5,6 +5,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -693,6 +694,30 @@ def test_join_keys_that_group_differently_on_each_side_match_the_oracle():
     assert rows == naive.naive_evaluate(ds, query)
 
 
+def test_join_keys_that_equate_different_parts_match_the_oracle():
+    # The left side's day equals the right side's month and its month the
+    # right's day: a key of the parts in the order written, not in the
+    # order that a memo holds them.
+    g = Iri(EX + "g")
+    quads = [
+        q(f"r{i}", "at", Literal(stamp, XSD_DATETIME), g)
+        for i, stamp in enumerate(["2016-05-06T00:00:00Z", "2016-05-05T00:00:00Z"])
+    ]
+    quads += [
+        q(f"o{i}", "on", Literal(stamp, XSD_DATETIME))
+        for i, stamp in enumerate(["2016-06-05T00:00:00Z", "2016-05-06T00:00:00Z"])
+    ]
+    ds = quad_store(quads)
+    query = parse_query(
+        f"SELECT ?r ?o FROM <urn:x-arq:DefaultGraph> FROM NAMED <{EX}g> WHERE {{"
+        f" ?o <{EX}on> ?u . GRAPH <{EX}g> {{ ?r <{EX}at> ?t }}"
+        " FILTER (day(?t) = month(?u) && month(?t) = day(?u)) }"
+    )
+    rows = [{"r": Iri(EX + "r0"), "o": Iri(EX + "o0")}]
+    assert evaluate(ds, query).rows == rows
+    assert naive.naive_evaluate(ds, query) == rows
+
+
 def test_day_join_parses_each_date_ids_instant_once_per_side(counted_parses):
     # N devices read at noon of the same D days, in a named graph, joined by
     # year, month and day to one observation at midnight of each day: N * D
@@ -754,6 +779,141 @@ def test_instants_are_parsed_once_per_store_not_per_evaluation(counted_parses):
     # Another store parses its own.
     assert len(evaluate(quad_store(quads), query).rows) == 30
     assert len(counted_parses) == 6
+
+
+def _dated_store():
+    """Readings whose ?t is a dateTime in UTC, one written with an offset
+    that moves it to the next day, month or year in UTC, one whose instant
+    in UTC falls before year 1, invalid dateTimes, a string and an IRI."""
+    stamps = {
+        "may1": "2016-05-01T00:00:00Z",
+        "may31": "2016-05-31T12:00:00Z",
+        "june": "2016-06-01T00:00:00Z",
+        # May 31st where it is written, June 1st in UTC.
+        "west": "2016-05-31T23:30:00-02:00",
+        # June 1st where it is written, May 31st in UTC.
+        "east": "2016-06-01T01:00:00+02:00",
+        # 2015 where it is written, 2016 in UTC.
+        "newyear": "2015-12-31T23:00:00-05:00",
+        "year1": "0001-01-01T00:00:00+01:00",
+        "month13": "2016-13-01T00:00:00Z",
+        "words": "May 2016",
+        "local": "2016-05-01T00:00:00",
+    }
+    quads = [q(name, "at", Literal(stamp, XSD_DATETIME)) for name, stamp in stamps.items()]
+    quads += [q("string", "at", Literal("2016-05-01T00:00:00Z")), q("iri", "at", "may")]
+    return quad_store(quads)
+
+
+@pytest.mark.parametrize(
+    "condition, expected",
+    [
+        ("year(?t) = 2016 && month(?t) = 5", ["east", "may1", "may31"]),
+        ("2016 = year(?t) && 5 = month(?t)", ["east", "may1", "may31"]),
+        ("month(?t) = 5.0 && year(?t) = 2016", ["east", "may1", "may31"]),
+        ("month(?t) = 6 && day(?t) = 1", ["june", "west"]),
+        ("year(?t) = 2016 && month(?t) = 1 && day(?t) = 1", ["newyear"]),
+        ("year(?t) = 2015", []),
+        ("day(?t) = 1.5", []),
+        # A string is no number: the equality errors and drops every row.
+        ('year(?t) = "2016"', []),
+        ('year(?t) = 2016 && month(?t) = "5"', []),
+        # A part named twice, once false.
+        ("month(?t) = 5 && month(?t) = 6", []),
+        ("month(?t) = 5 && month(?t) = 5.0 && day(?t) = 1", ["may1"]),
+        # A variable that the rows do not bind is an error.
+        ("year(?nope) = 2016", []),
+        ("year(?t) = 2016 && month(?nope) = 5", []),
+    ],
+)
+def test_date_parts_match_the_oracle(condition, expected):
+    query = parse_query(f"SELECT ?s WHERE {{ ?s <{EX}at> ?t FILTER ({condition}) }}")
+    rows = [{"s": Iri(EX + name)} for name in expected]
+    ds = _dated_store()
+    assert evaluate(ds, query).rows == rows
+    assert naive.naive_evaluate(ds, query) == rows
+
+
+def test_a_day_join_drops_the_rows_whose_date_is_invalid_on_either_side():
+    g = Iri(EX + "g")
+    quads = [
+        q("r1", "at", Literal("2016-05-01T10:00:00Z", XSD_DATETIME), g),
+        q("r2", "at", Literal("2016-05-01T10:00:00", XSD_DATETIME), g),
+        q("r3", "at", Literal("2016-05-02T23:00:00-02:00", XSD_DATETIME), g),
+        q("r4", "at", Literal("2016-05-01T10:00:00Z"), g),
+        q("o1", "on", Literal("2016-05-01T00:00:00Z", XSD_DATETIME)),
+        q("o2", "on", Literal("2016-05-03T00:00:00Z", XSD_DATETIME)),
+        q("o3", "on", Literal("2016-02-30T00:00:00Z", XSD_DATETIME)),
+        q("o4", "on", "may1"),
+    ]
+    ds = quad_store(quads)
+    expected = [("r1", "o1"), ("r3", "o2")]
+    rows = [{"r": Iri(EX + r), "o": Iri(EX + o)} for r, o in expected]
+    # The parts in year, month, day order are one memo read per row; in
+    # another order, two.
+    parts = "year(?t) = year(?u) && month(?t) = month(?u) && day(?t) = day(?u)"
+    reordered = "year(?t) = year(?u) && day(?t) = day(?u) && month(?t) = month(?u)"
+    for text in (_DAY_JOIN, _DAY_JOIN.replace(parts, reordered)):
+        query = parse_query(text)
+        assert evaluate(ds, query).rows == rows, text
+        assert naive.naive_evaluate(ds, query) == rows, text
+
+
+def test_date_memos_hold_one_entry_per_datetime_id_read(counted_parses):
+    ds = _dated_store()
+    month = parse_query(
+        f"SELECT ?s WHERE {{ ?s <{EX}at> ?t FILTER (year(?t) = 2016 && month(?t) = 5) }}"
+    )
+    for _ in range(2):
+        assert len(evaluate(ds, month).rows) == 3
+    memo = evaluator._dates(ds, ("month", "year"))
+    datetimes = {ds.id_of(Literal(stamp, XSD_DATETIME)) for stamp in counted_parses}
+    # Each dateTime id once, the invalid ones as None; no string or IRI.
+    assert len(counted_parses) == len(datetimes) == 10
+    assert set(memo) == datetimes
+    assert sum(parts is None for parts in memo.values()) == 4
+    assert memo[ds.id_of(Iri(EX + "may"))] is None and len(memo) == 10
+    # The day parts are another memo, read from the same instants.
+    day = parse_query(
+        f"SELECT ?s WHERE {{ ?s <{EX}at> ?t FILTER (day(?t) = 1 && month(?t) = 6) }}"
+    )
+    assert len(evaluate(ds, day).rows) == 2
+    assert len(counted_parses) == 10
+    assert set(evaluator._dates(ds, ("day", "month"))) == datetimes
+    assert set(evaluator._instants(ds).dates) == {("year", "month"), ("month", "day")}
+
+
+def test_threads_that_fill_one_stores_date_memos_at_once_agree():
+    # Eight threads, switching often, evaluate a month FILTER and a
+    # day-join over a store whose memos are empty; each answer is the
+    # one that a store evaluated alone gives, and each memo keeps one
+    # entry per dateTime id.
+    month = parse_query(
+        f"SELECT ?s ?t WHERE {{ ?s <{EX}at> ?t FILTER (year(?t) = 2016 && month(?t) = 5) }}"
+    )
+    day_join = parse_query(_DAY_JOIN)
+    g = Iri(EX + "g")
+    quads = []
+    for d in range(1, 29):
+        quads.append(q(f"r{d}", "at", Literal(f"2016-05-{d:02d}T12:00:00Z", XSD_DATETIME), g))
+        quads.append(q(f"o{d}", "on", Literal(f"2016-05-{d:02d}T00:00:00Z", XSD_DATETIME)))
+    for d in range(60):
+        quads.append(q(f"s{d}", "at", Literal(f"2016-0{4 + d % 3}-0{1 + d % 9}T00:00:00Z", XSD_DATETIME)))
+    expected = [evaluate(quad_store(quads), query).rows for query in (month, day_join)]
+    ds = quad_store(quads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(evaluate, ds, query) for _ in range(16) for query in (month, day_join)]
+            answers = [future.result(timeout=60).rows for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == expected * 16
+    # The month reads nine texts, three of them the day-join's too.
+    assert len(evaluator._dates(ds, ("year", "month"))) == 9
+    assert len(evaluator._dates(ds, ("year", "month", "day"))) == 28 + 28
+    assert len(evaluator._instants(ds)) == 28 + 28 + 6
 
 
 @pytest.mark.parametrize("graph", [None, Iri(EX + "g")])
